@@ -1,17 +1,20 @@
 #!/usr/bin/env python
-"""Morsel-driven parallel vs. single-thread vectorized on Figure 4 (CI gate).
+"""Thread scaling of the vectorized strategy on Figure 4 (CI gate).
 
-Runs Figure 4 (Query 1, one-level ``> ALL``) with the single-threaded
-columnar strategy and the morsel-driven parallel strategy at 1 and N
-workers on the same database, captures per-operator traces (morsel spans
-included), writes a ``BENCH_parallel_fig4.json`` artifact validated
-against ``schemas/trace.schema.json``, and **fails** (exit 1) unless
+Runs Figure 4 (Query 1, one-level ``> ALL``) with
+``nested-relational-vectorized`` at 1 and at N morsel workers on the
+same database, captures per-operator traces (morsel spans included),
+writes a ``BENCH_parallel_fig4.json`` artifact validated against
+``schemas/trace.schema.json``, prints the measured scaling at every
+series point, and **fails** (exit 1) if N workers are slower than one
+by more than the noise allowance (``threads=1`` / ``threads=N``
+wall-time ratio below ``--min-ratio``, default 0.9).
 
-* the parallel strategy at ``--threads`` workers is at least
-  ``--min-speedup`` (default 2×) faster than the single-thread
-  vectorized strategy at every series point, and
-* the parallel strategy at 1 worker never regresses below the
-  single-thread vectorized strategy (ratio >= ``--min-regression``).
+There is one kernel family, so this measures threads and nothing else:
+morsels binary-search a shared build side and evaluate residuals and
+linking predicates concurrently, while key factorization, the build
+sort and the output gathers stay on the dispatching thread.  Expect a
+ratio near 1 under the GIL; the gate is "no regression", not a speedup.
 
 Usage::
 
@@ -40,11 +43,11 @@ from repro.bench import (  # noqa: E402
     write_bench_artifact,
 )
 from repro.engine.vector.strategy import (  # noqa: E402
-    ParallelNestedRelationalStrategy,
+    VectorizedNestedRelationalStrategy,
 )
 from repro.strategies import register  # noqa: E402
 
-BASELINE = "nested-relational-vectorized"
+STRATEGY = "nested-relational-vectorized"
 
 
 def main(argv=None) -> int:
@@ -54,12 +57,9 @@ def main(argv=None) -> int:
     parser.add_argument("--name", default="parallel_fig4",
                         help="artifact name: writes BENCH_<name>.json")
     parser.add_argument("--threads", type=int, default=4,
-                        help="worker count for the parallel series")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="required vectorized/parallel@N wall-time "
-                             "ratio per point")
-    parser.add_argument("--min-regression", type=float, default=1.0,
-                        help="required vectorized/parallel@1 wall-time "
+                        help="worker count compared with one worker")
+    parser.add_argument("--min-ratio", type=float, default=0.9,
+                        help="required threads=1 / threads=N wall-time "
                              "ratio per point (no-regression floor)")
     parser.add_argument("--sf", type=float,
                         default=float(os.environ.get("REPRO_BENCH_SF", "0.1")))
@@ -67,17 +67,16 @@ def main(argv=None) -> int:
                         default=int(os.environ.get("REPRO_BENCH_REPEATS", "3")))
     args = parser.parse_args(argv)
 
-    one = "nested-relational-parallel@1"
-    many = f"nested-relational-parallel@{args.threads}"
-    register(one, backend="vector", replace=True,
-             description="bench variant: 1 worker")(
-        lambda: ParallelNestedRelationalStrategy(threads=1)
-    )
-    register(many, backend="vector", replace=True,
-             description=f"bench variant: {args.threads} workers")(
-        lambda: ParallelNestedRelationalStrategy(threads=args.threads)
-    )
-    strategies = (BASELINE, one, many)
+    one = f"{STRATEGY}@1"
+    many = f"{STRATEGY}@{args.threads}"
+    for name, threads in ((one, 1), (many, args.threads)):
+        register(name, backend="vector", replace=True,
+                 description=f"bench variant: {threads} worker(s)")(
+            lambda threads=threads: VectorizedNestedRelationalStrategy(
+                threads=threads
+            )
+        )
+    strategies = (one, many)
 
     print(f"generating TPC-H sf={args.sf} ...", flush=True)
     db = default_db(sf=args.sf)
@@ -97,36 +96,21 @@ def main(argv=None) -> int:
                              "validate_trace.py")
     subprocess.run([sys.executable, validator, artifact], check=True)
 
-    failed = False
-    speedups = experiment.speedup(BASELINE, many)
-    for point, ratio in zip(experiment.points, speedups):
-        print(f"  {point.label}: parallel@{args.threads} {ratio:.1f}x faster "
-              f"than vectorized")
-    worst = min(speedups)
-    if worst < args.min_speedup:
+    ratios = experiment.speedup(one, many)
+    for point, ratio in zip(experiment.points, ratios):
+        print(f"  {point.label}: threads={args.threads} runs at "
+              f"{ratio:.2f}x the speed of threads=1")
+    worst = min(ratios)
+    if worst < args.min_ratio:
         print(
-            f"FAIL: worst-case parallel@{args.threads} speedup {worst:.2f}x "
-            f"is below the required {args.min_speedup:.1f}x",
+            f"FAIL: threads={args.threads} regresses to {worst:.2f}x of "
+            f"threads=1 (floor {args.min_ratio:.2f}x)",
             file=sys.stderr,
         )
-        failed = True
-
-    floors = experiment.speedup(BASELINE, one)
-    worst_floor = min(floors)
-    if worst_floor < args.min_regression:
-        print(
-            f"FAIL: parallel@1 regresses to {worst_floor:.2f}x of the "
-            f"single-thread vectorized strategy "
-            f"(floor {args.min_regression:.2f}x)",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
         return 1
     print(
-        f"OK: parallel@{args.threads} >= {args.min_speedup:.1f}x at every "
-        f"point (worst {worst:.1f}x); parallel@1 floor "
-        f"{worst_floor:.2f}x >= {args.min_regression:.2f}x"
+        f"OK: threads={args.threads} >= {args.min_ratio:.2f}x threads=1 at "
+        f"every point (worst {worst:.2f}x, best {max(ratios):.2f}x)"
     )
     return 0
 

@@ -492,10 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "iterators or columnar batches "
                                 "(default: the strategy's own)")
             p.add_argument("--threads", type=int,
-                           help="worker count for morsel-driven parallel "
-                                "execution; >1 makes the parallel strategy "
-                                "a candidate for the cost-based 'auto' "
-                                "planner")
+                           help="morsel worker count of the vector "
+                                "backend; the cost-based 'auto' planner "
+                                "prices the vectorized strategy with it")
             p.add_argument("--timeout-ms", type=float, dest="timeout_ms",
                            help="abort the query with a typed timeout "
                                 "error once it runs past this deadline")
@@ -508,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "to temp files under this directory instead "
                                 "of failing on a memory-budget breach")
             p.add_argument("--degrade", choices=("sequential",),
-                           help="retry a failed parallel execution once "
+                           help="retry a failed multi-thread execution once "
                                 "on the single-threaded vectorized "
                                 "backend before surfacing the error")
             p.add_argument("--no-plan-cache", action="store_true",

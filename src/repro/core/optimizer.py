@@ -14,9 +14,8 @@ columnar engine runs the same row-op roughly 40× faster than the tuple
 iterator (:data:`VECTOR_FACTOR`) but pays a per-query batch-build setup
 (:data:`VECTOR_SETUP`), so tiny inputs favor the row strategies and
 paper-scale inputs the vector ones — reproducing the crossovers of
-Figure 4.  The morsel-parallel strategy divides vector work across
-workers and is enumerated only when the caller explicitly asks for
-``threads > 1``.
+Figure 4.  With ``threads > 1`` the vector work divides across the
+morsel workers while a per-worker scheduling overhead does not.
 
 Strategies without a registered ``cost`` hook still participate: they
 are priced at the generic pipeline work times
@@ -132,24 +131,19 @@ def cost_vectorized(ps: PlanStats) -> float:
     Under a memory budget the hash builds may not fit; the estimated
     spill passes are charged at :data:`SPILL_IO_FACTOR`, so the planner
     prefers a non-spilling plan whenever one exists.
+
+    On ``ps.threads > 1`` morsel workers the work divides, the
+    scheduling does not — and neither does spill I/O: partition files
+    are written sequentially by whichever thread hits the budget.
     """
-    return VECTOR_SETUP + VECTOR_FACTOR * (
-        ps.pipeline_work + SPILL_IO_FACTOR * ps.spill_io_work()
-    )
-
-
-def cost_parallel(ps: PlanStats) -> float:
-    """Morsel-parallel vector engine: work divides, scheduling doesn't.
-
-    Spill I/O does not divide either — partition files are written
-    sequentially by whichever worker hits the budget — so the spill term
-    is charged undivided.
-    """
-    threads = max(2, ps.threads)
+    if ps.threads <= 1:
+        return VECTOR_SETUP + VECTOR_FACTOR * (
+            ps.pipeline_work + SPILL_IO_FACTOR * ps.spill_io_work()
+        )
     return (
         VECTOR_SETUP
-        + PARALLEL_OVERHEAD * threads
-        + VECTOR_FACTOR * ps.pipeline_work / threads
+        + PARALLEL_OVERHEAD * ps.threads
+        + VECTOR_FACTOR * ps.pipeline_work / ps.threads
         + VECTOR_FACTOR * SPILL_IO_FACTOR * ps.spill_io_work()
     )
 
@@ -282,8 +276,9 @@ def choose(
     """Enumerate, cost and rank every applicable strategy.
 
     *backend* filters candidates to one substrate (``None`` considers
-    both).  The morsel-parallel strategy is enumerated only when
-    *threads* > 1 was explicitly requested.  *feedback* supplies
+    both); aliases are presets of an enumerated strategy, not
+    candidates.  *threads* > 1 prices (and runs) the vector engine on
+    that many morsel workers.  *feedback* supplies
     observed cardinalities that override the estimates (and its epoch
     stamps the decision, so memoized decisions age out when new
     observations land).  *memory_limit_mb* is the execution memory
@@ -311,7 +306,7 @@ def choose(
     for entry in registry.entries():
         if backend is not None and entry.backend != backend:
             continue
-        if entry.name == "nested-relational-parallel" and eff_threads <= 1:
+        if entry.alias_of is not None:
             continue
         impl = entry.make()
         if not strategy_applicable(impl, query, db):

@@ -89,10 +89,8 @@ def resolve_strategy(
     ``execute(query, db)`` method (in which case *backend* must be left
     unset: an instance already fixes its own substrate).
 
-    *threads* > 1 routes ``"auto"`` onto the morsel-driven
-    ``nested-relational-parallel`` strategy (unless a row backend was
-    explicitly requested — the row engine is single-threaded) and is
-    forwarded to any resolved strategy exposing ``set_threads``.
+    *threads* is forwarded to any resolved strategy exposing
+    ``set_threads`` (the row engine is single-threaded).
     """
     from .. import strategies as registry
 
@@ -103,15 +101,6 @@ def resolve_strategy(
                 "pass a registry name instead"
             )
         impl = strategy
-    elif (
-        strategy == registry.AUTO
-        and threads is not None
-        and threads > 1
-        and backend != registry.ROW_BACKEND
-    ):
-        impl = registry.resolve(
-            "nested-relational-parallel", registry.VECTOR_BACKEND
-        )
     elif strategy == registry.AUTO and backend in (None, registry.ROW_BACKEND):
         impl = choose_strategy(query)
     else:
@@ -121,23 +110,24 @@ def resolve_strategy(
     return impl
 
 
-def _degrade_target(
+def _degraded(
     governor: Optional[ResourceGovernor], impl: object, exc: Exception
-) -> Optional[str]:
-    """The registry name to retry on, or None when the error is final.
+) -> Optional[object]:
+    """The strategy to retry on, or None when the error is final.
 
-    The degradation ladder has exactly one rung: a strategy that
-    declares a ``degrade_target`` (the morsel-parallel strategy names
-    the single-threaded vectorized one) is retried once when the
-    governor's policy is ``'sequential'`` and the failure is *not* a
-    governance verdict — a breached deadline or budget has also been
-    breached for any retry, so those always surface.
+    The degradation ladder has exactly one rung: a strategy running on
+    several morsel workers (it exposes ``sequential()``, its own
+    one-worker form) is retried once on one worker when the governor's
+    policy is ``'sequential'`` and the failure is *not* a governance
+    verdict — a breached deadline or budget has also been breached for
+    any retry, so those always surface.
     """
     if governor is None or governor.degrade != "sequential":
         return None
     if isinstance(exc, ResourceGovernanceError):
         return None
-    return getattr(impl, "degrade_target", None)
+    sequential = getattr(impl, "sequential", None)
+    return sequential() if sequential is not None else None
 
 
 def _run_strategy(
@@ -147,19 +137,18 @@ def _run_strategy(
     governor: Optional[ResourceGovernor],
 ) -> Relation:
     """Execute *impl*, applying the governor's degradation ladder."""
-    from .. import strategies as registry
     from ..errors import ReproError
 
     try:
         return impl.execute(query, db)
     except ReproError as exc:
-        target = _degrade_target(governor, impl, exc)
-        if target is None:
+        retry = _degraded(governor, impl, exc)
+        if retry is None:
             raise
-        source = getattr(impl, "name", type(impl).__name__)
+        source = f"{impl.name}[threads={impl.threads}]"
+        target = f"{retry.name}[threads={retry.threads}]"
         governor.record_degradation(source, target, type(exc).__name__)
         governor.check("degrade")  # a passed deadline beats the retry
-        retry = registry.make(target)
         with op_span(
             "degrade",
             kind=KIND_GOVERNOR,

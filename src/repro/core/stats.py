@@ -551,7 +551,7 @@ class PlanStats:
     bottomup_work : float  work of the bottom-up nest push-down plan
     iteration_work : float per-tuple re-evaluation work (nested iteration)
     probe_work : float     index-probe work (System A emulation)
-    threads : int      effective worker count for parallel candidates
+    threads : int      effective morsel worker count of the vector engine
     """
 
     def __init__(

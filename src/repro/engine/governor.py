@@ -18,7 +18,7 @@ One :class:`ResourceGovernor` governs one execution.  It carries
   (:func:`charge_batch` / :func:`charge_rows` — the same observed
   row/byte figures the :mod:`~repro.engine.metrics` counters record),
 * a **degradation policy** (``degrade='sequential'`` retries a failed
-  parallel execution once on the single-threaded vectorized backend).
+  multi-thread execution once on the same strategy at ``threads=1``).
 
 All three limits are checked at *morsel and operator boundaries* via
 :func:`checkpoint`; a breach raises the typed

@@ -1,45 +1,30 @@
-"""Morsel-driven parallel execution for the columnar batch engine.
+"""The morsel scheduler of the columnar batch engine.
 
-The vectorized backend (:mod:`repro.engine.vector`) processes whole
-batches per operator but still runs one operator at a time on one
-thread, and its hash joins build Python dicts row by row.  This module
-adds the two missing levels of data parallelism, in the morsel-driven
-style (Leis et al.):
+Every kernel of :mod:`repro.engine.vector` is written once, over *one
+morsel* of its input: a contiguous probe-side row range for the join
+family, filters and the uncorrelated link, a whole-group hash partition
+for the fused nest-link.  A :class:`MorselScheduler` decides how many
+morsels an input is cut into and where they run (morsel-driven
+parallelism, Leis et al.):
 
-* **shared-build morsel joins** — the build side of an equi-join is
-  materialized once on the main thread as a read-only sorted structure,
-  and the probe side is cut into contiguous zero-copy morsels that
-  binary-search it concurrently.  The equi-match itself is fully
-  vectorized: the two sides' key columns are factorized into one shared
-  dense code domain (``np.unique`` over the concatenated values, which
-  preserves the row engine's key semantics: ints and floats collide,
-  booleans do not, NULL never matches) and matches come from a stable
-  ``argsort`` + ``searchsorted`` over the build codes — no per-row
-  Python at all, and no partition gather of the inputs (the only
-  fancy-index copies are proportional to the join output).
-* **partition-parallel nest + fused nest-link** — the fused
-  nest-linking kernel groups by the nesting attributes; hash
-  partitioning *on those attributes* keeps every nest group inside one
-  partition, so partitions are processed independently and their
-  outputs concatenated.  The pk-is-NULL padding convention is
-  per-tuple and unaffected.
-* **morsel slicing** for operators with no key to partition on
-  (cross joins, the shared-subquery uncorrelated link, scans/filters):
-  the input is cut into contiguous row ranges.
+* **one morsel** — ``threads=1``, or an input smaller than
+  ``min_partition_rows`` — is a plain inline call of the kernel body:
+  no pool, no ``morsel[i]`` span, no extra scope.  Sequential execution
+  *is* parallel execution with one morsel;
+* **several morsels** run on a process-wide thread pool.  Each morsel
+  runs under its *own* ambient metrics scope and tracer (both are
+  thread-local, see :mod:`repro.engine.metrics` /
+  :mod:`repro.engine.trace`); after the workers join, the scheduler
+  merges the metric deltas into the caller's scope and grafts each
+  morsel's span tree under the dispatching operator's span as
+  ``kind="morsel"`` children — so EXPLAIN ANALYZE, the trace schema and
+  the trace invariants (including exact Metrics reconciliation) hold at
+  any thread count.
 
-Work is dispatched by a :class:`MorselScheduler` onto a process-wide
-thread pool (default width ``os.cpu_count()``).  Each morsel runs under
-its *own* ambient metrics scope and tracer (both are thread-local, see
-:mod:`repro.engine.metrics` / :mod:`repro.engine.trace`); after the
-workers join, the scheduler merges the metric deltas into the caller's
-scope and grafts each morsel's span tree under the dispatching
-operator's span as ``kind="morsel"`` children — so EXPLAIN ANALYZE, the
-trace schema and the trace invariants (including exact Metrics
-reconciliation) keep working unchanged.
-
-Inputs smaller than ``min_partition_rows`` are delegated to the
-sequential kernels — correct either way, and it keeps the fuzzer's tiny
-cases and the scheduler's overhead off each other's backs.
+Morsels only compute positions and masks (matching pairs, predicate
+truth, per-group verdicts); the dispatching operator assembles its
+output once from their concatenation, so results are row-for-row
+identical at every thread count.
 """
 
 from __future__ import annotations
@@ -47,6 +32,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,34 +40,16 @@ import numpy as np
 from ..errors import InvalidArgumentError
 from .logic import current_logic, logic_mode
 from .governor import (
-    charge_batch,
     checkpoint,
     current_governor,
     governed,
     maybe_worker_crash,
 )
 from .metrics import collect, current_metrics
-from .trace import (
-    CONTRACT_EXPANDING,
-    CONTRACT_FILTERING,
-    CONTRACT_PRESERVING,
-    KIND_MORSEL,
-    Span,
-    current_tracer,
-    op_span,
-    tracing,
-)
-from .vector import kernels, nestlink
-from .vector.backend import VectorBackend
-from .vector.batch import Batch
-from .vector.column import KIND_BOOL, KIND_FLOAT, KIND_INT, KIND_STR, Vector
+from .trace import KIND_MORSEL, Span, current_tracer, op_span, tracing
 
-#: below this many input rows an operator stays on the sequential kernel
+#: an input is cut into at most ``rows // min_partition_rows`` morsels
 DEFAULT_MIN_PARTITION_ROWS = 2048
-
-#: ints above this lose precision as float64; mixed int/float keys near
-#: the boundary fall back to the sequential (exact) dict join
-_FLOAT_EXACT_INT = 2 ** 53
 
 
 def validate_threads(value, source: str = "threads") -> Optional[int]:
@@ -168,47 +136,74 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 
 class MorselScheduler:
-    """Runs per-partition tasks, isolating and re-merging their ambient
-    metrics and trace spans.
+    """Cuts an operator's input into morsels and runs them, isolating
+    and re-merging their ambient metrics and trace spans.
 
-    *threads* <= 1 executes morsels inline (same span/metrics shape, no
-    pool), which keeps 1-thread and N-thread runs byte-comparable.
+    *threads* is the worker count; *min_partition_rows* the morsel size
+    (an input of fewer rows stays one morsel).  One morsel — always the
+    case at ``threads=1`` — is a plain inline call.
     """
 
     def __init__(
         self,
-        threads: Optional[int] = None,
+        threads: int = 1,
         min_partition_rows: Optional[int] = None,
     ):
-        validated = validate_threads(threads)
-        self.threads = validated if validated is not None else default_threads()
+        self.set_threads(threads)
         self.min_partition_rows = (
             min_partition_rows
             if min_partition_rows is not None
             else default_min_partition_rows()
         )
 
+    def set_threads(self, threads: int) -> None:
+        value = validate_threads(threads)
+        if value is None:
+            raise InvalidArgumentError(
+                "threads must be an integer >= 1, got None"
+            )
+        self.threads = value
+
     # ------------------------------------------------------------------ #
-
-    def sequential(self, n_rows: int) -> bool:
-        """Whether an operator over *n_rows* should skip partitioning.
-
-        One worker still takes the partitioned path: the shared-build
-        codes kernels beat the sequential dict kernels even on a single
-        core (``threads=0`` is rejected at construction, not treated as
-        a sequential spelling).
-        """
-        return n_rows < max(1, self.min_partition_rows)
 
     def partition_count(self, n_rows: int) -> int:
-        """Number of hash partitions for an *n_rows* input."""
-        if self.min_partition_rows > 0:
-            fitting = max(1, n_rows // self.min_partition_rows)
-        else:
-            fitting = max(1, self.threads)
-        return max(1, min(max(1, self.threads), fitting))
+        """Number of morsels an *n_rows* input is cut into: at most one
+        per worker, per ``min_partition_rows`` rows and per row."""
+        fitting = n_rows // max(1, self.min_partition_rows)
+        return max(1, min(self.threads, fitting))
 
-    # ------------------------------------------------------------------ #
+    def slices(self, n_rows: int) -> List[Tuple[int, int]]:
+        """Contiguous ``(lo, hi)`` row ranges covering ``range(n_rows)``,
+        one per morsel (a single ``(0, n_rows)`` when the input stays
+        whole, empty inputs included)."""
+        n_parts = self.partition_count(n_rows)
+        if n_parts <= 1:
+            return [(0, n_rows)]
+        bounds = np.linspace(0, n_rows, n_parts + 1).astype(np.int64)
+        return [
+            (int(bounds[i]), int(bounds[i + 1])) for i in range(n_parts)
+        ]
+
+    def map(
+        self,
+        body: Callable[[object, Optional[Span]], object],
+        parts: Sequence[object],
+        span: Optional[Span],
+    ) -> List[object]:
+        """``body(part, morsel_span)`` for every part, results in part
+        order.
+
+        A single part is a plain inline call in the caller's own scopes
+        (``morsel_span`` is None).  Several parts run as morsels through
+        :meth:`run`, and the dispatching operator's *span* records the
+        ``threads`` / ``parts`` it fanned out to.
+        """
+        if len(parts) == 1:
+            return [body(parts[0], None)]
+        if span is not None:
+            span.attrs["threads"] = self.threads
+            span.attrs["parts"] = len(parts)
+        return self.run([partial(body, part) for part in parts], span)
 
     def run(
         self,
@@ -294,718 +289,5 @@ class MorselScheduler:
         return results
 
 
-# --------------------------------------------------------------------- #
-# Shared dense join codes (the vectorized replacement for _key_rows)
-# --------------------------------------------------------------------- #
-
-
-def _code_kind(a: Vector, b: Vector) -> Optional[str]:
-    """The common layout two key columns can be factorized on, or None
-    when only the per-row ``group_key`` fallback is exact."""
-    if a.kind in (KIND_INT, KIND_FLOAT) and b.kind in (KIND_INT, KIND_FLOAT):
-        return KIND_INT if a.kind == b.kind == KIND_INT else KIND_FLOAT
-    if a.kind == b.kind and a.kind in (KIND_BOOL, KIND_STR):
-        return a.kind
-    return None
-
-
-def _as_float_exact(v: Vector) -> Optional[np.ndarray]:
-    """*v*'s data as float64, or None when the cast would lose int
-    precision (caller falls back to the sequential join)."""
-    if v.kind == KIND_INT and len(v.data):
-        live = v.data[v.valid]
-        if len(live) and np.abs(live).max() >= _FLOAT_EXACT_INT:
-            return None
-    return v.data.astype(np.float64)
-
-
-def joint_codes(
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Factorize both sides' composite join keys into one dense int64
-    code domain: equal codes match; ``-1`` marks a NULL component.
-
-    Returns None when any column pair mixes kinds the vectorized path
-    cannot normalize exactly (object columns, bool vs int, oversized
-    ints next to floats) — the caller then delegates to the sequential
-    dict-based kernel, which evaluates the row engine's ``group_key``
-    per row.
-    """
-    nl, nr = len(left), len(right)
-    codes_l = np.zeros(nl, dtype=np.int64)
-    codes_r = np.zeros(nr, dtype=np.int64)
-    null_l = np.zeros(nl, dtype=bool)
-    null_r = np.zeros(nr, dtype=bool)
-    first = True
-    for lk, rk in zip(left_keys, right_keys):
-        a, b = left.column(lk), right.column(rk)
-        kind = _code_kind(a, b)
-        if kind is None:
-            return None
-        if kind == KIND_FLOAT:
-            la, rb = _as_float_exact(a), _as_float_exact(b)
-            if la is None or rb is None:
-                return None
-        else:
-            la, rb = a.data, b.data
-        _, inv = np.unique(np.concatenate([la, rb]), return_inverse=True)
-        inv = np.asarray(inv, dtype=np.int64).reshape(-1)
-        ci, cr = inv[:nl], inv[nl:]
-        if first:
-            codes_l, codes_r = ci, cr
-            first = False
-        else:
-            width = int(max(ci.max(initial=0), cr.max(initial=0))) + 1
-            combined = np.concatenate(
-                [codes_l * width + ci, codes_r * width + cr]
-            )
-            _, inv2 = np.unique(combined, return_inverse=True)
-            inv2 = np.asarray(inv2, dtype=np.int64).reshape(-1)
-            codes_l, codes_r = inv2[:nl], inv2[nl:]
-        null_l |= ~a.valid
-        null_r |= ~b.valid
-    codes_l = np.where(null_l, np.int64(-1), codes_l)
-    codes_r = np.where(null_r, np.int64(-1), codes_r)
-    return codes_l, codes_r
-
-
-def build_side(codes_r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The shared read-only build structure of an equi-join.
-
-    Returns ``(sorted_codes, build_rows)``: the non-NULL right-side
-    codes in ascending order and the right positions that produced
-    them (stable, so ties keep build order).  Built once on the main
-    thread; every probe morsel binary-searches it concurrently.
-    """
-    build = np.flatnonzero(codes_r >= 0)
-    order = np.argsort(codes_r[build], kind="stable")
-    build_rows = build[order]
-    return codes_r[build_rows], build_rows
-
-
-def probe_match(
-    sorted_codes: np.ndarray,
-    build_rows: np.ndarray,
-    probe_codes: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All (probe, build) position pairs for one probe morsel.
-
-    ``probe`` positions are local to the morsel; ``build`` positions
-    are global right-side rows.  NULL probe codes (``-1``) sort below
-    every build code, so their searchsorted window is empty — they
-    never match, same as the sequential dict join.  Pair order matches
-    the sequential kernel: ascending probe position, build order
-    within one key.
-    """
-    if len(build_rows) == 0 or len(probe_codes) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    lo = np.searchsorted(sorted_codes, probe_codes, side="left")
-    hi = np.searchsorted(sorted_codes, probe_codes, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    li = np.repeat(np.arange(len(probe_codes), dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    ri = build_rows[np.repeat(lo, counts) + within]
-    return li, ri
-
-
-def equi_match(
-    codes_l: np.ndarray, codes_r: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All (left, right) position pairs with equal non-NULL codes.
-
-    Pair order matches the sequential dict join: ascending left
-    position, build order within one key.
-    """
-    sorted_codes, build_rows = build_side(codes_r)
-    return probe_match(sorted_codes, build_rows, codes_l)
-
-
-def hash_partitions(codes: np.ndarray, n_parts: int) -> List[np.ndarray]:
-    """Row positions per hash partition of the code column.
-
-    NULL codes (``-1``) land in the last partition; they never match
-    anyway, and outer joins must keep carrying them for padding.
-    """
-    if n_parts <= 1:
-        return [np.arange(len(codes), dtype=np.int64)]
-    part = codes % n_parts
-    return [np.flatnonzero(part == p) for p in range(n_parts)]
-
-
-def _vstack_all(batches: Sequence[Batch]) -> Batch:
-    """Concatenate morsel outputs in order, one copy per column.
-
-    Morsel outputs share their operator's schema and column kinds (they
-    are gathers of the same parent columns), so the common case is a
-    single ``np.concatenate`` per column; mismatched kinds (e.g. an
-    all-NULL padded partition that degraded to a different layout) fall
-    back to the pairwise promoting vstack.
-    """
-    parts = [b for b in batches if b is not None]
-    assert parts, "vstack of no batches"
-    if len(parts) == 1:
-        charge_batch(parts[0], "morsel output materialization")
-        return parts[0]
-    first = parts[0]
-    columns = []
-    for i in range(len(first.columns)):
-        vecs = [b.columns[i] for b in parts]
-        kind = vecs[0].kind
-        if all(v.kind == kind for v in vecs):
-            columns.append(
-                Vector(
-                    kind,
-                    np.concatenate([v.data for v in vecs]),
-                    np.concatenate([v.valid for v in vecs]),
-                )
-            )
-        else:
-            col = vecs[0]
-            for v in vecs[1:]:
-                col = Vector.vstack(col, v)
-            columns.append(col)
-    out = Batch(first.schema, columns, sum(len(b) for b in parts))
-    charge_batch(out, "morsel output materialization")
-    return out
-
-
-def _describe_keys(left_keys: Sequence[str], right_keys: Sequence[str]) -> str:
-    if not left_keys:
-        return "(cross)"
-    return ", ".join(f"{l}={r}" for l, r in zip(left_keys, right_keys))
-
-
-def _note(span: Optional[Span], rows_in: int, rows_out: int) -> None:
-    if span is not None:
-        span.add("rows_in", rows_in)
-        span.add("rows_out", rows_out)
-
-
-# --------------------------------------------------------------------- #
-# Shared-build morsel join family
-# --------------------------------------------------------------------- #
-
-
-def _prepare_join(
-    sched: MorselScheduler,
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-):
-    """Codes + shared build structure + contiguous probe slices for a
-    morsel-parallel equi-join, or None when the operator should run on
-    the sequential kernel.
-
-    The build side is materialized once on the main thread; probe
-    morsels are zero-copy contiguous ranges of the left side, so the
-    only gathers are proportional to output size.
-    """
-    if not left_keys or len(left) == 0:
-        return None
-    if sched.sequential(len(left) + len(right)):
-        return None
-    codes = joint_codes(left, right, left_keys, right_keys)
-    if codes is None:
-        return None
-    codes_l, codes_r = codes
-    sorted_codes, build_rows = build_side(codes_r)
-    governor = current_governor()
-    if governor is not None and governor.memory_limit_bytes is not None:
-        governor.charge(
-            codes_l.nbytes + sorted_codes.nbytes + build_rows.nbytes,
-            "morsel-join build structure",
-        )
-    return codes_l, sorted_codes, build_rows, _row_slices(sched, len(left))
-
-
-def hash_join(
-    sched: MorselScheduler,
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    residual=None,
-) -> Batch:
-    """Inner equi-join: shared sorted build side, probe morsels."""
-    prep = _prepare_join(sched, left, right, left_keys, right_keys)
-    if prep is None:
-        return kernels.hash_join(left, right, left_keys, right_keys, residual)
-    codes_l, sorted_codes, build_rows, slices = prep
-    with op_span(
-        "par-hash-join",
-        on=_describe_keys(left_keys, right_keys),
-        threads=sched.threads,
-        parts=len(slices),
-    ) as span:
-        current_metrics().add("hash_build_rows", len(right))
-
-        def task_for(lo: int, hi: int):
-            def task(mspan: Optional[Span]) -> Batch:
-                metrics = current_metrics()
-                metrics.add("hash_probes", hi - lo)
-                li, ri = probe_match(
-                    sorted_codes, build_rows, codes_l[lo:hi]
-                )
-                out = Batch.concat_columns(
-                    left.take(li + lo), right.take(ri)
-                )
-                if residual is not None:
-                    keep = kernels._residual_keep(out, residual)
-                    out = out.take(np.flatnonzero(keep))
-                _note(mspan, hi - lo, len(out))
-                return out
-
-            return task
-
-        outs = sched.run(
-            [task_for(lo, hi) for lo, hi in slices], span
-        )
-        result = _vstack_all(outs)
-        current_metrics().add("rows_out", len(result))
-        _note(span, len(left), len(result))
-    return result
-
-
-def left_outer_hash_join(
-    sched: MorselScheduler,
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    residual=None,
-) -> Batch:
-    """Left outer equi-join; unmatched left rows NULL-padded (including
-    the child's ``_rid``, preserving the pk-is-NULL convention)."""
-    prep = _prepare_join(sched, left, right, left_keys, right_keys)
-    if prep is None:
-        return kernels.left_outer_hash_join(
-            left, right, left_keys, right_keys, residual
-        )
-    codes_l, sorted_codes, build_rows, slices = prep
-    with op_span(
-        "par-left-outer-hash-join",
-        contract=CONTRACT_EXPANDING,
-        on=_describe_keys(left_keys, right_keys),
-        threads=sched.threads,
-        parts=len(slices),
-    ) as span:
-        current_metrics().add("hash_build_rows", len(right))
-
-        def task_for(lo: int, hi: int):
-            def task(mspan: Optional[Span]) -> Batch:
-                metrics = current_metrics()
-                metrics.add("hash_probes", hi - lo)
-                li, ri = probe_match(
-                    sorted_codes, build_rows, codes_l[lo:hi]
-                )
-                if residual is not None and len(li):
-                    cand = Batch.concat_columns(
-                        left.take(li + lo), right.take(ri)
-                    )
-                    keep = kernels._residual_keep(cand, residual)
-                    li, ri = li[keep], ri[keep]
-                matched = np.zeros(hi - lo, dtype=bool)
-                if len(li):
-                    matched[li] = True
-                pad = np.flatnonzero(~matched)
-                all_li = np.concatenate([li, pad]) + lo
-                all_ri = np.concatenate(
-                    [ri, np.full(len(pad), -1, dtype=np.int64)]
-                )
-                out = Batch.concat_columns(
-                    left.take(all_li), right.take_padded(all_ri)
-                )
-                metrics.add("null_padded_rows", len(pad))
-                _note(mspan, hi - lo, len(out))
-                return out
-
-            return task
-
-        outs = sched.run(
-            [task_for(lo, hi) for lo, hi in slices], span
-        )
-        result = _vstack_all(outs)
-        current_metrics().add("rows_out", len(result))
-        _note(span, len(left), len(result))
-    return result
-
-
-def _partitioned_existence(
-    sched: MorselScheduler,
-    name: str,
-    negate: bool,
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    residual,
-) -> Optional[Batch]:
-    prep = _prepare_join(sched, left, right, left_keys, right_keys)
-    if prep is None:
-        return None
-    codes_l, sorted_codes, build_rows, slices = prep
-    with op_span(
-        name,
-        contract=CONTRACT_FILTERING,
-        on=_describe_keys(left_keys, right_keys),
-        threads=sched.threads,
-        parts=len(slices),
-    ) as span:
-        current_metrics().add("hash_build_rows", len(right))
-
-        def task_for(lo: int, hi: int):
-            def task(mspan: Optional[Span]) -> Batch:
-                metrics = current_metrics()
-                metrics.add("hash_probes", hi - lo)
-                li, ri = probe_match(
-                    sorted_codes, build_rows, codes_l[lo:hi]
-                )
-                if residual is not None and len(li):
-                    cand = Batch.concat_columns(
-                        left.take(li + lo), right.take(ri)
-                    )
-                    keep = kernels._residual_keep(cand, residual)
-                    li = li[keep]
-                mask = np.zeros(hi - lo, dtype=bool)
-                if len(li):
-                    mask[li] = True
-                keep_rows = np.flatnonzero(~mask if negate else mask) + lo
-                out = left.take(keep_rows)
-                _note(mspan, hi - lo, len(out))
-                return out
-
-            return task
-
-        outs = sched.run(
-            [task_for(lo, hi) for lo, hi in slices], span
-        )
-        result = _vstack_all(outs)
-        current_metrics().add("rows_out", len(result))
-        _note(span, len(left), len(result))
-    return result
-
-
-def semi_join(
-    sched: MorselScheduler,
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    residual=None,
-) -> Batch:
-    """Left rows with at least one match (each left row at most once)."""
-    out = _partitioned_existence(
-        sched, "par-semi-join", False, left, right, left_keys, right_keys,
-        residual,
-    )
-    if out is None:
-        return kernels.semi_join(left, right, left_keys, right_keys, residual)
-    return out
-
-
-def anti_join(
-    sched: MorselScheduler,
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    residual=None,
-) -> Batch:
-    """Left rows with no match."""
-    out = _partitioned_existence(
-        sched, "par-anti-join", True, left, right, left_keys, right_keys,
-        residual,
-    )
-    if out is None:
-        return kernels.anti_join(left, right, left_keys, right_keys, residual)
-    return out
-
-
-# --------------------------------------------------------------------- #
-# Morsel-sliced operators (no partitioning key)
-# --------------------------------------------------------------------- #
-
-
-def _row_slices(sched: MorselScheduler, n: int) -> List[Tuple[int, int]]:
-    n_parts = sched.partition_count(n)
-    bounds = np.linspace(0, n, n_parts + 1).astype(np.int64)
-    return [
-        (int(bounds[i]), int(bounds[i + 1]))
-        for i in range(n_parts)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
-def _slice_batch(batch: Batch, lo: int, hi: int) -> Batch:
-    """A contiguous row range as numpy views — no gather, no copy."""
-    if lo == 0 and hi == len(batch):
-        return batch
-    return Batch(
-        batch.schema,
-        [Vector(c.kind, c.data[lo:hi], c.valid[lo:hi]) for c in batch.columns],
-        hi - lo,
-    )
-
-
-def _sliced(
-    sched: MorselScheduler,
-    name: str,
-    contract: Optional[str],
-    batch: Batch,
-    body: Callable[[Batch], Batch],
-    **attrs,
-) -> Batch:
-    """Run *body* over contiguous row ranges of *batch* and concatenate."""
-    slices = _row_slices(sched, len(batch))
-    with op_span(
-        name,
-        contract=contract,
-        threads=sched.threads,
-        parts=len(slices),
-        **attrs,
-    ) as span:
-        def task_for(lo: int, hi: int):
-            def task(mspan: Optional[Span]) -> Batch:
-                out = body(_slice_batch(batch, lo, hi))
-                _note(mspan, hi - lo, len(out))
-                return out
-
-            return task
-
-        outs = sched.run([task_for(lo, hi) for lo, hi in slices], span)
-        result = _vstack_all(outs)
-        _note(span, len(batch), len(result))
-    return result
-
-
-def cross_join(
-    sched: MorselScheduler, left: Batch, right: Batch, residual=None
-) -> Batch:
-    """Cartesian product, left side sliced into morsels."""
-    if sched.sequential(len(left)) or len(right) == 0:
-        return kernels.cross_join(left, right, residual)
-    return _sliced(
-        sched,
-        "par-cross-join",
-        None,
-        left,
-        lambda part: kernels.cross_join(part, right, residual),
-    )
-
-
-def outer_cross_join(
-    sched: MorselScheduler, left: Batch, right: Batch
-) -> Batch:
-    """Cross join that NULL-pads every left row when the right side is
-    empty (the virtual-Cartesian-product emptiness case)."""
-    if sched.sequential(len(left)):
-        return kernels.outer_cross_join(left, right)
-    return _sliced(
-        sched,
-        "par-outer-cross-join",
-        CONTRACT_EXPANDING,
-        left,
-        lambda part: kernels.outer_cross_join(part, right),
-    )
-
-
-def filter_batch(sched: MorselScheduler, batch: Batch, predicate) -> Batch:
-    """Keep rows whose predicate is definitely TRUE, morsel by morsel."""
-    if sched.sequential(len(batch)):
-        return kernels.filter_batch(batch, predicate)
-    return _sliced(
-        sched,
-        "par-filter",
-        CONTRACT_FILTERING,
-        batch,
-        lambda part: kernels.filter_batch(part, predicate),
-        pred=repr(predicate),
-    )
-
-
-def uncorrelated_link(
-    sched: MorselScheduler,
-    batch: Batch,
-    sub: Batch,
-    predicate,
-    link,
-    rid_ref: str,
-    strict: bool,
-    pad_refs: Sequence[str],
-) -> Batch:
-    """The virtual-Cartesian-product link, outer side sliced into
-    morsels (the shared member set is read-only)."""
-    if sched.sequential(len(batch)):
-        return nestlink.uncorrelated_link(
-            batch, sub, predicate, link, rid_ref, strict, pad_refs
-        )
-    return _sliced(
-        sched,
-        "par-uncorrelated-link",
-        (
-            CONTRACT_FILTERING
-            if strict and link.mark is None
-            else CONTRACT_PRESERVING
-        ),
-        batch,
-        lambda part: nestlink.uncorrelated_link(
-            part, sub, predicate, link, rid_ref, strict, pad_refs
-        ),
-        pred=predicate.describe(),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Partition-parallel nest + fused nest-link
-# --------------------------------------------------------------------- #
-
-
-def nest_link(
-    sched: MorselScheduler,
-    batch: Batch,
-    by: Sequence[str],
-    predicate,
-    link,
-    rid_ref: str,
-    strict: bool,
-    pad_refs: Sequence[str],
-    nest_impl: str,
-) -> Batch:
-    """Fused nest + linking selection over hash partitions of the nest
-    key.
-
-    Partitioning on the group ids keeps every nest group whole inside
-    one partition (groups are disjoint across partitions), so each
-    partition runs the sequential fused kernel independently.
-    """
-    n = len(batch)
-    if sched.sequential(n) or not by:
-        return nestlink.nest_link(
-            batch, by, predicate, link, rid_ref, strict, pad_refs, nest_impl
-        )
-    ids, n_groups = kernels.group_ids(batch, by, nest_impl)
-    n_parts = min(sched.partition_count(n), max(1, n_groups))
-    if n_parts <= 1:
-        return nestlink.nest_link(
-            batch, by, predicate, link, rid_ref, strict, pad_refs, nest_impl
-        )
-    parts = hash_partitions(ids, n_parts)
-    with op_span(
-        "par-nest-link",
-        contract=CONTRACT_FILTERING,
-        impl=nest_impl,
-        pred=predicate.describe(),
-        by=",".join(by),
-        threads=sched.threads,
-        parts=len(parts),
-    ) as span:
-        def task_for(idx: np.ndarray):
-            def task(mspan: Optional[Span]) -> Batch:
-                out = nestlink.nest_link(
-                    batch.take(idx), by, predicate, link, rid_ref, strict,
-                    pad_refs, nest_impl,
-                )
-                _note(mspan, len(idx), len(out))
-                return out
-
-            return task
-
-        outs = sched.run(
-            [task_for(idx) for idx in parts if len(idx)], span
-        )
-        result = _vstack_all(outs)
-        _note(span, n, len(result))
-    return result
-
-
-# --------------------------------------------------------------------- #
-# The operator factory
-# --------------------------------------------------------------------- #
-
-
-class ParallelVectorBackend(VectorBackend):
-    """The columnar operator factory with morsel-driven parallel kernels.
-
-    Plugs into Algorithm 1 through the same protocol as
-    :class:`~repro.engine.vector.backend.VectorBackend`; only the
-    physical kernels differ, so semantics are fixed by the shared
-    :class:`~repro.core.reduce.BlockJoinPlan` exactly as for the other
-    backends.
-    """
-
-    kind = "vector"
-
-    def __init__(
-        self,
-        threads: Optional[int] = None,
-        min_partition_rows: Optional[int] = None,
-    ):
-        self.scheduler = MorselScheduler(
-            threads=threads, min_partition_rows=min_partition_rows
-        )
-
-    @property
-    def threads(self) -> int:
-        return self.scheduler.threads
-
-    def set_threads(self, threads: int) -> None:
-        value = validate_threads(threads)
-        if value is None:
-            raise InvalidArgumentError(
-                "threads must be an integer >= 1, got None"
-            )
-        self.scheduler.threads = value
-
-    # -- reduce-plan kernels (used by _reduce_block) -------------------- #
-
-    def _kernel_hash_join(self, left, right, left_keys, right_keys, residual):
-        return hash_join(
-            self.scheduler, left, right, left_keys, right_keys, residual
-        )
-
-    def _kernel_cross_join(self, left, right, residual):
-        return cross_join(self.scheduler, left, right, residual)
-
-    def _kernel_filter(self, batch, predicate):
-        return filter_batch(self.scheduler, batch, predicate)
-
-    # -- way down ------------------------------------------------------- #
-
-    def left_outer_join(self, rel, child, outer_keys, inner_keys, residual):
-        return left_outer_hash_join(
-            self.scheduler, rel, child, outer_keys, inner_keys, residual
-        )
-
-    def outer_cross_join(self, rel, child):
-        return outer_cross_join(self.scheduler, rel, child)
-
-    # -- way up --------------------------------------------------------- #
-
-    def nest_link(
-        self, rel, by, keep, predicate, link, rid_ref, strict, pad_refs,
-        nest_impl,
-    ):
-        return nest_link(
-            self.scheduler, rel, by, predicate, link, rid_ref, strict,
-            pad_refs, nest_impl,
-        )
-
-    # -- virtual Cartesian product -------------------------------------- #
-
-    def uncorrelated_link(
-        self, rel, sub, predicate, link, rid_ref, strict, pad_refs
-    ):
-        return uncorrelated_link(
-            self.scheduler, rel, sub, predicate, link, rid_ref, strict,
-            pad_refs,
-        )
+#: the scheduler of a kernel called without one: a single inline morsel
+SEQUENTIAL = MorselScheduler(threads=1, min_partition_rows=0)

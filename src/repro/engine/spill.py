@@ -12,8 +12,8 @@ budget.
 Algorithm (classic Grace hash join, adapted to the batch kernels):
 
 1. factorize both sides' join keys into one dense int64 code domain
-   (:func:`~repro.engine.parallel.joint_codes` — the same codes the
-   morsel scheduler partitions on, so ``code % k`` keeps matching rows
+   (:func:`~repro.engine.vector.kernels.joint_codes` — the same codes
+   the join is about to match on, so ``code % k`` keeps matching rows
    together and NULL codes never match);
 2. scatter both sides into ``k`` disk partitions — temp column files
    (one raw ``.npy`` per column + validity) under a fresh directory in
@@ -61,6 +61,9 @@ from .governor import (
     maybe_spill_io_failure,
 )
 from .trace import KIND_SPILL, op_span
+from .vector import kernels, nestlink
+from .vector.batch import Batch
+from .vector.column import Vector
 
 #: recursion cap for skewed partitions; beyond it the partition runs in
 #: memory (its charge may then legitimately exhaust the budget).
@@ -141,9 +144,6 @@ def _write_partition(tmp: str, tag: str, batch, idx: np.ndarray) -> int:
 
 def _read_partition(tmp: str, tag: str, schema, kinds: Sequence[str]):
     """A partition back as a batch of memory-mapped vectors."""
-    from .vector.batch import Batch
-    from .vector.column import Vector
-
     d = os.path.join(tmp, tag)
     vectors = []
     n = 0
@@ -176,42 +176,6 @@ def _make_tmp(governor: ResourceGovernor) -> str:
         ) from exc
 
 
-def _concat_outputs(parts: List):
-    """Concatenate partition outputs (one ``np.concatenate`` per column).
-
-    Outputs of one spilled operator share schema and (normally) column
-    kinds; a kind mismatch (an all-NULL partition that degraded to a
-    different layout) falls back to the pairwise promoting vstack.
-    """
-    from .vector.batch import Batch
-    from .vector.column import Vector
-
-    parts = [p for p in parts if p is not None and len(p)]
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    first = parts[0]
-    columns = []
-    for i in range(len(first.columns)):
-        vecs = [b.columns[i] for b in parts]
-        kind = vecs[0].kind
-        if all(v.kind == kind for v in vecs):
-            columns.append(
-                Vector(
-                    kind,
-                    np.concatenate([v.data for v in vecs]),
-                    np.concatenate([v.valid for v in vecs]),
-                )
-            )
-        else:
-            acc = vecs[0]
-            for v in vecs[1:]:
-                acc = Vector.vstack(acc, v)
-            columns.append(acc)
-    return Batch(first.schema, columns, sum(len(b) for b in parts))
-
-
 # --------------------------------------------------------------------- #
 # Spilling hash join
 # --------------------------------------------------------------------- #
@@ -224,13 +188,14 @@ def maybe_spill_hash_join(
     right_keys: Sequence[str],
     residual,
     outer: bool,
+    sched=kernels.SEQUENTIAL,
 ):
     """Divert a hash join to disk partitions when the budget demands it.
 
     Returns the joined batch, or ``None`` when no spill applies (no
-    governor/spill_dir, the estimate fits, keys the code factorization
-    cannot normalize, object columns, or the recursion cap) — the
-    caller then proceeds with the ordinary in-memory kernel.
+    governor/spill_dir, the estimate fits, object columns, or the
+    recursion cap) — the caller then proceeds with the ordinary
+    in-memory kernel.
     """
     governor = current_governor()
     if governor is None or not left_keys:
@@ -243,20 +208,15 @@ def maybe_spill_hash_join(
         return None
     if not (_spillable(left) and _spillable(right)):
         return None
-    from .parallel import hash_partitions, joint_codes
-
-    codes = joint_codes(left, right, left_keys, right_keys)
-    if codes is None:
-        return None
-    codes_l, codes_r = codes
+    codes_l, codes_r = kernels.joint_codes(
+        left, right, left_keys, right_keys
+    )
     # one distinct non-NULL code cannot be split further — spilling
     # would loop on a single full-size partition
     if depth > 0 and len(np.unique(codes_r[codes_r >= 0])) <= 1:
         return None
     k = _n_partitions(est, governor)
     name = "spill-outer-hash-join" if outer else "spill-hash-join"
-    from .vector import kernels
-
     join = kernels.left_outer_hash_join if outer else kernels.hash_join
     with op_span(
         name,
@@ -267,8 +227,8 @@ def maybe_spill_hash_join(
         outputs: List = []
         spilled = 0
         try:
-            parts_l = hash_partitions(codes_l, k)
-            parts_r = hash_partitions(codes_r, k)
+            parts_l = kernels.hash_partitions(codes_l, k)
+            parts_r = kernels.hash_partitions(codes_r, k)
             for p in range(k):
                 spilled += _write_partition(tmp, f"l{p}", left, parts_l[p])
                 spilled += _write_partition(tmp, f"r{p}", right, parts_r[p])
@@ -285,7 +245,9 @@ def maybe_spill_hash_join(
                 rp = _read_partition(tmp, f"r{p}", right.schema, kinds_r)
                 _depth.value = depth + 1
                 try:
-                    out = join(lp, rp, left_keys, right_keys, residual)
+                    out = join(
+                        lp, rp, left_keys, right_keys, residual, sched
+                    )
                 finally:
                     _depth.value = depth
                 # the partition's build scratch is gone; give it back
@@ -296,10 +258,12 @@ def maybe_spill_hash_join(
                     outputs.append(out)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-        result = _concat_outputs(outputs)
-        if result is None:
-            result = _empty_join_output(left, right)
-        elif len(outputs) > 1:
+        if not outputs:
+            empty = np.empty(0, dtype=np.int64)
+            result = Batch.concat_columns(left.take(empty), right.take(empty))
+        else:
+            result = Batch.vstack(outputs)
+        if len(outputs) > 1:
             # partition outputs die after the concat; net the account
             governor.release(sum(batch_nbytes(o) for o in outputs))
             charge_batch(result, "spilled join output")
@@ -312,35 +276,9 @@ def maybe_spill_hash_join(
     return result
 
 
-def _empty_join_output(left, right):
-    """A zero-row batch with the join's output layout."""
-    from .vector.batch import Batch
-    from .vector.column import Vector
-
-    empty = np.empty(0, dtype=np.int64)
-    return Batch.concat_columns(left.take(empty), right.take(empty))
-
-
 # --------------------------------------------------------------------- #
 # Spilling nest grouping
 # --------------------------------------------------------------------- #
-
-
-def _grouping_codes(batch, by: Sequence[str]) -> np.ndarray:
-    """One int64 code per row; rows in the same group share a code.
-
-    Mirrors the ``sorted`` method of
-    :func:`~repro.engine.vector.kernels.group_ids` (per-column
-    ``codes()`` chained through ``np.unique``) but charges nothing —
-    partitioning is scratch the spill accounts separately.
-    """
-    cols = [batch.column(r).codes() for r in by]
-    ids = cols[0]
-    for c in cols[1:]:
-        width = int(c.max(initial=0)) + 1
-        _, inv = np.unique(ids * width + c, return_inverse=True)
-        ids = np.asarray(inv, dtype=np.int64).reshape(-1)
-    return np.asarray(ids, dtype=np.int64)
 
 
 def maybe_spill_nest_link(
@@ -352,6 +290,7 @@ def maybe_spill_nest_link(
     strict: bool,
     pad_refs: Sequence[str],
     nest_impl: str,
+    sched=kernels.SEQUENTIAL,
 ):
     """Divert a nest+link pass to disk partitions under budget pressure.
 
@@ -368,11 +307,8 @@ def maybe_spill_nest_link(
     depth = _current_depth()
     if depth >= MAX_SPILL_DEPTH or not _spillable(batch):
         return None
-    from .parallel import hash_partitions
-    from .vector.nestlink import nest_link
-
-    ids = _grouping_codes(batch, by)
-    if len(np.unique(ids)) <= 1:
+    ids = kernels.sorted_group_ids(batch, by)
+    if int(ids.max()) == 0:
         return None  # one group: partitioning cannot shrink the pass
     k = _n_partitions(est, governor)
     with op_span(
@@ -382,7 +318,7 @@ def maybe_spill_nest_link(
         outputs: List = []
         spilled = 0
         try:
-            parts = hash_partitions(ids, k)
+            parts = kernels.hash_partitions(ids, k)
             for p in range(k):
                 spilled += _write_partition(tmp, f"n{p}", batch, parts[p])
             governor.record_spill(spilled)
@@ -391,9 +327,9 @@ def maybe_spill_nest_link(
                 bp = _read_partition(tmp, f"n{p}", batch.schema, kinds)
                 _depth.value = depth + 1
                 try:
-                    out = nest_link(
+                    out = nestlink.nest_link(
                         bp, by, predicate, link, rid_ref, strict,
-                        pad_refs, nest_impl,
+                        pad_refs, nest_impl, sched,
                     )
                 finally:
                     _depth.value = depth
@@ -404,16 +340,17 @@ def maybe_spill_nest_link(
                     outputs.append(out)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-        result = _concat_outputs(outputs)
-        if result is None:
+        if not outputs:
             # every partition filtered every group out: an empty batch
             # with the nest output's layout
             empty = np.empty(0, dtype=np.int64)
-            result = nest_link(
+            result = nestlink.nest_link(
                 batch.take(empty), by, predicate, link, rid_ref, strict,
-                pad_refs, nest_impl,
+                pad_refs, nest_impl, sched,
             )
-        elif len(outputs) > 1:
+        else:
+            result = Batch.vstack(outputs)
+        if len(outputs) > 1:
             governor.release(sum(batch_nbytes(o) for o in outputs))
             charge_batch(result, "spilled nest output")
         if span is not None:

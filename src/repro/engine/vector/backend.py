@@ -10,7 +10,7 @@ backends cannot diverge semantically; only the physical kernels differ.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ..catalog import Database
 from ..governor import charge_batch, checkpoint
 from ..logic import current_logic
 from ..metrics import current_metrics
+from ..parallel import MorselScheduler
 from ..schema import Column, Schema
 from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
 from .batch import Batch, relation_batch, table_batch
@@ -34,9 +35,27 @@ from . import kernels, nestlink
 
 
 class VectorBackend:
-    """Columnar batch execution substrate for the nested strategies."""
+    """Columnar batch execution substrate for the nested strategies.
+
+    *threads* is the worker count and *min_partition_rows* the morsel
+    size of the :class:`~repro.engine.parallel.MorselScheduler` every
+    kernel is driven through; the default single worker runs each
+    kernel as one inline morsel.
+    """
 
     kind = "vector"
+
+    def __init__(
+        self, threads: int = 1, min_partition_rows: Optional[int] = None
+    ):
+        self.scheduler = MorselScheduler(threads, min_partition_rows)
+
+    @property
+    def threads(self) -> int:
+        return self.scheduler.threads
+
+    def set_threads(self, threads: int) -> None:
+        self.scheduler.set_threads(threads)
 
     # -- step one ------------------------------------------------------- #
 
@@ -126,37 +145,29 @@ class VectorBackend:
             batch = kernels.scan(batch, alias)
             pred = plan.scan_filter(alias)
             if pred is not None:
-                batch = self._kernel_filter(batch, pred)
+                batch = kernels.filter_batch(batch, pred, self.scheduler)
             parts[alias] = batch
         current = parts[plan.aliases[0]]
         for step in plan.steps:
             checkpoint("join-step")
             if step.left_keys:
-                current = self._kernel_hash_join(
+                current = kernels.hash_join(
                     current,
                     parts[step.alias],
                     step.left_keys,
                     step.right_keys,
                     step.residual,
+                    self.scheduler,
                 )
             else:
-                current = self._kernel_cross_join(
-                    current, parts[step.alias], step.residual
+                current = kernels.cross_join(
+                    current, parts[step.alias], step.residual, self.scheduler
                 )
         if plan.final_residual is not None:
-            current = self._kernel_filter(current, plan.final_residual)
+            current = kernels.filter_batch(
+                current, plan.final_residual, self.scheduler
+            )
         return current
-
-    # the physical kernels of the reduce pipeline, overridable by the
-    # parallel subclass without re-stating the plan walk above
-    def _kernel_hash_join(self, left, right, left_keys, right_keys, residual):
-        return kernels.hash_join(left, right, left_keys, right_keys, residual)
-
-    def _kernel_cross_join(self, left, right, residual):
-        return kernels.cross_join(left, right, residual)
-
-    def _kernel_filter(self, batch, predicate):
-        return kernels.filter_batch(batch, predicate)
 
     # -- introspection -------------------------------------------------- #
 
@@ -174,11 +185,11 @@ class VectorBackend:
         residual,
     ) -> Batch:
         return kernels.left_outer_hash_join(
-            rel, child, outer_keys, inner_keys, residual
+            rel, child, outer_keys, inner_keys, residual, self.scheduler
         )
 
     def outer_cross_join(self, rel: Batch, child: Batch) -> Batch:
-        return kernels.outer_cross_join(rel, child)
+        return kernels.outer_cross_join(rel, child, self.scheduler)
 
     # -- way up --------------------------------------------------------- #
 
@@ -197,7 +208,8 @@ class VectorBackend:
         # the fused kernel reads members straight off the flat batch, so
         # the row backend's explicit ``keep`` projection is unnecessary
         return nestlink.nest_link(
-            rel, by, predicate, link, rid_ref, strict, pad_refs, nest_impl
+            rel, by, predicate, link, rid_ref, strict, pad_refs, nest_impl,
+            self.scheduler,
         )
 
     # -- virtual Cartesian product -------------------------------------- #
@@ -213,7 +225,8 @@ class VectorBackend:
         pad_refs: Sequence[str],
     ) -> Batch:
         return nestlink.uncorrelated_link(
-            rel, sub, predicate, link, rid_ref, strict, pad_refs
+            rel, sub, predicate, link, rid_ref, strict, pad_refs,
+            self.scheduler,
         )
 
     # -- disjunctive residual ------------------------------------------- #

@@ -88,6 +88,17 @@ class Batch:
     def take(self, idx: np.ndarray) -> "Batch":
         return Batch(self.schema, [c.take(idx) for c in self.columns], len(idx))
 
+    def slice(self, lo: int, hi: int) -> "Batch":
+        """The contiguous row range ``[lo, hi)`` as numpy views — no
+        gather, no copy."""
+        if lo == 0 and hi == self.length:
+            return self
+        return Batch(
+            self.schema,
+            [Vector(c.kind, c.data[lo:hi], c.valid[lo:hi]) for c in self.columns],
+            hi - lo,
+        )
+
     def take_padded(self, idx: np.ndarray) -> "Batch":
         """Gather rows; ``-1`` positions become all-NULL rows."""
         return Batch(
@@ -113,13 +124,37 @@ class Batch:
         )
 
     @staticmethod
-    def vstack(a: "Batch", b: "Batch") -> "Batch":
-        """Row-wise concatenation of two batches with equal schemas."""
-        return Batch(
-            a.schema,
-            [Vector.vstack(x, y) for x, y in zip(a.columns, b.columns)],
-            a.length + b.length,
-        )
+    def vstack(parts: Sequence["Batch"]) -> "Batch":
+        """Row-wise concatenation of batches with equal schemas, one
+        copy per column.
+
+        Outputs of one operator share column kinds (they are gathers of
+        the same parent columns), so the common case is a single
+        ``np.concatenate`` per column; mismatched kinds (an all-NULL
+        part that degraded to a different layout) fall back to the
+        pairwise promoting :meth:`Vector.vstack`.
+        """
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        columns = []
+        for i in range(len(first.columns)):
+            vecs = [b.columns[i] for b in parts]
+            kind = vecs[0].kind
+            if all(v.kind == kind for v in vecs):
+                columns.append(
+                    Vector(
+                        kind,
+                        np.concatenate([v.data for v in vecs]),
+                        np.concatenate([v.valid for v in vecs]),
+                    )
+                )
+            else:
+                col = vecs[0]
+                for v in vecs[1:]:
+                    col = Vector.vstack(col, v)
+                columns.append(col)
+        return Batch(first.schema, columns, sum(len(b) for b in parts))
 
 
 def table_batch(table: Table) -> Batch:

@@ -8,10 +8,25 @@ same ambient metric counters the row operators charge
 costs stay comparable across backends and
 :func:`repro.engine.trace.reconcile_with_metrics` holds for traced runs.
 
-Join keys are normalized with the row engine's
-:func:`~repro.engine.types.group_key` (ints and floats collide,
-booleans do not, NULL never matches), so the matching semantics of the
-two backends are identical by construction.
+There is **one equi-join matcher**.  :func:`joint_codes` factorizes both
+sides' composite keys into one shared dense code domain, the build side
+is stable-sorted once (:func:`build_side`) and every probe morsel
+binary-searches it (:func:`probe_match`) — no per-row Python, and the
+only gathers are proportional to the join output.  The key semantics
+the two backends must agree on live in the factorizer alone, which
+reproduces the row engine's :func:`~repro.engine.types.group_key`: a
+NULL component never matches, ``2`` and ``2.0`` collide, booleans do
+not collide with ints.  Column kinds pick one of two factorizers per key
+column: ``np.unique`` over the concatenated values when both sides share
+a numpy-comparable layout, a dict over per-row ``group_key`` otherwise
+(``obj`` columns, bool next to int, strings next to numbers, ints
+beyond float64 precision next to floats).
+
+Kernels take a :class:`~repro.engine.parallel.MorselScheduler`: the
+probe side (or a filter's input) is cut into contiguous morsels that
+only compute positions and masks, and the operator assembles its output
+once — a single morsel is a plain inline call, so sequential execution
+is the same code.
 
 NULL-padding convention (the paper's pk-is-NULL emptiness marker): outer
 joins express the padded side as a gather index of ``-1``, which
@@ -22,27 +37,46 @@ is empty.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..governor import charge_batch, charge_rows
 from ..metrics import current_metrics
+from ..parallel import SEQUENTIAL, MorselScheduler
 from ..trace import (
     CONTRACT_EXPANDING,
     CONTRACT_FILTERING,
     CONTRACT_PRESERVING,
+    Span,
     op_span,
 )
 from .batch import Batch
-from .column import Vector
+from .column import KIND_BOOL, KIND_FLOAT, KIND_INT, KIND_STR, Vector
 from .exprs import eval_truth
 
+#: ints at or above this lose precision as float64; next to a float key
+#: column they are factorized per row instead
+_FLOAT_EXACT_INT = 2 ** 53
 
-def _note(span, rows_in: int, rows_out: int) -> None:
+
+def _note(span: Optional[Span], rows_in: int, rows_out: int) -> None:
     if span is not None:
         span.add("rows_in", rows_in)
         span.add("rows_out", rows_out)
+
+
+def _describe_keys(
+    left_keys: Sequence[str], right_keys: Sequence[str]
+) -> str:
+    if not left_keys:
+        return "(cross)"
+    return ", ".join(f"{l}={r}" for l, r in zip(left_keys, right_keys))
+
+
+def concat_parts(arrays: List[np.ndarray]) -> np.ndarray:
+    """Morsel results back to back (no copy for a single morsel)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 # --------------------------------------------------------------------- #
@@ -59,14 +93,23 @@ def scan(batch: Batch, alias: str) -> Batch:
     return batch
 
 
-def filter_batch(batch: Batch, predicate) -> Batch:
+def filter_batch(
+    batch: Batch, predicate, sched: MorselScheduler = SEQUENTIAL
+) -> Batch:
     """Keep rows whose predicate is definitely TRUE."""
     with op_span(
         "vec-filter", contract=CONTRACT_FILTERING, pred=repr(predicate)
     ) as span:
         metrics = current_metrics()
         metrics.add("predicate_evals", len(batch))
-        t, _f = eval_truth(predicate, batch)
+
+        def truth(part, mspan: Optional[Span]) -> np.ndarray:
+            t, _f = eval_truth(predicate, batch.slice(*part))
+            if mspan is not None:
+                _note(mspan, len(t), int(t.sum()))
+            return t
+
+        t = concat_parts(sched.map(truth, sched.slices(len(batch)), span))
         out = batch.take(np.flatnonzero(t))
         metrics.add("rows_out", len(out))
         _note(span, len(batch), len(out))
@@ -74,64 +117,213 @@ def filter_batch(batch: Batch, predicate) -> Batch:
 
 
 # --------------------------------------------------------------------- #
-# Hash joins
+# Shared dense join codes: the one place join-key semantics live
 # --------------------------------------------------------------------- #
 
 
-def _key_rows(batch: Batch, refs: Sequence[str]) -> List[Optional[tuple]]:
-    """Per-row composite join key; ``None`` when any component is NULL."""
-    key_cols = [batch.column(r).join_keys() for r in refs]
-    out: List[Optional[tuple]] = []
-    for parts in zip(*key_cols):
-        out.append(None if any(p is None for p in parts) else parts)
-    return out
+def _unique_kind(a: Vector, b: Vector) -> Optional[str]:
+    """The layout ``np.unique`` can factorize two key columns on exactly,
+    or None when only per-row ``group_key`` normalization is exact."""
+    if a.kind == b.kind and a.kind in (KIND_INT, KIND_BOOL, KIND_STR):
+        return a.kind
+    if a.kind in (KIND_INT, KIND_FLOAT) and b.kind in (KIND_INT, KIND_FLOAT):
+        for v in (a, b):
+            if v.kind == KIND_INT:
+                live = v.data[v.valid]
+                if len(live) and np.abs(live).max() >= _FLOAT_EXACT_INT:
+                    return None
+        return KIND_FLOAT
+    return None
 
 
-def _match_pairs(
+def _column_codes(a: Vector, b: Vector) -> Tuple[np.ndarray, np.ndarray]:
+    """One key column pair factorized into a shared dense code domain
+    (NULL slots get an arbitrary code; the caller masks them)."""
+    kind = _unique_kind(a, b)
+    if kind is None:
+        mapping: dict = {}
+        inv = np.array(
+            [
+                mapping.setdefault(key, len(mapping))
+                for key in a.join_keys() + b.join_keys()
+            ],
+            dtype=np.int64,
+        )
+    else:
+        if kind == KIND_FLOAT:
+            values = [a.data.astype(np.float64), b.data.astype(np.float64)]
+        else:
+            values = [a.data, b.data]
+        _, inv = np.unique(np.concatenate(values), return_inverse=True)
+        inv = np.asarray(inv, dtype=np.int64).reshape(-1)
+    return inv[: len(a)], inv[len(a) :]
+
+
+def joint_codes(
     left: Batch,
     right: Batch,
     left_keys: Sequence[str],
     right_keys: Sequence[str],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All (left, right) index pairs matching on the equality keys.
-
-    With no keys this degenerates to the full cross product (the
-    nested-loop shape the row engine uses in the same situation).
-    """
-    metrics = current_metrics()
+    """Factorize both sides' composite join keys into one dense int64
+    code domain: equal codes match; ``-1`` marks a NULL component."""
     nl, nr = len(left), len(right)
-    if not left_keys:
-        metrics.add("rows_scanned", nl * nr)
-        li = np.repeat(np.arange(nl, dtype=np.int64), nr)
-        ri = np.tile(np.arange(nr, dtype=np.int64), nl)
+    codes_l = np.zeros(nl, dtype=np.int64)
+    codes_r = np.zeros(nr, dtype=np.int64)
+    null_l = np.zeros(nl, dtype=bool)
+    null_r = np.zeros(nr, dtype=bool)
+    for i, (lk, rk) in enumerate(zip(left_keys, right_keys)):
+        a, b = left.column(lk), right.column(rk)
+        ci, cr = _column_codes(a, b)
+        if i == 0:
+            codes_l, codes_r = ci, cr
+        else:
+            width = int(max(ci.max(initial=0), cr.max(initial=0))) + 1
+            combined = np.concatenate(
+                [codes_l * width + ci, codes_r * width + cr]
+            )
+            _, inv = np.unique(combined, return_inverse=True)
+            inv = np.asarray(inv, dtype=np.int64).reshape(-1)
+            codes_l, codes_r = inv[:nl], inv[nl:]
+        null_l |= ~a.valid
+        null_r |= ~b.valid
+    codes_l = np.where(null_l, np.int64(-1), codes_l)
+    codes_r = np.where(null_r, np.int64(-1), codes_r)
+    return codes_l, codes_r
+
+
+def build_side(codes_r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The shared read-only build structure of an equi-join.
+
+    Returns ``(sorted_codes, build_rows)``: the non-NULL right-side
+    codes in ascending order and the right positions that produced
+    them (stable, so ties keep build order).  Built once by the
+    dispatching thread; every probe morsel binary-searches it.
+    """
+    build = np.flatnonzero(codes_r >= 0)
+    order = np.argsort(codes_r[build], kind="stable")
+    build_rows = build[order]
+    return codes_r[build_rows], build_rows
+
+
+def probe_match(
+    sorted_codes: np.ndarray,
+    build_rows: np.ndarray,
+    probe_codes: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """All (probe, build) position pairs for one probe morsel.
+
+    ``probe`` positions are local to the morsel; ``build`` positions
+    are global right-side rows.  NULL probe codes (``-1``) sort below
+    every build code, so their searchsorted window is empty — they
+    never match.  Pairs come in ascending probe position, build order
+    within one key.
+    """
+    if len(build_rows) == 0 or len(probe_codes) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    lo = np.searchsorted(sorted_codes, probe_codes, side="left")
+    hi = np.searchsorted(sorted_codes, probe_codes, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    li = np.repeat(np.arange(len(probe_codes), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    ri = build_rows[np.repeat(lo, counts) + within]
+    return li, ri
+
+
+def hash_partitions(codes: np.ndarray, n_parts: int) -> List[np.ndarray]:
+    """Row positions per hash partition of a code column (ascending
+    within each partition).
+
+    NULL codes (``-1``) land in the last partition; they never match
+    anyway, and outer joins must keep carrying them for padding.
+    """
+    if n_parts <= 1:
+        return [np.arange(len(codes), dtype=np.int64)]
+    part = codes % n_parts
+    return [np.flatnonzero(part == p) for p in range(n_parts)]
+
+
+# --------------------------------------------------------------------- #
+# Hash joins
+# --------------------------------------------------------------------- #
+
+
+def _pair_count(li: np.ndarray, n_probe: int) -> int:
+    """Output rows of an inner/cross join morsel: one per pair."""
+    return len(li)
+
+
+def _matched_rows(li: np.ndarray) -> int:
+    """Distinct probe rows among one morsel's (ascending) pair list."""
+    return int(np.count_nonzero(np.diff(li))) + 1 if len(li) else 0
+
+
+def _match_pairs(
+    sched: MorselScheduler,
+    span: Optional[Span],
+    left: Batch,
+    right: Batch,
+    left_keys: Sequence[str],
+    right_keys: Sequence[str],
+    residual,
+    emitted: Callable[[np.ndarray, int], int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """All (left, right) position pairs that match on the equality keys
+    and pass the *residual*, in ascending left position and build order
+    within one key.
+
+    With no keys the candidates are the full cross product (the
+    nested-loop shape the row engine uses in the same situation).  The
+    left side is probed morsel by morsel; ``emitted(li, n_probe)`` is
+    the number of output rows a morsel's surviving pairs stand for
+    (recorded on its span).
+    """
+    nr = len(right)
+    if left_keys:
+        current_metrics().add("hash_build_rows", nr)
+        charge_rows(nr, len(right_keys), "hash-join build")
+        codes_l, codes_r = joint_codes(left, right, left_keys, right_keys)
+        sorted_codes, build_rows = build_side(codes_r)
+
+    def probe(part, mspan: Optional[Span]):
+        lo, hi = part
+        metrics = current_metrics()
+        if left_keys:
+            metrics.add("hash_probes", hi - lo)
+            li, ri = probe_match(sorted_codes, build_rows, codes_l[lo:hi])
+            if lo:
+                li = li + lo
+        else:
+            metrics.add("rows_scanned", (hi - lo) * nr)
+            li = np.repeat(np.arange(lo, hi, dtype=np.int64), nr)
+            ri = np.tile(np.arange(nr, dtype=np.int64), hi - lo)
+        if residual is not None and len(li):
+            metrics.add("predicate_evals", len(li))
+            cand = Batch.concat_columns(left.take(li), right.take(ri))
+            keep, _f = eval_truth(residual, cand)
+            li, ri = li[keep], ri[keep]
+        if mspan is not None:
+            _note(mspan, hi - lo, emitted(li, hi - lo))
         return li, ri
-    metrics.add("hash_build_rows", nr)
-    charge_rows(nr, len(right_keys), "hash-join build")
-    index: dict = {}
-    for j, key in enumerate(_key_rows(right, right_keys)):
-        if key is None:
-            continue
-        index.setdefault(key, []).append(j)
-    metrics.add("hash_probes", nl)
-    li: List[int] = []
-    ri: List[int] = []
-    for i, key in enumerate(_key_rows(left, left_keys)):
-        if key is None:
-            continue
-        for j in index.get(key, ()):
-            li.append(i)
-            ri.append(j)
+
+    pairs = sched.map(probe, sched.slices(len(left)), span)
     return (
-        np.asarray(li, dtype=np.int64),
-        np.asarray(ri, dtype=np.int64),
+        concat_parts([li for li, _ri in pairs]),
+        concat_parts([ri for _li, ri in pairs]),
     )
 
 
-def _residual_keep(joined: Batch, residual) -> np.ndarray:
-    """Mask of candidate join rows surviving the residual predicate."""
-    current_metrics().add("predicate_evals", len(joined))
-    t, _f = eval_truth(residual, joined)
-    return t
+def _mask_of(n: int, li: np.ndarray) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    if len(li):
+        mask[li] = True
+    return mask
 
 
 def hash_join(
@@ -140,6 +332,7 @@ def hash_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual=None,
+    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Inner equi-join (plus optional residual predicate).
 
@@ -149,7 +342,7 @@ def hash_join(
     from ..spill import maybe_spill_hash_join
 
     spilled = maybe_spill_hash_join(
-        left, right, left_keys, right_keys, residual, outer=False
+        left, right, left_keys, right_keys, residual, False, sched
     )
     if spilled is not None:
         return spilled
@@ -157,11 +350,11 @@ def hash_join(
         "vec-hash-join",
         on=_describe_keys(left_keys, right_keys),
     ) as span:
-        li, ri = _match_pairs(left, right, left_keys, right_keys)
+        li, ri = _match_pairs(
+            sched, span, left, right, left_keys, right_keys, residual,
+            _pair_count,
+        )
         out = Batch.concat_columns(left.take(li), right.take(ri))
-        if residual is not None:
-            keep = _residual_keep(out, residual)
-            out = out.take(np.flatnonzero(keep))
         charge_batch(out, "hash-join output")
         current_metrics().add("rows_out", len(out))
         _note(span, len(left), len(out))
@@ -174,6 +367,7 @@ def left_outer_hash_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual=None,
+    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Left outer equi-join; unmatched left rows padded with NULLs.
 
@@ -184,7 +378,7 @@ def left_outer_hash_join(
     from ..spill import maybe_spill_hash_join
 
     spilled = maybe_spill_hash_join(
-        left, right, left_keys, right_keys, residual, outer=True
+        left, right, left_keys, right_keys, residual, True, sched
     )
     if spilled is not None:
         return spilled
@@ -194,15 +388,11 @@ def left_outer_hash_join(
         on=_describe_keys(left_keys, right_keys),
     ) as span:
         metrics = current_metrics()
-        li, ri = _match_pairs(left, right, left_keys, right_keys)
-        if residual is not None and len(li):
-            cand = Batch.concat_columns(left.take(li), right.take(ri))
-            keep = _residual_keep(cand, residual)
-            li, ri = li[keep], ri[keep]
-        matched = np.zeros(len(left), dtype=bool)
-        if len(li):
-            matched[li] = True
-        pad = np.flatnonzero(~matched)
+        li, ri = _match_pairs(
+            sched, span, left, right, left_keys, right_keys, residual,
+            lambda pairs, n: len(pairs) + n - _matched_rows(pairs),
+        )
+        pad = np.flatnonzero(~_mask_of(len(left), li))
         all_li = np.concatenate([li, pad])
         all_ri = np.concatenate([ri, np.full(len(pad), -1, dtype=np.int64)])
         out = Batch.concat_columns(
@@ -221,6 +411,7 @@ def semi_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual=None,
+    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Left rows with at least one match (each left row at most once)."""
     with op_span(
@@ -228,8 +419,11 @@ def semi_join(
         contract=CONTRACT_FILTERING,
         on=_describe_keys(left_keys, right_keys),
     ) as span:
-        keep = _existence_mask(left, right, left_keys, right_keys, residual)
-        out = left.take(np.flatnonzero(keep))
+        li, _ri = _match_pairs(
+            sched, span, left, right, left_keys, right_keys, residual,
+            lambda pairs, n: _matched_rows(pairs),
+        )
+        out = left.take(np.flatnonzero(_mask_of(len(left), li)))
         current_metrics().add("rows_out", len(out))
         _note(span, len(left), len(out))
     return out
@@ -241,6 +435,7 @@ def anti_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual=None,
+    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Left rows with no match."""
     with op_span(
@@ -248,29 +443,14 @@ def anti_join(
         contract=CONTRACT_FILTERING,
         on=_describe_keys(left_keys, right_keys),
     ) as span:
-        keep = _existence_mask(left, right, left_keys, right_keys, residual)
-        out = left.take(np.flatnonzero(~keep))
+        li, _ri = _match_pairs(
+            sched, span, left, right, left_keys, right_keys, residual,
+            lambda pairs, n: n - _matched_rows(pairs),
+        )
+        out = left.take(np.flatnonzero(~_mask_of(len(left), li)))
         current_metrics().add("rows_out", len(out))
         _note(span, len(left), len(out))
     return out
-
-
-def _existence_mask(
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    residual,
-) -> np.ndarray:
-    li, ri = _match_pairs(left, right, left_keys, right_keys)
-    if residual is not None and len(li):
-        cand = Batch.concat_columns(left.take(li), right.take(ri))
-        keep = _residual_keep(cand, residual)
-        li = li[keep]
-    mask = np.zeros(len(left), dtype=bool)
-    if len(li):
-        mask[li] = True
-    return mask
 
 
 # --------------------------------------------------------------------- #
@@ -278,21 +458,27 @@ def _existence_mask(
 # --------------------------------------------------------------------- #
 
 
-def cross_join(left: Batch, right: Batch, residual=None) -> Batch:
+def cross_join(
+    left: Batch,
+    right: Batch,
+    residual=None,
+    sched: MorselScheduler = SEQUENTIAL,
+) -> Batch:
     """Cartesian product (the vector analogue of a nested-loop join)."""
     with op_span("vec-cross-join") as span:
-        li, ri = _match_pairs(left, right, (), ())
+        li, ri = _match_pairs(
+            sched, span, left, right, (), (), residual, _pair_count
+        )
         out = Batch.concat_columns(left.take(li), right.take(ri))
-        if residual is not None:
-            keep = _residual_keep(out, residual)
-            out = out.take(np.flatnonzero(keep))
         charge_batch(out, "cross-join output")
         current_metrics().add("rows_out", len(out))
         _note(span, len(left), len(out))
     return out
 
 
-def outer_cross_join(left: Batch, right: Batch) -> Batch:
+def outer_cross_join(
+    left: Batch, right: Batch, sched: MorselScheduler = SEQUENTIAL
+) -> Batch:
     """Cross join, except an *empty* right side NULL-pads every left row.
 
     Mirrors the row engine's :class:`OuterCrossJoin`: the padding only
@@ -308,7 +494,9 @@ def outer_cross_join(left: Batch, right: Batch) -> Batch:
             )
             metrics.add("null_padded_rows", len(left))
         else:
-            li, ri = _match_pairs(left, right, (), ())
+            li, ri = _match_pairs(
+                sched, span, left, right, (), (), None, _pair_count
+            )
             out = Batch.concat_columns(left.take(li), right.take(ri))
         metrics.add("rows_out", len(out))
         _note(span, len(left), len(out))
@@ -318,6 +506,21 @@ def outer_cross_join(left: Batch, right: Batch) -> Batch:
 # --------------------------------------------------------------------- #
 # Grouping (the factorization both nest variants share)
 # --------------------------------------------------------------------- #
+
+
+def sorted_group_ids(batch: Batch, by: Sequence[str]) -> np.ndarray:
+    """Dense group ids of a non-empty *batch* over a non-empty *by*:
+    per-column ``codes()`` chained through ``np.unique``.  Charges
+    nothing — :func:`group_ids` accounts the nest grouping, the spill
+    path accounts its partitioning scratch separately."""
+    codes = [batch.column(r).codes() for r in by]
+    _, ids = np.unique(codes[0], return_inverse=True)
+    ids = ids.astype(np.int64)
+    for c in codes[1:]:
+        width = int(c.max()) + 1
+        _, ids = np.unique(ids * width + c, return_inverse=True)
+        ids = ids.astype(np.int64)
+    return ids
 
 
 def group_ids(batch: Batch, by: Sequence[str], method: str) -> Tuple[np.ndarray, int]:
@@ -347,13 +550,7 @@ def group_ids(batch: Batch, by: Sequence[str], method: str) -> Tuple[np.ndarray,
                 mapping[parts] = gid
             ids[i] = gid
         return ids, len(mapping)
-    codes = [batch.column(r).codes() for r in by]
-    _, ids = np.unique(codes[0], return_inverse=True)
-    ids = ids.astype(np.int64)
-    for c in codes[1:]:
-        width = int(c.max()) + 1
-        _, ids = np.unique(ids * width + c, return_inverse=True)
-        ids = ids.astype(np.int64)
+    ids = sorted_group_ids(batch, by)
     return ids, int(ids.max()) + 1
 
 
@@ -365,11 +562,3 @@ def first_occurrences(ids: np.ndarray, n_groups: int) -> np.ndarray:
     out = np.empty(n_groups, dtype=np.int64)
     out[first] = seen
     return out
-
-
-def _describe_keys(
-    left_keys: Sequence[str], right_keys: Sequence[str]
-) -> str:
-    if not left_keys:
-        return "(cross)"
-    return ", ".join(f"{l}={r}" for l, r in zip(left_keys, right_keys))

@@ -49,13 +49,14 @@ import numpy as np
 from ..logic import two_valued
 from ..metrics import current_metrics
 from ..operators.aggregate import _finish
+from ..parallel import SEQUENTIAL, MorselScheduler
 from ..schema import Column
 from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
 from ..types import NULL, is_null, negate_op
 from .batch import Batch
 from .column import KIND_BOOL, KIND_FLOAT, KIND_INT, NUMERIC_KINDS, Vector
 from .exprs import _fast_comparable, compare_vectors
-from .kernels import first_occurrences, group_ids
+from .kernels import concat_parts, first_occurrences, group_ids
 
 
 def nest_link(
@@ -67,8 +68,13 @@ def nest_link(
     strict: bool,
     pad_refs: Sequence[str],
     nest_impl: str,
+    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Nest *batch* by *by* and apply the linking predicate in one pass.
+
+    The batch is grouped once; the per-group verdicts are computed over
+    hash partitions of the group ids (whole groups per morsel), and the
+    output is assembled once from the verdict masks.
 
     Under a spill-enabled governor whose budget the grouping pass would
     breach, the nest runs out-of-core (:mod:`repro.engine.spill`):
@@ -78,7 +84,8 @@ def nest_link(
     from ..spill import maybe_spill_nest_link
 
     spilled = maybe_spill_nest_link(
-        batch, by, predicate, link, rid_ref, strict, pad_refs, nest_impl
+        batch, by, predicate, link, rid_ref, strict, pad_refs, nest_impl,
+        sched,
     )
     if spilled is not None:
         return spilled
@@ -98,8 +105,9 @@ def nest_link(
         ids, n_groups = group_ids(batch, by, nest_impl)
         rep = first_occurrences(ids, n_groups)
         metrics.add("linking_evals", n_groups)
-        vt, vf = _group_verdict(
-            batch, ids, n_groups, rep, predicate, link, rid_ref
+        vt, vf = _partitioned_verdict(
+            sched, span, batch, ids, n_groups, rep, predicate, link, rid_ref,
+            counts_passing=strict and link.mark is None,
         )
         order = np.argsort(rep, kind="stable")  # groups in appearance order
         if link.mark is not None:
@@ -124,6 +132,62 @@ def nest_link(
                 span.set_max("peak_group", int(np.bincount(ids).max()))
         metrics.add("rows_out", len(out))
     return out
+
+
+def _partitioned_verdict(
+    sched: MorselScheduler,
+    span,
+    batch: Batch,
+    ids: np.ndarray,
+    n_groups: int,
+    rep: np.ndarray,
+    predicate,
+    link,
+    rid_ref: str,
+    counts_passing: bool,
+):
+    """:func:`_group_verdict` over hash partitions of the group ids.
+
+    Partition ``p`` of ``k`` holds exactly the groups ``g % k == p``, so
+    every group is whole inside one morsel, ``g // k`` renumbers them
+    densely and the morsel's verdicts scatter back to ``[p::k]``.  A
+    morsel's span reports the groups it kept (*counts_passing*: the
+    strict selection drops failing groups) as ``rows_out``.
+    """
+    k = min(sched.partition_count(len(batch)), n_groups)
+    if k <= 1:
+        return _group_verdict(
+            batch, ids, n_groups, rep, predicate, link, rid_ref
+        )
+    vt = np.zeros(n_groups, dtype=bool)
+    vf = np.zeros(n_groups, dtype=bool)
+    part_of = ids % k
+    # a morsel gathers only the columns the verdict reads
+    members = batch.project(
+        [
+            ref
+            for ref in dict.fromkeys((rid_ref, link.inner_ref, link.outer_ref))
+            if ref is not None and batch.schema.has(ref)
+        ]
+    )
+
+    def verdict(p: int, mspan) -> None:
+        idx = np.flatnonzero(part_of == p)
+        local_rep = np.searchsorted(idx, rep[p::k])
+        t, f = _group_verdict(
+            members.take(idx), ids[idx] // k, len(local_rep), local_rep,
+            predicate, link, rid_ref,
+        )
+        vt[p::k] = t
+        vf[p::k] = f
+        if mspan is not None:
+            mspan.add("rows_in", len(idx))
+            mspan.add(
+                "rows_out", int(t.sum()) if counts_passing else len(t)
+            )
+
+    sched.map(verdict, range(k), span)
+    return vt, vf
 
 
 def _group_verdict(
@@ -264,8 +328,11 @@ def uncorrelated_link(
     rid_ref: str,
     strict: bool,
     pad_refs: Sequence[str],
+    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
-    """Apply a shared-member-set linking predicate to every outer row."""
+    """Apply a shared-member-set linking predicate to every outer row
+    (the outer side is judged morsel by morsel; the member set is
+    read-only)."""
     metrics = current_metrics()
     n = len(batch)
     with op_span(
@@ -279,7 +346,20 @@ def uncorrelated_link(
         **({"mark": link.mark} if link.mark is not None else {}),
     ) as span:
         metrics.add("linking_evals", n)
-        vt, vf = _uncorrelated_verdict(batch, sub, predicate, link, rid_ref)
+        filtering = strict and link.mark is None
+
+        def verdict(part, mspan):
+            t, f = _uncorrelated_verdict(
+                batch.slice(*part), sub, predicate, link, rid_ref
+            )
+            if mspan is not None:
+                mspan.add("rows_in", len(t))
+                mspan.add("rows_out", int(t.sum()) if filtering else len(t))
+            return t, f
+
+        verdicts = sched.map(verdict, sched.slices(n), span)
+        vt = concat_parts([t for t, _f in verdicts])
+        vf = concat_parts([f for _t, f in verdicts])
         if link.mark is not None:
             out = batch.with_column(
                 Column(link.mark), Vector(KIND_BOOL, vt, vt | vf)

@@ -10,21 +10,23 @@ The default physical nest is the sort-based one (paper §5.1) because
 its factorization is fully vectorized; ``nest_impl="hash"`` selects the
 dict-based variant (same semantics, per-row key building).
 
-``nested-relational-parallel`` is the same driver over the
-morsel-driven :class:`~repro.engine.parallel.ParallelVectorBackend`:
-shared-build morsel joins and partition-parallel nest on a worker pool
-(default width ``os.cpu_count()``, overridable per call via
-``threads=`` / ``--threads`` or the ``REPRO_THREADS`` environment
-variable).
+``threads`` is the worker count of the backend's morsel scheduler
+(overridable per call via ``threads=`` / ``--threads``); the default
+single worker runs every kernel as one inline morsel.
+``nested-relational-parallel`` is an alias of the same strategy whose
+thread default is the machine's (``REPRO_THREADS``, else
+``os.cpu_count()``).
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 from ...core.compute import NestedRelationalStrategy
-from ...core.optimizer import cost_parallel, cost_vectorized
+from ...core.optimizer import cost_vectorized
 from ...strategies import register
+from ..parallel import default_threads
 from .backend import VectorBackend
 
 
@@ -41,53 +43,17 @@ class VectorizedNestedRelationalStrategy(NestedRelationalStrategy):
 
     def __init__(
         self,
-        virtual_cartesian: bool = True,
-        nest_impl: str = "sorted",
-        strict_when_positive: bool = True,
-    ):
-        super().__init__(
-            virtual_cartesian=virtual_cartesian,
-            nest_impl=nest_impl,
-            strict_when_positive=strict_when_positive,
-            backend=VectorBackend(),
-        )
-
-
-@register(
-    "nested-relational-parallel",
-    backend="vector",
-    description=(
-        "Algorithm 1 with morsel-driven parallel kernels "
-        "(shared-build morsel joins, partition-parallel nest)"
-    ),
-    cost=cost_parallel,
-)
-class ParallelNestedRelationalStrategy(NestedRelationalStrategy):
-    """Algorithm 1 on morsels over a worker pool."""
-
-    name = "nested-relational-parallel"
-    #: where the governor's ``degrade='sequential'`` ladder retries a
-    #: failed parallel execution: same plan, single-threaded kernels
-    degrade_target = "nested-relational-vectorized"
-
-    def __init__(
-        self,
-        threads: Optional[int] = None,
+        threads: int = 1,
         min_partition_rows: Optional[int] = None,
         virtual_cartesian: bool = True,
         nest_impl: str = "sorted",
         strict_when_positive: bool = True,
     ):
-        # deferred: repro.engine.parallel itself imports this package
-        from ..parallel import ParallelVectorBackend
-
         super().__init__(
             virtual_cartesian=virtual_cartesian,
             nest_impl=nest_impl,
             strict_when_positive=strict_when_positive,
-            backend=ParallelVectorBackend(
-                threads=threads, min_partition_rows=min_partition_rows
-            ),
+            backend=VectorBackend(threads, min_partition_rows),
         )
 
     @property
@@ -97,3 +63,21 @@ class ParallelNestedRelationalStrategy(NestedRelationalStrategy):
     def set_threads(self, threads: int) -> None:
         """The planner's ``threads=`` plumbing (idempotent)."""
         self.backend.set_threads(threads)
+
+    def sequential(self) -> Optional["VectorizedNestedRelationalStrategy"]:
+        """This strategy on one worker — where the governor's
+        ``degrade='sequential'`` ladder retries a failed multi-thread
+        execution — or None when it already runs on one."""
+        if self.threads <= 1:
+            return None
+        retry = copy.copy(self)
+        retry.backend = VectorBackend(threads=1)
+        return retry
+
+
+register(
+    "nested-relational-parallel",
+    backend="vector",
+    alias_of="nested-relational-vectorized",
+    description="threads default to REPRO_THREADS / os.cpu_count()",
+)(lambda: VectorizedNestedRelationalStrategy(threads=default_threads()))

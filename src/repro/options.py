@@ -53,16 +53,16 @@ class ExecutionOptions:
     * ``strategy`` — registry name, ``"auto"`` (cost-based planner) or a
       strategy instance;
     * ``backend`` — ``"row"`` / ``"vector"`` execution substrate;
-    * ``threads`` — worker count for morsel-driven parallel execution
-      (under ``"auto"`` it makes the parallel strategy a *candidate*;
-      the cost model decides whether splitting the work pays);
+    * ``threads`` — morsel worker count of the vector backend (under
+      ``"auto"`` the vectorized strategy is priced with it; the cost
+      model decides whether the vector engine still wins);
     * ``timeout_ms`` / ``memory_limit_mb`` — resource-governance limits;
     * ``spill_dir`` — directory for spill partitions; together with a
       memory budget it turns budget breaches at the spillable operators
       (hash-join builds, nest grouping) into Grace-style disk spills
       instead of :class:`~repro.errors.ResourceExhaustedError`;
-    * ``degrade`` — ``"sequential"`` retries a failed parallel
-      execution once on the single-threaded vectorized backend;
+    * ``degrade`` — ``"sequential"`` retries a failed multi-thread
+      execution once on the same strategy at ``threads=1``;
     * ``logic`` — ``"3vl"`` (SQL standard) or ``"2vl"`` (Libkin)
       predicate semantics.
     """

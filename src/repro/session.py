@@ -89,17 +89,18 @@ class PreparedQuery:
         :func:`repro.strategies.names`), ``"auto"`` (the default: the
         cost-based planner picks the cheapest applicable strategy), or a
         strategy instance; *backend* is ``"row"``, ``"vector"`` or
-        ``None`` (follow the strategy's registration).  *threads* > 1
-        makes the morsel-driven parallel strategy a planner candidate
-        (and is forwarded to any explicitly named strategy).
+        ``None`` (follow the strategy's registration).  *threads* is
+        the vector backend's morsel worker count: the planner prices the
+        vectorized strategy with it, and it is forwarded to any
+        explicitly named strategy that runs on morsels.
 
         *timeout_ms* / *memory_limit_mb* bound the execution (typed
         :class:`~repro.errors.QueryTimeoutError` /
         :class:`~repro.errors.ResourceExhaustedError` on breach);
         *spill_dir* turns memory-budget breaches at the spillable
         operators into Grace-style disk spills instead of errors;
-        ``degrade="sequential"`` retries a failed parallel execution
-        once on the single-threaded vectorized backend.
+        ``degrade="sequential"`` retries a failed multi-thread
+        execution once on the same strategy at ``threads=1``.
 
         Settings layer as *session defaults ← options= ← explicit
         keyword arguments*; every ``None`` inherits from the layer

@@ -53,6 +53,11 @@ class StrategyInfo:
     registered without one still participate in ``auto`` — they are
     priced at :func:`repro.core.optimizer.default_cost`, a deliberately
     pessimistic generic estimate.
+
+    ``alias_of`` names the strategy an entry is a *preset* of: the same
+    implementation under different constructor defaults.  An alias
+    resolves by name everywhere a strategy does, but is not a planner
+    candidate of its own — the strategy it names is the one priced.
     """
 
     name: str
@@ -60,6 +65,7 @@ class StrategyInfo:
     backend: str = ROW_BACKEND
     description: str = ""
     cost: Optional[Callable[[object], float]] = None
+    alias_of: Optional[str] = None
 
     def make(self) -> object:
         return self.factory()
@@ -80,6 +86,7 @@ def register(
     backend: str = ROW_BACKEND,
     description: str = "",
     cost: Optional[Callable[[object], float]] = None,
+    alias_of: Optional[str] = None,
     replace: bool = False,
 ) -> Callable[[Callable[[], object]], Callable[[], object]]:
     """Register a strategy factory under *name*; usable as a decorator.
@@ -91,7 +98,9 @@ def register(
     :class:`~repro.core.stats.PlanStats`; without one the planner falls
     back to a documented pessimistic default
     (:func:`repro.core.optimizer.default_cost`) and ``--list-strategies``
-    marks the entry accordingly.  Re-registering an existing name
+    marks the entry accordingly.  *alias_of* registers a preset of an
+    existing strategy (see :class:`StrategyInfo`).  Re-registering an
+    existing name
     raises unless ``replace=True`` (tests use replacement to stub
     strategies).
     """
@@ -109,6 +118,7 @@ def register(
             backend=backend,
             description=description,
             cost=cost,
+            alias_of=alias_of,
         )
         return factory
 
@@ -220,15 +230,20 @@ def describe() -> str:
     """One line per strategy: name, backend, cost participation and
     description (CLI listing).  ``costed`` entries registered their own
     ``cost`` hook; ``default`` entries are priced pessimistically by
-    the planner's fallback."""
+    the planner's fallback; ``alias`` entries are presets of the
+    strategy they name and are never priced themselves."""
     ensure_loaded()
     width = max(len(n) for n in names()) if _REGISTRY else 0
     lines = []
     for entry in entries():
         pricing = "costed " if entry.costed else "default"
+        text = entry.description
+        if entry.alias_of is not None:
+            pricing = "alias  "
+            text = f"{entry.alias_of}: {text}"
         lines.append(
             f"{entry.name.ljust(width)}  [{entry.backend}]  "
-            f"[{pricing}]  {entry.description}"
+            f"[{pricing}]  {text}"
         )
     lines.append(
         f"{AUTO.ljust(width)}  [row]  [policy ]  "

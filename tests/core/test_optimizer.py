@@ -78,11 +78,39 @@ class TestChoose:
         decision = choose(query, db)
         assert all(c.costed for c in decision.candidates)
 
-    def test_parallel_needs_explicit_threads(self, db, query):
-        names = {c.name for c in choose(query, db).candidates}
-        assert "nested-relational-parallel" not in names
-        names = {c.name for c in choose(query, db, threads=4).candidates}
-        assert "nested-relational-parallel" in names
+    def test_parallel_alias_is_never_a_candidate(self, db, query):
+        for threads in (None, 4):
+            decision = choose(query, db, threads=threads)
+            names = [c.name for c in decision.candidates]
+            assert "nested-relational-parallel" not in names
+            assert names.count("nested-relational-vectorized") == 1
+
+    def test_threads_reprice_and_configure_the_vector_strategy(self, db, query):
+        from repro.core.optimizer import (
+            PARALLEL_OVERHEAD,
+            VECTOR_FACTOR,
+            VECTOR_SETUP,
+        )
+        from repro.core.stats import PlanStats, collect_stats
+
+        def vector_cost(decision):
+            (cand,) = [
+                c for c in decision.candidates
+                if c.name == "nested-relational-vectorized"
+            ]
+            return cand.est_cost
+
+        ps = PlanStats(query, collect_stats(db))
+        assert vector_cost(choose(query, db)) == (
+            VECTOR_SETUP + VECTOR_FACTOR * ps.pipeline_work
+        )
+        assert vector_cost(choose(query, db, threads=4)) == (
+            VECTOR_SETUP
+            + PARALLEL_OVERHEAD * 4
+            + VECTOR_FACTOR * ps.pipeline_work / 4
+        )
+        decision = choose(query, db, backend="vector", threads=4)
+        assert decision.impl.threads == 4
 
     def test_backend_filter(self, db, query):
         row = choose(query, db, backend="row")

@@ -143,9 +143,11 @@ class TestBuildPlan:
         assert plan.strategy == "auto"
         assert plan.cost_based
 
-    def test_threads_surface_parallel_candidate(self, db):
+    def test_threads_reprice_the_vector_candidate(self, db):
         query = repro.compile_sql(SQL, db)
         plan = build_plan(query, db, SQL, threads=4)
-        assert plan.candidate("nested-relational-parallel") is not None
         single = build_plan(query, db, SQL)
-        assert single.candidate("nested-relational-parallel") is None
+        assert plan.candidate("nested-relational-parallel") is None
+        assert len(plan.candidates) == len(single.candidates)
+        name = "nested-relational-vectorized"
+        assert plan.candidate(name).est_cost != single.candidate(name).est_cost

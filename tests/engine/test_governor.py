@@ -36,7 +36,7 @@ from repro.engine.trace import (
     tracing,
     validate_trace_dict,
 )
-from repro.engine.vector.strategy import ParallelNestedRelationalStrategy
+from repro.engine.vector.strategy import VectorizedNestedRelationalStrategy
 from repro.errors import (
     InjectedFaultError,
     InvalidArgumentError,
@@ -56,9 +56,9 @@ VEC = "nested-relational-vectorized"
 PAR = "nested-relational-parallel"
 
 
-def parallel_impl() -> ParallelNestedRelationalStrategy:
-    """The parallel strategy forced onto the pooled, partitioned path."""
-    return ParallelNestedRelationalStrategy(threads=4, min_partition_rows=1)
+def parallel_impl() -> VectorizedNestedRelationalStrategy:
+    """The vectorized strategy forced onto the pooled, partitioned path."""
+    return VectorizedNestedRelationalStrategy(threads=4, min_partition_rows=1)
 
 
 def strategies():
@@ -354,7 +354,9 @@ class TestDegradation:
             query, tiny_tpch, strategy=parallel_impl(), governor=gov
         )
         assert result.sorted().rows == oracle
-        assert gov.degradations == [(PAR, VEC, "InjectedFaultError")]
+        assert gov.degradations == [
+            (f"{VEC}[threads=4]", f"{VEC}[threads=1]", "InjectedFaultError")
+        ]
 
     def test_degraded_trace_has_spans_and_stays_invariant(
         self, tiny_tpch, oracle, monkeypatch
@@ -366,8 +368,8 @@ class TestDegradation:
         assert result.sorted().rows == oracle
         degrades = trace.find("degrade")
         assert len(degrades) == 1 and degrades[0].kind == KIND_GOVERNOR
-        assert degrades[0].attrs["source"] == PAR
-        assert degrades[0].attrs["target"] == VEC
+        assert degrades[0].attrs["source"] == f"{VEC}[threads=4]"
+        assert degrades[0].attrs["target"] == f"{VEC}[threads=1]"
         assert degrades[0].attrs["reason"] == "InjectedFaultError"
         assert trace.find("governor"), "governed run must tag its trace"
         assert trace_invariant_violations(trace) == []
@@ -469,16 +471,14 @@ class TestThreadValidation:
         assert "threads" in str(err.value)
 
     def test_scheduler_and_backend_reject_bad_threads(self):
-        from repro.engine.parallel import (
-            MorselScheduler,
-            ParallelVectorBackend,
-        )
+        from repro.engine.parallel import MorselScheduler
+        from repro.engine.vector.backend import VectorBackend
 
         with pytest.raises(InvalidArgumentError):
             MorselScheduler(threads=0)
         with pytest.raises(InvalidArgumentError):
-            ParallelVectorBackend(threads=-1)
-        backend = ParallelVectorBackend(threads=2)
+            VectorBackend(threads=-1)
+        backend = VectorBackend(threads=2)
         with pytest.raises(InvalidArgumentError):
             backend.set_threads(0)
         with pytest.raises(InvalidArgumentError):

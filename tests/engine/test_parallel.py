@@ -1,11 +1,14 @@
-"""Unit tests for the morsel-driven parallel executor.
+"""Unit tests for the morsel scheduler and the one vector kernel family.
 
-The parallel kernels must be drop-in replacements for the sequential
-vectorized kernels: same relations out (NULL-key semantics included),
-same Metrics totals, and traces that carry the extra ``kind="morsel"``
-spans while still satisfying every span-tree invariant.  The scheduler
-is forced onto the partitioned path with ``min_partition_rows=1`` so
-even the tiny fixtures exercise real morsel splits.
+There is one implementation of every kernel; a scheduler only decides
+how many morsels its input is cut into.  Several morsels must give the
+same relations (row for row, NULL-key semantics included) and the same
+Metrics totals as one, with traces that carry the extra
+``kind="morsel"`` spans while still satisfying every span-tree
+invariant; the join-key semantics must equal the row engine's on every
+column-kind combination.  The scheduler is forced to split with
+``min_partition_rows=1`` so even the tiny fixtures exercise real morsel
+splits.
 """
 
 from __future__ import annotations
@@ -16,18 +19,19 @@ import pytest
 import repro
 from repro.engine import NULL, Column, Schema
 from repro.engine.expressions import Col, Comparison
+from repro.engine.governor import ResourceGovernor
 from repro.engine.metrics import collect
+from repro.engine.operators import (
+    AntiJoin,
+    HashJoin,
+    LeftOuterHashJoin,
+    SemiJoin,
+)
 from repro.engine.parallel import (
     DEFAULT_MIN_PARTITION_ROWS,
     MorselScheduler,
-    ParallelVectorBackend,
-    build_side,
     default_min_partition_rows,
     default_threads,
-    equi_match,
-    hash_partitions,
-    joint_codes,
-    probe_match,
 )
 from repro.engine.trace import (
     KIND_MORSEL,
@@ -37,6 +41,12 @@ from repro.engine.trace import (
 )
 from repro.engine.vector import Batch, Vector, kernels
 from repro.engine.vector.backend import VectorBackend
+from repro.engine.vector.kernels import (
+    build_side,
+    hash_partitions,
+    joint_codes,
+    probe_match,
+)
 
 
 def batch_of(**cols) -> Batch:
@@ -49,6 +59,10 @@ def batch_of(**cols) -> Batch:
 def forced(threads: int = 3) -> MorselScheduler:
     """A scheduler that partitions everything, even two-row batches."""
     return MorselScheduler(threads=threads, min_partition_rows=1)
+
+
+def equi_match(codes_l, codes_r):
+    return probe_match(*build_side(codes_r), codes_l)
 
 
 def rows(batch: Batch):
@@ -86,16 +100,20 @@ class TestJointCodes:
         assert codes_l[2] == codes_r[1]  # (2, x)
         assert codes_l[0] not in set(codes_r.tolist())  # (1, x)
 
-    def test_incomparable_kinds_delegate(self):
-        # bool vs int keys need the row engine's group_key semantics
+    def test_booleans_do_not_collide_with_ints(self):
+        # bool vs int keys take the per-row group_key factorizer
         left = batch_of(a=[True, False])
         right = batch_of(b=[1, 0])
-        assert joint_codes(left, right, ["a"], ["b"]) is None
+        codes_l, codes_r = joint_codes(left, right, ["a"], ["b"])
+        assert not set(codes_l.tolist()) & set(codes_r.tolist())
 
-    def test_precision_risky_ints_delegate(self):
-        left = batch_of(a=[2**53 + 1])
-        right = batch_of(b=[1.5])
-        assert joint_codes(left, right, ["a"], ["b"]) is None
+    def test_ints_beyond_float_precision_stay_exact(self):
+        # float64(2**53 + 1) == 2.0**53: a float cast would match them
+        left = batch_of(a=[2**53 + 1, 2**53])
+        right = batch_of(b=[2.0**53, 1.5])
+        codes_l, codes_r = joint_codes(left, right, ["a"], ["b"])
+        assert codes_l[0] != codes_r[0]
+        assert codes_l[1] == codes_r[0]
 
 
 class TestEquiMatch:
@@ -135,8 +153,9 @@ class TestEquiMatch:
         assert 0 in parts[1].tolist()
 
 
-class TestKernelEquivalence:
-    """Forced-partition parallel kernels == sequential kernels."""
+class TestMorselEquivalence:
+    """Forced morsel splits == the same kernel on one morsel, row for
+    row (morsels only compute positions; the operator assembles once)."""
 
     def _random_sides(self, seed, n_left=23, n_right=17):
         rng = np.random.default_rng(seed)
@@ -150,101 +169,120 @@ class TestKernelEquivalence:
         return left, right
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_hash_join(self, seed, threads):
-        from repro.engine import parallel
-
+    @pytest.mark.parametrize("threads", [2, 4])
+    @pytest.mark.parametrize(
+        "join",
+        ["hash_join", "left_outer_hash_join", "semi_join", "anti_join"],
+    )
+    @pytest.mark.parametrize(
+        "residual", [None, Comparison("<", Col("p"), Col("q"))]
+    )
+    def test_join_family(self, seed, threads, join, residual):
         left, right = self._random_sides(seed)
-        seq = kernels.hash_join(left, right, ["a"], ["b"])
-        par = parallel.hash_join(forced(threads), left, right, ["a"], ["b"])
-        assert rows(par) == rows(seq)
+        kernel = getattr(kernels, join)
+        one = kernel(left, right, ["a"], ["b"], residual)
+        many = kernel(left, right, ["a"], ["b"], residual, forced(threads))
+        assert many.to_relation().rows == one.to_relation().rows
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_left_outer_hash_join(self, seed, threads):
-        from repro.engine import parallel
-
-        left, right = self._random_sides(seed)
-        seq = kernels.left_outer_hash_join(left, right, ["a"], ["b"])
-        par = parallel.left_outer_hash_join(
-            forced(threads), left, right, ["a"], ["b"]
-        )
-        assert rows(par) == rows(seq)
-
-    @pytest.mark.parametrize("negate", [False, True])
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_existence_joins(self, negate, threads):
-        from repro.engine import parallel
-
-        left, right = self._random_sides(5)
-        which = "anti_join" if negate else "semi_join"
-        seq = getattr(kernels, which)(left, right, ["a"], ["b"])
-        par = getattr(parallel, which)(
-            forced(threads), left, right, ["a"], ["b"]
-        )
-        assert rows(par) == rows(seq)
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_residual_filtering(self, threads):
-        from repro.engine import parallel
-
-        left, right = self._random_sides(9)
-        residual = Comparison("<", Col("p"), Col("q"))
-        seq = kernels.hash_join(left, right, ["a"], ["b"], residual)
-        par = parallel.hash_join(
-            forced(threads), left, right, ["a"], ["b"], residual
-        )
-        assert rows(par) == rows(seq)
-
-    def test_empty_probe_side_delegates(self):
-        from repro.engine import parallel
-
+    def test_empty_probe_side(self):
         left = batch_of(a=[], p=[])
         right = batch_of(b=[1, 2], q=[3, 4])
-        out = parallel.hash_join(forced(), left, right, ["a"], ["b"])
+        out = kernels.hash_join(left, right, ["a"], ["b"], None, forced())
         assert len(out) == 0
 
-    def test_incomparable_keys_fall_back_sequential(self):
-        from repro.engine import parallel
-
-        left = batch_of(a=[True, False], p=[1, 2])
-        right = batch_of(b=[1, 0], q=[3, 4])
-        seq = kernels.hash_join(left, right, ["a"], ["b"])
-        par = parallel.hash_join(forced(), left, right, ["a"], ["b"])
-        assert rows(par) == rows(seq)
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_cross_join(self, threads):
-        from repro.engine import parallel
-
+    def test_cross_join(self):
         left = batch_of(a=[1, 2, 3, NULL, 5])
         right = batch_of(b=[10, 20])
-        seq = kernels.cross_join(left, right)
-        par = parallel.cross_join(forced(threads), left, right)
-        assert rows(par) == rows(seq)
+        one = kernels.cross_join(left, right)
+        many = kernels.cross_join(left, right, None, forced())
+        assert many.to_relation().rows == one.to_relation().rows
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_filter(self, threads):
-        from repro.engine import parallel
+    def test_filter(self):
+        batch = batch_of(a=[1, NULL, 3, 4, 0, 2], b=[2, 2, 2, NULL, 2, 2])
+        pred = Comparison(">", Col("a"), Col("b"))
+        one = kernels.filter_batch(batch, pred)
+        many = kernels.filter_batch(batch, pred, forced())
+        assert many.to_relation().rows == one.to_relation().rows == [(3, 2)]
 
-        batch = batch_of(a=[1, NULL, 3, 4, 0, 2])
-        pred = Comparison(">", Col("a"), Col("a"))  # never true
-        seq = kernels.filter_batch(batch, pred)
-        par = parallel.filter_batch(forced(threads), batch, pred)
-        assert rows(par) == rows(seq)
+
+#: key-column shapes that rule out the ``np.unique`` factorizer, plus the
+#: degenerate sides: (left key columns, right key columns)
+EXACT_KIND_CASES = {
+    "bool-vs-int": ([[True, False, True, NULL]], [[1, 0, 1, 2]]),
+    "bool-vs-bool": ([[True, False, NULL]], [[False, False, True]]),
+    "big-int-vs-float": (
+        [[2**53 + 1, 2**53, 3, NULL]], [[2.0**53, 3.0, 1.5, 2.0**53]],
+    ),
+    "obj-key": (
+        [[2**70, 2**70 + 1, 7, NULL]], [[2**70, 7, 7.0, NULL]],
+    ),
+    "str-keys": ([["a", "bb", NULL, "a"]], [["a", "c", "bb", NULL]]),
+    "str-vs-int": ([["1", "2", "x"]], [[1, 2, 3]]),
+    "composite-with-null": (
+        [[1, 1, 2, NULL], ["x", NULL, "y", "y"]],
+        [[1, 2, 2, 1], ["x", "y", NULL, NULL]],
+    ),
+    "empty-build": ([[1, 2, NULL]], [[]]),
+    "empty-probe": ([[]], [[1, 2, NULL]]),
+}
+
+ROW_JOINS = {
+    "hash_join": HashJoin,
+    "left_outer_hash_join": LeftOuterHashJoin,
+    "semi_join": SemiJoin,
+    "anti_join": AntiJoin,
+}
+
+
+class TestExactKindMatrix:
+    """Every join of the family, on every key-kind combination, with
+    and without a residual, on one morsel and on several: the bag the
+    row engine's hash joins produce."""
+
+    @pytest.mark.parametrize("case", sorted(EXACT_KIND_CASES))
+    @pytest.mark.parametrize("join", sorted(ROW_JOINS))
+    @pytest.mark.parametrize("with_residual", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_row_engine(self, case, join, with_residual, threads):
+        left_cols, right_cols = EXACT_KIND_CASES[case]
+        left_keys = [f"a{i}" for i in range(len(left_cols))]
+        right_keys = [f"b{i}" for i in range(len(right_cols))]
+        left = batch_of(
+            **dict(zip(left_keys, left_cols)),
+            p=list(range(len(left_cols[0]))),
+        )
+        right = batch_of(
+            **dict(zip(right_keys, right_cols)),
+            q=[1] * len(right_cols[0]),
+        )
+        residual = Comparison(">=", Col("p"), Col("q")) if with_residual else None
+        got = getattr(kernels, join)(
+            left, right, left_keys, right_keys, residual,
+            MorselScheduler(threads=threads, min_partition_rows=1),
+        )
+        want = ROW_JOINS[join](
+            left.to_relation(), right.to_relation(), left_keys, right_keys,
+            residual,
+        ).materialize()
+        assert rows(got) == want.sorted().rows
 
 
 class TestScheduler:
-    def test_small_inputs_stay_sequential(self):
+    def test_small_inputs_stay_one_morsel(self):
         sched = MorselScheduler(threads=4, min_partition_rows=100)
-        assert sched.sequential(99)
-        assert not sched.sequential(100)
+        assert sched.slices(199) == [(0, 199)]
+        assert sched.slices(200) == [(0, 100), (100, 200)]
+        assert sched.slices(0) == [(0, 0)]
 
     def test_partition_count_caps_at_threads(self):
         sched = MorselScheduler(threads=4, min_partition_rows=10)
         assert sched.partition_count(1000) == 4
         assert sched.partition_count(25) == 2
         assert sched.partition_count(5) == 1
+
+    def test_never_more_morsels_than_rows(self):
+        sched = MorselScheduler(threads=4, min_partition_rows=0)
+        assert sched.slices(3) == [(0, 1), (1, 2), (2, 3)]
 
     def test_zero_threads_rejected(self):
         # threads=0 used to silently mean "sequential"; it is now a
@@ -254,20 +292,37 @@ class TestScheduler:
         with pytest.raises(InvalidArgumentError):
             MorselScheduler(threads=0, min_partition_rows=1)
 
-    def test_one_worker_still_partitions(self):
-        # the codes kernels win even single-threaded, so threads=1 is
-        # not a sequential spelling — only small inputs are
-        sched = MorselScheduler(threads=1, min_partition_rows=100)
-        assert not sched.sequential(1000)
-        assert sched.sequential(99)
+    def test_one_worker_is_one_inline_morsel(self, monkeypatch):
+        # sequential execution is the one-morsel case: no pool, no
+        # morsel harness, whatever the input size
+        from repro.engine import parallel
+
+        sched = MorselScheduler(threads=1, min_partition_rows=1)
+        assert sched.slices(1000) == [(0, 1000)]
+
+        def no_pool(workers):
+            raise AssertionError("threads=1 must not touch the pool")
+
+        monkeypatch.setattr(parallel, "_pool", no_pool)
+        monkeypatch.setattr(sched, "run", no_pool)
+        left = batch_of(a=[1, 2, 3, 2])
+        right = batch_of(b=[2, 9, 1])
+        with tracing() as trace:
+            out = kernels.hash_join(left, right, ["a"], ["b"], None, sched)
+        assert len(out) == 3
+        (span,) = trace.roots
+        assert span.name == "vec-hash-join" and not span.children
+        assert "threads" not in span.attrs and "parts" not in span.attrs
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_THREADS", "7")
         monkeypatch.setenv("REPRO_MIN_PARTITION_ROWS", "13")
         assert default_threads() == 7
         assert default_min_partition_rows() == 13
-        sched = MorselScheduler()
-        assert sched.threads == 7 and sched.min_partition_rows == 13
+        assert MorselScheduler(threads=2).min_partition_rows == 13
+        # REPRO_THREADS is the thread default of the parallel alias only
+        assert repro.strategies.make("nested-relational-parallel").threads == 7
+        assert repro.strategies.make("nested-relational-vectorized").threads == 1
 
     def test_env_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_THREADS", raising=False)
@@ -280,7 +335,7 @@ class TestScheduler:
         # now a config error, and good counts still apply
         from repro.errors import InvalidArgumentError
 
-        backend = ParallelVectorBackend(threads=4)
+        backend = VectorBackend(threads=4)
         with pytest.raises(InvalidArgumentError):
             backend.set_threads(-3)
         assert backend.threads == 4
@@ -307,7 +362,7 @@ class TestBackendEndToEnd:
         )
         par = prepared.execute(
             strategy=NestedRelationalStrategy(
-                backend=ParallelVectorBackend(
+                backend=VectorBackend(
                     threads=threads, min_partition_rows=1
                 )
             )
@@ -324,7 +379,7 @@ class TestBackendEndToEnd:
         from repro.core.compute import NestedRelationalStrategy
 
         strategy = NestedRelationalStrategy(
-            backend=ParallelVectorBackend(threads=2, min_partition_rows=1)
+            backend=VectorBackend(threads=2, min_partition_rows=1)
         )
         with collect() as m:
             result, trace = repro.connect(tiny_tpch).prepare(SQL).trace(
@@ -339,12 +394,11 @@ class TestBackendEndToEnd:
         assert not reconcile_with_metrics(trace, m.counters)
 
     def test_small_inputs_emit_no_morsel_spans(self, tiny_tpch):
-        # inputs below the partitioning threshold delegate to the
-        # sequential kernels: no par- wrappers, no morsel spans
+        # inputs below the morsel size stay whole: no morsel spans
         from repro.core.compute import NestedRelationalStrategy
 
         strategy = NestedRelationalStrategy(
-            backend=ParallelVectorBackend(
+            backend=VectorBackend(
                 threads=2, min_partition_rows=10**6
             )
         )
@@ -367,10 +421,75 @@ class TestBackendEndToEnd:
         with collect() as par_m:
             repro.connect(tiny_tpch, plan_cache=False).prepare(SQL).execute(
                 strategy=NestedRelationalStrategy(
-                    backend=ParallelVectorBackend(
+                    backend=VectorBackend(
                         threads=3, min_partition_rows=1
                     )
                 )
             )
-        for key in ("hash_build_rows", "hash_probes", "rows_out"):
-            assert par_m.counters.get(key, 0) == seq_m.counters.get(key, 0)
+        assert par_m.counters == seq_m.counters
+
+    def test_morsels_reconcile_and_rows_are_identical(self, tiny_tpch_nulls):
+        # every fanned-out operator's morsel children re-describe its
+        # own input and output, and the answer is the one-morsel answer
+        # row for row (morsels only compute positions and masks)
+        from repro.core.compute import NestedRelationalStrategy
+
+        def run(threads):
+            strategy = NestedRelationalStrategy(
+                backend=VectorBackend(threads=threads, min_partition_rows=1)
+            )
+            session = repro.connect(tiny_tpch_nulls, plan_cache=False)
+            with collect() as m:
+                result, trace = session.prepare(SQL).trace(strategy=strategy)
+            assert not trace_invariant_violations(trace)
+            assert not reconcile_with_metrics(trace, m.counters)
+            return result, trace
+
+        one, one_trace = run(1)
+        many, many_trace = run(2)
+        assert many.rows == one.rows
+        assert not [s for s in one_trace.spans() if s.kind == KIND_MORSEL]
+        fanned = [
+            s for s in many_trace.spans()
+            if any(c.kind == KIND_MORSEL for c in s.children)
+        ]
+        assert {"vec-left-outer-hash-join", "vec-nest-link"} <= {
+            s.name for s in fanned
+        }
+        for span in fanned:
+            morsels = [c for c in span.children if c.kind == KIND_MORSEL]
+            assert span.attrs["parts"] == len(morsels)
+            assert span.attrs["threads"] == 2
+            for counter in ("rows_in", "rows_out"):
+                assert span.counters[counter] == sum(
+                    m.counters[counter] for m in morsels
+                ), (span.name, counter)
+
+    def test_nest_link_groups_and_charges_once(self, tiny_tpch, monkeypatch):
+        # the partitioned nest-link used to group (and charge "nest
+        # grouping") once to pick partitions and again per partition
+        from repro.core.compute import NestedRelationalStrategy
+
+        def grouping_charges(threads):
+            governor = ResourceGovernor(memory_limit_mb=1024)
+            charges = []
+            charge = governor.charge
+            monkeypatch.setattr(
+                governor, "charge",
+                lambda nbytes, what="": (
+                    charges.append(what), charge(nbytes, what)
+                ),
+            )
+            strategy = NestedRelationalStrategy(
+                backend=VectorBackend(threads=threads, min_partition_rows=1)
+            )
+            query = repro.connect(tiny_tpch).prepare(SQL).query
+            from repro.core import planner
+
+            planner.run(query, tiny_tpch, strategy=strategy, governor=governor)
+            return [c for c in charges if c == "nest grouping"], charges
+
+        one, all_one = grouping_charges(1)
+        many, all_many = grouping_charges(2)
+        assert one and many == one
+        assert sorted(all_many) == sorted(all_one)

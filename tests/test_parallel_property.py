@@ -16,11 +16,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.core.compute import NestedRelationalStrategy
 from repro.engine.metrics import collect
-from repro.engine.parallel import ParallelVectorBackend
 from repro.engine.trace import (
     reconcile_with_metrics,
     trace_invariant_violations,
 )
+from repro.engine.vector.backend import VectorBackend
 from repro.fuzz import FuzzConfig, generate_case
 
 cases = st.builds(
@@ -39,7 +39,7 @@ cases = st.builds(
 
 def _parallel(threads: int) -> NestedRelationalStrategy:
     return NestedRelationalStrategy(
-        backend=ParallelVectorBackend(threads=threads, min_partition_rows=1)
+        backend=VectorBackend(threads=threads, min_partition_rows=1)
     )
 
 

@@ -308,27 +308,37 @@ class TestDescribeAndShims:
 
 
 class TestThreadsRouting:
-    def test_auto_with_threads_routes_to_parallel(self, tiny_tpch):
+    def test_threads_reach_the_vector_strategy(self, tiny_tpch):
         from repro.core.planner import resolve_strategy
 
         query = repro.connect(tiny_tpch).prepare(SQL).query
-        impl = resolve_strategy("auto", query, None, threads=3)
-        assert impl.name == "nested-relational-parallel"
+        impl = resolve_strategy("auto", query, "vector", threads=3)
+        assert impl.name == "nested-relational-vectorized"
         assert impl.threads == 3
 
-    def test_auto_single_thread_stays_sequential(self, tiny_tpch):
+    def test_parallel_name_is_an_alias_of_vectorized(self, tiny_tpch):
         from repro.core.planner import resolve_strategy
 
         query = repro.connect(tiny_tpch).prepare(SQL).query
-        impl = resolve_strategy("auto", query, None, threads=1)
-        assert impl.name != "nested-relational-parallel"
+        impl = resolve_strategy(
+            "nested-relational-parallel", query, None, threads=3
+        )
+        assert impl.name == "nested-relational-vectorized"
+        assert impl.threads == 3
+
+    def test_single_thread_stays_sequential(self, tiny_tpch):
+        from repro.core.planner import resolve_strategy
+
+        query = repro.connect(tiny_tpch).prepare(SQL).query
+        impl = resolve_strategy("auto", query, "vector", threads=1)
+        assert impl.threads == 1
 
     def test_row_backend_never_parallel(self, tiny_tpch):
         from repro.core.planner import resolve_strategy
 
         query = repro.connect(tiny_tpch).prepare(SQL).query
         impl = resolve_strategy("auto", query, "row", threads=4)
-        assert impl.name != "nested-relational-parallel"
+        assert not hasattr(impl, "set_threads")
 
     def test_session_threads_default_flows_through(self, tiny_tpch):
         session = repro.connect(tiny_tpch, threads=2)

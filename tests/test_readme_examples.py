@@ -77,7 +77,7 @@ class TestQuickstartSnippet:
 
         session = repro.connect(db, threads=4)        # session-wide default
         query = session.prepare(sql)
-        auto = query.execute()                 # parallel is now a costed candidate
+        auto = query.execute()                 # vector candidate priced at 4 workers
         one = query.execute(threads=1)         # same result, one worker
         assert auto.sorted() == one.sorted()
         assert "plan cache: enabled" in query.describe()
