@@ -39,12 +39,13 @@ NR_VARIANTS = (
 def test_nr_variant_wall_time(benchmark, bench_db, strategy):
     lo, hi = _q23_sizes(bench_db, Q23_OUTER_FRACTIONS)[-1]
     sql = query2("all", lo, hi, _q23_availqty(bench_db), QUANTITY_EQ)
-    query = repro.compile_sql(sql, bench_db)
+    prepared = repro.connect(bench_db).prepare(sql)
+    query = prepared.query
     impl = make_strategy(strategy)
     result = benchmark.pedantic(
         lambda: impl.execute(query, bench_db), rounds=3, iterations=1
     )
-    oracle = repro.execute(query, bench_db, strategy="nested-iteration")
+    oracle = prepared.execute(strategy="nested-iteration")
     assert result == oracle
 
 
@@ -54,12 +55,13 @@ def test_nr_variant_wall_time(benchmark, bench_db, strategy):
 def test_related_work_baselines(benchmark, bench_db, baseline_cls):
     lo, hi = _q23_sizes(bench_db, Q23_OUTER_FRACTIONS)[-1]
     sql = query2("all", lo, hi, _q23_availqty(bench_db), QUANTITY_EQ)
-    query = repro.compile_sql(sql, bench_db)
+    prepared = repro.connect(bench_db).prepare(sql)
+    query = prepared.query
     impl = baseline_cls()
     result = benchmark.pedantic(
         lambda: impl.execute(query, bench_db), rounds=3, iterations=1
     )
-    oracle = repro.execute(query, bench_db, strategy="nested-iteration")
+    oracle = prepared.execute(strategy="nested-iteration")
     assert result == oracle
 
 

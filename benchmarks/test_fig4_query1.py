@@ -25,12 +25,13 @@ from repro.tpch import query1
 def test_fig4_largest_point(benchmark, bench_db, strategy):
     """Wall time of each strategy at the largest outer block (16K-scaled)."""
     lo, hi = _q1_windows(bench_db, Q1_OUTER_FRACTIONS)[-1]
-    query = repro.compile_sql(query1(lo, hi), bench_db)
+    prepared = repro.connect(bench_db).prepare(query1(lo, hi))
+    query = prepared.query
     impl = make_strategy(strategy)
     result = benchmark.pedantic(
         lambda: impl.execute(query, bench_db), rounds=3, iterations=1
     )
-    oracle = repro.execute(query, bench_db, strategy="nested-iteration")
+    oracle = prepared.execute(strategy="nested-iteration")
     assert result == oracle
 
 

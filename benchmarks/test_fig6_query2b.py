@@ -25,12 +25,13 @@ from repro.tpch import query2
 def test_fig6_largest_point(benchmark, bench_db, strategy):
     lo, hi = _q23_sizes(bench_db, Q23_OUTER_FRACTIONS)[-1]
     sql = query2("all", lo, hi, _q23_availqty(bench_db), 25)
-    query = repro.compile_sql(sql, bench_db)
+    prepared = repro.connect(bench_db).prepare(sql)
+    query = prepared.query
     impl = make_strategy(strategy)
     result = benchmark.pedantic(
         lambda: impl.execute(query, bench_db), rounds=3, iterations=1
     )
-    oracle = repro.execute(query, bench_db, strategy="nested-iteration")
+    oracle = prepared.execute(strategy="nested-iteration")
     assert result == oracle
 
 

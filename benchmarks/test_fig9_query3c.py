@@ -23,12 +23,13 @@ from repro.tpch import query3
 def test_fig9_largest_point(benchmark, bench_db, strategy, variant):
     lo, hi = _q23_sizes(bench_db, Q23_OUTER_FRACTIONS)[-1]
     sql = query3("any", "exists", variant, lo, hi, _q23_availqty(bench_db), 25)
-    query = repro.compile_sql(sql, bench_db)
+    prepared = repro.connect(bench_db).prepare(sql)
+    query = prepared.query
     impl = make_strategy(strategy)
     result = benchmark.pedantic(
         lambda: impl.execute(query, bench_db), rounds=1, iterations=1
     )
-    oracle = repro.execute(query, bench_db, strategy="nested-iteration")
+    oracle = prepared.execute(strategy="nested-iteration")
     assert result == oracle
 
 

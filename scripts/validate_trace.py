@@ -25,7 +25,10 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro.engine.trace import validate_trace_dict  # noqa: E402
+from repro.engine.trace import (  # noqa: E402
+    TRACE_FORMAT_VERSION,
+    validate_trace_dict,
+)
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -84,7 +87,8 @@ def main(argv) -> int:
                     print(f"  - {problem}", file=sys.stderr)
                 return 1
             checked += 1
-        via = "builtin+jsonschema" if _jsonschema_check({"version": 1, "spans": []}, schema) == [] else "builtin"
+        probe = {"version": TRACE_FORMAT_VERSION, "spans": []}
+        via = "builtin+jsonschema" if _jsonschema_check(probe, schema) == [] else "builtin"
         print(f"{path}: {len(traces)} trace(s) valid ({via})")
     print(f"validated {checked} trace(s) across {len(argv)} file(s)")
     return 0

@@ -56,8 +56,6 @@ from .core import (
     TreeExpression,
     available_strategies,
     choose_strategy,
-    execute,
-    execute_traced,
     linking_selection,
     nest,
     nest_sorted,
@@ -72,39 +70,6 @@ from .session import PreparedQuery, Session, connect
 from .sql import compile_sql, parse
 
 __version__ = "1.3.0"
-
-# One shim session per database so repeated run_sql() calls share the
-# compile memo instead of re-analyzing the same SQL through a throwaway
-# Session each time; weak keys let databases be collected normally.
-import weakref as _weakref
-
-_SHIM_SESSIONS: "_weakref.WeakKeyDictionary[Database, Session]" = (
-    _weakref.WeakKeyDictionary()
-)
-
-
-def run_sql(
-    text: str, db: Database, strategy: str = "auto", backend=None
-) -> Relation:
-    """Deprecated: use ``repro.connect(db).prepare(text).execute()``.
-
-    Kept as a thin shim over the Session API for callers written against
-    the 1.0 surface.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.run_sql() is deprecated; use "
-        "repro.connect(db).prepare(sql).execute() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    session = _SHIM_SESSIONS.get(db)
-    if session is None:
-        session = connect(db)
-        _SHIM_SESSIONS[db] = session
-    return session.prepare(text).execute(strategy=strategy, backend=backend)
-
 
 __all__ = [
     "engine",
@@ -138,11 +103,8 @@ __all__ = [
     "OptimizedNestedRelationalStrategy",
     "available_strategies",
     "choose_strategy",
-    "execute",
-    "execute_traced",
     "compile_sql",
     "parse",
-    "run_sql",
     "connect",
     "Session",
     "PreparedQuery",

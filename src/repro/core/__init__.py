@@ -25,8 +25,6 @@ from .optimized import (
 from .planner import (
     available_strategies,
     choose_strategy,
-    execute,
-    execute_traced,
     make_strategy,
 )
 from .feedback import FeedbackStore
@@ -70,8 +68,6 @@ __all__ = [
     "PositiveRewriteStrategy",
     "available_strategies",
     "choose_strategy",
-    "execute",
-    "execute_traced",
     "make_strategy",
     "FeedbackStore",
     "CandidatePlan",

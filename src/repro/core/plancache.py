@@ -24,10 +24,11 @@ when the catalog's version counter moves (CREATE/DROP TABLE, index
 creation): cached batches reference table images that may no longer
 exist.
 
-The reduce cache is consulted by ``VectorBackend._reduce_block`` through
-an ambient scope (:func:`reduce_scope` / :func:`current_reduce_cache`),
-installed by the session around each execution — the backend protocol
-itself stays cache-oblivious.
+The reduce cache reaches ``VectorBackend._reduce_block`` as the
+``reduce_cache`` field of the ambient
+:class:`~repro.engine.context.ExecutionContext`, installed by the
+session around each execution — the backend protocol itself stays
+cache-oblivious.
 
 **Thread safety.**  One cache may be shared by every worker of a
 multi-tenant server (:mod:`repro.serve` pools sessions over a single
@@ -46,9 +47,8 @@ work.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 #: entries kept per memo table; insertion beyond this evicts the oldest
 #: entries of *that table only* (FIFO) — sessions are not long-lived
@@ -197,33 +197,3 @@ class SessionCache:
         with self._lock:
             self._bound(self._reduced)
             self._reduced[key] = batch
-
-
-# --------------------------------------------------------------------- #
-# Ambient reduce-cache scope
-# --------------------------------------------------------------------- #
-
-_ambient = threading.local()
-
-
-def current_reduce_cache() -> Optional[SessionCache]:
-    """The reduce cache the executing backend may consult, if any."""
-    return getattr(_ambient, "cache", None)
-
-
-@contextmanager
-def reduce_scope(cache: Optional[SessionCache]) -> Iterator[None]:
-    """Expose *cache* to backends for the duration of one execution.
-
-    Passing ``None`` (cache disabled) is allowed and installs nothing,
-    so call sites need no conditional.
-    """
-    if cache is None:
-        yield
-        return
-    previous = getattr(_ambient, "cache", None)
-    _ambient.cache = cache
-    try:
-        yield
-    finally:
-        _ambient.cache = previous

@@ -15,18 +15,21 @@ by :func:`resolve_strategy` when no database is supplied, and as an
 inspectable description of the per-shape refinements.
 
 :func:`run` / :func:`run_traced` are the internal execution entry points
-used by :class:`repro.session.Session`; the historical module-level
-:func:`execute` / :func:`execute_traced` remain as deprecated shims.
+used by :class:`repro.session.Session`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 from ..errors import PlanError, ResourceGovernanceError
 from ..engine.catalog import Database
-from ..engine.governor import ResourceGovernor, checkpoint, governed
+from ..engine.governor import (
+    ResourceGovernor,
+    checkpoint,
+    current_governor,
+    governed,
+)
 from ..engine.metrics import current_metrics
 from ..engine.relation import Relation
 from ..engine.trace import (
@@ -200,7 +203,7 @@ def run(
     governor: Optional[ResourceGovernor] = None,
     feedback: Optional[FeedbackStore] = None,
 ) -> Relation:
-    """Evaluate *query* against *db* (internal, non-deprecated entry).
+    """Evaluate *query* against *db* (the internal execution entry).
 
     This is the single execution path behind
     :meth:`repro.session.PreparedQuery.execute`.  ``strategy="auto"``
@@ -210,12 +213,23 @@ def run(
     may be passed directly as *strategy* to replay a prior choice
     without re-costing.  The resolved strategy runs under the root trace
     span when tracing is active (with the decision recorded as a
-    ``kind='planner'`` span) and under the ambient *governor* scope when
-    one is supplied; root-level ORDER BY/LIMIT apply last and the
-    ``rows_produced`` metric is charged.
+    ``kind='planner'`` span); root-level ORDER BY/LIMIT apply last and
+    the ``rows_produced`` metric is charged.
+
+    The execution is governed by the ``governor`` of the ambient
+    :class:`~repro.engine.context.ExecutionContext` (the Session API
+    installs it together with the logic mode and the reduce cache);
+    passing *governor* installs that one for this execution instead.
     """
     from .. import strategies as registry
 
+    if governor is not None:
+        with governed(governor):
+            return run(
+                query, db, strategy=strategy, backend=backend,
+                threads=threads, feedback=feedback,
+            )
+    governor = current_governor()
     decision: Optional[PlannerDecision] = None
     if isinstance(strategy, PlannerDecision):
         decision = strategy
@@ -232,36 +246,35 @@ def run(
     else:
         impl = resolve_strategy(strategy, query, backend, threads=threads)
     try:
-        with governed(governor):
+        if governor is not None:
+            governor.start()
+        checkpoint("plan")
+        tracer = current_tracer()
+        if tracer is None:
+            result = _finalize(
+                _run_strategy(impl, query, db, governor), query
+            )
+            current_metrics().add("rows_produced", len(result))
+            return result
+        name = getattr(impl, "name", type(impl).__name__)
+        with tracer.span("execute", {"strategy": name}, kind="root") as span:
+            planner_span = (
+                _emit_planner_span(tracer, decision)
+                if decision is not None
+                else None
+            )
             if governor is not None:
-                governor.start()
-            checkpoint("plan")
-            tracer = current_tracer()
-            if tracer is None:
-                result = _finalize(
-                    _run_strategy(impl, query, db, governor), query
-                )
-                current_metrics().add("rows_produced", len(result))
-                return result
-            name = getattr(impl, "name", type(impl).__name__)
-            with tracer.span("execute", {"strategy": name}, kind="root") as span:
-                planner_span = (
-                    _emit_planner_span(tracer, decision)
-                    if decision is not None
-                    else None
-                )
-                if governor is not None:
-                    with tracer.span(
-                        "governor", governor.describe_attrs(), kind=KIND_GOVERNOR
-                    ):
-                        result = _run_strategy(impl, query, db, governor)
-                else:
+                with tracer.span(
+                    "governor", governor.describe_attrs(), kind=KIND_GOVERNOR
+                ):
                     result = _run_strategy(impl, query, db, governor)
-                result = _finalize(result, query)
-                current_metrics().add("rows_produced", len(result))
-                span.add("rows_out", len(result))
-                if planner_span is not None:
-                    planner_span.set("actual_rows", len(result))
+            else:
+                result = _run_strategy(impl, query, db, governor)
+            result = _finalize(result, query)
+            current_metrics().add("rows_produced", len(result))
+            span.add("rows_out", len(result))
+            if planner_span is not None:
+                planner_span.set("actual_rows", len(result))
         return result
     finally:
         # sweep this execution's private spill workspace (if any pass
@@ -290,46 +303,6 @@ def run_traced(
             governor=governor, feedback=feedback,
         )
     return result, trace
-
-
-# --------------------------------------------------------------------- #
-# Deprecated module-level entry points (kept as thin shims).
-# --------------------------------------------------------------------- #
-
-_EXECUTE_DEPRECATION = (
-    "repro.core.planner.{name}() is deprecated; use "
-    "repro.connect(db).prepare(sql).{method}() instead"
-)
-
-
-def execute(
-    query: NestedQuery,
-    db: Database,
-    strategy: Union[str, object] = "auto",
-    backend: Optional[str] = None,
-) -> Relation:
-    """Deprecated: use ``repro.connect(db).prepare(sql).execute()``."""
-    warnings.warn(
-        _EXECUTE_DEPRECATION.format(name="execute", method="execute"),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run(query, db, strategy=strategy, backend=backend)
-
-
-def execute_traced(
-    query: NestedQuery,
-    db: Database,
-    strategy: Union[str, object] = "auto",
-    backend: Optional[str] = None,
-):
-    """Deprecated: use ``repro.connect(db).prepare(sql).trace()``."""
-    warnings.warn(
-        _EXECUTE_DEPRECATION.format(name="execute_traced", method="trace"),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_traced(query, db, strategy=strategy, backend=backend)
 
 
 def _finalize(result: Relation, query: NestedQuery) -> Relation:

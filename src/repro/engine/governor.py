@@ -24,12 +24,12 @@ All three limits are checked at *morsel and operator boundaries* via
 :func:`checkpoint`; a breach raises the typed
 :class:`~repro.errors.QueryTimeoutError` /
 :class:`~repro.errors.ResourceExhaustedError` /
-:class:`~repro.errors.QueryCancelledError`.  The governor is installed
-as an ambient, thread-local scope (:func:`governed` /
-:func:`current_governor`) exactly like metrics and tracing; the morsel
-scheduler re-installs the *same* governor object in each worker thread,
-so cancellation and budget accounting are shared across the pool (the
-governor's mutable state is lock-protected).
+:class:`~repro.errors.QueryCancelledError`.  The governor is the
+``governor`` field of the ambient
+:class:`~repro.engine.context.ExecutionContext` (:func:`governed` /
+:func:`current_governor`); a morsel's forked context carries the *same*
+governor object, so cancellation and budget accounting are shared
+across the pool (the governor's mutable state is lock-protected).
 
 Fault injection
 ---------------
@@ -71,8 +71,7 @@ import os
 import shutil
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from ..errors import (
     InjectedFaultError,
@@ -82,6 +81,7 @@ from ..errors import (
     ResourceExhaustedError,
     SpillError,
 )
+from .context import ExecutionContext, current, scope
 
 #: accepted values of the ``degrade`` policy
 DEGRADE_MODES = ("sequential",)
@@ -349,34 +349,24 @@ class ResourceGovernor:
 
 
 # --------------------------------------------------------------------- #
-# Ambient scope (thread-local, explicitly re-installed in pool workers)
+# Ambient scope (the ``governor`` field of the execution context)
 # --------------------------------------------------------------------- #
-
-_ambient = threading.local()
 
 
 def current_governor() -> Optional[ResourceGovernor]:
-    """The governor of this thread's execution, or None (ungoverned)."""
-    return getattr(_ambient, "governor", None)
+    """The governor of the running execution, or None (ungoverned)."""
+    return current().governor
 
 
-@contextmanager
-def governed(governor: Optional[ResourceGovernor]) -> Iterator[None]:
+def governed(
+    governor: Optional[ResourceGovernor],
+) -> ContextManager[ExecutionContext]:
     """Install *governor* as the ambient governor for a block.
 
-    ``None`` installs nothing, so call sites need no conditional.  The
-    morsel scheduler uses this to propagate the dispatching thread's
-    governor into each worker (same object — shared token and budget).
+    ``None`` keeps the enclosing governor, so call sites need no
+    conditional.
     """
-    if governor is None:
-        yield
-        return
-    previous = getattr(_ambient, "governor", None)
-    _ambient.governor = governor
-    try:
-        yield
-    finally:
-        _ambient.governor = previous
+    return scope(governor=governor or current().governor)
 
 
 # --------------------------------------------------------------------- #
@@ -445,7 +435,7 @@ def checkpoint(site: str = "operator") -> None:
     checks the ambient governor — so an injected slowdown is observed by
     the very next deadline check, keeping timeout overshoot bounded by
     one checkpoint interval.  Ungoverned, fault-free executions pay one
-    ``os.environ`` lookup and one thread-local read.
+    ``os.environ`` lookup and one context read.
     """
     fault = active_fault()
     governor = current_governor()

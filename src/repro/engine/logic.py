@@ -14,14 +14,10 @@ FALSE atom) where 3VL leaves them UNKNOWN.  Atomic negative links —
 operand fails every comparison, and FALSE and UNKNOWN drop the row
 alike.
 
-The mode is carried in a :class:`contextvars.ContextVar` so that it is
-
-* per-session — :class:`repro.session.Session` sets it around every
-  execution, and cache keys include it;
-* inherited by worker threads *explicitly* — the parallel backend runs
-  morsels through closures built under the ambient mode, and the
-  vectorized kernels consult it at comparison time, so a morsel pool
-  never needs the variable itself.
+The mode is the ``logic`` field of the ambient
+:class:`~repro.engine.context.ExecutionContext`: a session installs it
+around every execution (cache keys include it), and the morsel scheduler
+carries it onto pool threads with the rest of the context.
 
 Three kernels consult the flag, and only three — every other evaluator
 is written in terms of them:
@@ -34,24 +30,22 @@ is written in terms of them:
 
 from __future__ import annotations
 
-import contextlib
-from contextvars import ContextVar
-from typing import Iterator
+from typing import ContextManager
+
+from .context import ExecutionContext, current, scope
 
 #: The logic modes a session can select.
 LOGIC_MODES = ("3vl", "2vl")
 
-_logic_mode: ContextVar[str] = ContextVar("repro_logic_mode", default="3vl")
-
 
 def current_logic() -> str:
     """The ambient logic mode: ``"3vl"`` (SQL standard) or ``"2vl"``."""
-    return _logic_mode.get()
+    return current().logic
 
 
 def two_valued() -> bool:
     """True when the ambient mode is Libkin two-valued logic."""
-    return _logic_mode.get() == "2vl"
+    return current().logic == "2vl"
 
 
 def validate_logic(logic: str) -> str:
@@ -65,11 +59,6 @@ def validate_logic(logic: str) -> str:
     return logic.lower()
 
 
-@contextlib.contextmanager
-def logic_mode(logic: str) -> Iterator[None]:
+def logic_mode(logic: str) -> ContextManager[ExecutionContext]:
     """Evaluate the enclosed block under the given logic mode."""
-    token = _logic_mode.set(validate_logic(logic))
-    try:
-        yield
-    finally:
-        _logic_mode.reset(token)
+    return scope(logic=validate_logic(logic))

@@ -11,11 +11,12 @@ crossover is) are machine-independent.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
+
+from .context import current, scope
 
 
 #: weights for :meth:`Metrics.weighted_cost`: an index probe costs a
@@ -103,24 +104,17 @@ class Metrics:
         return f"Metrics({inner})"
 
 
-# A module-level default makes simple call sites (tests, examples) clean
-# while the harness installs a fresh Metrics per measured run.  The
-# *installed* scope is thread-local: morsel workers of the parallel
-# executor each :func:`collect` into their own bundle (merged by the
-# scheduler afterwards) without racing the main thread's counters.
+# The bundle charged when no :func:`collect` scope is active: it keeps
+# simple call sites (tests, examples) clean while the harness installs a
+# fresh Metrics per measured run.
 _default = Metrics()
-_ambient = threading.local()
 
 
 def current_metrics() -> Metrics:
-    """The ambient metrics object operators charge to.
-
-    Thread-local: a scope installed by :func:`collect` is visible only to
-    the installing thread; other threads fall back to the process-wide
-    default bundle.
-    """
-    current = getattr(_ambient, "current", None)
-    return _default if current is None else current
+    """The ambient metrics object operators charge to: the innermost
+    :func:`collect` scope of this thread's execution context, else the
+    process-wide default bundle."""
+    return current().metrics or _default
 
 
 @contextmanager
@@ -132,13 +126,8 @@ def collect() -> Iterator[Metrics]:
     >>> m.get("rows_out") >= 0
     True
     """
-    previous = getattr(_ambient, "current", None)
-    fresh = Metrics()
-    _ambient.current = fresh
-    try:
-        yield fresh
-    finally:
-        _ambient.current = previous
+    with scope(metrics=Metrics()) as context:
+        yield context.metrics
 
 
 @dataclass

@@ -12,9 +12,10 @@ parallelism, Leis et al.):
   no pool, no ``morsel[i]`` span, no extra scope.  Sequential execution
   *is* parallel execution with one morsel;
 * **several morsels** run on a process-wide thread pool.  Each morsel
-  runs under its *own* ambient metrics scope and tracer (both are
-  thread-local, see :mod:`repro.engine.metrics` /
-  :mod:`repro.engine.trace`); after the workers join, the scheduler
+  runs under a fork of the dispatching thread's
+  :class:`~repro.engine.context.ExecutionContext` — the execution's
+  governor, logic mode, reduce cache and spill depth, but its *own*
+  metrics bundle and tracer; after the workers join, the scheduler
   merges the metric deltas into the caller's scope and grafts each
   morsel's span tree under the dispatching operator's span as
   ``kind="morsel"`` children — so EXPLAIN ANALYZE, the trace schema and
@@ -38,15 +39,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidArgumentError
-from .logic import current_logic, logic_mode
-from .governor import (
-    checkpoint,
-    current_governor,
-    governed,
-    maybe_worker_crash,
-)
-from .metrics import collect, current_metrics
-from .trace import KIND_MORSEL, Span, current_tracer, op_span, tracing
+from .context import ExecutionContext, current, scope
+from .governor import checkpoint, maybe_worker_crash
+from .metrics import current_metrics
+from .trace import KIND_MORSEL, Span, op_span
 
 #: an input is cut into at most ``rows // min_partition_rows`` morsels
 DEFAULT_MIN_PARTITION_ROWS = 2048
@@ -124,7 +120,7 @@ _pools_lock = threading.Lock()
 
 def _pool(workers: int) -> ThreadPoolExecutor:
     """A process-wide pool per width; morsels are pure (each installs its
-    own ambient scopes) so sharing across schedulers is safe."""
+    own forked context) so sharing across schedulers is safe."""
     with _pools_lock:
         pool = _pools.get(workers)
         if pool is None:
@@ -225,44 +221,31 @@ class MorselScheduler:
         (aborted spans are skipped by the contract checks) and Metrics
         reconciliation exact even for failed or degraded executions.
 
-        The dispatching thread's ambient :class:`ResourceGovernor` is
-        re-installed inside each worker (same object — shared deadline,
-        budget and cancellation token), and each morsel passes a
+        Every morsel runs under one :meth:`fork
+        <repro.engine.context.ExecutionContext.fork>` of the dispatching
+        thread's context (same governor, logic mode, reduce cache and
+        spill depth; its own metrics and tracer) and passes a
         :func:`~repro.engine.governor.checkpoint` before doing work.
         """
-        traced = parent is not None and current_tracer() is not None
-        governor = current_governor()
-        # the ambient logic mode is a ContextVar and does not cross into
-        # pool threads by itself — re-install it inside every morsel
-        mode = current_logic()
+        parent_context = current()
 
         def harness(
             index: int, task, pooled: bool
-        ) -> Tuple[object, Dict[str, int], list, Optional[Exception]]:
+        ) -> Tuple[object, ExecutionContext, Optional[Exception]]:
             value: object = None
-            roots: list = []
             err: Optional[Exception] = None
-            with governed(governor), logic_mode(mode), collect() as local:
+            with scope(parent_context.fork()) as fork:
                 try:
                     if pooled:
                         maybe_worker_crash()
                     checkpoint("morsel")
-                    if not traced:
-                        value = task(None)
-                    else:
-                        with tracing() as trace:
-                            try:
-                                with op_span(
-                                    f"morsel[{index}]",
-                                    kind=KIND_MORSEL,
-                                    part=index,
-                                ) as span:
-                                    value = task(span)
-                            finally:
-                                roots = trace.roots
+                    with op_span(
+                        f"morsel[{index}]", kind=KIND_MORSEL, part=index
+                    ) as span:
+                        value = task(span)
                 except Exception as exc:
                     err = exc
-            return value, local.counters, roots, err
+            return value, fork, err
 
         if self.threads <= 1 or len(tasks) <= 1:
             outcomes = [harness(i, t, False) for i, t in enumerate(tasks)]
@@ -276,11 +259,11 @@ class MorselScheduler:
         metrics = current_metrics()
         results: List[object] = []
         first_err: Optional[Exception] = None
-        for value, counters, roots, err in outcomes:
-            for name, amount in counters.items():
+        for value, fork, err in outcomes:
+            for name, amount in fork.metrics.counters.items():
                 metrics.add(name, amount)
-            if parent is not None:
-                parent.children.extend(roots)
+            if parent is not None and fork.tracer is not None:
+                parent.children.extend(fork.tracer.roots)
             if err is not None and first_err is None:
                 first_err = err
             results.append(value)

@@ -46,12 +46,12 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import SpillError
+from .context import current, scope
 from .governor import (
     EST_BYTES_PER_VALUE,
     ResourceGovernor,
@@ -71,12 +71,6 @@ MAX_SPILL_DEPTH = 4
 
 #: ceiling on the fan-out of one spill pass
 MAX_PARTITIONS = 64
-
-_depth = threading.local()
-
-
-def _current_depth() -> int:
-    return getattr(_depth, "value", 0)
 
 
 # --------------------------------------------------------------------- #
@@ -203,7 +197,7 @@ def maybe_spill_hash_join(
     est = est_join_bytes(left, right, len(left_keys))
     if not governor.should_spill(est):
         return None
-    depth = _current_depth()
+    depth = current().spill_depth
     if depth >= MAX_SPILL_DEPTH:
         return None
     if not (_spillable(left) and _spillable(right)):
@@ -243,13 +237,10 @@ def maybe_spill_hash_join(
                 # identical to the unspilled execution
                 lp = _read_partition(tmp, f"l{p}", left.schema, kinds_l)
                 rp = _read_partition(tmp, f"r{p}", right.schema, kinds_r)
-                _depth.value = depth + 1
-                try:
+                with scope(spill_depth=depth + 1):
                     out = join(
                         lp, rp, left_keys, right_keys, residual, sched
                     )
-                finally:
-                    _depth.value = depth
                 # the partition's build scratch is gone; give it back
                 governor.release(
                     len(rp) * max(1, len(right_keys)) * EST_BYTES_PER_VALUE
@@ -304,7 +295,7 @@ def maybe_spill_nest_link(
     est = est_nest_bytes(batch, len(by))
     if not governor.should_spill(est):
         return None
-    depth = _current_depth()
+    depth = current().spill_depth
     if depth >= MAX_SPILL_DEPTH or not _spillable(batch):
         return None
     ids = kernels.sorted_group_ids(batch, by)
@@ -325,14 +316,11 @@ def maybe_spill_nest_link(
             kinds = [c.kind for c in batch.columns]
             for p in range(k):
                 bp = _read_partition(tmp, f"n{p}", batch.schema, kinds)
-                _depth.value = depth + 1
-                try:
+                with scope(spill_depth=depth + 1):
                     out = nestlink.nest_link(
                         bp, by, predicate, link, rid_ref, strict,
                         pad_refs, nest_impl, sched,
                     )
-                finally:
-                    _depth.value = depth
                 governor.release(
                     len(bp) * max(1, len(by)) * EST_BYTES_PER_VALUE
                 )

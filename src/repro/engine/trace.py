@@ -41,23 +41,18 @@ Invariants (checked by :func:`trace_invariant_violations` and the
 from __future__ import annotations
 
 import json
-import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from .context import current, scope
 from .metrics import current_metrics
 
-#: version 2 added ``kind="governor"`` spans (resource governance /
-#: degradation events) and the ``aborted`` span attribute; version 3
-#: added ``kind="planner"`` spans (the cost-based planner's decision
-#: record: candidates, estimated costs/cardinalities, the chosen
-#: strategy); version 4 added ``kind="spill"`` spans (out-of-core
-#: hash-join/nest passes: bytes spilled, partition counts, recursion
-#: depth).  Earlier documents remain valid — all changes are purely
-#: additive.
+#: the one trace document format: operator / phase / root spans plus the
+#: ``governor``, ``planner``, ``morsel`` and ``spill`` bookkeeping kinds
+#: and the ``aborted`` span attribute
 TRACE_FORMAT_VERSION = 4
-SUPPORTED_TRACE_VERSIONS = (1, 2, 3, TRACE_FORMAT_VERSION)
+SUPPORTED_TRACE_VERSIONS = (TRACE_FORMAT_VERSION,)
 
 #: cardinality contracts — see module docstring
 CONTRACT_FILTERING = "filtering"  # rows_out <= rows_in
@@ -337,17 +332,15 @@ class Trace:
 # the ambient tracer
 # ---------------------------------------------------------------------- #
 
-# Thread-local: a span stack is single-threaded by construction, so each
-# thread sees only the tracer it installed itself.  Morsel workers of the
-# parallel executor trace into their own local Tracer and the scheduler
-# grafts the resulting span trees under the dispatching operator's span
-# (kind="morsel") after the workers join.
-_ambient = threading.local()
+# A span stack is single-threaded by construction: each morsel of a
+# parallel operator traces into the fresh Tracer of its forked context,
+# and the scheduler grafts the resulting span trees under the
+# dispatching operator's span (kind="morsel") after the workers join.
 
 
 def current_tracer() -> Optional[Tracer]:
-    """The ambient tracer of this thread, or None when tracing is off."""
-    return getattr(_ambient, "tracer", None)
+    """The ambient tracer of this execution, or None when tracing is off."""
+    return current().tracer
 
 
 @contextmanager
@@ -360,13 +353,11 @@ def tracing() -> Iterator[Trace]:
     >>> trace.roots
     []
     """
-    previous = getattr(_ambient, "tracer", None)
     tracer = Tracer()
-    _ambient.tracer = tracer
     try:
-        yield Trace(tracer)
+        with scope(tracer=tracer):
+            yield Trace(tracer)
     finally:
-        _ambient.tracer = previous
         tracer.finish()
 
 

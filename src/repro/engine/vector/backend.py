@@ -23,8 +23,8 @@ from ...core.reduce import (
     rid_name,
 )
 from ..catalog import Database
+from ..context import current as current_context
 from ..governor import charge_batch, checkpoint
-from ..logic import current_logic
 from ..metrics import current_metrics
 from ..parallel import MorselScheduler
 from ..schema import Column, Schema
@@ -67,11 +67,10 @@ class VectorBackend:
         }
 
     def _reduce_block(self, block: QueryBlock, db: Database) -> ReducedBlock:
-        from ...core.plancache import current_reduce_cache
-
         checkpoint("reduce-block")
         plan = plan_block_join(block)
-        cache = current_reduce_cache()
+        context = current_context()
+        cache = context.reduce_cache
         # the build depends only on the syntactic join plan and the base
         # tables, never on the block index (the _rid column is attached
         # below, outside the cached image).  The base tables' fingerprints
@@ -83,7 +82,7 @@ class VectorBackend:
             (
                 repr(plan),
                 self.kind,
-                current_logic(),
+                context.logic,
                 self._tables_fingerprint(plan, db),
             )
             if cache is not None

@@ -54,15 +54,11 @@ LOGIC = "{logic}"
 
 
 def test_all_strategies_agree_with_oracle():
-    from repro.engine.logic import logic_mode
-
-    db = build_db()
-    query = repro.compile_sql(SQL, db)
-    with logic_mode(LOGIC):
-        oracle = repro.execute(query, db, strategy="nested-iteration").sorted()
-        for strategy in STRATEGIES:
-            result = repro.execute(query, db, strategy=strategy).sorted()
-            assert result == oracle, f"{{strategy}} disagrees with the oracle"
+    query = repro.connect(build_db(), logic=LOGIC).prepare(SQL)
+    oracle = query.execute(strategy="nested-iteration").sorted()
+    for strategy in STRATEGIES:
+        result = query.execute(strategy=strategy).sorted()
+        assert result == oracle, f"{{strategy}} disagrees with the oracle"
 '''
 
 _EXTERNAL_TEMPLATE = '''

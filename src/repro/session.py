@@ -32,9 +32,7 @@ defaults ← options= ← explicit keyword arguments* (non-``None`` fields
 win at each step).
 
 The CLI, the benchmark harness and the fuzzer all execute through this
-module.  The historical entry points (``repro.run_sql``,
-``repro.core.planner.execute`` / ``execute_traced``) survive as
-deprecated shims over it.
+module.
 """
 
 from __future__ import annotations
@@ -42,12 +40,14 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .core.feedback import FeedbackStore
-from .core.plancache import SessionCache, reduce_scope
+from .core.plancache import SessionCache
 from .engine.catalog import Database
+from .engine.context import current, scope
 from .engine.governor import ResourceGovernor, validate_degrade
-from .engine.logic import logic_mode, validate_logic
+from .engine.logic import validate_logic
 from .engine.parallel import validate_threads
 from .engine.relation import Relation
+from .engine.trace import tracing
 from .errors import InvalidArgumentError
 from .options import ExecutionOptions, layer_options
 
@@ -113,13 +113,30 @@ class PreparedQuery:
         from another thread and harvest degradation/spill counters
         afterwards.
         """
+        return self._run(
+            self._options(
+                strategy=strategy, backend=backend, threads=threads,
+                timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
+                spill_dir=spill_dir, degrade=degrade, options=options,
+            ),
+            governor,
+        )
+
+    def _run(
+        self,
+        eff: ExecutionOptions,
+        governor: Optional[ResourceGovernor] = None,
+    ) -> Relation:
+        """One execution under the layered options *eff*.
+
+        The one place the per-execution fields of the ambient
+        :class:`~repro.engine.context.ExecutionContext` are installed:
+        governor, logic mode and reduce cache, in a single scope that
+        every operator — and, through ``fork()``, every morsel — of the
+        execution sees.
+        """
         from .core import planner
 
-        eff = self._options(
-            strategy=strategy, backend=backend, threads=threads,
-            timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
-            spill_dir=spill_dir, degrade=degrade, options=options,
-        )
         resolved, backend, threads = self._resolve(
             eff.strategy, eff.backend, eff.threads, eff.memory_limit_mb
         )
@@ -128,8 +145,11 @@ class PreparedQuery:
                 eff.timeout_ms, eff.memory_limit_mb, eff.degrade,
                 eff.spill_dir,
             )
-        with logic_mode(self._logic(eff)), reduce_scope(
-            self._session.reduce_cache()
+        with scope(
+            # ungoverned: an enclosing governed() scope keeps governing
+            governor=governor or current().governor,
+            logic=self._logic(eff),
+            reduce_cache=self._session.reduce_cache(),
         ):
             return planner.run(
                 self.query,
@@ -137,7 +157,6 @@ class PreparedQuery:
                 strategy=resolved,
                 backend=backend,
                 threads=threads,
-                governor=governor,
                 feedback=self._session.feedback,
             )
 
@@ -168,7 +187,6 @@ class PreparedQuery:
         ``"auto"`` executions of structurally equivalent queries re-cost
         with actuals instead of estimates.
         """
-        from .core import planner
         from .core.optimizer import plan_fingerprint
 
         eff = self._options(
@@ -176,24 +194,8 @@ class PreparedQuery:
             timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
             spill_dir=spill_dir, degrade=degrade, options=options,
         )
-        resolved, backend, threads = self._resolve(
-            eff.strategy, eff.backend, eff.threads, eff.memory_limit_mb
-        )
-        governor = self._session.governor(
-            eff.timeout_ms, eff.memory_limit_mb, eff.degrade, eff.spill_dir
-        )
-        with logic_mode(self._logic(eff)), reduce_scope(
-            self._session.reduce_cache()
-        ):
-            result, trace = planner.run_traced(
-                self.query,
-                self._session.db,
-                strategy=resolved,
-                backend=backend,
-                threads=threads,
-                governor=governor,
-                feedback=self._session.feedback,
-            )
+        with tracing() as trace:
+            result = self._run(eff)
         self._session.feedback.observe(plan_fingerprint(self.query), trace)
         return result, trace
 

@@ -56,7 +56,8 @@ class TestGuards:
     def test_unguarded_reproduces_paper_bug(self, nullable_db):
         """'R.A >ALL (select S.B...) is not equal to R.A > (select
         max(S.B)...)' — the MAX rewrite wrongly admits r1."""
-        q = repro.compile_sql(ALL_SQL, nullable_db)
+        prepared = repro.connect(nullable_db).prepare(ALL_SQL)
+        q = prepared.query
         wrong = (
             AggregateRewriteStrategy(respect_null_soundness=False)
             .execute(q, nullable_db)
@@ -64,7 +65,7 @@ class TestGuards:
             .rows
         )
         oracle = (
-            repro.execute(q, nullable_db, strategy="nested-iteration")
+            prepared.execute(strategy="nested-iteration")
             .sorted()
             .rows
         )
@@ -110,10 +111,11 @@ class TestSoundCases:
             f"select r.k from r where r.a {op} {word} "
             "(select s.b from s where s.rk = r.k)"
         )
-        q = repro.compile_sql(sql, notnull_db)
+        prepared = repro.connect(notnull_db).prepare(sql)
+        q = prepared.query
         strategy = AggregateRewriteStrategy()
         assert strategy.applicable(q, notnull_db) is None
-        oracle = repro.execute(q, notnull_db, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         assert strategy.execute(q, notnull_db) == oracle
 
     def test_empty_set_semantics(self, notnull_db):
@@ -130,8 +132,9 @@ class TestSoundCases:
 
     def test_uncorrelated_subquery(self, notnull_db):
         sql = "select r.k from r where r.a > all (select s.b from s)"
-        q = repro.compile_sql(sql, notnull_db)
-        oracle = repro.execute(q, notnull_db, strategy="nested-iteration")
+        prepared = repro.connect(notnull_db).prepare(sql)
+        q = prepared.query
+        oracle = prepared.execute(strategy="nested-iteration")
         assert AggregateRewriteStrategy().execute(q, notnull_db) == oracle
 
     def test_registered_in_planner(self, notnull_db):

@@ -49,10 +49,11 @@ QUERIES = [
 class TestAgainstOracle:
     @pytest.mark.parametrize("sql", QUERIES)
     def test_matches_oracle(self, db, strategy_cls, sql):
-        q = repro.compile_sql(sql, db)
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
         strategy = strategy_cls()
         assert strategy.applicable(q)
-        oracle = repro.execute(q, db, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         assert strategy.execute(q, db) == oracle
 
     def test_rejects_non_linear_correlation(self, db, strategy_cls):
@@ -92,7 +93,8 @@ class TestNullBucketCounting:
 
     def test_distinct_preserved(self, db):
         sql = "select distinct r.a from r where exists (select * from s where s.rk = r.k)"
-        q = repro.compile_sql(sql, db)
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
         a = CountRewriteStrategy().execute(q, db)
-        b = repro.execute(q, db, strategy="nested-iteration")
+        b = prepared.execute(strategy="nested-iteration")
         assert a == b

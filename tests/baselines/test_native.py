@@ -110,8 +110,9 @@ class TestExecutionCorrectness:
     def test_matches_oracle(self, dbs, sql_builder):
         nullable, _ = dbs
         sql = sql_builder()
-        q = repro.compile_sql(sql, nullable)
-        oracle = repro.execute(q, nullable, strategy="nested-iteration")
+        prepared = repro.connect(nullable).prepare(sql)
+        q = prepared.query
+        oracle = prepared.execute(strategy="nested-iteration")
         out = SystemAEmulationStrategy().execute(q, nullable)
         assert out == oracle
 
@@ -121,8 +122,9 @@ class TestExecutionCorrectness:
             query1("1992-03-01", "1993-06-01"),
             query2("all", 1, 30, 6000, 20),
         ):
-            q = repro.compile_sql(sql, notnull)
-            oracle = repro.execute(q, notnull, strategy="nested-iteration")
+            prepared = repro.connect(notnull).prepare(sql)
+            q = prepared.query
+            oracle = prepared.execute(strategy="nested-iteration")
             assert SystemAEmulationStrategy().execute(q, notnull) == oracle
 
     def test_index_choice_follows_bound_columns(self, dbs):

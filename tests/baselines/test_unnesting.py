@@ -60,32 +60,35 @@ class TestSoundnessGuard:
             strategy.execute(q, nullable_db)
 
     def test_not_null_makes_rewrite_sound(self, notnull_db):
-        q = repro.compile_sql(ALL_SQL, notnull_db)
+        prepared = repro.connect(notnull_db).prepare(ALL_SQL)
+        q = prepared.query
         strategy = ClassicalUnnestingStrategy()
         assert strategy.applicable(q, notnull_db) is None
         out = strategy.execute(q, notnull_db)
-        oracle = repro.execute(q, notnull_db, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         assert out == oracle
 
     def test_unguarded_rewrite_gives_wrong_answer(self, nullable_db):
         """The heart of the paper's argument: with NULLs present, the
         antijoin rewrite *keeps* r1 (no tuple violates 5 > b via non-NULL
         comparison) while SQL semantics reject it (UNKNOWN)."""
-        q = repro.compile_sql(ALL_SQL, nullable_db)
+        prepared = repro.connect(nullable_db).prepare(ALL_SQL)
+        q = prepared.query
         unsound = ClassicalUnnestingStrategy(respect_null_soundness=False)
         wrong = unsound.execute(q, nullable_db).sorted().rows
         oracle = (
-            repro.execute(q, nullable_db, strategy="nested-iteration").sorted().rows
+            prepared.execute(strategy="nested-iteration").sorted().rows
         )
         assert (1,) in wrong       # antijoin keeps it
         assert (1,) not in oracle  # SQL does not
         assert wrong != oracle
 
     def test_unguarded_not_in_wrong_too(self, nullable_db):
-        q = repro.compile_sql(NOT_IN_SQL, nullable_db)
+        prepared = repro.connect(nullable_db).prepare(NOT_IN_SQL)
+        q = prepared.query
         unsound = ClassicalUnnestingStrategy(respect_null_soundness=False)
         wrong = unsound.execute(q, nullable_db)
-        oracle = repro.execute(q, nullable_db, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         assert wrong != oracle
 
 
@@ -102,11 +105,12 @@ class TestPositiveRewrites:
         ],
     )
     def test_matches_oracle_even_with_nulls(self, nullable_db, sql):
-        q = repro.compile_sql(sql, nullable_db)
+        prepared = repro.connect(nullable_db).prepare(sql)
+        q = prepared.query
         strategy = ClassicalUnnestingStrategy()
         assert strategy.applicable(q, nullable_db) is None
         out = strategy.execute(q, nullable_db)
-        oracle = repro.execute(q, nullable_db, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         assert out == oracle
 
 
@@ -144,11 +148,12 @@ class TestShapeLimits:
           (select * from s where s.rk = r.k and not exists
              (select * from t where t.sk = s.k))
         """
-        q = repro.compile_sql(sql, notnull_db)
+        prepared = repro.connect(notnull_db).prepare(sql)
+        q = prepared.query
         strategy = ClassicalUnnestingStrategy()
         assert strategy.applicable(q, notnull_db) is None
         out = strategy.execute(q, notnull_db)
-        oracle = repro.execute(q, notnull_db, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         assert out == oracle
 
 
@@ -169,10 +174,11 @@ class TestOuterAttributeGuard:
             [(1, 1, 2)],
             primary_key="k",
         )
-        q = repro.compile_sql(ALL_SQL, d)
+        prepared = repro.connect(d).prepare(ALL_SQL)
+        q = prepared.query
         with pytest.raises(UnsoundRewriteError, match="linking attribute"):
             ClassicalUnnestingStrategy().execute(q, d)
         # and indeed the unguarded rewrite is wrong on this data:
         wrong = ClassicalUnnestingStrategy(respect_null_soundness=False).execute(q, d)
-        oracle = repro.execute(q, d, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         assert wrong != oracle

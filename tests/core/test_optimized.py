@@ -62,8 +62,9 @@ TWO_LEVEL_LINEAR = [
 class TestSinglePassPipeline:
     @pytest.mark.parametrize("sql", ONE_LEVEL_QUERIES + TWO_LEVEL_LINEAR)
     def test_matches_oracle(self, db, sql):
-        q = repro.compile_sql(sql, db)
-        oracle = repro.execute(q, db, strategy="nested-iteration")
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
+        oracle = prepared.execute(strategy="nested-iteration")
         out = OptimizedNestedRelationalStrategy().execute(q, db)
         assert out == oracle
 
@@ -85,9 +86,10 @@ class TestSinglePassPipeline:
         where exists (select * from s where s.rk = r.k)
           and not exists (select * from t where t.sk = r.k)
         """
-        q = repro.compile_sql(sql, db)
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
         assert q.is_tree
-        oracle = repro.execute(q, db, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         out = OptimizedNestedRelationalStrategy().execute(q, db)
         assert out == oracle
 
@@ -130,10 +132,11 @@ class TestBottomUpLinear:
 
     @pytest.mark.parametrize("sql", ONE_LEVEL_QUERIES + TWO_LEVEL_LINEAR[:2])
     def test_matches_oracle(self, db, sql):
-        q = repro.compile_sql(sql, db)
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
         if not BottomUpLinearStrategy().applicable(q):
             pytest.skip("not linearly correlated")
-        oracle = repro.execute(q, db, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         out = BottomUpLinearStrategy().execute(q, db)
         assert out == oracle
 
@@ -145,8 +148,9 @@ class TestBottomUpLinear:
 
     def test_uncorrelated_inner_block(self, db):
         sql = "select r.k from r where r.a > all (select s.v from s)"
-        q = repro.compile_sql(sql, db)
-        oracle = repro.execute(q, db, strategy="nested-iteration")
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
+        oracle = prepared.execute(strategy="nested-iteration")
         assert BottomUpLinearStrategy().execute(q, db) == oracle
 
 
@@ -161,9 +165,10 @@ class TestPositiveRewrite:
 
     @pytest.mark.parametrize("sql", POSITIVE)
     def test_matches_oracle(self, db, sql):
-        q = repro.compile_sql(sql, db)
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
         assert PositiveRewriteStrategy().applicable(q)
-        oracle = repro.execute(q, db, strategy="nested-iteration")
+        oracle = prepared.execute(strategy="nested-iteration")
         assert PositiveRewriteStrategy().execute(q, db) == oracle
 
     def test_rejects_negative_links(self, db):

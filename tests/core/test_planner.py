@@ -12,7 +12,6 @@ from repro.core.optimized import (
 from repro.core.planner import (
     available_strategies,
     choose_strategy,
-    execute,
     make_strategy,
 )
 from repro.engine import Column, Database
@@ -55,9 +54,9 @@ class TestRegistry:
             make_strategy("quantum")
 
     def test_execute_accepts_instance(self, db):
-        q = repro.compile_sql("select r.k from r", db)
-        with pytest.warns(DeprecationWarning):
-            out = execute(q, db, strategy=NestedRelationalStrategy())
+        out = repro.connect(db).execute(
+            "select r.k from r", strategy=NestedRelationalStrategy()
+        )
         assert len(out) == 2
 
 

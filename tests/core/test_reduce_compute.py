@@ -163,8 +163,9 @@ class TestUncorrelatedSubqueries:
     """
 
     def test_virtual_cartesian_matches_oracle(self, db):
-        q = repro.compile_sql(self.SQL, db)
-        oracle = repro.execute(q, db, strategy="nested-iteration")
+        prepared = repro.connect(db).prepare(self.SQL)
+        q = prepared.query
+        oracle = prepared.execute(strategy="nested-iteration")
         fast = NestedRelationalStrategy(virtual_cartesian=True).execute(q, db)
         slow = NestedRelationalStrategy(virtual_cartesian=False).execute(q, db)
         assert fast == oracle
@@ -172,8 +173,8 @@ class TestUncorrelatedSubqueries:
 
     def test_uncorrelated_exists_nonempty(self, db):
         sql = "select emp.id from emp where exists (select * from bonus)"
-        q = repro.compile_sql(sql, db)
-        out = repro.execute(q, db, strategy="nested-relational")
+        prepared = repro.connect(db).prepare(sql)
+        out = prepared.execute(strategy="nested-relational")
         assert len(out) == 4
 
     def test_uncorrelated_not_exists_with_empty_subquery(self, db):
@@ -181,15 +182,15 @@ class TestUncorrelatedSubqueries:
             "select emp.id from emp where not exists "
             "(select * from bonus where bonus.amount > 1000)"
         )
-        q = repro.compile_sql(sql, db)
-        out = repro.execute(q, db, strategy="nested-relational")
+        prepared = repro.connect(db).prepare(sql)
+        out = prepared.execute(strategy="nested-relational")
         assert len(out) == 4
 
     def test_uncorrelated_in_with_nullable_inner(self, db):
         sql = "select emp.id from emp where emp.dept in (select dept.id from dept)"
-        q = repro.compile_sql(sql, db)
-        oracle = repro.execute(q, db, strategy="nested-iteration")
-        out = repro.execute(q, db, strategy="nested-relational")
+        prepared = repro.connect(db).prepare(sql)
+        oracle = prepared.execute(strategy="nested-iteration")
+        out = prepared.execute(strategy="nested-relational")
         assert out == oracle
         assert len(out) == 3  # the NULL-dept emp is UNKNOWN, filtered
 
@@ -199,23 +200,23 @@ class TestUncorrelatedSubqueries:
         where exists (select * from bonus where bonus.emp_id = emp.id)
           and emp.salary < all (select dept.budget from dept where dept.budget > 60)
         """
-        q = repro.compile_sql(sql, db)
-        oracle = repro.execute(q, db, strategy="nested-iteration")
-        out = repro.execute(q, db, strategy="nested-relational")
+        prepared = repro.connect(db).prepare(sql)
+        oracle = prepared.execute(strategy="nested-iteration")
+        out = prepared.execute(strategy="nested-relational")
         assert out == oracle
 
 
 class TestAlgorithmOnFlatQueries:
     def test_flat_query_reduces_to_selection(self, db):
         sql = "select emp.id from emp where emp.salary >= 200"
-        q = repro.compile_sql(sql, db)
-        out = repro.execute(q, db, strategy="nested-relational")
+        prepared = repro.connect(db).prepare(sql)
+        out = prepared.execute(strategy="nested-relational")
         assert sorted(out.rows) == [(2,), (3,), (4,)]
 
     def test_distinct_applied(self, db):
         sql = "select distinct bonus.emp_id from bonus"
-        q = repro.compile_sql(sql, db)
-        out = repro.execute(q, db, strategy="nested-relational")
+        prepared = repro.connect(db).prepare(sql)
+        out = prepared.execute(strategy="nested-relational")
         assert len(out) == 2
 
 

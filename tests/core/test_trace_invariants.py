@@ -81,10 +81,10 @@ LINKING_MATRIX = [
 ]
 
 
-def assert_trace_invariants(query, db, strategy):
+def assert_trace_invariants(prepared, strategy):
     with collect() as metrics:
         with tracing() as trace:
-            result = repro.execute(query, db, strategy=strategy)
+            result = prepared.execute(strategy=strategy)
     violations = trace_invariant_violations(
         trace, result_cardinality=len(result)
     )
@@ -99,12 +99,12 @@ class TestLinkingMatrix:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("sql", LINKING_MATRIX)
     def test_invariants_hold(self, paper_db, sql, strategy):
-        query = repro.compile_sql(sql, paper_db)
+        prepared = repro.connect(paper_db, plan_cache=False).prepare(sql)
         if strategy != "auto" and not _applies(
-            make_strategy(strategy), query, paper_db
+            make_strategy(strategy), prepared.query, paper_db
         ):
             pytest.skip(f"{strategy} does not accept this query")
-        assert_trace_invariants(query, paper_db, strategy)
+        assert_trace_invariants(prepared, strategy)
 
 
 class TestPaperQueries:
@@ -131,9 +131,9 @@ class TestPaperQueries:
 
     @pytest.mark.parametrize("sql", FIGURE_QUERIES)
     def test_invariants_hold(self, tiny_tpch_nulls, sql):
-        query = repro.compile_sql(sql, tiny_tpch_nulls)
+        prepared = repro.connect(tiny_tpch_nulls, plan_cache=False).prepare(sql)
         for strategy in self.SWEEP_STRATEGIES:
-            assert_trace_invariants(query, tiny_tpch_nulls, strategy)
+            assert_trace_invariants(prepared, strategy)
 
 
 class TestTracingIsObservationOnly:
@@ -147,15 +147,15 @@ class TestTracingIsObservationOnly:
             "select A, D from R where not exists"
             " (select E from S where F = B)"
         )
-        query = repro.compile_sql(sql, paper_db)
+        prepared = repro.connect(paper_db, plan_cache=False).prepare(sql)
         if strategy != "auto" and not _applies(
-            make_strategy(strategy), query, paper_db
+            make_strategy(strategy), prepared.query, paper_db
         ):
             pytest.skip(f"{strategy} does not accept this query")
         with collect() as plain_metrics:
-            plain = repro.execute(query, paper_db, strategy=strategy)
+            plain = prepared.execute(strategy=strategy)
         with collect() as traced_metrics:
             with tracing():
-                traced = repro.execute(query, paper_db, strategy=strategy)
+                traced = prepared.execute(strategy=strategy)
         assert traced.sorted() == plain.sorted()
         assert traced_metrics.snapshot() == plain_metrics.snapshot()

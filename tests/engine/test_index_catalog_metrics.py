@@ -192,9 +192,9 @@ class TestMetricsInvariants:
             "t", [Column("k", not_null=True), Column("v")], rel().rows,
             primary_key="k",
         )
-        q = repro.compile_sql("select t.k from t where t.k > 1", db)
+        prepared = repro.connect(db).prepare("select t.k from t where t.k > 1")
         with collect() as m:
-            result = repro.execute(q, db, strategy="nested-relational")
+            result = prepared.execute(strategy="nested-relational")
         assert m.get("rows_produced") == len(result)
         assert m.invariant_violations(result_cardinality=len(result)) == []
 
@@ -211,14 +211,15 @@ class TestMetricsInvariants:
         for i in range(config.iterations):
             case = generate_case(config, i)
             db = case.db_spec.build()
-            query = repro.compile_sql(case.sql, db)
+            prepared = repro.connect(db).prepare(case.sql)
+            query = prepared.query
             for name in ("nested-iteration",) + DEFAULT_STRATEGIES:
                 if name in GUARDED_STRATEGIES and not _applies(
                     make_strategy(name), query, db
                 ):
                     continue
                 with collect() as m:
-                    result = repro.execute(query, db, strategy=name)
+                    result = prepared.execute(strategy=name)
                 assert m.invariant_violations(
                     result_cardinality=len(result)
                 ) == [], (name, case.sql)

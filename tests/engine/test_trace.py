@@ -301,3 +301,23 @@ class TestSerialization:
         mutate(data)
         problems = validate_trace_dict(data)
         assert problems and any(message in p for p in problems)
+
+    @pytest.mark.parametrize("retired", [1, 2, 3])
+    def test_retired_versions_rejected_by_validator_and_schema(self, retired):
+        """Nothing emits trace versions 1-3 any more; neither the builtin
+        validator nor the JSON schema accepts them."""
+        import json
+        import pathlib
+
+        document = {"version": retired, "spans": []}
+        assert any("version" in p for p in validate_trace_dict(document))
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(
+            (pathlib.Path(__file__).parents[2] / "schemas"
+             / "trace.schema.json").read_text()
+        )
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(document, schema)
+        document["version"] = TRACE_FORMAT_VERSION
+        assert validate_trace_dict(document) == []
+        jsonschema.validate(document, schema)

@@ -138,8 +138,9 @@ class TestTraceBugInjection:
         """The miscounting strategy agrees with the oracle on values."""
         case = generate_case(FuzzConfig(iterations=1, seed=7), 0)
         db = case.db_spec.build()
-        query = repro.compile_sql(case.sql, db)
-        oracle = repro.execute(query, db, strategy="nested-iteration")
+        prepared = repro.connect(db).prepare(case.sql)
+        query = prepared.query
+        oracle = prepared.execute(strategy="nested-iteration")
         assert MiscountingSpanStrategy().execute(query, db) == oracle
 
     def test_caught_by_trace_invariants(self):

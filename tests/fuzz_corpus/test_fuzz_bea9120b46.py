@@ -58,10 +58,12 @@ def build_db():
     return db
 
 
+LOGIC = "3vl"
+
+
 def test_all_strategies_agree_with_oracle():
-    db = build_db()
-    query = repro.compile_sql(SQL, db)
-    oracle = repro.execute(query, db, strategy="nested-iteration").sorted()
+    query = repro.connect(build_db(), logic=LOGIC).prepare(SQL)
+    oracle = query.execute(strategy="nested-iteration").sorted()
     for strategy in STRATEGIES:
-        result = repro.execute(query, db, strategy=strategy).sorted()
+        result = query.execute(strategy=strategy).sorted()
         assert result == oracle, f"{strategy} disagrees with the oracle"

@@ -35,7 +35,6 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import repro  # noqa: E402
 from repro.engine import NULL, Column, Database  # noqa: E402
-from repro.engine.logic import logic_mode  # noqa: E402
 from repro.engine.types import is_null  # noqa: E402
 from repro.fuzz import FuzzConfig, generate_case  # noqa: E402
 from repro.fuzz.corpus import applicable_strategies  # noqa: E402
@@ -97,12 +96,11 @@ def test_null_free_2vl_equals_3vl_equals_sqlite(seed):
     )
     db = case.db_spec.build()
     strategies = ["nested-iteration"] + applicable_strategies(case)
-    query = repro.compile_sql(case.sql, db)
+    three_valued = repro.connect(db, logic="3vl").prepare(case.sql)
+    two_valued = repro.connect(db, logic="2vl").prepare(case.sql)
     for strategy in strategies:
-        with logic_mode("3vl"):
-            three = repro.execute(query, db, strategy=strategy).sorted()
-        with logic_mode("2vl"):
-            two = repro.execute(query, db, strategy=strategy).sorted()
+        three = three_valued.execute(strategy=strategy).sorted()
+        two = two_valued.execute(strategy=strategy).sorted()
         assert two == three, (
             f"seed={seed} strategy={strategy}: 2VL and 3VL disagree on "
             f"NULL-free data\n  {case.sql}"
@@ -135,11 +133,12 @@ def test_empty_group_aggregate_null_diverges():
         "select k from t "
         "where not (select avg(s.a) from s where s.a > t.a) >= t.a"
     )
-    query = repro.compile_sql(sql, db)
-    with logic_mode("3vl"):
-        three = repro.execute(query, db, strategy="nested-relational")
-    with logic_mode("2vl"):
-        two = repro.execute(query, db, strategy="nested-relational")
+    three = repro.connect(db, logic="3vl").execute(
+        sql, strategy="nested-relational"
+    )
+    two = repro.connect(db, logic="2vl").execute(
+        sql, strategy="nested-relational"
+    )
     # rows k=1,2: avg({5}) = 5 >= a is TRUE, NOT drops them either way.
     # row k=3: the group {s.a > 99} is empty -> avg is NULL despite the
     # NULL-free data; 3VL's NOT(UNKNOWN) drops it, 2VL's NOT(FALSE)
@@ -185,11 +184,12 @@ def test_null_bearing_divergence_is_catalogued():
         "select k from t "
         "where not (t.a in (select a from s where a is not null))"
     )
-    query = repro.compile_sql(sql, db)
-    with logic_mode("3vl"):
-        three = repro.execute(query, db, strategy="nested-relational")
-    with logic_mode("2vl"):
-        two = repro.execute(query, db, strategy="nested-relational")
+    three = repro.connect(db, logic="3vl").execute(
+        sql, strategy="nested-relational"
+    )
+    two = repro.connect(db, logic="2vl").execute(
+        sql, strategy="nested-relational"
+    )
     # 3VL: row k=2 has NULL a -> NOT UNKNOWN is UNKNOWN -> dropped.
     # 2VL: NULL = 1 is FALSE -> NOT FALSE is TRUE -> kept.
     assert sorted(three.rows) == [(3,)]

@@ -1,21 +1,30 @@
-"""2VL under the parallel strategy: the ContextVar crosses the pool.
+"""The execution context crosses the morsel pool — 2VL included.
 
-The ambient logic mode lives in a ContextVar, which does NOT propagate
-into ``ThreadPoolExecutor`` workers by itself — the morsel scheduler
-must snapshot it and re-install it per morsel.  These tests pin that
-seam: on a scheduler that forgets the re-install, the pool workers
-evaluate under default 3VL while the inline path runs 2VL, and the
-parity corpus below diverges (the corpus deliberately contains queries
-whose 2VL and 3VL answers differ).
+A ``ContextVar`` does NOT propagate into ``ThreadPoolExecutor`` workers
+by itself: the morsel scheduler forks the dispatching thread's
+:class:`~repro.engine.context.ExecutionContext` once per morsel and
+installs the fork in the worker.  The seam test below pins that for
+**every** field of the context (a field the fork forgets shows up as the
+root default inside the pool); the parity corpus pins the consequence
+that first exposed the seam — on a scheduler that loses the logic mode,
+pool workers evaluate under default 3VL while the inline path runs 2VL,
+and the corpus (which deliberately contains queries whose 2VL and 3VL
+answers differ) diverges.
 """
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.core.plancache import SessionCache
 from repro.engine import Column, Database, NULL
-from repro.engine.logic import current_logic, logic_mode
+from repro.engine.context import ExecutionContext, current, scope
+from repro.engine.governor import ResourceGovernor
+from repro.engine.metrics import Metrics
 from repro.engine.parallel import MorselScheduler
+from repro.engine.trace import Tracer, op_span
 from repro.session import Session
 
 #: queries over NULLable columns where Kleene 3VL and Libkin 2VL
@@ -71,16 +80,56 @@ def _bag(relation):
     return sorted(relation.rows, key=repr)
 
 
-def test_pool_workers_observe_the_ambient_logic_mode():
-    """Direct seam test: every pooled morsel sees the snapshot mode."""
-    scheduler = MorselScheduler(threads=2, min_partition_rows=1)
-    with logic_mode("2vl"):
-        modes = scheduler.run(
-            [(lambda span: current_logic()) for _ in range(8)], None
+#: what ``fork()`` does with each field; a field missing here fails the
+#: parametrization below, so adding one forces the decision
+SHARED = ("governor", "logic", "reduce_cache", "spill_depth")
+RENEWED = ("metrics", "tracer")
+
+
+@pytest.mark.parametrize("field", ExecutionContext._fields)
+def test_pooled_morsels_run_under_a_fork_of_the_parent_context(field):
+    """Direct seam test, one case per context field: a pooled morsel
+    sees the parent's shared fields by identity and its own recorders,
+    and the join leaves the parent's context untouched with the morsels'
+    metric deltas and span trees merged into it."""
+    assert field in SHARED + RENEWED
+    scheduler = MorselScheduler(threads=4, min_partition_rows=1)
+    parent = ExecutionContext(
+        metrics=Metrics(), tracer=Tracer(), governor=ResourceGovernor(),
+        logic="2vl", reduce_cache=SessionCache(), spill_depth=3,
+    )
+
+    def morsel(span):
+        context = current()
+        context.metrics.add("probe")
+        return threading.current_thread().name, context
+
+    with scope(parent) as installed:
+        with op_span("dispatch") as dispatch:
+            seen = scheduler.run([morsel] * 8, dispatch)
+        assert current() is installed
+    assert all(name.startswith("repro-morsel") for name, _ in seen)
+    values = [getattr(context, field) for _, context in seen]
+    if field in SHARED:
+        # pre-fork schedulers: whichever slot was not re-installed by
+        # hand reads as the root default ("3vl" / None / 0) in the pool
+        assert all(value is getattr(parent, field) for value in values)
+    else:
+        assert all(value is not None for value in values)
+        assert len({id(value) for value in values}) == len(values)
+        assert all(value is not getattr(parent, field) for value in values)
+    assert getattr(installed, field) is getattr(parent, field)
+    assert parent.metrics.get("probe") == 8
+    assert [child.name for child in dispatch.children] == [
+        f"morsel[{i}]" for i in range(8)
+    ]
+    # and the fork is per-run, not sticky: dispatched from the root
+    # context, the same pool threads are back on the root's value
+    if field in SHARED:
+        after = scheduler.run(
+            [lambda span: getattr(current(), field)] * 8, None
         )
-    assert modes == ["2vl"] * 8  # pre-fix: pool threads report "3vl"
-    # and the snapshot is per-run, not sticky
-    assert scheduler.run([lambda span: current_logic()], None) == ["3vl"]
+        assert after == [getattr(ExecutionContext(), field)] * 8
 
 
 @pytest.mark.parametrize("logic", ["3vl", "2vl"])

@@ -181,8 +181,8 @@ class TestRejections:
 
 
 class TestEndToEnd:
-    def test_run_sql_wrapper(self, db):
-        out = repro.run_sql("select id from emp where salary > 50", db)
+    def test_simple_selection(self, db):
+        out = repro.connect(db).execute("select id from emp where salary > 50")
         assert out.rows == [(1,)]
 
     def test_value_exprs_in_local_predicates(self, db):

@@ -53,10 +53,10 @@ def db():
 
 
 def check(db, sql, strategies=STRATEGIES):
-    q = repro.compile_sql(sql, db)
-    oracle = repro.execute(q, db, strategy="nested-iteration").sorted()
+    prepared = repro.connect(db).prepare(sql)
+    oracle = prepared.execute(strategy="nested-iteration").sorted()
     for strategy in strategies:
-        got = repro.execute(q, db, strategy=strategy).sorted()
+        got = prepared.execute(strategy=strategy).sorted()
         assert got == oracle, f"{strategy}: {got.rows} != {oracle.rows}"
     return oracle
 

@@ -1,9 +1,9 @@
-"""The deprecated shims must be the *only* way to trigger a
-DeprecationWarning: every internal code path — session execution, the
-cost-based planner, tracing, explain, verify, the CLI, the fuzzer —
-runs clean.  This pins the PR-3 migration: no internal caller still
-routes through ``repro.run_sql`` or ``repro.core.planner.execute`` /
-``execute_traced``.
+"""No code path of the package raises a DeprecationWarning: session
+execution, the cost-based planner, tracing, explain, verify, the CLI and
+the fuzzer all run clean, the 1.0 entry points (``repro.run_sql``,
+``repro.core.planner.execute`` / ``execute_traced``) are gone, and
+``pyproject.toml`` turns any future ``DeprecationWarning`` raised from
+``repro.*`` into a tier-1 failure.
 """
 
 import warnings
@@ -70,12 +70,26 @@ class TestInternalPathsAreClean:
         capsys.readouterr()
 
 
-class TestShimsStillWarn:
-    def test_run_sql_warns(self, tiny_tpch):
-        with pytest.warns(DeprecationWarning, match="run_sql"):
-            repro.run_sql("select n_name from nation", tiny_tpch)
+class TestShimsAreGone:
+    @pytest.mark.parametrize(
+        "module", [repro, repro.core, repro.core.planner],
+        ids=lambda m: m.__name__,
+    )
+    @pytest.mark.parametrize("name", ["run_sql", "execute", "execute_traced"])
+    def test_name_is_absent(self, module, name):
+        assert not hasattr(module, name)
+        assert name not in getattr(module, "__all__", ())
 
-    def test_planner_execute_warns(self, tiny_tpch):
-        query = repro.compile_sql("select n_name from nation", tiny_tpch)
-        with pytest.warns(DeprecationWarning, match="execute"):
-            repro.execute(query, tiny_tpch)
+    def test_in_package_deprecations_fail_the_suite(self):
+        """The pytest filter escalates a DeprecationWarning attributed to
+        a ``repro`` module, and leaves third-party ones alone."""
+        with pytest.raises(DeprecationWarning):
+            warnings.warn_explicit(
+                "probe", DeprecationWarning, "probe.py", 1,
+                module="repro.core.planner",
+            )
+        with pytest.warns(DeprecationWarning):
+            warnings.warn_explicit(
+                "probe", DeprecationWarning, "probe.py", 1,
+                module="thirdparty.lib",
+            )

@@ -4,9 +4,8 @@ Covers the three memo layers of :class:`repro.core.plancache.SessionCache`
 (compile, strategy resolution, reduced-relation builds), the catalog
 version counter that invalidates them, the ``plan_cache=False`` mode
 (compile memo stays on — satellite fix: repeated ``prepare()`` of
-identical SQL never re-runs the analyzer), the ``run_sql`` shim's
-session reuse, and the ``threads`` routing through
-``resolve_strategy``.
+identical SQL never re-runs the analyzer), and the ``threads`` routing
+through ``resolve_strategy``.
 """
 
 from __future__ import annotations
@@ -282,7 +281,7 @@ def micro_db():
     return db
 
 
-class TestDescribeAndShims:
+class TestDescribe:
     def test_describe_shows_cache_counters(self, tiny_tpch):
         session = repro.connect(tiny_tpch)
         prepared = session.prepare(SQL)
@@ -295,16 +294,6 @@ class TestDescribeAndShims:
     def test_describe_marks_disabled_cache(self, tiny_tpch):
         prepared = repro.connect(tiny_tpch, plan_cache=False).prepare(SQL)
         assert "plan cache: compile-only" in prepared.describe()
-
-    def test_run_sql_shim_reuses_one_session(self, tiny_tpch):
-        with pytest.deprecated_call():
-            first = repro.run_sql(SIMPLE, tiny_tpch)
-        session = repro._SHIM_SESSIONS[tiny_tpch]
-        with pytest.deprecated_call():
-            second = repro.run_sql(SIMPLE, tiny_tpch)
-        assert repro._SHIM_SESSIONS[tiny_tpch] is session
-        assert session.cache_stats.plan_hits >= 1  # no double analysis
-        assert first == second
 
 
 class TestThreadsRouting:

@@ -319,8 +319,8 @@ class TestStrategiesAgainstOracle:
     @COMMON_SETTINGS
     @given(db=random_database(), sql=one_level_query())
     def test_one_level(self, db, sql):
-        q = repro.compile_sql(sql, db)
-        oracle = repro.execute(q, db, strategy="nested-iteration").sorted()
+        prepared = repro.connect(db).prepare(sql)
+        oracle = prepared.execute(strategy="nested-iteration").sorted()
         for strategy in (
             "nested-relational",
             "nested-relational-sorted",
@@ -328,20 +328,20 @@ class TestStrategiesAgainstOracle:
             "system-a-native",
             "auto",
         ):
-            assert repro.execute(q, db, strategy=strategy).sorted() == oracle, strategy
+            assert prepared.execute(strategy=strategy).sorted() == oracle, strategy
 
     @COMMON_SETTINGS
     @given(db=random_database(), sql=two_level_query())
     def test_two_level(self, db, sql):
-        q = repro.compile_sql(sql, db)
-        oracle = repro.execute(q, db, strategy="nested-iteration").sorted()
+        prepared = repro.connect(db).prepare(sql)
+        oracle = prepared.execute(strategy="nested-iteration").sorted()
         for strategy in (
             "nested-relational",
             "nested-relational-optimized",
             "system-a-native",
             "auto",
         ):
-            assert repro.execute(q, db, strategy=strategy).sorted() == oracle, strategy
+            assert prepared.execute(strategy=strategy).sorted() == oracle, strategy
 
     @COMMON_SETTINGS
     @given(db=random_database(), sql=noneq_quantified_query())
@@ -350,8 +350,9 @@ class TestStrategiesAgainstOracle:
         where a wrong NULL treatment shows up as < vs >= asymmetries."""
         from repro.core.optimized import BottomUpLinearStrategy
 
-        q = repro.compile_sql(sql, db)
-        oracle = repro.execute(q, db, strategy="nested-iteration").sorted()
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
+        oracle = prepared.execute(strategy="nested-iteration").sorted()
         for strategy in (
             "nested-relational",
             "nested-relational-sorted",
@@ -359,7 +360,7 @@ class TestStrategiesAgainstOracle:
             "system-a-native",
             "auto",
         ):
-            assert repro.execute(q, db, strategy=strategy).sorted() == oracle, strategy
+            assert prepared.execute(strategy=strategy).sorted() == oracle, strategy
         bottom_up = BottomUpLinearStrategy()
         if bottom_up.applicable(q):
             assert bottom_up.execute(q, db).sorted() == oracle, "bottom-up"
@@ -369,11 +370,12 @@ class TestStrategiesAgainstOracle:
     def test_bottom_up_when_applicable(self, db, sql):
         from repro.core.optimized import BottomUpLinearStrategy
 
-        q = repro.compile_sql(sql, db)
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
         strategy = BottomUpLinearStrategy()
         if not strategy.applicable(q):
             return
-        oracle = repro.execute(q, db, strategy="nested-iteration").sorted()
+        oracle = prepared.execute(strategy="nested-iteration").sorted()
         assert strategy.execute(q, db).sorted() == oracle
 
     @COMMON_SETTINGS
@@ -381,13 +383,14 @@ class TestStrategiesAgainstOracle:
     def test_count_and_boolean_when_applicable(self, db, sql):
         from repro.baselines import BooleanAggregateStrategy, CountRewriteStrategy
 
-        q = repro.compile_sql(sql, db)
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
         oracle = None
         for strategy in (CountRewriteStrategy(), BooleanAggregateStrategy()):
             if not strategy.applicable(q):
                 continue
             if oracle is None:
-                oracle = repro.execute(q, db, strategy="nested-iteration").sorted()
+                oracle = prepared.execute(strategy="nested-iteration").sorted()
             assert strategy.execute(q, db).sorted() == oracle
 
 
@@ -505,8 +508,9 @@ class TestAggregateRewriteProperty:
             f"select r.k from r where r.a {theta} {quantifier} "
             "(select s.b from s where s.rg = r.g)"
         )
-        q = repro.compile_sql(sql, db)
+        prepared = repro.connect(db).prepare(sql)
+        q = prepared.query
         strategy = AggregateRewriteStrategy()
         assert strategy.applicable(q, db) is None
-        oracle = repro.execute(q, db, strategy="nested-iteration").sorted()
+        oracle = prepared.execute(strategy="nested-iteration").sorted()
         assert strategy.execute(q, db).sorted() == oracle

@@ -21,15 +21,6 @@ class TestQuickstartSnippet:
         assert traced == result and trace.root is not None
         assert "T1" in repro.TreeExpression(query.query).render()
 
-    def test_deprecated_entry_points_still_work(self):
-        import warnings
-
-        db = repro.tpch.generate(repro.tpch.TpchConfig(scale_factor=0.001))
-        sql = repro.tpch.query1("1993-01-01", "1994-01-01")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.run_sql(sql, db) == repro.connect(db).prepare(sql).execute()
-
     def test_every_advertised_strategy_exists(self):
         advertised = [
             "nested-relational",
@@ -87,7 +78,7 @@ class TestQuickstartSnippet:
         for name in (
             "NULL", "is_null", "Relation", "Database", "NestedQuery",
             "TreeExpression", "nest", "unnest", "linking_selection",
-            "pseudo_selection", "compile_sql", "run_sql", "execute",
+            "pseudo_selection", "compile_sql", "connect",
             "ExecutionOptions", "Plan",
         ):
             assert hasattr(repro, name), name

@@ -187,25 +187,3 @@ class TestVerify:
 
         with pytest.raises(OracleUnavailableError):
             repro.connect(micro_tpch).prepare(SQL).verify(engine="warp-db")
-
-
-class TestDeprecatedShims:
-    def test_run_sql_warns_but_works(self, tiny_tpch):
-        with pytest.warns(DeprecationWarning, match="run_sql"):
-            out = repro.run_sql(
-                "select n_name from nation where n_nationkey < 3", tiny_tpch
-            )
-        assert len(out) == 3
-
-    def test_planner_execute_warns_but_works(self, tiny_tpch):
-        prepared = repro.connect(tiny_tpch).prepare(SQL)
-        with pytest.warns(DeprecationWarning, match="execute"):
-            out = repro.execute(prepared.query, tiny_tpch)
-        assert out == prepared.execute()
-
-    def test_planner_execute_traced_warns_but_works(self, tiny_tpch):
-        prepared = repro.connect(tiny_tpch).prepare(SQL)
-        with pytest.warns(DeprecationWarning, match="execute_traced"):
-            result, trace = repro.execute_traced(prepared.query, tiny_tpch)
-        assert trace.root is not None
-        assert result == prepared.execute()

@@ -55,18 +55,18 @@ cases = st.builds(
 )
 def test_tracing_on_off_parity(case, strategy):
     db = case.db_spec.build()
-    query = repro.compile_sql(case.sql, db)
+    prepared = repro.connect(db, plan_cache=False).prepare(case.sql)
 
     try:
         with collect() as plain_metrics:
-            plain = repro.execute(query, db, strategy=strategy)
+            plain = prepared.execute(strategy=strategy)
     except ReproError:
         # a strategy rejecting the query must reject it identically
         # under tracing; nothing further to compare
         with collect():
             with tracing():
                 try:
-                    repro.execute(query, db, strategy=strategy)
+                    prepared.execute(strategy=strategy)
                 except ReproError:
                     return
         raise AssertionError(
@@ -75,7 +75,7 @@ def test_tracing_on_off_parity(case, strategy):
 
     with collect() as traced_metrics:
         with tracing() as trace:
-            traced = repro.execute(query, db, strategy=strategy)
+            traced = prepared.execute(strategy=strategy)
 
     assert traced.sorted() == plain.sorted()
     assert traced_metrics.snapshot() == plain_metrics.snapshot()
