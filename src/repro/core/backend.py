@@ -21,7 +21,9 @@ A backend supplies:
     the way-down joins.
 ``nest_link``
     the way-up pair: ``nest`` by the path attributes followed by a
-    strict linking selection or a NULL-padding pseudo-selection.
+    strict linking selection or a NULL-padding pseudo-selection.  The
+    driver also hands over the nest *key* (the path blocks' rids, which
+    decide the same groups); a backend may group on either.
 ``uncorrelated_link``
     the virtual-Cartesian-product shortcut — the subquery result is
     shared by every outer tuple.
@@ -97,6 +99,7 @@ class RowBackend:
         self,
         rel: Relation,
         by: Sequence[str],
+        key: Sequence[str],
         keep: Sequence[str],
         predicate: SetPredicate,
         link: LinkSpec,
@@ -105,6 +108,8 @@ class RowBackend:
         pad_refs: Sequence[str],
         nest_impl: str,
     ) -> Relation:
+        # the row nest hashes / sorts whole `by` tuples; grouping on `key`
+        # gives the same relation and is not where the row time goes
         nested = (
             nest_sorted(rel, by, keep)
             if nest_impl == "sorted"

@@ -14,7 +14,8 @@ Processing a nested query with non-aggregate subqueries:
 3. **compute(root, T_1)**: walk the tree depth-first.  Going *down*, join
    (or left-outer-join, when correlated) the accumulated relation with
    each child's T_i.  Coming back *up*, ``nest`` the relation by the
-   attributes of the blocks on the path and apply the child's linking
+   attributes of the blocks on the path (grouping on their rids, which
+   determine those attributes) and apply the child's linking
    predicate as a linking selection — strict σ where discarding failing
    tuples is safe (at the root, or when every unfinished linking
    predicate above is positive), pseudo σ* (padding the current node's
@@ -171,12 +172,21 @@ class NestedRelationalStrategy:
             rel = self._compute(child, rel, path + [child], reduced, owner)
 
             # -- way up: nest and apply the linking selection ------------ #
+            names = backend.names(rel)
             path_indices = {b.index for b in path}
-            by = [
-                ref
-                for ref in backend.names(rel)
-                if owner.get(ref) in path_indices
-            ]
+            by = [ref for ref in names if owner.get(ref) in path_indices]
+            # Nest by key.  `by` (N1) is what the nest projects onto; the
+            # rids of the path blocks alone decide the groups, because
+            # equality on them is equality on all of `by`: (i) every rid
+            # is itself in `by`; (ii) a block's attributes are a function
+            # of its rid (the paper's primary-key assumption); (iii) the
+            # outer join and every σ* NULL a block's columns
+            # all-or-nothing — `pad` below is the node's whole share of
+            # `by`, rid and earlier marks included — so a padded tuple
+            # has a NULL rid and a mark is constant per key.  (Inside an
+            # uncorrelated subtree the enclosing blocks are not in `rel`.)
+            rids = [reduced[b.index].rid_ref for b in path]
+            key = [rid for rid in rids if rid in names]
             keep = _dedupe(
                 ([link.inner_ref] if link.inner_ref is not None else [])
                 + [crel.rid_ref]
@@ -191,6 +201,7 @@ class NestedRelationalStrategy:
             rel = backend.nest_link(
                 rel,
                 by,
+                key,
                 keep,
                 set_predicate_for(link),
                 link,

@@ -30,8 +30,9 @@ Algorithm (classic Grace hash join, adapted to the batch kernels):
    order is irrelevant, and root ORDER BY applies later anyway).
 
 Nest grouping spills the same way, except only one input is scattered
-and groups stay whole per partition (rows with equal grouping codes
-share ``code % k``), so each partition's
+(projected to the columns the nest reads) and groups stay whole per
+partition (rows with equal ids over the nest
+key share ``id % k``), so each partition's
 :func:`~repro.engine.vector.nestlink.nest_link` sees complete groups.
 
 Every pass is wrapped in a ``kind='spill'`` trace span (format v4)
@@ -89,7 +90,15 @@ def est_join_bytes(left, right, n_keys: int) -> int:
 
 
 def est_nest_bytes(batch, n_by: int) -> int:
-    """Bytes the in-memory nest grouping would account."""
+    """Bytes the in-memory nest grouping would account.
+
+    *n_by* is the width of the nesting attribute list N1, although the
+    kernel groups on the narrower rid key: the account models the
+    logical operator, so this is a conservative over-estimate.
+    ``should_spill`` compares ``reserved + est``, so a smaller charge
+    would move every later spill decision of the execution — re-basing
+    it belongs with a recalibration of the spill benchmark.
+    """
     return len(batch) * max(1, n_by) * EST_BYTES_PER_VALUE
 
 
@@ -275,6 +284,7 @@ def maybe_spill_hash_join(
 def maybe_spill_nest_link(
     batch,
     by: Sequence[str],
+    key: Sequence[str],
     predicate,
     link,
     rid_ref: str,
@@ -285,9 +295,10 @@ def maybe_spill_nest_link(
 ):
     """Divert a nest+link pass to disk partitions under budget pressure.
 
-    Groups stay whole: rows with equal grouping codes land in the same
-    partition, so each partition's in-memory ``nest_link`` computes
-    exact per-group verdicts.  Returns ``None`` when no spill applies.
+    Groups stay whole: the partitions are cut on the ids of the same
+    *key* the in-memory kernel groups on, so each partition's
+    ``nest_link`` computes exact per-group verdicts.  Returns ``None``
+    when no spill applies.
     """
     governor = current_governor()
     if governor is None or not by or len(batch) == 0:
@@ -298,8 +309,15 @@ def maybe_spill_nest_link(
     depth = current().spill_depth
     if depth >= MAX_SPILL_DEPTH or not _spillable(batch):
         return None
-    ids = kernels.sorted_group_ids(batch, by)
-    if int(ids.max()) == 0:
+    # only what the nest reads goes to disk: its output columns and the
+    # verdict's operands, not the child columns it is about to drop
+    batch = batch.project(
+        list(dict.fromkeys(
+            [*by, *nestlink.verdict_refs(batch, link, rid_ref)]
+        ))
+    )
+    ids, n_groups = kernels.dense_group_ids(batch, key)
+    if n_groups == 1:
         return None  # one group: partitioning cannot shrink the pass
     k = _n_partitions(est, governor)
     with op_span(
@@ -318,7 +336,7 @@ def maybe_spill_nest_link(
                 bp = _read_partition(tmp, f"n{p}", batch.schema, kinds)
                 with scope(spill_depth=depth + 1):
                     out = nestlink.nest_link(
-                        bp, by, predicate, link, rid_ref, strict,
+                        bp, by, key, predicate, link, rid_ref, strict,
                         pad_refs, nest_impl, sched,
                     )
                 governor.release(
@@ -333,8 +351,8 @@ def maybe_spill_nest_link(
             # with the nest output's layout
             empty = np.empty(0, dtype=np.int64)
             result = nestlink.nest_link(
-                batch.take(empty), by, predicate, link, rid_ref, strict,
-                pad_refs, nest_impl, sched,
+                batch.take(empty), by, key, predicate, link, rid_ref,
+                strict, pad_refs, nest_impl, sched,
             )
         else:
             result = Batch.vstack(outputs)

@@ -196,6 +196,7 @@ class VectorBackend:
         self,
         rel: Batch,
         by: Sequence[str],
+        key: Sequence[str],
         keep: Sequence[str],
         predicate,
         link,
@@ -207,8 +208,8 @@ class VectorBackend:
         # the fused kernel reads members straight off the flat batch, so
         # the row backend's explicit ``keep`` projection is unnecessary
         return nestlink.nest_link(
-            rel, by, predicate, link, rid_ref, strict, pad_refs, nest_impl,
-            self.scheduler,
+            rel, by, key, predicate, link, rid_ref, strict, pad_refs,
+            nest_impl, self.scheduler,
         )
 
     # -- virtual Cartesian product -------------------------------------- #

@@ -507,40 +507,91 @@ def outer_cross_join(
 # Grouping (the factorization both nest variants share)
 # --------------------------------------------------------------------- #
 
-
-def sorted_group_ids(batch: Batch, by: Sequence[str]) -> np.ndarray:
-    """Dense group ids of a non-empty *batch* over a non-empty *by*:
-    per-column ``codes()`` chained through ``np.unique``.  Charges
-    nothing — :func:`group_ids` accounts the nest grouping, the spill
-    path accounts its partitioning scratch separately."""
-    codes = [batch.column(r).codes() for r in by]
-    _, ids = np.unique(codes[0], return_inverse=True)
-    ids = ids.astype(np.int64)
-    for c in codes[1:]:
-        width = int(c.max()) + 1
-        _, ids = np.unique(ids * width + c, return_inverse=True)
-        ids = ids.astype(np.int64)
-    return ids
+#: ceiling on a mixed-radix product of column domains: past it the
+#: running ids are re-densified (to at most ``n`` values) before the
+#: next column is folded in, so ``ids * width + codes`` never wraps int64
+_RADIX_LIMIT = 2 ** 62
 
 
-def group_ids(batch: Batch, by: Sequence[str], method: str) -> Tuple[np.ndarray, int]:
-    """Dense group ids over the *by* columns; returns ``(ids, n_groups)``.
+def _column_group_codes(col: Vector) -> Tuple[np.ndarray, int]:
+    """One grouping column as ``(codes, width)``: equal codes iff equal
+    under SQL grouping, NULL is code 0, every code is below *width*.
 
-    ``method="sorted"`` factorizes each column with ``np.unique``
-    (sort-based, fully vectorized — the paper's §5.1 physical nest);
-    ``method="hash"`` builds one Python dict over composite group keys
-    (hash-based, per-row).  Both agree on SQL grouping semantics: NULLs
-    group together, ``2`` and ``2.0`` share a group, booleans do not
-    collide with ints.
+    An ``i8`` column — every rid, the driver's whole nest key — is coded
+    by offset from its minimum, with no sort.  The :meth:`Vector.codes`
+    branch (other kinds, or an int range too wide to offset) is never
+    reached by a rid key: it keeps :func:`group_ids` correct over any
+    columns, which is how the tests build their all-of-N1 reference.
+    """
+    if col.kind == KIND_INT:
+        info = np.iinfo(np.int64)
+        lo = int(col.data.min(where=col.valid, initial=info.max))
+        hi = int(col.data.max(where=col.valid, initial=info.min))
+        if lo > hi:  # no live value: one all-NULL group
+            return np.zeros(len(col), dtype=np.int64), 1
+        if hi - lo + 2 < _RADIX_LIMIT:
+            return np.where(col.valid, col.data - lo + 1, 0), hi - lo + 2
+    codes = col.codes()
+    return codes, int(codes.max()) + 1
+
+
+def _densify(codes: np.ndarray, width: int) -> Tuple[np.ndarray, int]:
+    """Codes in ``[0, width)`` renumbered ``0..n_groups-1`` (ascending);
+    returns ``(ids, n_groups)``.  A domain about the size of the input —
+    rids out of a join — is renumbered through a presence table in
+    O(n + width); a sparse one pays the one ``np.unique`` sort."""
+    if width <= 4 * len(codes) + 1024:
+        present = np.zeros(width, dtype=bool)
+        present[codes] = True
+        remap = np.cumsum(present, dtype=np.int64) - 1
+        return remap[codes], int(remap[-1]) + 1
+    uniq, inv = np.unique(codes, return_inverse=True)
+    return np.asarray(inv, dtype=np.int64).reshape(-1), len(uniq)
+
+
+def dense_group_ids(
+    batch: Batch, key: Sequence[str]
+) -> Tuple[np.ndarray, int]:
+    """Dense group ids of a non-empty *batch* over a non-empty *key*, as
+    ``(ids, n_groups)``, numbered in ascending key order: the columns'
+    codes combined mixed-radix into one int64 array that is densified
+    once (a presence table for a rid key; no sort).  Charges nothing — the callers
+    account the nest grouping and the spill partitioning scratch."""
+    ids, width = _column_group_codes(batch.column(key[0]))
+    for ref in key[1:]:
+        codes, w = _column_group_codes(batch.column(ref))
+        if width * w > _RADIX_LIMIT:
+            ids, width = _densify(ids, width)
+            if width * w > _RADIX_LIMIT:
+                codes, w = _densify(codes, w)
+        ids = ids * w + codes
+        width *= w
+    return _densify(ids, width)
+
+
+def group_ids(
+    batch: Batch, key: Sequence[str], method: str
+) -> Tuple[np.ndarray, int]:
+    """Dense group ids over the *key* columns; returns ``(ids, n_groups)``.
+
+    Algorithm 1 passes the rids of the path blocks — the nest **key**,
+    which decides the same groups as the full nesting attribute list N1
+    (DESIGN §9, "Nest by key") — but any columns group correctly.
+    ``method="sorted"`` — the name of the paper's §5.1 physical nest,
+    groups numbered in key order — is :func:`dense_group_ids` (fully
+    vectorized; on a rid key it renumbers through a presence table
+    rather than sorting); ``method="hash"`` builds one Python dict over
+    composite group keys (per-row, first-seen order).  Both agree on
+    SQL grouping semantics: NULLs group together, ``2`` and ``2.0`` share
+    a group, booleans do not collide with ints.
     """
     n = len(batch)
     if n == 0:
         return np.empty(0, dtype=np.int64), 0
-    if not by:
+    if not key:
         return np.zeros(n, dtype=np.int64), 1
-    charge_rows(n, len(by), "nest grouping")
     if method == "hash":
-        key_cols = [batch.column(r).join_keys() for r in by]
+        key_cols = [batch.column(r).join_keys() for r in key]
         mapping: dict = {}
         ids = np.empty(n, dtype=np.int64)
         for i, parts in enumerate(zip(*key_cols)):
@@ -550,15 +601,12 @@ def group_ids(batch: Batch, by: Sequence[str], method: str) -> Tuple[np.ndarray,
                 mapping[parts] = gid
             ids[i] = gid
         return ids, len(mapping)
-    ids = sorted_group_ids(batch, by)
-    return ids, int(ids.max()) + 1
+    return dense_group_ids(batch, key)
 
 
 def first_occurrences(ids: np.ndarray, n_groups: int) -> np.ndarray:
-    """Index of the first row of each group, indexed by group id."""
-    if n_groups == 0:
-        return np.empty(0, dtype=np.int64)
-    first, seen = np.unique(ids, return_index=True)
-    out = np.empty(n_groups, dtype=np.int64)
-    out[first] = seen
+    """Index of the first row of each group, indexed by group id (one
+    O(n) scatter-min; every id in ``0..n_groups-1`` must occur)."""
+    out = np.full(n_groups, len(ids), dtype=np.int64)
+    np.minimum.at(out, ids, np.arange(len(ids), dtype=np.int64))
     return out

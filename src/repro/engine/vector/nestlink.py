@@ -42,10 +42,11 @@ min/max bounds for the orderings.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..governor import charge_rows
 from ..logic import two_valued
 from ..metrics import current_metrics
 from ..operators.aggregate import _finish
@@ -62,6 +63,7 @@ from .kernels import concat_parts, first_occurrences, group_ids
 def nest_link(
     batch: Batch,
     by: Sequence[str],
+    key: Sequence[str],
     predicate,
     link,
     rid_ref: str,
@@ -72,9 +74,13 @@ def nest_link(
 ) -> Batch:
     """Nest *batch* by *by* and apply the linking predicate in one pass.
 
-    The batch is grouped once; the per-group verdicts are computed over
-    hash partitions of the group ids (whole groups per morsel), and the
-    output is assembled once from the verdict masks.
+    *by* is the nesting attribute list N1 — the output projection and
+    the span's ``by=`` — and *key* the columns that decide the groups:
+    Algorithm 1 passes the rids of the path blocks, on which equality
+    is equivalent to equality on all of *by* (DESIGN §9, "Nest by key").
+    The batch is grouped once on the key; the per-group verdicts are
+    computed over hash partitions of the group ids (whole groups per
+    morsel), and the output is assembled once from the verdict masks.
 
     Under a spill-enabled governor whose budget the grouping pass would
     breach, the nest runs out-of-core (:mod:`repro.engine.spill`):
@@ -84,8 +90,8 @@ def nest_link(
     from ..spill import maybe_spill_nest_link
 
     spilled = maybe_spill_nest_link(
-        batch, by, predicate, link, rid_ref, strict, pad_refs, nest_impl,
-        sched,
+        batch, by, key, predicate, link, rid_ref, strict, pad_refs,
+        nest_impl, sched,
     )
     if spilled is not None:
         return spilled
@@ -102,7 +108,11 @@ def nest_link(
         metrics.add("rows_nested", n)
         if nest_impl == "sorted":
             metrics.add("rows_sorted", n)
-        ids, n_groups = group_ids(batch, by, nest_impl)
+        if n and by:
+            # the account models the logical operator: N1 wide, whatever
+            # the key the groups are computed on (spill.est_nest_bytes)
+            charge_rows(n, len(by), "nest grouping")
+        ids, n_groups = group_ids(batch, key, nest_impl)
         rep = first_occurrences(ids, n_groups)
         metrics.add("linking_evals", n_groups)
         vt, vf = _partitioned_verdict(
@@ -110,17 +120,18 @@ def nest_link(
             counts_passing=strict and link.mark is None,
         )
         order = np.argsort(rep, kind="stable")  # groups in appearance order
+        flat = batch.project(by)  # gather only what the output keeps
         if link.mark is not None:
-            out = batch.take(rep[order]).project(by)
+            out = flat.take(rep[order])
             out = out.with_column(
                 Column(link.mark),
                 Vector(KIND_BOOL, vt[order], (vt | vf)[order]),
             )
         elif strict:
             keep = order[vt[order]]
-            out = batch.take(rep[keep]).project(by)
+            out = flat.take(rep[keep])
         else:
-            out = batch.take(rep[order]).project(by)
+            out = flat.take(rep[order])
             fail = ~vt[order]
             if fail.any():
                 out = _pad_columns(out, pad_refs, fail)
@@ -132,6 +143,16 @@ def nest_link(
                 span.set_max("peak_group", int(np.bincount(ids).max()))
         metrics.add("rows_out", len(out))
     return out
+
+
+def verdict_refs(batch: Batch, link, rid_ref: str) -> List[str]:
+    """The columns of *batch* a group verdict reads: the member rid,
+    the linked attribute and the outer operand."""
+    return [
+        ref
+        for ref in dict.fromkeys((rid_ref, link.inner_ref, link.outer_ref))
+        if ref is not None and batch.schema.has(ref)
+    ]
 
 
 def _partitioned_verdict(
@@ -163,13 +184,7 @@ def _partitioned_verdict(
     vf = np.zeros(n_groups, dtype=bool)
     part_of = ids % k
     # a morsel gathers only the columns the verdict reads
-    members = batch.project(
-        [
-            ref
-            for ref in dict.fromkeys((rid_ref, link.inner_ref, link.outer_ref))
-            if ref is not None and batch.schema.has(ref)
-        ]
-    )
+    members = batch.project(verdict_refs(batch, link, rid_ref))
 
     def verdict(p: int, mspan) -> None:
         idx = np.flatnonzero(part_of == p)

@@ -37,6 +37,7 @@ module.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Union
 
 from .core.feedback import FeedbackStore
@@ -70,6 +71,14 @@ class PreparedQuery:
     @property
     def session(self) -> "Session":
         return self._session
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        """The feedback store's key for this plan (computed once: the
+        analyzed query never changes, and every ``trace()`` needs it)."""
+        from .core.optimizer import plan_fingerprint
+
+        return plan_fingerprint(self.query)
 
     def execute(
         self,
@@ -187,8 +196,6 @@ class PreparedQuery:
         ``"auto"`` executions of structurally equivalent queries re-cost
         with actuals instead of estimates.
         """
-        from .core.optimizer import plan_fingerprint
-
         eff = self._options(
             strategy=strategy, backend=backend, threads=threads,
             timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
@@ -196,7 +203,7 @@ class PreparedQuery:
         )
         with tracing() as trace:
             result = self._run(eff)
-        self._session.feedback.observe(plan_fingerprint(self.query), trace)
+        self._session.feedback.observe(self._fingerprint, trace)
         return result, trace
 
     def _options(self, options=None, **kwargs) -> ExecutionOptions:

@@ -1,0 +1,291 @@
+"""Nest by key (DESIGN §9): Algorithm 1 groups on the path blocks' rids.
+
+The driver hands ``nest_link`` the nesting attribute list N1 (``by``)
+*and* the rid key that decides the groups.  These tests pin the claim
+the change rests on — equality on the key is equality on all of ``by``
+— on both backends, and the kernel properties that make it cheap: no
+value column is factorized inside a nest, at most one sort per nest,
+and the mixed-radix combination cannot overflow.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro
+from repro.core.backend import RowBackend
+from repro.core.compute import NestedRelationalStrategy
+from repro.core.nest import nest, nest_sorted
+from repro.engine import Column, Schema
+from repro.engine.catalog import Database
+from repro.engine.types import row_group_key
+from repro.engine.vector import Batch, Vector, kernels, nestlink
+from repro.engine.vector.backend import VectorBackend
+from repro.fuzz import FuzzConfig, generate_case
+from repro.sql.analyzer import compile_sql
+from repro.tpch import TpchConfig, generate, query3
+
+
+def batch_of(**cols) -> Batch:
+    names = list(cols)
+    vectors = [Vector.from_values(cols[n]) for n in names]
+    return Batch(Schema([Column(n) for n in names]), vectors, len(vectors[0]))
+
+
+def same_partition(ids_a, n_a, ids_b, n_b) -> bool:
+    """Two id arrays label the same grouping of the rows."""
+    pairs = set(zip(ids_a.tolist(), ids_b.tolist()))
+    return n_a == n_b == len(pairs)
+
+
+# --------------------------------------------------------------------- #
+# (b) key ⇔ by on what the driver actually nests
+# --------------------------------------------------------------------- #
+
+
+class Seen:
+    """What a sweep's nests looked like (so the property is not vacuous)."""
+
+    def __init__(self):
+        self.nests = self.marks = self.pads = self.deep = self.shared = 0
+
+    def note(self, by, key, link, strict, n_rows, n_groups):
+        self.nests += 1
+        self.marks += any(r.startswith("_mark") for r in by)
+        self.pads += not strict and link.mark is None
+        self.deep += len(key) >= 3
+        self.shared += n_groups < n_rows
+
+
+def nest_rows_on_key(rel, by, keep, key):
+    """Reference υ that groups on *key* alone: first-seen group order,
+    the group's first row supplies the *by* prefix, members deduplicated
+    in first-seen order — what ``nest`` emits if the key decides *by*."""
+    by_idx, keep_idx, key_idx = (
+        rel.schema.indices_of(refs) for refs in (by, keep, key)
+    )
+    groups: dict = {}
+    for row in rel.rows:
+        gkey = row_group_key(tuple(row[i] for i in key_idx))
+        prefix, members = groups.setdefault(
+            gkey, (tuple(row[i] for i in by_idx), {})
+        )
+        member = tuple(row[i] for i in keep_idx)
+        members.setdefault(row_group_key(member), member)
+    return [
+        prefix + (tuple(members.values()),)
+        for prefix, members in groups.values()
+    ]
+
+
+class CheckingRowBackend(RowBackend):
+    """The row backend groups on all of ``by``; every nest it runs must
+    equal the same nest grouped on the key alone."""
+
+    def __init__(self, seen: Seen):
+        self.seen = seen
+
+    def nest_link(self, rel, by, key, keep, predicate, link, *rest):
+        assert key and set(key) <= set(by)
+        keyed = nest_rows_on_key(rel, by, keep, key)
+        full = nest(rel, by, keep)
+        assert full.rows == keyed
+        # the sorted nest emits the same groups in sort order
+        assert sorted(nest_sorted(rel, by, keep).rows, key=repr) == sorted(
+            keyed, key=repr
+        )
+        strict = rest[1]
+        self.seen.note(by, key, link, strict, len(rel.rows), len(full.rows))
+        return super().nest_link(rel, by, key, keep, predicate, link, *rest)
+
+
+class CheckingVectorBackend(VectorBackend):
+    """Factorizes every nest input on the key and on all of ``by``."""
+
+    def __init__(self, seen: Seen, threads: int):
+        super().__init__(threads=threads, min_partition_rows=1)
+        self.seen = seen
+
+    def nest_link(self, rel, by, key, keep, predicate, link, *rest):
+        assert key and set(key) <= set(by)
+        for method in ("sorted", "hash"):
+            ids_k, n_k = kernels.group_ids(rel, key, method)
+            ids_b, n_b = kernels.group_ids(rel, by, method)
+            assert same_partition(ids_k, n_k, ids_b, n_b), (method, by, key)
+        strict = rest[1]
+        self.seen.note(by, key, link, strict, len(rel), n_b)
+        return super().nest_link(rel, by, key, keep, predicate, link, *rest)
+
+
+def fuzz_case(seed: int, iteration: int, duplicate: bool):
+    """A generated (query, database): NULL-heavy, tree-shaped, depth 3,
+    with disjunctive links (marks ride in ``by``) and negative links
+    above (σ* pads).  *duplicate* drops the primary keys and repeats
+    rows, so distinct outer tuples carry identical values."""
+    config = FuzzConfig(
+        seed=seed,
+        max_depth=3,
+        null_rate=0.4,
+        tree_probability=0.4,
+        disjunction_probability=0.4,
+        aggregate_probability=0.1,
+        group_probability=0.05,
+        root_group_probability=0.0,
+    )
+    case = generate_case(config, iteration)
+    db = Database()
+    for table in case.db_spec.tables:
+        rows = table.rows + table.rows[:3] if duplicate else table.rows
+        db.create_table(
+            table.name,
+            [Column("k", not_null=True), Column("a"), Column("b")],
+            rows,
+        )
+    return compile_sql(case.sql, db), db
+
+
+def run_checked(backend, query, db):
+    for nest_impl in ("hash", "sorted"):
+        NestedRelationalStrategy(
+            backend=backend, nest_impl=nest_impl
+        ).execute(query, db)
+
+
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 16), st.integers(0, 50), st.booleans())
+def test_row_nest_equals_the_nest_grouped_on_the_key(seed, it, duplicate):
+    query, db = fuzz_case(seed, it, duplicate)
+    run_checked(CheckingRowBackend(Seen()), query, db)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@PROPERTY
+@given(st.integers(0, 2 ** 16), st.integers(0, 50), st.booleans())
+def test_vector_key_ids_induce_the_partition_of_by(threads, seed, it, duplicate):
+    query, db = fuzz_case(seed, it, duplicate)
+    run_checked(CheckingVectorBackend(Seen(), threads), query, db)
+
+
+def test_the_generators_reach_marks_pads_depth_and_duplicates():
+    """The regimes the invariant has to survive all occur in a sweep."""
+    seen = Seen()
+    for iteration in range(120):
+        query, db = fuzz_case(3, iteration, duplicate=iteration % 2 == 0)
+        run_checked(CheckingRowBackend(seen), query, db)
+        run_checked(CheckingVectorBackend(seen, 1), query, db)
+    assert seen.nests > 400
+    assert min(seen.marks, seen.pads, seen.deep, seen.shared) >= 10, vars(seen)
+
+
+def test_duplicate_valued_outer_rows_stay_distinct_groups():
+    """Bag semantics: the key is the rid, not a value key."""
+    rel = repro.engine.Relation(
+        Schema([Column("a"), Column("_rid0"), Column("b"), Column("_rid1")]),
+        [(7, 0, 1, 0), (7, 1, 1, 0), (7, 1, 2, 1)],
+    )
+    by, keep = ["a", "_rid0"], ["b", "_rid1"]
+    expected = [(7, 0, ((1, 0),)), (7, 1, ((1, 0), (2, 1)))]
+    assert nest(rel, by, keep).rows == expected
+    assert nest_rows_on_key(rel, by, keep, ["_rid0"]) == expected
+    batch = batch_of(a=[7, 7, 7], _rid0=[0, 1, 1])
+    ids, n_groups = kernels.group_ids(batch, ["_rid0"], "sorted")
+    assert ids.tolist() == [0, 1, 1] and n_groups == 2
+
+
+# --------------------------------------------------------------------- #
+# (a) what a nest may sort
+# --------------------------------------------------------------------- #
+
+
+def test_no_value_column_is_factorized_inside_a_nest(monkeypatch):
+    """fig8_q3b nests 10-26 columns wide; only its rids may be coded,
+    and each nest sorts at most once."""
+    db = generate(TpchConfig(scale_factor=0.001, seed=2005))
+    prepared = repro.connect(db).prepare(
+        query3("all", "not exists", "b", 1, 30, 6000, 25)
+    )
+    depth = [0]
+    count = {"nests": 0, "codes": 0, "sorts": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            count[name] += depth[0] > 0
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real_nest_link = nestlink.nest_link
+
+    def nest_link(*args, **kwargs):
+        count["nests"] += 1
+        depth[0] += 1
+        try:
+            return real_nest_link(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(nestlink, "nest_link", nest_link)
+    monkeypatch.setattr(Vector, "codes", counting("codes", Vector.codes))
+    monkeypatch.setattr(np, "unique", counting("sorts", np.unique))
+    result = prepared.execute(strategy="nested-relational-vectorized")
+    assert len(result.rows) > 0
+    assert count["nests"] >= 2
+    assert count["codes"] == 0
+    assert count["sorts"] <= count["nests"]
+
+
+# --------------------------------------------------------------------- #
+# (c) the mixed-radix combination
+# --------------------------------------------------------------------- #
+
+
+class TestGroupCodes:
+    def test_three_wide_domains_do_not_overflow(self):
+        """Three rid columns with domains ≥ 2**21 each: the plain radix
+        product passes 2**63, so ids are re-densified on the way."""
+        rng = np.random.default_rng(14)
+        n = 4000
+        cols = {
+            name: rng.choice(
+                np.array([0, 1, 2 ** 21, 2 ** 22 + 5, 2 ** 40]), size=n
+            ).tolist()
+            for name in ("r0", "r1", "r2")
+        }
+        cols["r2"][::7] = [repro.engine.NULL] * len(cols["r2"][::7])
+        batch = batch_of(**cols)
+        ids, n_groups = kernels.group_ids(batch, list(cols), "sorted")
+        ref, n_ref = kernels.group_ids(batch, list(cols), "hash")
+        assert ids.min() == 0 and ids.max() == n_groups - 1
+        assert len(np.unique(ids)) == n_groups
+        assert same_partition(ids, n_groups, ref, n_ref)
+
+    def test_negative_and_null_ints_are_offset_coded(self):
+        batch = batch_of(a=[-5, repro.engine.NULL, 3, -5, repro.engine.NULL])
+        ids, n_groups = kernels.group_ids(batch, ["a"], "sorted")
+        assert n_groups == 3
+        assert ids[0] == ids[3] and ids[1] == ids[4]
+        assert len({ids[0], ids[1], ids[2]}) == 3
+
+    def test_int_range_too_wide_to_offset_still_groups(self):
+        lo, hi = -(2 ** 62), 2 ** 62
+        batch = batch_of(a=[lo, hi, lo, 0])
+        ids, n_groups = kernels.group_ids(batch, ["a"], "sorted")
+        assert n_groups == 3 and ids[0] == ids[2]
+
+    def test_sparse_domain_takes_the_sort_path(self):
+        batch = batch_of(a=[10 ** 9, 5, 10 ** 9, 7])
+        ids, n_groups = kernels.group_ids(batch, ["a"], "sorted")
+        assert ids.tolist() == [2, 0, 2, 1] and n_groups == 3
+
+    def test_first_occurrences_is_the_minimum_row_per_group(self):
+        ids = np.array([2, 0, 2, 1, 0, 1, 2])
+        assert kernels.first_occurrences(ids, 3).tolist() == [1, 3, 0]
+        assert kernels.first_occurrences(ids[:0], 0).tolist() == []
