@@ -225,14 +225,14 @@ class RowBackend:
         or NULL-pads *pad_refs* (pseudo σ*), and finally projects the
         consumed mark columns away.
         """
-        from ..engine.expressions import EvalContext, truth
+        from ..engine.expressions import bind_truth
 
         keep_refs = [n for n in rel.schema.names if n not in set(mark_refs)]
         keep_positions = rel.schema.indices_of(keep_refs)
         out_schema = rel.schema.project(keep_refs)
         pad_positions = set(out_schema.indices_of(pad_refs))
         metrics = current_metrics()
-        ctx = EvalContext.single(rel.schema, ())
+        holds = bind_truth(residual, rel.schema)
         out_rows = []
         with op_span(
             "linking-residual",
@@ -241,7 +241,7 @@ class RowBackend:
         ) as span:
             for row in rel.rows:
                 metrics.add("linking_evals")
-                passed = truth(residual, ctx.with_row(rel.schema, row)).is_true()
+                passed = holds(row).is_true()
                 flat = tuple(row[i] for i in keep_positions)
                 if passed:
                     out_rows.append(flat)

@@ -340,7 +340,7 @@ def _group_root_output(result: Relation, root) -> Relation:
     A global aggregate over zero input rows still yields one row (COUNT
     becomes 0, every other aggregate NULL).
     """
-    from ..engine.expressions import EvalContext, truth
+    from ..engine.expressions import bind_truth
     from ..engine.operators.aggregate import AggSpec, GroupAggregate
     from ..engine.types import NULL
 
@@ -357,12 +357,7 @@ def _group_root_output(result: Relation, root) -> Relation:
             ],
         )
     if root.having is not None:
-        kept = [
-            row
-            for row in grouped.rows
-            if truth(
-                root.having, EvalContext.single(grouped.schema, row)
-            ).is_true()
-        ]
+        holds = bind_truth(root.having, grouped.schema)
+        kept = [row for row in grouped.rows if holds(row).is_true()]
         grouped = Relation(grouped.schema, kept)
     return grouped.project(root.output_refs)

@@ -25,8 +25,8 @@ from ..engine.catalog import Database
 from ..engine.expressions import (
     Col,
     Comparison,
-    EvalContext,
     Expr,
+    bind_truth,
     conjoin,
     split_conjuncts,
 )
@@ -113,18 +113,13 @@ def grouped_subquery_relation(block: QueryBlock, joined: Relation) -> Relation:
     columns (the linked attribute is required to be one of them; the
     aggregate columns only feed HAVING).
     """
-    from ..engine.expressions import truth
     from ..engine.operators.aggregate import AggSpec, GroupAggregate
 
     aggs = [AggSpec(a.func, a.arg, name=a.name) for a in block.aggregates]
     grouped = GroupAggregate(joined, list(block.group_by), aggs).run()
     if block.having is not None:
-        ctx = EvalContext.single(grouped.schema, ())
-        rows = [
-            row
-            for row in grouped.rows
-            if truth(block.having, ctx.with_row(grouped.schema, row)).is_true()
-        ]
+        holds = bind_truth(block.having, grouped.schema)
+        rows = [row for row in grouped.rows if holds(row).is_true()]
         grouped = Relation(grouped.schema, rows)
     return grouped.project(list(block.group_by))
 

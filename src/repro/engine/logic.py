@@ -26,6 +26,12 @@ is written in terms of them:
 * :func:`repro.engine.expressions._truth` (NULL-as-predicate coercion),
 * :func:`repro.engine.vector.exprs.compare_vectors` (mask pairs, where
   2VL collapses ``false_mask`` to ``~true_mask``).
+
+The bound closures of :func:`repro.engine.expressions.bind_truth` are
+the first two with the flag read ahead of the loop: a row operator binds
+at the top of its ``_iterate``, inside the execution's scope, asks
+:func:`two_valued` once, and the closure carries the answer (FALSE or
+UNKNOWN for a NULL operand) for that run only.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...errors import ExecutionError
-from ..expressions import EvalContext, Expr, truth
+from ..expressions import Expr, bind_truth
 from ..metrics import current_metrics
 from ..relation import Relation, Row
 from ..trace import CONTRACT_FILTERING, op_span
@@ -81,12 +81,10 @@ class GroupAggregate:
         source: Relation,
         group_refs: Sequence[str],
         aggs: Sequence[AggSpec],
-        outer_ctx: Optional[EvalContext] = None,
     ):
         self.source = source
         self.group_refs = list(group_refs)
         self.aggs = list(aggs)
-        self.outer_ctx = outer_ctx or EvalContext()
 
     def run(self) -> Relation:
         with op_span(
@@ -124,20 +122,22 @@ class GroupAggregate:
             Column(a.name) for a in self.aggs
         ]
         out_rows: List[Row] = []
-        base_ctx = self.outer_ctx.push(schema, ())
+        holds = [
+            None if a.predicate is None else bind_truth(a.predicate, schema)
+            for a in self.aggs
+        ]
         for key in order:
             rows = groups[key]
             rep = reps[key]
             prefix = tuple(rep[i] for i in group_idx)
             agg_values: List[SqlValue] = []
-            for spec, ai in zip(self.aggs, arg_idx):
+            for spec, ai, test in zip(self.aggs, arg_idx, holds):
                 if spec.func in ("bool_and", "bool_or"):
-                    if spec.predicate is None:
+                    if test is None:
                         raise ExecutionError(f"{spec.func} needs a predicate")
                     outcome = TRUE if spec.func == "bool_and" else FALSE
                     for row in rows:
-                        ctx = base_ctx.with_row(schema, row)
-                        t = truth(spec.predicate, ctx)
+                        t = test(row)
                         outcome = (outcome & t) if spec.func == "bool_and" else (outcome | t)
                     agg_values.append(_tri_to_value(outcome))
                 elif spec.func == "count_star":
@@ -151,12 +151,9 @@ class GroupAggregate:
         return Relation(Schema(out_columns), out_rows)
 
 
-def scalar_aggregate(
-    source: Relation, spec: AggSpec, outer_ctx: Optional[EvalContext] = None
-) -> SqlValue:
+def scalar_aggregate(source: Relation, spec: AggSpec) -> SqlValue:
     """Aggregate an entire relation to a single value (no grouping)."""
-    agg = GroupAggregate(source, [], [spec], outer_ctx=outer_ctx)
-    result = agg.run()
+    result = GroupAggregate(source, [], [spec]).run()
     if not result.rows:
         # No input rows at all: COUNT -> 0, others -> NULL.
         return 0 if spec.func in ("count", "count_star") else NULL

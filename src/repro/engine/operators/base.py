@@ -119,10 +119,16 @@ class RelationSource(Operator):
         return {"table": "/".join(sorted(tables))} if tables else {}
 
     def _iterate(self) -> Iterator[Row]:
-        metrics = current_metrics()
-        for row in self._input(self.relation.rows):
-            metrics.add("rows_scanned")
-            yield row
+        scanned = 0
+        try:
+            for row in self._input(self.relation.rows):
+                scanned += 1
+                yield row
+        finally:
+            # once per scan; a consumer that stops early (Limit) still
+            # charges the rows it pulled
+            if scanned:
+                current_metrics().add("rows_scanned", scanned)
 
 
 def as_operator(source) -> Operator:

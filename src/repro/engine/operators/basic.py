@@ -10,11 +10,11 @@ from __future__ import annotations
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from ...errors import ExecutionError
-from ..expressions import EvalContext, Expr, truth
+from ..expressions import Expr, bind_truth, bind_value
 from ..metrics import current_metrics
 from ..relation import Relation, Row
 from ..schema import Column, Schema
-from ..types import row_group_key, row_sort_key
+from ..types import TRUE, row_group_key, row_sort_key
 from ..trace import (
     CONTRACT_FILTERING,
     CONTRACT_PRESERVING,
@@ -27,19 +27,17 @@ class Filter(Operator):
 
     trace_contract = CONTRACT_FILTERING
 
-    def __init__(self, source, predicate: Expr, outer: Optional[EvalContext] = None):
+    def __init__(self, source, predicate: Expr):
         self.source = as_operator(source)
         self.predicate = predicate
-        self.outer = outer or EvalContext()
         self.schema = self.source.schema
 
     def _iterate(self) -> Iterator[Row]:
         metrics = current_metrics()
-        base_ctx = self.outer.push(self.schema, ())
+        holds = bind_truth(self.predicate, self.schema)
         for row in self._input(self.source):
             metrics.add("predicate_evals")
-            ctx = base_ctx.with_row(self.schema, row)
-            if truth(self.predicate, ctx).is_true():
+            if holds(row) is TRUE:
                 self._emit()
                 yield row
 
@@ -67,24 +65,18 @@ class Map(Operator):
 
     trace_contract = CONTRACT_PRESERVING
 
-    def __init__(self, source, exprs: Sequence[Expr], columns: Sequence[Column],
-                 outer: Optional[EvalContext] = None):
+    def __init__(self, source, exprs: Sequence[Expr], columns: Sequence[Column]):
         if len(exprs) != len(columns):
             raise ExecutionError("Map needs one output column per expression")
         self.source = as_operator(source)
         self.exprs = list(exprs)
-        self.outer = outer or EvalContext()
         self.schema = Schema(columns)
 
     def _iterate(self) -> Iterator[Row]:
-        from ..expressions import _value
-
-        src_schema = self.source.schema
-        base_ctx = self.outer.push(src_schema, ())
+        values = [bind_value(e, self.source.schema) for e in self.exprs]
         for row in self._input(self.source):
-            ctx = base_ctx.with_row(src_schema, row)
             self._emit()
-            yield tuple(_value(e, ctx) for e in self.exprs)
+            yield tuple(value(row) for value in values)
 
 
 class Distinct(Operator):

@@ -20,12 +20,13 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...errors import ExecutionError
-from ..expressions import EvalContext, Expr, truth
+from ..expressions import Expr, bind_truth
+from ..governor import charge_rows, checkpoint
 from ..index import HashIndex
 from ..metrics import current_metrics
 from ..relation import Relation, Row
 from ..schema import Schema
-from ..types import NULL, is_null, row_group_key
+from ..types import NULL, TRUE, is_null, row_group_key
 from ..trace import CONTRACT_EXPANDING, CONTRACT_FILTERING
 from .base import Operator, as_operator, as_relation
 
@@ -40,7 +41,6 @@ class JoinSpec:
         left_keys: Sequence[str],
         right_keys: Sequence[str],
         residual: Optional[Expr] = None,
-        outer_ctx: Optional[EvalContext] = None,
     ):
         if len(left_keys) != len(right_keys):
             raise ExecutionError("left/right key lists must have equal length")
@@ -49,29 +49,37 @@ class JoinSpec:
         self.left_keys = list(left_keys)
         self.right_keys = list(right_keys)
         self.residual = residual
-        self.outer_ctx = outer_ctx or EvalContext()
         self.left_idx = self.left.schema.indices_of(self.left_keys)
         self.right_idx = self.right.schema.indices_of(self.right_keys)
         self.combined = self.left.schema.concat(self.right.schema)
 
     def build(self) -> Dict[tuple, List[Row]]:
-        """Hash the right input on its key columns (NULL keys skipped)."""
-        from ..governor import charge_rows, checkpoint
-
+        """Hash the right input on its key columns (NULL keys skipped)
+        and bind the residual for this run's :meth:`matches` calls."""
+        self._residual_holds = (
+            None
+            if self.residual is None
+            else bind_truth(self.residual, self.combined)
+        )
         checkpoint("hash-build")
         charge_rows(
             len(self.right.rows), len(self.right.schema), "hash-join build"
         )
-        metrics = current_metrics()
         table: Dict[tuple, List[Row]] = {}
-        for n, row in enumerate(self.right.rows, 1):
-            if not n % 2048:
-                checkpoint("hash-build")
-            metrics.add("hash_build_rows")
-            key_vals = tuple(row[i] for i in self.right_idx)
-            if any(is_null(v) for v in key_vals):
-                continue
-            table.setdefault(row_group_key(key_vals), []).append(row)
+        built = 0
+        try:
+            for row in self.right.rows:
+                if not (built + 1) % 2048:
+                    checkpoint("hash-build")
+                built += 1
+                key_vals = tuple(row[i] for i in self.right_idx)
+                if any(is_null(v) for v in key_vals):
+                    continue
+                table.setdefault(row_group_key(key_vals), []).append(row)
+        finally:
+            # once per build; a cancelled build still charges its rows
+            if built:
+                current_metrics().add("hash_build_rows", built)
         return table
 
     def right_rows(self) -> List[Row]:
@@ -89,16 +97,11 @@ class JoinSpec:
         else:
             candidates = self.right.rows
             metrics.add("rows_scanned", len(candidates))
-        if self.residual is None:
+        holds = self._residual_holds
+        if holds is None or not candidates:
             return candidates
-        out = []
-        base_ctx = self.outer_ctx.push(self.combined, ())
-        for right_row in candidates:
-            metrics.add("predicate_evals")
-            ctx = base_ctx.with_row(self.combined, left_row + right_row)
-            if truth(self.residual, ctx).is_true():
-                out.append(right_row)
-        return out
+        metrics.add("predicate_evals", len(candidates))
+        return [r for r in candidates if holds(left_row + r) is TRUE]
 
 
 class _HashJoinBase(Operator):
@@ -125,9 +128,8 @@ class HashJoin(_HashJoinBase):
     """Inner equi-join with optional residual predicate."""
 
     def __init__(self, left, right, left_keys, right_keys,
-                 residual: Optional[Expr] = None,
-                 outer_ctx: Optional[EvalContext] = None):
-        self.spec = JoinSpec(left, right, left_keys, right_keys, residual, outer_ctx)
+                 residual: Optional[Expr] = None):
+        self.spec = JoinSpec(left, right, left_keys, right_keys, residual)
         self.schema = self.spec.combined
 
     def _iterate(self) -> Iterator[Row]:
@@ -151,9 +153,8 @@ class LeftOuterHashJoin(_HashJoinBase):
     trace_contract = CONTRACT_EXPANDING
 
     def __init__(self, left, right, left_keys, right_keys,
-                 residual: Optional[Expr] = None,
-                 outer_ctx: Optional[EvalContext] = None):
-        self.spec = JoinSpec(left, right, left_keys, right_keys, residual, outer_ctx)
+                 residual: Optional[Expr] = None):
+        self.spec = JoinSpec(left, right, left_keys, right_keys, residual)
         self.schema = self.spec.combined
         self._pad = (NULL,) * len(self.spec.right.schema)
 
@@ -179,9 +180,8 @@ class SemiJoin(_HashJoinBase):
     trace_contract = CONTRACT_FILTERING
 
     def __init__(self, left, right, left_keys, right_keys,
-                 residual: Optional[Expr] = None,
-                 outer_ctx: Optional[EvalContext] = None):
-        self.spec = JoinSpec(left, right, left_keys, right_keys, residual, outer_ctx)
+                 residual: Optional[Expr] = None):
+        self.spec = JoinSpec(left, right, left_keys, right_keys, residual)
         self.schema = self.spec.left.schema
 
     def _iterate(self) -> Iterator[Row]:
@@ -205,9 +205,8 @@ class AntiJoin(_HashJoinBase):
     trace_contract = CONTRACT_FILTERING
 
     def __init__(self, left, right, left_keys, right_keys,
-                 residual: Optional[Expr] = None,
-                 outer_ctx: Optional[EvalContext] = None):
-        self.spec = JoinSpec(left, right, left_keys, right_keys, residual, outer_ctx)
+                 residual: Optional[Expr] = None):
+        self.spec = JoinSpec(left, right, left_keys, right_keys, residual)
         self.schema = self.spec.left.schema
 
     def _iterate(self) -> Iterator[Row]:
@@ -277,11 +276,10 @@ class NestedLoopJoin(Operator):
     """
 
     def __init__(self, left, right, predicate: Optional[Expr] = None,
-                 outer_ctx: Optional[EvalContext] = None, outer: bool = False):
+                 outer: bool = False):
         self.left = as_operator(left)
         self.right = as_relation(right)
         self.predicate = predicate
-        self.outer_ctx = outer_ctx or EvalContext()
         self.outer = outer
         if outer:
             self.trace_contract = CONTRACT_EXPANDING
@@ -290,16 +288,19 @@ class NestedLoopJoin(Operator):
 
     def _iterate(self) -> Iterator[Row]:
         metrics = current_metrics()
-        base_ctx = self.outer_ctx.push(self.schema, ())
+        holds = (
+            None
+            if self.predicate is None
+            else bind_truth(self.predicate, self.schema)
+        )
         for left_row in self._input(self.left):
             matched = False
             for right_row in self.right.rows:
                 metrics.add("rows_scanned")
                 combined = left_row + right_row
-                if self.predicate is not None:
+                if holds is not None:
                     metrics.add("predicate_evals")
-                    ctx = base_ctx.with_row(self.schema, combined)
-                    if not truth(self.predicate, ctx).is_true():
+                    if holds(combined) is not TRUE:
                         continue
                 matched = True
                 self._emit()
@@ -325,14 +326,12 @@ class IndexNestedLoopJoin(Operator):
         index: HashIndex,
         left_probe_keys: Sequence[str],
         residual: Optional[Expr] = None,
-        outer_ctx: Optional[EvalContext] = None,
         outer: bool = False,
     ):
         self.left = as_operator(left)
         self.index = index
         self.left_probe_idx = self.left.schema.indices_of(left_probe_keys)
         self.residual = residual
-        self.outer_ctx = outer_ctx or EvalContext()
         self.outer = outer
         if outer:
             self.trace_contract = CONTRACT_EXPANDING
@@ -342,16 +341,19 @@ class IndexNestedLoopJoin(Operator):
 
     def _iterate(self) -> Iterator[Row]:
         metrics = current_metrics()
-        base_ctx = self.outer_ctx.push(self.schema, ())
+        holds = (
+            None
+            if self.residual is None
+            else bind_truth(self.residual, self.schema)
+        )
         for left_row in self._input(self.left):
             probe = tuple(left_row[i] for i in self.left_probe_idx)
             matched = False
             for inner_row in self.index.probe(probe):
                 combined = left_row + inner_row
-                if self.residual is not None:
+                if holds is not None:
                     metrics.add("predicate_evals")
-                    ctx = base_ctx.with_row(self.schema, combined)
-                    if not truth(self.residual, ctx).is_true():
+                    if holds(combined) is not TRUE:
                         continue
                 matched = True
                 self._emit()

@@ -21,6 +21,7 @@ import datetime
 import enum
 from typing import Any, Iterable, Union
 
+from ..errors import TypeError_
 from .logic import two_valued
 
 
@@ -173,8 +174,6 @@ def sql_compare(op: str, left: SqlValue, right: SqlValue) -> TriBool:
     FALSE.  Comparing incompatible types raises
     :class:`repro.errors.TypeError_` rather than guessing.
     """
-    from ..errors import TypeError_
-
     if left is NULL or right is NULL:
         return TriBool.FALSE if two_valued() else TriBool.UNKNOWN
     if not _comparable(left, right):
