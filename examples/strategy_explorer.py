@@ -19,7 +19,8 @@ from repro.baselines import (
     CountRewriteStrategy,
 )
 from repro.baselines.native import SystemAEmulationStrategy
-from repro.core.planner import choose_strategy, make_strategy
+from repro.core.optimizer import choose
+from repro.core.planner import make_strategy
 from repro.engine import Column, Database, NULL
 from repro.engine.metrics import collect
 from repro.errors import PlanError, UnsoundRewriteError
@@ -101,7 +102,7 @@ def main() -> None:
         print(f"{label}")
         print("=" * 72)
         print(query.describe())
-        print(f"auto picks: {type(choose_strategy(query)).__name__}")
+        print(f"auto picks: {choose(query, db, backend='row').chosen}")
         if query.nesting_depth > 0:
             print("System A plan:")
             print(
@@ -114,7 +115,6 @@ def main() -> None:
         print(f"{'strategy':40s} {'rows':>5s} {'weighted cost':>14s}")
         for name in ALL_STRATEGIES:
             strategy = make_strategy(name)
-            applicable = getattr(strategy, "applicable", None)
             try:
                 with collect() as metrics:
                     result = strategy.execute(query, db).sorted()

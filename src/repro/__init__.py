@@ -50,12 +50,10 @@ from .core import (
     NestedQuery,
     NestedRelation,
     NestedRelationalStrategy,
-    OptimizedNestedRelationalStrategy,
     QueryBlock,
     SetPredicate,
     TreeExpression,
     available_strategies,
-    choose_strategy,
     linking_selection,
     nest,
     nest_sorted,
@@ -100,9 +98,7 @@ __all__ = [
     "linking_selection",
     "pseudo_selection",
     "NestedRelationalStrategy",
-    "OptimizedNestedRelationalStrategy",
     "available_strategies",
-    "choose_strategy",
     "compile_sql",
     "parse",
     "connect",

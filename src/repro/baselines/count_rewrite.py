@@ -19,7 +19,7 @@ with a grouped aggregation — a "double computation" that the MD-join
 needs care to avoid (paper Section 2).
 
 Scope: linear, linearly correlated queries evaluated bottom-up (the same
-precondition as :class:`~repro.core.optimized.BottomUpLinearStrategy`);
+precondition as the ``bottom-up`` rule of :mod:`repro.core.compute`);
 other shapes raise :class:`~repro.errors.PlanError`, mirroring the paper's
 remark that the MD-join "only commutes with other joins and selections in
 a selective manner".

@@ -244,44 +244,24 @@ def measure_strategy(
 
 
 def intermediate_result_size(query: NestedQuery, db: Database) -> int:
-    """Rows in the fully outer-joined intermediate relation.
+    """Rows in the widest relation Algorithm 1 nests: for a linear query
+    the fully outer-joined intermediate relation.
 
     This is the main cost parameter the paper reports ("one of the main
-    parameters we use is the size of the intermediate result").
+    parameters we use is the size of the intermediate result").  Read off
+    a traced execution: every way up starts with a ``nest`` over the
+    accumulated join.  A query that never nests (flat, or only
+    non-correlated subqueries, which are executed once and never joined)
+    has just its reduced outer block.
     """
-    from ..core.optimized import OptimizedNestedRelationalStrategy
+    from ..core.planner import run_traced
 
-    reduced = reduce_all(query, db)
-    chain = list(query.root.walk())
-    if len(chain) == 1:
-        return len(reduced[1].relation)
-    if query.is_linear:
-        strategy = OptimizedNestedRelationalStrategy()
-        joined = strategy._join_chain(chain, reduced)
-        return len(joined)
-    # tree query: accumulate the join the original algorithm performs
-    total = 0
-    from ..engine.operators import LeftOuterHashJoin, CrossJoin, as_relation
-    from ..engine.expressions import conjoin
-
-    rel = reduced[query.root.index].relation
-    for child in query.root.walk():
-        if child is query.root:
-            continue
-        crel = reduced[child.index]
-        equi = [c for c in child.correlations if c.is_equality]
-        other = [c for c in child.correlations if not c.is_equality]
-        residual = conjoin([c.as_expr() for c in other]) if other else None
-        rel = as_relation(
-            LeftOuterHashJoin(
-                rel,
-                crel.relation,
-                [c.outer_ref for c in equi],
-                [c.inner_ref for c in equi],
-                residual=residual,
-            )
-        )
-    return len(rel)
+    _result, trace = run_traced(query, db, strategy="nested-relational")
+    nested = [span.counters["rows_in"] for span in trace.find("nest")]
+    if nested:
+        return max(nested)
+    root = trace.find(f"reduce[T{query.root.index}]")[0]
+    return root.counters["rows_out"]
 
 
 def block_sizes(query: NestedQuery, db: Database) -> Tuple[int, ...]:
@@ -317,76 +297,48 @@ def processing_profile(
 ) -> ProcessingProfile:
     """Isolate the nest + linking-selection stage for a *linear* query.
 
-    Both variants are timed directly over the same pre-joined
-    intermediate relation (reduction and outer joins excluded), exactly
-    the quantity the paper reports as "the processing time of nest and
+    Both variants run the whole query under tracing and only the way-up
+    spans are summed (reduction and outer joins excluded): exactly the
+    quantity the paper reports as "the processing time of nest and
     linking selection".  Original = one sort-based nest plus one linking
     selection per level (two passes per level); optimized = the fused
-    single-pass pipeline.
+    single-pass pipeline, whose input is the intermediate result.
     """
-    from ..core.compute import set_predicate_for
-    from ..core.nest import nest_sorted
-    from ..core.optimized import (
-        OptimizedNestedRelationalStrategy,
-        _single_pass,
-    )
-    from ..core.selection import linking_selection, pseudo_selection
+    from ..core.planner import run_traced
 
     query = repro.compile_sql(sql, db)
     if not query.is_linear:
         raise InvalidArgumentError("processing_profile requires a linear query")
-    chain = list(query.root.walk())
-    reduced = reduce_all(query, db)
-    joined = OptimizedNestedRelationalStrategy()._join_chain(chain, reduced)
 
-    owner: Dict[str, int] = {}
-    for idx, rb in reduced.items():
-        for ref in rb.attr_refs:
-            owner[ref] = idx
-
-    def original_stage() -> None:
-        rel = joined
-        for level in range(len(chain) - 1, 0, -1):
-            child = chain[level]
-            link = child.link
-            assert link is not None
-            crel = reduced[child.index]
-            path_indices = {b.index for b in chain[:level]}
-            by = [r for r in rel.schema.names if owner.get(r) in path_indices]
-            keep = [r for r in ((link.inner_ref,) if link.inner_ref else ())]
-            keep.append(crel.rid_ref)
-            nested = nest_sorted(rel, by, keep)
-            predicate = set_predicate_for(link)
-            if level == 1:
-                rel = linking_selection(
-                    nested, predicate, link.outer_ref, link.inner_ref,
-                    pk_ref=crel.rid_ref,
-                )
-            else:
-                node = chain[level - 1]
-                pad = [r for r in by if owner.get(r) == node.index]
-                rel = pseudo_selection(
-                    nested, predicate, link.outer_ref, link.inner_ref,
-                    pk_ref=crel.rid_ref, pad_refs=pad,
-                )
-
-    def optimized_stage() -> None:
-        _single_pass(chain, reduced, joined)
-
-    def best(fn) -> float:
-        times = []
+    def way_up(strategy: str, *span_names: str) -> Tuple[float, int]:
+        """Best-of-*repeats* summed wall time of the named spans, and the
+        rows entering the first of them."""
+        best: Optional[float] = None
+        rows_in = 0
         for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
+            _result, trace = run_traced(query, db, strategy=strategy)
+            spans = [s for s in trace.spans() if s.name in span_names]
+            seconds = sum(s.wall_seconds for s in spans)
+            if best is None or seconds < best:
+                best = seconds
+            if spans:
+                rows_in = spans[0].counters["rows_in"]
+        assert best is not None
+        return best, rows_in
 
+    original, _ = way_up(
+        "nested-relational-sorted",
+        "nest", "linking-selection", "pseudo-selection",
+    )
+    optimized, intermediate = way_up(
+        "nested-relational-optimized", "single-pass-link"
+    )
     sizes = block_sizes(query, db)
     return ProcessingProfile(
         label="/".join(str(s) for s in sizes),
-        intermediate_rows=len(joined),
-        original_seconds=best(original_stage) if len(chain) > 1 else 0.0,
-        optimized_seconds=best(optimized_stage) if len(chain) > 1 else 0.0,
+        intermediate_rows=intermediate or sizes[0],
+        original_seconds=original,
+        optimized_seconds=optimized,
     )
 
 

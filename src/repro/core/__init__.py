@@ -17,16 +17,7 @@ from .selection import linking_selection, pseudo_selection
 from .query_tree import TreeExpression
 from .reduce import ReducedBlock, reduce_all, reduce_block
 from .compute import NestedRelationalStrategy, set_predicate_for
-from .optimized import (
-    BottomUpLinearStrategy,
-    OptimizedNestedRelationalStrategy,
-    PositiveRewriteStrategy,
-)
-from .planner import (
-    available_strategies,
-    choose_strategy,
-    make_strategy,
-)
+from .planner import available_strategies, make_strategy
 from .feedback import FeedbackStore
 from .optimizer import CandidatePlan, PlannerDecision, choose, plan_fingerprint
 from .plan import Plan, build_plan
@@ -63,11 +54,7 @@ __all__ = [
     "reduce_block",
     "NestedRelationalStrategy",
     "set_predicate_for",
-    "OptimizedNestedRelationalStrategy",
-    "BottomUpLinearStrategy",
-    "PositiveRewriteStrategy",
     "available_strategies",
-    "choose_strategy",
     "make_strategy",
     "FeedbackStore",
     "CandidatePlan",

@@ -31,6 +31,19 @@ A backend supplies:
     project to the SELECT list and return a plain
     :class:`~repro.engine.relation.Relation`.
 
+The §4.2 rules of the driver each need one more physical operator; a
+backend that lacks the method cannot run the rule (the strategy
+constructor checks), and today only the row engine has them:
+
+``fused_link``
+    *fuse-links* — one sort + one scan evaluating every link of a
+    joined run (§4.2.1-2).
+``pushdown_link``
+    *nest-pushdown* — nest the child by its join attributes, probe per
+    outer tuple (§4.2.4).
+``semi_join``
+    *semijoin-positive* — a positive link as a semijoin (§4.2.5).
+
 The driver never inspects rows or columns itself, so semantics are fixed
 by the shared plan and the backends can only differ in physical layout
 and cost.
@@ -42,7 +55,12 @@ from typing import Optional, Sequence
 
 from ..engine.catalog import Database
 from ..engine.metrics import current_metrics
-from ..engine.operators import LeftOuterHashJoin, OuterCrossJoin, as_relation
+from ..engine.operators import (
+    LeftOuterHashJoin,
+    OuterCrossJoin,
+    SemiJoin,
+    as_relation,
+)
 from ..engine.relation import Relation
 from ..engine.schema import Column, Schema
 from ..engine.trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
@@ -53,9 +71,11 @@ from .nest import nest, nest_sorted
 from .reduce import reduce_all
 from .selection import (
     _tri_value,
+    fused_linking_selection,
     linking_selection,
     mark_selection,
     pseudo_selection,
+    pushdown_linking_selection,
 )
 
 
@@ -139,6 +159,46 @@ class RowBackend:
             link.inner_ref,
             pk_ref=rid_ref,
             pad_refs=list(pad_refs),
+        )
+
+    # -- the §4.2 rules' operators --------------------------------------- #
+
+    def fused_link(
+        self,
+        rel: Relation,
+        rid_refs: Sequence[str],
+        links: Sequence[LinkSpec],
+        predicates: Sequence[SetPredicate],
+    ) -> Relation:
+        return fused_linking_selection(rel, rid_refs, links, predicates)
+
+    def pushdown_link(
+        self,
+        rel: Relation,
+        child: Relation,
+        outer_keys: Sequence[str],
+        inner_keys: Sequence[str],
+        keep: Sequence[str],
+        predicate: SetPredicate,
+        link: LinkSpec,
+        rid_ref: str,
+    ) -> Relation:
+        return pushdown_linking_selection(
+            rel, child, outer_keys, inner_keys, keep, predicate, link, rid_ref
+        )
+
+    def semi_join(
+        self,
+        rel: Relation,
+        child: Relation,
+        outer_keys: Sequence[str],
+        inner_keys: Sequence[str],
+        residual,
+    ) -> Relation:
+        return as_relation(
+            SemiJoin(
+                rel, child, list(outer_keys), list(inner_keys), residual=residual
+            )
         )
 
     # -- virtual Cartesian product -------------------------------------- #

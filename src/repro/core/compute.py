@@ -1,4 +1,5 @@
-"""Algorithm 1 — the original nested relational approach (paper §4.1).
+"""Algorithm 1 — the nested relational approach (paper §4.1) — and its
+§4.2 refinements as *rules* over the one driver.
 
 Processing a nested query with non-aggregate subqueries:
 
@@ -17,14 +18,35 @@ Processing a nested query with non-aggregate subqueries:
    attributes of the blocks on the path (grouping on their rids, which
    determine those attributes) and apply the child's linking
    predicate as a linking selection — strict σ where discarding failing
-   tuples is safe (at the root, or when every unfinished linking
-   predicate above is positive), pseudo σ* (padding the current node's
-   attributes with NULLs) otherwise.
+   tuples is safe, pseudo σ* (padding the current node's attributes with
+   NULLs) otherwise.
 
-Non-correlated subqueries are executed once and their result set shared
-by every outer tuple — the paper's "virtual Cartesian product".  Set
-``virtual_cartesian=False`` to run the textbook algorithm with a real
-Cartesian product instead (useful for differential testing).
+The paper then refines that one algorithm; each refinement is a rule the
+driver consults at the edge where it connects a child, and a strategy is
+a *set* of rules (the registry's ``nested-relational-*`` names are
+presets, see the bottom of this module):
+
+``virtual-cartesian`` (§4.1)
+    a non-correlated subquery is executed once and its result shared by
+    every outer tuple, instead of a real Cartesian product.
+``strict-when-positive`` (§4.1)
+    strict σ also below the root, when every unfinished linking
+    predicate above is positive.
+``fuse-links`` (§4.2.1-2)
+    no nest per level: the whole linear run is joined down first, then
+    one sort by the rid chain and one scan evaluate every link.  Fires
+    on linear, conjunctive queries; others run plain Algorithm 1.
+``bottom-up`` (§4.2.3)
+    the child subtree is evaluated *first*, as its own root, and only
+    its qualified tuples are joined upward.  Needs every correlation to
+    reach the adjacent outer block only (the sub-evaluation has no other
+    block's attributes).
+``nest-pushdown`` (§4.2.4, refines ``bottom-up``)
+    υ(R ⋈ S) = R ⋈ υ(S) on a pure equi-correlation: nest the child by
+    its join attributes, probe one group per outer tuple.
+``semijoin-positive`` (§4.2.5, refines ``bottom-up``)
+    σ_{AθSOME{B}}(υ(R ⟕_C S)) = R ⋉_{C ∧ AθB} S — the classical plan.
+    Needs every link positive.
 
 The approach needs no indexes: only hash (outer) joins, nest and linking
 selections.
@@ -32,20 +54,62 @@ selections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import copy
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..errors import PlanError
 from ..strategies import register
 from ..engine.catalog import Database
-from ..engine.expressions import conjoin
+from ..engine.expressions import Col, Comparison, conjoin
 from ..engine.governor import checkpoint
 from ..engine.relation import Relation
 from .backend import RowBackend
-from .optimizer import cost_nested_relational, cost_nested_relational_sorted
+from .optimizer import (
+    cost_bottomup,
+    cost_nested_relational,
+    cost_nested_relational_sorted,
+    cost_optimized,
+    cost_positive_rewrite,
+)
 from .blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
+from .explain import DescribeBackend
 from .linking import SetPredicate
 from .reduce import ReducedBlock
+
+VIRTUAL_CARTESIAN = "virtual-cartesian"
+STRICT_WHEN_POSITIVE = "strict-when-positive"
+FUSE_LINKS = "fuse-links"
+BOTTOM_UP = "bottom-up"
+NEST_PUSHDOWN = "nest-pushdown"
+SEMIJOIN_POSITIVE = "semijoin-positive"
+
+#: Algorithm 1 as §4.1 states it; every preset starts from these two
+DEFAULT_RULES = frozenset({VIRTUAL_CARTESIAN, STRICT_WHEN_POSITIVE})
+
+#: the §4.2 rules: the backend method each one's physical operator lives
+#: behind, and the line EXPLAIN puts above a plan the rule shaped
+_REFINEMENTS = {
+    FUSE_LINKS: (
+        "fused_link",
+        "single-pass pipeline: all nests fused into one sort by the rid "
+        "chain; linking selections evaluated in one scan",
+    ),
+    BOTTOM_UP: (
+        None,
+        "bottom-up (linear correlation): every subquery is evaluated "
+        "first, as its own root; only qualified tuples are joined upward",
+    ),
+    NEST_PUSHDOWN: (
+        "pushdown_link",
+        "nest push-down: on a pure equi-correlation the child is nested "
+        "by its join attributes before the join",
+    ),
+    SEMIJOIN_POSITIVE: (
+        "semi_join",
+        "positive rewrite (semijoin chain): every positive link becomes "
+        "a semijoin",
+    ),
+}
 
 
 def set_predicate_for(link: LinkSpec) -> SetPredicate:
@@ -67,27 +131,20 @@ def set_predicate_for(link: LinkSpec) -> SetPredicate:
     return SetPredicate(link.quantifier, link.effective_theta)
 
 
-@register(
-    "nested-relational",
-    description="Algorithm 1: reduce, outer-join down, nest + link up (§4.1)",
-    cost=cost_nested_relational,
-)
 class NestedRelationalStrategy:
-    """The original nested relational approach (Algorithm 1).
+    """Algorithm 1 under a set of rules (see the module docstring).
 
     Parameters
     ----------
-    virtual_cartesian:
-        execute non-correlated subqueries once and share the result
-        (paper: "non-correlated subqueries are executed once, and the
-        result is used by every tuple").  When False, a real Cartesian
-        product is used, as in the bare algorithm statement.
+    rules:
+        the rules in force, a subset of the six names above.  Leaving
+        ``virtual-cartesian`` out runs the bare algorithm statement with
+        a real Cartesian product; leaving ``strict-when-positive`` out
+        keeps strict σ for the root only (both useful for differential
+        testing).
     nest_impl:
         ``"hash"`` or ``"sorted"`` — the two physical nest
         implementations (paper Section 5.1 used sorting).
-    strict_when_positive:
-        apply the paper's refinement that strict σ may replace pseudo σ*
-        when every unfinished linking predicate above is positive.
     backend:
         the operator factory executing the plan — defaults to the
         row-iterator engine (:class:`repro.core.backend.RowBackend`);
@@ -99,31 +156,93 @@ class NestedRelationalStrategy:
 
     def __init__(
         self,
-        virtual_cartesian: bool = True,
+        rules: Iterable[str] = DEFAULT_RULES,
         nest_impl: str = "hash",
-        strict_when_positive: bool = True,
         backend=None,
     ):
         if nest_impl not in ("hash", "sorted"):
             raise PlanError(f"unknown nest implementation {nest_impl!r}")
-        self.virtual_cartesian = virtual_cartesian
+        self.rules = frozenset(rules)
         self.nest_impl = nest_impl
-        self.strict_when_positive = strict_when_positive
         self.backend = backend if backend is not None else RowBackend()
+        unknown = self.rules - DEFAULT_RULES - set(_REFINEMENTS)
+        if unknown:
+            raise PlanError(
+                f"unknown rule(s) {sorted(unknown)}; expected a subset of "
+                f"{sorted(DEFAULT_RULES | set(_REFINEMENTS))}"
+            )
+        refining = self.rules & {NEST_PUSHDOWN, SEMIJOIN_POSITIVE}
+        if refining and BOTTOM_UP not in self.rules:
+            raise PlanError(
+                f"{sorted(refining)} refine the bottom-up edge; "
+                f"add {BOTTOM_UP!r}"
+            )
+        if {FUSE_LINKS, BOTTOM_UP} <= self.rules:
+            raise PlanError(
+                f"{FUSE_LINKS!r} and {BOTTOM_UP!r} both replace the way up; "
+                "pick one"
+            )
+        for rule in self.rules & set(_REFINEMENTS):
+            method = _REFINEMENTS[rule][0]
+            if method is not None and not hasattr(self.backend, method):
+                raise PlanError(
+                    f"the {self.backend.kind!r} backend has no {method}; "
+                    f"it cannot run rule {rule!r}"
+                )
 
     # ------------------------------------------------------------------ #
 
+    def applicable(
+        self, query: NestedQuery, db: Optional[Database] = None
+    ) -> Optional[str]:
+        """Why this rule set cannot evaluate *query*; None when it can.
+
+        The guards are whole-query: a rule set either runs every edge of
+        the query or refuses it."""
+        if SEMIJOIN_POSITIVE in self.rules:
+            return _why_not_semijoin_chain(query)
+        if BOTTOM_UP in self.rules:
+            return _why_not_bottom_up(query)
+        return None
+
+    def _rules_for(self, query: NestedQuery) -> frozenset:
+        """The rules that shape *query*'s plan; raises when a guard
+        refuses it.  ``fuse-links`` stands down on tree and disjunctive
+        queries: marked links need the residual combination step, and the
+        single-pass dead-member trick only models conjunctive strictness
+        along one spine."""
+        reason = self.applicable(query)
+        if reason is not None:
+            raise PlanError(reason)
+        if FUSE_LINKS in self.rules and (
+            not query.is_linear or query.has_disjunction
+        ):
+            return self.rules - {FUSE_LINKS}
+        return self.rules
+
     def execute(self, query: NestedQuery, db: Database) -> Relation:
         """Evaluate *query* against *db*, returning the result relation."""
+        rules = self._rules_for(query)
         backend = self.backend
         checkpoint("reduce")
         reduced = backend.reduce_all(query, db)
         owner = _attr_owner_map(reduced)
         root = query.root
         rel = reduced[root.index].relation
-        rel = self._compute(root, rel, [root], reduced, owner)
+        rel = self._compute(root, rel, [root], reduced, owner, rules)
         checkpoint("finalize")
         return backend.finalize(rel, root.select_refs, root.distinct)
+
+    def explain(self, query: NestedQuery, db: Optional[Database] = None) -> str:
+        """The Figure 3(b) operator tree: this very driver, run over a
+        backend that draws each operator instead of executing it."""
+        drawn = copy.copy(self)
+        drawn.backend = DescribeBackend()
+        shaping = self._rules_for(query)
+        notes = [
+            note for rule, (_, note) in _REFINEMENTS.items() if rule in shaping
+        ]
+        return "\n".join(notes + [drawn.execute(query, db)])
 
     # ------------------------------------------------------------------ #
 
@@ -134,12 +253,17 @@ class NestedRelationalStrategy:
         path: List[QueryBlock],
         reduced: Dict[int, ReducedBlock],
         owner: Dict[str, int],
+        rules: frozenset,
+        run: Optional[List[QueryBlock]] = None,
     ):
         """The recursive body of Algorithm 1 (compute(node, rel)).
 
         *rel* is whatever the backend's native intermediate is (a
         :class:`Relation` for rows, a Batch for the vector engine); the
-        driver only ever hands it back to the backend.
+        driver only ever hands it back to the backend.  *path* starts at
+        the root of the evaluation *rel* belongs to — the query's root,
+        or the block a bottom-up sub-evaluation started from.  *run* is
+        the joined run a ``fuse-links`` scan above will evaluate.
         """
         backend = self.backend
         for child in node.children:
@@ -147,29 +271,89 @@ class NestedRelationalStrategy:
             link = child.link
             assert link is not None
             crel = reduced[child.index]
-            if self.virtual_cartesian and _subtree_uncorrelated(child):
-                rel = self._apply_uncorrelated(
-                    node, child, rel, path, reduced, owner
+            predicate = set_predicate_for(link)
+            strict = _use_strict(path, rules)
+            if VIRTUAL_CARTESIAN in rules and _subtree_uncorrelated(child):
+                # executed once: the subtree is evaluated on its own and
+                # the result shared by every outer tuple
+                sub = self._compute(
+                    child, crel.relation, path + [child], reduced, owner, rules
+                )
+                pad = [
+                    ref
+                    for ref in backend.names(rel)
+                    if owner.get(ref) == node.index
+                ]
+                rel = backend.uncorrelated_link(
+                    rel, sub, predicate, link, crel.rid_ref, strict, pad
+                )
+                if link.mark is not None:
+                    owner[link.mark] = node.index
+                continue
+
+            sub = crel.relation
+            if BOTTOM_UP in rules:
+                # the child's subqueries first, over T_child alone: a
+                # child tuple failing them is simply not in the subquery
+                # result, so that evaluation is its own root (strict σ)
+                sub = self._compute(child, sub, [child], reduced, owner, rules)
+            equi = [c for c in child.correlations if c.is_equality]
+            other = [c.as_expr() for c in child.correlations if not c.is_equality]
+            outer_keys = [c.outer_ref for c in equi]
+            inner_keys = [c.inner_ref for c in equi]
+            # the linked attribute (if any) and the synthetic rid
+            keep = [r for r in (link.inner_ref, crel.rid_ref) if r is not None]
+            if SEMIJOIN_POSITIVE in rules:
+                if link.operator not in ("exists", "not_exists"):
+                    other.append(
+                        Comparison(
+                            link.effective_theta,
+                            Col(link.outer_ref),
+                            Col(link.inner_ref),
+                        )
+                    )
+                rel = backend.semi_join(
+                    rel, sub, outer_keys, inner_keys,
+                    conjoin(other) if other else None,
+                )
+                continue
+            if NEST_PUSHDOWN in rules and strict and equi and not other:
+                rel = backend.pushdown_link(
+                    rel, sub, outer_keys, inner_keys, keep,
+                    predicate, link, crel.rid_ref,
                 )
                 continue
 
             # -- way down: connect the child block ---------------------- #
             if child.correlations:
-                equi = [c for c in child.correlations if c.is_equality]
-                other = [c for c in child.correlations if not c.is_equality]
-                residual = conjoin([c.as_expr() for c in other]) if other else None
                 rel = backend.left_outer_join(
-                    rel,
-                    crel.relation,
-                    [c.outer_ref for c in equi],
-                    [c.inner_ref for c in equi],
-                    residual,
+                    rel, sub, outer_keys, inner_keys,
+                    conjoin(other) if other else None,
                 )
             else:
-                rel = backend.outer_cross_join(rel, crel.relation)
+                rel = backend.outer_cross_join(rel, sub)
 
             # -- recurse into the child's own subqueries ---------------- #
-            rel = self._compute(child, rel, path + [child], reduced, owner)
+            if FUSE_LINKS in rules:
+                # no way up per level: the edge at the top of the run
+                # evaluates every link below it in one sort + scan
+                chain = [node] if run is None else run
+                chain.append(child)
+                rel = self._compute(
+                    child, rel, path + [child], reduced, owner, rules, chain
+                )
+                if run is None:
+                    rel = backend.fused_link(
+                        rel,
+                        [reduced[b.index].rid_ref for b in chain],
+                        [b.link for b in chain[1:]],
+                        [set_predicate_for(b.link) for b in chain[1:]],
+                    )
+                continue
+            if BOTTOM_UP not in rules:
+                rel = self._compute(
+                    child, rel, path + [child], reduced, owner, rules
+                )
 
             # -- way up: nest and apply the linking selection ------------ #
             names = backend.names(rel)
@@ -187,11 +371,6 @@ class NestedRelationalStrategy:
             # uncorrelated subtree the enclosing blocks are not in `rel`.)
             rids = [reduced[b.index].rid_ref for b in path]
             key = [rid for rid in rids if rid in names]
-            keep = _dedupe(
-                ([link.inner_ref] if link.inner_ref is not None else [])
-                + [crel.rid_ref]
-            )
-            strict = self._use_strict(path)
             pad = (
                 []
                 if strict
@@ -203,7 +382,7 @@ class NestedRelationalStrategy:
                 by,
                 key,
                 keep,
-                set_predicate_for(link),
+                predicate,
                 link,
                 crel.rid_ref,
                 strict,
@@ -222,7 +401,7 @@ class NestedRelationalStrategy:
                 for c in node.children
                 if c.link is not None and c.link.mark is not None
             }
-            strict = self._use_strict(path)
+            strict = _use_strict(path, rules)
             pad = (
                 []
                 if strict
@@ -237,61 +416,54 @@ class NestedRelationalStrategy:
             )
         return rel
 
-    def _use_strict(self, path: List[QueryBlock]) -> bool:
-        """Strict σ is sound at the root, and (optionally) when every
-        unfinished linking predicate above the current node is positive."""
-        links_above = [b.link for b in path if b.link is not None]
-        if not links_above:
-            return True
-        if self.strict_when_positive:
-            return all(l.is_positive for l in links_above)
-        return False
 
-    # ------------------------------------------------------------------ #
-    # Non-correlated subqueries: execute once, share the result.
-    # ------------------------------------------------------------------ #
+def _use_strict(path: List[QueryBlock], rules: frozenset) -> bool:
+    """Strict σ is sound at the root of an evaluation, and (by rule) when
+    every unfinished linking predicate above the current node is
+    positive.  ``path[0]`` is that root: its own link, if it has one, is
+    not *above* anything in this evaluation."""
+    links_above = [b.link for b in path[1:]]
+    if not links_above:
+        return True
+    if STRICT_WHEN_POSITIVE in rules:
+        return all(l.is_positive for l in links_above)
+    return False
 
-    def _apply_uncorrelated(
-        self,
-        node: QueryBlock,
-        child: QueryBlock,
-        rel,
-        path: List[QueryBlock],
-        reduced: Dict[int, ReducedBlock],
-        owner: Dict[str, int],
-    ):
-        backend = self.backend
-        link = child.link
-        assert link is not None
-        crel = reduced[child.index]
-        sub = self._compute(
-            child, crel.relation, path + [child], reduced, owner
+
+def _why_not_bottom_up(query: NestedQuery) -> Optional[str]:
+    if not query.is_linear:
+        return "bottom-up evaluation requires a linear query"
+    if not query.is_linearly_correlated():
+        return (
+            "bottom-up evaluation requires every block to be correlated "
+            "with its adjacent outer block only"
         )
-        strict = self._use_strict(path)
-        pad = [
-            ref
-            for ref in backend.names(rel)
-            if owner.get(ref) == node.index
-        ]
-        rel = backend.uncorrelated_link(
-            rel,
-            sub,
-            set_predicate_for(link),
-            link,
-            crel.rid_ref,
-            strict,
-            pad,
+    if query.has_disjunction:
+        return "bottom-up evaluation does not combine subqueries under OR/NOT"
+    return None
+
+
+def _why_not_semijoin_chain(query: NestedQuery) -> Optional[str]:
+    """All links positive *and* every correlation adjacent.
+
+    A block correlated with a non-adjacent ancestor (the paper's Query 3
+    shape) cannot be folded into a bottom-up semijoin chain: the semijoin
+    discards the ancestor attributes the inner block needs.
+    """
+    for block in query.root.walk():
+        # excludes negative links, aggregate links and marked
+        # (disjunctive) links alike — none admit a plain semijoin
+        if block.link is not None and not block.link.is_positive:
+            return (
+                "positive rewrite requires all linking operators positive "
+                f"(block {block.index}: {block.link.describe()})"
+            )
+    if not query.is_linearly_correlated():
+        return (
+            "positive rewrite requires adjacent correlations: every block "
+            "correlated with its adjacent outer block only"
         )
-        if link.mark is not None:
-            owner[link.mark] = node.index
-        return rel
-
-
-register(
-    "nested-relational-sorted",
-    description="Algorithm 1 with the sort-based physical nest (§5.1)",
-    cost=cost_nested_relational_sorted,
-)(lambda: NestedRelationalStrategy(nest_impl="sorted"))
+    return None
 
 
 def _subtree_uncorrelated(block: QueryBlock) -> bool:
@@ -320,11 +492,50 @@ def _attr_owner_map(reduced: Dict[int, ReducedBlock]) -> Dict[str, int]:
     return owner
 
 
-def _dedupe(refs: Sequence[str]) -> List[str]:
-    seen: Set[str] = set()
-    out: List[str] = []
-    for r in refs:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
+# --------------------------------------------------------------------- #
+# The registry's row-side names: presets of the one driver.
+# --------------------------------------------------------------------- #
+
+
+def _register_preset(name, description, cost, refinements=(), nest_impl="hash"):
+    def make() -> NestedRelationalStrategy:
+        impl = NestedRelationalStrategy(
+            DEFAULT_RULES | set(refinements), nest_impl
+        )
+        impl.name = name
+        return impl
+
+    register(name, description=description, cost=cost)(make)
+
+
+_register_preset(
+    "nested-relational",
+    "Algorithm 1: reduce, outer-join down, nest + link up (§4.1)",
+    cost_nested_relational,
+)
+_register_preset(
+    "nested-relational-sorted",
+    "Algorithm 1 with the sort-based physical nest (§5.1)",
+    cost_nested_relational_sorted,
+    nest_impl="sorted",
+)
+_register_preset(
+    "nested-relational-optimized",
+    "single-pass pipelined nest + linking selections (§4.2.1-2)",
+    cost_optimized,
+    (FUSE_LINKS,),
+    # the nest a tree or disjunctive query falls through to
+    nest_impl="sorted",
+)
+_register_preset(
+    "nested-relational-bottomup",
+    "bottom-up evaluation with nest push-down (§4.2.3-4)",
+    cost_bottomup,
+    (BOTTOM_UP, NEST_PUSHDOWN),
+)
+_register_preset(
+    "nested-relational-positive-rewrite",
+    "all-positive queries collapsed into semijoin chains (§4.2.5)",
+    cost_positive_rewrite,
+    (BOTTOM_UP, SEMIJOIN_POSITIVE),
+)

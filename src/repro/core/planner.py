@@ -9,11 +9,6 @@ any per-session feedback observations), and the cheapest wins.  The
 decision is recorded as a ``kind="planner"`` span under the root
 ``execute`` span whenever tracing is active.
 
-:func:`choose_strategy` — the paper's original shape-based routing rule
-(Sections 4.2.1–4.2.5) — survives as the statistics-free fallback used
-by :func:`resolve_strategy` when no database is supplied, and as an
-inspectable description of the per-shape refinements.
-
 :func:`run` / :func:`run_traced` are the internal execution entry points
 used by :class:`repro.session.Session`.
 """
@@ -40,13 +35,7 @@ from ..engine.trace import (
     op_span,
 )
 from .blocks import NestedQuery
-from .compute import NestedRelationalStrategy
 from .feedback import FeedbackStore
-from .optimized import (
-    BottomUpLinearStrategy,
-    OptimizedNestedRelationalStrategy,
-    PositiveRewriteStrategy,
-)
 from .optimizer import PlannerDecision, choose
 
 
@@ -64,33 +53,18 @@ def make_strategy(name: str):
     return registry.make(name)
 
 
-def choose_strategy(query: NestedQuery):
-    """The paper's 'auto' policy, as an inspectable function."""
-    if query.nesting_depth == 0:
-        return NestedRelationalStrategy()
-    positive = PositiveRewriteStrategy()
-    if positive.applicable(query):
-        return positive
-    bottom_up = BottomUpLinearStrategy()
-    if bottom_up.applicable(query):
-        return bottom_up
-    if query.is_linear:
-        return OptimizedNestedRelationalStrategy()
-    return NestedRelationalStrategy()
-
-
 def resolve_strategy(
     strategy: Union[str, object],
-    query: NestedQuery,
     backend: Optional[str] = None,
     threads: Optional[int] = None,
 ):
     """Turn a (strategy, backend, threads) request into an executable
     instance.
 
-    *strategy* may be a registry name, ``"auto"``, or an object with an
+    *strategy* may be a registry name or an object with an
     ``execute(query, db)`` method (in which case *backend* must be left
-    unset: an instance already fixes its own substrate).
+    unset: an instance already fixes its own substrate).  ``"auto"`` is
+    :func:`run`'s to resolve, through the cost-based planner.
 
     *threads* is forwarded to any resolved strategy exposing
     ``set_threads`` (the row engine is single-threaded).
@@ -104,8 +78,6 @@ def resolve_strategy(
                 "pass a registry name instead"
             )
         impl = strategy
-    elif strategy == registry.AUTO and backend in (None, registry.ROW_BACKEND):
-        impl = choose_strategy(query)
     else:
         impl = registry.resolve(strategy, backend)
     if threads is not None and hasattr(impl, "set_threads"):
@@ -244,7 +216,7 @@ def run(
         )
         impl = decision.impl
     else:
-        impl = resolve_strategy(strategy, query, backend, threads=threads)
+        impl = resolve_strategy(strategy, backend, threads=threads)
     try:
         if governor is not None:
             governor.start()

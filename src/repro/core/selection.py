@@ -24,6 +24,22 @@ Both return a **flat** relation over the atomic attributes of the input
 (the set-valued attribute is consumed), matching the paper's figures
 where each linking selection is followed by a projection that drops the
 nested attribute.
+
+Two §4.2 refinements fuse the nest *into* the selection and therefore
+take flat input:
+
+* :func:`fused_linking_selection` (§4.2.1-2) — consecutive nests group
+  by a *prefix* of the previous nesting attributes, so one sort of the
+  fully joined relation by the block rids along the path serves all of
+  them; every linking predicate is then computed in a single scan with
+  group-boundary detection, innermost first.  Failing inner tuples
+  contribute *dead* members (the pseudo-selection padding happens
+  implicitly) and the outermost predicate is strict.
+* :func:`pushdown_linking_selection` (§4.2.4) —
+  υ_{B},{C}(R ⋈_{A=B} S) = R ⋈ υ_{B},{C}(S) when the nesting attribute
+  is the equality join attribute: nest the inner relation by its
+  correlated attributes *before* the join and probe one group per outer
+  tuple, avoiding the wide intermediate result.
 """
 
 from __future__ import annotations
@@ -31,6 +47,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
+from ..engine.governor import checkpoint
 from ..engine.metrics import current_metrics
 from ..engine.trace import (
     CONTRACT_FILTERING,
@@ -39,8 +56,10 @@ from ..engine.trace import (
 )
 from ..engine.relation import Relation, Row
 from ..engine.schema import Column, Schema
-from ..engine.types import NULL, SqlValue, is_null
+from ..engine.types import NULL, SqlValue, is_null, row_group_key, row_sort_key
+from .blocks import LinkSpec
 from .linking import SetPredicate
+from .nest import nest
 from .nested import NestedRelation, SubSchema
 
 
@@ -202,6 +221,234 @@ def mark_selection(
             span.add("rows_in", len(nested.rows))
             span.add("rows_out", len(out_rows))
     return Relation(out_schema, out_rows)
+
+
+def fused_linking_selection(
+    joined: Relation,
+    rid_refs: Sequence[str],
+    links: Sequence[LinkSpec],
+    predicates: Sequence[SetPredicate],
+) -> Relation:
+    """Sort once by the rid chain, then evaluate all linking predicates in
+    one scan (the fused nest + linking selection pipeline, §4.2.1-2).
+
+    *rid_refs* are the rids of the joined blocks outermost first;
+    ``links[l]`` / ``predicates[l]`` belong to block l+1.  Level l
+    (0-based, outermost = 0) accumulates members for the linking
+    predicate of block l+1.  When a level-l group closes, the link of
+    block l+1 is evaluated for the group's block-(l) tuple; the outcome
+    (dead/alive) propagates upward as a member of level l-1.
+    """
+    with op_span(
+        "single-pass-link",
+        contract=CONTRACT_FILTERING,
+        levels=len(links),
+    ) as span:
+        out = _single_pass_scan(joined, rid_refs, links, predicates)
+        if span is not None:
+            span.add("rows_in", len(joined.rows))
+            span.add("rows_out", len(out))
+    return Relation(joined.schema, out)
+
+
+def _single_pass_scan(
+    joined: Relation,
+    rid_refs: Sequence[str],
+    links: Sequence[LinkSpec],
+    predicates: Sequence[SetPredicate],
+) -> List[Row]:
+    metrics = current_metrics()
+    k = len(rid_refs)
+    schema = joined.schema
+    rid_pos = [schema.index_of(r) for r in rid_refs]
+    lhs_pos = [
+        schema.index_of(l.outer_ref) if l.outer_ref is not None else None
+        for l in links
+    ]
+    inner_pos = [
+        schema.index_of(l.inner_ref) if l.inner_ref is not None else None
+        for l in links
+    ]
+
+    rows = sorted(
+        joined.rows,
+        key=lambda r: row_sort_key(tuple(r[p] for p in rid_pos[:-1])),
+    )
+    metrics.add("rows_sorted", len(rows))
+
+    out: List[Row] = []
+    # members[l]: accumulated (value, pk) pairs for the predicate of
+    # block l+1, within the current level-l group.
+    members: List[List[tuple]] = [[] for _ in range(k - 1)]
+    current: Optional[Row] = None  # previous row
+    current_keys: List[tuple] = []
+
+    def close_level(level: int, row: Row) -> None:
+        """Evaluate link of block level+1 for the group that just ended at
+        *level*; push the outcome as a member into level-1 (or emit)."""
+        metrics.add("linking_evals")
+        predicate = predicates[level]
+        lhs = row[lhs_pos[level]] if lhs_pos[level] is not None else NULL
+        passed = predicate.evaluate(lhs, members[level]).is_true()
+        members[level] = []
+        block_rid = row[rid_pos[level]]
+        alive = passed and not is_null(block_rid)
+        if level == 0:
+            if alive:
+                out.append(row)
+            return
+        value = (
+            row[inner_pos[level - 1]]
+            if inner_pos[level - 1] is not None
+            else NULL
+        )
+        members[level - 1].append((value, block_rid if alive else NULL))
+
+    for n, row in enumerate(rows, 1):
+        if not n % 512:
+            checkpoint("single-pass")
+        metrics.add("rows_nested")
+        keys = [row_sort_key((row[p],)) for p in rid_pos[:-1]]
+        if current is not None:
+            # find the shallowest level whose group key changed
+            boundary = None
+            for l in range(k - 1):
+                if keys[l] != current_keys[l]:
+                    boundary = l
+                    break
+            if boundary is not None:
+                for l in range(k - 2, boundary - 1, -1):
+                    close_level(l, current)
+        # accumulate the deepest block's tuple as a member of level k-2
+        deepest_rid = row[rid_pos[-1]]
+        value = (
+            row[inner_pos[-1]] if inner_pos[-1] is not None else NULL
+        )
+        members[k - 2].append((value, deepest_rid))
+        current = row
+        current_keys = keys
+    if current is not None:
+        for l in range(k - 2, -1, -1):
+            close_level(l, current)
+    return out
+
+
+def pushdown_linking_selection(
+    parent_rel: Relation,
+    child_rel: Relation,
+    outer_keys: Sequence[str],
+    inner_keys: Sequence[str],
+    keep: Sequence[str],
+    predicate: SetPredicate,
+    link: LinkSpec,
+    pk_ref: str,
+) -> Relation:
+    """Nest the child by its correlated attributes, then probe per parent
+    tuple and apply the linking selection (§4.2.4) — strict: the caller
+    evaluates the child first, so the parent is the outermost block of
+    everything still unfinished."""
+    with op_span(
+        "nest-pushdown-link",
+        kind="phase",
+        contract=CONTRACT_FILTERING,
+        pred=predicate.describe(),
+    ) as span:
+        out_rows = _pushdown_probe(
+            parent_rel, child_rel, outer_keys, inner_keys, keep,
+            predicate, link, pk_ref,
+        )
+        if span is not None:
+            span.add("rows_in", len(parent_rel.rows))
+            span.add("rows_out", len(out_rows))
+    return Relation(parent_rel.schema, out_rows)
+
+
+def _pushdown_probe(
+    parent_rel: Relation,
+    child_rel: Relation,
+    outer_keys: Sequence[str],
+    inner_keys: Sequence[str],
+    keep: Sequence[str],
+    predicate: SetPredicate,
+    link: LinkSpec,
+    pk_ref: str,
+) -> List[Row]:
+    metrics = current_metrics()
+    # Distinct correlations may bind the same inner column (``s.b = r.a
+    # AND s.b = r.k``); nest by each inner column once, and when probing
+    # require every outer value bound to that column to agree.
+    unique_inner: List[str] = []
+    outer_groups: List[List[str]] = []
+    for o, i in zip(outer_keys, inner_keys):
+        if i in unique_inner:
+            outer_groups[unique_inner.index(i)].append(o)
+        else:
+            unique_inner.append(i)
+            outer_groups.append([o])
+    # The linked attribute may itself be a correlation key (e.g.
+    # ``... = SOME (select s.b ... where s.b = r.a)``): it then lives in
+    # the nesting attributes, not the nested set — nest demands the two
+    # be disjoint — and every member of a group shares its key value.
+    nest_keep = [r for r in keep if r not in unique_inner]
+    nested = nest(child_rel, unique_inner, nest_keep)
+    group_pos = nested.schema.index_of("_nested")
+    by_positions = [nested.schema.index_of(r) for r in unique_inner]
+    sub_schema = nested.schema.subschema("_nested").schema.to_flat()
+    val_pos = None
+    val_key_idx = None
+    if link.inner_ref is not None:
+        if link.inner_ref in unique_inner:
+            val_key_idx = unique_inner.index(link.inner_ref)
+        else:
+            val_pos = sub_schema.index_of(link.inner_ref)
+    pk_pos = sub_schema.index_of(pk_ref)
+
+    groups: dict = {}
+    for row in nested.rows:
+        key_vals = tuple(row[p] for p in by_positions)
+        key = row_group_key(key_vals)
+        if val_key_idx is not None:
+            value_of = lambda member: key_vals[val_key_idx]
+        elif val_pos is not None:
+            value_of = lambda member: member[val_pos]
+        else:
+            value_of = lambda member: NULL
+        groups[key] = [
+            (value_of(member), member[pk_pos]) for member in row[group_pos]
+        ]
+
+    outer_positions = [
+        [parent_rel.schema.index_of(o) for o in group] for group in outer_groups
+    ]
+    lhs_pos = (
+        parent_rel.schema.index_of(link.outer_ref)
+        if link.outer_ref is not None
+        else None
+    )
+    out_rows = []
+    for n, row in enumerate(parent_rel.rows, 1):
+        if not n % 512:
+            checkpoint("pushdown-probe")
+        metrics.add("hash_probes")
+        metrics.add("linking_evals")
+        key_vals = []
+        unmatched = False
+        for plist in outer_positions:
+            vals = [row[p] for p in plist]
+            if any(is_null(v) for v in vals) or any(
+                v != vals[0] for v in vals[1:]
+            ):
+                unmatched = True
+                break
+            key_vals.append(vals[0])
+        if unmatched:
+            members: list = []
+        else:
+            members = groups.get(row_group_key(tuple(key_vals)), [])
+        lhs = row[lhs_pos] if lhs_pos is not None else NULL
+        if predicate.evaluate(lhs, members).is_true():
+            out_rows.append(row)
+    return out_rows
 
 
 def _tri_value(verdict) -> SqlValue:

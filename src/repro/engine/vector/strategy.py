@@ -21,9 +21,9 @@ thread default is the machine's (``REPRO_THREADS``, else
 from __future__ import annotations
 
 import copy
-from typing import Optional
+from typing import Iterable, Optional
 
-from ...core.compute import NestedRelationalStrategy
+from ...core.compute import DEFAULT_RULES, NestedRelationalStrategy
 from ...core.optimizer import cost_vectorized
 from ...strategies import register
 from ..parallel import default_threads
@@ -45,15 +45,11 @@ class VectorizedNestedRelationalStrategy(NestedRelationalStrategy):
         self,
         threads: int = 1,
         min_partition_rows: Optional[int] = None,
-        virtual_cartesian: bool = True,
+        rules: Iterable[str] = DEFAULT_RULES,
         nest_impl: str = "sorted",
-        strict_when_positive: bool = True,
     ):
         super().__init__(
-            virtual_cartesian=virtual_cartesian,
-            nest_impl=nest_impl,
-            strict_when_positive=strict_when_positive,
-            backend=VectorBackend(threads, min_partition_rows),
+            rules, nest_impl, VectorBackend(threads, min_partition_rows)
         )
 
     @property
@@ -63,6 +59,13 @@ class VectorizedNestedRelationalStrategy(NestedRelationalStrategy):
     def set_threads(self, threads: int) -> None:
         """The planner's ``threads=`` plumbing (idempotent)."""
         self.backend.set_threads(threads)
+
+    def explain(self, query, db=None) -> str:
+        return (
+            "columnar batch engine: same Algorithm 1 tree, executed with "
+            "vectorized kernels over column arrays + NULL bitmaps\n"
+            + super().explain(query, db)
+        )
 
     def sequential(self) -> Optional["VectorizedNestedRelationalStrategy"]:
         """This strategy on one worker — where the governor's

@@ -258,7 +258,7 @@ class PreparedQuery:
         impl = cache.strategy(key)
         if impl is None:
             impl = planner.resolve_strategy(
-                strategy, self.query, backend, threads=threads
+                strategy, backend, threads=threads
             )
             cache.store_strategy(key, impl)
         return impl, None, None

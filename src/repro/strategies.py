@@ -23,7 +23,7 @@ or, for parameterized variants::
     )
 
 ``"auto"`` is *not* an entry: it is the planner's routing policy
-(:func:`repro.core.planner.choose_strategy`), accepted by the execution
+(:func:`repro.core.optimizer.choose`), accepted by the execution
 entry points but never instantiated from the registry.
 """
 
@@ -141,7 +141,6 @@ def ensure_loaded() -> None:
         return
     _loaded = True
     from .core import compute as _compute  # noqa: F401
-    from .core import optimized as _optimized  # noqa: F401
     from .baselines import (  # noqa: F401
         agg_rewrite as _agg,
         boolean_aggregate as _boolagg,
@@ -195,9 +194,9 @@ def resolve(name: str, backend: Optional[str] = None) -> object:
       counterpart: asking for ``nested-relational`` on the vector
       backend returns the vectorized Algorithm 1 and vice versa.
 
-    ``"auto"`` is resolved by the caller (the planner's policy) for the
-    row backend; on the vector backend it maps to the vectorized
-    Algorithm 1 directly.
+    ``"auto"`` is the planner's to resolve
+    (:func:`repro.core.optimizer.choose` needs the database); asked for
+    here, without one, it maps to the requested backend's Algorithm 1.
     """
     ensure_loaded()
     if backend is not None and backend not in BACKENDS:
@@ -220,6 +219,7 @@ _BACKEND_ALIASES: Dict[str, Dict[str, str]] = {
         "nested-relational": "nested-relational-vectorized",
     },
     ROW_BACKEND: {
+        AUTO: "nested-relational",
         "nested-relational-vectorized": "nested-relational",
         "nested-relational-parallel": "nested-relational",
     },

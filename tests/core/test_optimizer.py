@@ -233,6 +233,18 @@ class TestApplicability:
         assert not strategy_applicable(TwoArg(), flat, db)
 
 
+    def test_error_inside_a_guard_is_not_a_missing_argument(self, db, query):
+        """A TypeError raised *by* a two-argument guard surfaces as
+        raised; it is not retried as a one-argument call."""
+
+        class Broken:
+            def applicable(self, q, database):
+                return len(None)
+
+        with pytest.raises(TypeError, match="NoneType"):
+            strategy_applicable(Broken(), query, db)
+
+
 class TestUncostedStrategies:
     def test_default_cost_is_pessimistic(self, db, query):
         ps = PlanStats(query, collect_stats(db))

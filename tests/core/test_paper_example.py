@@ -213,14 +213,14 @@ class TestQueryQ:
         from repro.core import NestedRelationalStrategy
 
         q = repro.compile_sql(QUERY_Q, paper_db)
-        strategy = NestedRelationalStrategy(virtual_cartesian=False)
+        strategy = NestedRelationalStrategy(rules={"strict-when-positive"})
         assert strategy.execute(q, paper_db).sorted().rows == self.EXPECTED
 
     def test_without_strict_when_positive(self, paper_db):
         from repro.core import NestedRelationalStrategy
 
         q = repro.compile_sql(QUERY_Q, paper_db)
-        strategy = NestedRelationalStrategy(strict_when_positive=False)
+        strategy = NestedRelationalStrategy(rules={"virtual-cartesian"})
         assert strategy.execute(q, paper_db).sorted().rows == self.EXPECTED
 
 

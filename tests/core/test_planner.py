@@ -4,16 +4,8 @@ import pytest
 
 import repro
 from repro.core.compute import NestedRelationalStrategy
-from repro.core.optimized import (
-    BottomUpLinearStrategy,
-    OptimizedNestedRelationalStrategy,
-    PositiveRewriteStrategy,
-)
-from repro.core.planner import (
-    available_strategies,
-    choose_strategy,
-    make_strategy,
-)
+from repro.core.optimizer import choose
+from repro.core.planner import available_strategies, make_strategy
 from repro.engine import Column, Database
 from repro.errors import PlanError
 
@@ -60,29 +52,46 @@ class TestRegistry:
         assert len(out) == 2
 
 
+OPTIMIZED = "nested-relational-optimized"
+BOTTOMUP = "nested-relational-bottomup"
+POSITIVE_REWRITE = "nested-relational-positive-rewrite"
+
+
+def row_candidates(query, db):
+    """The row-side strategies whose guards accept *query*."""
+    decision = choose(query, db, backend="row")
+    return {candidate.name for candidate in decision.candidates}
+
+
 class TestAutoChoice:
+    """Which §4.2 presets the planner may pick, per query shape."""
+
     def test_flat_query(self, db):
         q = repro.compile_sql("select r.k from r where r.a > 3", db)
-        assert isinstance(choose_strategy(q), NestedRelationalStrategy)
+        assert "nested-relational" in row_candidates(q, db)
 
     def test_all_positive_uses_rewrite(self, db):
         q = repro.compile_sql(
             "select r.k from r where exists (select * from s where s.rk = r.k)", db
         )
-        assert isinstance(choose_strategy(q), PositiveRewriteStrategy)
+        assert POSITIVE_REWRITE in row_candidates(q, db)
 
     def test_linear_correlated_negative_uses_bottom_up(self, db):
         q = repro.compile_sql(
             "select r.k from r where r.a > all (select s.v from s where s.rk = r.k)",
             db,
         )
-        assert isinstance(choose_strategy(q), BottomUpLinearStrategy)
+        names = row_candidates(q, db)
+        assert BOTTOMUP in names
+        assert POSITIVE_REWRITE not in names
 
     def test_linear_nonlinear_correlation_uses_single_pass(self, db, paper_db):
         from tests.core.test_paper_example import QUERY_Q
 
         q = repro.compile_sql(QUERY_Q, paper_db)
-        assert isinstance(choose_strategy(q), OptimizedNestedRelationalStrategy)
+        names = row_candidates(q, paper_db)
+        assert OPTIMIZED in names
+        assert not {BOTTOMUP, POSITIVE_REWRITE} & names
 
     def test_tree_query_uses_original(self, db):
         sql = """
@@ -91,7 +100,9 @@ class TestAutoChoice:
           and r.a not in (select s2.v from s s2 where s2.rk = r.k)
         """
         q = repro.compile_sql(sql, db)
-        assert isinstance(choose_strategy(q), NestedRelationalStrategy)
+        names = row_candidates(q, db)
+        assert "nested-relational" in names
+        assert not {BOTTOMUP, POSITIVE_REWRITE} & names
 
     def test_auto_execution_correct(self, db):
         sql = "select r.k from r where r.a > all (select s.v from s where s.rk = r.k)"

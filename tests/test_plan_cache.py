@@ -300,17 +300,15 @@ class TestThreadsRouting:
     def test_threads_reach_the_vector_strategy(self, tiny_tpch):
         from repro.core.planner import resolve_strategy
 
-        query = repro.connect(tiny_tpch).prepare(SQL).query
-        impl = resolve_strategy("auto", query, "vector", threads=3)
+        impl = resolve_strategy("auto", "vector", threads=3)
         assert impl.name == "nested-relational-vectorized"
         assert impl.threads == 3
 
     def test_parallel_name_is_an_alias_of_vectorized(self, tiny_tpch):
         from repro.core.planner import resolve_strategy
 
-        query = repro.connect(tiny_tpch).prepare(SQL).query
         impl = resolve_strategy(
-            "nested-relational-parallel", query, None, threads=3
+            "nested-relational-parallel", None, threads=3
         )
         assert impl.name == "nested-relational-vectorized"
         assert impl.threads == 3
@@ -318,15 +316,13 @@ class TestThreadsRouting:
     def test_single_thread_stays_sequential(self, tiny_tpch):
         from repro.core.planner import resolve_strategy
 
-        query = repro.connect(tiny_tpch).prepare(SQL).query
-        impl = resolve_strategy("auto", query, "vector", threads=1)
+        impl = resolve_strategy("auto", "vector", threads=1)
         assert impl.threads == 1
 
     def test_row_backend_never_parallel(self, tiny_tpch):
         from repro.core.planner import resolve_strategy
 
-        query = repro.connect(tiny_tpch).prepare(SQL).query
-        impl = resolve_strategy("auto", query, "row", threads=4)
+        impl = resolve_strategy("auto", "row", threads=4)
         assert not hasattr(impl, "set_threads")
 
     def test_session_threads_default_flows_through(self, tiny_tpch):

@@ -348,8 +348,6 @@ class TestStrategiesAgainstOracle:
     def test_noneq_some_all(self, db, sql):
         """θ SOME/ALL with non-equality comparators: the quantified cases
         where a wrong NULL treatment shows up as < vs >= asymmetries."""
-        from repro.core.optimized import BottomUpLinearStrategy
-
         prepared = repro.connect(db).prepare(sql)
         q = prepared.query
         oracle = prepared.execute(strategy="nested-iteration").sorted()
@@ -361,19 +359,17 @@ class TestStrategiesAgainstOracle:
             "auto",
         ):
             assert prepared.execute(strategy=strategy).sorted() == oracle, strategy
-        bottom_up = BottomUpLinearStrategy()
-        if bottom_up.applicable(q):
+        bottom_up = repro.strategies.make("nested-relational-bottomup")
+        if bottom_up.applicable(q, db) is None:
             assert bottom_up.execute(q, db).sorted() == oracle, "bottom-up"
 
     @COMMON_SETTINGS
     @given(db=random_database(), sql=one_level_query())
     def test_bottom_up_when_applicable(self, db, sql):
-        from repro.core.optimized import BottomUpLinearStrategy
-
         prepared = repro.connect(db).prepare(sql)
         q = prepared.query
-        strategy = BottomUpLinearStrategy()
-        if not strategy.applicable(q):
+        strategy = repro.strategies.make("nested-relational-bottomup")
+        if strategy.applicable(q, db) is not None:
             return
         oracle = prepared.execute(strategy="nested-iteration").sorted()
         assert strategy.execute(q, db).sorted() == oracle

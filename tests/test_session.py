@@ -147,10 +147,18 @@ class TestCliErrorMapping:
         assert "warp-drive" in captured.err
 
     def test_list_strategies_flag(self, capsys):
+        """The registry listing — name, backend, costed/default/alias —
+        is pinned: the planner's candidate set is exactly these entries,
+        so a refactor cannot silently drop or rename one."""
+        import os
+
         assert main(["run", "--list-strategies"]) == 0
         out = capsys.readouterr().out
-        assert "nested-relational-vectorized" in out
-        assert "[vector]" in out
+        golden = os.path.join(
+            os.path.dirname(__file__), "golden", "strategies.txt"
+        )
+        with open(golden) as handle:
+            assert out == handle.read()
 
     def test_run_with_vector_backend(self, capsys):
         code = main(
