@@ -576,6 +576,6 @@ class SystemAEmulationStrategy:
 
     @staticmethod
     def _scan_multi(block: QueryBlock, db: Database) -> Relation:
-        from ..core.reduce import _join_block_tables
+        from ..core.reduce import execute_join_plan, plan_block_join
 
-        return _join_block_tables(block, db)
+        return execute_join_plan(plan_block_join(block), db)

@@ -64,11 +64,12 @@ from ..engine.operators import (
 from ..engine.relation import Relation
 from ..engine.schema import Column, Schema
 from ..engine.trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
-from ..engine.types import NULL
+from ..engine.types import NULL, TRUE
 from .blocks import LinkSpec, NestedQuery
 from .linking import SetPredicate
 from .nest import nest, nest_sorted
-from .reduce import reduce_all
+from .plancache import ReduceMemo
+from .reduce import BlockJoinPlan, execute_join_plan, reduce_all
 from .selection import (
     _tri_value,
     fused_linking_selection,
@@ -87,7 +88,16 @@ class RowBackend:
     # -- step one ------------------------------------------------------- #
 
     def reduce_all(self, query: NestedQuery, db: Database):
-        return reduce_all(query, db)
+        return reduce_all(query, db, join=self._join_through_memo)
+
+    def _join_through_memo(self, plan: BlockJoinPlan, db: Database) -> Relation:
+        """σ_Δi(R_i ⋈ …) from the session's reduce memo, built on a miss."""
+        if plan.is_bare_scan:
+            # nothing is built: the rows are the base table's
+            return execute_join_plan(plan, db)
+        return ReduceMemo(plan, db, self.kind).image(
+            lambda: execute_join_plan(plan, db)
+        )
 
     # -- introspection -------------------------------------------------- #
 
@@ -219,54 +229,58 @@ class RowBackend:
             members = [(row[val_pos], row[rid_pos]) for row in sub.rows]
         else:
             members = [(NULL, row[rid_pos]) for row in sub.rows]
-        metrics = current_metrics()
-
         lhs_pos = (
             rel.schema.index_of(link.outer_ref)
             if link.outer_ref is not None
             else None
         )
         pad_positions = [rel.schema.index_of(r) for r in pad_refs]
+        marked = link.mark is not None
+        out_schema = (
+            Schema(tuple(rel.schema.columns) + (Column(link.mark),))
+            if marked
+            else rel.schema
+        )
+        attrs = {"mark": link.mark} if marked else {}
         out_rows = []
-        if link.mark is not None:
-            out_schema = Schema(
-                tuple(rel.schema.columns) + (Column(link.mark),)
-            )
-            with op_span(
-                "uncorrelated-link",
-                contract=CONTRACT_PRESERVING,
-                pred=predicate.describe(),
-                mark=link.mark,
-            ) as span:
-                for row in rel.rows:
-                    metrics.add("linking_evals")
-                    lhs = row[lhs_pos] if lhs_pos is not None else NULL
-                    verdict = predicate.evaluate(lhs, members)
-                    out_rows.append(row + (_tri_value(verdict),))
-                if span is not None:
-                    span.add("rows_in", len(rel.rows))
-                    span.add("rows_out", len(out_rows))
-            return Relation(out_schema, out_rows)
+        evals = padded_rows = 0
         with op_span(
             "uncorrelated-link",
-            contract=CONTRACT_FILTERING if strict else CONTRACT_PRESERVING,
+            contract=(
+                CONTRACT_FILTERING
+                if strict and not marked
+                else CONTRACT_PRESERVING
+            ),
             pred=predicate.describe(),
+            **attrs,
         ) as span:
-            for row in rel.rows:
-                metrics.add("linking_evals")
-                lhs = row[lhs_pos] if lhs_pos is not None else NULL
-                if predicate.evaluate(lhs, members).is_true():
-                    out_rows.append(row)
-                elif not strict:
-                    metrics.add("null_padded_rows")
-                    padded = list(row)
-                    for i in pad_positions:
-                        padded[i] = NULL
-                    out_rows.append(tuple(padded))
+            holds = predicate.bind()
+            try:
+                for row in rel.rows:
+                    evals += 1
+                    verdict = holds(
+                        row[lhs_pos] if lhs_pos is not None else NULL, members
+                    )
+                    if marked:
+                        out_rows.append(row + (_tri_value(verdict),))
+                    elif verdict is TRUE:
+                        out_rows.append(row)
+                    elif not strict:
+                        padded_rows += 1
+                        padded = list(row)
+                        for i in pad_positions:
+                            padded[i] = NULL
+                        out_rows.append(tuple(padded))
+            finally:
+                metrics = current_metrics()
+                if evals:
+                    metrics.add("linking_evals", evals)
+                if padded_rows:
+                    metrics.add("null_padded_rows", padded_rows)
             if span is not None:
                 span.add("rows_in", len(rel.rows))
                 span.add("rows_out", len(out_rows))
-        return Relation(rel.schema, out_rows)
+        return Relation(out_schema, out_rows)
 
     # -- disjunctive residual ------------------------------------------- #
 

@@ -37,10 +37,15 @@ paper uses to show the max/antijoin rewrites are unsound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from ..errors import ExpressionError
+from ..engine.expressions import _comparer
 from ..engine.types import (
+    FALSE,
+    NULL,
+    TRUE,
+    UNKNOWN,
     SqlValue,
     TriBool,
     is_null,
@@ -48,6 +53,9 @@ from ..engine.types import (
     tri_all,
     tri_any,
 )
+
+#: a group's members as the linking selections hand them over
+Members = Iterable[Tuple[SqlValue, SqlValue]]
 
 #: quantifiers accepted by :class:`SetPredicate`
 QUANTIFIERS = ("some", "all", "exists", "not_exists", "agg")
@@ -100,15 +108,14 @@ class SetPredicate:
                 "agg_func is required for (and exclusive to) 'agg' predicates"
             )
 
-    def evaluate(
-        self,
-        linking_value: SqlValue,
-        members: Iterable[Tuple[SqlValue, SqlValue]],
-    ) -> TriBool:
+    def evaluate(self, linking_value: SqlValue, members: Members) -> TriBool:
         """Evaluate over ``members`` = iterable of (linked value, pk value).
 
         Members whose pk is NULL are empty markers and are skipped; the
         remaining values form the subquery result set for this group.
+
+        This is the definition.  The row operators' loops call the
+        :meth:`bind` form, which the tests hold to this one.
         """
         live = [value for value, pk in members if not is_null(pk)]
         if self.quantifier == "exists":
@@ -129,6 +136,64 @@ class SetPredicate:
         if self.quantifier == "all":
             return tri_all(comparisons)
         return tri_any(comparisons)
+
+    def bind(self) -> Callable[[SqlValue, Members], TriBool]:
+        """:meth:`evaluate` with the quantifier, θ, the aggregate and the
+        logic mode resolved once (cf.
+        :func:`~repro.engine.expressions.bind_truth`): bind inside the
+        execution's scope, at the top of the loop that calls the
+        closure, and do not keep it."""
+        quantifier = self.quantifier
+        if quantifier in ("exists", "not_exists"):
+            if_live, if_empty = (
+                (TRUE, FALSE) if quantifier == "exists" else (FALSE, TRUE)
+            )
+
+            def existential(linking_value: SqlValue, members: Members) -> TriBool:
+                for _value, pk in members:
+                    if pk is not NULL:
+                        return if_live
+                return if_empty
+
+            return existential
+
+        assert self.theta is not None
+        compare = _comparer(self.theta)
+        if quantifier == "agg":
+            from ..engine.operators.aggregate import _finish
+
+            func, const = self.agg_func, self.const
+
+            def aggregate(linking_value: SqlValue, members: Members) -> TriBool:
+                live = [value for value, pk in members if pk is not NULL]
+                agg = _finish(
+                    func, [v for v in live if v is not NULL], len(live)
+                )
+                return compare(
+                    const[0] if const is not None else linking_value, agg
+                )
+
+            return aggregate
+
+        # θ ALL is the 3VL conjunction, θ SOME the disjunction: the
+        # deciding outcome ends the scan, as tri_all / tri_any do
+        deciding, vacuous = (
+            (FALSE, TRUE) if quantifier == "all" else (TRUE, FALSE)
+        )
+
+        def quantified(linking_value: SqlValue, members: Members) -> TriBool:
+            result = vacuous
+            for value, pk in members:
+                if pk is NULL:
+                    continue
+                outcome = compare(linking_value, value)
+                if outcome is deciding:
+                    return deciding
+                if outcome is UNKNOWN:
+                    result = UNKNOWN
+            return result
+
+        return quantified
 
     @property
     def is_negative(self) -> bool:

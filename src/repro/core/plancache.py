@@ -11,10 +11,10 @@ database, and three pieces of work repeat across them:
   ``auto`` policy) but is otherwise pure;
 * **block reduction builds** — the reduced relations
   ``T_i = σ_Δi(R_i ⋈ …)`` of Algorithm 1's step one depend only on the
-  block's syntactic :class:`~repro.core.reduce.BlockJoinPlan` and the
-  base tables, not on which query asked.  Two queries sharing a block
-  shape (the common case for dashboards re-issuing parameter-free
-  subqueries) can share the build.
+  block's syntactic :class:`~repro.core.reduce.BlockJoinPlan`, the base
+  tables and the logic mode, not on which query asked.  Two queries
+  sharing a block shape (the common case for dashboards re-issuing
+  parameter-free subqueries) can share the build.
 
 :class:`SessionCache` memoizes all three.  The compile memo is **always
 on** — re-preparing identical SQL never re-runs the analyzer, even with
@@ -24,11 +24,37 @@ when the catalog's version counter moves (CREATE/DROP TABLE, index
 creation): cached batches reference table images that may no longer
 exist.
 
-The reduce cache reaches ``VectorBackend._reduce_block`` as the
+**The reduce memo is backend-neutral.**  It reaches an execution as the
 ``reduce_cache`` field of the ambient
 :class:`~repro.engine.context.ExecutionContext`, installed by the
-session around each execution — the backend protocol itself stays
-cache-oblivious.
+session around each execution, and both Algorithm 1 backends consult it
+through the one :class:`ReduceMemo` below: the key is ``(repr(plan),
+backend kind, logic mode, base-table fingerprints)``, so a row image
+(:class:`~repro.engine.relation.Relation`) and a vector image (a batch)
+of the same plan never collide, a 2VL build never answers a 3VL
+execution, and rows edited in place behind the catalog's back miss.
+
+*Inside* a cached image: the block's scans, local filters and joins —
+the plain relation ``σ_Δi(R_i ⋈ …)``.  *Outside* it, redone per
+execution: the synthetic ``_rid`` column, and the GROUP BY / HAVING
+aggregation of a grouped subquery block, so the image stays shareable
+with an ungrouped block over the same join plan.  The row backend does
+not memoize a block that is one unfiltered table — that "build" is the
+base relation under an alias.  An image outlives the execution that
+built it and is handed to every later one (and, under ``repro serve``,
+to every tenant): operators treat their inputs as read-only, and a hit
+is not charged to the executing tenant's memory budget.
+
+Only the nested relational backends read the memo.
+:func:`repro.core.reduce.reduce_all` itself is cache-oblivious, so
+``nested-iteration`` (the fuzzer's ground truth), ``native`` and the
+other baselines always reduce from the base tables — a wrong cached
+image cannot agree with the reference it is checked against.
+
+**Bounds.**  Each memo table keeps at most ``_MAX_ENTRIES`` entries; the
+reduce memo additionally keeps at most ``_MAX_REDUCED_CELLS`` cells
+(rows × columns) in total, FIFO, because one shared cache serves every
+tenant's ad-hoc constants and a reduced relation is not small.
 
 **Thread safety.**  One cache may be shared by every worker of a
 multi-tenant server (:mod:`repro.serve` pools sessions over a single
@@ -48,13 +74,20 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
+
+from ..engine.context import current as current_context
 
 #: entries kept per memo table; insertion beyond this evicts the oldest
 #: entries of *that table only* (FIFO) — sessions are not long-lived
 #: enough to justify an LRU, but a full plan memo must not nuke the
 #: reduce memo (and vice versa) the way wholesale clearing used to
 _MAX_ENTRIES = 256
+
+#: cells (rows × columns) the reduce memo retains in total; storing
+#: beyond this evicts its oldest images, and an image that alone exceeds
+#: it is not stored at all
+_MAX_REDUCED_CELLS = 8_000_000
 
 
 @dataclass
@@ -106,10 +139,9 @@ class SessionCache:
         self._version: Optional[int] = None
         self._plans: Dict[str, Any] = {}
         self._strategies: Dict[Tuple, Any] = {}
-        # keyed (plan repr, backend kind, base-table fingerprints): an
-        # in-place row mutation changes the fingerprint component, so a
-        # stale build misses instead of being served
-        self._reduced: Dict[Tuple, Any] = {}
+        # key (see ReduceMemo) -> (image, cells)
+        self._reduced: Dict[Tuple, Tuple[Any, int]] = {}
+        self._reduced_cells = 0
 
     # ------------------------------------------------------------------ #
 
@@ -126,6 +158,7 @@ class SessionCache:
                 self._plans.clear()
                 self._strategies.clear()
                 self._reduced.clear()
+                self._reduced_cells = 0
 
     def stats_snapshot(self) -> Dict[str, int]:
         """A consistent copy of the counters (taken under the lock)."""
@@ -186,14 +219,72 @@ class SessionCache:
 
     def reduced(self, key: Tuple) -> Optional[Any]:
         with self._lock:
-            batch = self._reduced.get(key)
-            if batch is None:
+            entry = self._reduced.get(key)
+            if entry is None:
                 self.stats.reduce_misses += 1
-            else:
-                self.stats.reduce_hits += 1
-            return batch
+                return None
+            self.stats.reduce_hits += 1
+            return entry[0]
 
-    def store_reduced(self, key: Tuple, batch: Any) -> None:
+    def store_reduced(self, key: Tuple, image: Any, cells: int) -> None:
+        """Keep *image* (*cells* = rows × columns), evicting the oldest
+        images until both bounds hold again."""
+        if cells > _MAX_REDUCED_CELLS:
+            return
         with self._lock:
-            self._bound(self._reduced)
-            self._reduced[key] = batch
+            # two executions may miss on one key and both build it
+            replaced = self._reduced.pop(key, None)
+            if replaced is not None:
+                self._reduced_cells -= replaced[1]
+            while self._reduced and (
+                len(self._reduced) >= _MAX_ENTRIES
+                or self._reduced_cells + cells > _MAX_REDUCED_CELLS
+            ):
+                oldest = next(iter(self._reduced))
+                self._reduced_cells -= self._reduced.pop(oldest)[1]
+                self.stats.evictions += 1
+            self._reduced[key] = (image, cells)
+            self._reduced_cells += cells
+
+
+class ReduceMemo:
+    """One block's slot in the ambient reduce memo.
+
+    Looks *plan* up on construction (counting the hit or miss);
+    :attr:`state` is ``"hit"``, ``"miss"``, or ``"off"`` when the
+    execution carries no reduce cache.  :meth:`image` then returns the
+    cached image or builds and stores it.  The logic mode participates
+    in the key: a NOT over a NULL comparison filters differently under
+    2VL.
+    """
+
+    __slots__ = ("_cache", "_key", "_cached", "state")
+
+    def __init__(self, plan: Any, db: Any, kind: str):
+        context = current_context()
+        self._cache = context.reduce_cache
+        self._key = self._cached = None
+        if self._cache is None:
+            self.state = "off"
+            return
+        self._key = (
+            repr(plan),
+            kind,
+            context.logic,
+            tuple(
+                db.table(table_name).relation.fingerprint()
+                for _alias, table_name in plan.table_names
+            ),
+        )
+        self._cached = self._cache.reduced(self._key)
+        self.state = "miss" if self._cached is None else "hit"
+
+    def image(self, build: Callable[[], Any]) -> Any:
+        if self._cached is not None:
+            return self._cached
+        image = build()
+        if self._cache is not None:
+            self._cache.store_reduced(
+                self._key, image, len(image) * len(image.schema)
+            )
+        return image

@@ -58,7 +58,9 @@ def rid_name(block: QueryBlock) -> str:
     return f"_rid{block.index}"
 
 
-def reduce_block(block: QueryBlock, db: Database) -> ReducedBlock:
+def reduce_block(
+    block: QueryBlock, db: Database, join=None
+) -> ReducedBlock:
     """Compute T_i = σ_Δi(R_i) and attach the synthetic rid column.
 
     A grouped subquery block (``GROUP BY`` / ``HAVING``; necessarily
@@ -66,6 +68,13 @@ def reduce_block(block: QueryBlock, db: Database) -> ReducedBlock:
     as well: T_i becomes one row per qualifying group over the group-by
     columns, so every downstream strategy sees the grouped relation
     uniformly.
+
+    *join* runs the block's :class:`BlockJoinPlan`; the default is
+    :func:`execute_join_plan`, from the base tables, every time.  The
+    row backend passes one that answers from the session's reduce memo
+    (:class:`~repro.core.plancache.ReduceMemo`) — this function and the
+    baselines that call it stay cache-oblivious.  The result of *join*
+    is only read: the rid column and the aggregation make new rows.
     """
     with op_span(
         f"reduce[T{block.index}]",
@@ -73,7 +82,7 @@ def reduce_block(block: QueryBlock, db: Database) -> ReducedBlock:
         tables=",".join(block.alias_list),
     ) as span:
         checkpoint("reduce")
-        joined = _join_block_tables(block, db)
+        joined = (join or execute_join_plan)(plan_block_join(block), db)
         if _is_grouped_subquery(block):
             joined = grouped_subquery_relation(block, joined)
         if span is not None:
@@ -90,9 +99,11 @@ def reduce_block(block: QueryBlock, db: Database) -> ReducedBlock:
     )
 
 
-def reduce_all(query: NestedQuery, db: Database) -> Dict[int, ReducedBlock]:
+def reduce_all(
+    query: NestedQuery, db: Database, join=None
+) -> Dict[int, ReducedBlock]:
     """Reduce every block of the query, keyed by block index."""
-    return {b.index: reduce_block(b, db) for b in query.root.walk()}
+    return {b.index: reduce_block(b, db, join) for b in query.root.walk()}
 
 
 def _is_grouped_subquery(block: QueryBlock) -> bool:
@@ -162,6 +173,15 @@ class BlockJoinPlan:
 
     def scan_filter(self, alias: str) -> Optional[Expr]:
         return dict(self.scan_filters)[alias]
+
+    @property
+    def is_bare_scan(self) -> bool:
+        """One table, no predicate: T_i is the base relation itself."""
+        return (
+            not self.steps
+            and self.final_residual is None
+            and self.scan_filters[0][1] is None
+        )
 
 
 def plan_block_join(block: QueryBlock) -> BlockJoinPlan:
@@ -247,10 +267,8 @@ def plan_block_join(block: QueryBlock) -> BlockJoinPlan:
     )
 
 
-def _join_block_tables(block: QueryBlock, db: Database) -> Relation:
-    """Execute :func:`plan_block_join` with the row-iterator operators."""
-    plan = plan_block_join(block)
-
+def execute_join_plan(plan: BlockJoinPlan, db: Database) -> Relation:
+    """Execute a block's join plan with the row-iterator operators."""
     # Scan + filter each table under its alias.
     parts: Dict[str, Relation] = {}
     for alias, table_name in plan.table_names:

@@ -44,7 +44,8 @@ take flat input:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
 from ..engine.governor import checkpoint
@@ -56,7 +57,13 @@ from ..engine.trace import (
 )
 from ..engine.relation import Relation, Row
 from ..engine.schema import Column, Schema
-from ..engine.types import NULL, SqlValue, is_null, row_group_key, row_sort_key
+from ..engine.types import (
+    NULL,
+    TRUE,
+    SqlValue,
+    TriBool,
+    bind_join_key,
+)
 from .blocks import LinkSpec
 from .linking import SetPredicate
 from .nest import nest
@@ -96,6 +103,45 @@ def _resolve(
     return set_pos, linking_pos, linked_pos, pk_pos, out_schema, atomic_positions
 
 
+def _verdicts(
+    nested: NestedRelation,
+    predicate: SetPredicate,
+    set_pos: int,
+    linking_pos: Optional[int],
+    linked_pos: Optional[int],
+    pk_pos: int,
+    atomic: Sequence[int],
+) -> Iterator[Tuple[Row, TriBool]]:
+    """Each nested tuple's atomic part with its linking predicate's
+    verdict — the scan the three nested selections share.  The predicate
+    is bound once; ``linking_evals`` is charged once, for the tuples
+    reached (also when an incomparable pair ends the scan early)."""
+    holds = predicate.bind()
+    flatten = _projector(atomic)
+    evals = 0
+    try:
+        for row in nested.rows:
+            evals += 1
+            flat = flatten(row)
+            yield flat, holds(
+                flat[linking_pos] if linking_pos is not None else NULL,
+                _members(row[set_pos], linked_pos, pk_pos),
+            )
+    finally:
+        if evals:
+            current_metrics().add("linking_evals", evals)
+
+
+def _projector(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[i] for i in positions)``, resolved once."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
 def linking_selection(
     nested: NestedRelation,
     predicate: SetPredicate,
@@ -114,19 +160,16 @@ def linking_selection(
     set_pos, linking_pos, linked_pos, pk_pos, out_schema, atomic = _resolve(
         nested, set_name, linking_ref, linked_ref, pk_ref
     )
-    metrics = current_metrics()
     out_rows: List[Row] = []
     with op_span(
         "linking-selection",
         contract=CONTRACT_FILTERING,
         pred=predicate.describe(),
     ) as span:
-        for row in nested.rows:
-            metrics.add("linking_evals")
-            flat = tuple(row[i] for i in atomic)
-            members = _members(row[set_pos], linked_pos, pk_pos)
-            lhs = flat[linking_pos] if linking_pos is not None else NULL
-            if predicate.evaluate(lhs, members).is_true():
+        for flat, verdict in _verdicts(
+            nested, predicate, set_pos, linking_pos, linked_pos, pk_pos, atomic
+        ):
+            if verdict is TRUE:
                 out_rows.append(flat)
         if span is not None:
             span.add("rows_in", len(nested.rows))
@@ -154,28 +197,32 @@ def pseudo_selection(
         nested, set_name, linking_ref, linked_ref, pk_ref
     )
     pad_positions = set(out_schema.indices_of(pad_refs))
-    metrics = current_metrics()
     out_rows: List[Row] = []
+    padded = 0
     with op_span(
         "pseudo-selection",
         contract=CONTRACT_PRESERVING,
         pred=predicate.describe(),
         pads=",".join(pad_refs),
     ) as span:
-        for row in nested.rows:
-            metrics.add("linking_evals")
-            flat = tuple(row[i] for i in atomic)
-            members = _members(row[set_pos], linked_pos, pk_pos)
-            lhs = flat[linking_pos] if linking_pos is not None else NULL
-            if predicate.evaluate(lhs, members).is_true():
-                out_rows.append(flat)
-            else:
-                metrics.add("null_padded_rows")
-                out_rows.append(
-                    tuple(
-                        NULL if i in pad_positions else v for i, v in enumerate(flat)
+        try:
+            for flat, verdict in _verdicts(
+                nested, predicate, set_pos, linking_pos, linked_pos, pk_pos,
+                atomic,
+            ):
+                if verdict is TRUE:
+                    out_rows.append(flat)
+                else:
+                    padded += 1
+                    out_rows.append(
+                        tuple(
+                            NULL if i in pad_positions else v
+                            for i, v in enumerate(flat)
+                        )
                     )
-                )
+        finally:
+            if padded:
+                current_metrics().add("null_padded_rows", padded)
         if span is not None:
             span.add("rows_in", len(nested.rows))
             span.add("rows_out", len(out_rows))
@@ -202,7 +249,6 @@ def mark_selection(
         nested, set_name, linking_ref, linked_ref, pk_ref
     )
     out_schema = Schema(tuple(out_schema.columns) + (Column(mark_ref),))
-    metrics = current_metrics()
     out_rows: List[Row] = []
     with op_span(
         "mark-selection",
@@ -210,12 +256,9 @@ def mark_selection(
         pred=predicate.describe(),
         mark=mark_ref,
     ) as span:
-        for row in nested.rows:
-            metrics.add("linking_evals")
-            flat = tuple(row[i] for i in atomic)
-            members = _members(row[set_pos], linked_pos, pk_pos)
-            lhs = flat[linking_pos] if linking_pos is not None else NULL
-            verdict = predicate.evaluate(lhs, members)
+        for flat, verdict in _verdicts(
+            nested, predicate, set_pos, linking_pos, linked_pos, pk_pos, atomic
+        ):
             out_rows.append(flat + (_tri_value(verdict),))
         if span is not None:
             span.add("rows_in", len(nested.rows))
@@ -269,30 +312,35 @@ def _single_pass_scan(
         schema.index_of(l.inner_ref) if l.inner_ref is not None else None
         for l in links
     ]
+    holds = [predicate.bind() for predicate in predicates]
 
-    rows = sorted(
-        joined.rows,
-        key=lambda r: row_sort_key(tuple(r[p] for p in rid_pos[:-1])),
-    )
+    # One key per row, computed once: the rids of every block but the
+    # deepest, outermost first.  A rid is a row number of its T_i or the
+    # NULL an outer join / σ* padded it with, so -1 stands for NULL and
+    # plain ints sort NULLs-first and compare for the group boundaries.
+    chain = rid_pos[:-1]
+    keys = [
+        tuple([-1 if row[p] is NULL else row[p] for p in chain])
+        for row in joined.rows
+    ]
+    rows = joined.rows
+    order = sorted(range(len(rows)), key=keys.__getitem__)
     metrics.add("rows_sorted", len(rows))
 
     out: List[Row] = []
     # members[l]: accumulated (value, pk) pairs for the predicate of
     # block l+1, within the current level-l group.
     members: List[List[tuple]] = [[] for _ in range(k - 1)]
-    current: Optional[Row] = None  # previous row
-    current_keys: List[tuple] = []
+    nested = evals = 0
 
     def close_level(level: int, row: Row) -> None:
         """Evaluate link of block level+1 for the group that just ended at
         *level*; push the outcome as a member into level-1 (or emit)."""
-        metrics.add("linking_evals")
-        predicate = predicates[level]
         lhs = row[lhs_pos[level]] if lhs_pos[level] is not None else NULL
-        passed = predicate.evaluate(lhs, members[level]).is_true()
+        passed = holds[level](lhs, members[level]) is TRUE
         members[level] = []
         block_rid = row[rid_pos[level]]
-        alive = passed and not is_null(block_rid)
+        alive = passed and block_rid is not NULL
         if level == 0:
             if alive:
                 out.append(row)
@@ -304,32 +352,43 @@ def _single_pass_scan(
         )
         members[level - 1].append((value, block_rid if alive else NULL))
 
-    for n, row in enumerate(rows, 1):
-        if not n % 512:
-            checkpoint("single-pass")
-        metrics.add("rows_nested")
-        keys = [row_sort_key((row[p],)) for p in rid_pos[:-1]]
+    deepest_rid, deepest_value = rid_pos[-1], inner_pos[-1]
+    current: Optional[Row] = None  # previous row
+    current_key: tuple = ()
+    try:
+        for n, i in enumerate(order, 1):
+            if not n % 512:
+                checkpoint("single-pass")
+            nested = n
+            row, key = rows[i], keys[i]
+            if key != current_key and current is not None:
+                # close every level from the deepest up to the
+                # shallowest one whose rid changed
+                boundary = 0
+                while key[boundary] == current_key[boundary]:
+                    boundary += 1
+                for level in range(k - 2, boundary - 1, -1):
+                    evals += 1
+                    close_level(level, current)
+            # accumulate the deepest block's tuple as a member of level k-2
+            members[k - 2].append(
+                (
+                    row[deepest_value] if deepest_value is not None else NULL,
+                    row[deepest_rid],
+                )
+            )
+            current, current_key = row, key
         if current is not None:
-            # find the shallowest level whose group key changed
-            boundary = None
-            for l in range(k - 1):
-                if keys[l] != current_keys[l]:
-                    boundary = l
-                    break
-            if boundary is not None:
-                for l in range(k - 2, boundary - 1, -1):
-                    close_level(l, current)
-        # accumulate the deepest block's tuple as a member of level k-2
-        deepest_rid = row[rid_pos[-1]]
-        value = (
-            row[inner_pos[-1]] if inner_pos[-1] is not None else NULL
-        )
-        members[k - 2].append((value, deepest_rid))
-        current = row
-        current_keys = keys
-    if current is not None:
-        for l in range(k - 2, -1, -1):
-            close_level(l, current)
+            for level in range(k - 2, -1, -1):
+                evals += 1
+                close_level(level, current)
+    finally:
+        # once per scan; a scan that a timeout or an incomparable pair
+        # ends early still charges what it reached
+        if nested:
+            metrics.add("rows_nested", nested)
+        if evals:
+            metrics.add("linking_evals", evals)
     return out
 
 
@@ -403,19 +462,18 @@ def _pushdown_probe(
             val_pos = sub_schema.index_of(link.inner_ref)
     pk_pos = sub_schema.index_of(pk_ref)
 
+    group_key_of = bind_join_key(by_positions)
     groups: dict = {}
     for row in nested.rows:
-        key_vals = tuple(row[p] for p in by_positions)
-        key = row_group_key(key_vals)
+        key = group_key_of(row)
+        if key is None:
+            # a NULL join attribute: no outer tuple probes this group
+            continue
         if val_key_idx is not None:
-            value_of = lambda member: key_vals[val_key_idx]
-        elif val_pos is not None:
-            value_of = lambda member: member[val_pos]
+            shared = row[by_positions[val_key_idx]]
+            groups[key] = [(shared, m[pk_pos]) for m in row[group_pos]]
         else:
-            value_of = lambda member: NULL
-        groups[key] = [
-            (value_of(member), member[pk_pos]) for member in row[group_pos]
-        ]
+            groups[key] = _members(row[group_pos], val_pos, pk_pos)
 
     outer_positions = [
         [parent_rel.schema.index_of(o) for o in group] for group in outer_groups
@@ -425,29 +483,31 @@ def _pushdown_probe(
         if link.outer_ref is not None
         else None
     )
+    # the probe key reads the first outer column bound to each inner
+    # column; the others only have to agree with it
+    probe_key_of = bind_join_key([plist[0] for plist in outer_positions])
+    agreeing = [plist for plist in outer_positions if len(plist) > 1]
+    holds = predicate.bind()
     out_rows = []
-    for n, row in enumerate(parent_rel.rows, 1):
-        if not n % 512:
-            checkpoint("pushdown-probe")
-        metrics.add("hash_probes")
-        metrics.add("linking_evals")
-        key_vals = []
-        unmatched = False
-        for plist in outer_positions:
-            vals = [row[p] for p in plist]
-            if any(is_null(v) for v in vals) or any(
-                v != vals[0] for v in vals[1:]
+    probed = 0
+    try:
+        for n, row in enumerate(parent_rel.rows, 1):
+            if not n % 512:
+                checkpoint("pushdown-probe")
+            probed = n
+            key = probe_key_of(row)
+            if key is not None and any(
+                row[p] != row[plist[0]] for plist in agreeing for p in plist[1:]
             ):
-                unmatched = True
-                break
-            key_vals.append(vals[0])
-        if unmatched:
-            members: list = []
-        else:
-            members = groups.get(row_group_key(tuple(key_vals)), [])
-        lhs = row[lhs_pos] if lhs_pos is not None else NULL
-        if predicate.evaluate(lhs, members).is_true():
-            out_rows.append(row)
+                key = None
+            members = groups.get(key, ()) if key is not None else ()
+            lhs = row[lhs_pos] if lhs_pos is not None else NULL
+            if holds(lhs, members) is TRUE:
+                out_rows.append(row)
+    finally:
+        if probed:
+            metrics.add("hash_probes", probed)
+            metrics.add("linking_evals", probed)
     return out_rows
 
 
@@ -462,8 +522,11 @@ def _tri_value(verdict) -> SqlValue:
 
 def _members(
     group: Sequence[tuple], linked_pos: Optional[int], pk_pos: int
-) -> List[Tuple[SqlValue, SqlValue]]:
+) -> Sequence[Tuple[SqlValue, SqlValue]]:
     """Extract (linked value, pk value) pairs from a nested group."""
     if linked_pos is None:
         return [(NULL, member[pk_pos]) for member in group]
+    if linked_pos == 0 and pk_pos == 1 and group and len(group[0]) == 2:
+        # the driver's nest keeps exactly (linked attribute, rid)
+        return group
     return [(member[linked_pos], member[pk_pos]) for member in group]

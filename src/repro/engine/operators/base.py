@@ -32,9 +32,16 @@ _CHECKPOINT_EVERY = 512
 
 
 def _count_rows_in(source, span: Span) -> Iterator[Row]:
-    for row in source:
-        span.add("rows_in")
-        yield row
+    """*source*, with the rows pulled from it counted as the span's
+    ``rows_in`` — once, when the consumer finishes or abandons it."""
+    pulled = 0
+    try:
+        for row in source:
+            pulled += 1
+            yield row
+    finally:
+        if pulled:
+            span.add("rows_in", pulled)
 
 
 def _governed_iter(it: Iterator[Row]) -> Iterator[Row]:
@@ -78,11 +85,20 @@ class Operator:
             type(self).__name__, self.trace_attrs(), contract=self.trace_contract
         )
         self._span = span
+        rows = iter(self._iterate())
+        out = 0
         try:
-            for row in self._iterate():
-                span.add("rows_out")
+            for row in rows:
+                out += 1
                 yield row
         finally:
+            # a consumer that stopped early (Limit) finalizes the
+            # operator here, so the counters it batches land in its span
+            close = getattr(rows, "close", None)
+            if close is not None:
+                close()
+            if out:
+                span.add("rows_out", out)
             self._span = None
             tracer.close(span)
 

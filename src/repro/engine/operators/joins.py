@@ -17,7 +17,7 @@ with NULL keys still appear once, padded with NULLs on the right.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ...errors import ExecutionError
 from ..expressions import Expr, bind_truth
@@ -26,7 +26,7 @@ from ..index import HashIndex
 from ..metrics import current_metrics
 from ..relation import Relation, Row
 from ..schema import Schema
-from ..types import NULL, TRUE, is_null, row_group_key
+from ..types import NULL, TRUE, bind_join_key
 from ..trace import CONTRACT_EXPANDING, CONTRACT_FILTERING
 from .base import Operator, as_operator, as_relation
 
@@ -53,61 +53,88 @@ class JoinSpec:
         self.right_idx = self.right.schema.indices_of(self.right_keys)
         self.combined = self.left.schema.concat(self.right.schema)
 
-    def build(self) -> Dict[tuple, List[Row]]:
-        """Hash the right input on its key columns (NULL keys skipped)
-        and bind the residual for this run's :meth:`matches` calls."""
-        self._residual_holds = (
-            None
-            if self.residual is None
-            else bind_truth(self.residual, self.combined)
-        )
+    def build(self) -> Dict[Any, List[Row]]:
+        """Hash the right input on its key columns (NULL keys skipped)."""
         checkpoint("hash-build")
         charge_rows(
             len(self.right.rows), len(self.right.schema), "hash-join build"
         )
-        table: Dict[tuple, List[Row]] = {}
+        key_of = bind_join_key(self.right_idx)
+        table: Dict[Any, List[Row]] = {}
         built = 0
         try:
             for row in self.right.rows:
                 if not (built + 1) % 2048:
                     checkpoint("hash-build")
                 built += 1
-                key_vals = tuple(row[i] for i in self.right_idx)
-                if any(is_null(v) for v in key_vals):
+                key = key_of(row)
+                if key is None:
                     continue
-                table.setdefault(row_group_key(key_vals), []).append(row)
+                bucket = table.get(key)
+                if bucket is None:
+                    table[key] = [row]
+                else:
+                    bucket.append(row)
         finally:
             # once per build; a cancelled build still charges its rows
             if built:
                 current_metrics().add("hash_build_rows", built)
         return table
 
-    def right_rows(self) -> List[Row]:
-        return self.right.rows
-
-    def matches(self, table: Dict[tuple, List[Row]], left_row: Row) -> List[Row]:
-        """Right rows matching *left_row* on keys and residual predicate."""
-        metrics = current_metrics()
-        if self.left_idx:
-            key_vals = tuple(left_row[i] for i in self.left_idx)
-            metrics.add("hash_probes")
-            if any(is_null(v) for v in key_vals):
-                return []
-            candidates = table.get(row_group_key(key_vals), [])
-        else:
-            candidates = self.right.rows
-            metrics.add("rows_scanned", len(candidates))
-        holds = self._residual_holds
-        if holds is None or not candidates:
-            return candidates
-        metrics.add("predicate_evals", len(candidates))
-        return [r for r in candidates if holds(left_row + r) is TRUE]
+    def probe(
+        self, table: Dict[Any, List[Row]], left_rows: Iterable[Row]
+    ) -> Iterator[Tuple[Row, Sequence[Row]]]:
+        """Each left row with the right rows matching it on the keys and
+        the residual predicate.  The key extractor and the residual are
+        bound for this run, and its probe counters are charged once — at
+        the end, or wherever the consumer stops."""
+        holds = (
+            None
+            if self.residual is None
+            else bind_truth(self.residual, self.combined)
+        )
+        key_of = bind_join_key(self.left_idx) if self.left_idx else None
+        right_rows = self.right.rows
+        probes = scanned = evals = 0
+        try:
+            for left_row in left_rows:
+                if key_of is not None:
+                    probes += 1
+                    key = key_of(left_row)
+                    candidates = table.get(key, ()) if key is not None else ()
+                else:
+                    candidates = right_rows
+                    scanned += len(candidates)
+                if holds is not None and candidates:
+                    evals += len(candidates)
+                    candidates = [
+                        r for r in candidates if holds(left_row + r) is TRUE
+                    ]
+                yield left_row, candidates
+        finally:
+            metrics = current_metrics()
+            if probes:
+                metrics.add("hash_probes", probes)
+            if scanned:
+                metrics.add("rows_scanned", scanned)
+            if evals:
+                metrics.add("predicate_evals", evals)
 
 
 class _HashJoinBase(Operator):
-    """Shared trace hooks for the hash-join family."""
+    """The hash-join family: one build, one probe pass, and what each
+    member emits per probed left row.  ``rows_out`` and
+    ``null_padded_rows`` are counted locally and charged once per run."""
 
     spec: JoinSpec
+
+    def __init__(self, left, right, left_keys, right_keys,
+                 residual: Optional[Expr] = None):
+        self.spec = JoinSpec(left, right, left_keys, right_keys, residual)
+        self.schema = self._output_schema()
+
+    def _output_schema(self) -> Schema:
+        return self.spec.combined
 
     def trace_attrs(self):
         if not self.spec.left_keys:
@@ -117,28 +144,29 @@ class _HashJoinBase(Operator):
         )
         return {"on": on}
 
-    def _note_build(self, table) -> None:
-        """Record the hash-table build size on the open span."""
+    def _probed(self) -> Iterator[Tuple[Row, Sequence[Row]]]:
+        """Build, note the table size on the open span, probe."""
+        spec = self.spec
+        table = spec.build()
         span = self._span
         if span is not None:
             span.set("hash_table_keys", len(table))
+        return spec.probe(table, self._input(spec.left))
 
 
 class HashJoin(_HashJoinBase):
     """Inner equi-join with optional residual predicate."""
 
-    def __init__(self, left, right, left_keys, right_keys,
-                 residual: Optional[Expr] = None):
-        self.spec = JoinSpec(left, right, left_keys, right_keys, residual)
-        self.schema = self.spec.combined
-
     def _iterate(self) -> Iterator[Row]:
-        table = self.spec.build()
-        self._note_build(table)
-        for left_row in self._input(self.spec.left):
-            for right_row in self.spec.matches(table, left_row):
-                self._emit()
-                yield left_row + right_row
+        out = 0
+        try:
+            for left_row, matched in self._probed():
+                for right_row in matched:
+                    out += 1
+                    yield left_row + right_row
+        finally:
+            if out:
+                self._emit(out)
 
 
 class LeftOuterHashJoin(_HashJoinBase):
@@ -152,26 +180,23 @@ class LeftOuterHashJoin(_HashJoinBase):
 
     trace_contract = CONTRACT_EXPANDING
 
-    def __init__(self, left, right, left_keys, right_keys,
-                 residual: Optional[Expr] = None):
-        self.spec = JoinSpec(left, right, left_keys, right_keys, residual)
-        self.schema = self.spec.combined
-        self._pad = (NULL,) * len(self.spec.right.schema)
-
     def _iterate(self) -> Iterator[Row]:
-        metrics = current_metrics()
-        table = self.spec.build()
-        self._note_build(table)
-        for left_row in self._input(self.spec.left):
-            matched = self.spec.matches(table, left_row)
-            if matched:
-                for right_row in matched:
-                    self._emit()
-                    yield left_row + right_row
-            else:
-                metrics.add("null_padded_rows")
-                self._emit()
-                yield left_row + self._pad
+        pad = (NULL,) * len(self.spec.right.schema)
+        out = padded = 0
+        try:
+            for left_row, matched in self._probed():
+                if matched:
+                    for right_row in matched:
+                        out += 1
+                        yield left_row + right_row
+                else:
+                    padded += 1
+                    yield left_row + pad
+        finally:
+            if padded:
+                current_metrics().add("null_padded_rows", padded)
+            if out + padded:
+                self._emit(out + padded)
 
 
 class SemiJoin(_HashJoinBase):
@@ -179,18 +204,19 @@ class SemiJoin(_HashJoinBase):
 
     trace_contract = CONTRACT_FILTERING
 
-    def __init__(self, left, right, left_keys, right_keys,
-                 residual: Optional[Expr] = None):
-        self.spec = JoinSpec(left, right, left_keys, right_keys, residual)
-        self.schema = self.spec.left.schema
+    def _output_schema(self) -> Schema:
+        return self.spec.left.schema
 
     def _iterate(self) -> Iterator[Row]:
-        table = self.spec.build()
-        self._note_build(table)
-        for left_row in self._input(self.spec.left):
-            if self.spec.matches(table, left_row):
-                self._emit()
-                yield left_row
+        out = 0
+        try:
+            for left_row, matched in self._probed():
+                if matched:
+                    out += 1
+                    yield left_row
+        finally:
+            if out:
+                self._emit(out)
 
 
 class AntiJoin(_HashJoinBase):
@@ -204,18 +230,19 @@ class AntiJoin(_HashJoinBase):
 
     trace_contract = CONTRACT_FILTERING
 
-    def __init__(self, left, right, left_keys, right_keys,
-                 residual: Optional[Expr] = None):
-        self.spec = JoinSpec(left, right, left_keys, right_keys, residual)
-        self.schema = self.spec.left.schema
+    def _output_schema(self) -> Schema:
+        return self.spec.left.schema
 
     def _iterate(self) -> Iterator[Row]:
-        table = self.spec.build()
-        self._note_build(table)
-        for left_row in self._input(self.spec.left):
-            if not self.spec.matches(table, left_row):
-                self._emit()
-                yield left_row
+        out = 0
+        try:
+            for left_row, matched in self._probed():
+                if not matched:
+                    out += 1
+                    yield left_row
+        finally:
+            if out:
+                self._emit(out)
 
 
 class CrossJoin(Operator):

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import datetime
 import enum
-from typing import Any, Iterable, Union
+import operator
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from ..errors import TypeError_
 from .logic import two_valued
@@ -251,6 +252,45 @@ def group_key(value: SqlValue) -> Any:
 def row_group_key(row: Iterable[SqlValue]) -> tuple:
     """Hashable grouping key for a sequence of SQL values."""
     return tuple(group_key(v) for v in row)
+
+
+def bind_join_key(positions: Sequence[int]) -> Callable[[tuple], Any]:
+    """``row -> hash key of row's values at *positions*``, resolved once
+    per operator run; None when any of them is NULL.
+
+    Two rows get equal keys exactly when neither has a NULL there and
+    :func:`row_group_key` of the values agree — an equi-join's match
+    test, NULL keys never matching.  Python's own ``==`` / ``hash``
+    already identify ``1`` with ``1.0`` and keep text, dates and numbers
+    apart; only ``True == 1`` has to be undone, by tagging booleans.
+    """
+    if len(positions) == 1:
+        (only,) = positions
+
+        def key_of(row: tuple) -> Any:
+            value = row[only]
+            if value is NULL:
+                return None
+            return ("\0bool", value) if type(value) is bool else value
+
+        return key_of
+
+    if not positions:
+        return lambda row: ()
+    values_of = operator.itemgetter(*positions)
+
+    def keys_of(row: tuple) -> Any:
+        values = values_of(row)
+        for value in values:
+            if value is NULL:
+                return None
+        if bool in map(type, values):
+            return tuple(
+                ("\0bool", v) if type(v) is bool else v for v in values
+            )
+        return values
+
+    return keys_of
 
 
 def sort_key(value: SqlValue):

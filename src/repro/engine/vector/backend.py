@@ -15,6 +15,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ...core.blocks import NestedQuery, QueryBlock
+from ...core.plancache import ReduceMemo
 from ...core.reduce import (
     ReducedBlock,
     _is_grouped_subquery,
@@ -23,7 +24,6 @@ from ...core.reduce import (
     rid_name,
 )
 from ..catalog import Database
-from ..context import current as current_context
 from ..governor import charge_batch, checkpoint
 from ..metrics import current_metrics
 from ..parallel import MorselScheduler
@@ -69,39 +69,17 @@ class VectorBackend:
     def _reduce_block(self, block: QueryBlock, db: Database) -> ReducedBlock:
         checkpoint("reduce-block")
         plan = plan_block_join(block)
-        context = current_context()
-        cache = context.reduce_cache
-        # the build depends only on the syntactic join plan and the base
-        # tables, never on the block index (the _rid column is attached
-        # below, outside the cached image).  The base tables' fingerprints
-        # are part of the key: a cached build over rows that were since
-        # mutated in place (bypassing Database.version) misses instead of
-        # serving stale data.  The logic mode participates too: a NOT
-        # over a NULL comparison filters differently under 2VL.
-        key = (
-            (
-                repr(plan),
-                self.kind,
-                context.logic,
-                self._tables_fingerprint(plan, db),
-            )
-            if cache is not None
-            else None
-        )
-        cached = cache.reduced(key) if cache is not None else None
+        # the build depends only on the syntactic join plan, the base
+        # tables and the logic mode, never on the block index (the _rid
+        # column is attached below, outside the cached image)
+        memo = ReduceMemo(plan, db, self.kind)
         with op_span(
             f"reduce[T{block.index}]",
             kind="phase",
             tables=",".join(block.alias_list),
-            cache=("hit" if cached is not None else
-                   "miss" if cache is not None else "off"),
+            cache=memo.state,
         ) as span:
-            if cached is not None:
-                current = cached
-            else:
-                current = self._execute_join_plan(plan, db)
-                if cache is not None:
-                    cache.store_reduced(key, current)
+            current = memo.image(lambda: self._execute_join_plan(plan, db))
             if _is_grouped_subquery(block):
                 # GROUP BY / HAVING subquery blocks reuse the row-side
                 # aggregation (outside the cached image, which stays the
@@ -122,14 +100,6 @@ class VectorBackend:
             relation=current,
             rid_ref=rid,
             attr_refs=current.schema.names,
-        )
-
-    @staticmethod
-    def _tables_fingerprint(plan, db: Database):
-        """The fingerprints of every base table a join plan reads."""
-        return tuple(
-            db.table(table_name).relation.fingerprint()
-            for _alias, table_name in plan.table_names
         )
 
     def _execute_join_plan(self, plan, db: Database) -> Batch:

@@ -360,9 +360,9 @@ class Session:
     """A connection-like handle binding queries to one database.
 
     *plan_cache* (default on) enables cross-query reuse: planner
-    decisions, strategy resolutions and the vector backend's
-    reduced-relation builds (``T_i = σ_Δi(R_i)``) are memoized across
-    queries and invalidated when the catalog mutates (planner decisions
+    decisions, strategy resolutions and both backends' reduced-relation
+    builds (``T_i = σ_Δi(R_i)``) are memoized across queries and
+    invalidated when the catalog mutates (planner decisions
     additionally age out when new feedback observations land).
     Re-preparing identical SQL skips the parser and analyzer regardless
     of the flag.  Defaults for every execution knob can be given either

@@ -17,6 +17,23 @@ def pytest_addoption(parser):
              "current EXPLAIN / EXPLAIN ANALYZE output instead of "
              "comparing against them",
     )
+    parser.addoption(
+        "--full-scale",
+        action="store_true",
+        default=False,
+        help="also run the tests marked full_scale: the minutes-long "
+             "variants of tests tier-1 runs at a smaller scale factor "
+             "(CI's pytest job passes this)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--full-scale"):
+        return
+    skip = pytest.mark.skip(reason="full-scale variant: pass --full-scale")
+    for item in items:
+        if "full_scale" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture

@@ -392,7 +392,9 @@ class TestOperatorsBindPerRun:
             built.append(1)
             init(self, frames)
 
-        query = repro.connect(tiny_tpch).prepare(
+        # plan_cache=False: every execution runs its reduce filters, none
+        # reads T_i from the session's reduce memo
+        query = repro.connect(tiny_tpch, plan_cache=False).prepare(
             repro.tpch.query1("1992-01-01", "1994-06-01")
         )
         expected = query.execute(backend="vector")

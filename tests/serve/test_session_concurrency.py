@@ -150,3 +150,96 @@ def test_feedback_epoch_tracks_changes_under_concurrency():
     assert store.epoch >= 20
     for i, rows in store.block_overrides("fp").items():
         assert rows in (1, 2, 3, 4)
+
+
+def test_row_sessions_share_reduce_images_but_not_options_or_logic(db):
+    """Tenants on ``backend="row"`` over ONE SessionCache (the server's
+    pooling): each reads the images the others built, and none runs
+    under another's logic mode or limits.
+
+    ``not (o_comment = 'x')`` over a column with NULLs injected keeps a
+    NULL comment only under 2VL, so a tenant served the other mode's
+    image — or evaluating under the other mode — returns the wrong bag.
+    """
+    import sys
+
+    from repro.engine.types import NULL
+
+    orders = db.relation("orders")
+    comment = orders.schema.index_of("o_comment")
+    nullable = repro.engine.Database()
+    nullable.create_table(
+        "orders",
+        list(orders.schema.columns),
+        [
+            row[:comment] + (NULL,) + row[comment + 1:] if i % 3 == 0 else row
+            for i, row in enumerate(orders.rows)
+        ],
+    )
+    nullable.create_table(
+        "lineitem",
+        list(db.relation("lineitem").schema.columns),
+        db.relation("lineitem").rows,
+    )
+    sql = (
+        "select o_orderkey from orders "
+        "where not (o_comment = 'x') and o_totalprice > all "
+        "(select l_extendedprice from lineitem "
+        "where l_orderkey = o_orderkey and l_quantity > 10)"
+    )
+    cache, feedback = SessionCache(), FeedbackStore()
+    tenants = [
+        repro.Session(nullable, cache=cache, feedback=feedback, **settings)
+        for settings in (
+            {"logic": "3vl"},
+            {"logic": "2vl", "timeout_ms": 60_000},
+            {"logic": "3vl", "memory_limit_mb": 512},
+            {"logic": "2vl"},
+        )
+    ]
+    expected = {
+        logic: _bag(
+            repro.connect(nullable, logic=logic, plan_cache=False).execute(
+                sql, backend="row"
+            )
+        )
+        for logic in ("3vl", "2vl")
+    }
+    assert expected["3vl"] != expected["2vl"]
+
+    barrier = threading.Barrier(len(tenants))
+    errors = []
+
+    def serve(session):
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(ROUNDS):
+                got = session.prepare(sql).execute(backend="row")
+                assert _bag(got) == expected[session.logic], session.logic
+        except Exception as exc:  # surfaced below with context
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(tenants)) as pool:
+            list(pool.map(serve, tenants))
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+    stats = cache.stats_snapshot()
+    blocks = 2
+    lookups = len(tenants) * ROUNDS * blocks
+    assert stats["reduce_hits"] + stats["reduce_misses"] == lookups
+    # one image per (block, logic mode): at most every tenant missed
+    # each of its own once, racing the tenant it shares a mode with
+    assert stats["reduce_misses"] <= len(tenants) * blocks
+    assert len(cache._reduced) == 2 * blocks
+    assert cache._reduced_cells == sum(
+        cells for _image, cells in cache._reduced.values()
+    )
+    # a tenant arriving later is served entirely by the others' builds
+    late = repro.Session(nullable, cache=cache, feedback=feedback, logic="2vl")
+    assert _bag(late.execute(sql, backend="row")) == expected["2vl"]
+    assert cache.stats_snapshot()["reduce_misses"] == stats["reduce_misses"]

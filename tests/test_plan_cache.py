@@ -234,7 +234,7 @@ class TestEviction:
         cache = SessionCache()
         cache.validate(0)
         cache.store_strategy(("sticky",), "impl")
-        cache.store_reduced(("sticky-build",), "batch")
+        cache.store_reduced(("sticky-build",), "batch", cells=5)
         for i in range(_MAX_ENTRIES + 10):
             cache.store_plan(f"select {i}", object())
         # the plan memo is bounded ...
