@@ -460,12 +460,17 @@ def checkpoint(site: str = "operator") -> None:
 
 
 def _is_mapped(arr) -> bool:
-    """Whether *arr* is (a view into) a memory-mapped file."""
-    import numpy as np
+    """Whether *arr* is (a view into) a live memory mapping.
 
+    The array's *type* does not say: numpy hands back ``np.memmap``-typed
+    arrays that own heap memory (``np.take(mm, idx)``, ``mm.astype(...)``
+    — their ``_mmap`` is None), and a plain ``ndarray`` view can sit on a
+    mapping.  So the walk looks for an open ``_mmap`` along the ``.base``
+    chain.
+    """
     seen = 0
     while arr is not None and seen < 8:
-        if isinstance(arr, np.memmap):
+        if getattr(arr, "_mmap", None) is not None:
             return True
         arr = getattr(arr, "base", None)
         seen += 1

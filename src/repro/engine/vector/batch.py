@@ -25,7 +25,7 @@ import numpy as np
 from ..catalog import Table
 from ..relation import Relation
 from ..schema import Schema
-from .column import Vector
+from .column import Vector, pad_index
 
 _TABLE_CACHE_ATTR = "_vector_batch_cache"
 
@@ -86,7 +86,7 @@ class Batch:
         )
 
     def take(self, idx: np.ndarray) -> "Batch":
-        return Batch(self.schema, [c.take(idx) for c in self.columns], len(idx))
+        return Batch(self.schema, [c.gather(idx) for c in self.columns], len(idx))
 
     def slice(self, lo: int, hi: int) -> "Batch":
         """The contiguous row range ``[lo, hi)`` as numpy views — no
@@ -94,16 +94,20 @@ class Batch:
         if lo == 0 and hi == self.length:
             return self
         return Batch(
-            self.schema,
-            [Vector(c.kind, c.data[lo:hi], c.valid[lo:hi]) for c in self.columns],
-            hi - lo,
+            self.schema, [c.slice(lo, hi) for c in self.columns], hi - lo
         )
 
     def take_padded(self, idx: np.ndarray) -> "Batch":
-        """Gather rows; ``-1`` positions become all-NULL rows."""
-        return Batch(
-            self.schema, [c.take_padded(idx) for c in self.columns], len(idx)
-        )
+        """Gather rows; ``-1`` positions become all-NULL rows.  The pad
+        mask and the clipped index are computed once for all columns
+        (without pads this is :meth:`take`)."""
+        if self.length == 0:
+            # nothing to gather from: each column pads itself
+            columns = [c.take_padded(idx) for c in self.columns]
+        else:
+            clipped, present = pad_index(idx)
+            columns = [c.gather(clipped, present) for c in self.columns]
+        return Batch(self.schema, columns, len(idx))
 
     def with_column(self, column, vector: Vector) -> "Batch":
         """This batch extended by one more column on the right."""

@@ -18,11 +18,24 @@ to ``bool`` (kept distinct from ints, as in
 int/float mix — to ``f8``, strings to a fixed-width ``str`` array, and
 anything else (dates, oversized ints, genuinely mixed columns) to an
 ``obj`` array that falls back to per-value Python semantics.
+
+Vectors are **immutable**: nothing stores into ``data`` or ``valid``
+after construction (operators build new vectors).  Two things rest on
+that.  A vector remembers, lazily and once, whether it has no NULL slot
+(:attr:`Vector.dense`), and arrays may be shared between vectors — the
+``present`` mask of a padded gather is the validity of every dense
+column it moves.
+
+Row movement is one kernel, :meth:`Vector.gather`; ``take`` and
+``take_padded`` are its two callers.  Whatever the source (heap, slice,
+memory-mapped file) its output arrays are plain heap ``np.ndarray``
+objects with the dtype, values and ``nbytes`` of ``data[idx]`` /
+``valid[idx] & present``, so the governor charges what it always did.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,21 +58,54 @@ _FILL = {
 }
 
 
+#: fixed-width strings up to this many bytes (``U1``, ``U2``) keep fancy
+#: indexing, which copies such an item as one machine word; wider ones
+#: are gathered as rows of ``uint32`` — measured 1.5-2.3x faster on
+#: ``U7``-``U21``, not faster at 8 bytes and below
+_NARROW_STR_ITEMSIZE = 8
+
+
+def pad_index(idx: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """A padded gather index (``-1`` = NULL row) prepared once for every
+    column it moves: ``(clipped, present)`` with the pads clipped to row
+    0 and ``present`` False on them — or ``(idx, None)`` without pads."""
+    present = idx >= 0
+    if present.all():
+        return idx, None
+    return np.where(present, idx, 0), present
+
+
 class Vector:
     """One column: ``data`` (numpy) + ``valid`` (bool mask, True=present)."""
 
-    __slots__ = ("kind", "data", "valid")
+    __slots__ = ("kind", "data", "valid", "_dense")
 
-    def __init__(self, kind: str, data: np.ndarray, valid: np.ndarray):
+    def __init__(
+        self,
+        kind: str,
+        data: np.ndarray,
+        valid: np.ndarray,
+        dense: Optional[bool] = None,
+    ):
         self.kind = kind
         self.data = data
         self.valid = valid
+        self._dense = dense
 
     def __len__(self) -> int:
         return len(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Vector({self.kind}, n={len(self.data)}, nulls={int((~self.valid).sum())})"
+
+    @property
+    def dense(self) -> bool:
+        """Whether no slot is NULL: computed on first use, then kept —
+        sound because vectors are never written after construction."""
+        dense = self._dense
+        if dense is None:
+            dense = self._dense = bool(self.valid.all())
+        return dense
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -149,9 +195,45 @@ class Vector:
     # Row movement
     # ------------------------------------------------------------------ #
 
+    def gather(
+        self, idx: np.ndarray, present: Optional[np.ndarray] = None
+    ) -> "Vector":
+        """Rows at the non-negative positions *idx*; where *present* (a
+        mask, or None for "everywhere") is False the slot is NULL.
+
+        Equal in kind, dtype, values and bytes to ``Vector(kind,
+        data[idx], valid[idx] & present)``, as plain heap arrays.  A
+        string column wider than 8 bytes in a C-contiguous array moves
+        as rows of ``uint32`` (``np.take`` along axis 0 of an ``(n,
+        itemsize // 4)`` view, viewed back to the same ``U`` dtype);
+        narrower strings, non-contiguous sources and the other kinds use
+        fancy indexing.  A :attr:`dense` source has no mask to gather:
+        its output validity *is* ``present``.
+        """
+        data = self.data
+        if (
+            self.kind == KIND_STR
+            and data.itemsize > _NARROW_STR_ITEMSIZE
+            and data.flags.c_contiguous
+        ):
+            words = data.view(np.uint32, np.ndarray).reshape(
+                len(data), data.itemsize // 4
+            )
+            out = np.take(words, idx, axis=0).view(data.dtype).reshape(len(idx))
+        else:
+            out = data[idx]
+        if self.dense:
+            if present is None:
+                return Vector(self.kind, out, np.ones(len(idx), dtype=bool), True)
+            return Vector(self.kind, out, present)
+        valid = self.valid[idx]
+        if present is not None:
+            valid &= present
+        return Vector(self.kind, out, valid)
+
     def take(self, idx: np.ndarray) -> "Vector":
-        """Gather rows by position (standard fancy indexing)."""
-        return Vector(self.kind, self.data[idx], self.valid[idx])
+        """Gather rows by position."""
+        return self.gather(idx)
 
     def take_padded(self, idx: np.ndarray) -> "Vector":
         """Gather rows; positions equal to ``-1`` come out as NULL.
@@ -159,13 +241,16 @@ class Vector:
         This is how outer joins pad their null-extended side without a
         separate concatenation step.
         """
-        clipped = np.where(idx < 0, 0, idx)
         if len(self.data) == 0:
             # nothing to gather from: everything must be padding
             return Vector.nulls(self.kind, len(idx))
-        data = self.data[clipped]
-        valid = self.valid[clipped] & (idx >= 0)
-        return Vector(self.kind, data, valid)
+        return self.gather(*pad_index(idx))
+
+    def slice(self, lo: int, hi: int) -> "Vector":
+        """The contiguous row range ``[lo, hi)`` as numpy views."""
+        return Vector(
+            self.kind, self.data[lo:hi], self.valid[lo:hi], self._dense or None
+        )
 
     @staticmethod
     def vstack(a: "Vector", b: "Vector") -> "Vector":
@@ -198,7 +283,7 @@ class Vector:
     def tolist_sql(self) -> List[Any]:
         """Python SQL values (native scalars, NULL where invalid)."""
         out = self.data.tolist()
-        if self.valid.all():
+        if self.dense:
             return out
         invalid = np.flatnonzero(~self.valid)
         for i in invalid.tolist():

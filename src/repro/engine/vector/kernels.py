@@ -22,6 +22,14 @@ a numpy-comparable layout, a dict over per-row ``group_key`` otherwise
 (``obj`` columns, bool next to int, strings next to numbers, ints
 beyond float64 precision next to floats).
 
+There is also **one residual evaluation site**, the probe morsel of
+:func:`_match_pairs`, which every join of the family (and every spill
+partition re-entering it) goes through.  A predicate's truth depends
+only on the attributes it mentions, so the candidate pairs are
+materialized as a batch of exactly ``residual.columns()``
+(:func:`_candidates`) — never all columns of both sides — and the
+survivors are gathered once, for the output.
+
 Kernels take a :class:`~repro.engine.parallel.MorselScheduler`: the
 probe side (or a filter's input) is cut into contiguous morsels that
 only compute positions and masks, and the operator assembles its output
@@ -30,9 +38,11 @@ is the same code.
 
 NULL-padding convention (the paper's pk-is-NULL emptiness marker): outer
 joins express the padded side as a gather index of ``-1``, which
-:meth:`Vector.take_padded` turns into invalid slots — including the
+:meth:`Batch.take_padded` turns into invalid slots — including the
 synthetic ``_rid`` column, whose NULL later tells ``nest`` that a group
-is empty.
+is empty.  Every operator's output batch is byte-identical to what
+per-column fancy indexing would build (:meth:`Vector.gather`), so the
+governor's charges do not depend on how the rows were moved.
 """
 
 from __future__ import annotations
@@ -41,9 +51,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..governor import charge_batch, charge_rows
+from ..governor import charge_batch, charge_rows, checkpoint
 from ..metrics import current_metrics
 from ..parallel import SEQUENTIAL, MorselScheduler
+from ..schema import Schema
 from ..trace import (
     CONTRACT_EXPANDING,
     CONTRACT_FILTERING,
@@ -264,6 +275,30 @@ def _matched_rows(li: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(li))) + 1 if len(li) else 0
 
 
+def _candidates(
+    left: Batch, right: Batch, residual, li: np.ndarray, ri: np.ndarray
+) -> Batch:
+    """The candidate pairs ``(li, ri)`` as a batch of only the columns
+    the *residual* mentions — a predicate's truth depends on nothing
+    else.  References resolve against the full ``left ++ right`` schema,
+    so an unknown or ambiguous one raises what evaluating over every
+    column would; the batch carries those same ``Column`` objects, in
+    schema order, and a predicate of literals alone gets no columns."""
+    schema = left.schema.concat(right.schema)
+    n_left = len(left.columns)
+    positions = sorted(set(schema.indices_of(residual.columns())))
+    return Batch(
+        Schema(schema.columns[p] for p in positions),
+        [
+            left.columns[p].take(li)
+            if p < n_left
+            else right.columns[p - n_left].take(ri)
+            for p in positions
+        ],
+        len(li),
+    )
+
+
 def _match_pairs(
     sched: MorselScheduler,
     span: Optional[Span],
@@ -303,10 +338,16 @@ def _match_pairs(
             metrics.add("rows_scanned", (hi - lo) * nr)
             li = np.repeat(np.arange(lo, hi, dtype=np.int64), nr)
             ri = np.tile(np.arange(nr, dtype=np.int64), hi - lo)
+            if residual is not None:
+                # the whole cross product is about to be judged: the one
+                # stretch of a join kernel a deadline or cancel() could
+                # not otherwise interrupt under the sequential scheduler
+                checkpoint("cross-join residual")
         if residual is not None and len(li):
             metrics.add("predicate_evals", len(li))
-            cand = Batch.concat_columns(left.take(li), right.take(ri))
-            keep, _f = eval_truth(residual, cand)
+            keep, _f = eval_truth(
+                residual, _candidates(left, right, residual, li, ri)
+            )
             li, ri = li[keep], ri[keep]
         if mspan is not None:
             _note(mspan, hi - lo, emitted(li, hi - lo))

@@ -19,7 +19,11 @@ from repro.engine.colstore import (
     open_store,
     store_size_bytes,
 )
+from repro.core.blocks import LinkSpec
+from repro.core.linking import SetPredicate
+from repro.engine.expressions import Col, Comparison, Literal
 from repro.engine.governor import batch_nbytes
+from repro.engine.vector import kernels, nestlink
 from repro.engine.vector.batch import relation_batch
 from repro.errors import CatalogError
 from repro.core.stats import collect_stats
@@ -74,6 +78,48 @@ def test_stored_batch_is_memory_mapped(stored_db):
     assert batch_nbytes(batch) == 0
     # and the batch is built once, not per access
     assert rel.stored_batch() is batch
+
+
+def test_kernel_outputs_over_stored_batches_are_charged_heap_arrays(stored_db):
+    """Whatever a kernel gathers out of a mapped table is a plain heap
+    ``np.ndarray`` — never an ``np.memmap``-typed heap array, which the
+    accounting once mistook for stored bytes — and ``batch_nbytes``
+    counts every byte of it."""
+    part = stored_db.relation("part").stored_batch()
+    partsupp = stored_db.relation("partsupp").stored_batch()
+    assert batch_nbytes(part) == batch_nbytes(partsupp) == 0
+    keys = (["part.p_partkey"], ["partsupp.ps_partkey"])
+    residual = Comparison("<>", Col("p_name"), Col("ps_comment"))
+    exists = SetPredicate("exists")
+    link = LinkSpec("exists")
+    outputs = {
+        "filter": kernels.filter_batch(
+            part, Comparison("<", Col("p_size"), Literal(20))
+        ),
+        "hash": kernels.hash_join(part, partsupp, *keys, residual),
+        "left-outer": kernels.left_outer_hash_join(
+            part, partsupp, *keys, residual
+        ),
+        "semi": kernels.semi_join(part, partsupp, *keys, residual),
+        "anti": kernels.anti_join(
+            part, partsupp, *keys, Comparison("<", Col("p_size"), Literal(20))
+        ),
+        "nest-link": nestlink.nest_link(
+            partsupp, ["ps_partkey", "ps_comment"], ["ps_partkey"], exists,
+            link, "ps_suppkey", True, [], "sorted",
+        ),
+        "uncorrelated-link": nestlink.uncorrelated_link(
+            part, partsupp, exists, link, "ps_suppkey", True, [],
+        ),
+    }
+    for name, out in outputs.items():
+        assert len(out), name
+        for column in out.columns:
+            assert type(column.data) is np.ndarray, name
+            assert type(column.valid) is np.ndarray, name
+        assert batch_nbytes(out) == sum(
+            c.data.nbytes + c.valid.nbytes for c in out.columns
+        ), name
 
 
 def test_zero_copy_against_column_file(store_dir, stored_db):

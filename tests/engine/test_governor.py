@@ -14,15 +14,20 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 import repro
 from repro.core import planner
+from repro.engine import Column, Schema
+from repro.engine.expressions import Col, Comparison
 from repro.engine.governor import (
     EST_BYTES_PER_VALUE,
     FAULT_MODES,
     ResourceGovernor,
+    _is_mapped,
     active_fault,
+    batch_nbytes,
     checkpoint,
     current_governor,
     governed,
@@ -36,6 +41,8 @@ from repro.engine.trace import (
     tracing,
     validate_trace_dict,
 )
+from repro.engine.vector import Batch, Vector
+from repro.engine.vector.column import KIND_STR
 from repro.engine.vector.strategy import VectorizedNestedRelationalStrategy
 from repro.errors import (
     InjectedFaultError,
@@ -194,6 +201,106 @@ class TestGovernorUnit:
             with governed(None):  # None installs nothing
                 assert current_governor() is gov
         assert current_governor() is None
+
+
+class TestMappedAccounting:
+    """``batch_nbytes`` skips what lives in a file mapping — and only
+    that.  numpy hands back ``np.memmap``-*typed* arrays that own heap
+    memory; the walk must look for a live mapping, not at the type."""
+
+    @pytest.fixture
+    def mapping(self, tmp_path):
+        path = str(tmp_path / "column.npy")
+        np.save(path, np.array([f"a-wide-string-{i}" for i in range(12)]))
+        return np.load(path, mmap_mode="r")
+
+    def test_views_of_a_mapping_are_mapped(self, mapping):
+        for view in (
+            mapping,
+            mapping[2:9],
+            mapping[2:9].view(np.uint32),
+            mapping[::2],
+            np.asarray(mapping),
+            mapping.view(np.uint32, np.ndarray).reshape(12, -1),
+        ):
+            assert _is_mapped(view)
+
+    def test_heap_arrays_typed_memmap_are_not(self, mapping):
+        idx = np.array([3, 1, 1])
+        taken = np.take(mapping, idx)
+        widened = mapping.astype("U40")
+        # the trap: memmap by type, heap by ownership
+        assert isinstance(taken, np.memmap) and taken._mmap is None
+        assert isinstance(widened, np.memmap) and widened._mmap is None
+        for heap in (
+            taken,
+            taken[1:],
+            widened,
+            mapping[idx],
+            np.concatenate([mapping, mapping]),
+            np.array(mapping),
+        ):
+            assert not _is_mapped(heap)
+
+    def test_batch_nbytes_counts_the_heap_columns(self, mapping):
+        idx = np.array([3, 1, 1])
+        valid = np.ones(3, dtype=bool)
+        stored = Vector(KIND_STR, mapping, np.ones(12, dtype=bool))
+        heap = Vector(KIND_STR, np.take(mapping, idx), valid)
+        batch = Batch(Schema([Column("s"), Column("h")]), [stored, heap], 3)
+        assert batch_nbytes(batch) == heap.data.nbytes + valid.nbytes
+
+
+class TestCrossJoinResidualCheckpoint:
+    """A keyless join builds the whole cross product's pair lists before
+    its residual can discard any; under the sequential scheduler the one
+    checkpoint inside the kernel sits between the two, so a deadline or
+    a ``cancel()`` that lands during pair construction stops the join
+    before the residual is evaluated."""
+
+    @pytest.mark.parametrize(
+        "trip,error",
+        [("cancel", QueryCancelledError), ("deadline", QueryTimeoutError)],
+    )
+    def test_trips_before_the_residual_is_evaluated(
+        self, monkeypatch, trip, error
+    ):
+        from repro.engine import governor as governor_module
+        from repro.engine.vector import kernels
+
+        clock = [1000.0]
+        monkeypatch.setattr(
+            governor_module,
+            "time",
+            type("Clock", (), {
+                "monotonic": staticmethod(lambda: clock[0]),
+                "sleep": staticmethod(time.sleep),
+            }),
+        )
+        gov = ResourceGovernor(timeout_ms=50)
+        real_tile = np.tile
+
+        def tile_then_trip(*args, **kwargs):
+            # the tail of the pair construction
+            if trip == "cancel":
+                gov.cancel()
+            else:
+                clock[0] += 1.0
+            return real_tile(*args, **kwargs)
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("the residual was evaluated")
+
+        monkeypatch.setattr(np, "tile", tile_then_trip)
+        monkeypatch.setattr(kernels, "eval_truth", never)
+        side = Batch(
+            Schema([Column("x")]), [Vector.from_values(list(range(50)))], 50
+        )
+        other = side.rename_table("o")
+        residual = Comparison("<", Col("x"), Col("o.x"))
+        with governed(gov), pytest.raises(error) as err:
+            kernels.cross_join(side, other, residual)
+        assert "cross-join residual" in str(err.value)
 
 
 # --------------------------------------------------------------------- #

@@ -10,8 +10,13 @@ paper's R/S/T data.
 
 from __future__ import annotations
 
+import datetime
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.engine import NULL, Column, Schema
@@ -103,6 +108,181 @@ class TestVector:
         assert codes[0] == codes[2]
         assert codes[1] == codes[3] == 0
         assert codes[4] not in (codes[0], 0)
+
+
+# --------------------------------------------------------------------- #
+# The one gather kernel
+# --------------------------------------------------------------------- #
+
+#: string widths on both sides of the uint32-row threshold (itemsize 8)
+STR_WIDTHS = (1, 2, 3, 7, 21)
+GATHER_KINDS = [KIND_INT, KIND_FLOAT, KIND_BOOL, KIND_OBJ] + [
+    f"U{w}" for w in STR_WIDTHS
+]
+LAYOUTS = ("whole", "sliced", "mapped", "strided")
+
+
+def _values(kind: str, n: int, offset: int):
+    """*n* distinct-ish values of one gather kind."""
+    if kind == KIND_INT:
+        return np.arange(offset, offset + n, dtype=np.int64) * 7 - 3
+    if kind == KIND_FLOAT:
+        return np.arange(offset, offset + n, dtype=np.float64) / 4
+    if kind == KIND_BOOL:
+        return (np.arange(offset, offset + n) % 3 == 0)
+    if kind == KIND_OBJ:
+        data = np.empty(n, dtype=object)
+        for i in range(n):
+            data[i] = datetime.date(1992, 1, 1 + (offset + i) % 28)
+        return data
+    width = int(kind[1:])
+    return np.array(
+        [f"{(offset + i) % 10}" * width for i in range(n)], dtype=kind
+    )
+
+
+def _source(kind, n, null_at, layout, workdir) -> Vector:
+    """A source vector of *n* rows, NULL at the positions *null_at*, laid
+    out whole, as a ``Batch.slice``, as a ``.npy`` mapping or strided."""
+    pad = 2 if layout in ("sliced", "strided") else 0
+    total = 2 * n + pad if layout == "strided" else n + 2 * pad
+    data = _values(kind, total, 0)
+    valid = np.ones(total, dtype=bool)
+    vkind = KIND_STR if kind.startswith("U") else kind
+    if layout == "strided":
+        valid[[2 * i for i in null_at]] = False
+        return Vector(vkind, data[: 2 * n : 2], valid[: 2 * n : 2])
+    valid[[pad + i for i in null_at]] = False
+    if layout == "mapped":
+        for name, arr in (("data", data), ("valid", valid)):
+            np.save(os.path.join(workdir, f"{name}.npy"), arr)
+        data = np.load(os.path.join(workdir, "data.npy"), mmap_mode="r")
+        valid = np.load(os.path.join(workdir, "valid.npy"), mmap_mode="r")
+    batch = Batch(Schema([Column("c")]), [Vector(vkind, data, valid)], total)
+    return batch.slice(pad, pad + n).columns[0]
+
+
+def _same_vector(got: Vector, want: Vector) -> None:
+    assert got.kind == want.kind
+    assert type(got.data) is np.ndarray and type(got.valid) is np.ndarray
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tolist() == want.data.tolist()
+    assert got.valid.tolist() == want.valid.tolist()
+    assert (
+        got.data.nbytes + got.valid.nbytes
+        == want.data.nbytes + want.valid.nbytes
+    )
+    assert got.dense == bool(want.valid.all())
+
+
+@st.composite
+def gathers(draw):
+    kind = draw(st.sampled_from(GATHER_KINDS))
+    layout = draw(st.sampled_from(LAYOUTS))
+    if kind == KIND_OBJ and layout == "mapped":
+        layout = "whole"  # object arrays cannot be mapped
+    n = draw(st.integers(0, 9))
+    if n == 0 and layout == "mapped":
+        layout = "whole"  # nor can zero bytes
+    null_at = draw(
+        st.one_of(
+            st.just([]),  # a dense source
+            st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+            if n
+            else st.just([]),
+        )
+    )
+    shapes = [
+        st.lists(st.just(-1), max_size=5),  # all pads, or nothing at all
+        st.just(list(range(n - 1, -1, -1))),  # descending
+    ]
+    if n:
+        positions = st.integers(0, n - 1)
+        shapes += [
+            st.lists(positions, max_size=14),  # repeats, any order
+            st.lists(st.one_of(positions, st.just(-1)), max_size=14),
+        ]
+    idx = draw(st.one_of(shapes))
+    return kind, n, null_at, layout, np.array(idx, dtype=np.int64)
+
+
+class TestGather:
+    """``Vector.gather`` — what ``take`` and ``take_padded`` both are —
+    equals fancy indexing on every kind, layout and index shape."""
+
+    @given(gathers(), st.booleans())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_gather_equals_fancy_indexing(self, case, warm):
+        kind, n, null_at, layout, idx = case
+        with tempfile.TemporaryDirectory() as workdir:
+            source = _source(kind, n, null_at, layout, workdir)
+            if warm:
+                source.dense  # flag known before vs. computed inside
+            present = idx >= 0
+            padded = not present.all()
+            if n == 0:
+                # nothing to gather from: only padding can be asked for
+                want = Vector.nulls(source.kind, len(idx))
+                _same_vector(source.take_padded(idx), want)
+                return
+            clipped = np.where(present, idx, 0)
+            want = Vector(
+                source.kind,
+                np.asarray(source.data)[clipped],
+                np.asarray(source.valid)[clipped] & present,
+            )
+            _same_vector(source.gather(clipped, present), want)
+            _same_vector(source.take_padded(idx), want)
+            if not padded:
+                _same_vector(source.gather(idx), want)
+                _same_vector(source.take(idx), want)
+            batch = Batch(Schema([Column("c")]), [source], n)
+            _same_vector(batch.take_padded(idx).columns[0], want)
+            # the source is never written: its own flag still holds
+            assert source.dense == (not null_at)
+
+    def test_dense_is_never_true_with_a_null_slot(self, tmp_path):
+        from repro.engine import spill
+        from repro.engine.vector import nestlink
+
+        batch = batch_of(
+            full=[1, 2, 3, 4],
+            holes=[1, NULL, 3, NULL],
+            text=["wide-string-one", "wide-string-two", NULL, "x"],
+        )
+        for column in batch.columns:
+            column.dense  # known up front, so every gather inherits it
+        idx = np.array([3, 0, 0, 2])
+        padded = np.array([1, -1, 2])
+        part = spill._write_partition(str(tmp_path), "p", batch, idx)
+        assert part > 0
+        reread = spill._read_partition(
+            str(tmp_path), "p", batch.schema, [c.kind for c in batch.columns]
+        )
+        derived = {
+            "take": batch.take(idx),
+            "take-twice": batch.take(idx).take(np.array([1, 1])),
+            "take_padded": batch.take_padded(padded),
+            "take_padded-no-pads": batch.take_padded(idx),
+            "take-of-padded": batch.take_padded(padded).take(np.array([1, 0])),
+            "slice": batch.slice(1, 3),
+            "vstack": Batch.vstack([batch.take(idx), batch.take_padded(padded)]),
+            "pad_columns": nestlink._pad_columns(
+                batch.take(idx), ["full"], np.array([True, False, False, True])
+            ),
+            "spill-roundtrip": reread,
+            "take-of-spill-roundtrip": reread.take(np.array([0, 2])),
+        }
+        for name, out in derived.items():
+            for ref, column in zip(out.schema.names, out.columns):
+                assert column.dense == bool(column.valid.all()), (name, ref)
+        assert derived["take"].column("full").dense
+        assert not derived["take_padded"].column("full").dense
+        assert not derived["pad_columns"].column("full").dense
 
 
 class TestBatch:
