@@ -46,6 +46,30 @@ class Relation:
         return Relation(schema, rows)
 
     @staticmethod
+    def from_columns(
+        schema: Schema, columns: Sequence[Sequence[SqlValue]]
+    ) -> "Relation":
+        """Rows zipped out of equal-length value columns, trusted.
+
+        The width is checked once against the schema and raggedness
+        once per column; the rows are the ``zip`` itself — no per-row
+        re-tupling or arity check.  A zero-column relation cannot carry
+        its row count this way; build it with ``Relation(schema, rows)``.
+        """
+        if len(columns) != len(schema):
+            raise SchemaError(
+                f"{len(columns)} column(s) do not match schema width "
+                f"{len(schema)}"
+            )
+        if len({len(c) for c in columns}) > 1:
+            raise SchemaError(
+                f"ragged columns: lengths {[len(c) for c in columns]}"
+            )
+        out = Relation(schema)
+        out.rows = list(zip(*columns))
+        return out
+
+    @staticmethod
     def from_dicts(schema: Schema, dicts: Iterable[dict]) -> "Relation":
         """Build a relation from dictionaries keyed by (bare) column name.
 

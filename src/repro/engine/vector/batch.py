@@ -62,8 +62,9 @@ class Batch:
     def to_relation(self) -> Relation:
         if not self.columns:
             return Relation(self.schema, [() for _ in range(self.length)])
-        cols = [v.tolist_sql() for v in self.columns]
-        return Relation(self.schema, list(zip(*cols)))
+        return Relation.from_columns(
+            self.schema, [v.tolist_sql() for v in self.columns]
+        )
 
     # ------------------------------------------------------------------ #
     # Column access

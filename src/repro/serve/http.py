@@ -10,6 +10,7 @@ real deployment.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -73,11 +74,12 @@ async def read_request(reader) -> Optional[HttpRequest]:
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
-    except Exception as exc:  # IncompleteReadError, LimitOverrunError
-        partial = getattr(exc, "partial", b"")
-        if not partial:
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
             return None  # clean close between requests
-        raise ProtocolError(f"truncated or oversized request head: {exc}")
+        raise ProtocolError(f"truncated request head: {exc}")
+    except asyncio.LimitOverrunError:  # no end of head within the buffer
+        raise ProtocolError("request head too large", status=413)
     if len(head) > MAX_HEADER_BYTES:
         raise ProtocolError("request head too large", status=413)
     lines = head.decode("latin-1").split("\r\n")
@@ -110,8 +112,12 @@ async def read_request(reader) -> Optional[HttpRequest]:
 def response_bytes(
     status: int, payload: Any, keep_alive: bool = True
 ) -> bytes:
-    """Serialize one JSON response, framing included."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    """Frame one JSON response: *payload* is serialized here unless it
+    is ``bytes``, a body the caller has already encoded."""
+    if isinstance(payload, bytes):
+        body = payload
+    else:
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     reason = _REASONS.get(status, "Unknown")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"

@@ -137,6 +137,7 @@ class TenantState:
         self.degradations = 0
         self.spills = 0
         self.busy_ms = 0.0
+        self.encode_ms = 0.0
 
     @property
     def in_system(self) -> int:
@@ -162,6 +163,7 @@ class TenantState:
             "degradations": self.degradations,
             "spills": self.spills,
             "busy_ms": round(self.busy_ms, 3),
+            "encode_ms": round(self.encode_ms, 3),
         }
 
 

@@ -31,6 +31,29 @@ class TestConstruction:
         r = Relation.from_iter(schema, ((i,) for i in range(3)))
         assert len(r) == 3
 
+    def test_from_columns_is_the_zip(self):
+        schema = Schema.of("a", "b", table="t")
+        cols = [[3, NULL, 1, 3], ["x", "y", NULL, "x"]]
+        r = Relation.from_columns(schema, cols)
+        reference = Relation(schema, zip(*cols))
+        assert r.rows == reference.rows  # row order, not only the bag
+        assert r == reference
+        assert r.schema is schema
+        assert all(type(row) is tuple for row in r.rows)
+        assert Relation.from_columns(schema, [[], []]).rows == []
+
+    def test_from_columns_checks_width_once(self):
+        schema = Schema.of("a", "b", table="t")
+        with pytest.raises(SchemaError, match="schema width 2"):
+            Relation.from_columns(schema, [[1, 2]])
+        with pytest.raises(SchemaError, match="schema width 2"):
+            Relation.from_columns(schema, [[1], [2], [3]])
+
+    def test_from_columns_rejects_ragged_columns(self):
+        schema = Schema.of("a", "b", table="t")
+        with pytest.raises(SchemaError, match="ragged"):
+            Relation.from_columns(schema, [[1, 2], [1]])
+
 
 class TestBagEquality:
     def test_order_insensitive(self):

@@ -290,6 +290,18 @@ class TestBatch:
         rel = paper_db.relation("R")
         assert Batch.from_relation(rel).to_relation() == rel
 
+    def test_to_relation_edges(self):
+        """Zero rows, zero columns (the count survives) and all-NULL."""
+        empty = batch_of(a=[], b=[]).to_relation()
+        assert empty.rows == [] and empty.schema.names == ("a", "b")
+        no_columns = Batch(Schema(()), [], 3).to_relation()
+        assert no_columns.rows == [(), (), ()]
+        nulls = batch_of(a=[NULL, NULL], b=[NULL, NULL])
+        assert nulls.to_relation().rows == [(NULL, NULL), (NULL, NULL)]
+        padded = batch_of(a=[1, 2], b=["x", "y"]).take_padded(
+            np.array([-1, -1]))
+        assert padded.to_relation().rows == [(NULL, NULL), (NULL, NULL)]
+
     def test_project_and_column(self):
         b = batch_of(a=[1, 2], b=["x", "y"])
         assert b.project(["b"]).to_relation().rows == [("x",), ("y",)]
