@@ -23,7 +23,7 @@ from repro.bench.figures import (
     _q23_sizes,
 )
 from repro.baselines import BooleanAggregateStrategy, CountRewriteStrategy
-from repro.core.planner import make_strategy
+from repro.strategies import make as make_strategy
 from repro.engine.metrics import collect
 from repro.tpch import query2
 

@@ -17,7 +17,7 @@ import pytest
 import repro
 from repro.bench import PAPER_STRATEGIES, figure4_query1
 from repro.bench.figures import Q1_OUTER_FRACTIONS, _q1_windows
-from repro.core.planner import make_strategy
+from repro.strategies import make as make_strategy
 from repro.tpch import query1
 
 

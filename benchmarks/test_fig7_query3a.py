@@ -17,7 +17,7 @@ import repro
 from repro.bench import PAPER_STRATEGIES, figure7_query3a
 from repro.bench.figures import Q23_OUTER_FRACTIONS, _q23_availqty, _q23_sizes
 from repro.baselines.native import NESTED_ITERATION, SystemAEmulationStrategy
-from repro.core.planner import make_strategy
+from repro.strategies import make as make_strategy
 from repro.tpch import query3
 
 

@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.bench import PAPER_STRATEGIES, figure8_query3b, figure9_query3c
 from repro.bench.figures import Q23_OUTER_FRACTIONS, _q23_availqty, _q23_sizes
-from repro.core.planner import make_strategy
+from repro.strategies import make as make_strategy
 from repro.tpch import query3
 
 

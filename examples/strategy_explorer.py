@@ -20,7 +20,7 @@ from repro.baselines import (
 )
 from repro.baselines.native import SystemAEmulationStrategy
 from repro.core.optimizer import choose
-from repro.core.planner import make_strategy
+from repro.strategies import make as make_strategy
 from repro.engine import Column, Database, NULL
 from repro.engine.metrics import collect
 from repro.errors import PlanError, UnsoundRewriteError

@@ -53,7 +53,6 @@ from .core import (
     QueryBlock,
     SetPredicate,
     TreeExpression,
-    available_strategies,
     linking_selection,
     nest,
     nest_sorted,
@@ -62,6 +61,7 @@ from .core import (
 )
 from .core import Plan, PlannerDecision
 from . import strategies
+from .strategies import available_strategies
 from .errors import ReproError
 from .options import ExecutionOptions
 from .session import PreparedQuery, Session, connect

@@ -26,9 +26,9 @@ from ..engine.catalog import Database
 from ..engine.metrics import Metrics, collect
 from ..engine.trace import tracing
 from ..core.blocks import NestedQuery
-from ..core.planner import make_strategy
 from ..core.reduce import reduce_all
 from ..errors import InvalidArgumentError
+from ..strategies import make as make_strategy
 
 
 @dataclass

@@ -17,7 +17,6 @@ from .selection import linking_selection, pseudo_selection
 from .query_tree import TreeExpression
 from .reduce import ReducedBlock, reduce_all, reduce_block
 from .compute import NestedRelationalStrategy, set_predicate_for
-from .planner import available_strategies, make_strategy
 from .feedback import FeedbackStore
 from .optimizer import CandidatePlan, PlannerDecision, choose, plan_fingerprint
 from .plan import Plan, build_plan
@@ -54,8 +53,6 @@ __all__ = [
     "reduce_block",
     "NestedRelationalStrategy",
     "set_predicate_for",
-    "available_strategies",
-    "make_strategy",
     "FeedbackStore",
     "CandidatePlan",
     "PlannerDecision",

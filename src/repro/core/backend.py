@@ -10,39 +10,51 @@ the same driver runs on two substrates:
   batch engine, where every method works on
   :class:`~repro.engine.vector.batch.Batch` objects.
 
-A backend supplies:
+Step 2 of Algorithm 1 plans a query as operator nodes hung on its tree
+expression (:mod:`repro.core.query_tree`); step 3 hands each node to the
+backend method the node names (``node.method``), together with the
+relation accumulated so far and — for an operator that connects a child
+block — the child's relation.  A node carries every argument of its
+operator, decided statically, plus the column names of its output; a
+backend never decides anything and is never asked what columns an
+intermediate has.  A backend supplies:
 
 ``reduce_all(query, db)``
     step one of Algorithm 1 — each block reduced to T_i (with its
     synthetic rid column) in the backend's native representation.
-``names(rel)``
-    the qualified column names of an intermediate result.
-``left_outer_join`` / ``outer_cross_join``
-    the way-down joins.
-``nest_link``
-    the way-up pair: ``nest`` by the path attributes followed by a
-    strict linking selection or a NULL-padding pseudo-selection.  The
-    driver also hands over the nest *key* (the path blocks' rids, which
-    decide the same groups); a backend may group on either.
-``uncorrelated_link``
-    the virtual-Cartesian-product shortcut — the subquery result is
-    shared by every outer tuple.
-``finalize(rel, select_refs, distinct)``
-    project to the SELECT list and return a plain
-    :class:`~repro.engine.relation.Relation`.
+``left_outer_join(rel, child, node)``
+    the way-down join (:class:`~repro.core.query_tree.OuterJoin`): ⟕ on
+    the child's correlated predicates, the outer × when there are none.
+``nest_link(rel, node)``
+    the way-up pair (:class:`~repro.core.query_tree.NestLink`): ``nest``
+    by the path attributes followed by a strict linking selection, a
+    NULL-padding pseudo-selection or a mark.  The node holds both the
+    nesting attributes ``by`` and the nest ``key`` (the path blocks'
+    rids, which decide the same groups); a backend may group on either.
+``uncorrelated_link(rel, sub, node)``
+    the virtual-Cartesian-product shortcut
+    (:class:`~repro.core.query_tree.UncorrelatedLink`) — the subquery
+    result is shared by every outer tuple.
+``apply_residual(rel, node)``
+    a block's disjunctive combination of its marks
+    (:class:`~repro.core.query_tree.Residual`).
+``finalize(rel, node)``
+    project to the SELECT list (:class:`~repro.core.query_tree.Finalize`)
+    and return a plain :class:`~repro.engine.relation.Relation`.
 
 The §4.2 rules of the driver each need one more physical operator; a
 backend that lacks the method cannot run the rule (the strategy
 constructor checks), and today only the row engine has them:
 
-``fused_link``
+``fused_link(rel, node)``
     *fuse-links* — one sort + one scan evaluating every link of a
-    joined run (§4.2.1-2).
-``pushdown_link``
+    joined run (§4.2.1-2; :class:`~repro.core.query_tree.FusedLink`).
+``pushdown_link(rel, child, node)``
     *nest-pushdown* — nest the child by its join attributes, probe per
-    outer tuple (§4.2.4).
-``semi_join``
-    *semijoin-positive* — a positive link as a semijoin (§4.2.5).
+    outer tuple (§4.2.4; :class:`~repro.core.query_tree.PushdownLink`).
+``semi_join(rel, child, node)``
+    *semijoin-positive* — a positive link as a semijoin (§4.2.5;
+    :class:`~repro.core.query_tree.SemiJoin`).
 
 The driver never inspects rows or columns itself, so semantics are fixed
 by the shared plan and the backends can only differ in physical layout
@@ -50,8 +62,6 @@ and cost.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 from ..engine.catalog import Database
 from ..engine.metrics import current_metrics
@@ -65,10 +75,10 @@ from ..engine.relation import Relation
 from ..engine.schema import Column, Schema
 from ..engine.trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
 from ..engine.types import NULL, TRUE
-from .blocks import LinkSpec, NestedQuery
-from .linking import SetPredicate
+from .blocks import NestedQuery
 from .nest import nest, nest_sorted
 from .plancache import ReduceMemo
+from . import query_tree
 from .reduce import BlockJoinPlan, execute_join_plan, reduce_all
 from .selection import (
     _tri_value,
@@ -99,131 +109,69 @@ class RowBackend:
             lambda: execute_join_plan(plan, db)
         )
 
-    # -- introspection -------------------------------------------------- #
-
-    def names(self, rel: Relation) -> Sequence[str]:
-        return rel.schema.names
-
     # -- way down ------------------------------------------------------- #
 
     def left_outer_join(
-        self,
-        rel: Relation,
-        child: Relation,
-        outer_keys: Sequence[str],
-        inner_keys: Sequence[str],
-        residual,
+        self, rel: Relation, child: Relation, node: query_tree.OuterJoin
     ) -> Relation:
+        if node.cross:
+            return as_relation(OuterCrossJoin(rel, child))
         return as_relation(
             LeftOuterHashJoin(
-                rel, child, list(outer_keys), list(inner_keys), residual=residual
+                rel, child, list(node.outer_keys), list(node.inner_keys),
+                residual=node.residual,
             )
         )
-
-    def outer_cross_join(self, rel: Relation, child: Relation) -> Relation:
-        return as_relation(OuterCrossJoin(rel, child))
 
     # -- way up --------------------------------------------------------- #
 
-    def nest_link(
-        self,
-        rel: Relation,
-        by: Sequence[str],
-        key: Sequence[str],
-        keep: Sequence[str],
-        predicate: SetPredicate,
-        link: LinkSpec,
-        rid_ref: str,
-        strict: bool,
-        pad_refs: Sequence[str],
-        nest_impl: str,
-    ) -> Relation:
-        # the row nest hashes / sorts whole `by` tuples; grouping on `key`
-        # gives the same relation and is not where the row time goes
-        nested = (
-            nest_sorted(rel, by, keep)
-            if nest_impl == "sorted"
-            else nest(rel, by, keep)
+    def nest_link(self, rel: Relation, node: query_tree.NestLink) -> Relation:
+        # the row nest hashes / sorts whole `by` tuples; grouping on
+        # `node.key` gives the same relation and is not where the row
+        # time goes
+        nested = (nest_sorted if node.nest_impl == "sorted" else nest)(
+            rel, node.by, node.keep
         )
-        if link.mark is not None:
+        link = node.link
+        operands = (node.predicate, link.outer_ref, link.inner_ref)
+        if node.selection == "mark":
             return mark_selection(
-                nested,
-                predicate,
-                link.outer_ref,
-                link.inner_ref,
-                pk_ref=rid_ref,
-                mark_ref=link.mark,
+                nested, *operands, pk_ref=node.rid_ref, mark_ref=link.mark
             )
-        if strict:
-            return linking_selection(
-                nested,
-                predicate,
-                link.outer_ref,
-                link.inner_ref,
-                pk_ref=rid_ref,
-            )
+        if node.selection == "linking":
+            return linking_selection(nested, *operands, pk_ref=node.rid_ref)
         return pseudo_selection(
-            nested,
-            predicate,
-            link.outer_ref,
-            link.inner_ref,
-            pk_ref=rid_ref,
-            pad_refs=list(pad_refs),
+            nested, *operands, pk_ref=node.rid_ref,
+            pad_refs=list(node.pad_refs),
         )
 
     # -- the §4.2 rules' operators --------------------------------------- #
 
-    def fused_link(
-        self,
-        rel: Relation,
-        rid_refs: Sequence[str],
-        links: Sequence[LinkSpec],
-        predicates: Sequence[SetPredicate],
-    ) -> Relation:
-        return fused_linking_selection(rel, rid_refs, links, predicates)
+    def fused_link(self, rel: Relation, node: query_tree.FusedLink) -> Relation:
+        return fused_linking_selection(rel, node)
 
     def pushdown_link(
-        self,
-        rel: Relation,
-        child: Relation,
-        outer_keys: Sequence[str],
-        inner_keys: Sequence[str],
-        keep: Sequence[str],
-        predicate: SetPredicate,
-        link: LinkSpec,
-        rid_ref: str,
+        self, rel: Relation, child: Relation, node: query_tree.PushdownLink
     ) -> Relation:
-        return pushdown_linking_selection(
-            rel, child, outer_keys, inner_keys, keep, predicate, link, rid_ref
-        )
+        return pushdown_linking_selection(rel, child, node)
 
     def semi_join(
-        self,
-        rel: Relation,
-        child: Relation,
-        outer_keys: Sequence[str],
-        inner_keys: Sequence[str],
-        residual,
+        self, rel: Relation, child: Relation, node: query_tree.SemiJoin
     ) -> Relation:
         return as_relation(
             SemiJoin(
-                rel, child, list(outer_keys), list(inner_keys), residual=residual
+                rel, child, list(node.outer_keys), list(node.inner_keys),
+                residual=node.residual,
             )
         )
 
     # -- virtual Cartesian product -------------------------------------- #
 
     def uncorrelated_link(
-        self,
-        rel: Relation,
-        sub: Relation,
-        predicate: SetPredicate,
-        link: LinkSpec,
-        rid_ref: str,
-        strict: bool,
-        pad_refs: Sequence[str],
+        self, rel: Relation, sub: Relation, node: query_tree.UncorrelatedLink
     ) -> Relation:
-        rid_pos = sub.schema.index_of(rid_ref)
+        predicate, link, strict = node.predicate, node.link, node.strict
+        rid_pos = sub.schema.index_of(node.rid_ref)
         if link.inner_ref is not None:
             val_pos = sub.schema.index_of(link.inner_ref)
             members = [(row[val_pos], row[rid_pos]) for row in sub.rows]
@@ -234,7 +182,7 @@ class RowBackend:
             if link.outer_ref is not None
             else None
         )
-        pad_positions = [rel.schema.index_of(r) for r in pad_refs]
+        pad_positions = [rel.schema.index_of(r) for r in node.pad_refs]
         marked = link.mark is not None
         out_schema = (
             Schema(tuple(rel.schema.columns) + (Column(link.mark),))
@@ -284,27 +232,20 @@ class RowBackend:
 
     # -- disjunctive residual ------------------------------------------- #
 
-    def apply_residual(
-        self,
-        rel: Relation,
-        residual,
-        strict: bool,
-        pad_refs: Sequence[str],
-        mark_refs: Sequence[str],
-    ) -> Relation:
+    def apply_residual(self, rel: Relation, node: query_tree.Residual) -> Relation:
         """Apply a block's disjunctive linking residual over its marks.
 
-        Evaluates *residual* per row (SQL truth over mark columns and
+        Evaluates the residual per row (SQL truth over mark columns and
         plain predicates), then either deletes failing rows (strict σ)
-        or NULL-pads *pad_refs* (pseudo σ*), and finally projects the
+        or NULL-pads ``pad_refs`` (pseudo σ*), and finally projects the
         consumed mark columns away.
         """
         from ..engine.expressions import bind_truth
 
-        keep_refs = [n for n in rel.schema.names if n not in set(mark_refs)]
-        keep_positions = rel.schema.indices_of(keep_refs)
-        out_schema = rel.schema.project(keep_refs)
-        pad_positions = set(out_schema.indices_of(pad_refs))
+        residual, strict = node.expr, node.strict
+        keep_positions = rel.schema.indices_of(node.names)
+        out_schema = rel.schema.project(node.names)
+        pad_positions = set(out_schema.indices_of(node.pad_refs))
         metrics = current_metrics()
         holds = bind_truth(residual, rel.schema)
         out_rows = []
@@ -334,10 +275,8 @@ class RowBackend:
 
     # -- output --------------------------------------------------------- #
 
-    def finalize(
-        self, rel: Relation, select_refs: Sequence[str], distinct: bool
-    ) -> Relation:
-        out = rel.project(list(select_refs))
-        if distinct:
+    def finalize(self, rel: Relation, node: query_tree.Finalize) -> Relation:
+        out = rel.project(list(node.select_refs))
+        if node.distinct:
             out = out.distinct()
         return out

@@ -11,18 +11,25 @@ Processing a nested query with non-aggregate subqueries:
    of block i to the edge entering block i is a maximal spanning query
    tree in the paper's sense: by the time block i is joined, the
    attributes of every enclosing block are already present in the
-   accumulated relation.
-3. **compute(root, T_1)**: walk the tree depth-first.  Going *down*, join
-   (or left-outer-join, when correlated) the accumulated relation with
-   each child's T_i.  Coming back *up*, ``nest`` the relation by the
-   attributes of the blocks on the path (grouping on their rids, which
-   determine those attributes) and apply the child's linking
-   predicate as a linking selection — strict σ where discarding failing
-   tuples is safe, pseudo σ* (padding the current node's attributes with
-   NULLs) otherwise.
+   accumulated relation.  Here this step is also where everything is
+   *decided*: :meth:`NestedRelationalStrategy.plan` hangs one small
+   frozen node per physical operator on the tree
+   (:mod:`repro.core.query_tree`) — join keys and residuals, the nesting
+   attributes and the rid key, strict σ vs pseudo σ*, the padded
+   attributes, which rule fires at which edge — from the column *names*
+   of the T_i alone.
+3. **compute(root, T_1)**: fold over that tree depth-first, handing each
+   node to the backend.  Going *down*, join (or left-outer-join, when
+   correlated) the accumulated relation with each child's T_i.  Coming
+   back *up*, ``nest`` the relation by the attributes of the blocks on
+   the path (grouping on their rids, which determine those attributes)
+   and apply the child's linking predicate as a linking selection —
+   strict σ where discarding failing tuples is safe, pseudo σ* (padding
+   the current node's attributes with NULLs) otherwise.  EXPLAIN prints
+   the same nodes (:func:`repro.core.explain.render_plan`).
 
 The paper then refines that one algorithm; each refinement is a rule the
-driver consults at the edge where it connects a child, and a strategy is
+planner consults at the edge where it connects a child, and a strategy is
 a *set* of rules (the registry's ``nested-relational-*`` names are
 presets, see the bottom of this module):
 
@@ -54,7 +61,6 @@ selections.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterable, List, Optional, Set
 
 from ..errors import PlanError
@@ -72,9 +78,23 @@ from .optimizer import (
     cost_positive_rewrite,
 )
 from .blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
-from .explain import DescribeBackend
+from .explain import render_plan
 from .linking import SetPredicate
-from .reduce import ReducedBlock
+from .query_tree import (
+    Finalize,
+    FusedLink,
+    Names,
+    NestLink,
+    OuterJoin,
+    PushdownLink,
+    Reduce,
+    Residual,
+    SemiJoin,
+    TreeExpression,
+    TreeNode,
+    UncorrelatedLink,
+)
+from .reduce import rid_name
 
 VIRTUAL_CARTESIAN = "virtual-cartesian"
 STRICT_WHEN_POSITIVE = "strict-when-positive"
@@ -90,7 +110,7 @@ DEFAULT_RULES = frozenset({VIRTUAL_CARTESIAN, STRICT_WHEN_POSITIVE})
 #: behind, and the line EXPLAIN puts above a plan the rule shaped
 _REFINEMENTS = {
     FUSE_LINKS: (
-        "fused_link",
+        FusedLink.method,
         "single-pass pipeline: all nests fused into one sort by the rid "
         "chain; linking selections evaluated in one scan",
     ),
@@ -100,12 +120,12 @@ _REFINEMENTS = {
         "first, as its own root; only qualified tuples are joined upward",
     ),
     NEST_PUSHDOWN: (
-        "pushdown_link",
+        PushdownLink.method,
         "nest push-down: on a pure equi-correlation the child is nested "
         "by its join attributes before the join",
     ),
     SEMIJOIN_POSITIVE: (
-        "semi_join",
+        SemiJoin.method,
         "positive rewrite (semijoin chain): every positive link becomes "
         "a semijoin",
     ),
@@ -226,83 +246,131 @@ class NestedRelationalStrategy:
         backend = self.backend
         checkpoint("reduce")
         reduced = backend.reduce_all(query, db)
-        owner = _attr_owner_map(reduced)
-        root = query.root
-        rel = reduced[root.index].relation
-        rel = self._compute(root, rel, [root], reduced, owner, rules)
+        tree = self.plan(
+            query,
+            {
+                i: Reduce(i, rb.rid_ref, tuple(rb.attr_refs))
+                for i, rb in reduced.items()
+            },
+            rules,
+        )
+        relations = {i: rb.relation for i, rb in reduced.items()}
+        rel = self._run(tree.root, relations[tree.root.index], relations)
         checkpoint("finalize")
-        return backend.finalize(rel, root.select_refs, root.distinct)
+        return backend.finalize(rel, tree.finalize)
 
     def explain(self, query: NestedQuery, db: Optional[Database] = None) -> str:
-        """The Figure 3(b) operator tree: this very driver, run over a
-        backend that draws each operator instead of executing it."""
-        drawn = copy.copy(self)
-        drawn.backend = DescribeBackend()
+        """The Figure 3(b) operator tree: the plan, printed."""
         shaping = self._rules_for(query)
         notes = [
             note for rule, (_, note) in _REFINEMENTS.items() if rule in shaping
         ]
-        return "\n".join(notes + [drawn.execute(query, db)])
+        return "\n".join(
+            notes + [render_plan(self.plan(query, rules=shaping))]
+        )
 
-    # ------------------------------------------------------------------ #
+    # -- step 2: the plan ----------------------------------------------- #
 
-    def _compute(
+    def plan(
         self,
-        node: QueryBlock,
-        rel,
-        path: List[QueryBlock],
-        reduced: Dict[int, ReducedBlock],
+        query: NestedQuery,
+        leaves: Optional[Dict[int, Reduce]] = None,
+        rules: Optional[frozenset] = None,
+    ) -> TreeExpression:
+        """*query*'s tree expression annotated with the physical
+        operators (see :mod:`repro.core.query_tree`).
+
+        *leaves* supplies each block's T_i column names — the reduced
+        relations' at execution.  Left out, a block's attributes are the
+        two symbolic columns ``attrs(T_i)`` and its rid: all the planner
+        needs to derive ``by`` / ``pad`` lists, and how the paper's
+        figures abbreviate them (no data touched: EXPLAIN's plan).
+        """
+        if rules is None:
+            rules = self._rules_for(query)
+        tree = TreeExpression(query)
+        for node in tree.root.walk():
+            rid = rid_name(node.block)
+            node.reduce = (
+                Reduce(node.index, rid, (f"attrs(T{node.index})", rid))
+                if leaves is None
+                else leaves[node.index]
+            )
+        root = tree.root
+        owner = _attr_owner_map([n.reduce for n in root.walk()])
+        self._plan_node(root, root.reduce.names, [root], owner, rules)
+        tree.finalize = Finalize(
+            tuple(root.block.select_refs), root.block.distinct
+        )
+        return tree
+
+    def _plan_node(
+        self,
+        node: TreeNode,
+        names: Names,
+        path: List[TreeNode],
         owner: Dict[str, int],
         rules: frozenset,
-        run: Optional[List[QueryBlock]] = None,
-    ):
-        """The recursive body of Algorithm 1 (compute(node, rel)).
-
-        *rel* is whatever the backend's native intermediate is (a
-        :class:`Relation` for rows, a Batch for the vector engine); the
-        driver only ever hands it back to the backend.  *path* starts at
-        the root of the evaluation *rel* belongs to — the query's root,
-        or the block a bottom-up sub-evaluation started from.  *run* is
-        the joined run a ``fuse-links`` scan above will evaluate.
+        run: Optional[List[TreeNode]] = None,
+    ) -> Names:
+        """The recursive body of Algorithm 1 (compute(node, rel)), deciding
+        instead of executing: *names* are the columns of the relation
+        accumulated so far, and the columns after *node*'s subtree are
+        returned.  *path* starts at the root of the evaluation the
+        relation belongs to — the query's root, or the block a
+        sub-evaluation started from.  *run* is the joined run a
+        ``fuse-links`` scan above will evaluate.
         """
-        backend = self.backend
-        for child in node.children:
-            checkpoint("operator")
-            link = child.link
-            assert link is not None
-            crel = reduced[child.index]
-            predicate = set_predicate_for(link)
-            strict = _use_strict(path, rules)
-            if VIRTUAL_CARTESIAN in rules and _subtree_uncorrelated(child):
+        strict = _use_strict(path, rules)
+
+        def padded(refs: Iterable[str]) -> Names:
+            """What a failing σ* NULLs out: *node*'s share of *refs*."""
+            if strict:
+                return ()
+            return tuple(r for r in refs if owner.get(r) == node.index)
+
+        for edge in node.children:
+            child, link = edge.child, edge.link
+            leaf = child.reduce
+            selection = dict(
+                predicate=set_predicate_for(link),
+                link=link,
+                rid_ref=leaf.rid_ref,
+            )
+            marks = () if link.mark is None else (link.mark,)
+            if VIRTUAL_CARTESIAN in rules and _subtree_uncorrelated(child.block):
                 # executed once: the subtree is evaluated on its own and
                 # the result shared by every outer tuple
-                sub = self._compute(
-                    child, crel.relation, path + [child], reduced, owner, rules
+                edge.sub_first = True
+                self._plan_node(
+                    child, leaf.names, path + [child], owner, rules
                 )
-                pad = [
-                    ref
-                    for ref in backend.names(rel)
-                    if owner.get(ref) == node.index
-                ]
-                rel = backend.uncorrelated_link(
-                    rel, sub, predicate, link, crel.rid_ref, strict, pad
+                edge.connect = UncorrelatedLink(
+                    strict=strict, pad_refs=padded(names),
+                    names=names + marks, **selection,
                 )
-                if link.mark is not None:
+                names = edge.connect.names
+                if marks:
                     owner[link.mark] = node.index
                 continue
 
-            sub = crel.relation
+            sub_names = leaf.names
             if BOTTOM_UP in rules:
                 # the child's subqueries first, over T_child alone: a
                 # child tuple failing them is simply not in the subquery
                 # result, so that evaluation is its own root (strict σ)
-                sub = self._compute(child, sub, [child], reduced, owner, rules)
-            equi = [c for c in child.correlations if c.is_equality]
-            other = [c.as_expr() for c in child.correlations if not c.is_equality]
-            outer_keys = [c.outer_ref for c in equi]
-            inner_keys = [c.inner_ref for c in equi]
+                edge.sub_first = True
+                sub_names = self._plan_node(
+                    child, sub_names, [child], owner, rules
+                )
+            equi = [c for c in edge.correlations if c.is_equality]
+            other = [c.as_expr() for c in edge.correlations if not c.is_equality]
+            outer_keys = tuple(c.outer_ref for c in equi)
+            inner_keys = tuple(c.inner_ref for c in equi)
             # the linked attribute (if any) and the synthetic rid
-            keep = [r for r in (link.inner_ref, crel.rid_ref) if r is not None]
+            keep = tuple(
+                r for r in (link.inner_ref, leaf.rid_ref) if r is not None
+            )
             if SEMIJOIN_POSITIVE in rules:
                 if link.operator not in ("exists", "not_exists"):
                     other.append(
@@ -312,117 +380,125 @@ class NestedRelationalStrategy:
                             Col(link.inner_ref),
                         )
                     )
-                rel = backend.semi_join(
-                    rel, sub, outer_keys, inner_keys,
-                    conjoin(other) if other else None,
+                edge.connect = SemiJoin(
+                    outer_keys, inner_keys,
+                    conjoin(other) if other else None, names,
                 )
                 continue
             if NEST_PUSHDOWN in rules and strict and equi and not other:
-                rel = backend.pushdown_link(
-                    rel, sub, outer_keys, inner_keys, keep,
-                    predicate, link, crel.rid_ref,
+                edge.connect = PushdownLink(
+                    outer_keys=outer_keys, inner_keys=inner_keys, keep=keep,
+                    names=names, **selection,
                 )
                 continue
 
             # -- way down: connect the child block ---------------------- #
-            if child.correlations:
-                rel = backend.left_outer_join(
-                    rel, sub, outer_keys, inner_keys,
-                    conjoin(other) if other else None,
-                )
-            else:
-                rel = backend.outer_cross_join(rel, sub)
+            names = names + sub_names
+            edge.connect = OuterJoin(
+                outer_keys, inner_keys,
+                conjoin(other) if other else None, names,
+            )
 
-            # -- recurse into the child's own subqueries ---------------- #
+            # -- the child's own subqueries, in line --------------------- #
             if FUSE_LINKS in rules:
                 # no way up per level: the edge at the top of the run
                 # evaluates every link below it in one sort + scan
                 chain = [node] if run is None else run
                 chain.append(child)
-                rel = self._compute(
-                    child, rel, path + [child], reduced, owner, rules, chain
+                names = self._plan_node(
+                    child, names, path + [child], owner, rules, chain
                 )
                 if run is None:
-                    rel = backend.fused_link(
-                        rel,
-                        [reduced[b.index].rid_ref for b in chain],
-                        [b.link for b in chain[1:]],
-                        [set_predicate_for(b.link) for b in chain[1:]],
+                    edge.up = FusedLink(
+                        tuple(n.reduce.rid_ref for n in chain),
+                        tuple(n.block.link for n in chain[1:]),
+                        tuple(
+                            set_predicate_for(n.block.link) for n in chain[1:]
+                        ),
+                        names,
                     )
                 continue
             if BOTTOM_UP not in rules:
-                rel = self._compute(
-                    child, rel, path + [child], reduced, owner, rules
+                names = self._plan_node(
+                    child, names, path + [child], owner, rules
                 )
 
             # -- way up: nest and apply the linking selection ------------ #
-            names = backend.names(rel)
-            path_indices = {b.index for b in path}
-            by = [ref for ref in names if owner.get(ref) in path_indices]
+            path_indices = {n.index for n in path}
+            by = tuple(r for r in names if owner.get(r) in path_indices)
             # Nest by key.  `by` (N1) is what the nest projects onto; the
             # rids of the path blocks alone decide the groups, because
             # equality on them is equality on all of `by`: (i) every rid
             # is itself in `by`; (ii) a block's attributes are a function
             # of its rid (the paper's primary-key assumption); (iii) the
             # outer join and every σ* NULL a block's columns
-            # all-or-nothing — `pad` below is the node's whole share of
-            # `by`, rid and earlier marks included — so a padded tuple
+            # all-or-nothing — `pad_refs` below is the node's whole share
+            # of `by`, rid and earlier marks included — so a padded tuple
             # has a NULL rid and a mark is constant per key.  (Inside an
-            # uncorrelated subtree the enclosing blocks are not in `rel`.)
-            rids = [reduced[b.index].rid_ref for b in path]
-            key = [rid for rid in rids if rid in names]
-            pad = (
-                []
-                if strict
-                else [r for r in by if owner.get(r) == node.index]
+            # uncorrelated subtree the enclosing blocks are not in the
+            # relation.)
+            edge.up = NestLink(
+                by=by,
+                key=tuple(
+                    n.reduce.rid_ref
+                    for n in path
+                    if n.reduce.rid_ref in names
+                ),
+                keep=keep,
+                strict=strict,
+                pad_refs=padded(by),
+                nest_impl=self.nest_impl,
+                names=by + marks,
+                **selection,
             )
-            checkpoint("nest")
-            rel = backend.nest_link(
-                rel,
-                by,
-                key,
-                keep,
-                predicate,
-                link,
-                crel.rid_ref,
-                strict,
-                pad,
-                self.nest_impl,
-            )
-            if link.mark is not None:
+            names = edge.up.names
+            if marks:
                 # the mark column now rides with the current node's
                 # attributes: siblings must group by it and the node's
                 # pseudo-selections must pad it
                 owner[link.mark] = node.index
+        if node.block.residual is not None:
+            marks = {e.link.mark for e in node.children}
+            names = tuple(r for r in names if r not in marks)
+            node.residual = Residual(
+                node.block.residual, strict, padded(names), names
+            )
+        return names
+
+    # -- step 3: compute -------------------------------------------------- #
+
+    def _run(self, node: TreeNode, rel, relations: dict):
+        """Fold the plan below *node* over *rel*, the relation accumulated
+        so far: whatever the backend's native intermediate is (a
+        :class:`Relation` for rows, a Batch for the vector engine) — the
+        driver only ever hands it back to the backend.  *relations* maps
+        a block index to its T_i."""
+        backend = self.backend
+        for edge in node.children:
+            checkpoint("operator")
+            child = edge.child
+            sub = relations[child.index]
+            if edge.sub_first:
+                sub = self._run(child, sub, relations)
+            rel = getattr(backend, edge.connect.method)(rel, sub, edge.connect)
+            if not edge.sub_first:
+                rel = self._run(child, rel, relations)
+            if edge.up is not None:
+                if isinstance(edge.up, NestLink):
+                    checkpoint("nest")
+                rel = getattr(backend, edge.up.method)(rel, edge.up)
         if node.residual is not None:
             checkpoint("operator")
-            marks = {
-                c.link.mark
-                for c in node.children
-                if c.link is not None and c.link.mark is not None
-            }
-            strict = _use_strict(path, rules)
-            pad = (
-                []
-                if strict
-                else [
-                    r
-                    for r in backend.names(rel)
-                    if owner.get(r) == node.index and r not in marks
-                ]
-            )
-            rel = backend.apply_residual(
-                rel, node.residual, strict, pad, sorted(marks)
-            )
+            rel = backend.apply_residual(rel, node.residual)
         return rel
 
 
-def _use_strict(path: List[QueryBlock], rules: frozenset) -> bool:
+def _use_strict(path: List[TreeNode], rules: frozenset) -> bool:
     """Strict σ is sound at the root of an evaluation, and (by rule) when
     every unfinished linking predicate above the current node is
     positive.  ``path[0]`` is that root: its own link, if it has one, is
     not *above* anything in this evaluation."""
-    links_above = [b.link for b in path[1:]]
+    links_above = [n.block.link for n in path[1:]]
     if not links_above:
         return True
     if STRICT_WHEN_POSITIVE in rules:
@@ -479,16 +555,17 @@ def _subtree_uncorrelated(block: QueryBlock) -> bool:
     return True
 
 
-def _attr_owner_map(reduced: Dict[int, ReducedBlock]) -> Dict[str, int]:
+def _attr_owner_map(leaves: Iterable[Reduce]) -> Dict[str, int]:
     """Map every qualified attribute name to the index of its block."""
     owner: Dict[str, int] = {}
-    for idx, rb in reduced.items():
-        for ref in rb.attr_refs:
+    for leaf in leaves:
+        for ref in leaf.names:
             if ref in owner:
                 raise PlanError(
-                    f"attribute {ref!r} appears in blocks {owner[ref]} and {idx}"
+                    f"attribute {ref!r} appears in blocks {owner[ref]} "
+                    f"and {leaf.index}"
                 )
-            owner[ref] = idx
+            owner[ref] = leaf.index
     return owner
 
 

@@ -1,17 +1,18 @@
 """Plan explanation: render the nested relational evaluation as the
 operator tree of the paper's Figure 3(b).
 
-There is no second copy of Algorithm 1 here.  :class:`DescribeBackend`
-implements the backend protocol of :mod:`repro.core.backend` by *drawing*
-each operator instead of executing it, and a strategy's ``explain`` runs
-the real driver (:mod:`repro.core.compute`) over it — no data touched.
-The text is the operator pipeline bottom-to-top the way the paper draws
-query trees: base relations with their pushed-down selections, the
-(outer) joins introduced for correlations, each ``nest`` with its
-nesting/nested attribute lists, each linking/pseudo selection with its
-predicate, and the final projection.  Whatever the driver decides —
-strict σ or pseudo σ*, which rule fires at which edge — is what the
-text shows, because the text *is* that run.
+There is no second copy of Algorithm 1 here.  The driver
+(:mod:`repro.core.compute`) plans a query once, as physical operator
+nodes hung on its tree expression (:mod:`repro.core.query_tree`);
+execution folds over those nodes and :func:`render_plan` prints them —
+over symbolic leaves, so no data is touched.  The text is the operator
+pipeline bottom-to-top the way the paper draws query trees: base
+relations with their pushed-down selections, the (outer) joins
+introduced for correlations, each ``nest`` with its nesting/nested
+attribute lists, each linking/pseudo selection with its predicate, and
+the final projection.  Whatever the planner decides — strict σ or pseudo
+σ*, which rule fires at which edge — is what the text shows and what
+the execution does, because both read the same nodes.
 
 :func:`explain` resolves a strategy name and asks the strategy; one
 without an ``explain`` method answers with its registry description, so
@@ -20,111 +21,121 @@ examples and the CLI can show a plan for anything the planner can run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..engine.catalog import Database
 from ..engine.expressions import Col, Comparison, split_conjuncts
 from .blocks import LinkSpec, NestedQuery
 from .linking import SetPredicate
-from .reduce import ReducedBlock, rid_name
+from .query_tree import (
+    FusedLink,
+    NestLink,
+    PushdownLink,
+    SemiJoin,
+    TreeEdge,
+    TreeExpression,
+    TreeNode,
+    UncorrelatedLink,
+)
 
 
-class _Group:
-    """The operators connecting one child block, drawn top to bottom
-    above the child.  A group stays *open* from its way-down join until
-    the way up closes it."""
-
-    def __init__(self, lines: List[str], child: Optional["_Drawn"], open_: bool):
-        self.lines = lines
-        self.child = child
-        self.open = open_
+def render_plan(tree: TreeExpression) -> str:
+    """Figure 3(b) for a planned tree expression."""
+    return "\n".join(_Printer(tree).lines)
 
 
-class _Drawn:
-    """One block of the drawn tree: its ``T_i`` line and, in application
-    order, the groups of the blocks connected to it."""
+class _Printer:
+    """Below each block's ``T_i`` line, the operators applied to it, last
+    applied first; an operator that connects a child block is followed
+    by the child, indented."""
 
-    def __init__(self, head: str):
-        self.head = head
-        self.groups: List[_Group] = []
-
-    def open_groups(self) -> List[_Group]:
-        """The unfinished edges below this block, outermost first."""
-        out: List[_Group] = []
-        block = self
-        while block.groups and block.groups[-1].open:
-            out.append(block.groups[-1])
-            block = block.groups[-1].child
-        return out
-
-    def attach(self, lines: List[str], child: Optional["_Drawn"], open_: bool):
-        """Connect *child* below the innermost block still being joined
-        down — where Algorithm 1's accumulated relation grows."""
-        unfinished = self.open_groups()
-        under = unfinished[-1].child if unfinished else self
-        under.groups.append(_Group(lines, child, open_))
-
-    def render(self, depth: int, out: List[str]) -> None:
-        out.append("  " * depth + self.head)
-        for group in reversed(self.groups):
-            out.extend("  " * depth + line for line in group.lines)
-            if group.child is not None:
-                group.child.render(depth + 1, out)
-
-
-class Sketch:
-    """The describing backend's intermediate result: the column names
-    the driver reasons about, and the tree drawn so far (shared, grown in
-    place — the driver uses every intermediate exactly once)."""
-
-    def __init__(self, names: Sequence[str], tree: _Drawn):
-        self.names = list(names)
-        self.tree = tree
-
-
-class DescribeBackend:
-    """The backend protocol, emitting Figure 3(b) lines.
-
-    A block's attributes are two symbolic columns, ``attrs(T_i)`` and its
-    rid: all the driver needs to derive ``by`` / ``pad`` lists, and how
-    the paper's figures abbreviate them.
-    """
-
-    kind = "describe"
-
-    def reduce_all(self, query: NestedQuery, db: Optional[Database]):
-        reduced: Dict[int, ReducedBlock] = {}
-        self._rids = {rid_name(block) for block in query.root.walk()}
+    def __init__(self, tree: TreeExpression):
+        nodes = list(tree.root.walk())
+        self._rids = {node.reduce.rid_ref for node in nodes}
         self._block_of = {
-            alias: block.index
-            for block in query.root.walk()
-            for alias in block.tables
+            alias: node.index for node in nodes for alias in node.block.tables
         }
-        for block in query.root.walk():
-            rid = rid_name(block)
-            attrs = (f"attrs(T{block.index})", rid)
-            tables = ", ".join(
-                name if alias == name else f"{name} {alias}"
-                for alias, name in block.tables.items()
-            )
-            selection = (
-                ""
-                if block.local_predicate is None
-                else f" sel[{block.local_predicate!r}]"
-            )
-            tree = _Drawn(f"T{block.index}: {tables}{selection}")
-            reduced[block.index] = ReducedBlock(
-                block, Sketch(attrs, tree), rid, attrs
-            )
-        return reduced
+        out = tree.finalize
+        self.lines = [
+            f"π {', '.join(out.select_refs)}"
+            + ("  (DISTINCT)" if out.distinct else "")
+        ]
+        self._node(tree.root, 1)
 
-    def names(self, rel: Sketch) -> Sequence[str]:
-        return rel.names
+    def _node(self, node: TreeNode, depth: int, fused=None, level=0) -> None:
+        """*fused* is the :class:`FusedLink` of the run *node* is joined
+        into, *level* the node's position in that run."""
+        pad = "  " * depth
+        block = node.block
+        selection = (
+            ""
+            if block.local_predicate is None
+            else f" sel[{block.local_predicate!r}]"
+        )
+        self.lines.append(f"{pad}{node.label}{selection}")
+        if node.residual is not None:
+            op = node.residual
+            self.lines.append(
+                pad + self._sigma(repr(op.expr), op.strict, op.pad_refs)
+            )
+        for edge in reversed(node.children):
+            run = edge.up if isinstance(edge.up, FusedLink) else fused
+            self.lines.extend(
+                pad + line for line in self._edge(edge, run, level)
+            )
+            in_line = not edge.sub_first and run is not None
+            self._node(
+                edge.child,
+                depth + 1,
+                run if in_line else None,
+                level + 1 if in_line else 0,
+            )
 
-    def _conditions(self, outer_keys, inner_keys, residual) -> str:
+    def _edge(self, edge: TreeEdge, fused, level: int) -> List[str]:
+        """The operators connecting one child block, top to bottom."""
+        op, up = edge.connect, edge.up
+        if isinstance(op, UncorrelatedLink):
+            return [
+                self._selection(op),
+                "× (virtual Cartesian product — executed once)",
+            ]
+        if isinstance(op, SemiJoin):
+            return [f"⋉ {self._conditions(op)}"]
+        if isinstance(op, PushdownLink):
+            by = list(dict.fromkeys(op.inner_keys))
+            return [
+                self._selection(op),
+                f"⋈ {self._conditions(op)}",
+                f"υ-pushdown by[{', '.join(by)}] "
+                f"keep[{', '.join(r for r in op.keep if r not in by)}]",
+            ]
+        join = "×" if op.cross else f"⟕ {self._conditions(op)}"
+        if isinstance(up, NestLink):
+            return [
+                self._selection(up),
+                f"υ by[{self._attrs(up.by)}] keep[{', '.join(up.keep)}]",
+                join,
+            ]
+        # a level of a fused run: below the outermost link a failing tuple
+        # is a dead member of the group above — σ* without the padding pass
+        text = _link_text(
+            fused.predicates[level], fused.links[level],
+            fused.rid_refs[level + 1],
+        )
+        if level:
+            return [f"σ* {text}", join]
+        return [
+            f"υ single pass: one sort by [{', '.join(fused.rid_refs[:-1])}], "
+            "every link in one scan",
+            f"σ {text}",
+            join,
+        ]
+
+    def _conditions(self, op) -> str:
         """The join condition, outermost referenced block first."""
-        conds = [(o, "=", i) for o, i in zip(outer_keys, inner_keys)]
+        conds = [(o, "=", i) for o, i in zip(op.outer_keys, op.inner_keys)]
         texts = []
+        residual = getattr(op, "residual", None)
         for expr in split_conjuncts(residual) if residual is not None else ():
             if (
                 isinstance(expr, Comparison)
@@ -142,112 +153,17 @@ class DescribeBackend:
     def _attrs(self, refs: Sequence[str]) -> str:
         return ", ".join(r for r in refs if r not in self._rids)
 
-    def _selection(self, predicate, link, rid_ref, strict, pad_refs) -> str:
-        text = _link_text(predicate, link, rid_ref)
-        if link.mark is not None:
-            return f"{link.mark} := {text}"
+    def _sigma(self, text: str, strict: bool, pad_refs: Sequence[str]) -> str:
         if strict:
             return f"σ {text}"
         return f"σ* {text} pad[{self._attrs(pad_refs)}]"
 
-    # -- way down ------------------------------------------------------- #
-
-    def left_outer_join(self, rel, child, outer_keys, inner_keys, residual):
-        conds = self._conditions(outer_keys, inner_keys, residual)
-        rel.tree.attach([f"⟕ {conds}"], child.tree, True)
-        return Sketch(rel.names + child.names, rel.tree)
-
-    def outer_cross_join(self, rel, child):
-        rel.tree.attach(["×"], child.tree, True)
-        return Sketch(rel.names + child.names, rel.tree)
-
-    # -- way up --------------------------------------------------------- #
-
-    def nest_link(
-        self, rel, by, key, keep, predicate, link, rid_ref, strict,
-        pad_refs, nest_impl,
-    ):
-        group = rel.tree.open_groups()[-1]
-        group.lines[:0] = [
-            self._selection(predicate, link, rid_ref, strict, pad_refs),
-            f"υ by[{self._attrs(by)}] keep[{', '.join(keep)}]",
-        ]
-        group.open = False
-        marks = [link.mark] if link.mark is not None else []
-        return Sketch(list(by) + marks, rel.tree)
-
-    def uncorrelated_link(
-        self, rel, sub, predicate, link, rid_ref, strict, pad_refs
-    ):
-        rel.tree.attach(
-            [
-                self._selection(predicate, link, rid_ref, strict, pad_refs),
-                "× (virtual Cartesian product — executed once)",
-            ],
-            sub.tree,
-            False,
-        )
-        marks = [link.mark] if link.mark is not None else []
-        return Sketch(rel.names + marks, rel.tree)
-
-    def apply_residual(self, rel, residual, strict, pad_refs, mark_refs):
-        line = (
-            f"σ {residual!r}"
-            if strict
-            else f"σ* {residual!r} pad[{self._attrs(pad_refs)}]"
-        )
-        rel.tree.attach([line], None, False)
-        return Sketch(
-            [n for n in rel.names if n not in set(mark_refs)], rel.tree
-        )
-
-    # -- the §4.2 rules' operators --------------------------------------- #
-
-    def fused_link(self, rel, rid_refs, links, predicates):
-        levels = rel.tree.open_groups()
-        for level, group in enumerate(levels):
-            text = _link_text(predicates[level], links[level], rid_refs[level + 1])
-            # below the outermost link a failing tuple is a dead member
-            # of the group above: σ* without the padding pass
-            group.lines.insert(0, f"σ {text}" if level == 0 else f"σ* {text}")
-            group.open = False
-        levels[0].lines.insert(
-            0,
-            f"υ single pass: one sort by [{', '.join(rid_refs[:-1])}], "
-            "every link in one scan",
-        )
-        return rel
-
-    def pushdown_link(
-        self, rel, child, outer_keys, inner_keys, keep, predicate, link,
-        rid_ref,
-    ):
-        by = list(dict.fromkeys(inner_keys))
-        rel.tree.attach(
-            [
-                self._selection(predicate, link, rid_ref, True, ()),
-                f"⋈ {self._conditions(outer_keys, inner_keys, None)}",
-                f"υ-pushdown by[{', '.join(by)}] "
-                f"keep[{', '.join(r for r in keep if r not in by)}]",
-            ],
-            child.tree,
-            False,
-        )
-        return rel
-
-    def semi_join(self, rel, child, outer_keys, inner_keys, residual):
-        conds = self._conditions(outer_keys, inner_keys, residual)
-        rel.tree.attach([f"⋉ {conds}"], child.tree, False)
-        return rel
-
-    # -- output --------------------------------------------------------- #
-
-    def finalize(self, rel, select_refs, distinct) -> str:
-        lines = [
-            f"π {', '.join(select_refs)}" + ("  (DISTINCT)" if distinct else "")
-        ]
-        rel.tree.render(1, lines)
-        return "\n".join(lines)
+    def _selection(self, op) -> str:
+        """A linking operator's σ / σ* / mark line."""
+        text = _link_text(op.predicate, op.link, op.rid_ref)
+        if op.link.mark is not None:
+            return f"{op.link.mark} := {text}"
+        return self._sigma(text, op.strict, op.pad_refs)
 
 
 def _link_text(predicate: SetPredicate, link: LinkSpec, pk: str) -> str:
@@ -285,35 +201,3 @@ def explain(query: NestedQuery, db: Database, strategy: str) -> str:
     if hasattr(impl, "explain"):
         return impl.explain(query, db)
     return f"{strategy}: {registry.info(strategy).description}"
-
-
-def explain_analyze(
-    query: NestedQuery,
-    db: Database,
-    strategy: str = "auto",
-    timings: bool = True,
-    return_trace: bool = False,
-):
-    """EXPLAIN ANALYZE: run the query and render the annotated span tree.
-
-    Executes *query* under a tracing scope and returns the plan as it
-    actually ran — one line per operator span with input/output row
-    counts, operator-specific counters (hash-table sizes, peak group
-    cardinality, null-padded rows, ...) and, unless *timings* is False
-    (useful for deterministic golden files), inclusive wall-clock times.
-    With *return_trace* the raw :class:`~repro.engine.trace.Trace` is
-    returned alongside the text as ``(text, trace)``.
-    """
-    from ..engine.metrics import collect
-    from ..engine.trace import render_trace
-    from .planner import run_traced
-
-    with collect() as metrics:
-        result, trace = run_traced(query, db, strategy=strategy)
-    lines = [f"EXPLAIN ANALYZE (strategy={strategy})"]
-    lines.append(render_trace(trace, timings=timings))
-    lines.append(
-        f"{len(result)} row(s); weighted cost {metrics.weighted_cost()}"
-    )
-    text = "\n".join(lines)
-    return (text, trace) if return_trace else text

@@ -15,7 +15,7 @@ cardinalities, plus the serialized trace when analyzed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import InvalidArgumentError
@@ -123,6 +123,26 @@ class Plan:
             doc["spans"] = self.spans
         return doc
 
+    def analyzed(self, result, trace, metrics, timings: bool = True) -> "Plan":
+        """This plan with the EXPLAIN ANALYZE section of one traced
+        execution: one line per operator span with input/output row
+        counts, operator-specific counters (hash-table sizes, peak group
+        cardinality, null-padded rows, ...) and, unless *timings* is
+        False (deterministic golden files), inclusive wall-clock times.
+        *metrics* is the :class:`~repro.engine.metrics.Metrics` collected
+        around that execution."""
+        from ..engine.trace import render_trace
+
+        analysis = "\n".join(
+            [
+                f"EXPLAIN ANALYZE (strategy={self.strategy})",
+                render_trace(trace, timings=timings),
+                f"{len(result)} row(s); "
+                f"weighted cost {metrics.weighted_cost()}",
+            ]
+        )
+        return replace(self, analysis=analysis, spans=trace.to_dict())
+
     def __str__(self) -> str:
         return self.render("text")
 
@@ -137,22 +157,22 @@ def build_plan(
     db,
     sql: str,
     strategy: str = "auto",
-    analyze: bool = False,
-    timings: bool = True,
     feedback=None,
     backend: Optional[str] = None,
     threads: Optional[int] = None,
+    memory_limit_mb: Optional[float] = None,
 ) -> Plan:
     """Assemble the :class:`Plan` for one EXPLAIN request.
 
     ``strategy="auto"`` runs the cost-based planner
     (:func:`repro.core.optimizer.choose`, fed the session's *feedback*
-    observations) and reports its full candidate table; a fixed name
-    just renders that strategy's operator tree.  ``analyze=True``
-    additionally executes the query under tracing and attaches the
-    annotated span tree (text and serialized forms).
+    observations and the execution's *backend* / *threads* /
+    *memory_limit_mb*, so the decision is the one an execution under the
+    same options makes) and reports its full candidate table; a fixed
+    name just renders that strategy's operator tree.
+    :meth:`Plan.analyzed` attaches a traced execution.
     """
-    from .explain import explain, explain_analyze
+    from .explain import explain
     from .optimizer import choose
 
     candidates: Tuple[CandidatePlan, ...] = ()
@@ -161,7 +181,8 @@ def build_plan(
     est_rows = None
     if strategy == "auto":
         decision = choose(
-            query, db, backend=backend, threads=threads, feedback=feedback
+            query, db, backend=backend, threads=threads, feedback=feedback,
+            memory_limit_mb=memory_limit_mb,
         )
         chosen = decision.chosen
         candidates = decision.candidates
@@ -170,23 +191,13 @@ def build_plan(
         est_rows = decision.est_rows
     else:
         chosen = strategy
-    operators = explain(query, db, strategy=chosen)
-    analysis = None
-    spans = None
-    if analyze:
-        analysis, trace = explain_analyze(
-            query, db, strategy=strategy, timings=timings, return_trace=True
-        )
-        spans = trace.to_dict()
     return Plan(
         sql=sql,
         strategy=strategy if isinstance(strategy, str) else str(strategy),
         chosen=chosen,
-        operators=operators,
+        operators=explain(query, db, strategy=chosen),
         candidates=candidates,
         fingerprint=fingerprint,
         feedback_epoch=feedback_epoch,
         est_rows=est_rows,
-        analysis=analysis,
-        spans=spans,
     )

@@ -39,20 +39,6 @@ from .feedback import FeedbackStore
 from .optimizer import PlannerDecision, choose
 
 
-def available_strategies() -> list:
-    """Names accepted by the *strategy* argument of the execution APIs."""
-    from .. import strategies as registry
-
-    return registry.names() + [registry.AUTO]
-
-
-def make_strategy(name: str):
-    """Instantiate a strategy by registry name."""
-    from .. import strategies as registry
-
-    return registry.make(name)
-
-
 def resolve_strategy(
     strategy: Union[str, object],
     backend: Optional[str] = None,

@@ -64,10 +64,10 @@ from ..engine.types import (
     TriBool,
     bind_join_key,
 )
-from .blocks import LinkSpec
 from .linking import SetPredicate
 from .nest import nest
 from .nested import NestedRelation, SubSchema
+from .query_tree import FusedLink, PushdownLink
 
 
 def _resolve(
@@ -266,16 +266,11 @@ def mark_selection(
     return Relation(out_schema, out_rows)
 
 
-def fused_linking_selection(
-    joined: Relation,
-    rid_refs: Sequence[str],
-    links: Sequence[LinkSpec],
-    predicates: Sequence[SetPredicate],
-) -> Relation:
+def fused_linking_selection(joined: Relation, node: FusedLink) -> Relation:
     """Sort once by the rid chain, then evaluate all linking predicates in
     one scan (the fused nest + linking selection pipeline, §4.2.1-2).
 
-    *rid_refs* are the rids of the joined blocks outermost first;
+    ``node.rid_refs`` are the rids of the joined blocks outermost first;
     ``links[l]`` / ``predicates[l]`` belong to block l+1.  Level l
     (0-based, outermost = 0) accumulates members for the linking
     predicate of block l+1.  When a level-l group closes, the link of
@@ -285,21 +280,17 @@ def fused_linking_selection(
     with op_span(
         "single-pass-link",
         contract=CONTRACT_FILTERING,
-        levels=len(links),
+        levels=len(node.links),
     ) as span:
-        out = _single_pass_scan(joined, rid_refs, links, predicates)
+        out = _single_pass_scan(joined, node)
         if span is not None:
             span.add("rows_in", len(joined.rows))
             span.add("rows_out", len(out))
     return Relation(joined.schema, out)
 
 
-def _single_pass_scan(
-    joined: Relation,
-    rid_refs: Sequence[str],
-    links: Sequence[LinkSpec],
-    predicates: Sequence[SetPredicate],
-) -> List[Row]:
+def _single_pass_scan(joined: Relation, node: FusedLink) -> List[Row]:
+    rid_refs, links = node.rid_refs, node.links
     metrics = current_metrics()
     k = len(rid_refs)
     schema = joined.schema
@@ -312,7 +303,7 @@ def _single_pass_scan(
         schema.index_of(l.inner_ref) if l.inner_ref is not None else None
         for l in links
     ]
-    holds = [predicate.bind() for predicate in predicates]
+    holds = [predicate.bind() for predicate in node.predicates]
 
     # One key per row, computed once: the rids of every block but the
     # deepest, outermost first.  A rid is a row number of its T_i or the
@@ -393,14 +384,7 @@ def _single_pass_scan(
 
 
 def pushdown_linking_selection(
-    parent_rel: Relation,
-    child_rel: Relation,
-    outer_keys: Sequence[str],
-    inner_keys: Sequence[str],
-    keep: Sequence[str],
-    predicate: SetPredicate,
-    link: LinkSpec,
-    pk_ref: str,
+    parent_rel: Relation, child_rel: Relation, node: PushdownLink
 ) -> Relation:
     """Nest the child by its correlated attributes, then probe per parent
     tuple and apply the linking selection (§4.2.4) — strict: the caller
@@ -410,12 +394,9 @@ def pushdown_linking_selection(
         "nest-pushdown-link",
         kind="phase",
         contract=CONTRACT_FILTERING,
-        pred=predicate.describe(),
+        pred=node.predicate.describe(),
     ) as span:
-        out_rows = _pushdown_probe(
-            parent_rel, child_rel, outer_keys, inner_keys, keep,
-            predicate, link, pk_ref,
-        )
+        out_rows = _pushdown_probe(parent_rel, child_rel, node)
         if span is not None:
             span.add("rows_in", len(parent_rel.rows))
             span.add("rows_out", len(out_rows))
@@ -423,22 +404,16 @@ def pushdown_linking_selection(
 
 
 def _pushdown_probe(
-    parent_rel: Relation,
-    child_rel: Relation,
-    outer_keys: Sequence[str],
-    inner_keys: Sequence[str],
-    keep: Sequence[str],
-    predicate: SetPredicate,
-    link: LinkSpec,
-    pk_ref: str,
+    parent_rel: Relation, child_rel: Relation, node: PushdownLink
 ) -> List[Row]:
+    link = node.link
     metrics = current_metrics()
     # Distinct correlations may bind the same inner column (``s.b = r.a
     # AND s.b = r.k``); nest by each inner column once, and when probing
     # require every outer value bound to that column to agree.
     unique_inner: List[str] = []
     outer_groups: List[List[str]] = []
-    for o, i in zip(outer_keys, inner_keys):
+    for o, i in zip(node.outer_keys, node.inner_keys):
         if i in unique_inner:
             outer_groups[unique_inner.index(i)].append(o)
         else:
@@ -448,7 +423,7 @@ def _pushdown_probe(
     # ``... = SOME (select s.b ... where s.b = r.a)``): it then lives in
     # the nesting attributes, not the nested set — nest demands the two
     # be disjoint — and every member of a group shares its key value.
-    nest_keep = [r for r in keep if r not in unique_inner]
+    nest_keep = [r for r in node.keep if r not in unique_inner]
     nested = nest(child_rel, unique_inner, nest_keep)
     group_pos = nested.schema.index_of("_nested")
     by_positions = [nested.schema.index_of(r) for r in unique_inner]
@@ -460,7 +435,7 @@ def _pushdown_probe(
             val_key_idx = unique_inner.index(link.inner_ref)
         else:
             val_pos = sub_schema.index_of(link.inner_ref)
-    pk_pos = sub_schema.index_of(pk_ref)
+    pk_pos = sub_schema.index_of(node.rid_ref)
 
     group_key_of = bind_join_key(by_positions)
     groups: dict = {}
@@ -487,7 +462,7 @@ def _pushdown_probe(
     # column; the others only have to agree with it
     probe_key_of = bind_join_key([plist[0] for plist in outer_positions])
     agreeing = [plist for plist in outer_positions if len(plist) > 1]
-    holds = predicate.bind()
+    holds = node.predicate.bind()
     out_rows = []
     probed = 0
     try:

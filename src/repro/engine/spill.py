@@ -281,25 +281,17 @@ def maybe_spill_hash_join(
 # --------------------------------------------------------------------- #
 
 
-def maybe_spill_nest_link(
-    batch,
-    by: Sequence[str],
-    key: Sequence[str],
-    predicate,
-    link,
-    rid_ref: str,
-    strict: bool,
-    pad_refs: Sequence[str],
-    nest_impl: str,
-    sched=kernels.SEQUENTIAL,
-):
-    """Divert a nest+link pass to disk partitions under budget pressure.
+def maybe_spill_nest_link(batch, node, sched=kernels.SEQUENTIAL):
+    """Divert a nest+link pass (*node*: the plan's
+    :class:`~repro.core.query_tree.NestLink`) to disk partitions under
+    budget pressure.
 
     Groups stay whole: the partitions are cut on the ids of the same
-    *key* the in-memory kernel groups on, so each partition's
+    key the in-memory kernel groups on, so each partition's
     ``nest_link`` computes exact per-group verdicts.  Returns ``None``
     when no spill applies.
     """
+    by = node.by
     governor = current_governor()
     if governor is None or not by or len(batch) == 0:
         return None
@@ -312,16 +304,14 @@ def maybe_spill_nest_link(
     # only what the nest reads goes to disk: its output columns and the
     # verdict's operands, not the child columns it is about to drop
     batch = batch.project(
-        list(dict.fromkeys(
-            [*by, *nestlink.verdict_refs(batch, link, rid_ref)]
-        ))
+        list(dict.fromkeys([*by, *nestlink.verdict_refs(batch, node)]))
     )
-    ids, n_groups = kernels.dense_group_ids(batch, key)
+    ids, n_groups = kernels.dense_group_ids(batch, node.key)
     if n_groups == 1:
         return None  # one group: partitioning cannot shrink the pass
     k = _n_partitions(est, governor)
     with op_span(
-        "spill-nest", kind=KIND_SPILL, by=",".join(by), impl=nest_impl
+        "spill-nest", kind=KIND_SPILL, by=",".join(by), impl=node.nest_impl
     ) as span:
         tmp = _make_tmp(governor)
         outputs: List = []
@@ -335,10 +325,7 @@ def maybe_spill_nest_link(
             for p in range(k):
                 bp = _read_partition(tmp, f"n{p}", batch.schema, kinds)
                 with scope(spill_depth=depth + 1):
-                    out = nestlink.nest_link(
-                        bp, by, key, predicate, link, rid_ref, strict,
-                        pad_refs, nest_impl, sched,
-                    )
+                    out = nestlink.nest_link(bp, node, sched)
                 governor.release(
                     len(bp) * max(1, len(by)) * EST_BYTES_PER_VALUE
                 )
@@ -350,10 +337,7 @@ def maybe_spill_nest_link(
             # every partition filtered every group out: an empty batch
             # with the nest output's layout
             empty = np.empty(0, dtype=np.int64)
-            result = nestlink.nest_link(
-                batch.take(empty), by, key, predicate, link, rid_ref,
-                strict, pad_refs, nest_impl, sched,
-            )
+            result = nestlink.nest_link(batch.take(empty), node, sched)
         else:
             result = Batch.vstack(outputs)
         if len(outputs) > 1:

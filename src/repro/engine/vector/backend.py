@@ -10,10 +10,11 @@ backends cannot diverge semantically; only the physical kernels differ.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
+from ...core import query_tree
 from ...core.blocks import NestedQuery, QueryBlock
 from ...core.plancache import ReduceMemo
 from ...core.reduce import (
@@ -138,82 +139,40 @@ class VectorBackend:
             )
         return current
 
-    # -- introspection -------------------------------------------------- #
-
-    def names(self, rel: Batch) -> Sequence[str]:
-        return rel.schema.names
-
     # -- way down ------------------------------------------------------- #
 
     def left_outer_join(
-        self,
-        rel: Batch,
-        child: Batch,
-        outer_keys: Sequence[str],
-        inner_keys: Sequence[str],
-        residual,
+        self, rel: Batch, child: Batch, node: query_tree.OuterJoin
     ) -> Batch:
+        if node.cross:
+            return kernels.outer_cross_join(rel, child, self.scheduler)
         return kernels.left_outer_hash_join(
-            rel, child, outer_keys, inner_keys, residual, self.scheduler
+            rel, child, node.outer_keys, node.inner_keys, node.residual,
+            self.scheduler,
         )
-
-    def outer_cross_join(self, rel: Batch, child: Batch) -> Batch:
-        return kernels.outer_cross_join(rel, child, self.scheduler)
 
     # -- way up --------------------------------------------------------- #
 
-    def nest_link(
-        self,
-        rel: Batch,
-        by: Sequence[str],
-        key: Sequence[str],
-        keep: Sequence[str],
-        predicate,
-        link,
-        rid_ref: str,
-        strict: bool,
-        pad_refs: Sequence[str],
-        nest_impl: str,
-    ) -> Batch:
+    def nest_link(self, rel: Batch, node: query_tree.NestLink) -> Batch:
         # the fused kernel reads members straight off the flat batch, so
         # the row backend's explicit ``keep`` projection is unnecessary
-        return nestlink.nest_link(
-            rel, by, key, predicate, link, rid_ref, strict, pad_refs,
-            nest_impl, self.scheduler,
-        )
+        return nestlink.nest_link(rel, node, self.scheduler)
 
     # -- virtual Cartesian product -------------------------------------- #
 
     def uncorrelated_link(
-        self,
-        rel: Batch,
-        sub: Batch,
-        predicate,
-        link,
-        rid_ref: str,
-        strict: bool,
-        pad_refs: Sequence[str],
+        self, rel: Batch, sub: Batch, node: query_tree.UncorrelatedLink
     ) -> Batch:
-        return nestlink.uncorrelated_link(
-            rel, sub, predicate, link, rid_ref, strict, pad_refs,
-            self.scheduler,
-        )
+        return nestlink.uncorrelated_link(rel, sub, node, self.scheduler)
 
     # -- disjunctive residual ------------------------------------------- #
 
-    def apply_residual(
-        self,
-        rel: Batch,
-        residual,
-        strict: bool,
-        pad_refs: Sequence[str],
-        mark_refs: Sequence[str],
-    ) -> Batch:
+    def apply_residual(self, rel: Batch, node: query_tree.Residual) -> Batch:
         """Apply a block's disjunctive linking residual over its marks.
 
-        Evaluates *residual* over the batch (mark columns are ordinary
+        Evaluates the residual over the batch (mark columns are ordinary
         boolean vectors), deletes failing rows (strict σ) or NULL-pads
-        *pad_refs* (pseudo σ*), then projects the marks away.
+        ``pad_refs`` (pseudo σ*), then projects the marks away.
         """
         from .exprs import eval_truth
 
@@ -221,23 +180,24 @@ class VectorBackend:
         n = len(rel)
         with op_span(
             "vec-linking-residual",
-            contract=CONTRACT_FILTERING if strict else CONTRACT_PRESERVING,
-            pred=repr(residual),
+            contract=(
+                CONTRACT_FILTERING if node.strict else CONTRACT_PRESERVING
+            ),
+            pred=repr(node.expr),
         ) as span:
             metrics.add("linking_evals", n)
-            t, _f = eval_truth(residual, rel)
-            if strict:
+            t, _f = eval_truth(node.expr, rel)
+            if node.strict:
                 out = rel.take(np.flatnonzero(t))
             else:
                 fail = ~t
                 out = (
-                    nestlink._pad_columns(rel, pad_refs, fail)
+                    nestlink._pad_columns(rel, node.pad_refs, fail)
                     if fail.any()
                     else rel
                 )
                 metrics.add("null_padded_rows", int(fail.sum()))
-            keep = [c for c in out.schema.names if c not in set(mark_refs)]
-            out = out.project(keep)
+            out = out.project(node.names)
             if span is not None:
                 span.add("rows_in", n)
                 span.add("rows_out", len(out))
@@ -245,10 +205,8 @@ class VectorBackend:
 
     # -- output --------------------------------------------------------- #
 
-    def finalize(
-        self, rel: Batch, select_refs: Sequence[str], distinct: bool
-    ):
-        out = rel.project(list(select_refs)).to_relation()
-        if distinct:
+    def finalize(self, rel: Batch, node: query_tree.Finalize):
+        out = rel.project(list(node.select_refs)).to_relation()
+        if node.distinct:
             out = out.distinct()
         return out

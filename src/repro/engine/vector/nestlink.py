@@ -46,6 +46,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ...core.query_tree import NestLink, UncorrelatedLink
 from ..governor import charge_rows
 from ..logic import two_valued
 from ..metrics import current_metrics
@@ -61,23 +62,15 @@ from .kernels import concat_parts, first_occurrences, group_ids
 
 
 def nest_link(
-    batch: Batch,
-    by: Sequence[str],
-    key: Sequence[str],
-    predicate,
-    link,
-    rid_ref: str,
-    strict: bool,
-    pad_refs: Sequence[str],
-    nest_impl: str,
-    sched: MorselScheduler = SEQUENTIAL,
+    batch: Batch, node: NestLink, sched: MorselScheduler = SEQUENTIAL
 ) -> Batch:
-    """Nest *batch* by *by* and apply the linking predicate in one pass.
+    """Nest *batch* by ``node.by`` and apply the linking predicate in one
+    pass.
 
-    *by* is the nesting attribute list N1 — the output projection and
-    the span's ``by=`` — and *key* the columns that decide the groups:
+    ``by`` is the nesting attribute list N1 — the output projection and
+    the span's ``by=`` — and ``key`` the columns that decide the groups:
     Algorithm 1 passes the rids of the path blocks, on which equality
-    is equivalent to equality on all of *by* (DESIGN §9, "Nest by key").
+    is equivalent to equality on all of ``by`` (DESIGN §9, "Nest by key").
     The batch is grouped once on the key; the per-group verdicts are
     computed over hash partitions of the group ids (whole groups per
     morsel), and the output is assembled once from the verdict masks.
@@ -89,19 +82,19 @@ def nest_link(
     """
     from ..spill import maybe_spill_nest_link
 
-    spilled = maybe_spill_nest_link(
-        batch, by, key, predicate, link, rid_ref, strict, pad_refs,
-        nest_impl, sched,
-    )
+    spilled = maybe_spill_nest_link(batch, node, sched)
     if spilled is not None:
         return spilled
+    by, link, strict, nest_impl = (
+        node.by, node.link, node.strict, node.nest_impl
+    )
     metrics = current_metrics()
     n = len(batch)
     with op_span(
         "vec-nest-link",
         contract=CONTRACT_FILTERING,
         impl=nest_impl,
-        pred=predicate.describe(),
+        pred=node.predicate.describe(),
         by=",".join(by),
         **({"mark": link.mark} if link.mark is not None else {}),
     ) as span:
@@ -112,11 +105,11 @@ def nest_link(
             # the account models the logical operator: N1 wide, whatever
             # the key the groups are computed on (spill.est_nest_bytes)
             charge_rows(n, len(by), "nest grouping")
-        ids, n_groups = group_ids(batch, key, nest_impl)
+        ids, n_groups = group_ids(batch, node.key, nest_impl)
         rep = first_occurrences(ids, n_groups)
         metrics.add("linking_evals", n_groups)
         vt, vf = _partitioned_verdict(
-            sched, span, batch, ids, n_groups, rep, predicate, link, rid_ref,
+            sched, span, batch, ids, n_groups, rep, node,
             counts_passing=strict and link.mark is None,
         )
         order = np.argsort(rep, kind="stable")  # groups in appearance order
@@ -134,7 +127,7 @@ def nest_link(
             out = flat.take(rep[order])
             fail = ~vt[order]
             if fail.any():
-                out = _pad_columns(out, pad_refs, fail)
+                out = _pad_columns(out, node.pad_refs, fail)
             metrics.add("null_padded_rows", int(fail.sum()))
         if span is not None:
             span.add("rows_in", n)
@@ -145,12 +138,15 @@ def nest_link(
     return out
 
 
-def verdict_refs(batch: Batch, link, rid_ref: str) -> List[str]:
+def verdict_refs(batch: Batch, node: NestLink) -> List[str]:
     """The columns of *batch* a group verdict reads: the member rid,
     the linked attribute and the outer operand."""
+    link = node.link
     return [
         ref
-        for ref in dict.fromkeys((rid_ref, link.inner_ref, link.outer_ref))
+        for ref in dict.fromkeys(
+            (node.rid_ref, link.inner_ref, link.outer_ref)
+        )
         if ref is not None and batch.schema.has(ref)
     ]
 
@@ -162,9 +158,7 @@ def _partitioned_verdict(
     ids: np.ndarray,
     n_groups: int,
     rep: np.ndarray,
-    predicate,
-    link,
-    rid_ref: str,
+    node: NestLink,
     counts_passing: bool,
 ):
     """:func:`_group_verdict` over hash partitions of the group ids.
@@ -177,21 +171,18 @@ def _partitioned_verdict(
     """
     k = min(sched.partition_count(len(batch)), n_groups)
     if k <= 1:
-        return _group_verdict(
-            batch, ids, n_groups, rep, predicate, link, rid_ref
-        )
+        return _group_verdict(batch, ids, n_groups, rep, node)
     vt = np.zeros(n_groups, dtype=bool)
     vf = np.zeros(n_groups, dtype=bool)
     part_of = ids % k
     # a morsel gathers only the columns the verdict reads
-    members = batch.project(verdict_refs(batch, link, rid_ref))
+    members = batch.project(verdict_refs(batch, node))
 
     def verdict(p: int, mspan) -> None:
         idx = np.flatnonzero(part_of == p)
         local_rep = np.searchsorted(idx, rep[p::k])
         t, f = _group_verdict(
-            members.take(idx), ids[idx] // k, len(local_rep), local_rep,
-            predicate, link, rid_ref,
+            members.take(idx), ids[idx] // k, len(local_rep), local_rep, node
         )
         vt[p::k] = t
         vf[p::k] = f
@@ -210,15 +201,14 @@ def _group_verdict(
     ids: np.ndarray,
     n_groups: int,
     rep: np.ndarray,
-    predicate,
-    link,
-    rid_ref: str,
+    node: NestLink,
 ):
     """Per-group three-valued verdict as ``(true, false)`` mask arrays."""
     if n_groups == 0:
         z = np.zeros(0, dtype=bool)
         return z, z.copy()
-    live = batch.column(rid_ref).valid
+    predicate, link = node.predicate, node.link
+    live = batch.column(node.rid_ref).valid
     q = predicate.quantifier
     if q in ("exists", "not_exists"):
         live_counts = np.bincount(ids[live], minlength=n_groups)
@@ -338,16 +328,13 @@ def _pad_columns(
 def uncorrelated_link(
     batch: Batch,
     sub: Batch,
-    predicate,
-    link,
-    rid_ref: str,
-    strict: bool,
-    pad_refs: Sequence[str],
+    node: UncorrelatedLink,
     sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Apply a shared-member-set linking predicate to every outer row
     (the outer side is judged morsel by morsel; the member set is
     read-only)."""
+    link, strict = node.link, node.strict
     metrics = current_metrics()
     n = len(batch)
     with op_span(
@@ -357,16 +344,14 @@ def uncorrelated_link(
             if strict and link.mark is None
             else CONTRACT_PRESERVING
         ),
-        pred=predicate.describe(),
+        pred=node.predicate.describe(),
         **({"mark": link.mark} if link.mark is not None else {}),
     ) as span:
         metrics.add("linking_evals", n)
         filtering = strict and link.mark is None
 
         def verdict(part, mspan):
-            t, f = _uncorrelated_verdict(
-                batch.slice(*part), sub, predicate, link, rid_ref
-            )
+            t, f = _uncorrelated_verdict(batch.slice(*part), sub, node)
             if mspan is not None:
                 mspan.add("rows_in", len(t))
                 mspan.add("rows_out", int(t.sum()) if filtering else len(t))
@@ -383,7 +368,11 @@ def uncorrelated_link(
             out = batch.take(np.flatnonzero(vt))
         else:
             fail = ~vt
-            out = _pad_columns(batch, pad_refs, fail) if fail.any() else batch
+            out = (
+                _pad_columns(batch, node.pad_refs, fail)
+                if fail.any()
+                else batch
+            )
             metrics.add("null_padded_rows", int(fail.sum()))
         if span is not None:
             span.add("rows_in", n)
@@ -392,12 +381,11 @@ def uncorrelated_link(
     return out
 
 
-def _uncorrelated_verdict(
-    batch: Batch, sub: Batch, predicate, link, rid_ref: str
-):
+def _uncorrelated_verdict(batch: Batch, sub: Batch, node: UncorrelatedLink):
     """Per-outer-row three-valued verdict as ``(true, false)`` masks."""
+    predicate, link = node.predicate, node.link
     n = len(batch)
-    pk = sub.column(rid_ref)
+    pk = sub.column(node.rid_ref)
     live_idx = np.flatnonzero(pk.valid)
     m = len(live_idx)
     q = predicate.quantifier

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from ..engine.types import is_null
 from ..errors import ReproError
 from ..sql.analyzer import compile_sql
+from ..strategies import make as make_strategy
 from .runner import (
     ALWAYS_STRATEGIES,
     GUARDED_STRATEGIES,
@@ -24,7 +25,6 @@ from .runner import (
     FuzzCase,
     _applies,
 )
-from ..core.planner import make_strategy
 
 _TEMPLATE = '''"""{title}
 

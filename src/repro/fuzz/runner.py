@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.blocks import NestedQuery
-from ..core.planner import make_strategy, run
+from ..core.planner import run
 from ..engine.catalog import Database
 from ..engine.governor import ResourceGovernor, active_fault
 from ..engine.logic import logic_mode, validate_logic
@@ -52,6 +52,7 @@ from ..errors import ReproError, ResourceExhaustedError, SpillError
 from ..sql import ast as A
 from ..sql.analyzer import compile_sql
 from ..sql.unparse import render_sql
+from ..strategies import make as make_strategy
 from .datagen import DatabaseSpec, random_database_spec
 from .generator import FuzzConfig, QueryGenerator, case_rng
 

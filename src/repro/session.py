@@ -317,7 +317,9 @@ class PreparedQuery:
         cost-based planner's full candidate table — every applicable
         strategy with estimated cost and cardinality, cheapest first —
         priced with this session's feedback observations.  With
-        ``analyze=True`` the query is executed under tracing and the
+        ``analyze=True`` the query is then executed through
+        :meth:`trace` under the same layered options (backend, threads,
+        logic, limits, this session's caches and feedback) and the
         annotated span tree is attached (wall times included unless
         ``timings=False``).
 
@@ -325,19 +327,25 @@ class PreparedQuery:
         or ``plan.render(format="json")`` (machine-readable).
         """
         from .core.plan import build_plan
+        from .engine.metrics import collect
 
         eff = self._options(strategy=strategy, options=options)
-        return build_plan(
+        plan = build_plan(
             self.query,
             self._session.db,
             self.sql,
             strategy=eff.strategy if eff.strategy is not None else "auto",
-            analyze=analyze,
-            timings=timings,
             feedback=self._session.feedback,
             backend=eff.backend,
             threads=eff.threads,
+            memory_limit_mb=eff.memory_limit_mb,
         )
+        if analyze:
+            # the execution it reports: same session, same layered options
+            with collect() as metrics:
+                result, trace = self.trace(options=eff)
+            plan = plan.analyzed(result, trace, metrics, timings)
+        return plan
 
     def describe(self) -> str:
         """The analyzed block structure (front-end view of the query),
@@ -512,9 +520,9 @@ class Session:
 
     def strategies(self) -> list:
         """Strategy names this session can execute (including ``"auto"``)."""
-        from .core.planner import available_strategies
+        from . import strategies
 
-        return available_strategies()
+        return strategies.available_strategies()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Session({self.db.summary().splitlines()[0]!r})"

@@ -158,6 +158,11 @@ def names() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def available_strategies() -> List[str]:
+    """Names accepted by the *strategy* argument of the execution APIs."""
+    return names() + [AUTO]
+
+
 def entries() -> List[StrategyInfo]:
     """Every registry entry, sorted by name."""
     ensure_loaded()

@@ -59,28 +59,6 @@ class TestNestedRelationalExplain:
         assert "virtual Cartesian product" in text
 
 
-    def test_selection_kind_is_the_drivers_decision(self, db):
-        """EXPLAIN is the driver run over a describing backend, so the
-        σ / σ* choice it prints is the one the execution makes."""
-        from repro.core.planner import run_traced
-
-        sql = """
-        select R.B, R.C, R.D from R
-        where R.B in (select S.E from S where R.D = S.G and S.H > all
-                        (select T.J from T where T.K = R.C))
-        """
-        q = repro.compile_sql(sql, db)
-        refined = NestedRelationalStrategy()
-        assert "σ*" not in refined.explain(q)
-        _, trace = run_traced(q, db, strategy=refined)
-        assert not trace.find("pseudo-selection")
-
-        textbook = NestedRelationalStrategy(rules={"virtual-cartesian"})
-        assert "σ* S.H > ALL {T.J} pad[attrs(T2)]" in textbook.explain(q)
-        _, trace = run_traced(q, db, strategy=textbook)
-        assert len(trace.find("pseudo-selection")) == 1
-
-
 class TestDispatch:
     @pytest.mark.parametrize(
         "strategy",

@@ -89,7 +89,55 @@ class TestExplainAnalyzeGolden:
 
     @pytest.mark.parametrize("stem,sql", PAPER_QUERIES[:1])
     def test_analyze_is_deterministic(self, tiny_tpch, stem, sql):
-        session = repro.connect(tiny_tpch)
-        first = session.prepare(sql).explain(analyze=True, timings=False)
-        second = session.prepare(sql).explain(analyze=True, timings=False)
+        def fresh():
+            return repro.connect(tiny_tpch).prepare(sql)
+
+        first = fresh().explain(analyze=True, timings=False)
+        second = fresh().explain(analyze=True, timings=False)
         assert first.analysis == second.analysis
+
+    @pytest.mark.parametrize("stem,sql", PAPER_QUERIES[:1])
+    def test_analysis_is_the_sessions_execution(self, tiny_tpch, stem, sql):
+        """The analysed run goes through the session: its second
+        execution finds the reduced blocks the first one cached."""
+        prepared = repro.connect(tiny_tpch).prepare(sql)
+        first = prepared.explain(analyze=True, timings=False)
+        second = prepared.explain(analyze=True, timings=False)
+        assert "cache=miss" in first.analysis
+        assert "cache=hit" in second.analysis
+        assert "cache=miss" not in second.analysis
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            repro.ExecutionOptions(backend="row"),
+            repro.ExecutionOptions(logic="2vl"),
+            repro.ExecutionOptions(backend="row", logic="2vl", threads=2),
+        ],
+        ids=["row", "2vl", "row-2vl-threads"],
+    )
+    @pytest.mark.parametrize("stem,sql", PAPER_QUERIES)
+    def test_analysis_runs_what_the_plan_chose(
+        self, micro_tpch, stem, sql, options
+    ):
+        plan = repro.connect(micro_tpch).prepare(sql).explain(
+            analyze=True, options=options
+        )
+        (root,) = plan.spans["spans"]
+        assert root["name"] == "execute"
+        assert root["attrs"]["strategy"] == plan.chosen
+        backend = repro.strategies.info(plan.chosen).backend
+        assert backend == (options.backend or "vector")
+
+    def test_analysis_runs_under_the_requested_logic(self, paper_db):
+        """Row 4 of R has A = B = NULL: ``not (A = B)`` is UNKNOWN under
+        3VL and TRUE under 2VL, and the analysed execution says so."""
+        prepared = repro.connect(paper_db).prepare(
+            "select R.D from R where not (R.A = R.B)"
+        )
+        three = prepared.explain(analyze=True)
+        two = prepared.explain(
+            analyze=True, options=repro.ExecutionOptions(logic="2vl")
+        )
+        assert three.analysis.splitlines()[-1].startswith("3 row(s)")
+        assert two.analysis.splitlines()[-1].startswith("4 row(s)")

@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.core.compute import NestedRelationalStrategy
 from repro.core.optimizer import choose
-from repro.core.planner import available_strategies, make_strategy
+from repro.strategies import available_strategies, make as make_strategy
 from repro.engine import Column, Database
 from repro.errors import PlanError
 

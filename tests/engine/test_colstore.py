@@ -21,6 +21,7 @@ from repro.engine.colstore import (
 )
 from repro.core.blocks import LinkSpec
 from repro.core.linking import SetPredicate
+from repro.core.query_tree import NestLink, UncorrelatedLink
 from repro.engine.expressions import Col, Comparison, Literal
 from repro.engine.governor import batch_nbytes
 from repro.engine.vector import kernels, nestlink
@@ -105,11 +106,16 @@ def test_kernel_outputs_over_stored_batches_are_charged_heap_arrays(stored_db):
             part, partsupp, *keys, Comparison("<", Col("p_size"), Literal(20))
         ),
         "nest-link": nestlink.nest_link(
-            partsupp, ["ps_partkey", "ps_comment"], ["ps_partkey"], exists,
-            link, "ps_suppkey", True, [], "sorted",
+            partsupp,
+            NestLink(
+                exists, link, "ps_suppkey", True, (),
+                by=("ps_partkey", "ps_comment"), key=("ps_partkey",),
+                keep=(), nest_impl="sorted", names=(),
+            ),
         ),
         "uncorrelated-link": nestlink.uncorrelated_link(
-            part, partsupp, exists, link, "ps_suppkey", True, [],
+            part, partsupp,
+            UncorrelatedLink(exists, link, "ps_suppkey", True, (), names=()),
         ),
     }
     for name, out in outputs.items():

@@ -205,7 +205,7 @@ class TestMetricsInvariants:
         import repro
         from repro.fuzz import DEFAULT_STRATEGIES, FuzzConfig, generate_case
         from repro.fuzz.runner import GUARDED_STRATEGIES, _applies
-        from repro.core.planner import make_strategy
+        from repro.strategies import make as make_strategy
 
         config = FuzzConfig(iterations=6, seed=20, max_depth=2)
         for i in range(config.iterations):

@@ -1,7 +1,7 @@
 """Nest by key (DESIGN §9): Algorithm 1 groups on the path blocks' rids.
 
-The driver hands ``nest_link`` the nesting attribute list N1 (``by``)
-*and* the rid key that decides the groups.  These tests pin the claim
+The plan's ``NestLink`` node carries the nesting attribute list N1
+(``by``) *and* the rid key that decides the groups.  These tests pin the claim
 the change rests on — equality on the key is equality on all of ``by``
 — on both backends, and the kernel properties that make it cheap: no
 value column is factorized inside a nest, at most one sort per nest,
@@ -51,11 +51,11 @@ class Seen:
     def __init__(self):
         self.nests = self.marks = self.pads = self.deep = self.shared = 0
 
-    def note(self, by, key, link, strict, n_rows, n_groups):
+    def note(self, node, n_rows, n_groups):
         self.nests += 1
-        self.marks += any(r.startswith("_mark") for r in by)
-        self.pads += not strict and link.mark is None
-        self.deep += len(key) >= 3
+        self.marks += any(r.startswith("_mark") for r in node.by)
+        self.pads += node.selection == "pseudo"
+        self.deep += len(node.key) >= 3
         self.shared += n_groups < n_rows
 
 
@@ -87,7 +87,8 @@ class CheckingRowBackend(RowBackend):
     def __init__(self, seen: Seen):
         self.seen = seen
 
-    def nest_link(self, rel, by, key, keep, predicate, link, *rest):
+    def nest_link(self, rel, node):
+        by, key, keep = node.by, node.key, node.keep
         assert key and set(key) <= set(by)
         keyed = nest_rows_on_key(rel, by, keep, key)
         full = nest(rel, by, keep)
@@ -96,9 +97,8 @@ class CheckingRowBackend(RowBackend):
         assert sorted(nest_sorted(rel, by, keep).rows, key=repr) == sorted(
             keyed, key=repr
         )
-        strict = rest[1]
-        self.seen.note(by, key, link, strict, len(rel.rows), len(full.rows))
-        return super().nest_link(rel, by, key, keep, predicate, link, *rest)
+        self.seen.note(node, len(rel.rows), len(full.rows))
+        return super().nest_link(rel, node)
 
 
 class CheckingVectorBackend(VectorBackend):
@@ -108,15 +108,15 @@ class CheckingVectorBackend(VectorBackend):
         super().__init__(threads=threads, min_partition_rows=1)
         self.seen = seen
 
-    def nest_link(self, rel, by, key, keep, predicate, link, *rest):
+    def nest_link(self, rel, node):
+        by, key = node.by, node.key
         assert key and set(key) <= set(by)
         for method in ("sorted", "hash"):
             ids_k, n_k = kernels.group_ids(rel, key, method)
             ids_b, n_b = kernels.group_ids(rel, by, method)
             assert same_partition(ids_k, n_k, ids_b, n_b), (method, by, key)
-        strict = rest[1]
-        self.seen.note(by, key, link, strict, len(rel), n_b)
-        return super().nest_link(rel, by, key, keep, predicate, link, *rest)
+        self.seen.note(node, len(rel), n_b)
+        return super().nest_link(rel, node)
 
 
 def fuzz_case(seed: int, iteration: int, duplicate: bool):

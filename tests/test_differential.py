@@ -113,25 +113,48 @@ class TestQuery2:
 
 
 class TestQuery3:
-    @pytest.mark.parametrize("variant", ["a", "b", "c"])
-    @pytest.mark.parametrize(
-        "quantifier,existential",
-        [("all", "exists"), ("all", "not exists"), ("any", "exists")],
-    )
-    def test_clean_data(self, tiny_tpch, quantifier, existential, variant):
+    """Three levels under the quadratic oracle: tier-1 runs on the
+    ``micro_tpch*`` instances (20 parts, 80 partsupps, ~600 lineitems —
+    eight of the nine shapes still return rows); the ``tiny_tpch*`` size
+    is the ``full_scale`` variant, as for :class:`TestQuery1`."""
+
+    SHAPES = [("all", "exists"), ("all", "not exists"), ("any", "exists")]
+
+    def _clean_data(self, db, quantifier, existential, variant):
         assert_all_agree(
-            tiny_tpch,
+            db,
             query3(quantifier, existential, variant, 1, 30, 6000, 25),
             TREE_CORRELATED_STRATEGIES,
         )
 
-    @pytest.mark.parametrize("variant", ["a", "b", "c"])
-    def test_null_data_negative_ops(self, tiny_tpch_nulls, variant):
+    def _null_data_negative_ops(self, db, variant):
         assert_all_agree(
-            tiny_tpch_nulls,
+            db,
             query3("all", "not exists", variant, 1, 30, 6000, 25),
             TREE_CORRELATED_STRATEGIES,
         )
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    @pytest.mark.parametrize("quantifier,existential", SHAPES)
+    def test_clean_data(self, micro_tpch, quantifier, existential, variant):
+        self._clean_data(micro_tpch, quantifier, existential, variant)
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    def test_null_data_negative_ops(self, micro_tpch_nulls, variant):
+        self._null_data_negative_ops(micro_tpch_nulls, variant)
+
+    @pytest.mark.full_scale
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    @pytest.mark.parametrize("quantifier,existential", SHAPES)
+    def test_clean_data_at_sf_0_002(
+        self, tiny_tpch, quantifier, existential, variant
+    ):
+        self._clean_data(tiny_tpch, quantifier, existential, variant)
+
+    @pytest.mark.full_scale
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    def test_null_data_negative_ops_at_sf_0_002(self, tiny_tpch_nulls, variant):
+        self._null_data_negative_ops(tiny_tpch_nulls, variant)
 
 
 class TestResultShapes:
