@@ -94,7 +94,7 @@ from .query_tree import (
     TreeNode,
     UncorrelatedLink,
 )
-from .reduce import rid_name
+from .reduce import ReducedBlock, rid_name
 
 VIRTUAL_CARTESIAN = "virtual-cartesian"
 STRICT_WHEN_POSITIVE = "strict-when-positive"
@@ -254,8 +254,7 @@ class NestedRelationalStrategy:
             },
             rules,
         )
-        relations = {i: rb.relation for i, rb in reduced.items()}
-        rel = self._run(tree.root, relations[tree.root.index], relations)
+        rel = self._run(tree.root, reduced[tree.root.index].relation, reduced)
         checkpoint("finalize")
         return backend.finalize(rel, tree.finalize)
 
@@ -288,16 +287,20 @@ class NestedRelationalStrategy:
         """
         if rules is None:
             rules = self._rules_for(query)
+        if leaves is None:
+            leaves = {
+                block.index: Reduce(
+                    block.index,
+                    rid_name(block),
+                    (f"attrs(T{block.index})", rid_name(block)),
+                )
+                for block in query.root.walk()
+            }
         tree = TreeExpression(query)
         for node in tree.root.walk():
-            rid = rid_name(node.block)
-            node.reduce = (
-                Reduce(node.index, rid, (f"attrs(T{node.index})", rid))
-                if leaves is None
-                else leaves[node.index]
-            )
+            node.reduce = leaves[node.index]
         root = tree.root
-        owner = _attr_owner_map([n.reduce for n in root.walk()])
+        owner = _attr_owner_map(leaves.values())
         self._plan_node(root, root.reduce.names, [root], owner, rules)
         tree.finalize = Finalize(
             tuple(root.block.select_refs), root.block.distinct
@@ -467,22 +470,22 @@ class NestedRelationalStrategy:
 
     # -- step 3: compute -------------------------------------------------- #
 
-    def _run(self, node: TreeNode, rel, relations: dict):
+    def _run(self, node: TreeNode, rel, reduced: Dict[int, ReducedBlock]):
         """Fold the plan below *node* over *rel*, the relation accumulated
         so far: whatever the backend's native intermediate is (a
         :class:`Relation` for rows, a Batch for the vector engine) — the
-        driver only ever hands it back to the backend.  *relations* maps
-        a block index to its T_i."""
+        driver only ever hands it back to the backend.  *reduced* holds
+        every block's T_i."""
         backend = self.backend
         for edge in node.children:
             checkpoint("operator")
             child = edge.child
-            sub = relations[child.index]
+            sub = reduced[child.index].relation
             if edge.sub_first:
-                sub = self._run(child, sub, relations)
+                sub = self._run(child, sub, reduced)
             rel = getattr(backend, edge.connect.method)(rel, sub, edge.connect)
             if not edge.sub_first:
-                rel = self._run(child, rel, relations)
+                rel = self._run(child, rel, reduced)
             if edge.up is not None:
                 if isinstance(edge.up, NestLink):
                     checkpoint("nest")
