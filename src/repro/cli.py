@@ -645,7 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--not-null", action="store_true", dest="not_null")
     p.add_argument("--workers", type=int, default=4,
-                   help="executor threads (bounds concurrent executions)")
+                   help="worker processes, forked at startup (bounds "
+                        "concurrent executions; memory scales with it)")
     p.add_argument("--queue-size", type=int, default=128, dest="queue_size",
                    help="global admission queue bound (429 beyond it)")
     p.add_argument("--max-concurrent", type=int, default=4,

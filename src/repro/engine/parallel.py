@@ -131,6 +131,31 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return pool
 
 
+def shutdown_pools() -> None:
+    """Join and forget every pool, leaving this module thread-free: what
+    a caller about to ``os.fork()`` needs.  Call it with no execution in
+    flight in this process; the next multi-morsel round builds a new
+    pool."""
+    with _pools_lock:
+        pools = list(_pools.values())
+        _pools.clear()
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+def _forget_pools_after_fork() -> None:
+    """In a forked child the pools' threads do not exist (a morsel
+    submitted to one would never run) and the lock may have been copied
+    held: start from a fresh lock and no pools."""
+    global _pools, _pools_lock
+    _pools = {}
+    _pools_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools_after_fork)
+
+
 class MorselScheduler:
     """Cuts an operator's input into morsels and runs them, isolating
     and re-merging their ambient metrics and trace spans.

@@ -10,8 +10,9 @@ and query it over HTTP/JSON::
     curl -s localhost:8080/stats
 
 See :mod:`repro.serve.server` for the architecture (admission control,
-per-tenant quotas, round-robin dispatch, graceful drain) and
-:mod:`repro.serve.tenants` for quota configuration.
+per-tenant quotas, round-robin dispatch onto forked worker processes,
+graceful drain), :mod:`repro.serve.worker` for what runs inside a
+worker, and :mod:`repro.serve.tenants` for quota configuration.
 """
 
 from .server import QueryServer, http_status_for, run_server

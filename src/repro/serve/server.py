@@ -1,7 +1,7 @@
 """The multi-tenant asyncio query server.
 
-Architecture — one event loop, one worker pool, zero shared-state
-locks in the scheduler:
+Architecture — one event-loop process in front, ``workers`` forked
+worker processes behind it, zero shared-state locks in the scheduler:
 
 * **Connections** are plain asyncio streams speaking the minimal
   HTTP/1.1 of :mod:`repro.serve.http`.  Handlers parse a request and
@@ -19,41 +19,50 @@ locks in the scheduler:
   its ``max_concurrent``.  A tenant flooding 1000 requests therefore
   delays another tenant's single query by at most one quantum, not by
   1000 executions.
-* **Execution** runs on a bounded :class:`ThreadPoolExecutor`.  Every
-  request gets a fresh :class:`~repro.engine.governor.ResourceGovernor`
-  built from the tenant's :class:`~repro.options.ExecutionOptions`
-  (layered with per-request overrides), so timeouts, memory budgets,
-  spill isolation and degradation accounting are all per-query.
-  Sessions are pooled per tenant over ONE shared
-  :class:`~repro.core.plancache.SessionCache` and
-  :class:`~repro.core.feedback.FeedbackStore` — both thread-safe —
-  so tenants share compiled plans, reduced builds and observed
-  cardinalities.
+* **Execution** runs in the worker processes
+  (:mod:`repro.serve.worker`), forked by :meth:`QueryServer.start`
+  before the listener is bound, each over one ``socket.socketpair()``.
+  Threads of one process share one interpreter lock, so executions on
+  them take turns; each process has its own and runs a request at its
+  in-process speed.  A worker inherits the :class:`~repro.engine.catalog.Database` from the
+  fork (an in-RAM database by copy-on-write, a column store by its
+  mmap pages) and owns everything else an execution touches: sessions,
+  plan cache, feedback store, and a fresh
+  :class:`~repro.engine.governor.ResourceGovernor` per request built
+  from the tenant's :class:`~repro.options.ExecutionOptions` layered
+  with the request overrides.  The front writes a request frame to an
+  idle worker and awaits the reply: a small pickled header and the
+  response body as the bytes the HTTP route answers with — rows never
+  exist as Python objects in the front.
+* **A worker that dies** fails its in-flight request with a typed 500
+  and retires its slot; it is not re-forked (the front may hold
+  threads by then — forking such a process is what this design
+  avoids), ``/health`` answers 503 ``"degraded"`` and a supervisor
+  restarts the server.
 * **Drain** (SIGTERM) lets admitted queries finish while new
   submissions are rejected; :meth:`drain` resolves when the system is
-  idle, after which :meth:`stop` joins the pool and closes the
-  listener — clean exit, no orphan threads.
+  idle, after which :meth:`stop` closes the listener and the worker
+  sockets and reaps every child — clean exit, no process left behind.
 
-All scheduler state (tenant queues, counters, the round-robin cursor)
-is confined to the event-loop thread; worker threads communicate
-results back via future callbacks that the loop runs.  That confinement
-is the concurrency design: the only cross-thread structures are the
-already-thread-safe cache, feedback store and governors.
+All scheduler state (tenant queues, ledgers, the round-robin cursor,
+the idle-worker stack) is confined to the event loop; a worker shares
+nothing with it but the socket pair.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import os
+import pickle
+import signal
+import socket
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..core.feedback import FeedbackStore
-from ..core.plancache import SessionCache
+from ..core.plancache import CacheStats
+from ..engine import parallel
 from ..engine.catalog import Database
-from ..engine.types import is_null
 from ..errors import (
     AnalysisError,
     CatalogError,
@@ -65,13 +74,12 @@ from ..errors import (
     ReproError,
     ResourceGovernanceError,
     SchemaError,
+    ServeError,
     ServerDrainingError,
     ServerOverloadedError,
     TenantQuotaExceededError,
     TypeError_,
 )
-from ..options import ExecutionOptions
-from ..session import Session
 from .http import (
     HttpRequest,
     ProtocolError,
@@ -85,6 +93,12 @@ from .tenants import (
     TenantState,
     resolve_tenant_config,
 )
+from .worker import REPLY_PREFIX, Worker, pack_request, run_forked
+
+#: how long :meth:`QueryServer.stop` waits for a worker to leave after
+#: its socket closed before it sends SIGKILL
+_REAP_TIMEOUT_S = 5.0
+_NO_WORKERS = "no worker process is alive; restart the server"
 
 #: errors whose cause is the request itself -> HTTP 400
 _CLIENT_ERRORS = (
@@ -108,31 +122,52 @@ def http_status_for(exc: BaseException) -> int:
     return 500
 
 
-def _json_value(value: Any) -> Any:
-    """The encoder's ``default=`` hook, entered only for a cell that is
-    not JSON-native: the NULL marker -> ``null``, anything else (a
-    date, a numpy scalar) -> ``str``."""
-    return None if is_null(value) else str(value)
-
-
 @dataclass
 class _Request:
     """One admitted query waiting for (or holding) a worker."""
 
     state: TenantState
-    sql: str
-    overrides: Dict[str, Any]
+    #: the request frame, packed at admission
+    frame: bytes
     future: "asyncio.Future[Dict[str, Any]]"
-    governor: Optional[object] = None
     enqueued_at: float = field(default_factory=time.monotonic)
+
+
+@dataclass
+class _WorkerSlot:
+    """The front's view of one worker process: its pid, its end of the
+    socket pair as asyncio streams, the request it is executing, and
+    the totals its last reply reported (``/stats`` reads only these —
+    it never asks a worker)."""
+
+    pid: int
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
+    #: the task reading this worker's replies for as long as it lives
+    replies: Optional["asyncio.Task[None]"] = None
+    request: Optional[_Request] = None
+    alive: bool = True
+    reaped: bool = False
+    requests: int = 0
+    report: Dict[str, Any] = field(default_factory=dict)
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {
+            "pid": self.pid,
+            "alive": self.alive,
+            "requests": self.requests,
+            "cpu_ms": round(self.report.get("cpu_ms", 0.0), 1),
+            "peak_rss_mb": round(self.report.get("peak_rss_mb", 0.0), 1),
+        }
 
 
 class QueryServer:
     """The serving façade: admission, fair dispatch, execution, stats.
 
     Usable embedded (tests drive :meth:`submit` directly) or as a
-    network server via :meth:`start`.  All public coroutine methods
-    must be called on the server's event loop.
+    network server; either way :meth:`start` forks the worker
+    processes and :meth:`stop` reaps them.  All public coroutine
+    methods must be called on the server's event loop.
     """
 
     def __init__(
@@ -160,10 +195,6 @@ class QueryServer:
         self.queue_size = queue_size
         self._configs = dict(tenants or {})
         self._default_config = default_tenant
-        # one cache + one feedback store shared by every pooled session:
-        # tenants share compiled plans and observed cardinalities
-        self._cache = SessionCache(enabled=True)
-        self._feedback = FeedbackStore()
         self._tenants: Dict[str, TenantState] = {}
         self._ring: List[str] = []
         self._rr = 0
@@ -171,7 +202,18 @@ class QueryServer:
         self._active = 0
         self._draining = False
         self._started = time.monotonic()
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._slots: List[_WorkerSlot] = []
+        #: live workers with no request in flight, taken from the end:
+        #: most recently idle first.  A lightly loaded server keeps
+        #: hitting one worker, so the others' copy-on-write pages stay
+        #: shared and only one pays the first-touch costs: one
+        #: connection sending the six figure texts held 216 MB across
+        #: the tree against 294 MB alternating between two workers, and
+        #: a sequential warm-up cost 2.3-2.75 s against 2.6-2.9 s; the
+        #: execution medians were the same either way (EXPERIMENTS.md
+        #: "Workers are processes").  The price: a second worker's first
+        #: requests arrive cold, under load.
+        self._idle_slots: List[_WorkerSlot] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._idle: Optional[asyncio.Event] = None
         # -- server-wide counters -------------------------------------- #
@@ -184,12 +226,44 @@ class QueryServer:
     # ------------------------------------------------------------------ #
 
     async def start(self) -> None:
-        """Bind the listener and start the worker pool."""
+        """Fork the worker processes, then bind the listener.
+
+        The order matters: no child holds the listening socket, and the
+        process is still single-threaded at the fork (binding resolves
+        the host on the loop's default thread pool; the morsel pools a
+        caller's earlier executions left behind are joined first).
+        """
+        if not hasattr(os, "fork"):
+            raise ServeError(
+                "repro serve executes on forked worker processes and this "
+                "platform has no os.fork(); there is no thread fallback"
+            )
         self._idle = asyncio.Event()
         self._idle.set()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
-        )
+        parallel.shutdown_pools()
+        pairs = [socket.socketpair() for _ in range(self.workers)]
+        forked = []
+        for front, back in pairs:
+            pid = os.fork()
+            if pid == 0:
+                # the child keeps its own end and nothing of its siblings
+                for other_front, other_back in pairs:
+                    other_front.close()
+                    if other_back is not back:
+                        other_back.close()
+                run_forked(
+                    Worker(self.db, self._configs, self._default_config),
+                    back,
+                )
+            back.close()
+            forked.append((pid, front))
+        loop = asyncio.get_running_loop()
+        for pid, front in forked:
+            reader, writer = await asyncio.open_connection(sock=front)
+            slot = _WorkerSlot(pid, reader, writer)
+            slot.replies = loop.create_task(self._read_replies(slot))
+            self._slots.append(slot)
+        self._idle_slots = list(self._slots)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -210,21 +284,41 @@ class QueryServer:
         await self._idle.wait()
 
     async def stop(self) -> None:
-        """Close the listener and join the worker pool (after drain)."""
+        """Close the listener and the worker sockets, reap every child.
+
+        A worker leaves when it reads EOF; one that has not after
+        ``_REAP_TIMEOUT_S`` (it was still executing — ``stop`` without
+        :meth:`drain`) is killed.  No process outlives this call.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        slots = [slot for slot in self._slots if not slot.reaped]
+        for slot in slots:
+            slot.writer.close()
+        deadline = time.monotonic() + _REAP_TIMEOUT_S
+        for slot in slots:
+            slot.reaped = True
+            try:
+                while not os.waitpid(slot.pid, os.WNOHANG)[0]:
+                    if time.monotonic() >= deadline:
+                        os.kill(slot.pid, signal.SIGKILL)
+                        os.waitpid(slot.pid, 0)
+                        break
+                    await asyncio.sleep(0.005)
+            except ChildProcessError:
+                pass  # the embedding process reaps its children itself
+        # each reader saw the close, failed what its worker still held
+        # and retired the slot
+        await asyncio.gather(*(slot.replies for slot in slots))
 
     @property
     def draining(self) -> bool:
         return self._draining
 
     # ------------------------------------------------------------------ #
-    # admission + fair dispatch (event-loop thread only)
+    # admission + fair dispatch (event loop only)
     # ------------------------------------------------------------------ #
 
     def _state(self, tenant: str) -> TenantState:
@@ -233,13 +327,7 @@ class QueryServer:
             config = resolve_tenant_config(
                 tenant, self._configs, self._default_config
             )
-            session = Session(
-                self.db,
-                options=config.options,
-                cache=self._cache,
-                feedback=self._feedback,
-            )
-            state = TenantState(config, session)
+            state = TenantState(config)
             self._tenants[tenant] = state
             self._ring.append(tenant)
         return state
@@ -252,19 +340,21 @@ class QueryServer:
     ) -> Dict[str, Any]:
         """Admit, schedule and execute one query; return the payload.
 
-        The payload is the ``POST /query`` response object — ``tenant``,
-        ``columns``, ``rows``, ``row_count``, ``elapsed_ms`` — with
-        ``rows`` still the engine's row tuples (NULL is the
-        :data:`~repro.engine.types.NULL` marker, not ``None``), plus two
-        keys that are not on the wire: ``body``, those five fields as
-        the encoded JSON bytes the HTTP route answers with, and
-        ``encode_ms``, what encoding them cost.  ``elapsed_ms`` is the
-        worker's prepare + execute time: neither queueing nor encoding
-        is in it.
+        The payload is ``tenant``, ``columns``, ``row_count``,
+        ``elapsed_ms``, ``encode_ms`` and ``body``: the ``POST /query``
+        response object (those first four fields plus ``rows``, SQL
+        NULL as ``null``) as the JSON bytes a worker encoded.  The rows
+        live only in ``body`` — they are never Python objects in this
+        process.  ``elapsed_ms`` is the worker's prepare + execute
+        time: neither queueing, the hop to the worker nor encoding
+        (``encode_ms``) is in it.
 
         Raises the typed admission errors documented in the module
-        docstring, or whatever :class:`~repro.errors.ReproError` the
-        execution itself produced.
+        docstring, :class:`~repro.errors.InvalidArgumentError` for an
+        override that cannot be sent to a worker process, whatever
+        :class:`~repro.errors.ReproError` the execution itself produced
+        (it comes back as itself), or :class:`~repro.errors.ServeError`
+        when the worker died under the request.
         """
         self.requests_total += 1
         if self._draining:
@@ -272,6 +362,9 @@ class QueryServer:
             raise ServerDrainingError(
                 "server is draining; retry against another instance"
             )
+        if not self._live_workers():
+            self.rejected_draining += 1
+            raise ServerDrainingError(_NO_WORKERS)
         state = self._state(tenant)
         if self._total_queued >= self.queue_size:
             self.rejected_overload += 1
@@ -286,12 +379,16 @@ class QueryServer:
                 f"({state.config.max_concurrent} running + "
                 f"{state.config.max_queued} queued); retry after backoff"
             )
+        try:
+            frame = pack_request(tenant, sql, dict(overrides or {}))
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise InvalidArgumentError(
+                f"request overrides must be plain values that can be sent "
+                f"to a worker process: {exc}"
+            ) from None
         loop = asyncio.get_running_loop()
         request = _Request(
-            state=state,
-            sql=sql,
-            overrides=dict(overrides or {}),
-            future=loop.create_future(),
+            state=state, frame=frame, future=loop.create_future()
         )
         state.queue.append(request)
         state.admitted += 1
@@ -301,23 +398,21 @@ class QueryServer:
         self._dispatch()
         return await request.future
 
+    def _live_workers(self) -> int:
+        return sum(1 for slot in self._slots if slot.alive)
+
     def _dispatch(self) -> None:
         """Start queued work while workers and quotas allow (RR)."""
-        while self._active < self.workers:
+        while self._idle_slots:
             request = self._next_request()
             if request is None:
                 return
-            state = request.state
-            state.running += 1
+            slot = self._idle_slots.pop()
+            request.state.running += 1
             self._active += 1
             self._total_queued -= 1
-            loop = asyncio.get_running_loop()
-            worker_future = loop.run_in_executor(
-                self._pool, self._execute, request
-            )
-            worker_future.add_done_callback(
-                lambda done, request=request: self._finish(request, done)
-            )
+            slot.request = request
+            slot.writer.write(request.frame)
 
     def _next_request(self) -> Optional[_Request]:
         """The next runnable request, scanning tenants round-robin.
@@ -336,75 +431,80 @@ class QueryServer:
                 return state.queue.popleft()
         return None
 
-    # ------------------------------------------------------------------ #
-    # execution (worker threads)
-    # ------------------------------------------------------------------ #
+    async def _read_replies(self, slot: _WorkerSlot) -> None:
+        """Read *slot*'s reply frames for as long as its worker lives;
+        an EOF — the worker died, or :meth:`stop` closed the pair —
+        retires the slot."""
+        try:
+            while True:
+                prefix = await slot.reader.readexactly(REPLY_PREFIX.size)
+                header_size, body_size = REPLY_PREFIX.unpack(prefix)
+                frame = await slot.reader.readexactly(header_size + body_size)
+                reply = pickle.loads(frame[:header_size])
+                reply["body"] = frame[header_size:]
+                self._finish(slot, reply)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            self._retire(slot)
 
-    def _execute(self, request: _Request) -> Dict[str, Any]:
-        """Run one admitted query on a pooled session and encode its
-        response (worker thread); :meth:`submit` documents the return."""
-        state = request.state
-        session = state.session
-        started = time.monotonic()
-        # build the per-request governor from the tenant's options
-        # layered with the request overrides, and keep a handle on it:
-        # the server cancels it on shutdown timeouts and harvests its
-        # degradation/spill counters afterwards
-        overrides = dict(request.overrides)
-        governor = session.governor(
-            overrides.get("timeout_ms"),
-            overrides.get("memory_limit_mb"),
-            overrides.get("degrade"),
-        )
-        request.governor = governor
-        # `logic` has no per-call kwarg on execute(); it travels as an
-        # options bundle through the same layering
-        logic = overrides.pop("logic", None)
-        options = ExecutionOptions(logic=logic) if logic is not None else None
-        prepared = session.prepare(request.sql)
-        result = prepared.execute(
-            governor=governor, options=options, **overrides
-        )
-        encode_started = time.monotonic()
-        payload = {
-            "tenant": state.config.name,
-            "columns": list(result.schema.names),
-            "rows": result.rows,
-            "row_count": len(result),
-            "elapsed_ms": round((encode_started - started) * 1000.0, 3),
-        }
-        # one pass of the C encoder over the row tuples, here rather
-        # than on the loop thread; see DESIGN §16 "Result egress"
-        payload["body"] = json.dumps(
-            payload, separators=(",", ":"), default=_json_value
-        ).encode("utf-8")
-        payload["encode_ms"] = (time.monotonic() - encode_started) * 1000.0
-        return payload
+    def _retire(self, slot: _WorkerSlot) -> None:
+        """*slot*'s worker is gone: fail what it was executing, never
+        hand it work again, and fail the queue if it was the last."""
+        slot.alive = False
+        slot.writer.close()
+        if slot in self._idle_slots:
+            self._idle_slots.remove(slot)
+        if slot.request is not None:
+            self._finish(slot, {"error": ServeError(
+                f"worker process {slot.pid} died while executing this "
+                f"request; the request may be retried"
+            )})
+        if not self._live_workers():
+            self._fail_queued()
 
-    def _finish(self, request: _Request, done: "asyncio.Future") -> None:
-        """Completion callback (event-loop thread): account + respond."""
+    def _finish(self, slot: _WorkerSlot, reply: Dict[str, Any]) -> None:
+        """One execution is over (event loop): account + respond."""
+        request, slot.request = slot.request, None
+        assert request is not None
         state = request.state
         state.running -= 1
         self._active -= 1
-        exc = done.exception()
-        governor = request.governor
-        if governor is not None:
-            state.degradations += len(governor.degradations)
-            state.spills += governor.spill_count
+        report = reply.pop("worker", None)
+        if report is not None:
+            slot.requests += 1
+            slot.report = report
+        state.degradations += reply.pop("degradations", 0)
+        state.spills += reply.pop("spills", 0)
+        exc = reply.get("error")
         if exc is not None:
             state.failed += 1
             if not request.future.done():
                 request.future.set_exception(exc)
         else:
-            payload = done.result()
             state.completed += 1
-            state.rows_returned += payload["row_count"]
-            state.busy_ms += payload["elapsed_ms"]
-            state.encode_ms += payload["encode_ms"]
+            state.rows_returned += reply["row_count"]
+            state.busy_ms += reply["elapsed_ms"]
+            state.encode_ms += reply["encode_ms"]
             if not request.future.done():
-                request.future.set_result(payload)
+                request.future.set_result(reply)
+        if slot.alive:
+            self._idle_slots.append(slot)
         self._dispatch()
         if self._active == 0 and self._total_queued == 0:
+            assert self._idle is not None
+            self._idle.set()
+
+    def _fail_queued(self) -> None:
+        """The last worker is gone: nothing queued can ever run."""
+        for state in self._tenants.values():
+            while state.queue:
+                request = state.queue.popleft()
+                self._total_queued -= 1
+                state.failed += 1
+                if not request.future.done():
+                    request.future.set_exception(
+                        ServerDrainingError(_NO_WORKERS)
+                    )
+        if self._active == 0:
             assert self._idle is not None
             self._idle.set()
 
@@ -413,11 +513,24 @@ class QueryServer:
     # ------------------------------------------------------------------ #
 
     def stats(self) -> Dict[str, Any]:
-        """The ``/stats`` payload (event-loop thread: consistent)."""
+        """The ``/stats`` payload (event loop: consistent).
+
+        ``cache`` and ``feedback`` total what each worker's latest
+        reply reported, key by key (``epoch`` is the highest);
+        ``workers`` lists the processes, CPU and peak RSS as of that
+        same reply.
+        """
+        cache = CacheStats().snapshot()
+        observations = epoch = 0
+        for slot in self._slots:
+            for key, count in slot.report.get("cache", {}).items():
+                cache[key] += count
+            observations += slot.report.get("observations", 0)
+            epoch = max(epoch, slot.report.get("epoch", 0))
         return {
             "server": {
                 "draining": self._draining,
-                "workers": self.workers,
+                "workers": self._live_workers(),
                 "queue_size": self.queue_size,
                 "queued": self._total_queued,
                 "active": self._active,
@@ -428,11 +541,9 @@ class QueryServer:
                     (time.monotonic() - self._started) * 1000.0, 1
                 ),
             },
-            "cache": self._cache.stats_snapshot(),
-            "feedback": {
-                "observations": len(self._feedback),
-                "epoch": self._feedback.epoch,
-            },
+            "cache": cache,
+            "feedback": {"observations": observations, "epoch": epoch},
+            "workers": [slot.snapshot() for slot in self._slots],
             "tenants": {
                 name: self._tenants[name].snapshot() for name in self._ring
             },
@@ -489,8 +600,11 @@ class QueryServer:
             if request.method != "GET":
                 return 405, {"error": {"type": "ProtocolError",
                                        "message": "GET only"}}
-            status = "draining" if self._draining else "ok"
-            return (503 if self._draining else 200), {"status": status}
+            if self._draining:
+                return 503, {"status": "draining"}
+            if self._live_workers() < self.workers:
+                return 503, {"status": "degraded"}
+            return 200, {"status": "ok"}
         if request.path == "/stats":
             if request.method != "GET":
                 return 405, {"error": {"type": "ProtocolError",
@@ -529,7 +643,7 @@ async def run_server(
 
     The CLI wires SIGTERM/SIGINT to the *shutdown* event, giving the
     documented graceful exit: in-flight queries finish, new ones are
-    rejected, the pool joins, the listener closes.
+    rejected, the listener closes, the worker processes are reaped.
     """
     await server.start()
     try:

@@ -11,7 +11,7 @@ requests.  Each tenant carries
   traffic is unaffected (per-tenant queues are drained round-robin, so
   a flooding tenant can saturate only its own concurrency share);
 * **execution defaults** — an :class:`~repro.options.ExecutionOptions`
-  bundle the server turns into a per-request
+  bundle a worker process turns into a per-request
   :class:`~repro.engine.governor.ResourceGovernor` (timeout, memory
   budget, spill directory, degradation policy) and strategy/backend/
   logic defaults, all overridable per request within the usual
@@ -20,7 +20,9 @@ requests.  Each tenant carries
 :class:`TenantState` is the server-side ledger for one tenant: its
 waiting queue, in-flight count and monotonic counters.  All of it is
 touched only from the server's event loop, so it needs no locks — the
-worker threads report completions back to the loop via callbacks.
+worker processes report completions in reply frames the loop reads.
+The sessions that execute a tenant's queries live in the workers
+(:mod:`repro.serve.worker`), one per tenant per worker.
 """
 
 from __future__ import annotations
@@ -121,11 +123,8 @@ class TenantState:
     lifetime and surface verbatim in ``/stats``.
     """
 
-    def __init__(self, config: TenantConfig, session) -> None:
+    def __init__(self, config: TenantConfig) -> None:
         self.config = config
-        #: the pooled :class:`~repro.session.Session` executing this
-        #: tenant's queries (shares the server-wide plan cache)
-        self.session = session
         self.queue: Deque[Any] = deque()
         self.running = 0
         # -- monotonic counters ---------------------------------------- #
@@ -149,7 +148,7 @@ class TenantState:
         return self.in_system >= self.config.capacity
 
     def snapshot(self) -> Dict[str, Any]:
-        """The ``/stats`` view of this tenant (loop-thread consistent)."""
+        """The ``/stats`` view of this tenant (event-loop consistent)."""
         return {
             "max_concurrent": self.config.max_concurrent,
             "max_queued": self.config.max_queued,

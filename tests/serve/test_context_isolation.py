@@ -1,20 +1,22 @@
 """Concurrent executions never observe each other's execution context.
 
-Two shapes of leak are pinned here, both at the thread boundary the
-context is *not* supposed to cross:
+Two shapes of leak are pinned here, both at a boundary the context is
+*not* supposed to cross:
 
 * sibling threads running ``PreparedQuery.execute`` at the same time
-  with different logic modes and different governors (what a server's
-  worker pool does all day) — each execution must see exactly the fields
-  its own session installed, for the whole execution;
-* the asyncio loop thread: a scope left active there must not reach the
-  ``QueryServer`` executor workers, which start every request from the
-  tenant's own options.
+  with different logic modes and different governors (what an embedding
+  application's thread pool does all day) — each execution must see
+  exactly the fields its own session installed, for the whole execution;
+* the fork: a scope active on the asyncio loop — while it submits, or
+  around ``QueryServer.start()`` itself — must not reach the worker
+  processes, which start every request from the tenant's own options.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import os
 import sys
 import threading
 
@@ -102,32 +104,58 @@ def test_concurrent_executions_see_only_their_own_context(db):
     assert failures == []
 
 
-def test_loop_thread_scope_does_not_reach_server_workers(db):
-    seen = []
+@pytest.mark.parametrize("scope_around", ["submit", "start"])
+def test_loop_thread_scope_does_not_reach_server_workers(
+    db, tmp_path, scope_around
+):
+    """The recording strategy runs in a worker process, so it reports
+    through a JSON-lines file: what it saw of the ambient context."""
+    seen_path = tmp_path / "seen.jsonl"
+    stray = ResourceGovernor(timeout_ms=60_000)
 
     class Recording:
         def execute(self, query, db):
-            seen.append((threading.current_thread().name, current()))
+            context = current()
+            with open(seen_path, "a") as handle:
+                handle.write(json.dumps({
+                    "pid": os.getpid(),
+                    "logic": context.logic,
+                    "governor": (
+                        None if context.governor is None
+                        else context.governor.timeout_ms
+                    ),
+                    "untraced": (
+                        context.metrics is None and context.tracer is None
+                    ),
+                }) + "\n")
             return registry.make("nested-relational").execute(query, db)
 
     registry.register(
         "context-recording", replace=True,
         description="test stub: records the worker's execution context",
     )(Recording)
-    stray = ResourceGovernor(timeout_ms=60_000)
+
+    async def submit_four(server):
+        return await asyncio.gather(*(
+            server.submit(
+                SQL, tenant=tenant,
+                overrides={"strategy": "context-recording",
+                           "timeout_ms": 30_000},
+            )
+            for tenant in ("bi", "etl", "bi", "etl")
+        ))
 
     async def main():
         server = QueryServer(db, port=0, workers=2)
-        await server.start()
+        if scope_around == "start":
+            # the harder case: the workers are forked inside the scope
+            with logic_mode("2vl"), governed(stray), collect(), tracing():
+                await server.start()
+        else:
+            await server.start()
         try:
             with logic_mode("2vl"), governed(stray), collect(), tracing():
-                payloads = await asyncio.gather(*(
-                    server.submit(
-                        SQL, tenant=tenant,
-                        overrides={"strategy": "context-recording"},
-                    )
-                    for tenant in ("bi", "etl", "bi", "etl")
-                ))
+                payloads = await submit_four(server)
                 # the scope is still what the loop thread itself sees
                 assert current().logic == "2vl"
                 assert current().governor is stray
@@ -140,9 +168,11 @@ def test_loop_thread_scope_does_not_reach_server_workers(db):
         payloads = asyncio.run(main())
     finally:
         registry.unregister("context-recording")
+    seen = [json.loads(line) for line in seen_path.read_text().splitlines()]
     assert len(payloads) == len(seen) == 4
-    for thread_name, context in seen:
-        assert thread_name != threading.current_thread().name
-        assert context.logic == "3vl"  # the tenant default, not the stray 2vl
-        assert context.governor is not stray
-        assert context.metrics is None and context.tracer is None
+    assert len({entry["pid"] for entry in seen}) == 2
+    for entry in seen:
+        assert entry["pid"] != os.getpid()
+        assert entry["logic"] == "3vl"  # the tenant default, not the stray 2vl
+        assert entry["governor"] == 30_000  # the request's own, not the stray
+        assert entry["untraced"]

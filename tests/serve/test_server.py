@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import time
 import urllib.error
 import urllib.request
@@ -57,20 +58,58 @@ async def _started(db, **kwargs) -> QueryServer:
 
 
 def test_submit_executes_and_shares_plan_cache(db):
+    """Plans are shared across tenants *within* a worker process."""
+
     async def main():
-        server = await _started(db, workers=2)
+        server = await _started(db, workers=1)
         try:
             expected = repro.connect(db).execute(SQL)
             first = await server.submit(SQL, tenant="bi")
             again = await server.submit(SQL, tenant="etl")
             assert first["row_count"] == len(expected)
             assert first["columns"] == list(expected.schema.names)
-            assert again["rows"] == first["rows"]
+            assert (json.loads(again["body"])["rows"]
+                    == json.loads(first["body"])["rows"]
+                    == [list(row) for row in expected.rows])
             stats = server.stats()
-            # the second tenant's session hit the SHARED plan memo
-            assert stats["cache"]["plan_hits"] >= 1
+            # the second tenant's session hit the worker's one plan memo
+            assert stats["cache"]["plan_misses"] == 1
+            assert stats["cache"]["plan_hits"] == 1
             assert stats["tenants"]["bi"]["completed"] == 1
             assert stats["tenants"]["etl"]["completed"] == 1
+            await server.drain()
+        finally:
+            await server.stop()
+
+    asyncio.run(main())
+
+
+def test_stats_cache_is_the_sum_over_workers(db):
+    """Two workers, two memos: ``/stats`` ``cache`` adds them key-wise
+    and ``workers`` lists the processes behind the totals."""
+
+    async def main():
+        server = await _started(db, workers=2)
+        try:
+            # both in flight at once, so one lands on each worker: the
+            # same text misses twice (one shared memo would hit once)
+            await asyncio.gather(
+                server.submit(SQL, tenant="bi"),
+                server.submit(SQL, tenant="etl"),
+            )
+            stats = server.stats()
+            assert [w["requests"] for w in stats["workers"]] == [1, 1]
+            assert stats["cache"]["plan_misses"] == 2
+            assert stats["cache"]["plan_hits"] == 0
+            await server.submit(SQL, tenant="bi")
+            stats = server.stats()
+            assert sorted(w["requests"] for w in stats["workers"]) == [1, 2]
+            assert stats["cache"]["plan_misses"] == 2
+            assert stats["cache"]["plan_hits"] == 1
+            assert stats["server"]["workers"] == 2
+            for worker in stats["workers"]:
+                assert worker["alive"] and worker["pid"] != os.getpid()
+                assert worker["cpu_ms"] > 0 and worker["peak_rss_mb"] > 0
             await server.drain()
         finally:
             await server.stop()

@@ -1,12 +1,17 @@
 """The wire golden: ``POST /query`` bodies, byte for byte.
 
 The server encodes a result in one pass of the C JSON encoder over the
-engine's own row tuples, on the worker thread (DESIGN §16 "Result
-egress").  The encoder it replaced — every row rebuilt as a list, every
-cell through a Python function, then ``json.dumps`` — lives on here, and
-only here, as the *reference definition* of the format: NULL is
-``null`` and never a value, the JSON-native scalars are themselves,
-anything else is its ``str``.
+engine's own row tuples, in the worker process that executed it (DESIGN
+§16 "Result egress").  The encoder it replaced — every row rebuilt as a
+list, every cell through a Python function, then ``json.dumps`` — lives
+on here, and only here, as the *reference definition* of the format:
+NULL is ``null`` and never a value, the JSON-native scalars are
+themselves, anything else is its ``str``.
+
+The rows never reach the test process as Python objects (``submit()``
+resolves to the encoded ``body``), so each reference body is built from
+an in-process execution of the same SQL — or, for the hand-built
+relations, from the relation the fixture held when ``start()`` forked.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import asyncio
 import datetime
 import json
-import threading
 import urllib.request
 
 import pytest
@@ -26,9 +30,14 @@ from repro.engine.types import is_null
 from repro.engine.vector import Batch
 from repro.serve import QueryServer
 from repro.serve import server as server_module
+from repro.serve import worker as worker_module
 from repro.tpch import query1, query2, query3
 
 WIRE_KEYS = ("tenant", "columns", "rows", "row_count", "elapsed_ms")
+#: what ``submit()`` resolves to: ``rows`` lives only in ``body``
+SUBMIT_KEYS = {
+    "tenant", "columns", "row_count", "elapsed_ms", "encode_ms", "body",
+}
 SQL = "select o_orderkey, o_totalprice from orders where o_totalprice > 1000"
 
 #: the paper's Figures 4-9 at the benchmark's constants
@@ -56,12 +65,13 @@ def legacy_json_value(value):
     return str(value)
 
 
-def legacy_body(payload) -> bytes:
-    """What the per-cell encoder answered for the same response."""
-    wire = {key: payload[key] for key in WIRE_KEYS}
-    wire["rows"] = [
-        [legacy_json_value(v) for v in row] for row in payload["rows"]
-    ]
+def legacy_body(payload, rows) -> bytes:
+    """What the per-cell encoder answered for the same response: the
+    scalar fields of *payload* around *rows*, the engine's row tuples."""
+    cells = [[legacy_json_value(v) for v in row] for row in rows]
+    wire = {
+        key: cells if key == "rows" else payload[key] for key in WIRE_KEYS
+    }
     return json.dumps(wire, separators=(",", ":")).encode("utf-8")
 
 
@@ -134,9 +144,11 @@ def test_figure_query_bodies_match_the_reference(db, backend):
     payloads, _stats = submit_all(
         db, [(sql, {"backend": backend}) for sql in FIGURE_QUERIES.values()]
     )
-    for figure, payload in zip(FIGURE_QUERIES, payloads):
+    session = repro.connect(db)
+    for (figure, sql), payload in zip(FIGURE_QUERIES.items(), payloads):
         assert payload["row_count"] > 0, figure
-        assert payload["body"] == legacy_body(payload), figure
+        rows = session.execute(sql, backend=backend).rows
+        assert payload["body"] == legacy_body(payload, rows), figure
 
 
 def test_hand_built_bodies_match_the_reference(db, canned):
@@ -156,7 +168,7 @@ def test_hand_built_bodies_match_the_reference(db, canned):
     for name, relation in cases.items():
         canned["relation"] = relation
         (payload,), _stats = submit_all(db, [(SQL, {"strategy": "canned"})])
-        assert payload["body"] == legacy_body(payload), name
+        assert payload["body"] == legacy_body(payload, relation.rows), name
         wires[name] = json.loads(payload["body"])
         assert wires[name]["row_count"] == len(relation), name
         assert len(wires[name]["rows"]) == len(relation), name
@@ -173,19 +185,28 @@ def test_hand_built_bodies_match_the_reference(db, canned):
 # --------------------------------------------------------------------- #
 
 
-def test_the_hook_is_not_entered_for_native_cells(db, canned, monkeypatch):
-    calls, hook = [], server_module._json_value
+def test_the_hook_is_not_entered_for_native_cells(db, monkeypatch):
+    """The encoding function itself, in this process: the ``default=``
+    hook costs nothing for a result of ints, floats and strings."""
+    calls, hook = [], worker_module._json_value
 
     def counting(value):
         calls.append(value)
         return hook(value)
 
-    monkeypatch.setattr(server_module, "_json_value", counting)
-    (payload,), _stats = submit_all(db, [(SQL, {})])
-    assert payload["row_count"] > 0
+    def encoded(relation):
+        wire = {"tenant": "wire", "columns": list(relation.schema.names),
+                "rows": relation.rows, "row_count": len(relation),
+                "elapsed_ms": 0.0}
+        assert worker_module.encode_body(wire) == legacy_body(
+            wire, relation.rows)
+
+    monkeypatch.setattr(worker_module, "_json_value", counting)
+    plain = repro.connect(db).execute(SQL)
+    assert len(plain) > 0
+    encoded(plain)
     assert calls == []  # int and float cells only: the C encoder's own
-    canned["relation"] = every_kind()
-    submit_all(db, [(SQL, {"strategy": "canned"})])
+    encoded(every_kind())
     # a row of six NULLs and one more, two dates; big ints are JSON-native
     assert sum(1 for v in calls if is_null(v)) == 7
     assert sum(1 for v in calls if isinstance(v, datetime.date)) == 2
@@ -193,22 +214,26 @@ def test_the_hook_is_not_entered_for_native_cells(db, canned, monkeypatch):
 
 
 def test_submit_return_shape_and_encode_ms(db, canned):
-    """``submit()`` resolves to the wire fields — ``rows`` still the
-    engine's tuples — plus ``body`` and ``encode_ms``; ``/stats`` totals
-    the latter per tenant."""
+    """``submit()`` resolves to the scalar wire fields plus ``body`` —
+    the whole wire object, encoded, the only place ``rows`` exists — and
+    ``encode_ms``; ``/stats`` totals the timings per tenant."""
     canned["relation"] = every_kind()
     (plain, exotic), stats = submit_all(
         db, [(SQL, {}), (SQL, {"strategy": "canned"})]
     )
     for payload in (plain, exotic):
-        assert set(payload) == set(WIRE_KEYS) | {"body", "encode_ms"}
+        assert set(payload) == SUBMIT_KEYS
         assert isinstance(payload["body"], bytes)
-        assert set(json.loads(payload["body"])) == set(WIRE_KEYS)
+        wire = json.loads(payload["body"])
+        assert list(wire) == list(WIRE_KEYS)
+        assert {key: wire[key] for key in WIRE_KEYS if key != "rows"} == {
+            key: payload[key] for key in WIRE_KEYS if key != "rows"
+        }
+        assert len(wire["rows"]) == payload["row_count"]
         assert payload["encode_ms"] >= 0.0
-    assert exotic["rows"] is canned["relation"].rows
-    assert exotic["rows"][1][0] is NULL
+    assert json.loads(exotic["body"])["rows"][1] == [None] * 6
     expected = repro.connect(db).execute(SQL)
-    assert plain["rows"] == expected.rows
+    assert plain["body"] == legacy_body(plain, expected.rows)
     tenant = stats["tenants"]["wire"]
     assert tenant["encode_ms"] == pytest.approx(
         plain["encode_ms"] + exotic["encode_ms"], abs=2e-3
@@ -220,7 +245,9 @@ def test_submit_return_shape_and_encode_ms(db, canned):
 
 def test_the_loop_thread_frames_bytes_and_never_encodes_rows(db, monkeypatch):
     """Over a real socket: ``_handle_connection`` is handed the 200 body
-    as ``bytes``, and every ``json.dumps`` of a result ran on a worker."""
+    as ``bytes``, and no ``json.dumps`` of a result runs in the front
+    process — the workers inherit the recorder below, but what they
+    record lands in their copy of the list."""
     framed, dumped = [], []
     real_frame, real_dumps = server_module.response_bytes, json.dumps
 
@@ -230,7 +257,7 @@ def test_the_loop_thread_frames_bytes_and_never_encodes_rows(db, monkeypatch):
 
     def recording_dumps(obj, **kwargs):
         if isinstance(obj, dict) and "rows" in obj:
-            dumped.append(threading.current_thread().name)
+            dumped.append(obj)
         return real_dumps(obj, **kwargs)
 
     monkeypatch.setattr(server_module, "response_bytes", recording_frame)
@@ -247,7 +274,7 @@ def test_the_loop_thread_frames_bytes_and_never_encodes_rows(db, monkeypatch):
         await server.start()
         try:
             loop = asyncio.get_running_loop()
-            return threading.current_thread().name, await loop.run_in_executor(
+            return await loop.run_in_executor(
                 None, post, f"http://127.0.0.1:{server.port}/query",
                 {"sql": SQL, "tenant": "wire"},
             )
@@ -255,11 +282,13 @@ def test_the_loop_thread_frames_bytes_and_never_encodes_rows(db, monkeypatch):
             await server.drain()
             await server.stop()
 
-    loop_thread, (status, body) = asyncio.run(main())
+    status, body = asyncio.run(main())
     assert status == 200
     assert framed == [(200, bytes)]
-    assert dumped and loop_thread not in dumped
-    assert all(name.startswith("repro-serve") for name in dumped)
+    assert dumped == []
     wire = json.loads(body)
-    assert body == legacy_body(wire)  # None round-trips to null
+    # None round-trips to null
+    assert body == legacy_body(wire, wire["rows"])
     assert wire["row_count"] == len(wire["rows"]) > 0
+    expected = repro.connect(db).execute(SQL)
+    assert body == legacy_body(wire, expected.rows)
