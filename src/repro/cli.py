@@ -2,9 +2,7 @@
 
 Subcommands::
 
-    python -m repro generate --sf 0.005 --out data/        # TPC-H -> CSV
     python -m repro gen --sf 1 --out store/                # TPC-H -> column store
-    python -m repro run "select ..." --data data/          # execute SQL
     python -m repro run "select ..." --store store/        # mmap column store
     python -m repro run --file q.sql --tpch 0.002 --strategy auto
     python -m repro run "select ..." --tpch 0.002 --backend vector
@@ -21,9 +19,7 @@ All execution goes through the Session API (:func:`repro.connect` /
 :meth:`~repro.session.Session.prepare`); library errors surface as one
 ``error: ...`` line on stderr with a nonzero exit code.
 
-Databases come from a CSV directory written by ``generate`` /
-:func:`repro.engine.storage.save_database` (``--data``), from a
-memory-mapped column store written by ``gen`` /
+Databases come from a memory-mapped column store written by ``gen`` /
 :func:`repro.tpch.generate_stored` (``--store``), or from an in-memory
 TPC-H instance generated on the fly (``--tpch <sf>``).
 """
@@ -39,7 +35,6 @@ from typing import List, Optional
 import repro
 from .engine.catalog import Database
 from .engine.metrics import collect
-from .engine.storage import load_database, save_database
 from .errors import ReproError
 
 
@@ -50,8 +45,6 @@ def _load_db(args: argparse.Namespace) -> Database:
         # no paper indexes: building them would pull every stored row
         # into Python heap, defeating the zero-copy mmap scan path
         return load_stored_database(args.store)
-    if getattr(args, "data", None):
-        return load_database(args.data)
     sf = getattr(args, "tpch", None)
     if sf is None:
         sf = 0.002
@@ -71,21 +64,6 @@ def _read_sql(args: argparse.Namespace) -> str:
     if args.sql:
         return args.sql
     raise SystemExit("provide SQL inline or with --file")
-
-
-def cmd_generate(args: argparse.Namespace) -> int:
-    db = repro.tpch.generate(
-        repro.tpch.TpchConfig(
-            scale_factor=args.sf,
-            seed=args.seed,
-            price_not_null=args.not_null,
-            inject_null_fraction=args.inject_nulls,
-        )
-    )
-    save_database(db, args.out)
-    print(f"wrote TPC-H sf={args.sf} to {args.out}/")
-    print(db.summary())
-    return 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -447,15 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate TPC-H data as CSV")
-    p.add_argument("--sf", type=float, default=0.002)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", required=True)
-    p.add_argument("--not-null", action="store_true", dest="not_null",
-                   help="declare NOT NULL on the price columns")
-    p.add_argument("--inject-nulls", type=float, default=0.0)
-    p.set_defaults(func=cmd_generate)
-
     p = sub.add_parser(
         "gen",
         help="generate TPC-H data as a memory-mapped column store",
@@ -479,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("sql", nargs="?", help="SQL text (or use --file)")
         p.add_argument("--file", help="read SQL from a file")
-        p.add_argument("--data", help="CSV directory from 'generate'")
         p.add_argument("--store", help="column-store directory from 'gen' "
                                        "(tables scan zero-copy off mmap)")
         p.add_argument("--tpch", type=float, help="generate TPC-H at this sf")
@@ -617,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("sql", nargs="?", help="SQL text (or use --file)")
     p.add_argument("--file", help="read SQL from a file")
-    p.add_argument("--data", help="CSV directory from 'generate'")
     p.add_argument("--tpch", type=float, help="generate TPC-H at this sf")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--not-null", action="store_true", dest="not_null")
@@ -639,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080,
                    help="TCP port (0 binds an ephemeral port)")
-    p.add_argument("--data", help="CSV directory from 'generate'")
     p.add_argument("--store", help="column-store directory from 'gen'")
     p.add_argument("--tpch", type=float, help="generate TPC-H at this sf")
     p.add_argument("--seed", type=int, default=42)

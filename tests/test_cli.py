@@ -15,16 +15,16 @@ class TestStrategies:
 
 
 class TestGenerateAndRun:
-    def test_generate_then_run_from_csv(self, tmp_path, capsys):
-        data_dir = str(tmp_path / "data")
-        assert main(["generate", "--sf", "0.001", "--out", data_dir]) == 0
+    def test_gen_then_run_from_store(self, tmp_path, capsys):
+        store_dir = str(tmp_path / "store")
+        assert main(["gen", "--sf", "0.001", "--out", store_dir]) == 0
         capsys.readouterr()
         code = main(
             [
                 "run",
                 "select o_orderkey from orders where o_totalprice > 50000",
-                "--data",
-                data_dir,
+                "--store",
+                store_dir,
                 "--check",
             ]
         )
