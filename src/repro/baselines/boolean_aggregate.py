@@ -60,20 +60,24 @@ class BooleanAggregateStrategy:
 
     name = "boolean-aggregate"
 
-    def applicable(self, query: NestedQuery) -> bool:
-        return (
+    def applicable(self, query: NestedQuery, db: Database) -> Optional[str]:
+        """None when the rewrite applies; otherwise the blocking reason."""
+        if (
             query.is_linear
             and query.is_linearly_correlated()
             and not query.has_aggregate_link
             and not query.has_disjunction
+        ):
+            return None
+        return (
+            "boolean-aggregate evaluation requires a linear, linearly "
+            "correlated query"
         )
 
     def execute(self, query: NestedQuery, db: Database) -> Relation:
-        if not self.applicable(query):
-            raise PlanError(
-                "boolean-aggregate evaluation requires a linear, linearly "
-                "correlated query"
-            )
+        reason = self.applicable(query, db)
+        if reason is not None:
+            raise PlanError(reason)
         chain = list(query.root.walk())
         reduced = reduce_all(query, db)
         if len(chain) == 1:

@@ -26,6 +26,7 @@ from ..engine.catalog import Database
 from ..engine.metrics import Metrics, collect
 from ..engine.trace import tracing
 from ..core.blocks import NestedQuery
+from ..core.planner import run
 from ..core.reduce import reduce_all
 from ..errors import InvalidArgumentError
 from ..strategies import make as make_strategy
@@ -229,10 +230,8 @@ def measure_strategy(
     assert best is not None
     trace_dict: Optional[Dict] = None
     if _capture_traces:
-        from ..core.planner import run
-
         with tracing() as trace:
-            run(query, db, strategy=strategy_name)
+            run(query, db, strategy_name)
         trace_dict = trace.to_dict()
     return StrategyMeasurement(
         strategy=strategy_name,
@@ -254,9 +253,8 @@ def intermediate_result_size(query: NestedQuery, db: Database) -> int:
     non-correlated subqueries, which are executed once and never joined)
     has just its reduced outer block.
     """
-    from ..core.planner import run_traced
-
-    _result, trace = run_traced(query, db, strategy="nested-relational")
+    with tracing() as trace:
+        run(query, db, "nested-relational")
     nested = [span.counters["rows_in"] for span in trace.find("nest")]
     if nested:
         return max(nested)
@@ -304,8 +302,6 @@ def processing_profile(
     selection per level (two passes per level); optimized = the fused
     single-pass pipeline, whose input is the intermediate result.
     """
-    from ..core.planner import run_traced
-
     query = repro.compile_sql(sql, db)
     if not query.is_linear:
         raise InvalidArgumentError("processing_profile requires a linear query")
@@ -316,7 +312,8 @@ def processing_profile(
         best: Optional[float] = None
         rows_in = 0
         for _ in range(max(1, repeats)):
-            _result, trace = run_traced(query, db, strategy=strategy)
+            with tracing() as trace:
+                run(query, db, strategy)
             spans = [s for s in trace.spans() if s.name in span_names]
             seconds = sum(s.wall_seconds for s in spans)
             if best is None or seconds < best:

@@ -19,7 +19,7 @@ from .reduce import ReducedBlock, reduce_all, reduce_block
 from .compute import NestedRelationalStrategy, set_predicate_for
 from .feedback import FeedbackStore
 from .optimizer import CandidatePlan, PlannerDecision, choose, plan_fingerprint
-from .plan import Plan, build_plan
+from .plan import Plan
 from .stats import (
     ColumnStats,
     DbStats,
@@ -59,7 +59,6 @@ __all__ = [
     "choose",
     "plan_fingerprint",
     "Plan",
-    "build_plan",
     "ColumnStats",
     "TableStats",
     "DbStats",

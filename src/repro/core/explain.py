@@ -14,9 +14,9 @@ the final projection.  Whatever the planner decides — strict σ or pseudo
 σ*, which rule fires at which edge — is what the text shows and what
 the execution does, because both read the same nodes.
 
-:func:`explain` resolves a strategy name and asks the strategy; one
-without an ``explain`` method answers with its registry description, so
-examples and the CLI can show a plan for anything the planner can run.
+:func:`plan_text` asks the instance a resolved request runs; one without
+an ``explain`` method answers with its registry description, so examples
+and the CLI can show a plan for anything the planner can run.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from ..engine.catalog import Database
 from ..engine.expressions import Col, Comparison, split_conjuncts
 from .blocks import LinkSpec, NestedQuery
 from .linking import SetPredicate
+from .optimizer import PlannerDecision, resolve
 from .query_tree import (
     FusedLink,
     NestLink,
@@ -176,28 +177,31 @@ def _link_text(predicate: SetPredicate, link: LinkSpec, pk: str) -> str:
     )
 
 
-def explain(query: NestedQuery, db: Database, strategy: str) -> str:
-    """Plan text for the given strategy name.
+def plan_text(decision: PlannerDecision, query: NestedQuery, db: Database) -> str:
+    """The operator tree of the instance *decision* runs.
 
-    ``"auto"`` runs the cost-based planner and prefixes the chosen
-    strategy's plan with the full candidate table (every applicable
-    strategy, cheapest first, with estimated costs and cardinalities).
-    A strategy with an ``explain(query, db)`` method draws its own
-    operator tree; the others fall back to their registry description,
-    so anything the planner can run has a plan text.
+    A strategy with an ``explain(query, db)`` method draws its own; the
+    others answer with their registry description, so anything the
+    planner can run has a plan text.
     """
     from .. import strategies as registry
 
-    if strategy == registry.AUTO:
-        from .optimizer import choose
+    if hasattr(decision.impl, "explain"):
+        return decision.impl.explain(query, db)
+    name = decision.chosen
+    if not registry.is_registered(name):
+        return f"{name}: no plan text"
+    return f"{name}: {registry.info(name).description}"
 
-        decision = choose(query, db)
-        return (
-            decision.describe()
-            + "\n"
-            + explain(query, db, decision.chosen)
-        )
-    impl = registry.make(strategy)
-    if hasattr(impl, "explain"):
-        return impl.explain(query, db)
-    return f"{strategy}: {registry.info(strategy).description}"
+
+def explain(query: NestedQuery, db: Database, strategy: str) -> str:
+    """Plan text for a by-name request under default options: what
+    :func:`~repro.core.optimizer.resolve` makes of *strategy*, drawn by
+    :func:`plan_text` — prefixed, for ``"auto"``, with the full
+    candidate table (every applicable strategy, cheapest first, with
+    estimated costs and cardinalities)."""
+    decision = resolve(query, db, strategy)
+    text = plan_text(decision, query, db)
+    if decision.candidates:
+        return decision.describe() + "\n" + text
+    return text

@@ -1,4 +1,10 @@
-"""The cost-based planner behind ``strategy="auto"``.
+"""Request resolution, and the cost-based planner behind ``"auto"``.
+
+:func:`resolve` is the one place an execution request — strategy,
+backend, threads, feedback, memory budget — becomes the instance that
+runs: ``execute``, ``trace`` and EXPLAIN all read the
+:class:`PlannerDecision` it returns.  A named strategy or an instance
+resolves without pricing; ``"auto"`` goes to :func:`choose`.
 
 The paper's central experimental claim (Section 5, Figures 4–9) is that
 no single subquery strategy wins everywhere — nested iteration, the
@@ -22,18 +28,17 @@ are priced at the generic pipeline work times
 :data:`DEFAULT_COST_FACTOR` — deliberately pessimistic, so an uncosted
 third-party strategy is only chosen when every built-in is worse.
 
-The outcome is a :class:`PlannerDecision`, a durable artifact: the
-session memoizes it (keyed by the feedback epoch), the planner records
-it as a ``kind='planner'`` trace span, and ``repro explain`` renders
-it.
+The :class:`PlannerDecision` is a durable artifact: the session
+memoizes it (a cost-based one keyed by the feedback epoch),
+:func:`repro.core.planner.run` executes it and records a cost-based one
+as a ``kind='planner'`` trace span, and ``repro explain`` renders it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import PlanError
 from ..engine.catalog import Database
@@ -160,23 +165,12 @@ def default_cost(ps: PlanStats) -> float:
 
 
 def strategy_applicable(impl: object, query: NestedQuery, db: Database) -> bool:
-    """Normalize the two ``applicable`` protocols in the codebase:
-    ``applicable(query) -> bool`` and
-    ``applicable(query, db) -> Optional[str]`` (None = applicable).
-    Strategies without a guard accept everything."""
+    """Whether *impl* accepts (query, db).  A guard is
+    ``applicable(query, db) -> Optional[str]``: None accepts, a string
+    is the refusal ``execute`` raises.  A strategy without a guard
+    accepts everything."""
     guard = getattr(impl, "applicable", None)
-    if guard is None:
-        return True
-    # dispatch on what the guard declares, so a TypeError raised *inside*
-    # a guard surfaces as itself (signature() costs 30 µs a call and this
-    # runs once per candidate per planned query)
-    declared = guard.__code__.co_argcount - inspect.ismethod(guard)
-    verdict = guard(query, db) if declared >= 2 else guard(query)
-    if verdict is None or verdict is True:
-        return True
-    if verdict is False or isinstance(verdict, str):
-        return False
-    return bool(verdict)
+    return guard is None or guard(query, db) is None
 
 
 def plan_fingerprint(query: NestedQuery) -> str:
@@ -236,21 +230,22 @@ class CandidatePlan:
 
 @dataclass(frozen=True)
 class PlannerDecision:
-    """The durable outcome of one cost-based ``auto`` resolution.
+    """What one execution request resolved to (:func:`resolve`).
 
-    ``impl`` is the instantiated winning strategy (threads applied);
-    ``candidates`` is every enumerated candidate sorted cheapest-first.
-    The session memoizes whole decisions; the planner replays them and
-    records them as ``kind='planner'`` spans.
+    ``impl`` is the instance that runs (threads applied) and ``chosen``
+    the name its root span carries.  A cost-based ``auto`` resolution
+    also records ``candidates`` — every enumerated candidate, cheapest
+    first — with the plan ``fingerprint``, the ``feedback_epoch`` it
+    was priced at and ``est_rows``; a request that named its strategy
+    was never priced and leaves them empty.
     """
 
     chosen: str
     impl: object
-    candidates: Tuple[CandidatePlan, ...]
-    fingerprint: str
-    feedback_epoch: int
-    est_rows: float
-    threads: Optional[int] = None
+    candidates: Tuple[CandidatePlan, ...] = ()
+    fingerprint: Optional[str] = None
+    feedback_epoch: Optional[int] = None
+    est_rows: Optional[float] = None
 
     @property
     def est_cost(self) -> float:
@@ -344,5 +339,68 @@ def choose(
         fingerprint=fingerprint,
         feedback_epoch=epoch,
         est_rows=ps.out_rows,
-        threads=threads,
     )
+
+
+#: a backend-generic request maps onto its counterpart on the requested
+#: backend: Algorithm 1 is registered once per substrate
+_COUNTERPARTS: Dict[Tuple[str, str], str] = {
+    ("vector", "nested-relational"): "nested-relational-vectorized",
+    ("row", "nested-relational-vectorized"): "nested-relational",
+    ("row", "nested-relational-parallel"): "nested-relational",
+}
+
+
+def resolve(
+    query: NestedQuery,
+    db: Database,
+    strategy: Union[str, object] = "auto",
+    backend: Optional[str] = None,
+    threads: Optional[int] = None,
+    feedback: Optional[FeedbackStore] = None,
+    memory_limit_mb: Optional[float] = None,
+) -> PlannerDecision:
+    """Turn one execution request into the instance that runs it.
+
+    * ``"auto"`` is priced by :func:`choose` under *backend*, *threads*,
+      *feedback* and *memory_limit_mb*;
+    * a registry name resolves, unpriced, to its entry on the requested
+      *backend* (``None`` follows the registration; Algorithm 1's row
+      and vectorized entries stand in for each other, any other name
+      must be registered on the backend asked for);
+    * a strategy instance is taken as is — it already fixes its own
+      substrate, so *backend* must be unset.
+
+    *threads* is forwarded to a resolved strategy exposing
+    ``set_threads`` (the row engine is single-threaded).
+    """
+    from .. import strategies as registry
+
+    if not isinstance(strategy, str):
+        if backend is not None:
+            raise PlanError(
+                "backend cannot be overridden for a strategy instance; "
+                "pass a registry name instead"
+            )
+        impl = strategy
+    elif strategy == registry.AUTO:
+        return choose(
+            query, db, backend=backend, threads=threads, feedback=feedback,
+            memory_limit_mb=memory_limit_mb,
+        )
+    else:
+        if backend is not None and backend not in registry.BACKENDS:
+            raise PlanError(
+                f"unknown backend {backend!r}; "
+                f"expected one of {registry.BACKENDS}"
+            )
+        entry = registry.info(_COUNTERPARTS.get((backend, strategy), strategy))
+        if backend is not None and entry.backend != backend:
+            raise PlanError(
+                f"strategy {entry.name!r} runs on the {entry.backend!r} "
+                f"backend, but backend={backend!r} was requested"
+            )
+        impl = entry.make()
+    if threads is not None and hasattr(impl, "set_threads"):
+        impl.set_threads(threads)
+    return PlannerDecision(getattr(impl, "name", type(impl).__name__), impl)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import InvalidArgumentError
-from .optimizer import CandidatePlan
+from .optimizer import CandidatePlan, PlannerDecision
 
 #: formats accepted by :meth:`Plan.render`
 PLAN_FORMATS = ("text", "json")
@@ -30,7 +30,9 @@ class Plan:
     """One EXPLAIN outcome, ready to render in either format.
 
     ``strategy`` is what the caller asked for (``"auto"`` or a fixed
-    name); ``chosen`` is the registry name that would execute.  For an
+    name); ``chosen`` is the name the execution's root span carries —
+    both come from the one :class:`~repro.core.optimizer.PlannerDecision`
+    an execution under the same options runs.  For an
     ``"auto"`` request ``candidates`` holds every enumerated
     :class:`~repro.core.optimizer.CandidatePlan` cheapest-first and
     ``fingerprint`` / ``feedback_epoch`` / ``est_rows`` echo the
@@ -123,6 +125,23 @@ class Plan:
             doc["spans"] = self.spans
         return doc
 
+    @classmethod
+    def of(cls, sql: str, requested, decision: PlannerDecision, query, db) -> "Plan":
+        """The plan of *decision*, what the session resolved *requested*
+        to: the operator text is drawn by the instance that runs."""
+        from .explain import plan_text
+
+        return cls(
+            sql=sql,
+            strategy=requested if isinstance(requested, str) else decision.chosen,
+            chosen=decision.chosen,
+            operators=plan_text(decision, query, db),
+            candidates=decision.candidates,
+            fingerprint=decision.fingerprint,
+            feedback_epoch=decision.feedback_epoch,
+            est_rows=decision.est_rows,
+        )
+
     def analyzed(self, result, trace, metrics, timings: bool = True) -> "Plan":
         """This plan with the EXPLAIN ANALYZE section of one traced
         execution: one line per operator span with input/output row
@@ -150,54 +169,3 @@ class Plan:
         # substring checks against the text render keep working for
         # callers that treated explain() output as a string
         return isinstance(needle, str) and needle in self.render("text")
-
-
-def build_plan(
-    query,
-    db,
-    sql: str,
-    strategy: str = "auto",
-    feedback=None,
-    backend: Optional[str] = None,
-    threads: Optional[int] = None,
-    memory_limit_mb: Optional[float] = None,
-) -> Plan:
-    """Assemble the :class:`Plan` for one EXPLAIN request.
-
-    ``strategy="auto"`` runs the cost-based planner
-    (:func:`repro.core.optimizer.choose`, fed the session's *feedback*
-    observations and the execution's *backend* / *threads* /
-    *memory_limit_mb*, so the decision is the one an execution under the
-    same options makes) and reports its full candidate table; a fixed
-    name just renders that strategy's operator tree.
-    :meth:`Plan.analyzed` attaches a traced execution.
-    """
-    from .explain import explain
-    from .optimizer import choose
-
-    candidates: Tuple[CandidatePlan, ...] = ()
-    fingerprint = None
-    feedback_epoch = None
-    est_rows = None
-    if strategy == "auto":
-        decision = choose(
-            query, db, backend=backend, threads=threads, feedback=feedback,
-            memory_limit_mb=memory_limit_mb,
-        )
-        chosen = decision.chosen
-        candidates = decision.candidates
-        fingerprint = decision.fingerprint
-        feedback_epoch = decision.feedback_epoch
-        est_rows = decision.est_rows
-    else:
-        chosen = strategy
-    return Plan(
-        sql=sql,
-        strategy=strategy if isinstance(strategy, str) else str(strategy),
-        chosen=chosen,
-        operators=explain(query, db, strategy=chosen),
-        candidates=candidates,
-        fingerprint=fingerprint,
-        feedback_epoch=feedback_epoch,
-        est_rows=est_rows,
-    )

@@ -1,30 +1,25 @@
-"""Strategy resolution and automatic strategy selection.
+"""The execution entry: root span, governor start, degradation rung,
+root ORDER BY / GROUP BY.
 
-Strategy names live in the :mod:`repro.strategies` registry; this module
-resolves them (honouring an execution-backend request) and dispatches
-``"auto"`` onto the **cost-based planner**
-(:func:`repro.core.optimizer.choose`): every applicable registered
-strategy is enumerated, priced against sampled table statistics (plus
-any per-session feedback observations), and the cheapest wins.  The
-decision is recorded as a ``kind="planner"`` span under the root
-``execute`` span whenever tracing is active.
-
-:func:`run` / :func:`run_traced` are the internal execution entry points
-used by :class:`repro.session.Session`.
+:func:`run` executes one :class:`~repro.core.optimizer.PlannerDecision`
+— what :func:`repro.core.optimizer.resolve` made of an execution
+request — under whatever the ambient
+:class:`~repro.engine.context.ExecutionContext` holds: the governor is
+started and its spill workspace swept, a cost-based decision is recorded
+as a ``kind="planner"`` span under the root ``execute`` span whenever
+tracing is active, a failed multi-worker run is retried once on one
+worker when the governor's policy says so, and the root block's
+presentation clauses are applied last.  Nothing here decides *what*
+runs.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..errors import PlanError, ResourceGovernanceError
+from ..errors import ReproError, ResourceGovernanceError
 from ..engine.catalog import Database
-from ..engine.governor import (
-    ResourceGovernor,
-    checkpoint,
-    current_governor,
-    governed,
-)
+from ..engine.governor import ResourceGovernor, checkpoint, current_governor
 from ..engine.metrics import current_metrics
 from ..engine.relation import Relation
 from ..engine.trace import (
@@ -35,40 +30,7 @@ from ..engine.trace import (
     op_span,
 )
 from .blocks import NestedQuery
-from .feedback import FeedbackStore
-from .optimizer import PlannerDecision, choose
-
-
-def resolve_strategy(
-    strategy: Union[str, object],
-    backend: Optional[str] = None,
-    threads: Optional[int] = None,
-):
-    """Turn a (strategy, backend, threads) request into an executable
-    instance.
-
-    *strategy* may be a registry name or an object with an
-    ``execute(query, db)`` method (in which case *backend* must be left
-    unset: an instance already fixes its own substrate).  ``"auto"`` is
-    :func:`run`'s to resolve, through the cost-based planner.
-
-    *threads* is forwarded to any resolved strategy exposing
-    ``set_threads`` (the row engine is single-threaded).
-    """
-    from .. import strategies as registry
-
-    if not isinstance(strategy, str):
-        if backend is not None:
-            raise PlanError(
-                "backend cannot be overridden for a strategy instance; "
-                "pass a registry name instead"
-            )
-        impl = strategy
-    else:
-        impl = registry.resolve(strategy, backend)
-    if threads is not None and hasattr(impl, "set_threads"):
-        impl.set_threads(threads)
-    return impl
+from .optimizer import PlannerDecision, resolve
 
 
 def _degraded(
@@ -98,8 +60,6 @@ def _run_strategy(
     governor: Optional[ResourceGovernor],
 ) -> Relation:
     """Execute *impl*, applying the governor's degradation ladder."""
-    from ..errors import ReproError
-
     try:
         return impl.execute(query, db)
     except ReproError as exc:
@@ -155,54 +115,33 @@ def _emit_planner_span(tracer: Tracer, decision: PlannerDecision):
 def run(
     query: NestedQuery,
     db: Database,
-    strategy: Union[str, object] = "auto",
-    backend: Optional[str] = None,
-    threads: Optional[int] = None,
-    governor: Optional[ResourceGovernor] = None,
-    feedback: Optional[FeedbackStore] = None,
+    strategy: Union[str, object, PlannerDecision] = "auto",
 ) -> Relation:
     """Evaluate *query* against *db* (the internal execution entry).
 
-    This is the single execution path behind
-    :meth:`repro.session.PreparedQuery.execute`.  ``strategy="auto"``
-    dispatches onto the cost-based planner
-    (:func:`repro.core.optimizer.choose`, fed any *feedback*
-    observations); a memoized :class:`~repro.core.optimizer.PlannerDecision`
-    may be passed directly as *strategy* to replay a prior choice
-    without re-costing.  The resolved strategy runs under the root trace
-    span when tracing is active (with the decision recorded as a
-    ``kind='planner'`` span); root-level ORDER BY/LIMIT apply last and
-    the ``rows_produced`` metric is charged.
+    :meth:`repro.session.PreparedQuery.execute` passes the
+    :class:`~repro.core.optimizer.PlannerDecision` it resolved (and
+    memoized) from the layered options; anything else — ``"auto"``, a
+    registry name, a strategy instance — is resolved here with
+    :func:`~repro.core.optimizer.resolve`'s defaults, ``"auto"`` priced
+    under the ambient governor's memory budget.
 
-    The execution is governed by the ``governor`` of the ambient
-    :class:`~repro.engine.context.ExecutionContext` (the Session API
-    installs it together with the logic mode and the reduce cache);
-    passing *governor* installs that one for this execution instead.
+    The decision's instance runs under the root trace span when tracing
+    is active (a cost-based decision recorded as a ``kind='planner'``
+    span); root-level ORDER BY/LIMIT apply last and ``rows_produced`` is
+    charged.  The governor is the ambient context's: the Session API
+    installs it with the logic mode and the reduce cache, any other
+    caller wraps the call in :func:`~repro.engine.governor.governed`.
     """
-    from .. import strategies as registry
-
-    if governor is not None:
-        with governed(governor):
-            return run(
-                query, db, strategy=strategy, backend=backend,
-                threads=threads, feedback=feedback,
-            )
     governor = current_governor()
-    decision: Optional[PlannerDecision] = None
     if isinstance(strategy, PlannerDecision):
         decision = strategy
-        impl = decision.impl
-    elif isinstance(strategy, str) and strategy == registry.AUTO:
+    else:
         limit_mb = None
         if governor is not None and governor.memory_limit_bytes is not None:
             limit_mb = governor.memory_limit_bytes / (1024 * 1024)
-        decision = choose(
-            query, db, backend=backend, threads=threads, feedback=feedback,
-            memory_limit_mb=limit_mb,
-        )
-        impl = decision.impl
-    else:
-        impl = resolve_strategy(strategy, backend, threads=threads)
+        decision = resolve(query, db, strategy, memory_limit_mb=limit_mb)
+    impl = decision.impl
     try:
         if governor is not None:
             governor.start()
@@ -214,11 +153,12 @@ def run(
             )
             current_metrics().add("rows_produced", len(result))
             return result
-        name = getattr(impl, "name", type(impl).__name__)
-        with tracer.span("execute", {"strategy": name}, kind="root") as span:
+        with tracer.span(
+            "execute", {"strategy": decision.chosen}, kind="root"
+        ) as span:
             planner_span = (
                 _emit_planner_span(tracer, decision)
-                if decision is not None
+                if decision.candidates
                 else None
             )
             if governor is not None:
@@ -240,27 +180,6 @@ def run(
         # including aborted ones — as empty as it started
         if governor is not None:
             governor.cleanup_spill_workspace()
-
-
-def run_traced(
-    query: NestedQuery,
-    db: Database,
-    strategy: Union[str, object] = "auto",
-    backend: Optional[str] = None,
-    threads: Optional[int] = None,
-    governor: Optional[ResourceGovernor] = None,
-    feedback: Optional[FeedbackStore] = None,
-):
-    """Like :func:`run`, under a fresh tracing scope; returns
-    ``(result, trace)``."""
-    from ..engine.trace import tracing
-
-    with tracing() as trace:
-        result = run(
-            query, db, strategy=strategy, backend=backend, threads=threads,
-            governor=governor, feedback=feedback,
-        )
-    return result, trace
 
 
 def _finalize(result: Relation, query: NestedQuery) -> Relation:

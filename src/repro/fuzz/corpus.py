@@ -14,6 +14,7 @@ import hashlib
 import os
 from typing import Optional, Sequence
 
+from ..core.optimizer import strategy_applicable
 from ..engine.types import is_null
 from ..errors import ReproError
 from ..sql.analyzer import compile_sql
@@ -23,7 +24,6 @@ from .runner import (
     GUARDED_STRATEGIES,
     Failure,
     FuzzCase,
-    _applies,
 )
 
 _TEMPLATE = '''"""{title}
@@ -109,7 +109,7 @@ def applicable_strategies(case: FuzzCase) -> list:
     query = compile_sql(case.sql, db)
     names = list(ALWAYS_STRATEGIES)
     for name in GUARDED_STRATEGIES:
-        if _applies(make_strategy(name), query, db):
+        if strategy_applicable(make_strategy(name), query, db):
             names.append(name)
     return names
 

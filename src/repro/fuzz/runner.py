@@ -34,9 +34,10 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.blocks import NestedQuery
+from ..core.optimizer import strategy_applicable
 from ..core.planner import run
 from ..engine.catalog import Database
-from ..engine.governor import ResourceGovernor, active_fault
+from ..engine.governor import ResourceGovernor, active_fault, governed
 from ..engine.logic import logic_mode, validate_logic
 from ..engine.metrics import collect
 from ..engine.trace import (
@@ -179,15 +180,6 @@ class FuzzReport:
 
 def sorted_rows(relation: Relation) -> List[tuple]:
     return relation.sorted().rows
-
-
-def _applies(impl: object, query: NestedQuery, db: Database) -> bool:
-    """Whether *impl* accepts (query, db) — the same dual-protocol
-    normalization the cost-based planner uses, so the fuzzer's guarded
-    skips mirror the planner's candidate enumeration exactly."""
-    from ..core.optimizer import strategy_applicable
-
-    return strategy_applicable(impl, query, db)
 
 
 def _planner_violations(trace: Trace) -> List[str]:
@@ -351,7 +343,7 @@ class DifferentialRunner:
                 return failure
 
         for name in self.strategies:
-            if name in GUARDED_STRATEGIES and not _applies(
+            if name in GUARDED_STRATEGIES and not strategy_applicable(
                 make_strategy(name), query, db
             ):
                 if report is not None:
@@ -529,8 +521,8 @@ class DifferentialRunner:
             # complete, and a budget on it would only mask strategy bugs
             kwargs["memory_limit_mb"] = self.memory_limit_mb
             kwargs["spill_dir"] = self._ensure_spill_dir()
-        governor = ResourceGovernor(**kwargs) if kwargs else None
-        return run(query, db, strategy=name, governor=governor)
+        with governed(ResourceGovernor(**kwargs) if kwargs else None):
+            return run(query, db, name)
 
     def _budget_skip(self, exc: ReproError, name: str) -> bool:
         """Whether *exc* is an accepted outcome of budget-mode governance.
@@ -729,7 +721,7 @@ class MutatedLinkStrategy:
         self.base = base
 
     def execute(self, query: NestedQuery, db: Database) -> Relation:
-        return run(mutate_first_link(query), db, strategy=self.base)
+        return run(mutate_first_link(query), db, self.base)
 
 
 class MiscountingSpanStrategy:
@@ -760,6 +752,6 @@ class MiscountingSpanStrategy:
 
         trace_module.Span.add = lossy_add  # type: ignore[method-assign]
         try:
-            return run(query, db, strategy=self.base)
+            return run(query, db, self.base)
         finally:
             trace_module.Span.add = original_add  # type: ignore[method-assign]

@@ -101,7 +101,7 @@ class InternalAdapter(EngineAdapter):
         if self._db is None:
             raise OracleError("internal adapter: load() a database first")
         query = compile_sql(sql, self._db)
-        return list(run(query, self._db, strategy="nested-iteration").rows)
+        return list(run(query, self._db, "nested-iteration").rows)
 
     def explain(self, sql: str) -> str:
         from ..sql.analyzer import compile_sql

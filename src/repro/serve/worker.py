@@ -136,24 +136,14 @@ class Worker:
         governor, body = None, b""
         try:
             config, session = self._session(tenant)
-            # a fresh governor per request, from the tenant's options
-            # layered with the request overrides: the front harvests its
-            # degradation / spill counters from the reply header
-            overrides = dict(overrides)
-            governor = session.governor(
-                overrides.get("timeout_ms"),
-                overrides.get("memory_limit_mb"),
-                overrides.get("degrade"),
-            )
-            # `logic` has no per-call kwarg on execute(); it travels as
-            # an options bundle through the same layering
-            logic = overrides.pop("logic", None)
-            options = (
-                ExecutionOptions(logic=logic) if logic is not None else None
-            )
-            prepared = session.prepare(sql)
-            result = prepared.execute(
-                governor=governor, options=options, **overrides
+            # the tenant's options layered with the request overrides,
+            # once: a fresh governor per request is built from them (the
+            # front harvests its degradation / spill counters from the
+            # reply header) and the execution runs under them
+            options = session.options.merged(ExecutionOptions(**overrides))
+            governor = session.governor(options)
+            result = session.prepare(sql).execute(
+                governor=governor, options=options
             )
             encode_started = time.monotonic()
             header = {

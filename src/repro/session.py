@@ -29,7 +29,10 @@ depend on the backend; only performance does.
 Every execution knob can also travel as one immutable
 :class:`~repro.options.ExecutionOptions` bundle, layered as *session
 defaults ← options= ← explicit keyword arguments* (non-``None`` fields
-win at each step).
+win at each step).  The layered bundle is resolved once, by
+:func:`repro.core.optimizer.resolve` behind the session's memo, into the
+decision that ``execute``, ``trace`` and ``explain`` all read: EXPLAIN
+under options ``o`` describes exactly what ``execute`` under ``o`` runs.
 
 The CLI, the benchmark harness and the fuzzer all execute through this
 module.
@@ -41,10 +44,11 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .core.feedback import FeedbackStore
+from .core.optimizer import PlannerDecision
 from .core.plancache import SessionCache
 from .engine.catalog import Database
 from .engine.context import current, scope
-from .engine.governor import ResourceGovernor, validate_degrade
+from .engine.governor import ResourceGovernor
 from .engine.logic import validate_logic
 from .engine.parallel import validate_threads
 from .engine.relation import Relation
@@ -122,21 +126,21 @@ class PreparedQuery:
         from another thread and harvest degradation/spill counters
         afterwards.
         """
-        return self._run(
-            self._options(
-                strategy=strategy, backend=backend, threads=threads,
-                timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
-                spill_dir=spill_dir, degrade=degrade, options=options,
-            ),
-            governor,
+        eff = self._options(
+            strategy=strategy, backend=backend, threads=threads,
+            timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
+            spill_dir=spill_dir, degrade=degrade, options=options,
         )
+        return self._run(eff, self._resolve(eff), governor)
 
     def _run(
         self,
         eff: ExecutionOptions,
+        decision: PlannerDecision,
         governor: Optional[ResourceGovernor] = None,
     ) -> Relation:
-        """One execution under the layered options *eff*.
+        """Execute *decision* — what :meth:`_resolve` made of the
+        layered options *eff* — under *eff*'s limits and logic mode.
 
         The one place the per-execution fields of the ambient
         :class:`~repro.engine.context.ExecutionContext` are installed:
@@ -146,28 +150,15 @@ class PreparedQuery:
         """
         from .core import planner
 
-        resolved, backend, threads = self._resolve(
-            eff.strategy, eff.backend, eff.threads, eff.memory_limit_mb
-        )
         if governor is None:
-            governor = self._session.governor(
-                eff.timeout_ms, eff.memory_limit_mb, eff.degrade,
-                eff.spill_dir,
-            )
+            governor = self._session.governor(eff)
         with scope(
             # ungoverned: an enclosing governed() scope keeps governing
             governor=governor or current().governor,
-            logic=self._logic(eff),
+            logic=validate_logic(eff.logic),
             reduce_cache=self._session.reduce_cache(),
         ):
-            return planner.run(
-                self.query,
-                self._session.db,
-                strategy=resolved,
-                backend=backend,
-                threads=threads,
-                feedback=self._session.feedback,
-            )
+            return planner.run(self.query, self._session.db, decision)
 
     def trace(
         self,
@@ -201,8 +192,13 @@ class PreparedQuery:
             timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
             spill_dir=spill_dir, degrade=degrade, options=options,
         )
+        return self._traced(eff, self._resolve(eff))
+
+    def _traced(self, eff: ExecutionOptions, decision: PlannerDecision):
+        """:meth:`_run` under a tracing scope, feeding the feedback
+        store; returns ``(result, trace)``."""
         with tracing() as trace:
-            result = self._run(eff)
+            result = self._run(eff, decision)
         self._session.feedback.observe(self._fingerprint, trace)
         return result, trace
 
@@ -210,58 +206,38 @@ class PreparedQuery:
         """Layer *session defaults ← options= ← non-None kwargs*."""
         return layer_options(self._session.options, options, **kwargs)
 
-    def _logic(self, eff: ExecutionOptions) -> str:
-        """The logic mode for one execution (per-call override wins)."""
-        if eff.logic is not None and eff.logic != self._session.logic:
-            return validate_logic(eff.logic)
-        return self._session.logic
+    def _resolve(self, eff: ExecutionOptions) -> PlannerDecision:
+        """What an execution under the layered options *eff* runs: the
+        session's memo around :func:`repro.core.optimizer.resolve`,
+        asked by ``execute``, ``trace`` and ``explain`` alike.
 
-    def _resolve(self, strategy, backend, threads, memory_limit_mb=None):
-        """Apply the session's strategy default and the plan-cache memo.
-
-        ``"auto"`` (and ``None``, which means it) resolves through the
-        cost-based planner; the resulting
-        :class:`~repro.core.optimizer.PlannerDecision` is memoized
-        keyed by the feedback epoch, so new observations — and only new
-        observations — force a re-cost.  A fixed registry name memoizes
-        its resolved instance as before.  With the cache disabled the
-        original triple flows through to the planner, which decides
-        per execution.
+        A cost-based decision is memoized keyed by the feedback epoch,
+        so new observations — and only new observations — force a
+        re-cost; a fixed registry name memoizes its resolved instance.
+        A strategy instance, or a session with ``plan_cache=False``,
+        resolves per call.
         """
-        from .core import planner
-        from .core.optimizer import choose
+        from .core.optimizer import resolve
 
-        if strategy is None:
-            strategy = "auto"
-        if threads is None:
-            threads = self._session.threads
-        cache = self._session._cache
-        cache.validate(self._session.db.version)
-        if not isinstance(strategy, str) or not cache.enabled:
-            return strategy, backend, threads
-        feedback = self._session.feedback
-        if strategy == "auto":
-            key = (
-                self.sql, strategy, backend, threads,
-                self._session.logic, feedback.epoch, memory_limit_mb,
-            )
+        session, strategy = self._session, eff.strategy
+        cache = session._cache
+        cache.validate(session.db.version)
+        key = None
+        if isinstance(strategy, str) and cache.enabled:
+            key = (self.sql, strategy, eff.backend, eff.threads, session.logic)
+            if strategy == "auto":
+                key += (session.feedback.epoch, eff.memory_limit_mb)
             decision = cache.strategy(key)
-            if decision is None:
-                decision = choose(
-                    self.query, self._session.db,
-                    backend=backend, threads=threads, feedback=feedback,
-                    memory_limit_mb=memory_limit_mb,
-                )
-                cache.store_strategy(key, decision)
-            return decision, None, None
-        key = (self.sql, strategy, backend, threads, self._session.logic)
-        impl = cache.strategy(key)
-        if impl is None:
-            impl = planner.resolve_strategy(
-                strategy, backend, threads=threads
-            )
-            cache.store_strategy(key, impl)
-        return impl, None, None
+            if decision is not None:
+                return decision
+        decision = resolve(
+            self.query, session.db, strategy,
+            backend=eff.backend, threads=eff.threads,
+            feedback=session.feedback, memory_limit_mb=eff.memory_limit_mb,
+        )
+        if key is not None:
+            cache.store_strategy(key, decision)
+        return decision
 
     def verify(
         self,
@@ -295,7 +271,7 @@ class PreparedQuery:
             self._session.db,
             self.sql,
             engine=engine,
-            strategies=(eff.strategy if eff.strategy is not None else "auto",),
+            strategies=(eff.strategy,),
             backend=eff.backend,
             threads=eff.threads,
             capture_plans=capture_plans,
@@ -306,44 +282,39 @@ class PreparedQuery:
 
     def explain(
         self,
-        strategy: Optional[str] = None,
+        strategy: Optional[Union[str, object]] = None,
         analyze: bool = False,
         timings: bool = True,
         options: Optional[ExecutionOptions] = None,
     ):
         """The typed :class:`~repro.core.plan.Plan` for this query.
 
-        For an ``"auto"`` request (the default) the plan carries the
-        cost-based planner's full candidate table — every applicable
-        strategy with estimated cost and cardinality, cheapest first —
-        priced with this session's feedback observations.  With
-        ``analyze=True`` the query is then executed through
-        :meth:`trace` under the same layered options (backend, threads,
-        logic, limits, this session's caches and feedback) and the
-        annotated span tree is attached (wall times included unless
-        ``timings=False``).
+        EXPLAIN under options *o* describes exactly what ``execute``
+        under *o* runs: both read the decision :meth:`_resolve` makes of
+        the layered options.  For an ``"auto"`` request (the default)
+        the plan carries the cost-based planner's full candidate table —
+        every applicable strategy with estimated cost and cardinality,
+        cheapest first.  With ``analyze=True`` that decision is then
+        executed as :meth:`trace` would (logic, limits, this session's
+        caches and feedback) and the annotated span tree is attached
+        (wall times included unless ``timings=False``).
 
         Render with ``str(plan)`` / ``plan.render()`` (human-readable)
         or ``plan.render(format="json")`` (machine-readable).
         """
-        from .core.plan import build_plan
+        from .core.plan import Plan
         from .engine.metrics import collect
 
         eff = self._options(strategy=strategy, options=options)
-        plan = build_plan(
-            self.query,
-            self._session.db,
-            self.sql,
-            strategy=eff.strategy if eff.strategy is not None else "auto",
-            feedback=self._session.feedback,
-            backend=eff.backend,
-            threads=eff.threads,
-            memory_limit_mb=eff.memory_limit_mb,
+        decision = self._resolve(eff)
+        plan = Plan.of(
+            self.sql, eff.strategy, decision, self.query, self._session.db
         )
         if analyze:
-            # the execution it reports: same session, same layered options
+            # the execution it reports: this decision, same session,
+            # same layered options
             with collect() as metrics:
-                result, trace = self.trace(options=eff)
+                result, trace = self._traced(eff, decision)
             plan = plan.analyzed(result, trace, metrics, timings)
         return plan
 
@@ -405,27 +376,18 @@ class Session:
             )
         self.db = db
         #: the session-wide defaults every execution layers on top of
+        #: (the bottom layer names what an unset strategy and logic mean)
         self.options = layer_options(
-            ExecutionOptions(), options,
+            ExecutionOptions(strategy="auto", logic="3vl"), options,
             threads=threads, timeout_ms=timeout_ms,
             memory_limit_mb=memory_limit_mb, spill_dir=spill_dir,
             degrade=degrade, logic=logic,
         )
-        self.logic = validate_logic(
-            self.options.logic if self.options.logic is not None else "3vl"
-        )
-        self.threads = validate_threads(self.options.threads)
-        self.timeout_ms = self.options.timeout_ms
-        self.memory_limit_mb = self.options.memory_limit_mb
-        self.spill_dir = self.options.spill_dir
-        self.degrade = validate_degrade(self.options.degrade)
-        # fail at connect() time, not first execute: build a throwaway
-        # governor so bad session-wide limits are rejected immediately
-        if self.timeout_ms is not None or self.memory_limit_mb is not None:
-            ResourceGovernor(
-                self.timeout_ms, self.memory_limit_mb, self.degrade,
-                self.spill_dir,
-            )
+        self.logic = validate_logic(self.options.logic)
+        validate_threads(self.options.threads)
+        # fail at connect() time, not first execute: bad session-wide
+        # limits are rejected by the governor they would build
+        self.governor()
         # *cache*/*feedback* let a server pool many sessions over ONE
         # SessionCache and FeedbackStore (both thread-safe), so tenants
         # share compiled plans, reduced builds and observed
@@ -437,33 +399,27 @@ class Session:
         self.feedback = feedback if feedback is not None else FeedbackStore()
 
     def governor(
-        self,
-        timeout_ms: Optional[float] = None,
-        memory_limit_mb: Optional[float] = None,
-        degrade: Optional[str] = None,
-        spill_dir: Optional[str] = None,
+        self, eff: Optional[ExecutionOptions] = None
     ) -> Optional[ResourceGovernor]:
-        """A fresh per-execution governor, or None when ungoverned.
+        """A fresh per-execution governor for the layered options *eff*
+        (default: the session's own), or None when ungoverned.
 
-        Per-call settings override the session-wide defaults
-        individually; a governor is built as soon as any of the three is
-        set (a bare ``degrade`` policy still changes error handling).
+        A governor is built as soon as a limit or a policy is set (a
+        bare ``degrade`` policy still changes error handling).
         """
-        timeout_ms = timeout_ms if timeout_ms is not None else self.timeout_ms
-        memory_limit_mb = (
-            memory_limit_mb
-            if memory_limit_mb is not None
-            else self.memory_limit_mb
-        )
-        degrade = degrade if degrade is not None else self.degrade
-        spill_dir = spill_dir if spill_dir is not None else self.spill_dir
-        if timeout_ms is None and memory_limit_mb is None and degrade is None:
+        if eff is None:
+            eff = self.options
+        if (
+            eff.timeout_ms is None
+            and eff.memory_limit_mb is None
+            and eff.degrade is None
+        ):
             return None
         return ResourceGovernor(
-            timeout_ms=timeout_ms,
-            memory_limit_mb=memory_limit_mb,
-            degrade=degrade,
-            spill_dir=spill_dir,
+            timeout_ms=eff.timeout_ms,
+            memory_limit_mb=eff.memory_limit_mb,
+            degrade=eff.degrade,
+            spill_dir=eff.spill_dir,
         )
 
     @property

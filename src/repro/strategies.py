@@ -5,8 +5,9 @@ planner, the CLI, the benchmark harness and the fuzzer all resolve
 names through this module instead of keeping private name->class
 tables.  Each entry records which execution *backend* the strategy runs
 on (``"row"`` for the tuple-at-a-time iterator engine, ``"vector"`` for
-the columnar batch engine) so the Session API can route
-``execute(backend=...)`` requests without special-casing names.
+the columnar batch engine);
+:func:`repro.core.optimizer.resolve` — the one place a request becomes
+an instance — routes ``execute(backend=...)`` requests by that tag.
 
 Registering::
 
@@ -23,8 +24,8 @@ or, for parameterized variants::
     )
 
 ``"auto"`` is *not* an entry: it is the planner's routing policy
-(:func:`repro.core.optimizer.choose`), accepted by the execution
-entry points but never instantiated from the registry.
+(:func:`repro.core.optimizer.choose`), accepted wherever a strategy
+name is but never instantiated from the registry.
 """
 
 from __future__ import annotations
@@ -188,47 +189,6 @@ def is_registered(name: str) -> bool:
 def make(name: str) -> object:
     """Instantiate the strategy registered under *name*."""
     return info(name).make()
-
-
-def resolve(name: str, backend: Optional[str] = None) -> object:
-    """Instantiate a strategy honouring an explicit *backend* request.
-
-    * ``backend=None`` — *name* resolves as registered (any backend).
-    * ``backend="row"`` / ``"vector"`` — *name* must be registered on
-      that backend, except that backend-generic requests map onto their
-      counterpart: asking for ``nested-relational`` on the vector
-      backend returns the vectorized Algorithm 1 and vice versa.
-
-    ``"auto"`` is the planner's to resolve
-    (:func:`repro.core.optimizer.choose` needs the database); asked for
-    here, without one, it maps to the requested backend's Algorithm 1.
-    """
-    ensure_loaded()
-    if backend is not None and backend not in BACKENDS:
-        raise PlanError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend is None:
-        return make(name)
-    entry = info(_BACKEND_ALIASES.get(backend, {}).get(name, name))
-    if entry.backend != backend:
-        raise PlanError(
-            f"strategy {entry.name!r} runs on the {entry.backend!r} backend, "
-            f"but backend={backend!r} was requested"
-        )
-    return entry.make()
-
-
-#: backend-generic strategy names mapped to their per-backend entries
-_BACKEND_ALIASES: Dict[str, Dict[str, str]] = {
-    VECTOR_BACKEND: {
-        AUTO: "nested-relational-vectorized",
-        "nested-relational": "nested-relational-vectorized",
-    },
-    ROW_BACKEND: {
-        AUTO: "nested-relational",
-        "nested-relational-vectorized": "nested-relational",
-        "nested-relational-parallel": "nested-relational",
-    },
-}
 
 
 def describe() -> str:

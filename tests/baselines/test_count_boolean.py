@@ -52,7 +52,7 @@ class TestAgainstOracle:
         prepared = repro.connect(db).prepare(sql)
         q = prepared.query
         strategy = strategy_cls()
-        assert strategy.applicable(q)
+        assert strategy.applicable(q, db) is None
         oracle = prepared.execute(strategy="nested-iteration")
         assert strategy.execute(q, db) == oracle
 
@@ -64,7 +64,7 @@ class TestAgainstOracle:
         """
         q = repro.compile_sql(sql, db)
         strategy = strategy_cls()
-        assert not strategy.applicable(q)
+        assert strategy.applicable(q, db) is not None
         with pytest.raises(PlanError):
             strategy.execute(q, db)
 
@@ -75,7 +75,7 @@ class TestAgainstOracle:
           and exists (select * from t where t.sk = r.k)
         """
         q = repro.compile_sql(sql, db)
-        assert not strategy_cls().applicable(q)
+        assert strategy_cls().applicable(q, db) is not None
 
 
 class TestNullBucketCounting:

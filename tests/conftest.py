@@ -158,3 +158,13 @@ def micro_tpch_not_null() -> Database:
             scale_factor=MICRO_SCALE_FACTOR, seed=1234, price_not_null=True
         )
     )
+
+
+def run_traced(query, db, strategy="auto"):
+    """``planner.run`` under a fresh tracing scope: ``(result, trace)``."""
+    from repro.core.planner import run
+    from repro.engine.trace import tracing
+
+    with tracing() as trace:
+        result = run(query, db, strategy)
+    return result, trace

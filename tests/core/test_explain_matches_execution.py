@@ -69,33 +69,9 @@ def own_plan_text(strategy_name: str, query, db, threads) -> str:
     return impl.explain(query, db)
 
 
-def diverges_at_parent(strategy, backend) -> bool:
-    """The cells where EXPLAIN and execution resolved the request
-    differently before there was one ``resolve()``."""
-    return (
-        strategy in (INSTANCE, "nested-relational-parallel")
-        or (strategy == "nested-relational-vectorized" and backend == "row")
-        or (backend == "vector" and strategy in (
-            "nested-relational", "nested-relational-bottomup",
-            "system-a-native",
-        ))
-    )
-
-
-MATRIX = [
-    pytest.param(
-        strategy, backend,
-        id=f"{strategy}-backend={backend}",
-        marks=[pytest.mark.xfail(strict=True)]
-        if diverges_at_parent(strategy, backend) else [],
-    )
-    for strategy in STRATEGIES
-    for backend in BACKENDS
-]
-
-
 @pytest.mark.parametrize("threads", THREADS, ids=lambda t: f"threads={t}")
-@pytest.mark.parametrize("strategy, backend", MATRIX)
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: f"backend={b}")
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("qid", sorted(QUERIES))
 def test_explain_names_what_trace_runs(micro_tpch, qid, strategy, backend, threads):
     prepared = repro.connect(micro_tpch).prepare(QUERIES[qid])

@@ -12,7 +12,7 @@ from repro.core.compute import (
     SEMIJOIN_POSITIVE,
     NestedRelationalStrategy,
 )
-from repro.core.planner import run_traced
+from ..conftest import run_traced
 from repro.engine import Column, Database, NULL
 from repro.errors import PlanError
 from repro.strategies import make
@@ -238,7 +238,7 @@ class TestRuleSets:
         subquery with its outer block (two of them used to)."""
         sql = f"select r.k from r where r.a {operator} (select s.v from s where s.v > 3)"
         q = repro.compile_sql(sql, db)
-        result, trace = run_traced(q, db, strategy=preset)
+        result, trace = run_traced(q, db, preset)
         names = [span.name for span in trace.spans()]
         assert "uncorrelated-link" in names
         assert "OuterCrossJoin" not in names
@@ -253,7 +253,7 @@ class TestRuleSets:
              (select t.w from t where t.w < 3))
         """
         q = repro.compile_sql(sql, db)
-        result, trace = run_traced(q, db, strategy=preset)
+        result, trace = run_traced(q, db, preset)
         assert trace.find("uncorrelated-link") and not trace.find("OuterCrossJoin")
         assert result == repro.connect(db).execute(sql, strategy="nested-iteration")
 

@@ -216,12 +216,16 @@ class TestApplicability:
 
         assert strategy_applicable(Bare(), query, db)
 
-    def test_bool_protocol(self, db, query):
+    def test_wrong_arity_guard_surfaces_its_type_error(self, db, query):
+        """One protocol, ``applicable(query, db) -> Optional[str]``: a
+        guard declared with another arity is not adapted to."""
+
         class OneArg:
             def applicable(self, q):
                 return q.root.children == []
 
-        assert not strategy_applicable(OneArg(), query, db)
+        with pytest.raises(TypeError, match="applicable"):
+            strategy_applicable(OneArg(), query, db)
 
     def test_reason_protocol(self, db, query):
         class TwoArg:
@@ -234,8 +238,7 @@ class TestApplicability:
 
 
     def test_error_inside_a_guard_is_not_a_missing_argument(self, db, query):
-        """A TypeError raised *by* a two-argument guard surfaces as
-        raised; it is not retried as a one-argument call."""
+        """A TypeError raised *by* a guard surfaces as raised."""
 
         class Broken:
             def applicable(self, q, database):

@@ -10,10 +10,11 @@ import json
 import pytest
 
 import repro
-from repro.core.plan import PLAN_FORMATS, Plan, build_plan
+from repro.core.plan import PLAN_FORMATS, Plan
 from repro.engine import Column, Database
 from repro.engine.trace import validate_trace_dict
 from repro.errors import InvalidArgumentError
+from repro.options import ExecutionOptions
 
 SQL = "select r.k from r where exists (select * from s where s.rk = r.k)"
 
@@ -137,16 +138,15 @@ class TestAnalyze:
 
 
 class TestBuildPlan:
-    def test_build_plan_direct(self, db):
-        query = repro.compile_sql(SQL, db)
-        plan = build_plan(query, db, SQL)
+    def test_default_request_is_cost_based(self, db):
+        plan = repro.connect(db).prepare(SQL).explain()
         assert plan.strategy == "auto"
         assert plan.cost_based
 
     def test_threads_reprice_the_vector_candidate(self, db):
-        query = repro.compile_sql(SQL, db)
-        plan = build_plan(query, db, SQL, threads=4)
-        single = build_plan(query, db, SQL)
+        prepared = repro.connect(db).prepare(SQL)
+        plan = prepared.explain(options=ExecutionOptions(threads=4))
+        single = prepared.explain()
         assert plan.candidate("nested-relational-parallel") is None
         assert len(plan.candidates) == len(single.candidates)
         name = "nested-relational-vectorized"

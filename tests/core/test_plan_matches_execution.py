@@ -33,7 +33,7 @@ from repro.core.compute import (
     VIRTUAL_CARTESIAN,
     NestedRelationalStrategy,
 )
-from repro.core.planner import run_traced
+from ..conftest import run_traced
 from repro.engine.vector.backend import VectorBackend
 from repro.fuzz import FuzzConfig, generate_case
 
@@ -163,7 +163,7 @@ def check(strategy, query, db):
     executed plan nodes and the result."""
     backend = strategy.backend
     backend.nodes.clear()
-    result, trace = run_traced(query, db, strategy=strategy)
+    result, trace = run_traced(query, db, strategy)
     nodes = list(backend.nodes)
     expected = Counter(
         name for n in nodes for name in backend.expected_spans[n.method](n)
@@ -282,7 +282,7 @@ def test_selection_kind_is_the_planners_decision(paper_db, make_backend):
         "pseudo", "linking",
     ]
     if textbook.backend.kind == "row":
-        _, trace = run_traced(query, paper_db, strategy=textbook)
+        _, trace = run_traced(query, paper_db, textbook)
         assert len(trace.find("pseudo-selection")) == 1
-        _, trace = run_traced(query, paper_db, strategy=refined)
+        _, trace = run_traced(query, paper_db, refined)
         assert not trace.find("pseudo-selection")

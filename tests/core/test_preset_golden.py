@@ -20,7 +20,7 @@ import os
 import pytest
 
 import repro
-from repro.core.planner import run_traced
+from ..conftest import run_traced
 from repro.engine.metrics import collect
 from repro.errors import PlanError
 
@@ -65,7 +65,7 @@ def observe(preset: str, sql: str, db):
     query = repro.compile_sql(sql, db)
     with collect() as metrics:
         try:
-            result, trace = run_traced(query, db, strategy=preset)
+            result, trace = run_traced(query, db, preset)
         except PlanError:
             return "PlanError"
     return {

@@ -26,7 +26,7 @@ from repro.engine.trace import (
     trace_invariant_violations,
     tracing,
 )
-from repro.fuzz.runner import _applies
+from repro.core.optimizer import strategy_applicable
 from repro.tpch import query1, query2, query3
 
 #: every strategy the planner can run ("auto" resolves per query)
@@ -100,7 +100,7 @@ class TestLinkingMatrix:
     @pytest.mark.parametrize("sql", LINKING_MATRIX)
     def test_invariants_hold(self, paper_db, sql, strategy):
         prepared = repro.connect(paper_db, plan_cache=False).prepare(sql)
-        if strategy != "auto" and not _applies(
+        if strategy != "auto" and not strategy_applicable(
             make_strategy(strategy), prepared.query, paper_db
         ):
             pytest.skip(f"{strategy} does not accept this query")
@@ -168,7 +168,7 @@ class TestTracingIsObservationOnly:
             " (select E from S where F = B)"
         )
         prepared = repro.connect(paper_db, plan_cache=False).prepare(sql)
-        if strategy != "auto" and not _applies(
+        if strategy != "auto" and not strategy_applicable(
             make_strategy(strategy), prepared.query, paper_db
         ):
             pytest.skip(f"{strategy} does not accept this query")

@@ -331,8 +331,8 @@ class TestGovernedExecution:
         query = repro.connect(tiny_tpch).prepare(SQL).query
         gov = ResourceGovernor()
         gov.cancel()
-        with pytest.raises(QueryCancelledError):
-            planner.run(query, tiny_tpch, strategy=VEC, governor=gov)
+        with pytest.raises(QueryCancelledError), governed(gov):
+            planner.run(query, tiny_tpch, VEC)
 
     def test_governed_trace_carries_governor_span(self, tiny_tpch, oracle):
         result, trace = repro.connect(tiny_tpch).prepare(SQL).trace(
@@ -457,9 +457,8 @@ class TestDegradation:
         monkeypatch.setenv("REPRO_FAULT", "worker_crash")
         query = repro.connect(tiny_tpch).prepare(SQL).query
         gov = ResourceGovernor(degrade="sequential")
-        result = planner.run(
-            query, tiny_tpch, strategy=parallel_impl(), governor=gov
-        )
+        with governed(gov):
+            result = planner.run(query, tiny_tpch, parallel_impl())
         assert result.sorted().rows == oracle
         assert gov.degradations == [
             (f"{VEC}[threads=4]", f"{VEC}[threads=1]", "InjectedFaultError")
@@ -511,8 +510,8 @@ class TestDegradation:
                 raise PlanError("deliberate")
 
         gov = ResourceGovernor(degrade="sequential")
-        with pytest.raises(PlanError):
-            planner.run(query, tiny_tpch, strategy=Exploding(), governor=gov)
+        with pytest.raises(PlanError), governed(gov):
+            planner.run(query, tiny_tpch, Exploding())
         assert gov.degradations == []
 
 
@@ -530,7 +529,7 @@ class TestPartialTraces:
         with collect() as m:
             with tracing() as trace:
                 with pytest.raises(InjectedFaultError):
-                    planner.run(query, tiny_tpch, strategy=parallel_impl())
+                    planner.run(query, tiny_tpch, parallel_impl())
         aborted = [s for s in trace.spans() if s.aborted]
         assert aborted, "the failing spans must be marked aborted"
         assert all(s.closed for s in trace.spans())
@@ -545,8 +544,8 @@ class TestPartialTraces:
         query = repro.connect(tiny_tpch).prepare(SQL).query
         gov = ResourceGovernor(timeout_ms=50)
         with tracing() as trace:
-            with pytest.raises(QueryTimeoutError):
-                planner.run(query, tiny_tpch, strategy=VEC, governor=gov)
+            with pytest.raises(QueryTimeoutError), governed(gov):
+                planner.run(query, tiny_tpch, VEC)
         assert all(s.closed for s in trace.spans())
         assert trace_invariant_violations(trace) == []
 

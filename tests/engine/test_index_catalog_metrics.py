@@ -204,7 +204,8 @@ class TestMetricsInvariants:
         the same check ``repro fuzz`` applies per strategy run."""
         import repro
         from repro.fuzz import DEFAULT_STRATEGIES, FuzzConfig, generate_case
-        from repro.fuzz.runner import GUARDED_STRATEGIES, _applies
+        from repro.core.optimizer import strategy_applicable
+        from repro.fuzz.runner import GUARDED_STRATEGIES
         from repro.strategies import make as make_strategy
 
         config = FuzzConfig(iterations=6, seed=20, max_depth=2)
@@ -214,7 +215,7 @@ class TestMetricsInvariants:
             prepared = repro.connect(db).prepare(case.sql)
             query = prepared.query
             for name in ("nested-iteration",) + DEFAULT_STRATEGIES:
-                if name in GUARDED_STRATEGIES and not _applies(
+                if name in GUARDED_STRATEGIES and not strategy_applicable(
                     make_strategy(name), query, db
                 ):
                     continue

@@ -19,7 +19,7 @@ import pytest
 import repro
 from repro.engine import NULL, Column, Schema
 from repro.engine.expressions import Col, Comparison
-from repro.engine.governor import ResourceGovernor
+from repro.engine.governor import ResourceGovernor, governed
 from repro.engine.metrics import collect
 from repro.engine.operators import (
     AntiJoin,
@@ -486,7 +486,8 @@ class TestBackendEndToEnd:
             query = repro.connect(tiny_tpch).prepare(SQL).query
             from repro.core import planner
 
-            planner.run(query, tiny_tpch, strategy=strategy, governor=governor)
+            with governed(governor):
+                planner.run(query, tiny_tpch, strategy)
             return [c for c in charges if c == "nest grouping"], charges
 
         one, all_one = grouping_charges(1)

@@ -23,22 +23,14 @@ from repro.fuzz import (
     shrink_case,
     write_corpus_file,
 )
-from repro.fuzz.runner import _applies
+from repro.core.optimizer import strategy_applicable
 from repro.fuzz.shrink import _stmt_variants
 from repro.sql import parse
 
 
-class TestApplicabilityProtocols:
-    """The registry mixes ``applicable(query) -> bool`` with
-    ``applicable(query, db) -> Optional[str]``; the runner must read
-    both correctly."""
-
-    class BoolGuard:
-        def __init__(self, verdict):
-            self.verdict = verdict
-
-        def applicable(self, query):
-            return self.verdict
+class TestApplicabilityProtocol:
+    """The runner's guarded skips read ``applicable(query, db) ->
+    Optional[str]`` exactly as the planner's enumeration does."""
 
     class ReasonGuard:
         def __init__(self, reason):
@@ -47,16 +39,12 @@ class TestApplicabilityProtocols:
         def applicable(self, query, db):
             return self.reason
 
-    def test_bool_protocol(self):
-        assert _applies(self.BoolGuard(True), None, None)
-        assert not _applies(self.BoolGuard(False), None, None)
-
     def test_reason_protocol(self):
-        assert _applies(self.ReasonGuard(None), None, None)
-        assert not _applies(self.ReasonGuard("not supported"), None, None)
+        assert strategy_applicable(self.ReasonGuard(None), None, None)
+        assert not strategy_applicable(self.ReasonGuard("not supported"), None, None)
 
     def test_no_guard_means_applicable(self):
-        assert _applies(object(), None, None)
+        assert strategy_applicable(object(), None, None)
 
 
 class TestCleanRun:

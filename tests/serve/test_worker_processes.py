@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro import strategies as registry
-from repro.core import planner
+from repro.core.optimizer import resolve
 from repro.engine import Column, Relation, Schema
 from repro.engine.trace import KIND_MORSEL, tracing
 from repro.errors import (
@@ -437,8 +437,10 @@ def test_a_threads_2_tenant_is_answered_with_morsels_in_a_worker(
             self.threads = threads
 
         def execute(self, query, db):
-            impl = planner.resolve_strategy(
-                "nested-relational-vectorized", threads=self.threads)
+            impl = resolve(
+                query, db, "nested-relational-vectorized",
+                threads=self.threads,
+            ).impl
             with tracing() as trace:
                 result = impl.execute(query, db)
             with open(report, "a") as handle:

@@ -4,8 +4,9 @@ Covers the three memo layers of :class:`repro.core.plancache.SessionCache`
 (compile, strategy resolution, reduced-relation builds), the catalog
 version counter that invalidates them, the ``plan_cache=False`` mode
 (compile memo stays on — satellite fix: repeated ``prepare()`` of
-identical SQL never re-runs the analyzer), and the ``threads`` routing
-through ``resolve_strategy``.
+identical SQL never re-runs the analyzer), the ``threads`` routing
+through ``optimizer.resolve``, and the one memoized decision behind
+``explain`` and ``execute``.
 """
 
 from __future__ import annotations
@@ -296,34 +297,89 @@ class TestDescribe:
         assert "plan cache: compile-only" in prepared.describe()
 
 
-class TestThreadsRouting:
-    def test_threads_reach_the_vector_strategy(self, tiny_tpch):
-        from repro.core.planner import resolve_strategy
+class TestOneDecision:
+    """``explain``, ``execute`` and ``trace`` ask one memo around one
+    ``resolve()``."""
 
-        impl = resolve_strategy("auto", "vector", threads=3)
-        assert impl.name == "nested-relational-vectorized"
-        assert impl.threads == 3
+    OPTIONS = repro.ExecutionOptions(backend="vector", threads=2)
+
+    def test_explain_then_execute_is_one_miss_one_hit(self, tiny_tpch):
+        session = repro.connect(tiny_tpch)
+        prepared = session.prepare(SQL)
+        plan = prepared.explain(options=self.OPTIONS)
+        stats = session.cache_stats
+        assert (stats.strategy_misses, stats.strategy_hits) == (1, 0)
+        _result, trace = prepared.trace(options=self.OPTIONS)
+        assert (stats.strategy_misses, stats.strategy_hits) == (1, 1)
+        assert trace.roots[0].attrs["strategy"] == plan.chosen
+
+    def test_explain_analyze_prices_once(self, tiny_tpch, monkeypatch):
+        from repro.core import optimizer
+
+        calls = []
+        choose = optimizer.choose
+        monkeypatch.setattr(
+            optimizer, "choose",
+            lambda *args, **kwargs: (
+                calls.append(kwargs), choose(*args, **kwargs)
+            )[1],
+        )
+        prepared = repro.connect(tiny_tpch).prepare(SQL)
+        plan = prepared.explain(analyze=True, options=self.OPTIONS)
+        assert len(calls) == 1
+        assert plan.spans["spans"][0]["attrs"]["strategy"] == plan.chosen
+
+    def test_disabled_cache_resolves_equal_and_counts_nothing(self, tiny_tpch):
+        import dataclasses
+
+        cached = repro.connect(tiny_tpch).prepare(SQL)
+        session = repro.connect(tiny_tpch, plan_cache=False)
+        uncached = session.prepare(SQL)
+        for strategy in ("auto", "nested-relational"):
+            eff = self.OPTIONS.replace(strategy=strategy)
+            memoized = cached._resolve(eff)
+            assert cached._resolve(eff) is memoized
+            fresh = uncached._resolve(eff)
+            assert uncached._resolve(eff) is not fresh
+            for field in dataclasses.fields(fresh):
+                if field.name == "impl":
+                    assert type(fresh.impl) is type(memoized.impl)
+                    assert fresh.impl.threads == memoized.impl.threads == 2
+                else:
+                    assert getattr(fresh, field.name) == getattr(
+                        memoized, field.name
+                    ), field.name
+        stats = session.cache_stats
+        assert (stats.strategy_misses, stats.strategy_hits) == (0, 0)
+
+
+class TestThreadsRouting:
+    @staticmethod
+    def resolve(db, *request, **options):
+        from repro.core.optimizer import resolve
+
+        return resolve(repro.compile_sql(SQL, db), db, *request, **options)
+
+    def test_threads_reach_the_vector_strategy(self, tiny_tpch):
+        decision = self.resolve(tiny_tpch, "auto", "vector", threads=3)
+        assert decision.chosen == "nested-relational-vectorized"
+        assert decision.impl.name == "nested-relational-vectorized"
+        assert decision.impl.threads == 3
 
     def test_parallel_name_is_an_alias_of_vectorized(self, tiny_tpch):
-        from repro.core.planner import resolve_strategy
-
-        impl = resolve_strategy(
-            "nested-relational-parallel", None, threads=3
+        decision = self.resolve(
+            tiny_tpch, "nested-relational-parallel", None, threads=3
         )
-        assert impl.name == "nested-relational-vectorized"
-        assert impl.threads == 3
+        assert decision.chosen == "nested-relational-vectorized"
+        assert decision.impl.threads == 3
 
     def test_single_thread_stays_sequential(self, tiny_tpch):
-        from repro.core.planner import resolve_strategy
-
-        impl = resolve_strategy("auto", "vector", threads=1)
-        assert impl.threads == 1
+        decision = self.resolve(tiny_tpch, "auto", "vector", threads=1)
+        assert decision.impl.threads == 1
 
     def test_row_backend_never_parallel(self, tiny_tpch):
-        from repro.core.planner import resolve_strategy
-
-        impl = resolve_strategy("auto", "row", threads=4)
-        assert not hasattr(impl, "set_threads")
+        decision = self.resolve(tiny_tpch, "auto", "row", threads=4)
+        assert not hasattr(decision.impl, "set_threads")
 
     def test_session_threads_default_flows_through(self, tiny_tpch):
         session = repro.connect(tiny_tpch, threads=2)
