@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import PlanError
 from ..engine.catalog import Database
+from ..strategies import ROW_BACKEND, VECTOR_BACKEND
 from .blocks import NestedQuery
 from .feedback import FeedbackStore
 from .stats import DbStats, PlanStats, collect_stats
@@ -345,9 +346,9 @@ def choose(
 #: a backend-generic request maps onto its counterpart on the requested
 #: backend: Algorithm 1 is registered once per substrate
 _COUNTERPARTS: Dict[Tuple[str, str], str] = {
-    ("vector", "nested-relational"): "nested-relational-vectorized",
-    ("row", "nested-relational-vectorized"): "nested-relational",
-    ("row", "nested-relational-parallel"): "nested-relational",
+    (VECTOR_BACKEND, "nested-relational"): "nested-relational-vectorized",
+    (ROW_BACKEND, "nested-relational-vectorized"): "nested-relational",
+    (ROW_BACKEND, "nested-relational-parallel"): "nested-relational",
 }
 
 
