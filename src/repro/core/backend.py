@@ -31,6 +31,14 @@ intermediate has.  A backend supplies:
     NULL-padding pseudo-selection or a mark.  The node holds both the
     nesting attributes ``by`` and the nest ``key`` (the path blocks'
     rids, which decide the same groups); a backend may group on either.
+``join_nest(rel, child, join, nest)``
+    a leaf block's way down and back up — the ``OuterJoin`` and the
+    ``NestLink`` of an edge whose child has no children and runs in
+    line, with nothing between them.  The result, every span, metric
+    and governor charge must be those of ``left_outer_join`` followed
+    by ``nest_link`` (with the ``nest`` checkpoint between), which is
+    what the row engine does; the vector engine nests the join without
+    building it.
 ``uncorrelated_link(rel, sub, node)``
     the virtual-Cartesian-product shortcut
     (:class:`~repro.core.query_tree.UncorrelatedLink`) — the subquery
@@ -64,6 +72,7 @@ and cost.
 from __future__ import annotations
 
 from ..engine.catalog import Database
+from ..engine.governor import checkpoint
 from ..engine.metrics import current_metrics
 from ..engine.operators import (
     LeftOuterHashJoin,
@@ -144,6 +153,17 @@ class RowBackend:
             nested, *operands, pk_ref=node.rid_ref,
             pad_refs=list(node.pad_refs),
         )
+
+    def join_nest(
+        self,
+        rel: Relation,
+        child: Relation,
+        join: query_tree.OuterJoin,
+        nest: query_tree.NestLink,
+    ) -> Relation:
+        rel = self.left_outer_join(rel, child, join)
+        checkpoint("nest")
+        return self.nest_link(rel, nest)
 
     # -- the §4.2 rules' operators --------------------------------------- #
 

@@ -90,6 +90,7 @@ from .query_tree import (
     Reduce,
     Residual,
     SemiJoin,
+    TreeEdge,
     TreeExpression,
     TreeNode,
     UncorrelatedLink,
@@ -481,6 +482,11 @@ class NestedRelationalStrategy:
             checkpoint("operator")
             child = edge.child
             sub = reduced[child.index].relation
+            if _joins_a_leaf(edge):
+                # ⟕ straight into υ: one call, so the backend may nest
+                # the join without building it
+                rel = backend.join_nest(rel, sub, edge.connect, edge.up)
+                continue
             if edge.sub_first:
                 sub = self._run(child, sub, reduced)
             rel = getattr(backend, edge.connect.method)(rel, sub, edge.connect)
@@ -494,6 +500,19 @@ class NestedRelationalStrategy:
             checkpoint("operator")
             rel = backend.apply_residual(rel, node.residual)
         return rel
+
+
+def _joins_a_leaf(edge: TreeEdge) -> bool:
+    """Whether *edge* outer-joins a leaf block in line and nests it
+    straight back: nothing runs between its ``connect`` and its ``up``
+    (a leaf has no subtree, hence no residual over its children's
+    marks)."""
+    return (
+        not edge.sub_first
+        and edge.child.is_leaf
+        and isinstance(edge.connect, OuterJoin)
+        and isinstance(edge.up, NestLink)
+    )
 
 
 def _use_strict(path: List[TreeNode], rules: frozenset) -> bool:

@@ -31,14 +31,17 @@ _REDUCE_RE = re.compile(r"^reduce\[T(\d+)\]$")
 class FeedbackStore:
     """Observed (plan fingerprint, operator) -> row-count map.
 
-    One per :class:`~repro.session.Session` — or shared by every pooled
-    session of a :mod:`repro.serve` server, in which case many traced
-    executions harvest concurrently.  Observation is additive and
+    One per :class:`~repro.session.Session` — or, under
+    :mod:`repro.serve`, one per worker *process*, shared by the sessions
+    of every tenant that worker serves (``/stats`` sums the workers'
+    stores; none crosses a process).  Observation is additive and
     idempotent: re-observing identical cardinalities leaves the
     :attr:`epoch` unchanged, so cached planner decisions stay valid
     until the workload actually teaches the store something new.
 
-    Thread-safe: the check-then-set in :meth:`record` (and the epoch
+    Thread-safe, for an embedder's own thread pool over one session
+    (morsel workers never reach the store: it is harvested after the
+    execution): the check-then-set in :meth:`record` (and the epoch
     bump it guards) runs under a lock, so concurrent traced runs never
     lose observations or epoch increments; lookups copy under the same
     lock so the optimizer prices against a consistent snapshot.

@@ -56,9 +56,14 @@ reduce memo additionally keeps at most ``_MAX_REDUCED_CELLS`` cells
 (rows × columns) in total, FIFO, because one shared cache serves every
 tenant's ad-hoc constants and a reduced relation is not small.
 
-**Thread safety.**  One cache may be shared by every worker of a
-multi-tenant server (:mod:`repro.serve` pools sessions over a single
-cache so tenants share compiled plans and reduced builds).  All memo
+**Thread safety.**  Under :mod:`repro.serve` each worker *process*
+owns one cache, shared by the sessions of every tenant it serves (so
+they share compiled plans and reduced builds), and ``/stats`` sums the
+workers' counters; no cache crosses a process.  The lock serves the
+threads that can still meet in one cache: an embedder's own thread
+pool over one :class:`~repro.session.Session` (or one cache handed to
+several), and the morsel workers of an execution, whose forked
+contexts carry the same cache.  All memo
 lookups/stores, the version check and the hit/miss/eviction counters
 are therefore serialized under one lock (mirroring ``_pools_lock`` in
 :mod:`repro.engine.parallel`): without it, concurrent ``prepare()``
@@ -133,8 +138,8 @@ class SessionCache:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.stats = CacheStats()
-        # serializes every memo/counter touch; shared-session servers
-        # hit this cache from many threads at once (see module docstring)
+        # serializes every memo/counter touch; an embedder's threads and
+        # an execution's morsels may meet here (see module docstring)
         self._lock = threading.Lock()
         self._version: Optional[int] = None
         self._plans: Dict[str, Any] = {}

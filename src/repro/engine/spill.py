@@ -89,8 +89,8 @@ def est_join_bytes(left, right, n_keys: int) -> int:
     )
 
 
-def est_nest_bytes(batch, n_by: int) -> int:
-    """Bytes the in-memory nest grouping would account.
+def est_nest_bytes(n_rows: int, n_by: int) -> int:
+    """Bytes the in-memory nest grouping of *n_rows* rows would account.
 
     *n_by* is the width of the nesting attribute list N1, although the
     kernel groups on the narrower rid key: the account models the
@@ -99,7 +99,20 @@ def est_nest_bytes(batch, n_by: int) -> int:
     would move every later spill decision of the execution — re-basing
     it belongs with a recalibration of the spill benchmark.
     """
-    return len(batch) * max(1, n_by) * EST_BYTES_PER_VALUE
+    return n_rows * max(1, n_by) * EST_BYTES_PER_VALUE
+
+
+def nest_spills(n_rows: int, n_by: int) -> bool:
+    """Whether a nest of *n_rows* rows, N1 *n_by* wide, asks to go to
+    disk under the ambient governor (:func:`maybe_spill_nest_link`'s
+    budget test; that function may still run it in memory)."""
+    governor = current_governor()
+    return (
+        governor is not None
+        and n_by > 0
+        and n_rows > 0
+        and governor.should_spill(est_nest_bytes(n_rows, n_by))
+    )
 
 
 def _n_partitions(est_bytes: int, governor: ResourceGovernor) -> int:
@@ -292,12 +305,10 @@ def maybe_spill_nest_link(batch, node, sched=kernels.SEQUENTIAL):
     when no spill applies.
     """
     by = node.by
+    if not nest_spills(len(batch), len(by)):
+        return None
     governor = current_governor()
-    if governor is None or not by or len(batch) == 0:
-        return None
-    est = est_nest_bytes(batch, len(by))
-    if not governor.should_spill(est):
-        return None
+    est = est_nest_bytes(len(batch), len(by))
     depth = current().spill_depth
     if depth >= MAX_SPILL_DEPTH or not _spillable(batch):
         return None

@@ -158,6 +158,19 @@ class VectorBackend:
         # the row backend's explicit ``keep`` projection is unnecessary
         return nestlink.nest_link(rel, node, self.scheduler)
 
+    def join_nest(
+        self,
+        rel: Batch,
+        child: Batch,
+        join: query_tree.OuterJoin,
+        nest: query_tree.NestLink,
+    ) -> Batch:
+        if join.cross:
+            rel = self.left_outer_join(rel, child, join)
+            checkpoint("nest")
+            return self.nest_link(rel, nest)
+        return nestlink.join_nest(rel, child, join, nest, self.scheduler)
+
     # -- virtual Cartesian product -------------------------------------- #
 
     def uncorrelated_link(

@@ -43,15 +43,22 @@ synthetic ``_rid`` column, whose NULL later tells ``nest`` that a group
 is empty.  Every operator's output batch is byte-identical to what
 per-column fancy indexing would build (:meth:`Vector.gather`), so the
 governor's charges do not depend on how the rows were moved.
+
+The left outer join can also stop at its pair index
+(:func:`left_outer_join_index`): a leaf edge's nest
+(:func:`~repro.engine.vector.nestlink.join_nest`) reads a few columns at
+those pairs instead of the built batch.  Its charge is the built
+batch's ``batch_nbytes`` either way (:func:`outer_join_nbytes`), so no
+account depends on whether the join was built.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..governor import charge_batch, charge_rows, checkpoint
+from ..governor import charge_batch, charge_rows, checkpoint, current_governor
 from ..metrics import current_metrics
 from ..parallel import SEQUENTIAL, MorselScheduler
 from ..schema import Schema
@@ -416,6 +423,32 @@ def left_outer_hash_join(
     pk-is-NULL convention marks those rows as "empty subquery set".
     Spills to disk partitions under budget pressure, like ``hash_join``.
     """
+    return left_outer_join_index(
+        left, right, left_keys, right_keys, residual, sched,
+        materialize=lambda n_rows: True,
+    )
+
+
+def left_outer_join_index(
+    left: Batch,
+    right: Batch,
+    left_keys: Sequence[str],
+    right_keys: Sequence[str],
+    residual,
+    sched: MorselScheduler,
+    materialize: Callable[[int], bool],
+) -> Union[Batch, Tuple[np.ndarray, np.ndarray]]:
+    """The left outer join as its pair index ``(all_li, all_ri)`` —
+    matched pairs in ascending left position, then every unmatched left
+    row against ``-1`` — or as the built batch, when the join spilled or
+    ``materialize(n_rows)`` asks for it.
+
+    Either way the span, the metrics and the governor's
+    ``"outer-join output"`` charge are those of the built batch — the
+    charge is :func:`outer_join_nbytes`, made before *materialize* is
+    asked: the account models the logical operator, whatever its
+    consumer reads of it.
+    """
     from ..spill import maybe_spill_hash_join
 
     spilled = maybe_spill_hash_join(
@@ -436,14 +469,37 @@ def left_outer_hash_join(
         pad = np.flatnonzero(~_mask_of(len(left), li))
         all_li = np.concatenate([li, pad])
         all_ri = np.concatenate([ri, np.full(len(pad), -1, dtype=np.int64)])
-        out = Batch.concat_columns(
-            left.take(all_li), right.take_padded(all_ri)
-        )
-        charge_batch(out, "outer-join output")
+        n_out = len(all_li)
+        governor = current_governor()
+        if governor is not None and governor.memory_limit_bytes is not None:
+            governor.charge(
+                outer_join_nbytes(left, right, n_out), "outer-join output"
+            )
+        # asked after the charge: a consumer's spill decision sees it
+        if materialize(n_out):
+            out = Batch.concat_columns(
+                left.take(all_li), right.take_padded(all_ri)
+            )
+        else:
+            out = all_li, all_ri
         metrics.add("null_padded_rows", len(pad))
-        metrics.add("rows_out", len(out))
-        _note(span, len(left), len(out))
+        metrics.add("rows_out", n_out)
+        _note(span, len(left), n_out)
     return out
+
+
+def outer_join_nbytes(left: Batch, right: Batch, n_rows: int) -> int:
+    """``batch_nbytes`` of the *n_rows*-row ``left ⟕ right`` output,
+    without building it.  Every gathered column is a fresh heap array of
+    its source's dtype plus a one-byte validity mask; an empty right
+    side has nothing to gather from and pads with the
+    :meth:`Vector.nulls` layouts (``U1`` for strings)."""
+    padded = (
+        right.columns
+        if len(right)
+        else [Vector.nulls(c.kind, 0) for c in right.columns]
+    )
+    return n_rows * sum(c.data.itemsize + 1 for c in left.columns + padded)
 
 
 def semi_join(

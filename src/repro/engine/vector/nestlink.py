@@ -34,6 +34,16 @@ but NULLs out the current block's attributes of failing groups; mark
 evaluation keeps every group and appends the three-valued verdict as a
 boolean column for the parent block's disjunctive residual.
 
+There is one nest body (``_nest_link``); it reads its input through a
+*member* batch — the columns it groups and judges on — and takes each
+group's output row from N1 at the group's first member.
+:func:`nest_link` is the case where both are the input batch itself.
+:func:`join_nest` is Algorithm 1's leaf edge, ⟕ straight into υ: the
+join stops at its pair index, the members are gathered at the pairs
+(the key, the child's rid, the link's operands — a handful of narrow
+columns) and N1 is the accumulated relation's, read at one row per
+group — the groupjoin of Moerkotte & Neumann restricted to that edge.
+
 The uncorrelated link shares the member set across all outer rows, so
 ``θ SOME`` collapses to a single existence test against the member
 multiset: ``isin`` for ``=``, a distinct-count argument for ``<>``,
@@ -42,12 +52,12 @@ min/max bounds for the orderings.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ...core.query_tree import NestLink, UncorrelatedLink
-from ..governor import charge_rows
+from ...core.query_tree import NestLink, OuterJoin, UncorrelatedLink
+from ..governor import charge_rows, checkpoint
 from ..logic import two_valued
 from ..metrics import current_metrics
 from ..operators.aggregate import _finish
@@ -58,7 +68,12 @@ from ..types import NULL, is_null, negate_op
 from .batch import Batch
 from .column import KIND_BOOL, KIND_FLOAT, KIND_INT, NUMERIC_KINDS, Vector
 from .exprs import _fast_comparable, compare_vectors
-from .kernels import concat_parts, first_occurrences, group_ids
+from .kernels import (
+    concat_parts,
+    first_occurrences,
+    group_ids,
+    left_outer_join_index,
+)
 
 
 def nest_link(
@@ -85,11 +100,80 @@ def nest_link(
     spilled = maybe_spill_nest_link(batch, node, sched)
     if spilled is not None:
         return spilled
+    return _nest_link(
+        node, sched, len(batch), lambda: batch, batch.project(node.by), None
+    )
+
+
+def join_nest(
+    left: Batch,
+    right: Batch,
+    join: OuterJoin,
+    node: NestLink,
+    sched: MorselScheduler = SEQUENTIAL,
+) -> Batch:
+    """``nest_link(left_outer_hash_join(left, right, …), node)`` — the
+    way down and back up of a leaf block — without building the join.
+
+    The join is computed as its pair index only (same span, metrics and
+    charge as the built batch, :func:`~.kernels.left_outer_join_index`).
+    The nest then gathers, at those pairs, just the columns it groups
+    and judges on — the key, the member rid and the link's operands —
+    and its output rows straight from ``left.project(by)``: at a leaf
+    edge N1 and the key are the accumulated relation's columns, so a
+    group's representative pair ``p`` supplies left row ``all_li[p]``.
+    A join that spilled, or a nest that would, takes the ordinary pair
+    on the built batch, so every spill decision stays what it was.
+    """
+    from ..spill import nest_spills
+
+    joined = left_outer_join_index(
+        left, right, join.outer_keys, join.inner_keys, join.residual, sched,
+        materialize=lambda n_rows: nest_spills(n_rows, len(node.by)),
+    )
+    checkpoint("nest")
+    if isinstance(joined, Batch):
+        return nest_link(joined, node, sched)
+    all_li, all_ri = joined
+    link = node.link
+    refs = [
+        r
+        for r in dict.fromkeys(
+            (*node.key, node.rid_ref, link.inner_ref, link.outer_ref)
+        )
+        if r is not None
+    ]
+
+    def members() -> Batch:
+        return Batch.concat_columns(
+            left.project([r for r in refs if left.schema.has(r)]).take(all_li),
+            right.project(
+                [r for r in refs if right.schema.has(r)]
+            ).take_padded(all_ri),
+        )
+
+    return _nest_link(
+        node, sched, len(all_li), members, left.project(node.by), all_li
+    )
+
+
+def _nest_link(
+    node: NestLink,
+    sched: MorselScheduler,
+    n: int,
+    members: Callable[[], Batch],
+    n1: Batch,
+    at: Optional[np.ndarray],
+) -> Batch:
+    """The one nest + link body over *n* input rows.  ``members()``
+    yields the rows the groups are computed and judged on (at least the
+    key and the verdict's columns); output row ``i`` of a group is row
+    ``at[i]`` of *n1* (``by`` projected), or row ``i`` when *at* is
+    None."""
     by, link, strict, nest_impl = (
         node.by, node.link, node.strict, node.nest_impl
     )
     metrics = current_metrics()
-    n = len(batch)
     with op_span(
         "vec-nest-link",
         contract=CONTRACT_FILTERING,
@@ -105,6 +189,7 @@ def nest_link(
             # the account models the logical operator: N1 wide, whatever
             # the key the groups are computed on (spill.est_nest_bytes)
             charge_rows(n, len(by), "nest grouping")
+        batch = members()
         ids, n_groups = group_ids(batch, node.key, nest_impl)
         rep = first_occurrences(ids, n_groups)
         metrics.add("linking_evals", n_groups)
@@ -113,18 +198,18 @@ def nest_link(
             counts_passing=strict and link.mark is None,
         )
         order = np.argsort(rep, kind="stable")  # groups in appearance order
-        flat = batch.project(by)  # gather only what the output keeps
+        rows = rep if at is None else at[rep]
         if link.mark is not None:
-            out = flat.take(rep[order])
+            out = n1.take(rows[order])
             out = out.with_column(
                 Column(link.mark),
                 Vector(KIND_BOOL, vt[order], (vt | vf)[order]),
             )
         elif strict:
             keep = order[vt[order]]
-            out = flat.take(rep[keep])
+            out = n1.take(rows[keep])
         else:
-            out = flat.take(rep[order])
+            out = n1.take(rows[order])
             fail = ~vt[order]
             if fail.any():
                 out = _pad_columns(out, node.pad_refs, fail)

@@ -65,6 +65,15 @@ class HttpRequest:
             raise ProtocolError(f"request body is not valid JSON: {exc}")
 
 
+def _content_length(text: str) -> int:
+    """A Content-Length value: ``1*DIGIT`` (RFC 9110 §8.6) — not what
+    ``int()`` also takes (a sign, ``_`` separators, other scripts'
+    digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ProtocolError(f"bad Content-Length: {text!r}")
+    return int(text)
+
+
 async def read_request(reader) -> Optional[HttpRequest]:
     """Read one request off *reader*; ``None`` on a clean EOF.
 
@@ -88,19 +97,24 @@ async def read_request(reader) -> Optional[HttpRequest]:
         raise ProtocolError(f"malformed request line: {lines[0]!r}")
     method, path, _version = parts
     headers: Dict[str, str] = {}
+    lengths = set()
     for line in lines[1:]:
         if not line:
             continue
         name, sep, value = line.partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise ProtocolError(f"bad Content-Length: {length_text!r}")
-    if length < 0 or length > MAX_BODY_BYTES:
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length":
+            lengths.add(_content_length(value))
+        headers[name] = value
+    if len(lengths) > 1:
+        # a proxy keeping the other value would frame another body
+        raise ProtocolError(
+            f"bad Content-Length: conflicting values {sorted(lengths)}"
+        )
+    length = lengths.pop() if lengths else 0
+    if length > MAX_BODY_BYTES:
         raise ProtocolError(
             f"body of {length} bytes exceeds limit {MAX_BODY_BYTES}",
             status=413,

@@ -91,8 +91,21 @@ def recording(base, spans):
 
         return checked
 
+    def join_nest(self, rel, child, join, nest):
+        seen = len(self.nodes)
+        out = base.join_nest(self, rel, child, join, nest)
+        assert tuple(out.schema.names) == nest.names, ("join_nest", nest)
+        if len(self.nodes) == seen:
+            # fused: the join's output was never built, so only the
+            # nest's names can be checked; both operators still ran
+            self.nodes += [join, nest]
+        else:
+            assert self.nodes[seen:] == [join, nest]
+        return out
+
     for method in spans:
         setattr(Recording, method, wrap(method))
+    Recording.join_nest = join_nest
     return Recording
 
 

@@ -4,7 +4,9 @@ A head over ``MAX_HEADER_BYTES`` is answered 413 and the connection is
 closed — also when it overruns the ``StreamReader`` limit, where
 ``readuntil`` raises ``LimitOverrunError`` (which has no ``.partial``
 and used to be taken for a clean EOF: the connection closed with no
-response at all).
+response at all).  ``Content-Length`` is one run of ASCII digits,
+repeated only with the same value; anything else is answered 400 and
+closed, and a well-formed length over ``MAX_BODY_BYTES`` 413.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 
 import repro
 from repro.serve import QueryServer
-from repro.serve.http import MAX_HEADER_BYTES
+from repro.serve.http import MAX_BODY_BYTES, MAX_HEADER_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +87,46 @@ def test_clean_close_and_truncated_head(db):
     answer = exchange(db, b"GET /health HTTP/1.1\r\nHost", half_close=True)
     assert answer.startswith(b"HTTP/1.1 400 Bad Request\r\n"), answer[:80]
     assert b"truncated request head" in answer
+
+
+def head_with_lengths(*lengths: str) -> bytes:
+    fields = b"".join(b"Content-Length: " + n.encode() + b"\r\n" for n in lengths)
+    return b"POST /query HTTP/1.1\r\nHost: t\r\n" + fields + b"\r\n"
+
+
+@pytest.mark.parametrize(
+    "lengths, body",
+    [
+        (("1_0",), b"0123456789"),
+        (("+4",), b"{}{}"),
+        (("-5",), b""),
+        (("4", "10"), b"{}{}"),
+    ],
+    ids=["underscore", "plus-sign", "negative", "conflicting-duplicates"],
+)
+def test_content_length_must_be_one_agreed_run_of_digits(db, lengths, body):
+    """``int()`` also reads ``1_0``, ``+4`` and ``-5``, and a second
+    field used to override the first: a proxy framing the body by the
+    other reading would smuggle a request past this server."""
+    answer = exchange(db, head_with_lengths(*lengths) + body)
+    head, _, payload = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n"), answer[:80]
+    assert b"Connection: close" in head
+    error = json.loads(payload)["error"]
+    assert error["type"] == "ProtocolError"
+    assert error["message"].startswith("bad Content-Length")
+
+
+def test_identical_duplicate_lengths_are_one_length(db):
+    request = (
+        b"GET /health HTTP/1.1\r\nHost: t\r\n"
+        b"Content-Length: 0\r\nContent-Length: 0\r\n\r\n"
+    )
+    answer = exchange(db, request, half_close=True)
+    assert answer.startswith(b"HTTP/1.1 200 OK\r\n"), answer[:80]
+
+
+def test_a_well_formed_length_over_the_limit_is_413(db):
+    answer = exchange(db, head_with_lengths(str(MAX_BODY_BYTES + 1)))
+    assert answer.startswith(b"HTTP/1.1 413 Payload Too Large\r\n"), answer[:80]
+    assert b"exceeds limit" in answer
