@@ -49,6 +49,9 @@ KIND_OBJ = "obj"
 
 NUMERIC_KINDS = (KIND_INT, KIND_FLOAT)
 
+#: ints of this magnitude and above lose precision as float64
+FLOAT_EXACT_INT = 2 ** 53
+
 _FILL = {
     KIND_INT: 0,
     KIND_FLOAT: 0.0,

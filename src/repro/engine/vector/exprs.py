@@ -49,6 +49,7 @@ from ..logic import two_valued
 from ..types import TriBool, sql_compare
 from .batch import Batch
 from .column import (
+    FLOAT_EXACT_INT,
     KIND_BOOL,
     KIND_FLOAT,
     KIND_INT,
@@ -165,8 +166,20 @@ _CMP = {
 
 def _fast_comparable(a: Vector, b: Vector) -> bool:
     if a.kind in NUMERIC_KINDS and b.kind in NUMERIC_KINDS:
-        return True
+        # numpy compares an int with a float in float64, rounding ints
+        # past 2**53; the row engine's Python comparison is exact
+        return a.kind == b.kind or not (_past_float(a) or _past_float(b))
     return a.kind == b.kind and a.kind in (KIND_BOOL, KIND_STR)
+
+
+def _past_float(v: Vector) -> bool:
+    """Whether *v* is ``i8`` with a live value of magnitude 2**53 or more."""
+    if v.kind != KIND_INT:
+        return False
+    info = np.iinfo(np.int64)
+    lo = int(v.data.min(where=v.valid, initial=info.max))
+    hi = int(v.data.max(where=v.valid, initial=info.min))
+    return lo <= -FLOAT_EXACT_INT or hi >= FLOAT_EXACT_INT
 
 
 def compare_vectors(op: str, a: Vector, b: Vector) -> MaskPair:

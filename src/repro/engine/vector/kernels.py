@@ -9,18 +9,24 @@ costs stay comparable across backends and
 :func:`repro.engine.trace.reconcile_with_metrics` holds for traced runs.
 
 There is **one equi-join matcher**.  :func:`joint_codes` factorizes both
-sides' composite keys into one shared dense code domain, the build side
-is stable-sorted once (:func:`build_side`) and every probe morsel
-binary-searches it (:func:`probe_match`) — no per-row Python, and the
-only gathers are proportional to the join output.  The key semantics
-the two backends must agree on live in the factorizer alone, which
+sides' composite keys into one shared dense code domain in ascending key
+order, :func:`build_side` orders the build rows by code once and keeps a
+per-code ``starts`` offset table beside them, and every probe morsel
+reads its windows from that table with two gathers
+(:func:`probe_match`) — no per-row Python, and the only gathers
+proportional to the data are the join output's.  The key semantics the
+two backends must agree on live in the factorizer alone, which
 reproduces the row engine's :func:`~repro.engine.types.group_key`: a
 NULL component never matches, ``2`` and ``2.0`` collide, booleans do
-not collide with ints.  Column kinds pick one of two factorizers per key
-column: ``np.unique`` over the concatenated values when both sides share
-a numpy-comparable layout, a dict over per-row ``group_key`` otherwise
-(``obj`` columns, bool next to int, strings next to numbers, ints
-beyond float64 precision next to floats).
+not collide with ints.  Column kinds pick the factorizer per key column:
+an ``i8`` pair is offset from its joint minimum and renumbered through
+the presence table nest ids use (:func:`_densify`, no sort on a dense
+domain), other numpy-comparable layouts take ``np.unique`` over the
+concatenated values, and a dict over per-row ``group_key`` takes the
+rest (``obj`` columns, bool next to int, strings next to numbers, ints
+beyond float64 precision next to floats).  Every path equals
+``np.unique``'s inverse over the concatenated keys, composite folds
+included.
 
 There is also **one residual evaluation site**, the probe morsel of
 :func:`_match_pairs`, which every join of the family (and every spill
@@ -70,12 +76,15 @@ from ..trace import (
     op_span,
 )
 from .batch import Batch
-from .column import KIND_BOOL, KIND_FLOAT, KIND_INT, KIND_STR, Vector
+from .column import (
+    FLOAT_EXACT_INT,
+    KIND_BOOL,
+    KIND_FLOAT,
+    KIND_INT,
+    KIND_STR,
+    Vector,
+)
 from .exprs import eval_truth
-
-#: ints at or above this lose precision as float64; next to a float key
-#: column they are factorized per row instead
-_FLOAT_EXACT_INT = 2 ** 53
 
 
 def _note(span: Optional[Span], rows_in: int, rows_out: int) -> None:
@@ -148,15 +157,38 @@ def _unique_kind(a: Vector, b: Vector) -> Optional[str]:
         for v in (a, b):
             if v.kind == KIND_INT:
                 live = v.data[v.valid]
-                if len(live) and np.abs(live).max() >= _FLOAT_EXACT_INT:
+                # past float64 precision next to a float: factorized per row
+                if len(live) and np.abs(live).max() >= FLOAT_EXACT_INT:
                     return None
         return KIND_FLOAT
     return None
 
 
-def _column_codes(a: Vector, b: Vector) -> Tuple[np.ndarray, np.ndarray]:
-    """One key column pair factorized into a shared dense code domain
-    (NULL slots get an arbitrary code; the caller masks them)."""
+def _unique_inverse(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``np.unique``'s inverse as a flat int64 array, and the number of
+    distinct values: each value's rank among them."""
+    uniq, inv = np.unique(values, return_inverse=True)
+    return np.asarray(inv, dtype=np.int64).reshape(-1), len(uniq)
+
+
+def _rank_ints(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """:func:`_unique_inverse` of an int64 array, by offset from the
+    minimum and :func:`_densify` — no sort when the values span a domain
+    about the size of the input, as the keys of a join usually do."""
+    if len(values) == 0:
+        return np.empty(0, dtype=np.int64), 0
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo >= _RADIX_LIMIT:  # the offsets would not fit int64
+        return _unique_inverse(values)
+    return _densify(values - lo, hi - lo + 1)
+
+
+def _column_codes(
+    a: Vector, b: Vector
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """One key column pair factorized into a shared dense code domain,
+    as ``(codes_a, codes_b, n_codes)`` (NULL slots get an arbitrary
+    code; the caller masks them)."""
     kind = _unique_kind(a, b)
     if kind is None:
         mapping: dict = {}
@@ -167,14 +199,16 @@ def _column_codes(a: Vector, b: Vector) -> Tuple[np.ndarray, np.ndarray]:
             ],
             dtype=np.int64,
         )
+        n_codes = len(mapping)
+    elif kind == KIND_INT:
+        inv, n_codes = _rank_ints(np.concatenate([a.data, b.data]))
     else:
         if kind == KIND_FLOAT:
             values = [a.data.astype(np.float64), b.data.astype(np.float64)]
         else:
             values = [a.data, b.data]
-        _, inv = np.unique(np.concatenate(values), return_inverse=True)
-        inv = np.asarray(inv, dtype=np.int64).reshape(-1)
-    return inv[: len(a)], inv[len(a) :]
+        inv, n_codes = _unique_inverse(np.concatenate(values))
+    return inv[: len(a)], inv[len(a) :], n_codes
 
 
 def joint_codes(
@@ -184,7 +218,8 @@ def joint_codes(
     right_keys: Sequence[str],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Factorize both sides' composite join keys into one dense int64
-    code domain: equal codes match; ``-1`` marks a NULL component."""
+    code domain, numbered in ascending key order: equal codes match;
+    ``-1`` marks a NULL component."""
     nl, nr = len(left), len(right)
     codes_l = np.zeros(nl, dtype=np.int64)
     codes_r = np.zeros(nr, dtype=np.int64)
@@ -192,16 +227,14 @@ def joint_codes(
     null_r = np.zeros(nr, dtype=bool)
     for i, (lk, rk) in enumerate(zip(left_keys, right_keys)):
         a, b = left.column(lk), right.column(rk)
-        ci, cr = _column_codes(a, b)
+        ci, cr, width = _column_codes(a, b)
         if i == 0:
-            codes_l, codes_r = ci, cr
+            codes_l, codes_r, n_codes = ci, cr, width
         else:
-            width = int(max(ci.max(initial=0), cr.max(initial=0))) + 1
             combined = np.concatenate(
                 [codes_l * width + ci, codes_r * width + cr]
             )
-            _, inv = np.unique(combined, return_inverse=True)
-            inv = np.asarray(inv, dtype=np.int64).reshape(-1)
+            inv, n_codes = _densify(combined, n_codes * width)
             codes_l, codes_r = inv[:nl], inv[nl:]
         null_l |= ~a.valid
         null_r |= ~b.valid
@@ -213,44 +246,54 @@ def joint_codes(
 def build_side(codes_r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The shared read-only build structure of an equi-join.
 
-    Returns ``(sorted_codes, build_rows)``: the non-NULL right-side
-    codes in ascending order and the right positions that produced
-    them (stable, so ties keep build order).  Built once by the
-    dispatching thread; every probe morsel binary-searches it.
+    Returns ``(starts, build_rows)``: the non-NULL right positions
+    stably ordered by code (ties keep build order), and per code ``c``
+    of ``0..m-1`` the window ``build_rows[starts[c]:starts[c + 1]]`` of
+    its rows — a ``bincount`` + ``cumsum`` over the dense codes.  Two
+    sentinels close the table: ``starts[m + 1]`` repeats the total, the
+    empty window of every code past the build side's largest, and
+    ``starts[-1]`` is 0, so a NULL code's window ``starts[-1]``,
+    ``starts[0]`` is empty.  Built once by the dispatching thread; every
+    probe morsel reads it.
     """
     build = np.flatnonzero(codes_r >= 0)
-    order = np.argsort(codes_r[build], kind="stable")
-    build_rows = build[order]
-    return codes_r[build_rows], build_rows
+    codes = codes_r[build]
+    counts = np.bincount(codes)
+    m = len(counts)
+    starts = np.zeros(m + 3, dtype=np.int64)
+    np.cumsum(counts, out=starts[1 : m + 1])
+    starts[m + 1] = len(build)
+    return starts, build[np.argsort(codes, kind="stable")]
 
 
 def probe_match(
-    sorted_codes: np.ndarray,
+    starts: np.ndarray,
     build_rows: np.ndarray,
     probe_codes: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All (probe, build) position pairs for one probe morsel.
 
     ``probe`` positions are local to the morsel; ``build`` positions
-    are global right-side rows.  NULL probe codes (``-1``) sort below
-    every build code, so their searchsorted window is empty — they
-    never match.  Pairs come in ascending probe position, build order
-    within one key.
+    are global right-side rows.  Each probe code's window is two reads
+    of :func:`build_side`'s ``starts``; NULL probe codes (``-1``) and
+    codes absent from the build side get an empty one — they never
+    match.  Pairs come in ascending probe position, build order within
+    one key.
     """
     if len(build_rows) == 0 or len(probe_codes) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    lo = np.searchsorted(sorted_codes, probe_codes, side="left")
-    hi = np.searchsorted(sorted_codes, probe_codes, side="right")
-    counts = hi - lo
+    codes = np.minimum(probe_codes, len(starts) - 3)
+    lo = starts[codes]
+    counts = starts[codes + 1] - lo
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
     li = np.repeat(np.arange(len(probe_codes), dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    ri = build_rows[np.repeat(lo, counts) + within]
+    # pair p of a probe row whose pairs begin at q reads lo + (p - q)
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    ri = build_rows[shift + np.arange(total, dtype=np.int64)]
     return li, ri
 
 
@@ -331,14 +374,14 @@ def _match_pairs(
         current_metrics().add("hash_build_rows", nr)
         charge_rows(nr, len(right_keys), "hash-join build")
         codes_l, codes_r = joint_codes(left, right, left_keys, right_keys)
-        sorted_codes, build_rows = build_side(codes_r)
+        starts, build_rows = build_side(codes_r)
 
     def probe(part, mspan: Optional[Span]):
         lo, hi = part
         metrics = current_metrics()
         if left_keys:
             metrics.add("hash_probes", hi - lo)
-            li, ri = probe_match(sorted_codes, build_rows, codes_l[lo:hi])
+            li, ri = probe_match(starts, build_rows, codes_l[lo:hi])
             if lo:
                 li = li + lo
         else:
@@ -633,17 +676,19 @@ def _column_group_codes(col: Vector) -> Tuple[np.ndarray, int]:
 
 
 def _densify(codes: np.ndarray, width: int) -> Tuple[np.ndarray, int]:
-    """Codes in ``[0, width)`` renumbered ``0..n_groups-1`` (ascending);
-    returns ``(ids, n_groups)``.  A domain about the size of the input —
-    rids out of a join — is renumbered through a presence table in
-    O(n + width); a sparse one pays the one ``np.unique`` sort."""
+    """Codes in ``[0, width)`` renumbered ``0..n_groups-1`` (ascending,
+    exactly ``np.unique``'s inverse); returns ``(ids, n_groups)``.  A
+    domain about the size of the input — rids out of a join, int join
+    keys — is renumbered through a presence table in O(n + width); a
+    sparse one pays the one ``np.unique`` sort."""
     if width <= 4 * len(codes) + 1024:
         present = np.zeros(width, dtype=bool)
         present[codes] = True
-        remap = np.cumsum(present, dtype=np.int64) - 1
-        return remap[codes], int(remap[-1]) + 1
-    uniq, inv = np.unique(codes, return_inverse=True)
-    return np.asarray(inv, dtype=np.int64).reshape(-1), len(uniq)
+        slots = np.flatnonzero(present)
+        remap = np.empty(width, dtype=np.int64)  # read at present slots only
+        remap[slots] = np.arange(len(slots), dtype=np.int64)
+        return remap[codes], len(slots)
+    return _unique_inverse(codes)
 
 
 def dense_group_ids(

@@ -17,8 +17,9 @@ and each linking predicate becomes a per-group boolean aggregate:
   (vacuously TRUE on the empty group), FALSE iff some member's
   comparison is FALSE;
 * aggregate links (``lhs θ agg({B})``) — a validity-bitmap group
-  aggregation (``bincount`` counts and sums, ``ufunc.at`` min/max)
-  followed by one vectorized comparison per group.
+  aggregation (``bincount`` counts and float sums, ``ufunc.at`` min/max
+  and int sums, exact as Python ints) followed by one vectorized
+  comparison per group.
 
 Quantifier verdicts are computed from the comparison's own
 ``(true, false)`` masks on the *original* θ — never by the De Morgan
@@ -66,7 +67,7 @@ from ..schema import Column
 from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
 from ..types import NULL, is_null, negate_op
 from .batch import Batch
-from .column import KIND_BOOL, KIND_FLOAT, KIND_INT, NUMERIC_KINDS, Vector
+from .column import FLOAT_EXACT_INT, KIND_BOOL, KIND_FLOAT, KIND_INT, Vector
 from .exprs import _fast_comparable, compare_vectors
 from .kernels import (
     concat_parts,
@@ -359,28 +360,28 @@ def _group_aggregate(
     if func == "count":
         return Vector(KIND_INT, arg_counts, np.ones(n_groups, dtype=bool))
     present = arg_counts > 0
-    if values is not None and values.kind in NUMERIC_KINDS:
-        data = values.data[mask].astype(np.float64)
+    if values is not None and values.kind == KIND_INT:
+        agg = _int_aggregate(
+            func, values.data[mask], ids[mask], n_groups, arg_counts
+        )
+        if agg is not None:
+            return agg
+    elif values is not None and values.kind == KIND_FLOAT:
+        data = values.data[mask]
         gids = ids[mask]
         if func in ("sum", "avg"):
             sums = np.bincount(gids, weights=data, minlength=n_groups)
             if func == "avg":
-                return Vector(
-                    KIND_FLOAT, sums / np.maximum(arg_counts, 1), present
-                )
-            if values.kind == KIND_INT:
-                return Vector(KIND_INT, sums.astype(np.int64), present)
+                sums = sums / np.maximum(arg_counts, 1)
             return Vector(KIND_FLOAT, sums, present)
         if func in ("min", "max"):
             init = np.inf if func == "min" else -np.inf
             acc = np.full(n_groups, init, dtype=np.float64)
             ufunc = np.minimum if func == "min" else np.maximum
             ufunc.at(acc, gids, data)
-            acc = np.where(present, acc, 0.0)
-            if values.kind == KIND_INT:
-                return Vector(KIND_INT, acc.astype(np.int64), present)
-            return Vector(KIND_FLOAT, acc, present)
-    # non-numeric argument kinds: per-group Python aggregation
+            return Vector(KIND_FLOAT, np.where(present, acc, 0.0), present)
+    # non-numeric argument kinds, and int sums and averages past what
+    # int64 / float64 hold exactly: per-group Python aggregation
     vals = values.tolist_sql() if values is not None else []
     groups: list = [[] for _ in range(n_groups)]
     for i in np.flatnonzero(mask).tolist():
@@ -391,6 +392,40 @@ def _group_aggregate(
             for g in range(n_groups)
         ]
     )
+
+
+def _int_aggregate(
+    func: str,
+    data: np.ndarray,
+    gids: np.ndarray,
+    n_groups: int,
+    arg_counts: np.ndarray,
+) -> Optional[Vector]:
+    """``min`` / ``max`` / ``sum`` / ``avg`` of int64 members, exact as
+    the row engine's Python ints: min and max in int64; a sum in int64
+    while ``n · max|x|`` stays below 2**63; an average from float64 sums
+    while that bound stays below 2**53, where every partial sum is exact.
+    None past those bounds (the caller aggregates per group in Python)."""
+    present = arg_counts > 0
+    if func in ("min", "max"):
+        info = np.iinfo(np.int64)
+        init, ufunc = (
+            (info.max, np.minimum) if func == "min" else (info.min, np.maximum)
+        )
+        acc = np.full(n_groups, init, dtype=np.int64)
+        ufunc.at(acc, gids, data)
+        return Vector(KIND_INT, np.where(present, acc, 0), present)
+    bound = (
+        len(data) * max(-int(data.min()), int(data.max())) if len(data) else 0
+    )
+    if func == "sum" and bound < 2 ** 63:
+        acc = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(acc, gids, data)
+        return Vector(KIND_INT, acc, present)
+    if func == "avg" and bound < FLOAT_EXACT_INT:
+        sums = np.bincount(gids, weights=data, minlength=n_groups)
+        return Vector(KIND_FLOAT, sums / np.maximum(arg_counts, 1), present)
+    return None
 
 
 def _pad_columns(
@@ -560,11 +595,20 @@ def _exists_test(theta: str, lhs: np.ndarray, vals: np.ndarray) -> np.ndarray:
             return np.ones(len(lhs), dtype=bool)
         return lhs != distinct[0]
     if theta == "<":
-        return lhs < vals.max()
+        return lhs < _extreme(vals, max)
     if theta == "<=":
-        return lhs <= vals.max()
+        return lhs <= _extreme(vals, max)
     if theta == ">":
-        return lhs > vals.min()
+        return lhs > _extreme(vals, min)
     if theta == ">=":
-        return lhs >= vals.min()
+        return lhs >= _extreme(vals, min)
     raise AssertionError(f"unexpected linking theta {theta!r}")
+
+
+def _extreme(vals: np.ndarray, pick: Callable):
+    """``pick(vals)`` for *pick* ``max`` or ``min``.  numpy has no
+    maximum/minimum loop for ``U`` arrays: a string member set's extreme
+    is taken in code-point order, as ``sql_compare`` orders strings."""
+    if vals.dtype.kind == "U":
+        return pick(vals.tolist())
+    return vals.max() if pick is max else vals.min()

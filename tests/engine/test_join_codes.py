@@ -1,0 +1,398 @@
+"""The equi-join matcher equals its sorting definition, byte for byte.
+
+The vector engine's one equi-join matcher ranks ``i8`` keys through a
+presence table and answers probes from a per-code offset table.  Its
+definition is the sorting matcher it replaced, kept here as reference
+code: ``np.unique`` over the concatenated keys (and over every
+composite-key fold), a stable sort of the build side that every probe
+binary-searches twice, and a ``cumsum`` presence-table renumbering.
+The two must agree exactly:
+
+* join codes — dtype and values, NULL slots with arbitrary fills
+  included, so ``hash_partitions`` (the spill path's partition
+  membership) is unchanged too;
+* the ``(li, ri)`` pair index — the same pairs in the same order;
+* every join of the family — inner, left outer (built, and as its pair
+  index), semi, anti — inline and at two threads of one-row morsels.
+
+Inputs: ``i8`` keys with negative values and the int64 extremes, domains
+on both sides of the ``4n + 1024`` presence-table threshold, 1–3 column
+composite keys with ints next to floats (which take the float path),
+strings and booleans, empty and all-NULL sides, and probe codes absent
+from the build side.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.engine import Column, Schema
+from repro.engine.expressions import Col, Comparison
+from repro.engine.parallel import MorselScheduler
+from repro.engine.vector import Batch, Vector, kernels
+from repro.engine.vector.column import KIND_BOOL, KIND_FLOAT, KIND_INT, KIND_STR
+
+I64_MIN, I64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+# --------------------------------------------------------------------- #
+# Reference definitions: the sorting matcher
+# --------------------------------------------------------------------- #
+
+
+def ref_column_codes(a: Vector, b: Vector) -> Tuple[np.ndarray, np.ndarray]:
+    kind = kernels._unique_kind(a, b)
+    if kind is None:
+        mapping: dict = {}
+        inv = np.array(
+            [
+                mapping.setdefault(key, len(mapping))
+                for key in a.join_keys() + b.join_keys()
+            ],
+            dtype=np.int64,
+        )
+    else:
+        if kind == KIND_FLOAT:
+            values = [a.data.astype(np.float64), b.data.astype(np.float64)]
+        else:
+            values = [a.data, b.data]
+        _, inv = np.unique(np.concatenate(values), return_inverse=True)
+        inv = np.asarray(inv, dtype=np.int64).reshape(-1)
+    return inv[: len(a)], inv[len(a) :]
+
+
+def ref_joint_codes(left, right, left_keys, right_keys):
+    nl, nr = len(left), len(right)
+    codes_l = np.zeros(nl, dtype=np.int64)
+    codes_r = np.zeros(nr, dtype=np.int64)
+    null_l = np.zeros(nl, dtype=bool)
+    null_r = np.zeros(nr, dtype=bool)
+    for i, (lk, rk) in enumerate(zip(left_keys, right_keys)):
+        a, b = left.column(lk), right.column(rk)
+        ci, cr = ref_column_codes(a, b)
+        if i == 0:
+            codes_l, codes_r = ci, cr
+        else:
+            width = int(max(ci.max(initial=0), cr.max(initial=0))) + 1
+            combined = np.concatenate(
+                [codes_l * width + ci, codes_r * width + cr]
+            )
+            _, inv = np.unique(combined, return_inverse=True)
+            inv = np.asarray(inv, dtype=np.int64).reshape(-1)
+            codes_l, codes_r = inv[:nl], inv[nl:]
+        null_l |= ~a.valid
+        null_r |= ~b.valid
+    codes_l = np.where(null_l, np.int64(-1), codes_l)
+    codes_r = np.where(null_r, np.int64(-1), codes_r)
+    return codes_l, codes_r
+
+
+def ref_build_side(codes_r):
+    build = np.flatnonzero(codes_r >= 0)
+    order = np.argsort(codes_r[build], kind="stable")
+    build_rows = build[order]
+    return codes_r[build_rows], build_rows
+
+
+def ref_probe_match(sorted_codes, build_rows, probe_codes):
+    if len(build_rows) == 0 or len(probe_codes) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    lo = np.searchsorted(sorted_codes, probe_codes, side="left")
+    hi = np.searchsorted(sorted_codes, probe_codes, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    li = np.repeat(np.arange(len(probe_codes), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    ri = build_rows[np.repeat(lo, counts) + within]
+    return li, ri
+
+
+def ref_densify(codes, width):
+    if width <= 4 * len(codes) + 1024:
+        present = np.zeros(width, dtype=bool)
+        present[codes] = True
+        remap = np.cumsum(present, dtype=np.int64) - 1
+        return remap[codes], int(remap[-1]) + 1
+    uniq, inv = np.unique(codes, return_inverse=True)
+    return np.asarray(inv, dtype=np.int64).reshape(-1), len(uniq)
+
+
+# --------------------------------------------------------------------- #
+# Inputs
+# --------------------------------------------------------------------- #
+
+#: each key column's ``(left kind, right kind)``: same-kind pairs (int
+#: twice, the ranked path), ints next to floats (the float path, or per
+#: row past 2**53) and bools next to ints (per row)
+KIND_PAIRS = [
+    (KIND_INT, KIND_INT),
+    (KIND_INT, KIND_INT),
+    (KIND_INT, KIND_FLOAT),
+    (KIND_FLOAT, KIND_INT),
+    (KIND_FLOAT, KIND_FLOAT),
+    (KIND_STR, KIND_STR),
+    (KIND_BOOL, KIND_BOOL),
+    (KIND_BOOL, KIND_INT),
+]
+
+FLOATS = [0.0, 1.0, 1.5, 2.0, -3.0, 7.0, 2.0 ** 53, -0.5]
+STRINGS = ["", "a", "b", "ab", "b-wide-string", "é"]
+
+
+def int_values(base: int, spread: int):
+    """Ints around *base*: a window of *spread*, or an int64 extreme."""
+    lo = max(I64_MIN, base)
+    hi = min(I64_MAX, base + spread)
+    return st.one_of(
+        st.integers(lo, hi),
+        st.integers(lo, hi),
+        st.sampled_from([I64_MIN, I64_MAX, -I64_MAX, -1, 0, 1]),
+    )
+
+
+@st.composite
+def int_domains(draw):
+    """A value strategy for one int key column pair: a dense window at
+    any base (extremes included), a window wider than the presence
+    table takes, or anywhere in int64."""
+    domain = draw(st.sampled_from(["dense", "sparse", "anywhere", "edges"]))
+    base = draw(
+        st.one_of(
+            st.integers(-50, 50),
+            st.sampled_from([I64_MIN, I64_MAX - 40, -(2 ** 40)]),
+        )
+    )
+    if domain == "dense":
+        return st.integers(max(I64_MIN, base), min(I64_MAX, base + 40))
+    if domain == "sparse":
+        return int_values(base, 50_000)
+    if domain == "edges":
+        return st.sampled_from([I64_MIN, I64_MAX, -I64_MAX, 0])
+    return st.integers(I64_MIN, I64_MAX)
+
+
+def values_of(kind, ints):
+    return {
+        KIND_INT: ints,
+        KIND_FLOAT: st.sampled_from(FLOATS),
+        KIND_STR: st.sampled_from(STRINGS),
+        KIND_BOOL: st.booleans(),
+    }[kind]
+
+
+def vector(draw, kind, n, values, nulls):
+    """A vector whose NULL slots keep arbitrary fills (drawn like the
+    live values, never the constructor's zero)."""
+    data = draw(st.lists(values, min_size=n, max_size=n))
+    if nulls == "some":
+        valid = np.array(
+            draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
+        )
+    else:
+        valid = np.full(n, nulls == "none", dtype=bool)
+    dtype = {
+        KIND_INT: np.int64,
+        KIND_FLOAT: np.float64,
+        KIND_BOOL: bool,
+        KIND_STR: str,
+    }[kind]
+    arr = np.array(data, dtype=dtype) if n else np.array([], dtype=dtype)
+    if kind == KIND_STR and n == 0:
+        arr = np.array([], dtype="U1")
+    return Vector(kind, arr, valid)
+
+
+@st.composite
+def join_sides(draw):
+    """``(left, right, left_keys, right_keys)`` with 1–3 key columns and
+    payloads ``p`` / ``q`` (row numbers, for residuals and identity)."""
+    n_keys = draw(st.integers(1, 3))
+    pairs = [draw(st.sampled_from(KIND_PAIRS)) for _ in range(n_keys)]
+    nl = draw(st.sampled_from([0, 1, 2, 5, 17, 40]))
+    nr = draw(st.sampled_from([0, 1, 3, 9, 30]))
+    nulls = st.sampled_from(["none", "none", "some", "all"])
+    null_l, null_r = draw(nulls), draw(nulls)
+    left_cols, right_cols = [], []
+    for kl, kr in pairs:
+        ints = draw(int_domains())
+        left_cols.append(vector(draw, kl, nl, values_of(kl, ints), null_l))
+        right_cols.append(vector(draw, kr, nr, values_of(kr, ints), null_r))
+    left_keys = [f"l{i}" for i in range(n_keys)]
+    right_keys = [f"r{i}" for i in range(n_keys)]
+    left = Batch(
+        Schema([Column(n) for n in left_keys + ["p"]]),
+        left_cols + [Vector.from_values(list(range(nl)))],
+        nl,
+    )
+    right = Batch(
+        Schema([Column(n) for n in right_keys + ["q"]]),
+        right_cols + [Vector.from_values([(7 * j) % 11 for j in range(nr)])],
+        nr,
+    )
+    return left, right, left_keys, right_keys
+
+
+EXAMPLES = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def assert_same_batch(got: Batch, want: Batch) -> None:
+    assert got.schema.columns == want.schema.columns
+    assert len(got) == len(want)
+    for g, w in zip(got.columns, want.columns):
+        assert g.kind == w.kind
+        assert_same_array(g.data, w.data)
+        assert_same_array(g.valid, w.valid)
+
+
+# --------------------------------------------------------------------- #
+# Codes and pairs
+# --------------------------------------------------------------------- #
+
+
+class TestCodes:
+    @EXAMPLES
+    @given(join_sides())
+    def test_joint_codes_equal_np_unique(self, sides):
+        left, right, lk, rk = sides
+        got = kernels.joint_codes(left, right, lk, rk)
+        want = ref_joint_codes(left, right, lk, rk)
+        for g, w in zip(got, want):
+            assert_same_array(g, w)
+        for k in (2, 3, 8):
+            for g, w in zip(got, want):
+                for pg, pw in zip(
+                    kernels.hash_partitions(g, k),
+                    kernels.hash_partitions(w, k),
+                ):
+                    assert_same_array(pg, pw)
+
+    @EXAMPLES
+    @given(join_sides(), st.sampled_from([1, 2, 3]))
+    def test_pairs_equal_binary_search(self, sides, n_morsels):
+        left, right, lk, rk = sides
+        codes_l, codes_r = kernels.joint_codes(left, right, lk, rk)
+        starts, build_rows = kernels.build_side(codes_r)
+        sorted_codes, ref_rows = ref_build_side(codes_r)
+        assert_same_array(build_rows, ref_rows)
+        bounds = np.linspace(0, len(codes_l), n_morsels + 1).astype(int)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            got = kernels.probe_match(starts, build_rows, codes_l[lo:hi])
+            want = ref_probe_match(sorted_codes, ref_rows, codes_l[lo:hi])
+            for g, w in zip(got, want):
+                assert_same_array(g, w)
+
+    @EXAMPLES
+    @given(
+        st.integers(0, 300).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sampled_from(
+                    [1, 7, 4 * n + 1023, 4 * n + 1024, 4 * n + 1025, 10 ** 6]
+                ),
+            )
+        ),
+        st.data(),
+    )
+    def test_densify_equals_cumsum_renumbering(self, n_width, data):
+        n, width = n_width
+        codes = np.array(
+            data.draw(
+                st.lists(st.integers(0, width - 1), min_size=n, max_size=n)
+            ),
+            dtype=np.int64,
+        )
+        ids, n_groups = kernels._densify(codes, width)
+        want_ids, want_n = ref_densify(codes, width)
+        assert_same_array(ids, want_ids)
+        assert n_groups == want_n
+
+    @pytest.mark.parametrize("base", [I64_MIN, -5, I64_MAX - 5000])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_threshold_edge_domains(self, base, extra):
+        # two ints whose span is exactly at, just under or just over
+        # the presence table's 4n + 1024, at either end of int64
+        n = 40
+        span = 4 * n + 1024 + extra
+        rng = np.random.default_rng(span)
+        vals = base + rng.integers(0, span, size=n)
+        vals[:2] = [base, base + span - 1]
+        got, n_codes = kernels._rank_ints(vals.astype(np.int64))
+        uniq, want = np.unique(vals, return_inverse=True)
+        assert_same_array(got, np.asarray(want, dtype=np.int64))
+        assert n_codes == len(uniq)
+
+    def test_extremes_do_not_wrap(self):
+        vals = np.array([I64_MAX, I64_MIN, 0, -I64_MAX, I64_MAX], np.int64)
+        got, n_codes = kernels._rank_ints(vals)
+        assert got.tolist() == [3, 0, 2, 1, 3] and n_codes == 4
+
+    def test_absent_and_null_probe_codes_get_empty_windows(self):
+        starts, build_rows = kernels.build_side(np.array([2, -1, 0, 2]))
+        li, ri = kernels.probe_match(
+            starts, build_rows, np.array([-1, 1, 2, 3, 99, 0])
+        )
+        assert li.tolist() == [2, 2, 5]
+        assert ri.tolist() == [0, 3, 2]
+
+
+# --------------------------------------------------------------------- #
+# The join family
+# --------------------------------------------------------------------- #
+
+
+def reference_matcher(call):
+    """``call()`` with the reference matcher swapped into the kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "joint_codes", ref_joint_codes)
+        mp.setattr(kernels, "build_side", ref_build_side)
+        mp.setattr(kernels, "probe_match", ref_probe_match)
+        return call()
+
+
+RESIDUAL = Comparison("<", Col("p"), Col("q"))
+
+
+class TestJoinFamily:
+    @EXAMPLES
+    @given(join_sides(), st.booleans())
+    def test_every_join_equals_the_sorting_matcher(self, sides, with_residual):
+        left, right, lk, rk = sides
+        residual = RESIDUAL if with_residual else None
+        for threads in (1, 2):
+            sched = MorselScheduler(threads=threads, min_partition_rows=1)
+            for join in (
+                "hash_join", "left_outer_hash_join", "semi_join", "anti_join"
+            ):
+                kernel = getattr(kernels, join)
+
+                def call():
+                    return kernel(left, right, lk, rk, residual, sched)
+
+                assert_same_batch(call(), reference_matcher(call))
+
+            def index():
+                return kernels.left_outer_join_index(
+                    left, right, lk, rk, residual, sched,
+                    materialize=lambda n_rows: False,
+                )
+
+            for g, w in zip(index(), reference_matcher(index)):
+                assert_same_array(g, w)

@@ -23,28 +23,8 @@ from repro.fuzz import (
     shrink_case,
     write_corpus_file,
 )
-from repro.core.optimizer import strategy_applicable
 from repro.fuzz.shrink import _stmt_variants
 from repro.sql import parse
-
-
-class TestApplicabilityProtocol:
-    """The runner's guarded skips read ``applicable(query, db) ->
-    Optional[str]`` exactly as the planner's enumeration does."""
-
-    class ReasonGuard:
-        def __init__(self, reason):
-            self.reason = reason
-
-        def applicable(self, query, db):
-            return self.reason
-
-    def test_reason_protocol(self):
-        assert strategy_applicable(self.ReasonGuard(None), None, None)
-        assert not strategy_applicable(self.ReasonGuard("not supported"), None, None)
-
-    def test_no_guard_means_applicable(self):
-        assert strategy_applicable(object(), None, None)
 
 
 class TestCleanRun:
