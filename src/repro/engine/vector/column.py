@@ -19,12 +19,29 @@ int/float mix — to ``f8``, strings to a fixed-width ``str`` array, and
 anything else (dates, oversized ints, genuinely mixed columns) to an
 ``obj`` array that falls back to per-value Python semantics.
 
+numpy ``U`` arrays drop trailing NUL characters, so a string ending in
+``"\\x00"`` has no exact ``str`` layout: a column holding one, and such
+a literal, take ``obj``.  A ``str`` vector therefore never holds a value
+whose text was cut.
+
 Vectors are **immutable**: nothing stores into ``data`` or ``valid``
-after construction (operators build new vectors).  Two things rest on
+after construction (operators build new vectors).  Three things rest on
 that.  A vector remembers, lazily and once, whether it has no NULL slot
-(:attr:`Vector.dense`), and arrays may be shared between vectors — the
-``present`` mask of a padded gather is the validity of every dense
+(:attr:`Vector.dense`) and a ``str`` vector its order key
+(:attr:`Vector.order_key`), and arrays may be shared between vectors —
+the ``present`` mask of a padded gather is the validity of every dense
 column it moves.
+
+The order key is the "normalized key" of sort implementations: each
+row's code points, when all of them are ≤ 255, narrowed to one byte,
+zero-padded to a multiple of 8 bytes and read as big-endian ``uint64``
+words, stored word-major as a ``(words, rows)`` array.  An unsigned
+compare of word tuples is then code-point order: a zero pad sorts below
+every byte, which is "a proper prefix is smaller" because no stored
+value ends in ``"\\x00"``, and a shorter key compares as if padded with
+zero words.  It costs 8 bytes per 8 characters per row (16 B for
+``U10``), is not part of a batch's charged bytes, and a row slice
+(a morsel) reads its rows of its parent's key as views.
 
 Row movement is one kernel, :meth:`Vector.gather`; ``take`` and
 ``take_padded`` are its two callers.  Whatever the source (heap, slice,
@@ -35,6 +52,7 @@ objects with the dtype, values and ``nbytes`` of ``data[idx]`` /
 
 from __future__ import annotations
 
+import threading
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +85,10 @@ _FILL = {
 #: ``U7``-``U21``, not faster at 8 bytes and below
 _NARROW_STR_ITEMSIZE = 8
 
+#: one order key is built per vector even when morsels of its slices ask
+#: for it at once
+_KEY_LOCK = threading.Lock()
+
 
 def pad_index(idx: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """A padded gather index (``-1`` = NULL row) prepared once for every
@@ -81,7 +103,7 @@ def pad_index(idx: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
 class Vector:
     """One column: ``data`` (numpy) + ``valid`` (bool mask, True=present)."""
 
-    __slots__ = ("kind", "data", "valid", "_dense")
+    __slots__ = ("kind", "data", "valid", "_dense", "_key")
 
     def __init__(
         self,
@@ -94,6 +116,9 @@ class Vector:
         self.data = data
         self.valid = valid
         self._dense = dense
+        #: None until asked; then the key array, or False for "no key";
+        #: a slice holds ``(parent, lo, hi)`` until it reads its rows
+        self._key: Any = None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -109,6 +134,33 @@ class Vector:
         if dense is None:
             dense = self._dense = bool(self.valid.all())
         return dense
+
+    @property
+    def order_key(self) -> Optional[np.ndarray]:
+        """The ``(words, rows)`` ``uint64`` order key of a ``str``
+        vector (see the module docstring), or None: other kinds, and a
+        vector with a code point above 255.  Built on first use and kept,
+        like :attr:`dense`; a slice's key is a view of its parent's."""
+        if self.kind != KIND_STR:
+            return None
+        key = self._key
+        if key is None or isinstance(key, tuple):
+            with _KEY_LOCK:
+                key = self._memo_key()
+        return None if key is False else key
+
+    def _memo_key(self):
+        """The kept key (False for none), built — or sliced from the
+        parent's — on first use; the caller holds ``_KEY_LOCK``."""
+        key = self._key
+        if isinstance(key, tuple):
+            parent, lo, hi = key
+            whole = parent._memo_key()
+            key = False if whole is False else whole[:, lo:hi]
+        elif key is None:
+            key = _order_key(self.data)
+        self._key = key
+        return key
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -136,6 +188,8 @@ class Vector:
         kind = _choose_kind(kinds)
         fill = _FILL[kind]
         dense = [fill if v is NULL else v for v in values]
+        if kind == KIND_STR and _ends_in_nul(dense):
+            kind = KIND_OBJ
         try:
             if kind == KIND_INT:
                 data = np.array(dense, dtype=np.int64)
@@ -187,7 +241,7 @@ class Vector:
             return Vector(
                 KIND_FLOAT, np.full(n, value, dtype=np.float64), np.ones(n, bool)
             )
-        elif isinstance(value, str):
+        elif isinstance(value, str) and not value.endswith("\x00"):
             # np.full(..., dtype=str) truncates to U1; let it infer width
             return Vector(KIND_STR, np.full(n, value), np.ones(n, bool))
         data = np.empty(n, dtype=object)
@@ -250,10 +304,14 @@ class Vector:
         return self.gather(*pad_index(idx))
 
     def slice(self, lo: int, hi: int) -> "Vector":
-        """The contiguous row range ``[lo, hi)`` as numpy views."""
-        return Vector(
+        """The contiguous row range ``[lo, hi)`` as numpy views; its
+        order key, if asked for, is a view of this vector's."""
+        out = Vector(
             self.kind, self.data[lo:hi], self.valid[lo:hi], self._dense or None
         )
+        if self.kind == KIND_STR:
+            out._key = (self, lo, hi)
+        return out
 
     @staticmethod
     def vstack(a: "Vector", b: "Vector") -> "Vector":
@@ -347,3 +405,38 @@ def _choose_kind(kinds: set) -> str:
     if kinds <= {KIND_INT, KIND_FLOAT}:
         return KIND_FLOAT
     return KIND_OBJ
+
+
+def _ends_in_nul(strings: List[str]) -> bool:
+    """Whether a string ends in NUL, which a numpy ``U`` array would cut
+    off (joined first: one scan finds whether any NUL is there at all)."""
+    return "\x00" in "".join(strings) and any(
+        s.endswith("\x00") for s in strings
+    )
+
+
+def _order_key(data: np.ndarray):
+    """The order key of a ``U`` array (module docstring), or False when
+    a code point exceeds 255.  The rows narrowed to bytes lie back to
+    back; word *j* of every row is read in place as a strided big-endian
+    view at byte ``8 j`` and, for a row's last partial word, masked to
+    the bytes that belong to the row."""
+    data = np.ascontiguousarray(data)
+    n, chars = len(data), data.itemsize // 4
+    units = data.view(np.uint32, np.ndarray)
+    if units.size and int(units.max()) > 255:
+        return False
+    words = -(-chars // 8)
+    key = np.empty((words, n), dtype=np.uint64)
+    if n == 0:
+        return key
+    flat = np.zeros(n * chars + 8, dtype=np.uint8)  # 8 bytes of overrun
+    flat[: n * chars] = units
+    for j in range(words):
+        key[j] = np.ndarray(
+            (n,), dtype=">u8", buffer=flat, offset=8 * j, strides=(chars,)
+        )
+        tail = chars - 8 * j
+        if tail < 8:
+            key[j] &= np.uint64(((1 << 8 * tail) - 1) << 8 * (8 - tail))
+    return key

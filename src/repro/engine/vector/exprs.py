@@ -22,12 +22,20 @@ Value expressions evaluate to a :class:`~repro.engine.vector.column.Vector`
 Comparisons between compatible kinds run as single numpy expressions;
 incomparable or object-typed pairs fall back to per-row
 :func:`~repro.engine.types.sql_compare`, preserving the row engine's
-type errors.
+type errors.  Two ``str`` operands that both have an order key
+(:attr:`~repro.engine.vector.column.Vector.order_key`) compare as
+``uint64`` words — ``=`` / ``<>`` as an AND of word equalities, the
+ordered operators as a lexicographic fold — instead of numpy's ``U``
+compare.  A string literal facing a column (either side, and a
+``BETWEEN``'s or ``IN`` list's literal items) is packed once as a
+one-row key and compared by broadcast, never spread to *n* rows.  Only
+the value comparison changes: the validity masks, and with them NULL →
+UNKNOWN (or FALSE under two-valued logic), are built as for every kind.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -46,7 +54,7 @@ from ..expressions import (
     Or,
 )
 from ..logic import two_valued
-from ..types import TriBool, sql_compare
+from ..types import TriBool, flip_op, sql_compare
 from .batch import Batch
 from .column import (
     FLOAT_EXACT_INT,
@@ -71,9 +79,14 @@ def eval_truth(expr: Expr, batch: Batch) -> MaskPair:
     """Evaluate *expr* as a predicate over every row of *batch*."""
     n = len(batch)
     if isinstance(expr, Comparison):
-        return compare_vectors(
-            expr.op, eval_value(expr.left, batch), eval_value(expr.right, batch)
-        )
+        a, b = _operand(expr.left, batch), _operand(expr.right, batch)
+        if isinstance(a, str):
+            if isinstance(b, Vector) and b.kind == KIND_STR:
+                # comparing two strings cannot raise, so which one is on
+                # the left is invisible
+                return _compare_to(flip_op(expr.op), b, a)
+            a = Vector.from_scalar(a, n)
+        return _compare_to(expr.op, a, b)
     if isinstance(expr, And):
         t1, f1 = eval_truth(expr.left, batch)
         t2, f2 = eval_truth(expr.right, batch)
@@ -92,17 +105,16 @@ def eval_truth(expr: Expr, batch: Batch) -> MaskPair:
         return t, ~t
     if isinstance(expr, Between):
         v = eval_value(expr.operand, batch)
-        lo = eval_value(expr.low, batch)
-        hi = eval_value(expr.high, batch)
-        t1, f1 = compare_vectors(">=", v, lo)
-        t2, f2 = compare_vectors("<=", v, hi)
+        lo, hi = _operand(expr.low, batch), _operand(expr.high, batch)
+        t1, f1 = _compare_to(">=", v, lo)
+        t2, f2 = _compare_to("<=", v, hi)
         return t1 & t2, f1 | f2
     if isinstance(expr, InList):
         v = eval_value(expr.operand, batch)
         t = np.zeros(n, dtype=bool)
         f = np.ones(n, dtype=bool)
         for item in expr.items:
-            ti, fi = compare_vectors("=", v, eval_value(item, batch))
+            ti, fi = _compare_to("=", v, _operand(item, batch))
             t, f = t | ti, f & fi
         return (f, t) if expr.negated else (t, f)
     # value-typed expression used in predicate position (e.g. the TRUE
@@ -196,11 +208,9 @@ def compare_vectors(op: str, a: Vector, b: Vector) -> MaskPair:
             return zeros, np.ones(n, dtype=bool)
         return zeros, zeros.copy()
     if _fast_comparable(a, b):
-        result = _CMP[op](a.data, b.data)
-        t = both & result
-        if two_valued():
-            return t, ~t
-        return t, both & ~result
+        if a.order_key is not None and b.order_key is not None:
+            return _mask_pair(both, _key_compare(op, a.order_key, b.order_key))
+        return _mask_pair(both, _CMP[op](a.data, b.data))
     # mixed / object kinds: defer to the row engine's semantics per pair
     # (this also raises TypeError_ on incomparable values, as rows do)
     t = np.zeros(n, dtype=bool)
@@ -216,6 +226,62 @@ def compare_vectors(op: str, a: Vector, b: Vector) -> MaskPair:
     if two_valued():
         return t, ~t
     return t, f
+
+
+def _mask_pair(both: np.ndarray, result: np.ndarray) -> MaskPair:
+    """The masks of a value comparison *result* over the rows where both
+    operands are present (*both*)."""
+    t = both & result
+    if two_valued():
+        return t, ~t
+    return t, both & ~result
+
+
+def _operand(expr: Expr, batch: Batch) -> Union[Vector, str]:
+    """A string literal as its value (compared by a packed one-row key,
+    or spread to a vector only if that fails), anything else evaluated."""
+    if isinstance(expr, Literal) and isinstance(expr.value, str):
+        return expr.value
+    return eval_value(expr, batch)
+
+
+def _compare_to(op: str, a: Vector, b: Union[Vector, str]) -> MaskPair:
+    """``a op b`` for a vector *a* and an :func:`_operand` *b*: a string
+    literal facing a keyed vector is compared by broadcast against its
+    one-row order key; one the key cannot serve is spread to a vector."""
+    if isinstance(b, str):
+        key = a.order_key
+        lit = Vector.from_scalar(b, 1).order_key if key is not None else None
+        if lit is not None:
+            return _mask_pair(a.valid, _key_compare(op, key, lit))
+        b = Vector.from_scalar(b, len(a))
+    return compare_vectors(op, a, b)
+
+
+_ZERO_WORD = np.uint64(0)
+
+
+def _key_compare(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``op`` over two order keys (``(words, rows)``; a one-row key
+    broadcasts), a shorter key reading zero words past its end: ``=`` /
+    ``<>`` AND the word equalities, an ordered operator folds from the
+    last word up — ``x_j < y_j``, or ``x_j == y_j`` and the rest."""
+    words = max(len(a), len(b))
+
+    def word(key: np.ndarray, j: int):
+        return key[j] if j < len(key) else _ZERO_WORD
+
+    if op in ("=", "<>", "!="):
+        eq = word(a, 0) == word(b, 0)
+        for j in range(1, words):
+            eq = eq & (word(a, j) == word(b, j))
+        return eq if op == "=" else ~eq
+    strict = _CMP[op[0]]
+    result = _CMP[op](word(a, words - 1), word(b, words - 1))
+    for j in range(words - 2, -1, -1):
+        x, y = word(a, j), word(b, j)
+        result = strict(x, y) | ((x == y) & result)
+    return result
 
 
 # --------------------------------------------------------------------- #
