@@ -95,11 +95,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     session = repro.connect(
         _load_db(args),
         plan_cache=not args.no_plan_cache,
-        threads=args.threads,
         timeout_ms=args.timeout_ms,
         memory_limit_mb=args.memory_limit_mb,
         spill_dir=args.spill_dir,
-        degrade=args.degrade,
         logic=args.logic,
     )
     prepared = session.prepare(_read_sql(args))
@@ -129,10 +127,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             print()
     print(result.to_table(max_rows=args.limit))
     backend_note = f", backend={args.backend}" if args.backend else ""
-    threads_note = f", threads={args.threads}" if args.threads else ""
     print(
         f"\n{len(result)} row(s) in {elapsed:.4f}s "
-        f"[strategy={args.strategy}{backend_note}{threads_note}, "
+        f"[strategy={args.strategy}{backend_note}, "
         f"weighted-cost={metrics.weighted_cost()}]"
     )
     if args.check:
@@ -335,7 +332,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
         engine=args.engine,
         strategies=strategies,
         backend=args.backend,
-        threads=args.threads,
         capture_plans=args.explain,
     )
     diverged = False
@@ -375,7 +371,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_concurrent=args.max_concurrent,
         max_queued=args.max_queued,
         options=ExecutionOptions(
-            threads=args.threads,
             timeout_ms=args.timeout_ms,
             memory_limit_mb=args.memory_limit_mb,
             spill_dir=args.spill_dir,
@@ -459,10 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="execution substrate: tuple-at-a-time "
                                 "iterators or columnar batches "
                                 "(default: the strategy's own)")
-            p.add_argument("--threads", type=int,
-                           help="morsel worker count of the vector "
-                                "backend; the cost-based 'auto' planner "
-                                "prices the vectorized strategy with it")
             p.add_argument("--timeout-ms", type=float, dest="timeout_ms",
                            help="abort the query with a typed timeout "
                                 "error once it runs past this deadline")
@@ -474,10 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="spill hash-join builds and grouping runs "
                                 "to temp files under this directory instead "
                                 "of failing on a memory-budget breach")
-            p.add_argument("--degrade", choices=("sequential",),
-                           help="retry a failed multi-thread execution once "
-                                "on the single-threaded vectorized "
-                                "backend before surfacing the error")
             p.add_argument("--no-plan-cache", action="store_true",
                            dest="no_plan_cache",
                            help="disable the session's cross-query "
@@ -594,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="auto",
                    help="comma-separated strategy names (default: auto)")
     p.add_argument("--backend", choices=("row", "vector"))
-    p.add_argument("--threads", type=int)
     p.add_argument("--explain", action="store_true",
                    help="also print the external engine's plan text")
     p.set_defaults(func=cmd_diff)
@@ -620,8 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default per-tenant concurrent-query quota")
     p.add_argument("--max-queued", type=int, default=16, dest="max_queued",
                    help="default per-tenant waiting-query quota")
-    p.add_argument("--threads", type=int,
-                   help="default intra-query parallelism per tenant")
     p.add_argument("--timeout-ms", type=float, dest="timeout_ms",
                    help="default per-query timeout")
     p.add_argument("--memory-limit-mb", type=float, dest="memory_limit_mb",

@@ -40,11 +40,11 @@ class FeedbackStore:
     until the workload actually teaches the store something new.
 
     Thread-safe, for an embedder's own thread pool over one session
-    (morsel workers never reach the store: it is harvested after the
-    execution): the check-then-set in :meth:`record` (and the epoch
-    bump it guards) runs under a lock, so concurrent traced runs never
-    lose observations or epoch increments; lookups copy under the same
-    lock so the optimizer prices against a consistent snapshot.
+    (the store is harvested after the execution): the check-then-set in
+    :meth:`record` (and the epoch bump it guards) runs under a lock, so
+    concurrent traced runs never lose observations or epoch increments;
+    lookups copy under the same lock so the optimizer prices against a
+    consistent snapshot.
     """
 
     def __init__(self) -> None:

@@ -1,7 +1,7 @@
 """Request resolution, and the cost-based planner behind ``"auto"``.
 
 :func:`resolve` is the one place an execution request — strategy,
-backend, threads, feedback, memory budget — becomes the instance that
+backend, feedback, memory budget — becomes the instance that
 runs: ``execute``, ``trace`` and EXPLAIN all read the
 :class:`PlannerDecision` it returns.  A named strategy or an instance
 resolves without pricing; ``"auto"`` goes to :func:`choose`.
@@ -20,8 +20,7 @@ columnar engine runs the same row-op roughly 40× faster than the tuple
 iterator (:data:`VECTOR_FACTOR`) but pays a per-query batch-build setup
 (:data:`VECTOR_SETUP`), so tiny inputs favor the row strategies and
 paper-scale inputs the vector ones — reproducing the crossovers of
-Figure 4.  With ``threads > 1`` the vector work divides across the
-morsel workers while a per-worker scheduling overhead does not.
+Figure 4.
 
 Strategies without a registered ``cost`` hook still participate: they
 are priced at the generic pipeline work times
@@ -58,8 +57,6 @@ VECTOR_FACTOR = 0.025
 #: per-query cost of building/loading the columnar batches, in row-ops;
 #: below ~10k row-ops of work the row engine wins
 VECTOR_SETUP = 512.0
-#: morsel-parallel scheduling overhead per worker, in row-ops
-PARALLEL_OVERHEAD = 256.0
 #: index-probe cost relative to a scanned row (System A emulation)
 PROBE_FACTOR = 4.0
 #: pessimistic multiplier for strategies without a ``cost`` hook
@@ -138,20 +135,9 @@ def cost_vectorized(ps: PlanStats) -> float:
     Under a memory budget the hash builds may not fit; the estimated
     spill passes are charged at :data:`SPILL_IO_FACTOR`, so the planner
     prefers a non-spilling plan whenever one exists.
-
-    On ``ps.threads > 1`` morsel workers the work divides, the
-    scheduling does not — and neither does spill I/O: partition files
-    are written sequentially by whichever thread hits the budget.
     """
-    if ps.threads <= 1:
-        return VECTOR_SETUP + VECTOR_FACTOR * (
-            ps.pipeline_work + SPILL_IO_FACTOR * ps.spill_io_work()
-        )
-    return (
-        VECTOR_SETUP
-        + PARALLEL_OVERHEAD * ps.threads
-        + VECTOR_FACTOR * ps.pipeline_work / ps.threads
-        + VECTOR_FACTOR * SPILL_IO_FACTOR * ps.spill_io_work()
+    return VECTOR_SETUP + VECTOR_FACTOR * (
+        ps.pipeline_work + SPILL_IO_FACTOR * ps.spill_io_work()
     )
 
 
@@ -233,7 +219,7 @@ class CandidatePlan:
 class PlannerDecision:
     """What one execution request resolved to (:func:`resolve`).
 
-    ``impl`` is the instance that runs (threads applied) and ``chosen``
+    ``impl`` is the instance that runs and ``chosen``
     the name its root span carries.  A cost-based ``auto`` resolution
     also records ``candidates`` — every enumerated candidate, cheapest
     first — with the plan ``fingerprint``, the ``feedback_epoch`` it
@@ -266,7 +252,6 @@ def choose(
     query: NestedQuery,
     db: Database,
     backend: Optional[str] = None,
-    threads: Optional[int] = None,
     feedback: Optional[FeedbackStore] = None,
     stats: Optional[DbStats] = None,
     memory_limit_mb: Optional[float] = None,
@@ -275,8 +260,7 @@ def choose(
 
     *backend* filters candidates to one substrate (``None`` considers
     both); aliases are presets of an enumerated strategy, not
-    candidates.  *threads* > 1 prices (and runs) the vector engine on
-    that many morsel workers.  *feedback* supplies
+    candidates.  *feedback* supplies
     observed cardinalities that override the estimates (and its epoch
     stamps the decision, so memoized decisions age out when new
     observations land).  *memory_limit_mb* is the execution memory
@@ -294,10 +278,8 @@ def choose(
     if feedback is not None:
         overrides = feedback.block_overrides(fingerprint)
         epoch = feedback.epoch
-    eff_threads = threads if threads is not None and threads > 1 else 1
     ps = PlanStats(
-        query, stats, threads=eff_threads, overrides=overrides,
-        memory_limit_mb=memory_limit_mb,
+        query, stats, overrides=overrides, memory_limit_mb=memory_limit_mb
     )
 
     scored: List[Tuple[float, str, object, str, bool]] = []
@@ -320,8 +302,6 @@ def choose(
     scored.sort(key=lambda item: (item[0], item[1]))
 
     chosen_cost, chosen_name, impl, _b, _c = scored[0]
-    if threads is not None and hasattr(impl, "set_threads"):
-        impl.set_threads(threads)
     candidates = tuple(
         CandidatePlan(
             name=name,
@@ -357,13 +337,12 @@ def resolve(
     db: Database,
     strategy: Union[str, object] = "auto",
     backend: Optional[str] = None,
-    threads: Optional[int] = None,
     feedback: Optional[FeedbackStore] = None,
     memory_limit_mb: Optional[float] = None,
 ) -> PlannerDecision:
     """Turn one execution request into the instance that runs it.
 
-    * ``"auto"`` is priced by :func:`choose` under *backend*, *threads*,
+    * ``"auto"`` is priced by :func:`choose` under *backend*,
       *feedback* and *memory_limit_mb*;
     * a registry name resolves, unpriced, to its entry on the requested
       *backend* (``None`` follows the registration; Algorithm 1's row
@@ -371,9 +350,6 @@ def resolve(
       must be registered on the backend asked for);
     * a strategy instance is taken as is — it already fixes its own
       substrate, so *backend* must be unset.
-
-    *threads* is forwarded to a resolved strategy exposing
-    ``set_threads`` (the row engine is single-threaded).
     """
     from .. import strategies as registry
 
@@ -386,7 +362,7 @@ def resolve(
         impl = strategy
     elif strategy == registry.AUTO:
         return choose(
-            query, db, backend=backend, threads=threads, feedback=feedback,
+            query, db, backend=backend, feedback=feedback,
             memory_limit_mb=memory_limit_mb,
         )
     else:
@@ -402,6 +378,4 @@ def resolve(
                 f"backend, but backend={backend!r} was requested"
             )
         impl = entry.make()
-    if threads is not None and hasattr(impl, "set_threads"):
-        impl.set_threads(threads)
     return PlannerDecision(getattr(impl, "name", type(impl).__name__), impl)

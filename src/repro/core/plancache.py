@@ -6,7 +6,7 @@ database, and three pieces of work repeat across them:
 * **parse → analyze** — :func:`repro.sql.compile_sql` of the identical
   SQL text yields the identical :class:`~repro.core.blocks.NestedQuery`
   (analysis only reads the catalog);
-* **strategy resolution** — mapping a ``(strategy, backend, threads)``
+* **strategy resolution** — mapping a ``(strategy, backend)``
   request onto an executable instance inspects the query shape (the
   ``auto`` policy) but is otherwise pure;
 * **block reduction builds** — the reduced relations
@@ -62,11 +62,9 @@ they share compiled plans and reduced builds), and ``/stats`` sums the
 workers' counters; no cache crosses a process.  The lock serves the
 threads that can still meet in one cache: an embedder's own thread
 pool over one :class:`~repro.session.Session` (or one cache handed to
-several), and the morsel workers of an execution, whose forked
-contexts carry the same cache.  All memo
-lookups/stores, the version check and the hit/miss/eviction counters
-are therefore serialized under one lock (mirroring ``_pools_lock`` in
-:mod:`repro.engine.parallel`): without it, concurrent ``prepare()``
+several).  All memo lookups/stores, the version check and the
+hit/miss/eviction counters are therefore serialized under one lock:
+without it, concurrent ``prepare()``
 calls lose counter increments (``+=`` is a read-modify-write), two
 threads can FIFO-evict the same oldest key (``KeyError``), and a store
 racing ``validate()`` can resurrect an entry keyed against a dropped
@@ -138,8 +136,8 @@ class SessionCache:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.stats = CacheStats()
-        # serializes every memo/counter touch; an embedder's threads and
-        # an execution's morsels may meet here (see module docstring)
+        # serializes every memo/counter touch; an embedder's threads may
+        # meet here (see module docstring)
         self._lock = threading.Lock()
         self._version: Optional[int] = None
         self._plans: Dict[str, Any] = {}

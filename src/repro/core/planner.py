@@ -1,5 +1,5 @@
-"""The execution entry: root span, governor start, degradation rung,
-root ORDER BY / GROUP BY.
+"""The execution entry: root span, governor start, root ORDER BY /
+GROUP BY.
 
 :func:`run` executes one :class:`~repro.core.optimizer.PlannerDecision`
 — what :func:`repro.core.optimizer.resolve` made of an execution
@@ -7,19 +7,17 @@ request — under whatever the ambient
 :class:`~repro.engine.context.ExecutionContext` holds: the governor is
 started and its spill workspace swept, a cost-based decision is recorded
 as a ``kind="planner"`` span under the root ``execute`` span whenever
-tracing is active, a failed multi-worker run is retried once on one
-worker when the governor's policy says so, and the root block's
-presentation clauses are applied last.  Nothing here decides *what*
+tracing is active, and the root block's presentation clauses are
+applied last.  Nothing here decides *what*
 runs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from ..errors import ReproError, ResourceGovernanceError
 from ..engine.catalog import Database
-from ..engine.governor import ResourceGovernor, checkpoint, current_governor
+from ..engine.governor import checkpoint, current_governor
 from ..engine.metrics import current_metrics
 from ..engine.relation import Relation
 from ..engine.trace import (
@@ -27,57 +25,9 @@ from ..engine.trace import (
     KIND_PLANNER,
     Tracer,
     current_tracer,
-    op_span,
 )
 from .blocks import NestedQuery
 from .optimizer import PlannerDecision, resolve
-
-
-def _degraded(
-    governor: Optional[ResourceGovernor], impl: object, exc: Exception
-) -> Optional[object]:
-    """The strategy to retry on, or None when the error is final.
-
-    The degradation ladder has exactly one rung: a strategy running on
-    several morsel workers (it exposes ``sequential()``, its own
-    one-worker form) is retried once on one worker when the governor's
-    policy is ``'sequential'`` and the failure is *not* a governance
-    verdict — a breached deadline or budget has also been breached for
-    any retry, so those always surface.
-    """
-    if governor is None or governor.degrade != "sequential":
-        return None
-    if isinstance(exc, ResourceGovernanceError):
-        return None
-    sequential = getattr(impl, "sequential", None)
-    return sequential() if sequential is not None else None
-
-
-def _run_strategy(
-    impl: object,
-    query: NestedQuery,
-    db: Database,
-    governor: Optional[ResourceGovernor],
-) -> Relation:
-    """Execute *impl*, applying the governor's degradation ladder."""
-    try:
-        return impl.execute(query, db)
-    except ReproError as exc:
-        retry = _degraded(governor, impl, exc)
-        if retry is None:
-            raise
-        source = f"{impl.name}[threads={impl.threads}]"
-        target = f"{retry.name}[threads={retry.threads}]"
-        governor.record_degradation(source, target, type(exc).__name__)
-        governor.check("degrade")  # a passed deadline beats the retry
-        with op_span(
-            "degrade",
-            kind=KIND_GOVERNOR,
-            source=source,
-            target=target,
-            reason=type(exc).__name__,
-        ):
-            return retry.execute(query, db)
 
 
 def _emit_planner_span(tracer: Tracer, decision: PlannerDecision):
@@ -148,9 +98,7 @@ def run(
         checkpoint("plan")
         tracer = current_tracer()
         if tracer is None:
-            result = _finalize(
-                _run_strategy(impl, query, db, governor), query
-            )
+            result = _finalize(impl.execute(query, db), query)
             current_metrics().add("rows_produced", len(result))
             return result
         with tracer.span(
@@ -165,9 +113,9 @@ def run(
                 with tracer.span(
                     "governor", governor.describe_attrs(), kind=KIND_GOVERNOR
                 ):
-                    result = _run_strategy(impl, query, db, governor)
+                    result = impl.execute(query, db)
             else:
-                result = _run_strategy(impl, query, db, governor)
+                result = impl.execute(query, db)
             result = _finalize(result, query)
             current_metrics().add("rows_produced", len(result))
             span.add("rows_out", len(result))

@@ -551,20 +551,17 @@ class PlanStats:
     bottomup_work : float  work of the bottom-up nest push-down plan
     iteration_work : float per-tuple re-evaluation work (nested iteration)
     probe_work : float     index-probe work (System A emulation)
-    threads : int      effective morsel worker count of the vector engine
     """
 
     def __init__(
         self,
         query: NestedQuery,
         stats: DbStats,
-        threads: int = 1,
         overrides: Optional[Dict[int, int]] = None,
         memory_limit_mb: Optional[float] = None,
     ):
         self.query = query
         self.stats = stats
-        self.threads = max(1, threads)
         #: execution memory budget in bytes, None = unbounded; the
         #: vector cost hooks charge extra I/O passes for builds that
         #: will not fit (Grace spill partitioning writes + re-reads)

@@ -306,8 +306,8 @@ class StoredRelation(Relation):
     """A relation whose columns are memory-mapped store files.
 
     The columnar image (:meth:`stored_batch`) is the primary
-    representation — slicing it (morsels, partitions) yields zero-copy
-    views straight into the mapped files.  The inherited row-level API
+    representation — slicing it yields zero-copy views straight into
+    the mapped files.  The inherited row-level API
     keeps working through the lazy ``rows`` shim below, so row/baseline
     strategies and the external-oracle adapters need no changes; they
     just pay a one-time materialization on first row access.

@@ -1,12 +1,11 @@
 """The execution context: every piece of ambient state, in one slot.
 
-An execution is sound only if *every* operator of it — inline or on a
-pool thread — evaluates under the same logic mode, charges the same
-governor and reports into the right metrics scope and tracer.  All of
-that state is the six fields of one immutable :class:`ExecutionContext`
-held in one :class:`~contextvars.ContextVar`; nothing else in the
-package is ambient (``tests/engine/test_context.py`` fails when a second
-slot appears).
+An execution is sound only if *every* operator of it evaluates under
+the same logic mode, charges the same governor and reports into the
+right metrics scope and tracer.  All of that state is the six fields
+of one immutable :class:`ExecutionContext` held in one
+:class:`~contextvars.ContextVar`; nothing else in the package is ambient
+(``tests/engine/test_context.py`` fails when a second slot appears).
 
 * :func:`current` reads the context — one ``ContextVar.get()``, no
   allocation, cheap enough for the per-comparison and per-operator
@@ -16,10 +15,9 @@ slot appears).
   :mod:`.metrics`, :mod:`.trace`, :mod:`.governor` and :mod:`.logic`
   (``collect()``, ``tracing()``, ``governed()``, ``logic_mode()``) are
   one-line calls of it.
-* :meth:`ExecutionContext.fork` is the copy a morsel runs under.  A
-  ``ContextVar`` does not follow work onto a pool thread, so the morsel
-  scheduler forks the dispatching thread's context once per morsel and
-  installs the fork in the worker — whole, never field by field.
+
+An execution runs on the thread that called it, start to finish, so the
+one ``ContextVar`` is all the ambient state it reads.
 
 This module imports nothing from the package at import time, so every
 engine module may depend on it.
@@ -54,24 +52,6 @@ class ExecutionContext(NamedTuple):
     #: nesting level of the enclosing Grace spill passes
     spill_depth: int = 0
 
-    def fork(self) -> "ExecutionContext":
-        """The context one morsel runs under.
-
-        Shared with the parent: the governor (one budget, one deadline,
-        one cancellation token for the whole execution), the logic mode,
-        the reduce cache and the spill depth.  Renewed: the metrics
-        bundle, and the tracer iff the parent traces — a counter dict
-        and a span stack are single-threaded structures, so each morsel
-        fills its own and the scheduler merges them after the join.
-        """
-        from .metrics import Metrics
-        from .trace import Tracer
-
-        return self._replace(
-            metrics=Metrics(),
-            tracer=None if self.tracer is None else Tracer(),
-        )
-
 
 _current: ContextVar[ExecutionContext] = ContextVar(
     "repro_execution_context", default=ExecutionContext()
@@ -84,13 +64,11 @@ current = _current.get
 
 
 @contextmanager
-def scope(
-    base: Optional[ExecutionContext] = None, /, **fields: Any
-) -> Iterator[ExecutionContext]:
-    """Run a block under *base* (default: the current context) with
-    *fields* replaced, yielding the installed context; the previous
-    context is restored on exit."""
-    context = (_current.get() if base is None else base)._replace(**fields)
+def scope(**fields: Any) -> Iterator[ExecutionContext]:
+    """Run a block under the current context with *fields* replaced,
+    yielding the installed context; the previous context is restored on
+    exit."""
+    context = _current.get()._replace(**fields)
     token = _current.set(context)
     try:
         yield context

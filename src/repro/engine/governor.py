@@ -4,43 +4,37 @@ The engine's operators are pure and uninterruptible from the outside —
 Algorithm 1 guarantees a correct answer only if every operator runs to
 completion.  A serving layer needs the complement: *bounded* execution
 that can be timed out, cancelled, or capped on memory, and whose
-degraded paths still honor the pk-NULL convention and Kleene 3VL
+spilling paths still honor the pk-NULL convention and Kleene 3VL
 semantics (the rewrites that *A Formalisation of SQL with Nulls* shows
-are so easy to break are never re-derived here — degradation re-runs
-the same plan on a slower backend, it never changes the plan).
+are so easy to break are never re-derived here — a governed execution
+runs the same plan, or fails with a typed error).
 
 One :class:`ResourceGovernor` governs one execution.  It carries
 
 * a **deadline** (``timeout_ms``, armed by :meth:`start`),
-* a **cooperative cancellation token** (:meth:`cancel`, thread-safe),
+* a **cooperative cancellation token** (:meth:`cancel`, callable from
+  another thread),
 * a **memory budget** (``memory_limit_mb``) fed by accounting hooks in
   the hash-join builds, nest grouping and batch materialization
   (:func:`charge_batch` / :func:`charge_rows` — the same observed
-  row/byte figures the :mod:`~repro.engine.metrics` counters record),
-* a **degradation policy** (``degrade='sequential'`` retries a failed
-  multi-thread execution once on the same strategy at ``threads=1``).
+  row/byte figures the :mod:`~repro.engine.metrics` counters record).
 
-All three limits are checked at *morsel and operator boundaries* via
+All three limits are checked at *operator boundaries* via
 :func:`checkpoint`; a breach raises the typed
 :class:`~repro.errors.QueryTimeoutError` /
 :class:`~repro.errors.ResourceExhaustedError` /
 :class:`~repro.errors.QueryCancelledError`.  The governor is the
 ``governor`` field of the ambient
 :class:`~repro.engine.context.ExecutionContext` (:func:`governed` /
-:func:`current_governor`); a morsel's forked context carries the *same*
-governor object, so cancellation and budget accounting are shared
-across the pool (the governor's mutable state is lock-protected).
+:func:`current_governor`).
 
 Fault injection
 ---------------
 
 ``REPRO_FAULT`` selects a deliberate failure mode that tests, the
-fuzzer and the CI fault-injection job use to exercise every degraded
-path:
+fuzzer and the CI fault-injection job use to exercise every governed
+failure path:
 
-* ``worker_crash`` — every morsel dispatched to a *pool thread* raises
-  :class:`~repro.errors.InjectedFaultError`; inline (single-threaded)
-  execution is unaffected, so ``degrade='sequential'`` recovers.
 * ``slow_morsel`` — every checkpoint sleeps ``REPRO_FAULT_MS``
   milliseconds (default 20) before checking, making any plan
   deliberately slow so deadline tests are deterministic.
@@ -49,8 +43,7 @@ path:
   :class:`~repro.errors.ResourceExhaustedError` on the next check.
 * ``spill_io`` — every spill-partition write raises
   :class:`~repro.errors.SpillError`, exercising the spill paths'
-  governed cleanup (temp files removed, typed error surfaced, the
-  degradation ladder still applicable).
+  governed cleanup (temp files removed, typed error surfaced).
 
 Spilling
 --------
@@ -71,10 +64,9 @@ import os
 import shutil
 import threading
 import time
-from typing import Any, ContextManager, Dict, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, Optional
 
 from ..errors import (
-    InjectedFaultError,
     InvalidArgumentError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -83,11 +75,8 @@ from ..errors import (
 )
 from .context import ExecutionContext, current, scope
 
-#: accepted values of the ``degrade`` policy
-DEGRADE_MODES = ("sequential",)
-
 #: accepted values of the ``REPRO_FAULT`` environment variable
-FAULT_MODES = ("worker_crash", "slow_morsel", "alloc_spike", "spill_io")
+FAULT_MODES = ("slow_morsel", "alloc_spike", "spill_io")
 
 #: rough per-value cost of a Python-object row cell, used by the row
 #: backend's accounting (the vector backend measures array bytes).
@@ -115,23 +104,11 @@ def _positive(value, name: str, unit: str):
     return value
 
 
-def validate_degrade(degrade: Optional[str]) -> Optional[str]:
-    """Normalize/validate a ``degrade`` policy value."""
-    if degrade is None:
-        return None
-    if degrade not in DEGRADE_MODES:
-        raise InvalidArgumentError(
-            f"unknown degrade policy {degrade!r}; expected one of "
-            f"{DEGRADE_MODES} or None"
-        )
-    return degrade
-
-
 class ResourceGovernor:
     """Per-execution deadline + memory budget + cancellation token.
 
-    Thread-safe: one governor is shared by the dispatching thread and
-    every morsel worker of the execution it governs.  Re-usable: each
+    Thread-safe: a server may :meth:`cancel` an execution from another
+    thread than the one running it.  Re-usable: each
     :meth:`start` re-arms the deadline and zeroes the accounted bytes,
     so a session-level governor template can be executed repeatedly
     (the Session API builds a fresh one per call anyway).
@@ -141,7 +118,6 @@ class ResourceGovernor:
         self,
         timeout_ms: Optional[float] = None,
         memory_limit_mb: Optional[float] = None,
-        degrade: Optional[str] = None,
         spill_dir: Optional[str] = None,
     ):
         self.timeout_ms = _positive(timeout_ms, "timeout_ms", "milliseconds")
@@ -149,7 +125,6 @@ class ResourceGovernor:
         self.memory_limit_bytes: Optional[int] = (
             None if limit is None else int(limit * 1024 * 1024)
         )
-        self.degrade = validate_degrade(degrade)
         if spill_dir is not None and not isinstance(spill_dir, str):
             raise InvalidArgumentError(
                 f"spill_dir must be a directory path or None, got {spill_dir!r}"
@@ -166,9 +141,6 @@ class ResourceGovernor:
         self._peak = 0
         self.spilled_bytes = 0
         self.spill_count = 0
-        #: (from_strategy, to_strategy, reason) degradations this
-        #: governor witnessed — recorded by the planner's ladder
-        self.degradations: List[Tuple[str, str, str]] = []
         if self.timeout_ms is not None:
             self.start()
 
@@ -327,9 +299,6 @@ class ResourceGovernor:
     # introspection
     # ------------------------------------------------------------------ #
 
-    def record_degradation(self, source: str, target: str, reason: str) -> None:
-        self.degradations.append((source, target, reason))
-
     def describe_attrs(self) -> Dict[str, Any]:
         """The span attributes a governed execution is tagged with."""
         attrs: Dict[str, Any] = {}
@@ -337,8 +306,6 @@ class ResourceGovernor:
             attrs["timeout_ms"] = self.timeout_ms
         if self.memory_limit_bytes is not None:
             attrs["memory_limit_mb"] = self.memory_limit_bytes // (1024 * 1024)
-        if self.degrade is not None:
-            attrs["degrade"] = self.degrade
         if self.spill_dir is not None:
             attrs["spill_dir"] = self.spill_dir
         return attrs
@@ -415,21 +382,8 @@ def maybe_spill_io_failure() -> None:
         )
 
 
-def maybe_worker_crash() -> None:
-    """Raise the injected crash when ``REPRO_FAULT=worker_crash``.
-
-    Called only from morsels actually dispatched onto a pool thread, so
-    the sequential retry of ``degrade='sequential'`` never re-triggers
-    it.
-    """
-    if active_fault() == "worker_crash":
-        raise InjectedFaultError(
-            "injected worker crash (REPRO_FAULT=worker_crash)"
-        )
-
-
 def checkpoint(site: str = "operator") -> None:
-    """The cooperative boundary check every operator/morsel passes.
+    """The cooperative boundary check every operator passes.
 
     Applies the active fault (sleep / allocation spike) *first*, then
     checks the ambient governor — so an injected slowdown is observed by

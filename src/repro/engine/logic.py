@@ -16,8 +16,8 @@ alike.
 
 The mode is the ``logic`` field of the ambient
 :class:`~repro.engine.context.ExecutionContext`: a session installs it
-around every execution (cache keys include it), and the morsel scheduler
-carries it onto pool threads with the rest of the context.
+around every execution (cache keys include it), and every operator of
+the execution reads it from there.
 
 Three kernels consult the flag, and only three — every other evaluator
 is written in terms of them:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -204,7 +204,6 @@ def maybe_spill_hash_join(
     right_keys: Sequence[str],
     residual,
     outer: bool,
-    sched=kernels.SEQUENTIAL,
 ):
     """Divert a hash join to disk partitions when the budget demands it.
 
@@ -260,9 +259,7 @@ def maybe_spill_hash_join(
                 lp = _read_partition(tmp, f"l{p}", left.schema, kinds_l)
                 rp = _read_partition(tmp, f"r{p}", right.schema, kinds_r)
                 with scope(spill_depth=depth + 1):
-                    out = join(
-                        lp, rp, left_keys, right_keys, residual, sched
-                    )
+                    out = join(lp, rp, left_keys, right_keys, residual)
                 # the partition's build scratch is gone; give it back
                 governor.release(
                     len(rp) * max(1, len(right_keys)) * EST_BYTES_PER_VALUE
@@ -294,7 +291,7 @@ def maybe_spill_hash_join(
 # --------------------------------------------------------------------- #
 
 
-def maybe_spill_nest_link(batch, node, sched=kernels.SEQUENTIAL):
+def maybe_spill_nest_link(batch, node):
     """Divert a nest+link pass (*node*: the plan's
     :class:`~repro.core.query_tree.NestLink`) to disk partitions under
     budget pressure.
@@ -336,7 +333,7 @@ def maybe_spill_nest_link(batch, node, sched=kernels.SEQUENTIAL):
             for p in range(k):
                 bp = _read_partition(tmp, f"n{p}", batch.schema, kinds)
                 with scope(spill_depth=depth + 1):
-                    out = nestlink.nest_link(bp, node, sched)
+                    out = nestlink.nest_link(bp, node)
                 governor.release(
                     len(bp) * max(1, len(by)) * EST_BYTES_PER_VALUE
                 )
@@ -348,7 +345,7 @@ def maybe_spill_nest_link(batch, node, sched=kernels.SEQUENTIAL):
             # every partition filtered every group out: an empty batch
             # with the nest output's layout
             empty = np.empty(0, dtype=np.int64)
-            result = nestlink.nest_link(batch.take(empty), node, sched)
+            result = nestlink.nest_link(batch.take(empty), node)
         else:
             result = Batch.vstack(outputs)
         if len(outputs) > 1:

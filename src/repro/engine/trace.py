@@ -43,14 +43,14 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 from .context import current, scope
 from .metrics import current_metrics
 
 #: the one trace document format: operator / phase / root spans plus the
-#: ``governor``, ``planner``, ``morsel`` and ``spill`` bookkeeping kinds
-#: and the ``aborted`` span attribute
+#: ``governor``, ``planner`` and ``spill`` bookkeeping kinds and the
+#: ``aborted`` span attribute
 TRACE_FORMAT_VERSION = 4
 SUPPORTED_TRACE_VERSIONS = (TRACE_FORMAT_VERSION,)
 
@@ -61,18 +61,10 @@ CONTRACT_EXPANDING = "expanding"  # rows_out >= rows_in
 
 _CONTRACTS = (CONTRACT_FILTERING, CONTRACT_PRESERVING, CONTRACT_EXPANDING)
 
-#: span kind of one partition's work under a parallel operator.  Morsel
-#: spans are *not* operator inputs: the pull-model row-accounting check
-#: skips them, since the partitions of one parallel operator collectively
-#: re-describe the parent's own input rather than feeding it.
-KIND_MORSEL = "morsel"
-
-#: span kind of resource-governance events: the wrapper span tagging a
-#: governed execution with its limits, and the ``degrade`` span that
-#: contains a sequential retry after a parallel failure.  Governor spans
-#: are bookkeeping, not operators: the row-accounting and contract
-#: checks skip them, but their children (the retried operator tree) are
-#: checked as usual.
+#: span kind of the wrapper span tagging a governed execution with its
+#: limits.  Governor spans are bookkeeping, not operators: the
+#: row-accounting and contract checks skip them, but their children (the
+#: governed operator tree) are checked as usual.
 KIND_GOVERNOR = "governor"
 
 #: span kind of the cost-based planner's decision record: one
@@ -88,7 +80,7 @@ KIND_PLANNER = "planner"
 #: (:mod:`repro.engine.spill`).  Spill spans are bookkeeping, not
 #: operators — the row-accounting and contract checks skip them (their
 #: per-partition children collectively re-describe the wrapped
-#: operator's own input, exactly like morsels) — and they carry the
+#: operator's own input) — and they carry the
 #: ``bytes_spilled`` / ``partitions`` / ``depth`` counters the bench
 #: artifacts and the governor's spill accounting are validated against.
 KIND_SPILL = "spill"
@@ -155,8 +147,8 @@ class Span:
         An aborted span's counters describe *partial* work (an operator
         may have recorded ``rows_in`` but died before ``rows_out``), so
         the cardinality-contract and row-accounting invariants skip it —
-        that is what keeps partial span trees from failed or degraded
-        executions valid.
+        that is what keeps partial span trees from failed executions
+        valid.
         """
         self.attrs["aborted"] = reason
 
@@ -332,10 +324,8 @@ class Trace:
 # the ambient tracer
 # ---------------------------------------------------------------------- #
 
-# A span stack is single-threaded by construction: each morsel of a
-# parallel operator traces into the fresh Tracer of its forked context,
-# and the scheduler grafts the resulting span trees under the
-# dispatching operator's span (kind="morsel") after the workers join.
+# A span stack is single-threaded by construction: an execution runs on
+# the thread that called it, and its tracer is that thread's context's.
 
 
 def current_tracer() -> Optional[Tracer]:

@@ -10,7 +10,7 @@ backends cannot diverge semantically; only the physical kernels differ.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from ...core.reduce import (
 from ..catalog import Database
 from ..governor import charge_batch, checkpoint
 from ..metrics import current_metrics
-from ..parallel import MorselScheduler
-from ..schema import Column, Schema
+from ..schema import Column
 from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
 from .batch import Batch, relation_batch, table_batch
 from .column import KIND_INT, Vector
@@ -36,27 +35,10 @@ from . import kernels, nestlink
 
 
 class VectorBackend:
-    """Columnar batch execution substrate for the nested strategies.
-
-    *threads* is the worker count and *min_partition_rows* the morsel
-    size of the :class:`~repro.engine.parallel.MorselScheduler` every
-    kernel is driven through; the default single worker runs each
-    kernel as one inline morsel.
-    """
+    """Columnar batch execution substrate for the nested strategies:
+    every kernel runs once over its whole input, on the calling thread."""
 
     kind = "vector"
-
-    def __init__(
-        self, threads: int = 1, min_partition_rows: Optional[int] = None
-    ):
-        self.scheduler = MorselScheduler(threads, min_partition_rows)
-
-    @property
-    def threads(self) -> int:
-        return self.scheduler.threads
-
-    def set_threads(self, threads: int) -> None:
-        self.scheduler.set_threads(threads)
 
     # -- step one ------------------------------------------------------- #
 
@@ -115,7 +97,7 @@ class VectorBackend:
             batch = kernels.scan(batch, alias)
             pred = plan.scan_filter(alias)
             if pred is not None:
-                batch = kernels.filter_batch(batch, pred, self.scheduler)
+                batch = kernels.filter_batch(batch, pred)
             parts[alias] = batch
         current = parts[plan.aliases[0]]
         for step in plan.steps:
@@ -127,16 +109,13 @@ class VectorBackend:
                     step.left_keys,
                     step.right_keys,
                     step.residual,
-                    self.scheduler,
                 )
             else:
                 current = kernels.cross_join(
-                    current, parts[step.alias], step.residual, self.scheduler
+                    current, parts[step.alias], step.residual
                 )
         if plan.final_residual is not None:
-            current = kernels.filter_batch(
-                current, plan.final_residual, self.scheduler
-            )
+            current = kernels.filter_batch(current, plan.final_residual)
         return current
 
     # -- way down ------------------------------------------------------- #
@@ -145,10 +124,9 @@ class VectorBackend:
         self, rel: Batch, child: Batch, node: query_tree.OuterJoin
     ) -> Batch:
         if node.cross:
-            return kernels.outer_cross_join(rel, child, self.scheduler)
+            return kernels.outer_cross_join(rel, child)
         return kernels.left_outer_hash_join(
-            rel, child, node.outer_keys, node.inner_keys, node.residual,
-            self.scheduler,
+            rel, child, node.outer_keys, node.inner_keys, node.residual
         )
 
     # -- way up --------------------------------------------------------- #
@@ -156,7 +134,7 @@ class VectorBackend:
     def nest_link(self, rel: Batch, node: query_tree.NestLink) -> Batch:
         # the fused kernel reads members straight off the flat batch, so
         # the row backend's explicit ``keep`` projection is unnecessary
-        return nestlink.nest_link(rel, node, self.scheduler)
+        return nestlink.nest_link(rel, node)
 
     def join_nest(
         self,
@@ -169,14 +147,14 @@ class VectorBackend:
             rel = self.left_outer_join(rel, child, join)
             checkpoint("nest")
             return self.nest_link(rel, nest)
-        return nestlink.join_nest(rel, child, join, nest, self.scheduler)
+        return nestlink.join_nest(rel, child, join, nest)
 
     # -- virtual Cartesian product -------------------------------------- #
 
     def uncorrelated_link(
         self, rel: Batch, sub: Batch, node: query_tree.UncorrelatedLink
     ) -> Batch:
-        return nestlink.uncorrelated_link(rel, sub, node, self.scheduler)
+        return nestlink.uncorrelated_link(rel, sub, node)
 
     # -- disjunctive residual ------------------------------------------- #
 

@@ -89,15 +89,6 @@ class Batch:
     def take(self, idx: np.ndarray) -> "Batch":
         return Batch(self.schema, [c.gather(idx) for c in self.columns], len(idx))
 
-    def slice(self, lo: int, hi: int) -> "Batch":
-        """The contiguous row range ``[lo, hi)`` as numpy views — no
-        gather, no copy."""
-        if lo == 0 and hi == self.length:
-            return self
-        return Batch(
-            self.schema, [c.slice(lo, hi) for c in self.columns], hi - lo
-        )
-
     def take_padded(self, idx: np.ndarray) -> "Batch":
         """Gather rows; ``-1`` positions become all-NULL rows.  The pad
         mask and the clipped index are computed once for all columns

@@ -40,11 +40,10 @@ compare of word tuples is then code-point order: a zero pad sorts below
 every byte, which is "a proper prefix is smaller" because no stored
 value ends in ``"\\x00"``, and a shorter key compares as if padded with
 zero words.  It costs 8 bytes per 8 characters per row (16 B for
-``U10``), is not part of a batch's charged bytes, and a row slice
-(a morsel) reads its rows of its parent's key as views.
+``U10``) and is not part of a batch's charged bytes.
 
 Row movement is one kernel, :meth:`Vector.gather`; ``take`` and
-``take_padded`` are its two callers.  Whatever the source (heap, slice,
+``take_padded`` are its two callers.  Whatever the source (heap or
 memory-mapped file) its output arrays are plain heap ``np.ndarray``
 objects with the dtype, values and ``nbytes`` of ``data[idx]`` /
 ``valid[idx] & present``, so the governor charges what it always did.
@@ -52,7 +51,6 @@ objects with the dtype, values and ``nbytes`` of ``data[idx]`` /
 
 from __future__ import annotations
 
-import threading
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,10 +83,6 @@ _FILL = {
 #: ``U7``-``U21``, not faster at 8 bytes and below
 _NARROW_STR_ITEMSIZE = 8
 
-#: one order key is built per vector even when morsels of its slices ask
-#: for it at once
-_KEY_LOCK = threading.Lock()
-
 
 def pad_index(idx: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """A padded gather index (``-1`` = NULL row) prepared once for every
@@ -116,8 +110,7 @@ class Vector:
         self.data = data
         self.valid = valid
         self._dense = dense
-        #: None until asked; then the key array, or False for "no key";
-        #: a slice holds ``(parent, lo, hi)`` until it reads its rows
+        #: None until asked; then the key array, or False for "no key"
         self._key: Any = None
 
     def __len__(self) -> int:
@@ -140,27 +133,14 @@ class Vector:
         """The ``(words, rows)`` ``uint64`` order key of a ``str``
         vector (see the module docstring), or None: other kinds, and a
         vector with a code point above 255.  Built on first use and kept,
-        like :attr:`dense`; a slice's key is a view of its parent's."""
+        like :attr:`dense`: two threads that ask at once may both build
+        it, and keep equal keys, so no lock is needed."""
         if self.kind != KIND_STR:
             return None
         key = self._key
-        if key is None or isinstance(key, tuple):
-            with _KEY_LOCK:
-                key = self._memo_key()
+        if key is None:
+            key = self._key = _order_key(self.data)
         return None if key is False else key
-
-    def _memo_key(self):
-        """The kept key (False for none), built — or sliced from the
-        parent's — on first use; the caller holds ``_KEY_LOCK``."""
-        key = self._key
-        if isinstance(key, tuple):
-            parent, lo, hi = key
-            whole = parent._memo_key()
-            key = False if whole is False else whole[:, lo:hi]
-        elif key is None:
-            key = _order_key(self.data)
-        self._key = key
-        return key
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -302,16 +282,6 @@ class Vector:
             # nothing to gather from: everything must be padding
             return Vector.nulls(self.kind, len(idx))
         return self.gather(*pad_index(idx))
-
-    def slice(self, lo: int, hi: int) -> "Vector":
-        """The contiguous row range ``[lo, hi)`` as numpy views; its
-        order key, if asked for, is a view of this vector's."""
-        out = Vector(
-            self.kind, self.data[lo:hi], self.valid[lo:hi], self._dense or None
-        )
-        if self.kind == KIND_STR:
-            out._key = (self, lo, hi)
-        return out
 
     @staticmethod
     def vstack(a: "Vector", b: "Vector") -> "Vector":

@@ -11,8 +11,8 @@ costs stay comparable across backends and
 There is **one equi-join matcher**.  :func:`joint_codes` factorizes both
 sides' composite keys into one shared dense code domain in ascending key
 order, :func:`build_side` orders the build rows by code once and keeps a
-per-code ``starts`` offset table beside them, and every probe morsel
-reads its windows from that table with two gathers
+per-code ``starts`` offset table beside them, and the probe reads
+every left row's window from that table with two gathers
 (:func:`probe_match`) — no per-row Python, and the only gathers
 proportional to the data are the join output's.  The key semantics the
 two backends must agree on live in the factorizer alone, which
@@ -28,19 +28,16 @@ beyond float64 precision next to floats).  Every path equals
 ``np.unique``'s inverse over the concatenated keys, composite folds
 included.
 
-There is also **one residual evaluation site**, the probe morsel of
-:func:`_match_pairs`, which every join of the family (and every spill
-partition re-entering it) goes through.  A predicate's truth depends
-only on the attributes it mentions, so the candidate pairs are
-materialized as a batch of exactly ``residual.columns()``
+There is also **one residual evaluation site**, :func:`_match_pairs`,
+which every join of the family (and every spill partition re-entering
+it) goes through.  A predicate's truth depends only on the attributes
+it mentions, so the candidate pairs are materialized as a batch of
+exactly ``residual.columns()``
 (:func:`_candidates`) — never all columns of both sides — and the
 survivors are gathered once, for the output.
 
-Kernels take a :class:`~repro.engine.parallel.MorselScheduler`: the
-probe side (or a filter's input) is cut into contiguous morsels that
-only compute positions and masks, and the operator assembles its output
-once — a single morsel is a plain inline call, so sequential execution
-is the same code.
+Every kernel runs once over its whole input, inline on the calling
+thread: it computes positions and masks, then assembles its output once.
 
 NULL-padding convention (the paper's pk-is-NULL emptiness marker): outer
 joins express the padded side as a gather index of ``-1``, which
@@ -66,7 +63,6 @@ import numpy as np
 
 from ..governor import charge_batch, charge_rows, checkpoint, current_governor
 from ..metrics import current_metrics
-from ..parallel import SEQUENTIAL, MorselScheduler
 from ..schema import Schema
 from ..trace import (
     CONTRACT_EXPANDING,
@@ -101,11 +97,6 @@ def _describe_keys(
     return ", ".join(f"{l}={r}" for l, r in zip(left_keys, right_keys))
 
 
-def concat_parts(arrays: List[np.ndarray]) -> np.ndarray:
-    """Morsel results back to back (no copy for a single morsel)."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 # --------------------------------------------------------------------- #
 # Scan / filter
 # --------------------------------------------------------------------- #
@@ -120,23 +111,14 @@ def scan(batch: Batch, alias: str) -> Batch:
     return batch
 
 
-def filter_batch(
-    batch: Batch, predicate, sched: MorselScheduler = SEQUENTIAL
-) -> Batch:
+def filter_batch(batch: Batch, predicate) -> Batch:
     """Keep rows whose predicate is definitely TRUE."""
     with op_span(
         "vec-filter", contract=CONTRACT_FILTERING, pred=repr(predicate)
     ) as span:
         metrics = current_metrics()
         metrics.add("predicate_evals", len(batch))
-
-        def truth(part, mspan: Optional[Span]) -> np.ndarray:
-            t, _f = eval_truth(predicate, batch.slice(*part))
-            if mspan is not None:
-                _note(mspan, len(t), int(t.sum()))
-            return t
-
-        t = concat_parts(sched.map(truth, sched.slices(len(batch)), span))
+        t, _f = eval_truth(predicate, batch)
         out = batch.take(np.flatnonzero(t))
         metrics.add("rows_out", len(out))
         _note(span, len(batch), len(out))
@@ -253,8 +235,7 @@ def build_side(codes_r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     sentinels close the table: ``starts[m + 1]`` repeats the total, the
     empty window of every code past the build side's largest, and
     ``starts[-1]`` is 0, so a NULL code's window ``starts[-1]``,
-    ``starts[0]`` is empty.  Built once by the dispatching thread; every
-    probe morsel reads it.
+    ``starts[0]`` is empty.
     """
     build = np.flatnonzero(codes_r >= 0)
     codes = codes_r[build]
@@ -271,10 +252,10 @@ def probe_match(
     build_rows: np.ndarray,
     probe_codes: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All (probe, build) position pairs for one probe morsel.
+    """All (probe, build) position pairs of an equi-join.
 
-    ``probe`` positions are local to the morsel; ``build`` positions
-    are global right-side rows.  Each probe code's window is two reads
+    ``probe`` positions index *probe_codes*; ``build`` positions are
+    right-side rows.  Each probe code's window is two reads
     of :func:`build_side`'s ``starts``; NULL probe codes (``-1``) and
     codes absent from the build side get an empty one — they never
     match.  Pairs come in ascending probe position, build order within
@@ -315,16 +296,6 @@ def hash_partitions(codes: np.ndarray, n_parts: int) -> List[np.ndarray]:
 # --------------------------------------------------------------------- #
 
 
-def _pair_count(li: np.ndarray, n_probe: int) -> int:
-    """Output rows of an inner/cross join morsel: one per pair."""
-    return len(li)
-
-
-def _matched_rows(li: np.ndarray) -> int:
-    """Distinct probe rows among one morsel's (ascending) pair list."""
-    return int(np.count_nonzero(np.diff(li))) + 1 if len(li) else 0
-
-
 def _candidates(
     left: Batch, right: Batch, residual, li: np.ndarray, ri: np.ndarray
 ) -> Batch:
@@ -350,64 +321,44 @@ def _candidates(
 
 
 def _match_pairs(
-    sched: MorselScheduler,
-    span: Optional[Span],
     left: Batch,
     right: Batch,
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual,
-    emitted: Callable[[np.ndarray, int], int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All (left, right) position pairs that match on the equality keys
     and pass the *residual*, in ascending left position and build order
     within one key.
 
     With no keys the candidates are the full cross product (the
-    nested-loop shape the row engine uses in the same situation).  The
-    left side is probed morsel by morsel; ``emitted(li, n_probe)`` is
-    the number of output rows a morsel's surviving pairs stand for
-    (recorded on its span).
+    nested-loop shape the row engine uses in the same situation).
     """
     nr = len(right)
+    metrics = current_metrics()
     if left_keys:
-        current_metrics().add("hash_build_rows", nr)
+        metrics.add("hash_build_rows", nr)
         charge_rows(nr, len(right_keys), "hash-join build")
         codes_l, codes_r = joint_codes(left, right, left_keys, right_keys)
         starts, build_rows = build_side(codes_r)
-
-    def probe(part, mspan: Optional[Span]):
-        lo, hi = part
-        metrics = current_metrics()
-        if left_keys:
-            metrics.add("hash_probes", hi - lo)
-            li, ri = probe_match(starts, build_rows, codes_l[lo:hi])
-            if lo:
-                li = li + lo
-        else:
-            metrics.add("rows_scanned", (hi - lo) * nr)
-            li = np.repeat(np.arange(lo, hi, dtype=np.int64), nr)
-            ri = np.tile(np.arange(nr, dtype=np.int64), hi - lo)
-            if residual is not None:
-                # the whole cross product is about to be judged: the one
-                # stretch of a join kernel a deadline or cancel() could
-                # not otherwise interrupt under the sequential scheduler
-                checkpoint("cross-join residual")
-        if residual is not None and len(li):
-            metrics.add("predicate_evals", len(li))
-            keep, _f = eval_truth(
-                residual, _candidates(left, right, residual, li, ri)
-            )
-            li, ri = li[keep], ri[keep]
-        if mspan is not None:
-            _note(mspan, hi - lo, emitted(li, hi - lo))
-        return li, ri
-
-    pairs = sched.map(probe, sched.slices(len(left)), span)
-    return (
-        concat_parts([li for li, _ri in pairs]),
-        concat_parts([ri for _li, ri in pairs]),
-    )
+        metrics.add("hash_probes", len(left))
+        li, ri = probe_match(starts, build_rows, codes_l)
+    else:
+        metrics.add("rows_scanned", len(left) * nr)
+        li = np.repeat(np.arange(len(left), dtype=np.int64), nr)
+        ri = np.tile(np.arange(nr, dtype=np.int64), len(left))
+        if residual is not None:
+            # the whole cross product is about to be judged: the one
+            # stretch of a join kernel a deadline or cancel() could not
+            # otherwise interrupt
+            checkpoint("cross-join residual")
+    if residual is not None and len(li):
+        metrics.add("predicate_evals", len(li))
+        keep, _f = eval_truth(
+            residual, _candidates(left, right, residual, li, ri)
+        )
+        li, ri = li[keep], ri[keep]
+    return li, ri
 
 
 def _mask_of(n: int, li: np.ndarray) -> np.ndarray:
@@ -423,7 +374,6 @@ def hash_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual=None,
-    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Inner equi-join (plus optional residual predicate).
 
@@ -433,7 +383,7 @@ def hash_join(
     from ..spill import maybe_spill_hash_join
 
     spilled = maybe_spill_hash_join(
-        left, right, left_keys, right_keys, residual, False, sched
+        left, right, left_keys, right_keys, residual, False
     )
     if spilled is not None:
         return spilled
@@ -441,10 +391,7 @@ def hash_join(
         "vec-hash-join",
         on=_describe_keys(left_keys, right_keys),
     ) as span:
-        li, ri = _match_pairs(
-            sched, span, left, right, left_keys, right_keys, residual,
-            _pair_count,
-        )
+        li, ri = _match_pairs(left, right, left_keys, right_keys, residual)
         out = Batch.concat_columns(left.take(li), right.take(ri))
         charge_batch(out, "hash-join output")
         current_metrics().add("rows_out", len(out))
@@ -458,7 +405,6 @@ def left_outer_hash_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual=None,
-    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Left outer equi-join; unmatched left rows padded with NULLs.
 
@@ -467,7 +413,7 @@ def left_outer_hash_join(
     Spills to disk partitions under budget pressure, like ``hash_join``.
     """
     return left_outer_join_index(
-        left, right, left_keys, right_keys, residual, sched,
+        left, right, left_keys, right_keys, residual,
         materialize=lambda n_rows: True,
     )
 
@@ -478,7 +424,6 @@ def left_outer_join_index(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual,
-    sched: MorselScheduler,
     materialize: Callable[[int], bool],
 ) -> Union[Batch, Tuple[np.ndarray, np.ndarray]]:
     """The left outer join as its pair index ``(all_li, all_ri)`` —
@@ -495,7 +440,7 @@ def left_outer_join_index(
     from ..spill import maybe_spill_hash_join
 
     spilled = maybe_spill_hash_join(
-        left, right, left_keys, right_keys, residual, True, sched
+        left, right, left_keys, right_keys, residual, True
     )
     if spilled is not None:
         return spilled
@@ -505,10 +450,7 @@ def left_outer_join_index(
         on=_describe_keys(left_keys, right_keys),
     ) as span:
         metrics = current_metrics()
-        li, ri = _match_pairs(
-            sched, span, left, right, left_keys, right_keys, residual,
-            lambda pairs, n: len(pairs) + n - _matched_rows(pairs),
-        )
+        li, ri = _match_pairs(left, right, left_keys, right_keys, residual)
         pad = np.flatnonzero(~_mask_of(len(left), li))
         all_li = np.concatenate([li, pad])
         all_ri = np.concatenate([ri, np.full(len(pad), -1, dtype=np.int64)])
@@ -551,7 +493,6 @@ def semi_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual=None,
-    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Left rows with at least one match (each left row at most once)."""
     with op_span(
@@ -559,10 +500,7 @@ def semi_join(
         contract=CONTRACT_FILTERING,
         on=_describe_keys(left_keys, right_keys),
     ) as span:
-        li, _ri = _match_pairs(
-            sched, span, left, right, left_keys, right_keys, residual,
-            lambda pairs, n: _matched_rows(pairs),
-        )
+        li, _ri = _match_pairs(left, right, left_keys, right_keys, residual)
         out = left.take(np.flatnonzero(_mask_of(len(left), li)))
         current_metrics().add("rows_out", len(out))
         _note(span, len(left), len(out))
@@ -575,7 +513,6 @@ def anti_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     residual=None,
-    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """Left rows with no match."""
     with op_span(
@@ -583,10 +520,7 @@ def anti_join(
         contract=CONTRACT_FILTERING,
         on=_describe_keys(left_keys, right_keys),
     ) as span:
-        li, _ri = _match_pairs(
-            sched, span, left, right, left_keys, right_keys, residual,
-            lambda pairs, n: n - _matched_rows(pairs),
-        )
+        li, _ri = _match_pairs(left, right, left_keys, right_keys, residual)
         out = left.take(np.flatnonzero(~_mask_of(len(left), li)))
         current_metrics().add("rows_out", len(out))
         _note(span, len(left), len(out))
@@ -598,17 +532,10 @@ def anti_join(
 # --------------------------------------------------------------------- #
 
 
-def cross_join(
-    left: Batch,
-    right: Batch,
-    residual=None,
-    sched: MorselScheduler = SEQUENTIAL,
-) -> Batch:
+def cross_join(left: Batch, right: Batch, residual=None) -> Batch:
     """Cartesian product (the vector analogue of a nested-loop join)."""
     with op_span("vec-cross-join") as span:
-        li, ri = _match_pairs(
-            sched, span, left, right, (), (), residual, _pair_count
-        )
+        li, ri = _match_pairs(left, right, (), (), residual)
         out = Batch.concat_columns(left.take(li), right.take(ri))
         charge_batch(out, "cross-join output")
         current_metrics().add("rows_out", len(out))
@@ -616,9 +543,7 @@ def cross_join(
     return out
 
 
-def outer_cross_join(
-    left: Batch, right: Batch, sched: MorselScheduler = SEQUENTIAL
-) -> Batch:
+def outer_cross_join(left: Batch, right: Batch) -> Batch:
     """Cross join, except an *empty* right side NULL-pads every left row.
 
     Mirrors the row engine's :class:`OuterCrossJoin`: the padding only
@@ -634,9 +559,7 @@ def outer_cross_join(
             )
             metrics.add("null_padded_rows", len(left))
         else:
-            li, ri = _match_pairs(
-                sched, span, left, right, (), (), None, _pair_count
-            )
+            li, ri = _match_pairs(left, right, (), (), None)
             out = Batch.concat_columns(left.take(li), right.take(ri))
         metrics.add("rows_out", len(out))
         _note(span, len(left), len(out))

@@ -62,24 +62,16 @@ from ..governor import charge_rows, checkpoint
 from ..logic import two_valued
 from ..metrics import current_metrics
 from ..operators.aggregate import _finish
-from ..parallel import SEQUENTIAL, MorselScheduler
 from ..schema import Column
 from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
 from ..types import NULL, is_null, negate_op
 from .batch import Batch
 from .column import FLOAT_EXACT_INT, KIND_BOOL, KIND_FLOAT, KIND_INT, Vector
 from .exprs import _fast_comparable, compare_vectors
-from .kernels import (
-    concat_parts,
-    first_occurrences,
-    group_ids,
-    left_outer_join_index,
-)
+from .kernels import first_occurrences, group_ids, left_outer_join_index
 
 
-def nest_link(
-    batch: Batch, node: NestLink, sched: MorselScheduler = SEQUENTIAL
-) -> Batch:
+def nest_link(batch: Batch, node: NestLink) -> Batch:
     """Nest *batch* by ``node.by`` and apply the linking predicate in one
     pass.
 
@@ -87,9 +79,9 @@ def nest_link(
     the span's ``by=`` — and ``key`` the columns that decide the groups:
     Algorithm 1 passes the rids of the path blocks, on which equality
     is equivalent to equality on all of ``by`` (DESIGN §9, "Nest by key").
-    The batch is grouped once on the key; the per-group verdicts are
-    computed over hash partitions of the group ids (whole groups per
-    morsel), and the output is assembled once from the verdict masks.
+    The batch is grouped once on the key, the per-group verdicts are
+    computed in one pass, and the output is assembled once from the
+    verdict masks.
 
     Under a spill-enabled governor whose budget the grouping pass would
     breach, the nest runs out-of-core (:mod:`repro.engine.spill`):
@@ -98,11 +90,11 @@ def nest_link(
     """
     from ..spill import maybe_spill_nest_link
 
-    spilled = maybe_spill_nest_link(batch, node, sched)
+    spilled = maybe_spill_nest_link(batch, node)
     if spilled is not None:
         return spilled
     return _nest_link(
-        node, sched, len(batch), lambda: batch, batch.project(node.by), None
+        node, len(batch), lambda: batch, batch.project(node.by), None
     )
 
 
@@ -111,7 +103,6 @@ def join_nest(
     right: Batch,
     join: OuterJoin,
     node: NestLink,
-    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
     """``nest_link(left_outer_hash_join(left, right, …), node)`` — the
     way down and back up of a leaf block — without building the join.
@@ -129,12 +120,12 @@ def join_nest(
     from ..spill import nest_spills
 
     joined = left_outer_join_index(
-        left, right, join.outer_keys, join.inner_keys, join.residual, sched,
+        left, right, join.outer_keys, join.inner_keys, join.residual,
         materialize=lambda n_rows: nest_spills(n_rows, len(node.by)),
     )
     checkpoint("nest")
     if isinstance(joined, Batch):
-        return nest_link(joined, node, sched)
+        return nest_link(joined, node)
     all_li, all_ri = joined
     link = node.link
     refs = [
@@ -154,13 +145,12 @@ def join_nest(
         )
 
     return _nest_link(
-        node, sched, len(all_li), members, left.project(node.by), all_li
+        node, len(all_li), members, left.project(node.by), all_li
     )
 
 
 def _nest_link(
     node: NestLink,
-    sched: MorselScheduler,
     n: int,
     members: Callable[[], Batch],
     n1: Batch,
@@ -194,10 +184,7 @@ def _nest_link(
         ids, n_groups = group_ids(batch, node.key, nest_impl)
         rep = first_occurrences(ids, n_groups)
         metrics.add("linking_evals", n_groups)
-        vt, vf = _partitioned_verdict(
-            sched, span, batch, ids, n_groups, rep, node,
-            counts_passing=strict and link.mark is None,
-        )
+        vt, vf = _group_verdict(batch, ids, n_groups, rep, node)
         order = np.argsort(rep, kind="stable")  # groups in appearance order
         rows = rep if at is None else at[rep]
         if link.mark is not None:
@@ -235,51 +222,6 @@ def verdict_refs(batch: Batch, node: NestLink) -> List[str]:
         )
         if ref is not None and batch.schema.has(ref)
     ]
-
-
-def _partitioned_verdict(
-    sched: MorselScheduler,
-    span,
-    batch: Batch,
-    ids: np.ndarray,
-    n_groups: int,
-    rep: np.ndarray,
-    node: NestLink,
-    counts_passing: bool,
-):
-    """:func:`_group_verdict` over hash partitions of the group ids.
-
-    Partition ``p`` of ``k`` holds exactly the groups ``g % k == p``, so
-    every group is whole inside one morsel, ``g // k`` renumbers them
-    densely and the morsel's verdicts scatter back to ``[p::k]``.  A
-    morsel's span reports the groups it kept (*counts_passing*: the
-    strict selection drops failing groups) as ``rows_out``.
-    """
-    k = min(sched.partition_count(len(batch)), n_groups)
-    if k <= 1:
-        return _group_verdict(batch, ids, n_groups, rep, node)
-    vt = np.zeros(n_groups, dtype=bool)
-    vf = np.zeros(n_groups, dtype=bool)
-    part_of = ids % k
-    # a morsel gathers only the columns the verdict reads
-    members = batch.project(verdict_refs(batch, node))
-
-    def verdict(p: int, mspan) -> None:
-        idx = np.flatnonzero(part_of == p)
-        local_rep = np.searchsorted(idx, rep[p::k])
-        t, f = _group_verdict(
-            members.take(idx), ids[idx] // k, len(local_rep), local_rep, node
-        )
-        vt[p::k] = t
-        vf[p::k] = f
-        if mspan is not None:
-            mspan.add("rows_in", len(idx))
-            mspan.add(
-                "rows_out", int(t.sum()) if counts_passing else len(t)
-            )
-
-    sched.map(verdict, range(k), span)
-    return vt, vf
 
 
 def _group_verdict(
@@ -449,11 +391,8 @@ def uncorrelated_link(
     batch: Batch,
     sub: Batch,
     node: UncorrelatedLink,
-    sched: MorselScheduler = SEQUENTIAL,
 ) -> Batch:
-    """Apply a shared-member-set linking predicate to every outer row
-    (the outer side is judged morsel by morsel; the member set is
-    read-only)."""
+    """Apply a shared-member-set linking predicate to every outer row."""
     link, strict = node.link, node.strict
     metrics = current_metrics()
     n = len(batch)
@@ -468,18 +407,7 @@ def uncorrelated_link(
         **({"mark": link.mark} if link.mark is not None else {}),
     ) as span:
         metrics.add("linking_evals", n)
-        filtering = strict and link.mark is None
-
-        def verdict(part, mspan):
-            t, f = _uncorrelated_verdict(batch.slice(*part), sub, node)
-            if mspan is not None:
-                mspan.add("rows_in", len(t))
-                mspan.add("rows_out", int(t.sum()) if filtering else len(t))
-            return t, f
-
-        verdicts = sched.map(verdict, sched.slices(n), span)
-        vt = concat_parts([t for t, _f in verdicts])
-        vf = concat_parts([f for _t, f in verdicts])
+        vt, vf = _uncorrelated_verdict(batch, sub, node)
         if link.mark is not None:
             out = batch.with_column(
                 Column(link.mark), Vector(KIND_BOOL, vt, vt | vf)

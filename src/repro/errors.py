@@ -73,24 +73,13 @@ class ExecutionError(ReproError):
     """A physical operator failed at run time."""
 
 
-class InjectedFaultError(ExecutionError):
-    """A deliberate failure injected via ``REPRO_FAULT`` (tests/fuzzing).
-
-    Subclasses :class:`ExecutionError` so the fault exercises exactly the
-    recovery paths a real worker failure would: the morsel pool drains,
-    and ``degrade='sequential'`` retries on the single-threaded backend.
-    """
-
-
 class SpillError(ExecutionError):
     """A spill-to-disk pass failed (temp-file write error, unusable spill
     directory, or the ``REPRO_FAULT=spill_io`` injected write failure).
 
     Subclasses :class:`ExecutionError` — *not*
     :class:`ResourceGovernanceError` — because a failed spill is an
-    environmental fault, not a governance verdict: the degradation
-    ladder may still retry the query on the single-threaded backend,
-    which needs no spill files at all.
+    environmental fault, not a governance verdict.
     """
 
 
@@ -98,18 +87,14 @@ class ResourceGovernanceError(ExecutionError):
     """Base class for errors raised by the per-execution
     :class:`~repro.engine.governor.ResourceGovernor` (deadline, memory
     budget, cooperative cancellation).
-
-    These are *final* verdicts: the degradation ladder never retries a
-    governance breach — a deadline that passed on the parallel backend
-    has also passed for a sequential retry.
     """
 
 
 class QueryTimeoutError(ResourceGovernanceError):
     """The execution ran past its ``timeout_ms`` deadline.
 
-    Raised cooperatively at morsel and operator boundaries, so the
-    overshoot is bounded by the longest uninterruptible operator step.
+    Raised cooperatively at operator boundaries, so the overshoot is
+    bounded by the longest uninterruptible operator step.
     """
 
 

@@ -65,7 +65,6 @@ ALWAYS_STRATEGIES = (
     "nested-relational",
     "nested-relational-sorted",
     "nested-relational-vectorized",
-    "nested-relational-parallel",
     "nested-relational-optimized",
     "system-a-native",
     "auto",
@@ -509,19 +508,15 @@ class DifferentialRunner:
     ) -> Relation:
         if impl is not None:
             return impl.execute(query, db)
-        kwargs: Dict[str, object] = {}
-        if active_fault() is not None:
-            # CI's fault-injection job rotates REPRO_FAULT while running
-            # this same differential sweep: injected worker crashes must
-            # degrade to the sequential backend and still match the
-            # oracle, so every fault-mode run is governed.
-            kwargs["degrade"] = "sequential"
+        governor = None
         if self.memory_limit_mb is not None and name != ORACLE:
             # the oracle stays ungoverned: ground truth must always
             # complete, and a budget on it would only mask strategy bugs
-            kwargs["memory_limit_mb"] = self.memory_limit_mb
-            kwargs["spill_dir"] = self._ensure_spill_dir()
-        with governed(ResourceGovernor(**kwargs) if kwargs else None):
+            governor = ResourceGovernor(
+                memory_limit_mb=self.memory_limit_mb,
+                spill_dir=self._ensure_spill_dir(),
+            )
+        with governed(governor):
             return run(query, db, name)
 
     def _budget_skip(self, exc: ReproError, name: str) -> bool:

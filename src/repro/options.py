@@ -1,20 +1,20 @@
 """Execution options: one frozen bundle for every execution knob.
 
 :class:`ExecutionOptions` carries everything that shapes how a query
-runs — strategy, backend, worker count, resource limits, degradation
-policy, logic mode — as a single immutable value that can be stored,
-compared, passed around and layered::
+runs — strategy, backend, resource limits, logic mode — as a single
+immutable value that can be stored, compared, passed around and
+layered::
 
     import repro
     from repro.options import ExecutionOptions
 
-    fast = ExecutionOptions(backend="vector", threads=4)
+    fast = ExecutionOptions(backend="vector", timeout_ms=500)
     session = repro.connect(db, options=fast)
 
     query = session.prepare(sql)
-    query.execute()                                  # uses `fast`
-    query.execute(options=fast.replace(threads=8))   # one-off variant
-    query.execute(threads=1)                         # kwarg beats bundle
+    query.execute()                                      # uses `fast`
+    query.execute(options=fast.replace(timeout_ms=50))   # one-off variant
+    query.execute(backend="row")                         # kwarg beats bundle
 
 Layering is uniform everywhere the bundle is accepted
 (:func:`repro.connect`, :class:`~repro.session.Session`,
@@ -41,7 +41,6 @@ OPTION_FIELDS = (
     "timeout_ms",
     "memory_limit_mb",
     "spill_dir",
-    "degrade",
     "logic",
 )
 
@@ -53,16 +52,14 @@ class ExecutionOptions:
     * ``strategy`` — registry name, ``"auto"`` (cost-based planner) or a
       strategy instance;
     * ``backend`` — ``"row"`` / ``"vector"`` execution substrate;
-    * ``threads`` — morsel worker count of the vector backend (under
-      ``"auto"`` the vectorized strategy is priced with it; the cost
-      model decides whether the vector engine still wins);
+    * ``threads`` — an integer >= 1, validated and otherwise unread:
+      execution is single-threaded, whatever its value (the field stays
+      so that callers passing it keep working);
     * ``timeout_ms`` / ``memory_limit_mb`` — resource-governance limits;
     * ``spill_dir`` — directory for spill partitions; together with a
       memory budget it turns budget breaches at the spillable operators
       (hash-join builds, nest grouping) into Grace-style disk spills
       instead of :class:`~repro.errors.ResourceExhaustedError`;
-    * ``degrade`` — ``"sequential"`` retries a failed multi-thread
-      execution once on the same strategy at ``threads=1``;
     * ``logic`` — ``"3vl"`` (SQL standard) or ``"2vl"`` (Libkin)
       predicate semantics.
     """
@@ -73,7 +70,6 @@ class ExecutionOptions:
     timeout_ms: Optional[float] = None
     memory_limit_mb: Optional[float] = None
     spill_dir: Optional[str] = None
-    degrade: Optional[str] = None
     logic: Optional[str] = None
 
     def merged(self, overrides: Optional["ExecutionOptions"]) -> "ExecutionOptions":
@@ -114,6 +110,26 @@ class ExecutionOptions:
         return ", ".join(parts) if parts else "defaults"
 
 
+def validate_threads(value) -> Optional[int]:
+    """A ``threads`` setting as an int >= 1 (a numeric string is
+    accepted), or None; anything else raises
+    :class:`~repro.errors.InvalidArgumentError`."""
+    if value is None:
+        return None
+    if isinstance(value, str):
+        try:
+            value = int(value.strip())
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgumentError(
+            f"threads must be an integer >= 1, got {value!r}"
+        )
+    if value < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {value}")
+    return value
+
+
 def layer_options(
     base: Optional[ExecutionOptions],
     options: Optional[ExecutionOptions],
@@ -121,10 +137,12 @@ def layer_options(
 ) -> ExecutionOptions:
     """Apply the canonical layering: *base* ← *options* ← non-``None``
     *kwargs*.  The helper every ``options=``-accepting API goes
-    through, so precedence cannot drift between entry points."""
+    through, so precedence cannot drift between entry points, and the
+    one place a ``threads`` value is validated."""
     effective = base if base is not None else ExecutionOptions()
     effective = effective.merged(options)
     updates = {k: v for k, v in kwargs.items() if v is not None}
     if updates:
         effective = effective.replace(**updates)
+    validate_threads(effective.threads)
     return effective

@@ -27,7 +27,6 @@ def cross_check(
     engine: str = "sqlite",
     strategies: Sequence[str] = ("auto",),
     backend: Optional[str] = None,
-    threads: Optional[int] = None,
     adapter: Optional[EngineAdapter] = None,
     capture_plans: bool = False,
 ) -> List[OracleComparison]:
@@ -53,9 +52,7 @@ def cross_check(
         reports: List[OracleComparison] = []
         for strategy in strategies:
             start = time.perf_counter()
-            result = prepared.execute(
-                strategy=strategy, backend=backend, threads=threads
-            )
+            result = prepared.execute(strategy=strategy, backend=backend)
             elapsed_ours = time.perf_counter() - start
             diff = diff_bags(result.rows, external_rows)
             known = (
@@ -68,7 +65,7 @@ def cross_check(
                     engine=adapter.name,
                     sql=sql,
                     dialect_sql=dialect_sql,
-                    strategy=_label(strategy, backend, threads),
+                    strategy=_label(strategy, backend),
                     ours_rows=len(result),
                     theirs_rows=len(external_rows),
                     diff=diff,
@@ -85,12 +82,10 @@ def cross_check(
             adapter.close()
 
 
-def _label(strategy, backend, threads) -> str:
+def _label(strategy, backend) -> str:
     label = strategy if isinstance(strategy, str) else type(strategy).__name__
     if backend:
         label += f"@{backend}"
-    if threads:
-        label += f"x{threads}"
     return label
 
 

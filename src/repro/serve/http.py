@@ -162,8 +162,8 @@ def parse_query_body(payload: Any) -> Tuple[str, str, Dict[str, Any]]:
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError('"tenant" must be a non-empty string')
     allowed = {
-        "strategy", "backend", "threads", "timeout_ms",
-        "memory_limit_mb", "degrade", "logic",
+        "strategy", "backend", "threads", "timeout_ms", "memory_limit_mb",
+        "logic",
     }
     overrides = {
         key: value

@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..core.plancache import CacheStats
-from ..engine import parallel
 from ..engine.catalog import Database
 from ..errors import (
     AnalysisError,
@@ -230,8 +229,7 @@ class QueryServer:
 
         The order matters: no child holds the listening socket, and the
         process is still single-threaded at the fork (binding resolves
-        the host on the loop's default thread pool; the morsel pools a
-        caller's earlier executions left behind are joined first).
+        the host on the loop's default thread pool).
         """
         if not hasattr(os, "fork"):
             raise ServeError(
@@ -240,7 +238,6 @@ class QueryServer:
             )
         self._idle = asyncio.Event()
         self._idle.set()
-        parallel.shutdown_pools()
         pairs = [socket.socketpair() for _ in range(self.workers)]
         forked = []
         for front, back in pairs:
@@ -472,7 +469,6 @@ class QueryServer:
         if report is not None:
             slot.requests += 1
             slot.report = report
-        state.degradations += reply.pop("degradations", 0)
         state.spills += reply.pop("spills", 0)
         exc = reply.get("error")
         if exc is not None:

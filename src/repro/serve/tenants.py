@@ -13,9 +13,8 @@ requests.  Each tenant carries
 * **execution defaults** — an :class:`~repro.options.ExecutionOptions`
   bundle a worker process turns into a per-request
   :class:`~repro.engine.governor.ResourceGovernor` (timeout, memory
-  budget, spill directory, degradation policy) and strategy/backend/
-  logic defaults, all overridable per request within the usual
-  layering rules.
+  budget, spill directory) and strategy/backend/logic defaults, all
+  overridable per request within the usual layering rules.
 
 :class:`TenantState` is the server-side ledger for one tenant: its
 waiting queue, in-flight count and monotonic counters.  All of it is
@@ -133,7 +132,6 @@ class TenantState:
         self.failed = 0
         self.rejected_quota = 0
         self.rows_returned = 0
-        self.degradations = 0
         self.spills = 0
         self.busy_ms = 0.0
         self.encode_ms = 0.0
@@ -159,7 +157,6 @@ class TenantState:
             "failed": self.failed,
             "rejected_quota": self.rejected_quota,
             "rows_returned": self.rows_returned,
-            "degradations": self.degradations,
             "spills": self.spills,
             "busy_ms": round(self.busy_ms, 3),
             "encode_ms": round(self.encode_ms, 3),

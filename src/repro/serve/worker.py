@@ -138,8 +138,8 @@ class Worker:
             config, session = self._session(tenant)
             # the tenant's options layered with the request overrides,
             # once: a fresh governor per request is built from them (the
-            # front harvests its degradation / spill counters from the
-            # reply header) and the execution runs under them
+            # front harvests its spill counter from the reply header) and
+            # the execution runs under them
             options = session.options.merged(ExecutionOptions(**overrides))
             governor = session.governor(options)
             result = session.prepare(sql).execute(
@@ -161,7 +161,6 @@ class Worker:
         except Exception as exc:  # the boundary: reported to the front
             header, body = {"error": _portable(exc)}, b""
         if governor is not None:
-            header["degradations"] = len(governor.degradations)
             header["spills"] = governor.spill_count
         usage = resource.getrusage(resource.RUSAGE_SELF)
         header["worker"] = {

@@ -50,7 +50,6 @@ from .engine.catalog import Database
 from .engine.context import current, scope
 from .engine.governor import ResourceGovernor
 from .engine.logic import validate_logic
-from .engine.parallel import validate_threads
 from .engine.relation import Relation
 from .engine.trace import tracing
 from .errors import InvalidArgumentError
@@ -92,7 +91,6 @@ class PreparedQuery:
         timeout_ms: Optional[float] = None,
         memory_limit_mb: Optional[float] = None,
         spill_dir: Optional[str] = None,
-        degrade: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
         governor: Optional[ResourceGovernor] = None,
     ) -> Relation:
@@ -102,18 +100,15 @@ class PreparedQuery:
         :func:`repro.strategies.names`), ``"auto"`` (the default: the
         cost-based planner picks the cheapest applicable strategy), or a
         strategy instance; *backend* is ``"row"``, ``"vector"`` or
-        ``None`` (follow the strategy's registration).  *threads* is
-        the vector backend's morsel worker count: the planner prices the
-        vectorized strategy with it, and it is forwarded to any
-        explicitly named strategy that runs on morsels.
+        ``None`` (follow the strategy's registration).  *threads* must
+        be an integer >= 1 and changes nothing: execution is
+        single-threaded.
 
         *timeout_ms* / *memory_limit_mb* bound the execution (typed
         :class:`~repro.errors.QueryTimeoutError` /
         :class:`~repro.errors.ResourceExhaustedError` on breach);
         *spill_dir* turns memory-budget breaches at the spillable
-        operators into Grace-style disk spills instead of errors;
-        ``degrade="sequential"`` retries a failed multi-thread
-        execution once on the same strategy at ``threads=1``.
+        operators into Grace-style disk spills instead of errors.
 
         Settings layer as *session defaults ← options= ← explicit
         keyword arguments*; every ``None`` inherits from the layer
@@ -123,13 +118,12 @@ class PreparedQuery:
         :class:`~repro.engine.governor.ResourceGovernor` instead of
         letting the session construct one from the layered limits — a
         serving layer passes its own so it can cancel the execution
-        from another thread and harvest degradation/spill counters
-        afterwards.
+        from another thread and harvest its spill counters afterwards.
         """
         eff = self._options(
             strategy=strategy, backend=backend, threads=threads,
             timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
-            spill_dir=spill_dir, degrade=degrade, options=options,
+            spill_dir=spill_dir, options=options,
         )
         return self._run(eff, self._resolve(eff), governor)
 
@@ -145,8 +139,7 @@ class PreparedQuery:
         The one place the per-execution fields of the ambient
         :class:`~repro.engine.context.ExecutionContext` are installed:
         governor, logic mode and reduce cache, in a single scope that
-        every operator — and, through ``fork()``, every morsel — of the
-        execution sees.
+        every operator of the execution sees.
         """
         from .core import planner
 
@@ -168,7 +161,6 @@ class PreparedQuery:
         timeout_ms: Optional[float] = None,
         memory_limit_mb: Optional[float] = None,
         spill_dir: Optional[str] = None,
-        degrade: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
     ):
         """Run the query under a tracing scope.
@@ -177,9 +169,8 @@ class PreparedQuery:
         :class:`~repro.engine.trace.Trace` span tree of the execution.
         Options layer exactly as in :meth:`execute`; a governed
         execution's trace carries a ``kind="governor"`` span recording
-        the limits (and a ``degrade`` span around any sequential retry),
-        and an ``"auto"`` execution a ``kind="planner"`` span recording
-        the cost-based decision.
+        the limits, and an ``"auto"`` execution a ``kind="planner"`` span
+        recording the cost-based decision.
 
         Tracing also **closes the planner's feedback loop**: observed
         per-block cardinalities from the span tree are recorded in the
@@ -190,7 +181,7 @@ class PreparedQuery:
         eff = self._options(
             strategy=strategy, backend=backend, threads=threads,
             timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
-            spill_dir=spill_dir, degrade=degrade, options=options,
+            spill_dir=spill_dir, options=options,
         )
         return self._traced(eff, self._resolve(eff))
 
@@ -224,7 +215,7 @@ class PreparedQuery:
         cache.validate(session.db.version)
         key = None
         if isinstance(strategy, str) and cache.enabled:
-            key = (self.sql, strategy, eff.backend, eff.threads, session.logic)
+            key = (self.sql, strategy, eff.backend, session.logic)
             if strategy == "auto":
                 key += (session.feedback.epoch, eff.memory_limit_mb)
             decision = cache.strategy(key)
@@ -232,8 +223,8 @@ class PreparedQuery:
                 return decision
         decision = resolve(
             self.query, session.db, strategy,
-            backend=eff.backend, threads=eff.threads,
-            feedback=session.feedback, memory_limit_mb=eff.memory_limit_mb,
+            backend=eff.backend, feedback=session.feedback,
+            memory_limit_mb=eff.memory_limit_mb,
         )
         if key is not None:
             cache.store_strategy(key, decision)
@@ -273,7 +264,6 @@ class PreparedQuery:
             engine=engine,
             strategies=(eff.strategy,),
             backend=eff.backend,
-            threads=eff.threads,
             capture_plans=capture_plans,
         )
         if raise_on_divergence:
@@ -364,7 +354,6 @@ class Session:
         timeout_ms: Optional[float] = None,
         memory_limit_mb: Optional[float] = None,
         spill_dir: Optional[str] = None,
-        degrade: Optional[str] = None,
         logic: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
         cache: Optional[SessionCache] = None,
@@ -381,10 +370,9 @@ class Session:
             ExecutionOptions(strategy="auto", logic="3vl"), options,
             threads=threads, timeout_ms=timeout_ms,
             memory_limit_mb=memory_limit_mb, spill_dir=spill_dir,
-            degrade=degrade, logic=logic,
+            logic=logic,
         )
         self.logic = validate_logic(self.options.logic)
-        validate_threads(self.options.threads)
         # fail at connect() time, not first execute: bad session-wide
         # limits are rejected by the governor they would build
         self.governor()
@@ -404,21 +392,15 @@ class Session:
         """A fresh per-execution governor for the layered options *eff*
         (default: the session's own), or None when ungoverned.
 
-        A governor is built as soon as a limit or a policy is set (a
-        bare ``degrade`` policy still changes error handling).
+        A governor is built as soon as a limit is set.
         """
         if eff is None:
             eff = self.options
-        if (
-            eff.timeout_ms is None
-            and eff.memory_limit_mb is None
-            and eff.degrade is None
-        ):
+        if eff.timeout_ms is None and eff.memory_limit_mb is None:
             return None
         return ResourceGovernor(
             timeout_ms=eff.timeout_ms,
             memory_limit_mb=eff.memory_limit_mb,
-            degrade=eff.degrade,
             spill_dir=eff.spill_dir,
         )
 
@@ -459,7 +441,6 @@ class Session:
         timeout_ms: Optional[float] = None,
         memory_limit_mb: Optional[float] = None,
         spill_dir: Optional[str] = None,
-        degrade: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
     ) -> Relation:
         """One-shot convenience: ``prepare(sql).execute(...)``."""
@@ -470,7 +451,6 @@ class Session:
             timeout_ms=timeout_ms,
             memory_limit_mb=memory_limit_mb,
             spill_dir=spill_dir,
-            degrade=degrade,
             options=options,
         )
 
@@ -491,17 +471,16 @@ def connect(
     timeout_ms: Optional[float] = None,
     memory_limit_mb: Optional[float] = None,
     spill_dir: Optional[str] = None,
-    degrade: Optional[str] = None,
     logic: Optional[str] = None,
     options: Optional[ExecutionOptions] = None,
 ) -> Session:
     """Open a :class:`Session` over an in-memory :class:`Database`.
 
     ``plan_cache=False`` disables cross-query decision/strategy/build
-    reuse (identical-SQL compilation is still memoized); *threads* sets
-    the session's default worker count for parallel execution.
-    *timeout_ms*, *memory_limit_mb* and *degrade* set session-wide
-    resource-governance defaults, overridable per
+    reuse (identical-SQL compilation is still memoized); *threads*, if
+    given, must be an integer >= 1 and changes nothing (execution is
+    single-threaded).  *timeout_ms* and *memory_limit_mb* set
+    session-wide resource-governance defaults, overridable per
     ``execute``/``trace`` call; *spill_dir* lets budget breaches at the
     spillable operators spill to disk instead of raising.  ``logic`` selects the predicate
     semantics: ``"3vl"`` (SQL-standard Kleene logic, the default) or
@@ -518,7 +497,6 @@ def connect(
         timeout_ms=timeout_ms,
         memory_limit_mb=memory_limit_mb,
         spill_dir=spill_dir,
-        degrade=degrade,
         logic=logic,
         options=options,
     )

@@ -62,11 +62,8 @@ def outcome(call):
         return ("refused", type(exc), str(exc))
 
 
-def own_plan_text(strategy_name: str, query, db, threads) -> str:
-    impl = strategies.make(strategy_name)
-    if threads is not None and hasattr(impl, "set_threads"):
-        impl.set_threads(threads)
-    return impl.explain(query, db)
+def own_plan_text(strategy_name: str, query, db) -> str:
+    return strategies.make(strategy_name).explain(query, db)
 
 
 @pytest.mark.parametrize("threads", THREADS, ids=lambda t: f"threads={t}")
@@ -88,7 +85,7 @@ def test_explain_names_what_trace_runs(micro_tpch, qid, strategy, backend, threa
     root = trace.roots[0]
     assert plan.chosen == root.attrs["strategy"]
     assert plan.operators == own_plan_text(
-        plan.chosen, prepared.query, micro_tpch, threads
+        plan.chosen, prepared.query, micro_tpch
     )
 
     analyzed = prepared.explain(analyze=True, timings=False, options=options)

@@ -1,10 +1,9 @@
 """Unit tests for the cost-based planner (:mod:`repro.core.optimizer`).
 
 The planner's contract: enumerate every applicable registered strategy,
-price each one, pick the cheapest — with the morsel-parallel strategy a
-candidate only under an explicit ``threads > 1``, uncosted third-party
-strategies priced pessimistically, and feedback observations overriding
-the estimates.
+price each one, pick the cheapest — with aliases never candidates of
+their own, uncosted third-party strategies priced pessimistically, and
+feedback observations overriding the estimates.
 """
 
 from __future__ import annotations
@@ -79,18 +78,12 @@ class TestChoose:
         assert all(c.costed for c in decision.candidates)
 
     def test_parallel_alias_is_never_a_candidate(self, db, query):
-        for threads in (None, 4):
-            decision = choose(query, db, threads=threads)
-            names = [c.name for c in decision.candidates]
-            assert "nested-relational-parallel" not in names
-            assert names.count("nested-relational-vectorized") == 1
+        names = [c.name for c in choose(query, db).candidates]
+        assert "nested-relational-parallel" not in names
+        assert names.count("nested-relational-vectorized") == 1
 
-    def test_threads_reprice_and_configure_the_vector_strategy(self, db, query):
-        from repro.core.optimizer import (
-            PARALLEL_OVERHEAD,
-            VECTOR_FACTOR,
-            VECTOR_SETUP,
-        )
+    def test_vector_price_is_setup_plus_scaled_work(self, db, query):
+        from repro.core.optimizer import VECTOR_FACTOR, VECTOR_SETUP
         from repro.core.stats import PlanStats, collect_stats
 
         def vector_cost(decision):
@@ -104,13 +97,6 @@ class TestChoose:
         assert vector_cost(choose(query, db)) == (
             VECTOR_SETUP + VECTOR_FACTOR * ps.pipeline_work
         )
-        assert vector_cost(choose(query, db, threads=4)) == (
-            VECTOR_SETUP
-            + PARALLEL_OVERHEAD * 4
-            + VECTOR_FACTOR * ps.pipeline_work / 4
-        )
-        decision = choose(query, db, backend="vector", threads=4)
-        assert decision.impl.threads == 4
 
     def test_backend_filter(self, db, query):
         row = choose(query, db, backend="row")

@@ -143,11 +143,9 @@ class TestBuildPlan:
         assert plan.strategy == "auto"
         assert plan.cost_based
 
-    def test_threads_reprice_the_vector_candidate(self, db):
+    def test_threads_leave_the_candidates_unpriced_by_them(self, db):
         prepared = repro.connect(db).prepare(SQL)
         plan = prepared.explain(options=ExecutionOptions(threads=4))
         single = prepared.explain()
         assert plan.candidate("nested-relational-parallel") is None
-        assert len(plan.candidates) == len(single.candidates)
-        name = "nested-relational-vectorized"
-        assert plan.candidate(name).est_cost != single.candidate(name).est_cost
+        assert plan.candidates == single.candidates

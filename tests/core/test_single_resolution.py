@@ -1,7 +1,7 @@
 """An execution request becomes an instance in exactly one place.
 
 :func:`repro.core.optimizer.resolve` is the only function that turns
-``(strategy, backend, threads, feedback, memory budget)`` into a
+``(strategy, backend, feedback, memory budget)`` into a
 strategy instance; ``execute``, ``trace`` and EXPLAIN read the decision
 it returns.  This guard walks the AST of ``src/repro`` and fails as soon
 as a second resolution site appears — a second ``choose`` call, a

@@ -300,7 +300,3 @@ class TestPlanStats:
         )
         assert ps.block_rows[child.index] == 7.0
 
-    def test_threads_clamped_to_at_least_one(self, linked):
-        db, query = linked
-        assert PlanStats(query, collect_stats(db), threads=0).threads == 1
-        assert PlanStats(query, collect_stats(db), threads=4).threads == 4

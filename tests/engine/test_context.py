@@ -3,9 +3,8 @@
 The guard half fails as soon as a ``threading.local`` or a second
 ``ContextVar`` appears anywhere under ``src/repro`` — every piece of
 per-execution state must be a field of
-:class:`repro.engine.context.ExecutionContext`, because that is the one
-thing the morsel scheduler carries onto pool threads.  The unit half
-pins ``scope`` / ``fork`` themselves.
+:class:`repro.engine.context.ExecutionContext`, so that one ``scope``
+installs all of it.  The unit half pins ``scope`` itself.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ import pytest
 
 import repro
 from repro.engine.context import ExecutionContext, current, scope
-from repro.engine.governor import ResourceGovernor
-from repro.engine.metrics import Metrics, collect, current_metrics
-from repro.engine.trace import Tracer, tracing
+from repro.engine.metrics import collect, current_metrics
+from repro.engine.trace import tracing
 
 PACKAGE = pathlib.Path(repro.__file__).parent
 CONTEXT_MODULE = PACKAGE / "engine" / "context.py"
@@ -111,21 +109,6 @@ class TestScopeAndFork:
         with pytest.raises(ValueError):
             with scope(deadline=1):
                 pass
-
-    def test_fork_shares_the_execution_and_renews_the_recorders(self):
-        parent = ExecutionContext(
-            metrics=Metrics(), tracer=Tracer(), governor=ResourceGovernor(),
-            logic="2vl", reduce_cache=object(), spill_depth=1,
-        )
-        fork = parent.fork()
-        for shared in ("governor", "logic", "reduce_cache", "spill_depth"):
-            assert getattr(fork, shared) is getattr(parent, shared)
-        assert isinstance(fork.metrics, Metrics)
-        assert fork.metrics is not parent.metrics
-        assert isinstance(fork.tracer, Tracer)
-        assert fork.tracer is not parent.tracer
-        # an untraced parent forks untraced morsels
-        assert parent._replace(tracer=None).fork().tracer is None
 
     def test_a_new_thread_starts_from_the_root_context(self):
         seen = []

@@ -1,13 +1,10 @@
-"""Resource governance: deadlines, memory budgets, cancellation,
-degradation and fault injection.
+"""Resource governance: deadlines, memory budgets, cancellation and
+fault injection.
 
-The fault matrix runs every ``REPRO_FAULT`` mode against all three
-execution substrates (row, vectorized, morsel-parallel) and asserts the
-governed contract: either a *typed* governance error or a result
-identical to the ungoverned oracle — never a wrong answer, never an
-untyped crash.  The parallel strategy is forced onto the partitioned
-pool path (``min_partition_rows=1``) so the tiny fixture exercises real
-worker dispatch, crash drain and sequential degradation.
+The fault matrix runs every ``REPRO_FAULT`` mode against both execution
+substrates (row, vectorized) and asserts the governed contract: either a
+*typed* governance error or a result identical to the ungoverned oracle
+— never a wrong answer, never an untyped crash.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from repro.core import planner
 from repro.engine import Column, Schema
 from repro.engine.expressions import Col, Comparison
 from repro.engine.governor import (
-    EST_BYTES_PER_VALUE,
     FAULT_MODES,
     ResourceGovernor,
     _is_mapped,
@@ -31,7 +27,6 @@ from repro.engine.governor import (
     checkpoint,
     current_governor,
     governed,
-    validate_degrade,
 )
 from repro.engine.metrics import collect
 from repro.engine.trace import (
@@ -43,9 +38,7 @@ from repro.engine.trace import (
 )
 from repro.engine.vector import Batch, Vector
 from repro.engine.vector.column import KIND_STR
-from repro.engine.vector.strategy import VectorizedNestedRelationalStrategy
 from repro.errors import (
-    InjectedFaultError,
     InvalidArgumentError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -60,20 +53,7 @@ SQL = (
 
 ROW = "nested-relational"
 VEC = "nested-relational-vectorized"
-PAR = "nested-relational-parallel"
-
-
-def parallel_impl() -> VectorizedNestedRelationalStrategy:
-    """The vectorized strategy forced onto the pooled, partitioned path."""
-    return VectorizedNestedRelationalStrategy(threads=4, min_partition_rows=1)
-
-
-def strategies():
-    return [ROW, VEC, parallel_impl()]
-
-
-def strategy_ids():
-    return [ROW, VEC, PAR]
+STRATEGIES = (ROW, VEC)
 
 
 @pytest.fixture(scope="module")
@@ -98,28 +78,16 @@ class TestGovernorValidation:
         with pytest.raises(InvalidArgumentError):
             ResourceGovernor(memory_limit_mb=bad)
 
-    def test_bad_degrade_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            ResourceGovernor(degrade="parallel-again")
-        with pytest.raises(InvalidArgumentError):
-            validate_degrade("never")
-        assert validate_degrade(None) is None
-        assert validate_degrade("sequential") == "sequential"
-
     def test_connect_rejects_bad_limits_immediately(self, tiny_tpch):
         with pytest.raises(InvalidArgumentError):
             repro.connect(tiny_tpch, timeout_ms=-1)
         with pytest.raises(InvalidArgumentError):
             repro.connect(tiny_tpch, memory_limit_mb=0)
-        with pytest.raises(InvalidArgumentError):
-            repro.connect(tiny_tpch, degrade="row")
 
     def test_execute_rejects_bad_per_call_limits(self, tiny_tpch):
         session = repro.connect(tiny_tpch)
         with pytest.raises(InvalidArgumentError):
             session.execute(SQL, timeout_ms=0)
-        with pytest.raises(InvalidArgumentError):
-            session.execute(SQL, degrade="magic")
 
     def test_unknown_fault_mode_fails_loudly(self, tiny_tpch, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT", "worker_crush")
@@ -161,7 +129,7 @@ class TestGovernorUnit:
         gov.cancel()
         assert gov.cancelled
         with pytest.raises(QueryCancelledError):
-            gov.check("morsel")
+            gov.check("operator")
 
     def test_charge_over_budget_raises(self):
         gov = ResourceGovernor(memory_limit_mb=1)
@@ -185,11 +153,9 @@ class TestGovernorUnit:
             assert issubclass(exc, ResourceGovernanceError)
 
     def test_describe_attrs(self):
-        gov = ResourceGovernor(
-            timeout_ms=250, memory_limit_mb=64, degrade="sequential"
-        )
+        gov = ResourceGovernor(timeout_ms=250, memory_limit_mb=64)
         assert gov.describe_attrs() == {
-            "timeout_ms": 250, "memory_limit_mb": 64, "degrade": "sequential"
+            "timeout_ms": 250, "memory_limit_mb": 64
         }
 
     def test_ambient_scope_installs_and_restores(self):
@@ -253,8 +219,8 @@ class TestMappedAccounting:
 
 class TestCrossJoinResidualCheckpoint:
     """A keyless join builds the whole cross product's pair lists before
-    its residual can discard any; under the sequential scheduler the one
-    checkpoint inside the kernel sits between the two, so a deadline or
+    its residual can discard any; the one checkpoint inside the kernel
+    sits between the two, so a deadline or
     a ``cancel()`` that lands during pair construction stops the join
     before the residual is evaluated."""
 
@@ -309,7 +275,7 @@ class TestCrossJoinResidualCheckpoint:
 
 
 class TestGovernedExecution:
-    @pytest.mark.parametrize("strategy", strategies(), ids=strategy_ids())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_generous_limits_change_nothing(self, tiny_tpch, oracle, strategy):
         session = repro.connect(tiny_tpch)
         result = session.execute(
@@ -317,7 +283,7 @@ class TestGovernedExecution:
         )
         assert result.sorted().rows == oracle
 
-    @pytest.mark.parametrize("strategy", strategies(), ids=strategy_ids())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_tiny_memory_budget_trips_real_accounting(
         self, tiny_tpch, strategy
     ):
@@ -360,28 +326,9 @@ class TestGovernedExecution:
 
 class TestFaultMatrix:
     def test_fault_modes_are_covered(self):
-        assert set(FAULT_MODES) == {
-            "worker_crash", "slow_morsel", "alloc_spike", "spill_io"
-        }
+        assert set(FAULT_MODES) == {"slow_morsel", "alloc_spike", "spill_io"}
 
-    @pytest.mark.parametrize("strategy", [ROW, VEC], ids=[ROW, VEC])
-    def test_worker_crash_spares_sequential_backends(
-        self, tiny_tpch, oracle, monkeypatch, strategy
-    ):
-        monkeypatch.setenv("REPRO_FAULT", "worker_crash")
-        result = repro.connect(tiny_tpch).execute(
-            SQL, strategy=strategy, timeout_ms=60_000
-        )
-        assert result.sorted().rows == oracle
-
-    def test_worker_crash_surfaces_typed_on_parallel(
-        self, tiny_tpch, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULT", "worker_crash")
-        with pytest.raises(InjectedFaultError):
-            repro.connect(tiny_tpch).execute(SQL, strategy=parallel_impl())
-
-    @pytest.mark.parametrize("strategy", strategies(), ids=strategy_ids())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_slow_morsel_is_slow_but_correct(
         self, tiny_tpch, oracle, monkeypatch, strategy
     ):
@@ -392,7 +339,7 @@ class TestFaultMatrix:
         )
         assert result.sorted().rows == oracle
 
-    @pytest.mark.parametrize("strategy", strategies(), ids=strategy_ids())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_alloc_spike_trips_memory_budget(
         self, tiny_tpch, monkeypatch, strategy
     ):
@@ -402,7 +349,7 @@ class TestFaultMatrix:
                 SQL, strategy=strategy, memory_limit_mb=64
             )
 
-    @pytest.mark.parametrize("strategy", strategies(), ids=strategy_ids())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_alloc_spike_without_budget_is_inert(
         self, tiny_tpch, oracle, monkeypatch, strategy
     ):
@@ -412,15 +359,15 @@ class TestFaultMatrix:
         )
         assert result.sorted().rows == oracle
 
-    @pytest.mark.parametrize("strategy", strategies(), ids=strategy_ids())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_timeout_within_twice_the_deadline(
         self, tiny_tpch, monkeypatch, strategy
     ):
         # the acceptance bar: timeout_ms=50 against a deliberately slow
         # plan raises within 2x the deadline on every substrate
         session = repro.connect(tiny_tpch)
-        # fault-free warm-up: pay one-time costs (pool spin-up, batch
-        # conversion) outside the timed window so the bound measures the
+        # fault-free warm-up: pay one-time costs (batch conversion)
+        # outside the timed window so the bound measures the
         # engine's checkpoint coverage
         session.execute(SQL, strategy=strategy, timeout_ms=60_000)
         monkeypatch.setenv("REPRO_FAULT", "slow_morsel")
@@ -437,105 +384,11 @@ class TestFaultMatrix:
 
 
 # --------------------------------------------------------------------- #
-# Graceful degradation (degrade='sequential')
-# --------------------------------------------------------------------- #
-
-
-class TestDegradation:
-    def test_crash_recovers_to_oracle_result(
-        self, tiny_tpch, oracle, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULT", "worker_crash")
-        result = repro.connect(tiny_tpch).execute(
-            SQL, strategy=parallel_impl(), degrade="sequential"
-        )
-        assert result.sorted().rows == oracle
-
-    def test_degradation_is_recorded_on_the_governor(
-        self, tiny_tpch, oracle, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULT", "worker_crash")
-        query = repro.connect(tiny_tpch).prepare(SQL).query
-        gov = ResourceGovernor(degrade="sequential")
-        with governed(gov):
-            result = planner.run(query, tiny_tpch, parallel_impl())
-        assert result.sorted().rows == oracle
-        assert gov.degradations == [
-            (f"{VEC}[threads=4]", f"{VEC}[threads=1]", "InjectedFaultError")
-        ]
-
-    def test_degraded_trace_has_spans_and_stays_invariant(
-        self, tiny_tpch, oracle, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULT", "worker_crash")
-        result, trace = repro.connect(tiny_tpch).prepare(SQL).trace(
-            strategy=parallel_impl(), degrade="sequential"
-        )
-        assert result.sorted().rows == oracle
-        degrades = trace.find("degrade")
-        assert len(degrades) == 1 and degrades[0].kind == KIND_GOVERNOR
-        assert degrades[0].attrs["source"] == f"{VEC}[threads=4]"
-        assert degrades[0].attrs["target"] == f"{VEC}[threads=1]"
-        assert degrades[0].attrs["reason"] == "InjectedFaultError"
-        assert trace.find("governor"), "governed run must tag its trace"
-        assert trace_invariant_violations(trace) == []
-        assert validate_trace_dict(trace.to_dict()) == []
-
-    def test_degradation_never_masks_governance_errors(
-        self, tiny_tpch, monkeypatch
-    ):
-        # a blown budget must surface, not silently retry sequentially
-        monkeypatch.setenv("REPRO_FAULT", "alloc_spike")
-        with pytest.raises(ResourceExhaustedError):
-            repro.connect(tiny_tpch).execute(
-                SQL,
-                strategy=parallel_impl(),
-                memory_limit_mb=64,
-                degrade="sequential",
-            )
-
-    def test_sequential_strategies_do_not_degrade(
-        self, tiny_tpch, monkeypatch
-    ):
-        # worker_crash never fires off-pool, so this exercises the
-        # no-degrade-target path for an unrelated error instead
-        from repro.errors import PlanError
-
-        query = repro.connect(tiny_tpch).prepare(SQL).query
-
-        class Exploding:
-            name = "exploding"
-
-            def execute(self, query, db):
-                raise PlanError("deliberate")
-
-        gov = ResourceGovernor(degrade="sequential")
-        with pytest.raises(PlanError), governed(gov):
-            planner.run(query, tiny_tpch, Exploding())
-        assert gov.degradations == []
-
-
-# --------------------------------------------------------------------- #
-# Partial traces from failed pools
+# Partial traces from failed executions
 # --------------------------------------------------------------------- #
 
 
 class TestPartialTraces:
-    def test_crashed_pool_drains_to_a_valid_partial_trace(
-        self, tiny_tpch, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULT", "worker_crash")
-        query = repro.connect(tiny_tpch).prepare(SQL).query
-        with collect() as m:
-            with tracing() as trace:
-                with pytest.raises(InjectedFaultError):
-                    planner.run(query, tiny_tpch, parallel_impl())
-        aborted = [s for s in trace.spans() if s.aborted]
-        assert aborted, "the failing spans must be marked aborted"
-        assert all(s.closed for s in trace.spans())
-        assert trace_invariant_violations(trace) == []
-        assert reconcile_with_metrics(trace, m.counters) == []
-
     def test_timeout_mid_flight_leaves_valid_trace(
         self, tiny_tpch, monkeypatch
     ):
@@ -543,72 +396,15 @@ class TestPartialTraces:
         monkeypatch.setenv("REPRO_FAULT_MS", "10")
         query = repro.connect(tiny_tpch).prepare(SQL).query
         gov = ResourceGovernor(timeout_ms=50)
-        with tracing() as trace:
+        with collect() as m, tracing() as trace:
             with pytest.raises(QueryTimeoutError), governed(gov):
                 planner.run(query, tiny_tpch, VEC)
+        assert [s for s in trace.spans() if s.aborted], (
+            "the failing spans must be marked aborted"
+        )
         assert all(s.closed for s in trace.spans())
         assert trace_invariant_violations(trace) == []
-
-
-# --------------------------------------------------------------------- #
-# Thread-count validation (the parallel seam bugfix)
-# --------------------------------------------------------------------- #
-
-
-class TestThreadValidation:
-    def test_validate_threads_accepts_sane_values(self):
-        from repro.engine.parallel import validate_threads
-
-        assert validate_threads(None) is None
-        assert validate_threads(1) == 1
-        assert validate_threads("4") == 4
-
-    @pytest.mark.parametrize("bad", [0, -3, "x", "", 2.5, True, False])
-    def test_validate_threads_rejects(self, bad):
-        from repro.engine.parallel import validate_threads
-
-        with pytest.raises(InvalidArgumentError):
-            validate_threads(bad)
-
-    @pytest.mark.parametrize("bad", [0, -2, "many", True])
-    def test_connect_rejects_bad_threads(self, tiny_tpch, bad):
-        with pytest.raises(InvalidArgumentError) as err:
-            repro.connect(tiny_tpch, threads=bad)
-        assert "threads" in str(err.value)
-
-    def test_scheduler_and_backend_reject_bad_threads(self):
-        from repro.engine.parallel import MorselScheduler
-        from repro.engine.vector.backend import VectorBackend
-
-        with pytest.raises(InvalidArgumentError):
-            MorselScheduler(threads=0)
-        with pytest.raises(InvalidArgumentError):
-            VectorBackend(threads=-1)
-        backend = VectorBackend(threads=2)
-        with pytest.raises(InvalidArgumentError):
-            backend.set_threads(0)
-        with pytest.raises(InvalidArgumentError):
-            backend.set_threads(None)
-
-    def test_env_threads_must_be_numeric(self, monkeypatch):
-        from repro.engine.parallel import default_threads
-
-        monkeypatch.setenv("REPRO_THREADS", "3")
-        assert default_threads() == 3
-        monkeypatch.setenv("REPRO_THREADS", "banana")
-        with pytest.raises(InvalidArgumentError) as err:
-            default_threads()
-        assert "REPRO_THREADS" in str(err.value)
-
-    def test_cli_rejects_negative_threads(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["run", "select n_name from nation where n_nationkey < 3",
-             "--tpch", "0.001", "--threads", "-2"]
-        )
-        assert code != 0
-        assert "threads" in capsys.readouterr().err
+        assert reconcile_with_metrics(trace, m.counters) == []
 
 
 # --------------------------------------------------------------------- #
@@ -634,7 +430,7 @@ class TestCliGovernance:
         code = main(
             ["run", "select n_name from nation where n_nationkey < 3",
              "--tpch", "0.001", "--timeout-ms", "60000",
-             "--memory-limit-mb", "2048", "--degrade", "sequential"]
+             "--memory-limit-mb", "2048"]
         )
         assert code == 0
         assert "row(s)" in capsys.readouterr().out

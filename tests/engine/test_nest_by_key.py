@@ -11,7 +11,6 @@ and the mixed-radix combination cannot overflow.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
@@ -104,8 +103,8 @@ class CheckingRowBackend(RowBackend):
 class CheckingVectorBackend(VectorBackend):
     """Factorizes every nest input on the key and on all of ``by``."""
 
-    def __init__(self, seen: Seen, threads: int):
-        super().__init__(threads=threads, min_partition_rows=1)
+    def __init__(self, seen: Seen):
+        super().__init__()
         self.seen = seen
 
     def check(self, rel, node):
@@ -175,12 +174,11 @@ def test_row_nest_equals_the_nest_grouped_on_the_key(seed, it, duplicate):
     run_checked(CheckingRowBackend(Seen()), query, db)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 @PROPERTY
 @given(st.integers(0, 2 ** 16), st.integers(0, 50), st.booleans())
-def test_vector_key_ids_induce_the_partition_of_by(threads, seed, it, duplicate):
+def test_vector_key_ids_induce_the_partition_of_by(seed, it, duplicate):
     query, db = fuzz_case(seed, it, duplicate)
-    run_checked(CheckingVectorBackend(Seen(), threads), query, db)
+    run_checked(CheckingVectorBackend(Seen()), query, db)
 
 
 def test_the_generators_reach_marks_pads_depth_and_duplicates():
@@ -189,7 +187,7 @@ def test_the_generators_reach_marks_pads_depth_and_duplicates():
     for iteration in range(120):
         query, db = fuzz_case(3, iteration, duplicate=iteration % 2 == 0)
         run_checked(CheckingRowBackend(seen), query, db)
-        run_checked(CheckingVectorBackend(seen, 1), query, db)
+        run_checked(CheckingVectorBackend(seen), query, db)
     assert seen.nests > 400
     assert min(seen.marks, seen.pads, seen.deep, seen.shared) >= 10, vars(seen)
 

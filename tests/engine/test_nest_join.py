@@ -16,9 +16,9 @@ produces:
 
 Inputs are NULL-heavy, PK-less or duplicate-keyed, with empty sides and
 all-NULL join keys, every link kind, strict σ / σ* / marks, with and
-without a join residual, inline and at two threads of one-row morsels,
-under 3VL and 2VL; under a spilling budget, both the join-spills and the
-only-the-nest-would case take the ordinary pair.
+without a join residual, under 3VL and 2VL; under a spilling budget,
+both the join-spills and the only-the-nest-would case take the
+ordinary pair.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.engine.expressions import Col, Comparison, Literal
 from repro.engine.governor import ResourceGovernor, batch_nbytes, governed
 from repro.engine.logic import logic_mode
 from repro.engine.metrics import collect
-from repro.engine.parallel import SEQUENTIAL, MorselScheduler
 from repro.engine.spill import est_join_bytes, est_nest_bytes
 from repro.engine.trace import tracing
 from repro.engine.vector import Batch, Vector, kernels, nestlink
@@ -249,28 +248,22 @@ def observe(run, logic, governor):
     }
 
 
-def fused(left, right, join, nest, sched):
-    return lambda: nestlink.join_nest(left, right, join, nest, sched)
+def fused(left, right, join, nest):
+    return lambda: nestlink.join_nest(left, right, join, nest)
 
 
-def pair(left, right, join, nest, sched):
+def pair(left, right, join, nest):
     return lambda: nestlink.nest_link(
         kernels.left_outer_hash_join(
-            left, right, join.outer_keys, join.inner_keys, join.residual,
-            sched,
+            left, right, join.outer_keys, join.inner_keys, join.residual
         ),
         nest,
-        sched,
     )
 
 
-def compare(left, right, join, nest, sched, logic, make_governor):
-    got = observe(
-        fused(left, right, join, nest, sched), logic, make_governor()
-    )
-    want = observe(
-        pair(left, right, join, nest, sched), logic, make_governor()
-    )
+def compare(left, right, join, nest, logic, make_governor):
+    got = observe(fused(left, right, join, nest), logic, make_governor())
+    want = observe(pair(left, right, join, nest), logic, make_governor())
     assert got == want
     return got
 
@@ -295,11 +288,10 @@ PROPERTY = settings(
     st.booleans(),
     st.sampled_from([("l._rid0",), ("l._rid0", "l.k")]),
     st.sampled_from(["hash", "sorted"]),
-    st.sampled_from([1, 2]),
     st.sampled_from(["3vl", "2vl"]),
 )
 def test_join_nest_equals_nest_link_of_the_built_join(
-    inputs, link, selection, residual, keys, key, nest_impl, threads, logic
+    inputs, link, selection, residual, keys, key, nest_impl, logic
 ):
     left, right = inputs
     residual = RESIDUALS[residual]
@@ -308,13 +300,8 @@ def test_join_nest_equals_nest_link_of_the_built_join(
     join, nest = plan_nodes(
         left, LINKS[link], selection, keys, residual, key, nest_impl
     )
-    sched = (
-        MorselScheduler(threads=2, min_partition_rows=1)
-        if threads == 2
-        else SEQUENTIAL
-    )
     compare(
-        left, right, join, nest, sched, logic,
+        left, right, join, nest, logic,
         lambda: RecordingGovernor(memory_limit_mb=NON_BINDING_MB),
     )
 
@@ -358,22 +345,16 @@ def budget_mb(n_bytes: int) -> float:
     return n_bytes / (1024 * 1024)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("spills", ["join", "nest-only"])
-def test_a_spilling_budget_takes_the_ordinary_pair(spills, threads):
+def test_a_spilling_budget_takes_the_ordinary_pair(spills):
     left, right = spill_inputs()
     join, nest = plan_nodes(
         left, LINKS["all>="], "pseudo", True, RESIDUALS["both-sides"],
         ("l._rid0",), "sorted",
     )
-    sched = (
-        MorselScheduler(threads=2, min_partition_rows=1)
-        if threads == 2
-        else SEQUENTIAL
-    )
     # what the in-memory join reserves, under a non-binding budget
     probe = observe(
-        pair(left, right, join, nest, sched), "3vl",
+        pair(left, right, join, nest), "3vl",
         RecordingGovernor(memory_limit_mb=NON_BINDING_MB),
     )
     after_join = dict(probe["charges"])["outer-join output"]
@@ -386,7 +367,7 @@ def test_a_spilling_budget_takes_the_ordinary_pair(spills, threads):
         assert after_join + est_nest > limit
     with tempfile.TemporaryDirectory(prefix="nest-join-") as spill_dir:
         got = compare(
-            left, right, join, nest, sched, "3vl",
+            left, right, join, nest, "3vl",
             lambda: RecordingGovernor(
                 memory_limit_mb=budget_mb(limit), spill_dir=spill_dir
             ),

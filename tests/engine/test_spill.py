@@ -218,17 +218,14 @@ def test_spill_io_fault_cleanup_and_typed_error(
     assert os.listdir(str(tmp_path)) == []
 
 
-def test_spill_io_fault_does_not_break_degrade_ladder(
+def test_clearing_the_spill_io_fault_restores_spilling(
     stored_db, six_queries, tmp_path, monkeypatch
 ):
-    """The error is typed (SpillError), degrade='sequential' still
-    retries, and clearing the fault restores normal spilling."""
+    """The error is typed (SpillError), and clearing the fault restores
+    normal spilling in the same session."""
     monkeypatch.setenv("REPRO_FAULT", "spill_io")
     session = repro.connect(
-        stored_db,
-        memory_limit_mb=CAP_MB,
-        spill_dir=str(tmp_path),
-        degrade="sequential",
+        stored_db, memory_limit_mb=CAP_MB, spill_dir=str(tmp_path)
     )
     with pytest.raises(SpillError):
         session.execute(

@@ -143,7 +143,8 @@ def _values(kind: str, n: int, offset: int):
 
 def _source(kind, n, null_at, layout, workdir) -> Vector:
     """A source vector of *n* rows, NULL at the positions *null_at*, laid
-    out whole, as a ``Batch.slice``, as a ``.npy`` mapping or strided."""
+    out whole, as a view of a longer array, as a ``.npy`` mapping or
+    strided."""
     pad = 2 if layout in ("sliced", "strided") else 0
     total = 2 * n + pad if layout == "strided" else n + 2 * pad
     data = _values(kind, total, 0)
@@ -158,8 +159,7 @@ def _source(kind, n, null_at, layout, workdir) -> Vector:
             np.save(os.path.join(workdir, f"{name}.npy"), arr)
         data = np.load(os.path.join(workdir, "data.npy"), mmap_mode="r")
         valid = np.load(os.path.join(workdir, "valid.npy"), mmap_mode="r")
-    batch = Batch(Schema([Column("c")]), [Vector(vkind, data, valid)], total)
-    return batch.slice(pad, pad + n).columns[0]
+    return Vector(vkind, data[pad : pad + n], valid[pad : pad + n])
 
 
 def _same_vector(got: Vector, want: Vector) -> None:
@@ -269,7 +269,6 @@ class TestGather:
             "take_padded": batch.take_padded(padded),
             "take_padded-no-pads": batch.take_padded(idx),
             "take-of-padded": batch.take_padded(padded).take(np.array([1, 0])),
-            "slice": batch.slice(1, 3),
             "vstack": Batch.vstack([batch.take(idx), batch.take_padded(padded)]),
             "pad_columns": nestlink._pad_columns(
                 batch.take(idx), ["full"], np.array([True, False, False, True])

@@ -31,7 +31,6 @@ from repro.engine.colstore import load_stored_database
 from repro.engine.expressions import Col, Comparison, Literal
 from repro.engine.governor import ResourceGovernor, governed
 from repro.engine.metrics import collect
-from repro.engine.parallel import SEQUENTIAL, MorselScheduler
 from repro.engine.trace import tracing
 from repro.engine.vector import Batch, Vector, kernels
 from repro.engine.vector.strategy import VectorizedNestedRelationalStrategy
@@ -46,12 +45,11 @@ GOLDEN_PATH = os.path.join(GOLDEN_DIR, "vector_residual.json")
 
 #: span kinds whose multiset is pinned (the governor span's attrs carry
 #: a temp path, and no planner runs under an explicit strategy)
-SPAN_KINDS = ("operator", "phase", "morsel", "spill")
+SPAN_KINDS = ("operator", "phase", "spill")
 
 FIGURE_STEMS = [p.values[0] for p in PAPER_QUERIES]
 QUERY_STEMS = FIGURE_STEMS + ["query_q"]
 LOGICS = ("3vl", "2vl")
-THREADS = (1, 2)
 
 #: far above anything SF 0.001 charges: accounting on, budget never binding
 NON_BINDING_MB = 4096
@@ -81,7 +79,7 @@ def span_summary(trace):
 
 
 # --------------------------------------------------------------------- #
-# Whole queries: the six figures + Query Q, both logics, 1 and 2 threads
+# Whole queries: the six figures + Query Q, both logics
 # --------------------------------------------------------------------- #
 
 
@@ -98,13 +96,9 @@ def query_text(stem: str) -> str:
     return next(p.values[1] for p in PAPER_QUERIES if p.values[0] == stem)
 
 
-def observe_query(db, stem: str, logic: str, threads: int):
-    """One traced execution on the vector backend, in golden form.  At
-    ``threads=2`` the morsel size is one row, so every kernel really is
-    cut in two."""
-    strategy = VectorizedNestedRelationalStrategy(
-        threads=threads, min_partition_rows=1 if threads > 1 else None
-    )
+def observe_query(db, stem: str, logic: str):
+    """One traced execution on the vector backend, in golden form."""
+    strategy = VectorizedNestedRelationalStrategy()
     prepared = repro.connect(db, plan_cache=False, logic=logic).prepare(
         query_text(stem)
     )
@@ -118,8 +112,10 @@ def observe_query(db, stem: str, logic: str, threads: int):
     }
 
 
-def query_case_id(stem, logic, threads) -> str:
-    return f"{stem}/{logic}/t{threads}"
+def query_case_id(stem, logic) -> str:
+    # "t1": the golden was recorded when the engine also ran at two
+    # threads, and keeps its keys
+    return f"{stem}/{logic}/t1"
 
 
 # --------------------------------------------------------------------- #
@@ -176,26 +172,20 @@ RESIDUALS = {
     "literal-only-false": Comparison("=", Literal(1), Literal(2)),
 }
 
-#: join id -> callable(left, right, residual, sched)
+#: join id -> callable(left, right, residual)
 JOINS = {
-    "hash": lambda l, r, res, s: kernels.hash_join(
-        l, r, ["l.k"], ["r.k"], res, s
+    "hash": lambda l, r, res: kernels.hash_join(l, r, ["l.k"], ["r.k"], res),
+    "left-outer": lambda l, r, res: kernels.left_outer_hash_join(
+        l, r, ["l.k"], ["r.k"], res
     ),
-    "left-outer": lambda l, r, res, s: kernels.left_outer_hash_join(
-        l, r, ["l.k"], ["r.k"], res, s
-    ),
-    "semi": lambda l, r, res, s: kernels.semi_join(
-        l, r, ["l.k"], ["r.k"], res, s
-    ),
-    "anti": lambda l, r, res, s: kernels.anti_join(
-        l, r, ["l.k"], ["r.k"], res, s
-    ),
-    "cross": lambda l, r, res, s: kernels.cross_join(l, r, res, s),
+    "semi": lambda l, r, res: kernels.semi_join(l, r, ["l.k"], ["r.k"], res),
+    "anti": lambda l, r, res: kernels.anti_join(l, r, ["l.k"], ["r.k"], res),
+    "cross": lambda l, r, res: kernels.cross_join(l, r, res),
 }
 
-#: how the join runs: inline, cut into two morsels, or through
-#: ``maybe_spill_hash_join`` (only the two spillable kernels divert)
-MODES = ("inline", "threads2", "spill")
+#: how the join runs: in memory, or through ``maybe_spill_hash_join``
+#: (only the two spillable kernels divert)
+MODES = ("inline", "spill")
 SPILL_CAP_MB = 0.016
 
 
@@ -214,11 +204,6 @@ def join_case_id(join, residual, mode) -> str:
 
 def observe_join(join: str, residual: str, mode: str):
     left, right = join_inputs()
-    sched = (
-        MorselScheduler(threads=2, min_partition_rows=1)
-        if mode == "threads2"
-        else SEQUENTIAL
-    )
     with tempfile.TemporaryDirectory(prefix="residual-golden-") as spill_dir:
         governor = (
             ResourceGovernor(memory_limit_mb=SPILL_CAP_MB, spill_dir=spill_dir)
@@ -227,7 +212,7 @@ def observe_join(join: str, residual: str, mode: str):
         )
         with collect() as metrics, tracing() as trace, governed(governor):
             try:
-                out = JOINS[join](left, right, RESIDUALS[residual], sched)
+                out = JOINS[join](left, right, RESIDUALS[residual])
             except ReproError as exc:
                 return {"error": type(exc).__name__, "message": str(exc)}
     rows = out.to_relation().rows
@@ -315,10 +300,9 @@ def record() -> dict:
     for stem in QUERY_STEMS:
         db = paper_db if stem == "query_q" else tpch
         for logic in LOGICS:
-            for threads in THREADS:
-                golden["queries"][query_case_id(stem, logic, threads)] = (
-                    observe_query(db, stem, logic, threads)
-                )
+            golden["queries"][query_case_id(stem, logic)] = observe_query(
+                db, stem, logic
+            )
     for case in join_cases():
         golden["joins"][join_case_id(*case)] = observe_join(*case)
     golden["peak_bytes"]["memory"] = observe_peaks(generate(SMALL))
@@ -344,14 +328,13 @@ def tpch_nulls_db():
     return tpch_nulls()
 
 
-@pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("logic", LOGICS)
 @pytest.mark.parametrize("stem", QUERY_STEMS)
-def test_query_matches_parent(golden, tpch_nulls_db, paper_db, stem, logic, threads):
+def test_query_matches_parent(golden, tpch_nulls_db, paper_db, stem, logic):
     db = paper_db if stem == "query_q" else tpch_nulls_db
     assert (
-        observe_query(db, stem, logic, threads)
-        == golden["queries"][query_case_id(stem, logic, threads)]
+        observe_query(db, stem, logic)
+        == golden["queries"][query_case_id(stem, logic)]
     )
 
 

@@ -210,7 +210,7 @@ def test_cross_check_multiple_strategies(small_db):
     verify_or_raise(reports)  # no-op on agreement
 
 
-def test_cross_check_labels_backend_and_threads(small_db):
+def test_cross_check_labels_the_backend(small_db):
     (report,) = cross_check(
         small_db,
         "select k from t0 where a is not null",

@@ -5,9 +5,9 @@ The scalar-subquery form ``x θ (SELECT agg(...) ...)`` has its own NULL
 corners on top of the quantified ones: ``MAX``/``MIN``/``SUM``/``AVG``
 over an empty or NULL-only group are NULL (making the comparison
 UNKNOWN), while ``COUNT`` is 0 (making it very much defined) — the
-asymmetry behind the COUNT bug.  Each cell runs the row, vectorized and
-parallel strategies and diffs every one against SQLite for the same
-data, with a NULL outer operand in the mix throughout.
+asymmetry behind the COUNT bug.  Each cell runs the row and vectorized
+strategies and diffs every one against SQLite for the same data, with
+a NULL outer operand in the mix throughout.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.oracle import cross_check
 STRATEGIES = (
     "nested-relational",
     "nested-relational-vectorized",
-    "nested-relational-parallel",
 )
 
 #: inner-relation shapes: name -> rows of inner_t(k, a)

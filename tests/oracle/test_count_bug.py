@@ -5,7 +5,7 @@ outer and inner relations before aggregating — which silently drops
 outer tuples whose inner group is *empty*, exactly the tuples a
 ``count(*) = 0`` predicate exists to select.  The nested-relational
 approach never leaves the outer tuple, so the zero-count groups survive
-by construction.  Every test here runs the row, vectorized and parallel
+by construction.  Every test here runs the row and vectorized
 evaluation strategies and diffs each against SQLite's answer for the
 same data.
 """
@@ -21,7 +21,6 @@ from repro.oracle import cross_check
 STRATEGIES = (
     "nested-relational",
     "nested-relational-vectorized",
-    "nested-relational-parallel",
 )
 
 

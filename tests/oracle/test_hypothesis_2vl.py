@@ -226,3 +226,69 @@ def test_2vl_session_flag_round_trip():
     two = repro.connect(db, logic="2vl").execute(sql)
     assert sorted(three.rows) == [(3,)]
     assert sorted(two.rows) == [(2,), (3,)]
+
+
+# --------------------------------------------------------------------- #
+# Frozen NOT-over-NULL corpus: row == vectorized under both logics
+# --------------------------------------------------------------------- #
+
+#: queries over NULLable columns where Kleene 3VL and Libkin 2VL
+#: genuinely disagree.  The divergence needs an explicit NOT over a
+#: NULL-involving predicate: at the top of WHERE, UNKNOWN (3VL) and
+#: FALSE (2VL) filter identically, but NOT(UNKNOWN)=UNKNOWN excludes a
+#: row while NOT(FALSE)=TRUE keeps it.
+NOT_OVER_NULL_CORPUS = [
+    "select id from emp where not (dept = some (select ref from probe))",
+    "select id from emp where not (dept in (select ref from probe))",
+    "select id from emp where not (dept <> all (select ref from probe))",
+    "select id from emp where not (dept > some (select ref from probe))",
+    "select id from emp where dept not in (select ref from probe)",
+    "select id from emp where not exists "
+    "(select * from probe where probe.ref = emp.dept)",
+]
+
+
+@pytest.fixture(scope="module")
+def emp_probe_db():
+    db = Database()
+    db.create_table(
+        "emp",
+        [Column("id"), Column("dept"), Column("name")],
+        [(i, NULL if i % 5 == 0 else i % 7, f"name{i}") for i in range(64)],
+        primary_key="id",
+    )
+    db.create_table(
+        "probe",
+        [Column("pid"), Column("ref")],
+        [(i, NULL if i % 3 == 0 else i % 6) for i in range(48)],
+        primary_key="pid",
+    )
+    return db
+
+
+def _bag(relation):
+    return sorted(relation.rows, key=repr)
+
+
+@pytest.mark.parametrize("logic", ["3vl", "2vl"])
+def test_not_over_null_corpus_row_equals_vectorized(emp_probe_db, logic):
+    session = repro.connect(emp_probe_db, logic=logic)
+    for sql in NOT_OVER_NULL_CORPUS:
+        prepared = session.prepare(sql)
+        row = _bag(prepared.execute(strategy="nested-relational"))
+        vector = _bag(
+            prepared.execute(strategy="nested-relational-vectorized")
+        )
+        assert vector == row, (sql, logic)
+
+
+def test_not_over_null_corpus_has_teeth(emp_probe_db):
+    """At least one corpus query answers differently under 2VL, so the
+    parity test above would catch an engine stuck on one logic."""
+    s3 = repro.connect(emp_probe_db, logic="3vl")
+    s2 = repro.connect(emp_probe_db, logic="2vl")
+    assert [
+        sql
+        for sql in NOT_OVER_NULL_CORPUS
+        if _bag(s3.execute(sql)) != _bag(s2.execute(sql))
+    ], "corpus no longer distinguishes the logic modes"

@@ -4,9 +4,9 @@ relation shapes, cross-checked against SQLite.
 The corners classical unnesting gets wrong — and the exact 3VL behavior
 the paper's linking predicates must reproduce — all hinge on how the
 inner relation's NULLs flow through IN / NOT IN / θ SOME / θ ALL /
-EXISTS / NOT EXISTS.  Each cell of the matrix runs the row,
-vectorized and parallel evaluation strategies and diffs every one
-against SQLite's answer for the same data.
+EXISTS / NOT EXISTS.  Each cell of the matrix runs the row and
+vectorized evaluation strategies and diffs every one against SQLite's
+answer for the same data.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.oracle import cross_check
 STRATEGIES = (
     "nested-relational",
     "nested-relational-vectorized",
-    "nested-relational-parallel",
 )
 
 #: inner-relation shapes: name -> rows of inner(k, a)

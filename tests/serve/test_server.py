@@ -262,6 +262,16 @@ def test_http_surface_end_to_end(db):
             assert status == 400
             assert "bogus_knob" in body["error"]["message"]
 
+            status, body = await loop.run_in_executor(
+                None, post, "/query", {"sql": SQL, "threads": 0})
+            assert status == 400
+            assert body["error"]["type"] == "InvalidArgumentError"
+
+            status, body = await loop.run_in_executor(
+                None, post, "/query", {"sql": SQL, "degrade": "sequential"})
+            assert status == 400
+            assert "degrade" in body["error"]["message"]
+
             status, body = await loop.run_in_executor(None, get, "/stats")
             assert status == 200
             assert {"server", "cache", "feedback", "tenants"} <= set(body)

@@ -23,9 +23,7 @@ import pytest
 
 import repro
 from repro import strategies as registry
-from repro.core.optimizer import resolve
 from repro.engine import Column, Relation, Schema
-from repro.engine.trace import KIND_MORSEL, tracing
 from repro.errors import (
     InvalidArgumentError,
     ParseError,
@@ -418,48 +416,13 @@ def test_an_override_that_cannot_be_pickled_is_rejected_at_submit(db):
 # --------------------------------------------------------------------- #
 
 
-def test_a_threads_2_tenant_is_answered_with_morsels_in_a_worker(
-    db, stub, tmp_path, monkeypatch
-):
-    """A morsel pool built before the fork must not be inherited: its
-    threads do not exist in the child, and the first morsel submitted to
-    it would wait forever."""
-    report = tmp_path / "morsels.jsonl"
-    monkeypatch.setenv("REPRO_MIN_PARTITION_ROWS", "1")
-
-    class TracedVector:
-        """The vectorized Algorithm 1 at the thread count the tenant's
-        options ask for, reporting the morsel spans of its run."""
-
-        threads = None
-
-        def set_threads(self, threads):
-            self.threads = threads
-
-        def execute(self, query, db):
-            impl = resolve(
-                query, db, "nested-relational-vectorized",
-                threads=self.threads,
-            ).impl
-            with tracing() as trace:
-                result = impl.execute(query, db)
-            with open(report, "a") as handle:
-                handle.write(json.dumps({
-                    "pid": os.getpid(),
-                    "threads": self.threads,
-                    "morsels": sum(
-                        1 for span in trace.spans()
-                        if span.kind == KIND_MORSEL
-                    ),
-                }) + "\n")
-            return result
-
-    stub("traced-vector", TracedVector)
+def test_a_threads_2_tenant_is_answered_in_a_single_threaded_worker(db):
+    """Execution starts no thread, so the process is single-threaded at
+    every fork, even after executions that asked for two threads."""
     expected = repro.connect(db).execute(NESTED_SQL)
-    # this process has used a 2-wide morsel pool before the server forks
-    parallel = repro.connect(db).execute(
+    asked = repro.connect(db).execute(
         NESTED_SQL, options=ExecutionOptions(threads=2))
-    assert parallel.sorted() == expected.sorted()
+    assert asked.sorted() == expected.sorted()
     # an at-fork hook cannot be unregistered: this one records only
     # while `forks` is the list it was given
     forks = recording = []
@@ -476,10 +439,7 @@ def test_a_threads_2_tenant_is_answered_with_morsels_in_a_worker(
         try:
             # a worker stuck on a dead pool fails here, and stop() kills it
             payloads = await asyncio.wait_for(asyncio.gather(*(
-                server.submit(
-                    NESTED_SQL, tenant="wide",
-                    overrides={"strategy": "traced-vector"})
-                for _ in range(2)
+                server.submit(NESTED_SQL, tenant="wide") for _ in range(2)
             )), timeout=60)
             await server.drain()
             return payloads
@@ -493,8 +453,3 @@ def test_a_threads_2_tenant_is_answered_with_morsels_in_a_worker(
     for payload in payloads:
         rows = json.loads(payload["body"])["rows"]
         assert sorted(map(tuple, rows)) == sorted(expected.rows)
-    seen = [json.loads(line) for line in report.read_text().splitlines()]
-    assert len(seen) == 2 and len({entry["pid"] for entry in seen}) == 2
-    for entry in seen:
-        assert entry["pid"] != os.getpid()
-        assert entry["threads"] == 2 and entry["morsels"] >= 2

@@ -12,7 +12,12 @@ import pytest
 import repro
 from repro.engine import NULL, Column, Database
 from repro.errors import InvalidArgumentError
-from repro.options import OPTION_FIELDS, ExecutionOptions, layer_options
+from repro.options import (
+    OPTION_FIELDS,
+    ExecutionOptions,
+    layer_options,
+    validate_threads,
+)
 
 
 @pytest.fixture()
@@ -156,3 +161,62 @@ class TestSessionIntegration:
             options=ExecutionOptions(strategy="nested-relational")
         )
         assert report.acceptable
+
+
+class TestThreadValidation:
+    """``threads`` is validated once, in :func:`layer_options`, so every
+    entry point rejects a bad value whatever the strategy or backend."""
+
+    #: at SF 0.001 ``auto`` runs this on the row engine, which never
+    #: read ``threads`` and so never validated it
+    SQL = (
+        "select n_name from nation where n_regionkey in "
+        "(select r_regionkey from region where r_name = 'ASIA')"
+    )
+
+    def test_validate_threads_accepts_sane_values(self):
+        assert validate_threads(None) is None
+        assert validate_threads(1) == 1
+        assert validate_threads("4") == 4
+
+    @pytest.mark.parametrize("bad", [0, -3, "x", "", 2.5, True, False])
+    def test_validate_threads_rejects(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            validate_threads(bad)
+
+    @pytest.mark.parametrize("bad", [0, -2, "many", True])
+    def test_connect_rejects_bad_threads(self, tiny_tpch, bad):
+        with pytest.raises(InvalidArgumentError) as err:
+            repro.connect(tiny_tpch, threads=bad)
+        assert "threads" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"strategy": "nested-relational", "threads": 0},
+            {"backend": "row", "threads": 0},
+            {"strategy": "nested-relational", "threads": "x"},
+            {"threads": 0},
+            {"strategy": "nested-iteration", "threads": -3},
+        ],
+        ids=["row-strategy", "row-backend", "non-numeric", "auto", "oracle"],
+    )
+    def test_per_call_threads_rejected_on_every_strategy(self, kwargs):
+        db = repro.tpch.generate(repro.tpch.TpchConfig(scale_factor=0.001))
+        query = repro.connect(db).prepare(self.SQL)
+        assert query.explain().chosen != "nested-relational-vectorized"
+        with pytest.raises(InvalidArgumentError):
+            query.execute(**kwargs)
+        with pytest.raises(InvalidArgumentError):
+            query.trace(**kwargs)
+
+    def test_explain_and_verify_reject_bad_threads(self, tiny_tpch):
+        query = repro.connect(tiny_tpch).prepare(self.SQL)
+        with pytest.raises(InvalidArgumentError):
+            query.explain(options=ExecutionOptions(threads=0))
+        with pytest.raises(InvalidArgumentError):
+            query.verify(strategy="nested-relational", threads=0)
+
+    def test_a_good_thread_count_changes_nothing(self, tiny_tpch):
+        query = repro.connect(tiny_tpch).prepare(self.SQL)
+        assert query.execute(threads=4) == query.execute()

@@ -4,9 +4,9 @@ Covers the three memo layers of :class:`repro.core.plancache.SessionCache`
 (compile, strategy resolution, reduced-relation builds), the catalog
 version counter that invalidates them, the ``plan_cache=False`` mode
 (compile memo stays on — satellite fix: repeated ``prepare()`` of
-identical SQL never re-runs the analyzer), the ``threads`` routing
-through ``optimizer.resolve``, and the one memoized decision behind
-``explain`` and ``execute``.
+identical SQL never re-runs the analyzer), the alias routing through
+``optimizer.resolve``, and the one memoized decision behind ``explain``
+and ``execute``.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ class TestOneDecision:
     """``explain``, ``execute`` and ``trace`` ask one memo around one
     ``resolve()``."""
 
-    OPTIONS = repro.ExecutionOptions(backend="vector", threads=2)
+    OPTIONS = repro.ExecutionOptions(backend="vector")
 
     def test_explain_then_execute_is_one_miss_one_hit(self, tiny_tpch):
         session = repro.connect(tiny_tpch)
@@ -344,7 +344,6 @@ class TestOneDecision:
             for field in dataclasses.fields(fresh):
                 if field.name == "impl":
                     assert type(fresh.impl) is type(memoized.impl)
-                    assert fresh.impl.threads == memoized.impl.threads == 2
                 else:
                     assert getattr(fresh, field.name) == getattr(
                         memoized, field.name
@@ -353,46 +352,28 @@ class TestOneDecision:
         assert (stats.strategy_misses, stats.strategy_hits) == (0, 0)
 
 
-class TestThreadsRouting:
+class TestAliasRouting:
     @staticmethod
     def resolve(db, *request, **options):
         from repro.core.optimizer import resolve
 
         return resolve(repro.compile_sql(SQL, db), db, *request, **options)
 
-    def test_threads_reach_the_vector_strategy(self, tiny_tpch):
-        decision = self.resolve(tiny_tpch, "auto", "vector", threads=3)
+    def test_parallel_name_is_an_alias_of_vectorized(self, tiny_tpch):
+        decision = self.resolve(tiny_tpch, "nested-relational-parallel", None)
         assert decision.chosen == "nested-relational-vectorized"
         assert decision.impl.name == "nested-relational-vectorized"
-        assert decision.impl.threads == 3
 
-    def test_parallel_name_is_an_alias_of_vectorized(self, tiny_tpch):
-        decision = self.resolve(
-            tiny_tpch, "nested-relational-parallel", None, threads=3
-        )
-        assert decision.chosen == "nested-relational-vectorized"
-        assert decision.impl.threads == 3
-
-    def test_single_thread_stays_sequential(self, tiny_tpch):
-        decision = self.resolve(tiny_tpch, "auto", "vector", threads=1)
-        assert decision.impl.threads == 1
-
-    def test_row_backend_never_parallel(self, tiny_tpch):
-        decision = self.resolve(tiny_tpch, "auto", "row", threads=4)
-        assert not hasattr(decision.impl, "set_threads")
+    def test_a_threads_request_is_one_memo_entry(self, tiny_tpch):
+        session = repro.connect(tiny_tpch)
+        prepared = session.prepare(SQL)
+        prepared.execute(backend="vector")
+        prepared.execute(backend="vector", threads=2)
+        stats = session.cache_stats
+        assert (stats.strategy_misses, stats.strategy_hits) == (1, 1)
 
     def test_session_threads_default_flows_through(self, tiny_tpch):
         session = repro.connect(tiny_tpch, threads=2)
         out = session.execute(SQL, backend="vector")
         reference = repro.connect(tiny_tpch).execute(SQL, backend="vector")
         assert out.sorted() == reference.sorted()
-
-    def test_cli_threads_flag(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["run", SIMPLE, "--tpch", "0.001", "--threads", "2",
-             "--no-plan-cache"]
-        )
-        assert code == 0
-        assert "threads=2" in capsys.readouterr().out

@@ -56,23 +56,11 @@ class TestQuickstartSnippet:
         db = repro.tpch.generate(repro.tpch.TpchConfig(scale_factor=0.001))
         sql = repro.tpch.query1("1993-01-01", "1994-01-01")
 
-        opts = repro.ExecutionOptions(backend="vector", threads=4)
+        opts = repro.ExecutionOptions(backend="vector", timeout_ms=5_000)
         session = repro.connect(db, options=opts)
         query = session.prepare(sql)
         result = query.execute(options=opts.replace(logic="2vl"), timeout_ms=500)
         assert result == query.execute()
-
-    def test_verbatim_parallel_session_snippet(self):
-        db = repro.tpch.generate(repro.tpch.TpchConfig(scale_factor=0.001))
-        sql = repro.tpch.query1("1993-01-01", "1994-01-01")
-
-        session = repro.connect(db, threads=4)        # session-wide default
-        query = session.prepare(sql)
-        auto = query.execute()                 # vector candidate priced at 4 workers
-        one = query.execute(threads=1)         # same result, one worker
-        assert auto.sorted() == one.sorted()
-        assert "plan cache: enabled" in query.describe()
-        assert "nested-relational-parallel" in repro.available_strategies()
 
     def test_top_level_exports(self):
         for name in (
