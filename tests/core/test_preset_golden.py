@@ -1,10 +1,11 @@
-"""The five row-side ``nested-relational-*`` presets are physically what
-they were: for each preset and each of the six figure queries (SF 0.001)
-plus the paper's Query Q, the multiset of operator spans, the
-per-execution cost counters and the result rows (content *and* order)
-match ``tests/golden/presets.json``, recorded before the presets became
-rule sets over the one Algorithm 1 driver.  A query a preset's guard
-refuses is pinned as ``"PlanError"``.
+"""The row strategies are physically what they were: for each of the
+five row-side ``nested-relational-*`` presets and the five row
+baselines, on each of the six figure queries (SF 0.001) plus the
+paper's Query Q, the multiset of operator spans, every per-execution
+``Metrics`` counter and the result rows (content *and* order) match
+``tests/golden/presets.json``.  ``nested-iteration`` is pinned on
+Query Q only: it takes seconds per figure query.  A query a strategy's
+guard refuses is pinned as ``"PlanError"``.
 
 Regenerate after an intentional physical-plan change with::
 
@@ -37,17 +38,22 @@ ROW_PRESETS = [
     "nested-relational-positive-rewrite",
 ]
 
-COUNTERS = (
-    "hash_build_rows",
-    "hash_probes",
-    "rows_sorted",
-    "rows_nested",
-    "linking_evals",
-    "null_padded_rows",
-    "predicate_evals",
-)
+ROW_BASELINES = [
+    "system-a-native",
+    "classical-unnesting",
+    "aggregate-rewrite",
+    "count-rewrite",
+    "boolean-aggregate",
+]
 
 QUERY_STEMS = [p.values[0] for p in PAPER_QUERIES] + ["query_q"]
+
+#: (strategy, query stem) pairs the golden file pins
+CASES = [
+    (strategy, stem)
+    for strategy in ROW_PRESETS + ROW_BASELINES
+    for stem in QUERY_STEMS
+] + [("nested-iteration", "query_q")]
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +66,12 @@ def databases(paper_db):
     return dbs
 
 
-def observe(preset: str, sql: str, db):
+def observe(strategy: str, sql: str, db):
     """What one execution physically did, in golden-file form."""
     query = repro.compile_sql(sql, db)
     with collect() as metrics:
         try:
-            result, trace = run_traced(query, db, preset)
+            result, trace = run_traced(query, db, strategy)
         except PlanError:
             return "PlanError"
     return {
@@ -74,7 +80,7 @@ def observe(preset: str, sql: str, db):
             for span in trace.spans()
             if span.kind in ("operator", "phase")
         ),
-        "counters": {name: metrics.get(name) for name in COUNTERS},
+        "counters": metrics.snapshot(),
         "rows": len(result),
         "rows_sha1": hashlib.sha1(
             repr(list(result.rows)).encode("utf-8")
@@ -85,20 +91,18 @@ def observe(preset: str, sql: str, db):
 def test_update_golden(databases, update_golden):
     if not update_golden:
         pytest.skip("only runs under --update-golden")
-    golden = {
-        preset: {
-            stem: observe(preset, *databases[stem]) for stem in QUERY_STEMS
-        }
-        for preset in ROW_PRESETS
-    }
+    golden = {}
+    for strategy, stem in CASES:
+        golden.setdefault(strategy, {})[stem] = observe(
+            strategy, *databases[stem]
+        )
     with open(GOLDEN_PATH, "w") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
 
-@pytest.mark.parametrize("stem", QUERY_STEMS)
-@pytest.mark.parametrize("preset", ROW_PRESETS)
-def test_preset_matches_golden(databases, preset, stem):
+@pytest.mark.parametrize("strategy,stem", CASES)
+def test_preset_matches_golden(databases, strategy, stem):
     with open(GOLDEN_PATH) as handle:
         golden = json.load(handle)
-    assert observe(preset, *databases[stem]) == golden[preset][stem]
+    assert observe(strategy, *databases[stem]) == golden[strategy][stem]
