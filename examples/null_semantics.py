@@ -88,13 +88,11 @@ def main() -> None:
     query = repro.compile_sql(SQL, db)
     from repro.core.reduce import reduce_all
     from repro.core.nest import nest
-    from repro.engine.operators import LeftOuterHashJoin, as_relation
+    from repro.engine.operators import left_outer_hash_join
 
     reduced = reduce_all(query, db)
-    joined = as_relation(
-        LeftOuterHashJoin(
-            reduced[1].relation, reduced[2].relation, ["r.k"], ["s.rk"]
-        )
+    joined = left_outer_hash_join(
+        reduced[1].relation, reduced[2].relation, ["r.k"], ["s.rk"]
     )
     nested = nest(
         joined,

@@ -17,7 +17,7 @@ from repro.core.nest import nest
 from repro.core.selection import linking_selection, pseudo_selection
 from repro.engine import Column, Database, NULL
 from repro.engine.expressions import Col, Comparison
-from repro.engine.operators import LeftOuterHashJoin, as_relation
+from repro.engine.operators import left_outer_hash_join
 
 
 def build_paper_database() -> Database:
@@ -67,12 +67,12 @@ def algebra_walkthrough(db: Database) -> None:
 
     print("\n-- Temp1: (R LEFT JOIN S ON R.D=S.G) LEFT JOIN T "
           "ON T.K=R.C AND T.L<>S.I, projected --")
-    rs = LeftOuterHashJoin(r, s, ["R.D"], ["S.G"])
-    rst = LeftOuterHashJoin(
+    rs = left_outer_hash_join(r, s, ["R.D"], ["S.G"])
+    rst = left_outer_hash_join(
         rs, t, ["R.C"], ["T.K"],
         residual=Comparison("<>", Col("T.L"), Col("S.I")),
     )
-    temp1 = as_relation(rst).project(
+    temp1 = rst.project(
         ["R.B", "R.C", "R.D", "S.E", "S.H", "S.I", "T.J", "T.L"]
     )
     print(temp1.to_table())

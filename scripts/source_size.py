@@ -14,8 +14,8 @@ import sys
 
 #: most specific first: a file counts for the first prefix it matches
 PACKAGES = (
-    "engine/vector", "core", "engine", "sql", "serve", "baselines",
-    "oracle", "fuzz",
+    "engine/vector", "core", "engine/operators", "engine", "sql", "serve",
+    "baselines", "oracle", "fuzz",
 )
 
 

@@ -39,10 +39,9 @@ from ..engine.expressions import (
 )
 from ..engine.operators import (
     AggSpec,
-    OuterCrossJoin,
     GroupAggregate,
-    LeftOuterHashJoin,
-    as_relation,
+    left_outer_hash_join,
+    outer_cross_join,
 )
 from ..engine.relation import Relation
 from ..core.blocks import NestedQuery, QueryBlock
@@ -96,19 +95,17 @@ class BooleanAggregateStrategy:
             equi = [c for c in child.correlations if c.is_equality]
             other = [c for c in child.correlations if not c.is_equality]
             if child.correlations:
-                joined = as_relation(
-                    LeftOuterHashJoin(
-                        parent_rel,
-                        child_rel,
-                        [c.outer_ref for c in equi],
-                        [c.inner_ref for c in equi],
-                        residual=conjoin([c.as_expr() for c in other])
-                        if other
-                        else None,
-                    )
+                joined = left_outer_hash_join(
+                    parent_rel,
+                    child_rel,
+                    [c.outer_ref for c in equi],
+                    [c.inner_ref for c in equi],
+                    residual=conjoin([c.as_expr() for c in other])
+                    if other
+                    else None,
                 )
             else:
-                joined = as_relation(OuterCrossJoin(parent_rel, child_rel))
+                joined = outer_cross_join(parent_rel, child_rel)
 
             padded = IsNull(Col(crel.rid_ref))
             if link.operator == "exists":

@@ -35,7 +35,7 @@ from ..engine.catalog import Database
 from ..engine.expressions import EvalContext, conjoin
 from ..engine.metrics import current_metrics
 from ..engine.trace import CONTRACT_FILTERING, current_tracer
-from ..engine.operators import LeftOuterHashJoin, OuterCrossJoin, as_relation
+from ..engine.operators import left_outer_hash_join, outer_cross_join
 from ..engine.relation import Relation, Row
 from ..engine.types import NULL, TriBool, is_null, sql_compare
 from ..core.blocks import LinkSpec, NestedQuery, QueryBlock
@@ -105,17 +105,15 @@ class CountRewriteStrategy:
         equi = [c for c in child.correlations if c.is_equality]
         other = [c for c in child.correlations if not c.is_equality]
         if child.correlations:
-            joined = as_relation(
-                LeftOuterHashJoin(
-                    parent_rel,
-                    child_rel,
-                    [c.outer_ref for c in equi],
-                    [c.inner_ref for c in equi],
-                    residual=conjoin([c.as_expr() for c in other]) if other else None,
-                )
+            joined = left_outer_hash_join(
+                parent_rel,
+                child_rel,
+                [c.outer_ref for c in equi],
+                [c.inner_ref for c in equi],
+                residual=conjoin([c.as_expr() for c in other]) if other else None,
             )
         else:
-            joined = as_relation(OuterCrossJoin(parent_rel, child_rel))
+            joined = outer_cross_join(parent_rel, child_rel)
 
         schema = joined.schema
         parent_width = len(parent_rel.schema)

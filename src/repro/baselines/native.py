@@ -51,7 +51,7 @@ from ..engine.expressions import (
 )
 from ..engine.index import HashIndex
 from ..engine.metrics import current_metrics
-from ..engine.operators import AntiJoin, Filter, SemiJoin, as_relation
+from ..engine.operators import anti_join, semi_join
 from ..engine.relation import Relation, Row
 from ..engine.trace import CONTRACT_FILTERING, op_span
 from ..engine.schema import Column, Schema
@@ -353,9 +353,9 @@ class SystemAEmulationStrategy:
                         Col(link.inner_ref),
                     )
                 )
-            op = SemiJoin
+            join = semi_join
         elif action == ANTIJOIN:
-            op = AntiJoin
+            join = anti_join
         elif action == ANTIJOIN_NEGATED:
             residuals.append(
                 Comparison(
@@ -364,17 +364,15 @@ class SystemAEmulationStrategy:
                     Col(link.inner_ref),
                 )
             )
-            op = AntiJoin
+            join = anti_join
         else:  # pragma: no cover - guarded by caller
             raise PlanError(f"not an unnesting action: {action}")
-        return as_relation(
-            op(
-                rel,
-                child_rel,
-                left_keys,
-                right_keys,
-                residual=conjoin(residuals) if residuals else None,
-            )
+        return join(
+            rel,
+            child_rel,
+            left_keys,
+            right_keys,
+            residual=conjoin(residuals) if residuals else None,
         )
 
     # ------------------------------------------------------------------ #

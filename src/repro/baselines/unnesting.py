@@ -32,7 +32,7 @@ from ..strategies import register
 from ..errors import PlanError, UnsoundRewriteError
 from ..engine.catalog import Database
 from ..engine.expressions import Col, Comparison, conjoin
-from ..engine.operators import AntiJoin, SemiJoin, as_relation
+from ..engine.operators import anti_join, semi_join
 from ..engine.relation import Relation
 from ..engine.types import negate_op
 from ..core.blocks import LinkSpec, NestedQuery, QueryBlock
@@ -171,11 +171,9 @@ class ClassicalUnnestingStrategy:
         right_keys = [c.inner_ref for c in equi]
 
         if link.operator in ("exists", "not_exists"):
-            op = SemiJoin if link.operator == "exists" else AntiJoin
-            return as_relation(
-                op(rel, child_rel, left_keys, right_keys,
-                   residual=conjoin(residuals) if residuals else None)
-            )
+            join = semi_join if link.operator == "exists" else anti_join
+            return join(rel, child_rel, left_keys, right_keys,
+                        residual=conjoin(residuals) if residuals else None)
         theta = link.effective_theta
         assert theta is not None and link.outer_ref and link.inner_ref
         if link.is_positive:
@@ -183,16 +181,12 @@ class ClassicalUnnestingStrategy:
             residuals.append(
                 Comparison(theta, Col(link.outer_ref), Col(link.inner_ref))
             )
-            return as_relation(
-                SemiJoin(rel, child_rel, left_keys, right_keys,
-                         residual=conjoin(residuals))
-            )
+            return semi_join(rel, child_rel, left_keys, right_keys,
+                             residual=conjoin(residuals))
         # θ ALL / NOT IN -> antijoin on C ∧ A ¬θ B (unsound with NULLs —
         # guarded in execute()/applicable()).
         residuals.append(
             Comparison(negate_op(theta), Col(link.outer_ref), Col(link.inner_ref))
         )
-        return as_relation(
-            AntiJoin(rel, child_rel, left_keys, right_keys,
-                     residual=conjoin(residuals))
-        )
+        return anti_join(rel, child_rel, left_keys, right_keys,
+                         residual=conjoin(residuals))

@@ -4,7 +4,7 @@ Algorithm 1 (:mod:`repro.core.compute`) is written against a small
 *operator factory* protocol instead of concrete physical operators, so
 the same driver runs on two substrates:
 
-* :class:`RowBackend` — the tuple-at-a-time iterator engine
+* :class:`RowBackend` — the tuple-at-a-time row engine
   (:mod:`repro.engine.operators`), the library's original path;
 * :class:`repro.engine.vector.backend.VectorBackend` — the columnar
   batch engine, where every method works on
@@ -74,12 +74,7 @@ from __future__ import annotations
 from ..engine.catalog import Database
 from ..engine.governor import checkpoint
 from ..engine.metrics import current_metrics
-from ..engine.operators import (
-    LeftOuterHashJoin,
-    OuterCrossJoin,
-    SemiJoin,
-    as_relation,
-)
+from ..engine.operators import left_outer_hash_join, outer_cross_join, semi_join
 from ..engine.relation import Relation
 from ..engine.schema import Column, Schema
 from ..engine.trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
@@ -100,7 +95,7 @@ from .selection import (
 
 
 class RowBackend:
-    """Tuple-at-a-time operator factory (the original iterator engine)."""
+    """The Algorithm 1 steps on the tuple-at-a-time row operators."""
 
     kind = "row"
 
@@ -124,12 +119,10 @@ class RowBackend:
         self, rel: Relation, child: Relation, node: query_tree.OuterJoin
     ) -> Relation:
         if node.cross:
-            return as_relation(OuterCrossJoin(rel, child))
-        return as_relation(
-            LeftOuterHashJoin(
-                rel, child, list(node.outer_keys), list(node.inner_keys),
-                residual=node.residual,
-            )
+            return outer_cross_join(rel, child)
+        return left_outer_hash_join(
+            rel, child, list(node.outer_keys), list(node.inner_keys),
+            residual=node.residual,
         )
 
     # -- way up --------------------------------------------------------- #
@@ -178,11 +171,9 @@ class RowBackend:
     def semi_join(
         self, rel: Relation, child: Relation, node: query_tree.SemiJoin
     ) -> Relation:
-        return as_relation(
-            SemiJoin(
-                rel, child, list(node.outer_keys), list(node.inner_keys),
-                residual=node.residual,
-            )
+        return semi_join(
+            rel, child, list(node.outer_keys), list(node.inner_keys),
+            residual=node.residual,
         )
 
     # -- virtual Cartesian product -------------------------------------- #

@@ -168,7 +168,7 @@ class NestedRelationalStrategy:
         implementations (paper Section 5.1 used sorting).
     backend:
         the operator factory executing the plan — defaults to the
-        row-iterator engine (:class:`repro.core.backend.RowBackend`);
+        row engine (:class:`repro.core.backend.RowBackend`);
         the columnar engine plugs in here
         (:class:`repro.engine.vector.backend.VectorBackend`).
     """

@@ -31,7 +31,7 @@ from ..engine.expressions import (
     split_conjuncts,
 )
 from ..engine.governor import checkpoint
-from ..engine.operators import Filter, HashJoin, NestedLoopJoin, as_relation
+from ..engine.operators import filter_relation, hash_join, nested_loop_join
 from ..engine.trace import op_span
 from ..engine.relation import Relation
 from ..engine.schema import Column, Schema
@@ -268,7 +268,7 @@ def plan_block_join(block: QueryBlock) -> BlockJoinPlan:
 
 
 def execute_join_plan(plan: BlockJoinPlan, db: Database) -> Relation:
-    """Execute a block's join plan with the row-iterator operators."""
+    """Execute a block's join plan with the row operators."""
     # Scan + filter each table under its alias.
     parts: Dict[str, Relation] = {}
     for alias, table_name in plan.table_names:
@@ -277,27 +277,25 @@ def execute_join_plan(plan: BlockJoinPlan, db: Database) -> Relation:
             rel = rel.rename_table(alias)
         pred = plan.scan_filter(alias)
         if pred is not None:
-            rel = as_relation(Filter(rel, pred))
+            rel = filter_relation(rel, pred)
         parts[alias] = rel
 
     current = parts[plan.aliases[0]]
     for step in plan.steps:
         if step.left_keys:
-            current = as_relation(
-                HashJoin(
-                    current,
-                    parts[step.alias],
-                    list(step.left_keys),
-                    list(step.right_keys),
-                    step.residual,
-                )
+            current = hash_join(
+                current,
+                parts[step.alias],
+                list(step.left_keys),
+                list(step.right_keys),
+                step.residual,
             )
         else:
-            current = as_relation(
-                NestedLoopJoin(current, parts[step.alias], predicate=step.residual)
+            current = nested_loop_join(
+                current, parts[step.alias], predicate=step.residual
             )
     if plan.final_residual is not None:
-        current = as_relation(Filter(current, plan.final_residual))
+        current = filter_relation(current, plan.final_residual)
     return current
 
 

@@ -28,10 +28,10 @@ is written in terms of them:
   2VL collapses ``false_mask`` to ``~true_mask``).
 
 The bound closures of :func:`repro.engine.expressions.bind_truth` are
-the first two with the flag read ahead of the loop: a row operator binds
-at the top of its ``_iterate``, inside the execution's scope, asks
-:func:`two_valued` once, and the closure carries the answer (FALSE or
-UNKNOWN for a NULL operand) for that run only.
+the first two with the flag read ahead of the loop: a row operator
+function binds its predicate when called, inside the execution's scope,
+asks :func:`two_valued` once, and the closure carries the answer (FALSE
+or UNKNOWN for a NULL operand) for that call only.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ from .context import ExecutionContext, current, scope
 
 #: The logic modes a session can select.
 LOGIC_MODES = ("3vl", "2vl")
-
-
-def current_logic() -> str:
-    """The ambient logic mode: ``"3vl"`` (SQL standard) or ``"2vl"``."""
-    return current().logic
 
 
 def two_valued() -> bool:

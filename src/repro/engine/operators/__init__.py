@@ -1,46 +1,26 @@
-"""Physical operators of the flat relational engine."""
+"""Physical operators of the flat relational engine: functions from
+:class:`~repro.engine.relation.Relation`\\ s to a ``Relation``."""
 
-from .base import Operator, RelationSource, as_operator, as_relation
-from .basic import Distinct, Filter, Limit, Map, Project, Rename, Sort
+from .basic import filter_relation
 from .joins import (
-    AntiJoin,
-    CrossJoin,
-    OuterCrossJoin,
-    HashJoin,
-    IndexNestedLoopJoin,
-    JoinSpec,
-    LeftOuterHashJoin,
-    NestedLoopJoin,
-    SemiJoin,
+    anti_join,
+    hash_join,
+    left_outer_hash_join,
+    nested_loop_join,
+    outer_cross_join,
+    semi_join,
 )
 from .aggregate import AggSpec, GroupAggregate, scalar_aggregate
-from .set_ops import Difference, Intersect, Union
 
 __all__ = [
-    "Operator",
-    "RelationSource",
-    "as_operator",
-    "as_relation",
-    "Filter",
-    "Project",
-    "Map",
-    "Distinct",
-    "Limit",
-    "Rename",
-    "Sort",
-    "HashJoin",
-    "LeftOuterHashJoin",
-    "SemiJoin",
-    "AntiJoin",
-    "CrossJoin",
-    "OuterCrossJoin",
-    "NestedLoopJoin",
-    "IndexNestedLoopJoin",
-    "JoinSpec",
+    "filter_relation",
+    "hash_join",
+    "left_outer_hash_join",
+    "semi_join",
+    "anti_join",
+    "outer_cross_join",
+    "nested_loop_join",
     "AggSpec",
     "GroupAggregate",
     "scalar_aggregate",
-    "Union",
-    "Intersect",
-    "Difference",
 ]

@@ -2,9 +2,8 @@
 
 A :class:`Relation` couples a :class:`~repro.engine.schema.Schema` with a
 list of row tuples.  Rows are plain Python tuples of SQL values (see
-:mod:`repro.engine.types`); the engine's physical operators consume and
-produce iterators of such tuples, and :meth:`Relation.from_iter`
-materializes them.
+:mod:`repro.engine.types`); the engine's row operators are functions
+from relations to a relation.
 
 Relations are *bags* (duplicates allowed), matching SQL semantics before an
 explicit DISTINCT.
@@ -39,11 +38,6 @@ class Relation:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def from_iter(schema: Schema, rows: Iterable[Row]) -> "Relation":
-        """Materialize an iterator of rows under *schema*."""
-        return Relation(schema, rows)
 
     @staticmethod
     def from_columns(

@@ -15,24 +15,27 @@ records
   and predicate evaluations are attributed per operator without any
   extra per-row bookkeeping.
 
-Spans form a tree mirroring the dynamic operator nesting: an operator's
-input pipeline appears as its children.  The tracer is **observation
-only** — results and :class:`Metrics` counters are bit-identical with
-tracing on or off — and costs a single ``is None`` check per operator
-iteration when disabled.
+Spans form a tree mirroring the dynamic operator nesting: a span's
+children are the operators that ran inside it (a row operator reads
+materialized relations, so its span has none).  The tracer is
+**observation only** — results and :class:`Metrics` counters are
+bit-identical with tracing on or off — and costs a single ``is None``
+check per operator call when disabled.
 
 Invariants (checked by :func:`trace_invariant_violations` and the
 ``tests/core/test_trace_invariants.py`` suite):
 
 * every span is closed, timestamps are ordered, counters non-negative;
-* cardinality contracts hold per operator class: *preserving* operators
-  (projection, sort, rename, pseudo selection — which pads instead of
-  dropping) emit exactly as many rows as they consume, *filtering*
+* cardinality contracts hold per operator: *preserving* operators
+  (pseudo selection, which pads instead of dropping, and the vector
+  engine's row-preserving kernels) emit exactly as many rows as they
+  consume, *filtering*
   operators at most as many, *expanding* operators (outer joins) at
   least as many;
 * an operator's ``rows_in`` equals the summed ``rows_out`` of the child
-  operator spans that feed it (the pull-model row-accounting check that
-  catches a mis-counting operator even when row *values* are right);
+  operator spans that feed it, when it has any (the row-accounting check
+  that catches a mis-counting operator even when row *values* are
+  right);
 * the root span's ``rows_out`` equals the result cardinality;
 * summed per-span metric deltas reconcile with the ambient ``Metrics``
   totals of the execution (:func:`reconcile_with_metrics`).
@@ -251,11 +254,10 @@ class Tracer:
     def close(self, span: Span) -> None:
         """Close *span*, closing any deeper spans still open.
 
-        Operators normally unwind in LIFO order (generator exhaustion),
-        but an abandoned iterator (e.g. the input of a ``Limit`` that
-        stopped early) may be finalized late, after its parent already
-        closed over it — closing is idempotent and never pops spans that
-        are not on *span*'s own branch.
+        Spans normally unwind in LIFO order, but one opened inside a
+        generator the consumer abandoned may be finalized late, after
+        its parent already closed over it — closing is idempotent and
+        never pops spans that are not on *span*'s own branch.
         """
         if span in self._stack:
             while self._stack:
@@ -360,9 +362,9 @@ def op_span(
 ) -> Iterator[Optional[Span]]:
     """Open a span if tracing is active; yields None otherwise.
 
-    The convenience wrapper for non-:class:`Operator` call sites (nest,
-    linking selections, phase markers): call sites guard their recording
-    with ``if span is not None``.
+    Every traced call site opens its span through this wrapper (the row
+    operators, nest, linking selections, phase markers) and guards its
+    recording with ``if span is not None``.
     """
     tracer = current_tracer()
     if tracer is None:
@@ -437,7 +439,7 @@ def _span_violations(span: Span) -> List[str]:
                 f"{where} is expanding but emitted {rows_out} row(s) "
                 f"from {rows_in}"
             )
-    # pull-model row accounting: the rows an operator consumed must match
+    # row accounting: the rows an operator consumed must match
     # the rows its input operator spans report having produced.
     if span.kind == "operator" and rows_in is not None:
         inputs = [c for c in span.children if c.kind == "operator"]

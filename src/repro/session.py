@@ -22,7 +22,7 @@ this session's observed cardinalities from traced executions), and the
 cheapest runs — the decision is inspectable via ``query.explain()`` and
 recorded as a ``kind='planner'`` span in every trace.  The *backend*
 selects the execution substrate — ``"row"`` for the tuple-at-a-time
-iterator engine, ``"vector"`` for the columnar batch engine — and
+row engine, ``"vector"`` for the columnar batch engine — and
 defaults to whatever the strategy was registered on.  Semantics never
 depend on the backend; only performance does.
 

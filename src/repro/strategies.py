@@ -4,7 +4,7 @@ Strategies self-register at import time with :func:`register`; the
 planner, the CLI, the benchmark harness and the fuzzer all resolve
 names through this module instead of keeping private name->class
 tables.  Each entry records which execution *backend* the strategy runs
-on (``"row"`` for the tuple-at-a-time iterator engine, ``"vector"`` for
+on (``"row"`` for the tuple-at-a-time row engine, ``"vector"`` for
 the columnar batch engine);
 :func:`repro.core.optimizer.resolve` — the one place a request becomes
 an instance — routes ``execute(backend=...)`` requests by that tag.

@@ -57,11 +57,11 @@ class TestPaperNullExample:
         """The unsound MAX rewrite would let r1 through (max ignores NULL:
         5 > 4).  Pin that the oracle disagrees with it."""
         from repro.engine.operators import AggSpec, scalar_aggregate
-        from repro.engine.operators.basic import Filter
-        from repro.engine.expressions import cmp
-        from repro.engine.operators import as_relation
+        from repro.engine.relation import Relation
 
-        s1 = as_relation(Filter(db.relation("s"), cmp("s.rk", "=", 1)))
+        s = db.relation("s")
+        rk = s.schema.index_of("s.rk")
+        s1 = Relation(s.schema, [row for row in s.rows if row[rk] == 1])
         max_b = scalar_aggregate(s1, AggSpec("max", "s.b"))
         assert max_b == 4 and 5 > max_b  # rewrite says r1 qualifies
         rows = run(

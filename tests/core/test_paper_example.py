@@ -19,7 +19,7 @@ from repro.core.linking import SetPredicate
 from repro.core.nest import nest, nest_sorted
 from repro.core.selection import linking_selection, pseudo_selection
 from repro.engine.expressions import Col, Comparison, And
-from repro.engine.operators import LeftOuterHashJoin, as_relation
+from repro.engine.operators import left_outer_hash_join
 from repro.engine.relation import Relation
 from repro.engine.types import NULL, row_sort_key
 
@@ -39,10 +39,10 @@ def temp1(paper_db):
     r = paper_db.relation("R")
     s = paper_db.relation("S")
     t = paper_db.relation("T")
-    rs = LeftOuterHashJoin(r, s, ["R.D"], ["S.G"])
+    rs = left_outer_hash_join(r, s, ["R.D"], ["S.G"])
     residual = Comparison("<>", Col("T.L"), Col("S.I"))
-    rst = LeftOuterHashJoin(rs, t, ["R.C"], ["T.K"], residual=residual)
-    return as_relation(rst).project(TEMP1_REFS)
+    rst = left_outer_hash_join(rs, t, ["R.C"], ["T.K"], residual=residual)
+    return rst.project(TEMP1_REFS)
 
 
 class TestTemp1:

@@ -155,13 +155,13 @@ def decisions(nodes):
 
 def operator_spans(trace):
     """Names of the spans Algorithm 1's operators opened: everything
-    outside the ``reduce[T_i]`` phases but the row engine's leaf scans."""
+    outside the ``reduce[T_i]`` phases."""
     names = []
 
     def visit(span):
         if span.name.startswith("reduce["):
             return
-        if span.kind in ("operator", "phase") and span.name != "RelationSource":
+        if span.kind in ("operator", "phase"):
             names.append(span.name)
         for child in span.children:
             visit(child)

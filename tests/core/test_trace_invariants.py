@@ -19,7 +19,12 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.strategies import available_strategies, make as make_strategy
+from repro.strategies import (
+    ROW_BACKEND,
+    available_strategies,
+    entries,
+    make as make_strategy,
+)
 from repro.engine.metrics import collect
 from repro.engine.trace import (
     reconcile_with_metrics,
@@ -28,6 +33,8 @@ from repro.engine.trace import (
 )
 from repro.core.optimizer import strategy_applicable
 from repro.tpch import query1, query2, query3
+
+from .test_explain import QUERY_Q
 
 #: every strategy the planner can run ("auto" resolves per query)
 STRATEGIES = available_strategies()
@@ -105,6 +112,57 @@ class TestLinkingMatrix:
         ):
             pytest.skip(f"{strategy} does not accept this query")
         assert_trace_invariants(prepared, strategy)
+
+
+#: the strategies that run on the row operators of ``engine.operators``
+ROW_STRATEGIES = [e.name for e in entries() if e.backend == ROW_BACKEND]
+
+#: the span names of the row operators
+ROW_OPERATORS = {
+    "Filter",
+    "HashJoin",
+    "LeftOuterHashJoin",
+    "SemiJoin",
+    "AntiJoin",
+    "NestedLoopJoin",
+    "OuterCrossJoin",
+    "GroupAggregate",
+}
+
+
+class TestRowOperatorAttribution:
+    """A row operator's span holds the work the operator did: it has no
+    operator span below it for its input to take the counts, and a
+    ``Filter``'s own ``predicate_evals`` are one per row it read."""
+
+    @pytest.mark.parametrize("strategy", ROW_STRATEGIES)
+    @pytest.mark.parametrize(
+        "sql", LINKING_MATRIX + [pytest.param(QUERY_Q, id="query-q")]
+    )
+    def test_work_lands_on_the_operator_span(self, paper_db, sql, strategy):
+        prepared = repro.connect(paper_db, plan_cache=False).prepare(sql)
+        if not strategy_applicable(
+            make_strategy(strategy), prepared.query, paper_db
+        ):
+            pytest.skip(f"{strategy} does not accept this query")
+        trace = assert_trace_invariants(prepared, strategy)
+        for span in trace.spans():
+            if span.name not in ROW_OPERATORS:
+                continue
+            assert [c.name for c in span.children if c.kind == "operator"] == []
+            if span.name == "Filter":
+                assert span.self_metrics().get(
+                    "predicate_evals", 0
+                ) == span.counters.get("rows_in", 0), span
+
+    def test_query_q_reduce_filters_carry_their_evaluations(self, paper_db):
+        prepared = repro.connect(paper_db, plan_cache=False).prepare(QUERY_Q)
+        trace = assert_trace_invariants(prepared, "nested-relational")
+        filters = trace.find("Filter")
+        assert filters
+        for span in filters:
+            assert span.self_metrics()["predicate_evals"] == span.counters["rows_in"]
+            assert span.self_metrics()["rows_scanned"] == span.counters["rows_in"]
 
 
 class TestPaperQueries:

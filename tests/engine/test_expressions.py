@@ -34,7 +34,7 @@ from repro.engine.expressions import (
     truth,
 )
 from repro.engine.logic import logic_mode
-from repro.engine.operators import Filter, HashJoin
+from repro.engine.operators import filter_relation, hash_join
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.engine.types import FALSE, NULL, TRUE, UNKNOWN, is_null
@@ -362,24 +362,25 @@ class TestBoundAgreesWithInterpreted:
 class TestOperatorsBindPerRun:
     def test_unresolved_column_raises_per_row_not_per_operator(self):
         dangling = cmp("t.z", "=", 1)
-        assert Filter(Relation(SCHEMA, []), dangling).materialize().rows == []
+        assert filter_relation(Relation(SCHEMA, []), dangling).rows == []
         with pytest.raises(ExpressionError, match="unresolved"):
-            Filter(Relation(SCHEMA, [(1, 2)]), dangling).materialize()
+            filter_relation(Relation(SCHEMA, [(1, 2)]), dangling)
         other = Relation(Schema.of("k", table="r"), [])
-        joined = HashJoin(
+        joined = hash_join(
             Relation(SCHEMA, [(1, 2)]), other, ["t.a"], ["r.k"], residual=dangling
         )
-        assert joined.materialize().rows == []
+        assert joined.rows == []
 
     def test_logic_mode_is_read_when_the_run_starts(self):
-        """One operator, two runs: a closure bound under 2VL must not
+        """One predicate, two runs: a closure bound under 2VL must not
         answer for the 3VL run (NOT (NULL = 1) keeps the row only under
         2VL)."""
-        op = Filter(Relation(SCHEMA, [(NULL, 0), (2, 0)]), Not(cmp("t.a", "=", 1)))
+        source = Relation(SCHEMA, [(NULL, 0), (2, 0)])
+        predicate = Not(cmp("t.a", "=", 1))
         with logic_mode("2vl"):
-            assert list(op) == [(NULL, 0), (2, 0)]
+            assert filter_relation(source, predicate).rows == [(NULL, 0), (2, 0)]
         with logic_mode("3vl"):
-            assert list(op) == [(2, 0)]
+            assert filter_relation(source, predicate).rows == [(2, 0)]
 
     def test_figure_query_builds_no_eval_context(self, tiny_tpch, monkeypatch):
         """Algorithm 1 on the row backend evaluates every predicate —

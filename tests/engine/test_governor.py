@@ -29,6 +29,18 @@ from repro.engine.governor import (
     governed,
 )
 from repro.engine.metrics import collect
+from repro.engine.operators import (
+    anti_join,
+    basic,
+    filter_relation,
+    hash_join,
+    joins,
+    left_outer_hash_join,
+    nested_loop_join,
+    outer_cross_join,
+    semi_join,
+)
+from repro.engine.relation import Relation
 from repro.engine.trace import (
     KIND_GOVERNOR,
     reconcile_with_metrics,
@@ -267,6 +279,81 @@ class TestCrossJoinResidualCheckpoint:
         with governed(gov), pytest.raises(error) as err:
             kernels.cross_join(side, other, residual)
         assert "cross-join residual" in str(err.value)
+
+
+# --------------------------------------------------------------------- #
+# Row operators: checkpoint cadence and where a timeout lands
+# --------------------------------------------------------------------- #
+
+
+def _keyed(table: str, keys) -> Relation:
+    return Relation(Schema.of("k", table=table), [(k,) for k in keys])
+
+
+#: 5000 left rows; half of them find one match on the right
+LEFT = _keyed("l", range(5000))
+RIGHT = _keyed("r", range(0, 5000, 2))
+
+ROW_OPERATOR_CALLS = {
+    "filter": lambda: filter_relation(LEFT, Comparison("<", Col("l.k"), Col("l.k"))),
+    "hash_join": lambda: hash_join(LEFT, RIGHT, ["l.k"], ["r.k"]),
+    "left_outer_hash_join": lambda: left_outer_hash_join(
+        LEFT, RIGHT, ["l.k"], ["r.k"]
+    ),
+    "semi_join": lambda: semi_join(LEFT, RIGHT, ["l.k"], ["r.k"]),
+    "anti_join": lambda: anti_join(LEFT, RIGHT, ["l.k"], ["r.k"]),
+    "outer_cross_join": lambda: outer_cross_join(LEFT, _keyed("r", [1, 2])),
+    "nested_loop_join": lambda: nested_loop_join(
+        LEFT, _keyed("r", [1, 2]), Comparison("=", Col("l.k"), Col("r.k")),
+        outer=True,
+    ),
+}
+
+
+class TestRowOperatorCheckpoints:
+    """Under a governor a row operator reaches a checkpoint at least
+    once per 512 rows it reads or writes, so a deadline is noticed
+    within 512 rows' time; the check fires inside the operator, whose
+    span then says it was cut short."""
+
+    @pytest.mark.parametrize("call", sorted(ROW_OPERATOR_CALLS))
+    def test_one_checkpoint_per_512_rows(self, monkeypatch, call):
+        sites = []
+
+        def counting(site="operator"):
+            sites.append(site)
+
+        monkeypatch.setattr(basic, "checkpoint", counting)
+        monkeypatch.setattr(joins, "checkpoint", counting)
+        with collect(), tracing() as trace, governed(ResourceGovernor()):
+            out = ROW_OPERATOR_CALLS[call]()
+        (span,) = [s for s in trace.spans() if s.kind == "operator"]
+        rows = max(span.counters["rows_in"], len(out))
+        assert sites.count("operator-rows") >= rows // 512
+        assert rows >= 5000
+
+    def test_ungoverned_run_checks_no_rows(self, monkeypatch):
+        sites = []
+        monkeypatch.setattr(joins, "checkpoint", sites.append)
+        left_outer_hash_join(LEFT, RIGHT, ["l.k"], ["r.k"])
+        assert "operator-rows" not in sites
+
+    def test_timeout_fires_inside_the_join(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT", "slow_morsel")
+        monkeypatch.setenv("REPRO_FAULT_MS", "10")
+        small = _keyed("r", range(0, 100, 2))
+        with collect() as metrics, tracing() as trace:
+            with pytest.raises(QueryTimeoutError), governed(
+                ResourceGovernor(timeout_ms=50)
+            ):
+                left_outer_hash_join(LEFT, small, ["l.k"], ["r.k"])
+        (span,) = trace.find("LeftOuterHashJoin")
+        assert span.aborted and span.closed
+        # the probe was cut short, and what it reached is charged
+        assert 0 < span.counters["rows_in"] < len(LEFT)
+        assert span.self_metrics()["hash_probes"] == span.counters["rows_in"]
+        assert trace_invariant_violations(trace) == []
+        assert reconcile_with_metrics(trace, metrics.snapshot()) == []
 
 
 # --------------------------------------------------------------------- #

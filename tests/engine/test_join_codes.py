@@ -38,10 +38,10 @@ from repro.engine import NULL, Column, Schema
 from repro.engine.expressions import Col, Comparison
 from repro.engine.governor import governed
 from repro.engine.operators import (
-    AntiJoin,
-    HashJoin,
-    LeftOuterHashJoin,
-    SemiJoin,
+    anti_join,
+    hash_join,
+    left_outer_hash_join,
+    semi_join,
 )
 from repro.engine.vector import Batch, Vector, kernels
 from repro.engine.vector.column import KIND_BOOL, KIND_FLOAT, KIND_INT, KIND_STR
@@ -510,10 +510,10 @@ EXACT_KIND_CASES = {
 }
 
 ROW_JOINS = {
-    "hash_join": HashJoin,
-    "left_outer_hash_join": LeftOuterHashJoin,
-    "semi_join": SemiJoin,
-    "anti_join": AntiJoin,
+    "hash_join": hash_join,
+    "left_outer_hash_join": left_outer_hash_join,
+    "semi_join": semi_join,
+    "anti_join": anti_join,
 }
 
 
@@ -546,7 +546,7 @@ class TestExactKindMatrix:
         want = ROW_JOINS[join](
             left.to_relation(), right.to_relation(), left_keys, right_keys,
             residual,
-        ).materialize()
+        )
         assert got.to_relation().sorted().rows == want.sorted().rows
 
     @pytest.mark.parametrize("case", sorted(EXACT_KIND_CASES))
@@ -580,7 +580,7 @@ class TestExactKindMatrix:
         want = ROW_JOINS[join](
             left.to_relation(), right.to_relation(), left_keys, right_keys,
             residual,
-        ).materialize()
+        )
         assert got.to_relation().sorted().rows == want.sorted().rows
         spills = join in ("hash_join", "left_outer_hash_join") and (
             case != "obj-key"

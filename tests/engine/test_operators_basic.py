@@ -1,23 +1,10 @@
-"""Unit tests for the unary physical operators."""
-
-import pytest
+"""Unit tests for the selection operator."""
 
 from repro.engine.expressions import Col, Comparison, Literal, cmp
-from repro.engine.operators import (
-    Distinct,
-    Filter,
-    Limit,
-    Map,
-    Project,
-    Rename,
-    Sort,
-    as_operator,
-    as_relation,
-)
+from repro.engine.operators import filter_relation
 from repro.engine.relation import Relation
-from repro.engine.schema import Column, Schema
+from repro.engine.schema import Schema
 from repro.engine.types import NULL
-from repro.errors import ExecutionError
 
 
 def rel(rows):
@@ -28,92 +15,16 @@ class TestFilter:
     def test_keeps_only_definitely_true(self):
         """FALSE and UNKNOWN rows are both filtered out (SQL WHERE)."""
         r = rel([(1, 1), (2, 1), (NULL, 1)])
-        out = Filter(r, cmp("t.a", "=", 1)).materialize()
+        out = filter_relation(r, cmp("t.a", "=", 1))
         assert out.rows == [(1, 1)]
 
     def test_schema_preserved(self):
-        out = Filter(rel([]), cmp("t.a", "=", 1))
+        out = filter_relation(rel([]), cmp("t.a", "=", 1))
         assert out.schema.names == ("t.a", "t.b")
 
-
-class TestProject:
-    def test_reorder(self):
-        out = Project(rel([(1, 2)]), ["t.b", "t.a"]).materialize()
-        assert out.rows == [(2, 1)]
-
-    def test_bag_semantics(self):
-        out = Project(rel([(1, 2), (1, 3)]), ["t.a"]).materialize()
-        assert out.rows == [(1,), (1,)]
-
-
-class TestMap:
-    def test_computes_expressions(self):
-        from repro.engine.expressions import Arith
-
-        out = Map(
-            rel([(1, 2)]),
-            [Arith("+", Col("t.a"), Col("t.b"))],
-            [Column("total")],
-        ).materialize()
-        assert out.rows == [(3,)]
-
-    def test_arity_check(self):
-        with pytest.raises(ExecutionError):
-            Map(rel([]), [Literal(1)], [Column("x"), Column("y")])
-
-
-class TestDistinct:
-    def test_nulls_grouped(self):
-        out = Distinct(rel([(NULL, 1), (NULL, 1), (2, 1)])).materialize()
-        assert len(out) == 2
-
-    def test_numeric_unification(self):
-        out = Distinct(rel([(1, 0), (1.0, 0)])).materialize()
-        assert len(out) == 1
-
-
-class TestLimit:
-    def test_limits(self):
-        out = Limit(rel([(i, 0) for i in range(10)]), 3).materialize()
-        assert len(out) == 3
-
-    def test_zero(self):
-        out = Limit(rel([(1, 0)]), 0).materialize()
-        assert len(out) == 0
-
-
-class TestRename:
-    def test_requalifies(self):
-        out = Rename(rel([(1, 2)]), "x").materialize()
-        assert out.schema.names == ("x.a", "x.b")
-
-
-class TestSort:
-    def test_orders_with_nulls_first(self):
-        out = Sort(rel([(2, 0), (NULL, 0), (1, 0)]), ["t.a"]).materialize()
-        assert out.rows == [(NULL, 0), (1, 0), (2, 0)]
-
-    def test_descending(self):
-        out = Sort(rel([(2, 0), (1, 0)]), ["t.a"], descending=True).materialize()
-        assert out.rows == [(2, 0), (1, 0)]
-
-    def test_multi_key(self):
-        out = Sort(rel([(1, 2), (1, 1), (0, 9)]), ["t.a", "t.b"]).materialize()
-        assert out.rows == [(0, 9), (1, 1), (1, 2)]
-
-
-class TestCoercion:
-    def test_as_operator_roundtrip(self):
-        r = rel([(1, 2)])
-        assert as_relation(as_operator(r)) == r
-
-    def test_as_operator_rejects_junk(self):
-        with pytest.raises(ExecutionError):
-            as_operator(42)
-
-    def test_operator_chain(self):
+    def test_composes_with_projection(self):
         r = rel([(1, 2), (2, 2), (3, 3)])
-        out = as_relation(
-            Project(Filter(r, Comparison("=", Col("t.b"), Literal(2))), ["t.a"])
-        )
+        out = filter_relation(
+            r, Comparison("=", Col("t.b"), Literal(2))
+        ).project(["t.a"])
         assert out.rows == [(1,), (2,)]

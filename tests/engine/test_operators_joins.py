@@ -3,15 +3,13 @@
 import pytest
 
 from repro.engine.expressions import Col, Comparison
-from repro.engine.index import HashIndex
 from repro.engine.operators import (
-    AntiJoin,
-    CrossJoin,
-    HashJoin,
-    IndexNestedLoopJoin,
-    LeftOuterHashJoin,
-    NestedLoopJoin,
-    SemiJoin,
+    anti_join,
+    hash_join,
+    left_outer_hash_join,
+    nested_loop_join,
+    outer_cross_join,
+    semi_join,
 )
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
@@ -33,34 +31,34 @@ R = right_rel([(1, 10), (1, 11), (3, 30), (NULL, 99)])
 
 class TestHashJoin:
     def test_matches(self):
-        out = HashJoin(L, R, ["l.k"], ["r.k"]).materialize()
+        out = hash_join(L, R, ["l.k"], ["r.k"])
         assert sorted(out.rows) == [(1, "a", 1, 10), (1, "a", 1, 11)]
 
     def test_null_keys_never_match(self):
         """NULL = NULL is UNKNOWN, so NULL keys join with nothing."""
-        out = HashJoin(L, R, ["l.k"], ["r.k"]).materialize()
+        out = hash_join(L, R, ["l.k"], ["r.k"])
         assert not any(is_null(row[0]) for row in out.rows)
 
     def test_residual(self):
         residual = Comparison(">", Col("r.y"), Col("r.k"))
-        out = HashJoin(L, R, ["l.k"], ["r.k"], residual=residual).materialize()
+        out = hash_join(L, R, ["l.k"], ["r.k"], residual=residual)
         assert len(out) == 2  # both (1,10) and (1,11) satisfy y > k
 
     def test_key_arity_mismatch(self):
         with pytest.raises(ExecutionError):
-            HashJoin(L, R, ["l.k"], [])
+            hash_join(L, R, ["l.k"], [])
 
 
 class TestLeftOuterHashJoin:
     def test_unmatched_left_padded(self):
-        out = LeftOuterHashJoin(L, R, ["l.k"], ["r.k"]).materialize()
+        out = left_outer_hash_join(L, R, ["l.k"], ["r.k"])
         padded = [row for row in out.rows if is_null(row[2])]
         # l.k=2 has no match; l.k=NULL never matches: both padded
         assert len(padded) == 2
         assert all(is_null(row[3]) for row in padded)
 
     def test_every_left_row_survives(self):
-        out = LeftOuterHashJoin(L, R, ["l.k"], ["r.k"]).materialize()
+        out = left_outer_hash_join(L, R, ["l.k"], ["r.k"])
         left_keys = [row[:2] for row in out.rows]
         for row in L.rows:
             assert row in left_keys
@@ -70,13 +68,13 @@ class TestLeftOuterHashJoin:
         the residual belongs to the join condition, not a later filter."""
         residual = Comparison(">", Col("r.y"), Col("l.x_len"))
         left = Relation(Schema.of("k", "x_len", table="l"), [(1, 100)])
-        out = LeftOuterHashJoin(left, R, ["l.k"], ["r.k"], residual=residual).materialize()
+        out = left_outer_hash_join(left, R, ["l.k"], ["r.k"], residual=residual)
         assert len(out) == 1
         assert is_null(out.rows[0][2])
 
     def test_no_equi_keys_degrades_to_scan(self):
         residual = Comparison("<>", Col("l.k"), Col("r.k"))
-        out = LeftOuterHashJoin(L, R, [], [], residual=residual).materialize()
+        out = left_outer_hash_join(L, R, [], [], residual=residual)
         # l.k=1 pairs with r.k=3; l.k=2 with r.k in {1,1,3}; NULL pads
         counts = {}
         for row in out.rows:
@@ -86,63 +84,48 @@ class TestLeftOuterHashJoin:
 
 class TestSemiAntiJoin:
     def test_semijoin(self):
-        out = SemiJoin(L, R, ["l.k"], ["r.k"]).materialize()
+        out = semi_join(L, R, ["l.k"], ["r.k"])
         assert out.rows == [(1, "a")]
 
     def test_antijoin(self):
-        out = AntiJoin(L, R, ["l.k"], ["r.k"]).materialize()
+        out = anti_join(L, R, ["l.k"], ["r.k"])
         assert sorted(out.rows, key=str) == [(2, "b"), (NULL, "c")]
 
     def test_antijoin_null_key_kept(self):
         """An antijoin keeps NULL-key left rows — one of the reasons the
         NOT IN rewrite is unsound (SQL would say UNKNOWN)."""
-        out = AntiJoin(L, R, ["l.k"], ["r.k"]).materialize()
+        out = anti_join(L, R, ["l.k"], ["r.k"])
         assert any(is_null(row[0]) for row in out.rows)
 
     def test_semijoin_no_duplicates(self):
-        out = SemiJoin(L, R, ["l.k"], ["r.k"]).materialize()
+        out = semi_join(L, R, ["l.k"], ["r.k"])
         assert len(out) == 1  # two matches, one output row
 
 
-class TestCrossJoin:
+class TestOuterCrossJoin:
     def test_product(self):
-        out = CrossJoin(left_rel([(1, "a")]), right_rel([(1, 1), (2, 2)])).materialize()
-        assert len(out) == 2
+        out = outer_cross_join(left_rel([(1, "a")]), right_rel([(1, 1), (2, 2)]))
+        assert out.rows == [(1, "a", 1, 1), (1, "a", 2, 2)]
 
-    def test_empty_right(self):
-        out = CrossJoin(L, right_rel([])).materialize()
-        assert len(out) == 0
+    def test_empty_right_pads_every_left_row(self):
+        """An empty uncorrelated subquery must not erase the outer rows:
+        each survives once, padded."""
+        out = outer_cross_join(L, right_rel([]))
+        assert [row[:2] for row in out.rows] == L.rows
+        assert all(is_null(row[2]) and is_null(row[3]) for row in out.rows)
 
 
 class TestNestedLoopJoin:
     def test_theta_join(self):
         pred = Comparison("<", Col("l.k"), Col("r.k"))
-        out = NestedLoopJoin(L, R, predicate=pred).materialize()
+        out = nested_loop_join(L, R, predicate=pred)
         assert sorted(out.rows) == [(1, "a", 3, 30), (2, "b", 3, 30)]
 
     def test_outer_variant_pads(self):
         pred = Comparison("<", Col("l.k"), Col("r.k"))
-        out = NestedLoopJoin(L, R, predicate=pred, outer=True).materialize()
+        out = nested_loop_join(L, R, predicate=pred, outer=True)
         padded = [row for row in out.rows if is_null(row[2])]
         assert len(padded) == 1  # the NULL-key left row
-
-
-class TestIndexNestedLoopJoin:
-    def test_probe(self):
-        index = HashIndex(R, ["r.k"])
-        out = IndexNestedLoopJoin(L, index, ["l.k"]).materialize()
-        assert len(out) == 2
-
-    def test_probe_with_residual(self):
-        index = HashIndex(R, ["r.k"])
-        residual = Comparison("=", Col("r.y"), Col("r.y"))
-        out = IndexNestedLoopJoin(L, index, ["l.k"], residual=residual).materialize()
-        assert len(out) == 2
-
-    def test_outer_pads(self):
-        index = HashIndex(R, ["r.k"])
-        out = IndexNestedLoopJoin(L, index, ["l.k"], outer=True).materialize()
-        assert len(out) == 4  # 2 matches + 2 padded
 
 
 class TestEquivalences:
@@ -150,19 +133,19 @@ class TestEquivalences:
 
     def test_hash_vs_nested_loop(self):
         pred = Comparison("=", Col("l.k"), Col("r.k"))
-        hash_out = HashJoin(L, R, ["l.k"], ["r.k"]).materialize()
-        nl_out = NestedLoopJoin(L, R, predicate=pred).materialize()
+        hash_out = hash_join(L, R, ["l.k"], ["r.k"])
+        nl_out = nested_loop_join(L, R, predicate=pred)
         assert hash_out == nl_out
 
     def test_outer_hash_vs_outer_nested_loop(self):
         pred = Comparison("=", Col("l.k"), Col("r.k"))
-        hash_out = LeftOuterHashJoin(L, R, ["l.k"], ["r.k"]).materialize()
-        nl_out = NestedLoopJoin(L, R, predicate=pred, outer=True).materialize()
+        hash_out = left_outer_hash_join(L, R, ["l.k"], ["r.k"])
+        nl_out = nested_loop_join(L, R, predicate=pred, outer=True)
         assert hash_out == nl_out
 
     def test_semijoin_is_distinct_projection_of_join(self):
-        join = HashJoin(L, R, ["l.k"], ["r.k"]).materialize()
-        semi = SemiJoin(L, R, ["l.k"], ["r.k"]).materialize()
+        join = hash_join(L, R, ["l.k"], ["r.k"])
+        semi = semi_join(L, R, ["l.k"], ["r.k"])
         left_width = len(L.schema)
         projected = {row[:left_width] for row in join.rows}
         assert set(semi.rows) == projected

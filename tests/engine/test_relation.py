@@ -26,11 +26,6 @@ class TestConstruction:
         r = Relation.from_dicts(schema, [{"a": 1}, {"b": 2}])
         assert r.rows == [(1, NULL), (NULL, 2)]
 
-    def test_from_iter(self):
-        schema = Schema.of("a", table="t")
-        r = Relation.from_iter(schema, ((i,) for i in range(3)))
-        assert len(r) == 3
-
     def test_from_columns_is_the_zip(self):
         schema = Schema.of("a", "b", table="t")
         cols = [[3, NULL, 1, 3], ["x", "y", NULL, "x"]]

@@ -8,7 +8,7 @@ import pytest
 
 from repro.engine.expressions import cmp
 from repro.engine.metrics import collect
-from repro.engine.operators import Filter, Limit, Project, RelationSource
+from repro.engine.operators import filter_relation, left_outer_hash_join
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.engine.types import NULL
@@ -138,31 +138,32 @@ class TestSpanTree:
 
 
 class TestOperatorIntegration:
-    def test_pipeline_spans_mirror_operators(self):
+    def test_one_span_per_operator_call(self):
         with collect():
             with tracing() as trace:
-                op = Limit(
-                    Project(Filter(rel(), DROP_NULL), ["t.a"]), 2
-                )
-                rows = list(op)
-        assert len(rows) == 2
-        names = [s.name for s in trace.spans()]
-        assert names == ["Limit", "Project", "Filter", "RelationSource"]
+                out = filter_relation(rel(), DROP_NULL)
+        assert len(out) == 3
+        (span,) = trace.spans()
+        assert span.name == "Filter" and span.children == []
+        assert span.counters == {"rows_in": 4, "rows_out": 3}
         assert trace_invariant_violations(trace) == []
 
     def test_contracts_recorded(self):
         with collect():
             with tracing() as trace:
-                list(Filter(rel(), KEEP_ALL))
+                joined = filter_relation(rel(), KEEP_ALL)
+                left_outer_hash_join(joined, rel().rename_table("u"),
+                                     ["t.k"], ["u.a"])
         (filter_span,) = trace.find("Filter")
-        (source_span,) = trace.find("RelationSource")
+        (join_span,) = trace.find("LeftOuterHashJoin")
         assert filter_span.contract == CONTRACT_FILTERING
-        assert source_span.contract == CONTRACT_PRESERVING
+        assert join_span.contract == CONTRACT_EXPANDING
+        assert join_span.attrs == {"on": "t.k=u.a"}
 
     def test_operators_untouched_when_disabled(self):
         with collect():
-            rows = list(RelationSource(rel()))
-        assert len(rows) == 4
+            out = filter_relation(rel(), KEEP_ALL)
+        assert len(out) == 4
         assert current_tracer() is None
 
 
@@ -240,13 +241,13 @@ class TestMetricsAttribution:
     def test_self_metrics_telescope(self):
         with collect() as metrics:
             with tracing() as trace:
-                list(Filter(rel(), KEEP_ALL))
+                filter_relation(rel(), KEEP_ALL)
         assert reconcile_with_metrics(trace, metrics.snapshot()) == []
 
     def test_reconcile_reports_drift(self):
         with collect() as metrics:
             with tracing() as trace:
-                list(RelationSource(rel()))
+                filter_relation(rel(), KEEP_ALL)
             metrics.add("rows_scanned", 100)  # outside any span
         drift = reconcile_with_metrics(trace, metrics.snapshot())
         assert any("rows_scanned" in v for v in drift)
@@ -256,12 +257,12 @@ class TestRendering:
     def test_render_lines_and_counters(self):
         with collect():
             with tracing() as trace:
-                list(Filter(rel(), KEEP_ALL))
+                filter_relation(rel(), KEEP_ALL)
         text = render_trace(trace, timings=False)
         lines = text.splitlines()
-        assert lines[0].startswith("Filter")
-        assert lines[1].startswith("  RelationSource(table=t)")
+        assert len(lines) == 1 and lines[0].startswith("Filter")
         assert "rows=4→4" in lines[0]
+        assert "predicate_evals=4" in lines[0]
         assert "ms" not in text
         assert "ms" in render_trace(trace, timings=True)
 
@@ -270,7 +271,7 @@ class TestSerialization:
     def _traced_run(self):
         with collect():
             with tracing() as trace:
-                list(Filter(rel(), KEEP_ALL))
+                filter_relation(rel(), KEEP_ALL)
         return trace
 
     def test_to_dict_valid(self):
