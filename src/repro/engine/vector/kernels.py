@@ -546,7 +546,7 @@ def cross_join(left: Batch, right: Batch, residual=None) -> Batch:
 def outer_cross_join(left: Batch, right: Batch) -> Batch:
     """Cross join, except an *empty* right side NULL-pads every left row.
 
-    Mirrors the row engine's :class:`OuterCrossJoin`: the padding only
+    Mirrors the row engine's :func:`outer_cross_join`: the padding only
     happens when the right input is empty (the virtual-Cartesian-product
     emptiness case); otherwise it is a plain cross join.
     """
