@@ -109,7 +109,7 @@ class RowBackend:
         if plan.is_bare_scan:
             # nothing is built: the rows are the base table's
             return execute_join_plan(plan, db)
-        return ReduceMemo(plan, db, self.kind).image(
+        return ReduceMemo(plan, self.kind).image(
             lambda: execute_join_plan(plan, db)
         )
 

@@ -19,20 +19,28 @@ database, and three pieces of work repeat across them:
 :class:`SessionCache` memoizes all three.  The compile memo is **always
 on** — re-preparing identical SQL never re-runs the analyzer, even with
 ``connect(db, plan_cache=False)`` — while strategy and reduce caching
-follow the ``plan_cache`` flag.  Everything is invalidated wholesale
-when the catalog's version counter moves (CREATE/DROP TABLE, index
-creation): cached batches reference table images that may no longer
-exist.
+follow the ``plan_cache`` flag.
+
+**One staleness rule.**  Every entry is valid for exactly one
+``(Database object, Database.version)`` pair, the one the last
+:meth:`SessionCache.validate` named.  Validating against another
+database object, or the same one at another version (CREATE/DROP TABLE,
+index creation, :meth:`~repro.engine.catalog.Database.mutate_table`),
+flushes all three memos.  Base-table rows change only through
+``mutate_table``, so nothing else can make an entry stale.  The cache
+holds the database by weakref, so a collected database's successor at
+the same address is still another database.
 
 **The reduce memo is backend-neutral.**  It reaches an execution as the
 ``reduce_cache`` field of the ambient
 :class:`~repro.engine.context.ExecutionContext`, installed by the
 session around each execution, and both Algorithm 1 backends consult it
 through the one :class:`ReduceMemo` below: the key is ``(repr(plan),
-backend kind, logic mode, base-table fingerprints)``, so a row image
+backend kind, logic mode)``, so a row image
 (:class:`~repro.engine.relation.Relation`) and a vector image (a batch)
-of the same plan never collide, a 2VL build never answers a 3VL
-execution, and rows edited in place behind the catalog's back miss.
+of the same plan never collide, and a 2VL build never answers a 3VL
+execution.  Whoever installs the cache validates it against the
+database the execution reads first.
 
 *Inside* a cached image: the block's scans, local filters and joins —
 the plain relation ``σ_Δi(R_i ⋈ …)``.  *Outside* it, redone per
@@ -62,12 +70,12 @@ they share compiled plans and reduced builds), and ``/stats`` sums the
 workers' counters; no cache crosses a process.  The lock serves the
 threads that can still meet in one cache: an embedder's own thread
 pool over one :class:`~repro.session.Session` (or one cache handed to
-several).  All memo lookups/stores, the version check and the
+several).  All memo lookups/stores, the validation and the
 hit/miss/eviction counters are therefore serialized under one lock:
 without it, concurrent ``prepare()``
 calls lose counter increments (``+=`` is a read-modify-write), two
 threads can FIFO-evict the same oldest key (``KeyError``), and a store
-racing ``validate()`` can resurrect an entry keyed against a dropped
+racing ``validate()`` can resurrect an entry built against a dropped
 catalog version.  The lock is never held while compiling or executing —
 only around dict/counter touches — so it serializes bookkeeping, not
 work.
@@ -76,10 +84,14 @@ work.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..engine.context import current as current_context
+
+if TYPE_CHECKING:
+    from ..engine.catalog import Database
 
 #: entries kept per memo table; insertion beyond this evicts the oldest
 #: entries of *that table only* (FIFO) — sessions are not long-lived
@@ -130,8 +142,8 @@ class CacheStats:
 
 
 class SessionCache:
-    """Compile/strategy/reduce memo tables keyed against one catalog
-    version; see the module docstring for what is cached when."""
+    """Compile/strategy/reduce memo tables valid for one database at
+    one version; see the module docstring for what is cached when."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -139,6 +151,7 @@ class SessionCache:
         # serializes every memo/counter touch; an embedder's threads may
         # meet here (see module docstring)
         self._lock = threading.Lock()
+        self._db: Optional[weakref.ref] = None
         self._version: Optional[int] = None
         self._plans: Dict[str, Any] = {}
         self._strategies: Dict[Tuple, Any] = {}
@@ -148,20 +161,21 @@ class SessionCache:
 
     # ------------------------------------------------------------------ #
 
-    def validate(self, version: int) -> None:
-        """Drop everything if the catalog changed since the last use."""
+    def validate(self, db: "Database") -> None:
+        """Drop everything unless the last use was against this very
+        database object at its current version."""
         with self._lock:
-            if self._version is None:
-                self._version = version
-                return
-            if version != self._version:
-                self._version = version
+            if self._db is not None:
+                if self._db() is db and self._version == db.version:
+                    return
                 if self._plans or self._strategies or self._reduced:
                     self.stats.invalidations += 1
                 self._plans.clear()
                 self._strategies.clear()
                 self._reduced.clear()
                 self._reduced_cells = 0
+            self._db = weakref.ref(db)
+            self._version = db.version
 
     def stats_snapshot(self) -> Dict[str, int]:
         """A consistent copy of the counters (taken under the lock)."""
@@ -258,27 +272,19 @@ class ReduceMemo:
     execution carries no reduce cache.  :meth:`image` then returns the
     cached image or builds and stores it.  The logic mode participates
     in the key: a NOT over a NULL comparison filters differently under
-    2VL.
+    2VL.  The database does not: the cache holds one database's state.
     """
 
     __slots__ = ("_cache", "_key", "_cached", "state")
 
-    def __init__(self, plan: Any, db: Any, kind: str):
+    def __init__(self, plan: Any, kind: str):
         context = current_context()
         self._cache = context.reduce_cache
         self._key = self._cached = None
         if self._cache is None:
             self.state = "off"
             return
-        self._key = (
-            repr(plan),
-            kind,
-            context.logic,
-            tuple(
-                db.table(table_name).relation.fingerprint()
-                for _alias, table_name in plan.table_names
-            ),
-        )
+        self._key = (repr(plan), kind, context.logic)
         self._cached = self._cache.reduced(self._key)
         self.state = "miss" if self._cached is None else "hit"
 

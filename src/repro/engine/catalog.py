@@ -16,12 +16,15 @@ turn on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
 from .index import HashIndex, SortedIndex
 from .relation import Relation, Row
 from .schema import Column, Schema
+
+if TYPE_CHECKING:
+    from .vector.batch import Batch
 
 
 @dataclass
@@ -33,6 +36,10 @@ class Table:
     primary_key: Optional[str] = None
     hash_indexes: Dict[Tuple[str, ...], HashIndex] = field(default_factory=dict)
     sorted_indexes: Dict[str, SortedIndex] = field(default_factory=dict)
+    #: the columnar image the vector engine scans, built on first touch
+    #: by :func:`~repro.engine.vector.batch.table_batch` and dropped by
+    #: :meth:`Database.mutate_table`
+    image: Optional["Batch"] = field(default=None, repr=False, compare=False)
 
     @property
     def schema(self) -> Schema:
@@ -66,9 +73,12 @@ class Table:
 class Database:
     """A collection of named tables.
 
-    Every catalog mutation (table creation/removal, index builds) bumps
-    :attr:`version`, which session-level caches use to invalidate plans
-    and reduced-relation builds keyed against the old catalog.
+    Every catalog change (table creation/removal, index builds, row
+    writes) bumps :attr:`version`.  Anything derived from the base
+    tables — a table's columnar image, a session's compiled plans,
+    strategy routes and reduced builds — is valid for exactly one
+    ``(Database object, version)`` pair.  Base-table rows are held as a
+    tuple, so :meth:`mutate_table` is the only way they change.
     """
 
     def __init__(self) -> None:
@@ -93,7 +103,11 @@ class Database:
         schema = Schema(qualified)
         if primary_key is not None and not schema.has(primary_key):
             raise CatalogError(f"primary key {primary_key!r} not in schema")
-        table = Table(name=name, relation=Relation(schema, rows), primary_key=primary_key)
+        table = Table(
+            name=name,
+            relation=Relation(schema, rows).freeze(),
+            primary_key=primary_key,
+        )
         self.tables[name] = table
         self.version += 1
         return table
@@ -109,7 +123,8 @@ class Database:
         Unlike :meth:`create_table` this takes the relation as-is: its
         schema must already be qualified under *name*.  Stored tables use
         this path so their memory-mapped columns are never copied through
-        the row constructor.
+        the row constructor.  Like every base table, the relation's rows
+        are then held as a tuple.
         """
         if name in self.tables:
             raise CatalogError(f"table {name!r} already exists")
@@ -121,7 +136,9 @@ class Database:
                 )
         if primary_key is not None and not relation.schema.has(primary_key):
             raise CatalogError(f"primary key {primary_key!r} not in schema")
-        table = Table(name=name, relation=relation, primary_key=primary_key)
+        table = Table(
+            name=name, relation=relation.freeze(), primary_key=primary_key
+        )
         self.tables[name] = table
         self.version += 1
         return table
@@ -150,37 +167,34 @@ class Database:
         rows: Optional[Iterable[Row]] = None,
         mutator=None,
     ) -> Table:
-        """Mutate a table's rows *through the catalog*.
+        """Change a table's rows: the one write path for base-table rows.
 
-        Either pass *rows* (wholesale replacement) or a *mutator*
-        callable receiving the :class:`Table` to edit in place.  Both
-        ways, the catalog then rebuilds the table's indexes, drops its
-        cached columnar image and bumps :attr:`version` — so every
-        session-level cache (compiled plans, strategy routes, reduced
-        relations) keyed against the old contents is invalidated.
-
-        This is the sanctioned write path.  Editing
-        ``table.relation.rows`` directly leaves :attr:`version`
-        unchanged; the reduce and batch caches still *detect* such edits
-        via a cheap fingerprint probe, but indexes go silently stale —
-        don't do that.
+        Pass either *rows* (the new contents) or a *mutator* callable
+        that edits the :class:`Table` in place.  Either way the edit
+        lands on a fresh in-RAM list: inside the mutator
+        ``table.relation.rows`` is a list, everywhere else a tuple, so
+        an edit that bypasses this method raises.  A stored table is
+        materialized first; its store is write-once.  The catalog then
+        freezes the rows again, rebuilds the table's indexes, drops its
+        columnar image and bumps :attr:`version`, which flushes every
+        session memo built against the old contents.
         """
         table = self.table(name)
         if rows is not None and mutator is not None:
             raise CatalogError("pass either rows or mutator, not both")
-        if rows is not None:
-            table.relation = Relation(table.schema, rows)
-        elif mutator is not None:
+        if mutator is not None:
+            table.relation = Relation(table.schema, table.relation.rows)
             mutator(table)
+            rows = table.relation.rows
+        if rows is not None:
+            table.relation = Relation(table.schema, rows).freeze()
         table.hash_indexes = {
             key: HashIndex(table.relation, key) for key in table.hash_indexes
         }
         table.sorted_indexes = {
             ref: SortedIndex(table.relation, ref) for ref in table.sorted_indexes
         }
-        from .vector.batch import invalidate_table_batch
-
-        invalidate_table_batch(table)
+        table.image = None
         self.version += 1
         return table
 

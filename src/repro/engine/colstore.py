@@ -313,15 +313,14 @@ class StoredRelation(Relation):
     just pay a one-time materialization on first row access.
     """
 
-    __slots__ = ("_vectors", "_row_count", "_fingerprint", "_rows_cache",
-                 "_batch_cache", "stored_stats")
+    __slots__ = ("_vectors", "_row_count", "_rows_cache", "_batch_cache",
+                 "stored_stats")
 
     def __init__(
         self,
         schema: Schema,
         vectors: Sequence[Vector],
         row_count: int,
-        fingerprint: Tuple,
         stored_stats: Optional[Dict[str, Dict[str, Any]]] = None,
     ):
         # deliberately NOT calling Relation.__init__: it would materialize
@@ -329,8 +328,7 @@ class StoredRelation(Relation):
         self.schema = schema
         self._vectors = list(vectors)
         self._row_count = int(row_count)
-        self._fingerprint = fingerprint
-        self._rows_cache: Optional[List[Row]] = None
+        self._rows_cache: Optional[Tuple[Row, ...]] = None
         self._batch_cache = None
         #: exact per-column statistics from the manifest (bare column
         #: name -> {"ndv", "null_frac", "min", "max"}); read by
@@ -340,15 +338,19 @@ class StoredRelation(Relation):
     # -- the row-iterator shim ----------------------------------------- #
 
     @property
-    def rows(self) -> List[Row]:  # type: ignore[override]
-        """Python row tuples, materialized lazily on first access."""
+    def rows(self) -> Tuple[Row, ...]:  # type: ignore[override]
+        """Python row tuples, materialized lazily on first access (as a
+        tuple, like every base table's rows)."""
         if self._rows_cache is None:
             if not self._vectors:
-                self._rows_cache = [() for _ in range(self._row_count)]
+                self._rows_cache = ((),) * self._row_count
             else:
                 cols = [v.tolist_sql() for v in self._vectors]
-                self._rows_cache = list(zip(*cols))
+                self._rows_cache = tuple(zip(*cols))
         return self._rows_cache
+
+    def freeze(self) -> "StoredRelation":
+        return self  # the rows are born a tuple, and only on demand
 
     # -- O(1) overrides that must not touch rows ----------------------- #
 
@@ -360,10 +362,6 @@ class StoredRelation(Relation):
 
     def column_values(self, ref: str):
         return self._vectors[self.schema.index_of(ref)].tolist_sql()
-
-    def fingerprint(self) -> Tuple:
-        """Stable O(1) identity: the store digest, not row hashes."""
-        return self._fingerprint
 
     # -- columnar access ------------------------------------------------ #
 
@@ -414,7 +412,7 @@ def open_store(root: str) -> Dict[str, Any]:
 
 
 def stored_relation(
-    root: str, name: str, entry: Dict[str, Any], digest: str
+    root: str, name: str, entry: Dict[str, Any]
 ) -> StoredRelation:
     """Open one table of a store as a :class:`StoredRelation`."""
     n = int(entry["row_count"])
@@ -424,13 +422,7 @@ def stored_relation(
     ]
     vectors = [_load_vector(root, c, n) for c in entry["columns"]]
     stats = {c["name"]: dict(c["stats"]) for c in entry["columns"]}
-    return StoredRelation(
-        Schema(columns),
-        vectors,
-        n,
-        fingerprint=("colstore", name, n, digest),
-        stored_stats=stats,
-    )
+    return StoredRelation(Schema(columns), vectors, n, stored_stats=stats)
 
 
 def load_stored_database(root: str, build_indexes: bool = False) -> Database:
@@ -442,12 +434,11 @@ def load_stored_database(root: str, build_indexes: bool = False) -> Database:
     strategies then probe them as usual).
     """
     manifest = open_store(root)
-    digest = manifest.get("digest", "")
     db = Database()
     for name, entry in manifest["tables"].items():
         db.attach_table(
             name,
-            stored_relation(root, name, entry, digest),
+            stored_relation(root, name, entry),
             primary_key=entry.get("primary_key"),
         )
     if build_indexes:

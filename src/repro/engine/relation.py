@@ -6,7 +6,7 @@ list of row tuples.  Rows are plain Python tuples of SQL values (see
 from relations to a relation.
 
 Relations are *bags* (duplicates allowed), matching SQL semantics before an
-explicit DISTINCT.
+explicit DISTINCT.  A base table's rows are a tuple (:meth:`Relation.freeze`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ Row = Tuple[SqlValue, ...]
 class Relation:
     """A schema plus a materialized bag of rows."""
 
-    __slots__ = ("schema", "rows", "__weakref__")
+    __slots__ = ("schema", "rows")
 
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
@@ -102,22 +102,11 @@ class Relation:
         i = self.schema.index_of(ref)
         return [r[i] for r in self.rows]
 
-    def fingerprint(self) -> Tuple[int, int, int]:
-        """A cheap staleness probe: ``(len, hash(first), hash(last))``.
-
-        Caches keyed on a relation compare this on every hit to catch
-        *in-place* row mutation that bypassed the catalog's version
-        counter (see :meth:`~repro.engine.catalog.Database.mutate_table`).
-        O(1) — it deliberately trades completeness (same-length interior
-        edits with untouched endpoints slip through) for zero overhead on
-        the hot path; use ``mutate_table`` for guaranteed invalidation.
-        """
-        if not self.rows:
-            return (0, 0, 0)
-        try:
-            return (len(self.rows), hash(self.rows[0]), hash(self.rows[-1]))
-        except TypeError:  # unhashable cell (nested relation value)
-            return (len(self.rows), id(self.rows[0]), id(self.rows[-1]))
+    def freeze(self) -> "Relation":
+        """Hold the rows as a tuple, so an in-place edit raises (what a
+        base table does: see :class:`~repro.engine.catalog.Database`)."""
+        self.rows = tuple(self.rows)
+        return self
 
     def distinct(self) -> "Relation":
         """Set-semantics copy: duplicates removed (NULLs group together)."""

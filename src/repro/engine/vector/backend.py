@@ -29,7 +29,7 @@ from ..governor import charge_batch, checkpoint
 from ..metrics import current_metrics
 from ..schema import Column
 from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
-from .batch import Batch, relation_batch, table_batch
+from .batch import Batch, table_batch
 from .column import KIND_INT, Vector
 from . import kernels, nestlink
 
@@ -55,7 +55,7 @@ class VectorBackend:
         # the build depends only on the syntactic join plan, the base
         # tables and the logic mode, never on the block index (the _rid
         # column is attached below, outside the cached image)
-        memo = ReduceMemo(plan, db, self.kind)
+        memo = ReduceMemo(plan, self.kind)
         with op_span(
             f"reduce[T{block.index}]",
             kind="phase",
@@ -67,7 +67,7 @@ class VectorBackend:
                 # GROUP BY / HAVING subquery blocks reuse the row-side
                 # aggregation (outside the cached image, which stays the
                 # plain join result shared with ungrouped lookups)
-                current = relation_batch(
+                current = Batch.from_relation(
                     grouped_subquery_relation(block, current.to_relation())
                 )
             if span is not None:

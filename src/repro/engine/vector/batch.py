@@ -8,17 +8,15 @@ live in column arrays instead of row tuples.  All batch kernels
 boundary back to rows is crossed exactly once, in
 ``VectorBackend.finalize``.
 
-Base tables are converted lazily and the conversion is cached on the
-:class:`~repro.engine.catalog.Table` object, revalidated against the
-relation's fingerprint on every hit, so repeated queries over one
-database pay the row→column cost once while catalog mutations (and even
-direct row edits) take effect.
+A base table's image is built on first touch and kept on the
+:class:`~repro.engine.catalog.Table` until
+:meth:`~repro.engine.catalog.Database.mutate_table` drops it, so
+repeated queries over one database pay the row→column cost once.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -26,8 +24,6 @@ from ..catalog import Table
 from ..relation import Relation
 from ..schema import Schema
 from .column import Vector, pad_index
-
-_TABLE_CACHE_ATTR = "_vector_batch_cache"
 
 
 class Batch:
@@ -154,71 +150,13 @@ class Batch:
 
 
 def table_batch(table: Table) -> Batch:
-    """The columnar image of a base table, cached on the table object.
-
-    The cache entry stores the source relation's
-    :meth:`~repro.engine.relation.Relation.fingerprint` and is rebuilt
-    whenever it no longer matches — so direct in-place row mutation that
-    bypassed :meth:`~repro.engine.catalog.Database.mutate_table` is
-    still *detected* (cheaply, not exhaustively: the probe is
-    length + endpoint hashes, see ``fingerprint``).
-    """
-    stored = getattr(table.relation, "stored_batch", None)
-    if stored is not None:
-        # a StoredRelation's columns are already memory-mapped vectors;
-        # the batch is the table — no conversion, no copy.
-        return stored()
-    fp = table.relation.fingerprint()
-    cached = getattr(table, _TABLE_CACHE_ATTR, None)
-    if cached is not None:
-        batch, cached_fp = cached
-        if cached_fp == fp:
-            return batch
-    batch = Batch.from_relation(table.relation)
-    setattr(table, _TABLE_CACHE_ATTR, (batch, fp))
-    return batch
-
-
-def invalidate_table_batch(table: Table) -> None:
-    """Drop a table's cached columnar image (catalog mutation hook)."""
-    if getattr(table, _TABLE_CACHE_ATTR, None) is not None:
-        setattr(table, _TABLE_CACHE_ATTR, None)
-
-
-# --------------------------------------------------------------------- #
-# Relation-level conversion cache
-# --------------------------------------------------------------------- #
-
-#: id(relation) -> (weakref, Batch, fingerprint).  Entries evict
-#: themselves when the relation is collected; a fingerprint mismatch on
-#: hit (in-place row mutation) rebuilds the batch in place.
-_RELATION_CACHE: "Dict[int, Tuple[weakref.ref, Batch, tuple]]" = {}
-
-
-def relation_batch(rel: Relation) -> Batch:
-    """The columnar image of *rel*, cached per relation object.
-
-    The table-level cache above only covers catalog base tables;
-    intermediate relations (reduced subquery results, attached
-    relations) were re-encoded from Python rows on every execution.
-    This cache keys on object identity, revalidates against
-    :meth:`~repro.engine.relation.Relation.fingerprint`, and drops the
-    entry via weakref callback once the relation dies.
-    """
-    stored = getattr(rel, "stored_batch", None)
-    if stored is not None:
-        return stored()
-    key = id(rel)
-    fp = rel.fingerprint()
-    cached = _RELATION_CACHE.get(key)
-    if cached is not None:
-        ref, batch, cached_fp = cached
-        if ref() is rel and cached_fp == fp:
-            return batch
-    batch = Batch.from_relation(rel)
-
-    def _evict(_ref, _key=key):
-        _RELATION_CACHE.pop(_key, None)
-
-    _RELATION_CACHE[key] = (weakref.ref(rel, _evict), batch, fp)
-    return batch
+    """The columnar image of a base table: for a stored table its
+    memory-mapped batch (no conversion, no copy), otherwise the rows
+    encoded once and kept as :attr:`Table.image`."""
+    if table.image is None:
+        stored = getattr(table.relation, "stored_batch", None)
+        table.image = (
+            stored() if stored is not None
+            else Batch.from_relation(table.relation)
+        )
+    return table.image

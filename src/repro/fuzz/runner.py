@@ -35,8 +35,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.blocks import NestedQuery
 from ..core.optimizer import strategy_applicable
+from ..core.plancache import SessionCache
 from ..core.planner import run
 from ..engine.catalog import Database
+from ..engine.context import scope
 from ..engine.governor import ResourceGovernor, active_fault, governed
 from ..engine.logic import logic_mode, validate_logic
 from ..engine.metrics import collect
@@ -286,6 +288,11 @@ class DifferentialRunner:
         #: sites legitimately exhaust the budget is skipped, not failed.
         self.memory_limit_mb = memory_limit_mb
         self.spill_dir = spill_dir
+        #: the reduce memo every checked strategy of an unbudgeted run
+        #: reads, validated against each case's database: the second
+        #: and later nested relational executions of a case are handed
+        #: the T_i an earlier one built, and the oracle judges them
+        self.reduce_cache = SessionCache()
         self.last_report: Optional[FuzzReport] = None
 
     def _ensure_spill_dir(self) -> str:
@@ -508,14 +515,20 @@ class DifferentialRunner:
     ) -> Relation:
         if impl is not None:
             return impl.execute(query, db)
-        governor = None
-        if self.memory_limit_mb is not None and name != ORACLE:
-            # the oracle stays ungoverned: ground truth must always
-            # complete, and a budget on it would only mask strategy bugs
-            governor = ResourceGovernor(
-                memory_limit_mb=self.memory_limit_mb,
-                spill_dir=self._ensure_spill_dir(),
-            )
+        if name == ORACLE:
+            # the oracle stays ungoverned and memo-free: ground truth
+            # must always complete, from the base tables
+            return run(query, db, name)
+        if self.memory_limit_mb is None:
+            self.reduce_cache.validate(db)
+            with scope(reduce_cache=self.reduce_cache):
+                return run(query, db, name)
+        # no memo under a budget: a hit would skip the table
+        # materialization charge and move which ops spill
+        governor = ResourceGovernor(
+            memory_limit_mb=self.memory_limit_mb,
+            spill_dir=self._ensure_spill_dir(),
+        )
         with governed(governor):
             return run(query, db, name)
 

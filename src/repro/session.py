@@ -212,7 +212,7 @@ class PreparedQuery:
 
         session, strategy = self._session, eff.strategy
         cache = session._cache
-        cache.validate(session.db.version)
+        cache.validate(session.db)
         key = None
         if isinstance(strategy, str) and cache.enabled:
             key = (self.sql, strategy, eff.backend, session.logic)
@@ -425,7 +425,7 @@ class Session:
             raise InvalidArgumentError(
                 f"prepare() expects SQL text, got {type(sql).__name__}"
             )
-        self._cache.validate(self.db.version)
+        self._cache.validate(self.db)
         query = self._cache.plan(sql)
         if query is None:
             query = compile_sql(sql, self.db)

@@ -3,8 +3,8 @@
 One :class:`~repro.core.plancache.ReduceMemo` serves both Algorithm 1
 backends.  These tests pin, on ``backend="row"``: that a cached image
 changes no answer (content *or* order); which executions read the memo
-and which never do; what is part of the key (logic mode, backend kind,
-base-table fingerprints, catalog version); what is inside and outside a
+and which never do; what is part of the key (logic mode, backend kind)
+and what flushes it (the catalog version); what is inside and outside a
 cached image; that the memo is bounded by retained cells; and that
 nothing an execution does — any preset, either logic mode, a timeout
 half-way — mutates an image other executions will be handed.
@@ -246,18 +246,6 @@ def test_a_row_entry_and_a_vector_entry_never_collide(tpch):
     assert session.cache_stats.reduce_hits == blocks
 
 
-def test_an_in_place_row_mutation_misses(nullable_db):
-    """An edit that bypasses ``Database.mutate_table`` moves the base
-    table's fingerprint, so the stale image is not served."""
-    session = repro.connect(nullable_db)
-    prepared = session.prepare("select a from t where a > 1")
-    assert prepared.execute(**ROW).rows == [(2,), (3,), (4,)]
-    nullable_db.table("t").relation.rows[-1] = (42, NULL)
-    assert prepared.execute(**ROW).rows == [(2,), (3,), (42,)]
-    assert session.cache_stats.reduce_hits == 0
-    assert session.cache_stats.reduce_misses == 2
-
-
 def test_a_catalog_version_bump_invalidates(nullable_db):
     session = repro.connect(nullable_db)
     sql = "select a from t where a > 1"
@@ -289,7 +277,7 @@ def test_a_grouped_subquery_is_aggregated_outside_the_image(paper_db):
     grouped_block = blocks_of(prepared)[1]
     assert grouped_block.group_by
     with scope(reduce_cache=session._cache):
-        memo = ReduceMemo(plan_block_join(grouped_block), paper_db, "row")
+        memo = ReduceMemo(plan_block_join(grouped_block), "row")
     assert memo.state == "hit"
     image = memo.image(lambda: pytest.fail("a hit builds nothing"))
     # σ_{F>0}(S) as joined: every S tuple, all of S's columns, no _rid
@@ -382,7 +370,7 @@ def test_no_execution_mutates_a_cached_image(all_queries):
             plan = plan_block_join(block)
             for logic in ("3vl", "2vl"):
                 with scope(reduce_cache=session._cache, logic=logic):
-                    memo = ReduceMemo(plan, db, "row")
+                    memo = ReduceMemo(plan, "row")
                     fresh = execute_join_plan(plan, db)
                 if plan.is_bare_scan:
                     assert memo.state == "miss"

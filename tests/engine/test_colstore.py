@@ -25,7 +25,6 @@ from repro.core.query_tree import NestLink, UncorrelatedLink
 from repro.engine.expressions import Col, Comparison, Literal
 from repro.engine.governor import batch_nbytes
 from repro.engine.vector import kernels, nestlink
-from repro.engine.vector.batch import relation_batch
 from repro.errors import CatalogError
 from repro.core.stats import collect_stats
 from repro.tpch import TpchConfig, generate, generate_stored
@@ -151,14 +150,44 @@ def test_row_shim_matches_columns(stored_db):
         assert [r[i] for r in rows] == rel.column_values(ref)
 
 
-def test_fingerprint_stable_and_cheap(store_dir):
-    a = load_stored_database(store_dir).relation("part")
-    b = load_stored_database(store_dir).relation("part")
-    fp = a.fingerprint()
-    assert fp == b.fingerprint()
-    assert fp[0] == "colstore"
-    # fingerprinting must not trigger the row shim
-    assert a._rows_cache is None
+def test_a_vector_query_never_builds_the_row_shim(store_dir):
+    """The vector engine scans the mapped columns themselves."""
+    db = load_stored_database(store_dir)
+    got = repro.connect(db).execute(
+        "select p_partkey from part where p_size > 10", backend="vector"
+    )
+    assert len(got) > 0
+    assert db.relation("part")._rows_cache is None
+    assert db.table("part").image is db.relation("part").stored_batch()
+
+
+def test_a_mutator_edit_of_a_stored_table_reaches_both_backends(store_dir):
+    """The edit works on a fresh in-RAM copy (the store is write-once);
+    both backends, ``len`` and the statistics then see the new rows,
+    also through a prepared query whose reduce memo was warm."""
+    db = load_stored_database(store_dir)
+    session = repro.connect(db)
+    prepared = session.prepare(
+        "select r_name from region where r_regionkey >= 0"
+    )
+    for backend in ("row", "vector", "row", "vector"):
+        got = prepared.execute(strategy="nested-relational", backend=backend)
+        assert len(got) == 5
+    assert session.cache_stats.reduce_hits == 2
+    db.mutate_table(
+        "region",
+        mutator=lambda table: table.relation.rows.append(
+            table.relation.rows[0]
+        ),
+    )
+    assert not isinstance(db.relation("region"), StoredRelation)
+    for backend in ("row", "vector"):
+        got = prepared.execute(strategy="nested-relational", backend=backend)
+        assert len(got) == 6
+        got = session.execute("select r_name from region", backend=backend)
+        assert len(got) == 6
+    assert len(db.relation("region")) == 6
+    assert collect_stats(db).table("region").row_count == 6
 
 
 def test_manifest_carries_exact_stats(store_dir, memory_db):
@@ -235,11 +264,3 @@ def test_store_size_accounts_all_files(store_dir):
         for d, _dirs, files in os.walk(store_dir)
         for f in files
     )
-
-
-def test_relation_batch_cache_reuses_conversion(memory_db):
-    """Satellite: in-memory relations get one columnar conversion, not
-    one per execution, keyed on object identity + fingerprint."""
-    rel = memory_db.relation("region")
-    first = relation_batch(rel)
-    assert relation_batch(rel) is first

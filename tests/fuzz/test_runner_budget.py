@@ -31,6 +31,17 @@ def test_budget_mode_matches_oracle(tmp_path):
     assert os.listdir(str(tmp_path)) == []
 
 
+def test_budget_mode_never_reads_the_reduce_memo(tmp_path):
+    """A memo hit would skip the table materialization charge and move
+    which ops spill, so budgeted runs reduce from the base tables."""
+    runner = DifferentialRunner(
+        memory_limit_mb=0.002, spill_dir=str(tmp_path)
+    )
+    assert runner.run(FuzzConfig(iterations=4, seed=7, max_rows=8)).ok
+    stats = runner.reduce_cache.stats
+    assert stats.reduce_hits == stats.reduce_misses == 0
+
+
 def test_budget_mode_accepts_injected_spill_failure(tmp_path, monkeypatch):
     """REPRO_FAULT=spill_io surfaces typed SpillErrors; the runner counts
     them as governed skips, not strategy bugs."""

@@ -36,6 +36,14 @@ class TestCleanRun:
         assert report.strategy_checks > 0
         assert "OK" in report.summary()
 
+    def test_later_strategies_read_the_reduce_memo(self):
+        """A case's second and later nested relational executions are
+        handed the T_i an earlier one built, and still agree."""
+        runner = DifferentialRunner()
+        report = runner.run(FuzzConfig(iterations=25, seed=3))
+        assert report.ok
+        assert runner.reduce_cache.stats.reduce_hits > 0
+
     def test_progress_callback_invoked(self):
         seen = []
         config = FuzzConfig(iterations=5, seed=3)

@@ -20,6 +20,7 @@ import pytest
 import repro
 from repro.core.feedback import FeedbackStore
 from repro.core.plancache import _MAX_ENTRIES, SessionCache
+from repro.engine import Database
 
 N_THREADS = 8
 ROUNDS = 6
@@ -97,7 +98,7 @@ def test_fifo_eviction_safe_and_conserved_under_concurrent_stores():
     """Concurrent inserts far past the bound: no double-evict KeyError,
     and evictions == inserts - retained exactly."""
     cache = SessionCache(enabled=True)
-    cache.validate(1)
+    cache.validate(Database())
     per_thread = _MAX_ENTRIES  # 8 × 256 inserts against a 256 bound
 
     def hammer(seed: int):

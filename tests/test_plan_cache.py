@@ -1,8 +1,8 @@
 """The session-level plan/build cache and its invalidation contract.
 
 Covers the three memo layers of :class:`repro.core.plancache.SessionCache`
-(compile, strategy resolution, reduced-relation builds), the catalog
-version counter that invalidates them, the ``plan_cache=False`` mode
+(compile, strategy resolution, reduced-relation builds), the one
+``(Database object, version)`` pair that invalidates them, the ``plan_cache=False`` mode
 (compile memo stays on — satellite fix: repeated ``prepare()`` of
 identical SQL never re-runs the analyzer), the alias routing through
 ``optimizer.resolve``, and the one memoized decision behind ``explain``
@@ -187,42 +187,87 @@ class TestMutateTable:
         assert result.rows == [(7,)]
 
 
-class TestInPlaceMutationStaleness:
-    """Direct `table.relation.rows` edits bypass the version counter;
-    the reduce and batch caches must still detect them via the
-    fingerprint probe instead of serving stale images."""
+class TestOneWritePath:
+    """Base-table rows are a tuple, so ``Database.mutate_table`` is the
+    only way they change, and its version bump is the only staleness
+    signal the memos need."""
 
-    def test_appended_row_is_seen_by_vector_backend(self, micro_db):
-        session = repro.connect(micro_db)
-        before = session.execute("select a from t", backend="vector")
-        assert before.sorted().rows == [(1,), (2,), (3,)]
-        micro_db.table("t").relation.rows.append((4,))
-        after = session.execute("select a from t", backend="vector")
-        assert after.sorted().rows == [(1,), (2,), (3,), (4,)]
+    def test_a_direct_row_edit_raises(self, micro_db):
+        rows = micro_db.table("t").relation.rows
+        with pytest.raises(AttributeError):
+            rows.append((4,))
+        with pytest.raises(TypeError):
+            rows[-1] = (42,)
+        assert rows == ((1,), (2,), (3,))
 
-    def test_endpoint_edit_is_seen_on_cache_hit(self, micro_db):
+    @pytest.mark.parametrize("backend", ["row", "vector"])
+    def test_an_interior_mutator_edit_reaches_a_warm_prepared_query(
+        self, micro_db, backend
+    ):
         session = repro.connect(micro_db)
         prepared = session.prepare("select a from t where a > 0")
-        assert prepared.execute(backend="vector").sorted().rows == [
-            (1,), (2,), (3,)
-        ]
-        micro_db.table("t").relation.rows[-1] = (42,)
-        assert prepared.execute(backend="vector").sorted().rows == [
-            (1,), (2,), (42,)
-        ]
+        run = dict(strategy="nested-relational", backend=backend)
+        assert prepared.execute(**run).sorted().rows == [(1,), (2,), (3,)]
+        prepared.execute(**run)
+        assert session.cache_stats.reduce_hits == 1
 
-    def test_fingerprint_probe_shape(self, micro_db):
-        rel = micro_db.table("t").relation
-        fp = rel.fingerprint()
-        assert fp[0] == len(rel.rows)
-        rel.rows[-1] = (999,)
-        assert rel.fingerprint() != fp
+        def edit(table):
+            table.relation.rows[1] = (42,)
 
-    def test_fingerprint_of_empty_relation(self):
-        from repro.engine import Schema
-        from repro.engine.relation import Relation
+        micro_db.mutate_table("t", mutator=edit)
+        assert prepared.execute(**run).sorted().rows == [(1,), (3,), (42,)]
+        assert session.cache_stats.reduce_hits == 1
+        assert micro_db.table("t").relation.rows == ((1,), (42,), (3,))
 
-        assert Relation(Schema([Column("a")]), []).fingerprint() == (0, 0, 0)
+
+class TestSharedCacheAcrossDatabases:
+    """One :class:`SessionCache` under sessions over two databases (a
+    server pools sessions this way) serves each only its own state,
+    however alike the two catalogs look."""
+
+    def test_equal_shaped_tables_keep_their_own_images(self):
+        from repro.core.plancache import SessionCache
+        from repro.engine import Database
+
+        c, d = Database(), Database()
+        c.create_table("u", [Column("x")], [(1,), (2,), (3,)])
+        d.create_table("u", [Column("x")], [(1,), (5,), (3,)])
+        assert c.version == d.version == 1
+        cache = SessionCache()
+        sql = "select x from u where x > 1"
+        on_c = repro.Session(c, cache=cache).execute(sql, backend="vector")
+        on_d = repro.Session(d, cache=cache).execute(sql, backend="vector")
+        assert on_c.sorted().rows == [(2,), (3,)]
+        assert on_d.sorted().rows == [(3,), (5,)]
+        assert cache.stats.reduce_hits == 0
+
+    def test_each_database_analyzes_its_own_sql(self):
+        from repro.core.plancache import SessionCache
+        from repro.engine import Database
+        from repro.errors import AnalysisError
+
+        c, d = Database(), Database()
+        c.create_table("t", [Column("x")], [(1,)])
+        d.create_table("t", [Column("y")], [(1,)])
+        cache = SessionCache()
+        sql = "select x from t"
+        assert repro.Session(c, cache=cache).execute(sql).rows == [(1,)]
+        with pytest.raises(AnalysisError, match="unresolved column"):
+            repro.Session(d, cache=cache).execute(sql)
+
+    def test_a_collected_database_is_not_its_successor(self):
+        from repro.core.plancache import SessionCache
+        from repro.engine import Database
+
+        cache = SessionCache()
+        for rows in ([(1,), (2,)], [(7,), (8,)]):
+            db = Database()
+            db.create_table("u", [Column("x")], rows)
+            got = repro.Session(db, cache=cache).execute(
+                "select x from u where x > 0", backend="vector"
+            )
+            assert got.sorted().rows == rows
+            del db, got
 
 
 class TestEviction:
@@ -231,9 +276,10 @@ class TestEviction:
 
     def test_overflow_evicts_only_the_full_table(self):
         from repro.core.plancache import _MAX_ENTRIES, SessionCache
+        from repro.engine import Database
 
         cache = SessionCache()
-        cache.validate(0)
+        cache.validate(Database())
         cache.store_strategy(("sticky",), "impl")
         cache.store_reduced(("sticky-build",), "batch", cells=5)
         for i in range(_MAX_ENTRIES + 10):
@@ -247,9 +293,10 @@ class TestEviction:
 
     def test_eviction_is_fifo(self):
         from repro.core.plancache import _MAX_ENTRIES, SessionCache
+        from repro.engine import Database
 
         cache = SessionCache()
-        cache.validate(0)
+        cache.validate(Database())
         for i in range(_MAX_ENTRIES + 1):
             cache.store_plan(f"select {i}", i)
         assert cache.plan("select 0") is None  # the oldest went first
@@ -257,9 +304,10 @@ class TestEviction:
 
     def test_counters_stay_monotonic_across_evictions(self):
         from repro.core.plancache import _MAX_ENTRIES, SessionCache
+        from repro.engine import Database
 
         cache = SessionCache()
-        cache.validate(0)
+        cache.validate(Database())
         seen = []
         for i in range(3 * _MAX_ENTRIES):
             cache.store_plan(f"select {i}", i)

@@ -34,59 +34,61 @@ class TestGeneratorPassesValidation:
 
 
 class TestValidatorCatchesCorruption:
-    def corrupt(self, mutate):
+    def corrupt(self, name, mutate):
+        """Validate after *mutate* edited table *name* (through the
+        catalog's one write path)."""
         db = generate(TpchConfig(scale_factor=0.001, seed=17, build_indexes=False))
-        mutate(db)
+        db.mutate_table(name, mutator=mutate)
         return validate(db)
 
     def test_duplicate_pk(self):
-        def mutate(db):
-            rel = db.table("orders").relation
+        def mutate(table):
+            rel = table.relation
             rel.rows.append(rel.rows[0])
 
-        issues = self.corrupt(mutate)
+        issues = self.corrupt("orders", mutate)
         assert any("duplicate keys" in i for i in issues)
 
     def test_null_pk(self):
-        def mutate(db):
-            rel = db.table("part").relation
+        def mutate(table):
+            rel = table.relation
             rel.rows[0] = (NULL,) + rel.rows[0][1:]
 
-        issues = self.corrupt(mutate)
+        issues = self.corrupt("part", mutate)
         assert any("NULL key" in i for i in issues)
 
     def test_dangling_fk(self):
-        def mutate(db):
-            rel = db.table("lineitem").relation
+        def mutate(table):
+            rel = table.relation
             pos = rel.schema.index_of("l_orderkey")
             row = list(rel.rows[0])
             row[pos] = 10**9
             rel.rows[0] = tuple(row)
 
-        issues = self.corrupt(mutate)
+        issues = self.corrupt("lineitem", mutate)
         assert any("not in orders.o_orderkey" in i for i in issues)
 
     def test_domain_violation(self):
-        def mutate(db):
-            rel = db.table("part").relation
+        def mutate(table):
+            rel = table.relation
             pos = rel.schema.index_of("p_size")
             row = list(rel.rows[0])
             row[pos] = 999
             rel.rows[0] = tuple(row)
 
-        issues = self.corrupt(mutate)
+        issues = self.corrupt("part", mutate)
         assert any("outside [1, 50]" in i for i in issues)
 
     def test_date_ordering_violation(self):
-        def mutate(db):
-            rel = db.table("lineitem").relation
+        def mutate(table):
+            rel = table.relation
             ship = rel.schema.index_of("l_shipdate")
             receipt = rel.schema.index_of("l_receiptdate")
             row = list(rel.rows[0])
             row[ship], row[receipt] = row[receipt], row[ship]
             rel.rows[0] = tuple(row)
 
-        issues = self.corrupt(mutate)
+        issues = self.corrupt("lineitem", mutate)
         assert any("ship >= receipt" in i for i in issues)
 
     def test_null_fraction_drift(self):
@@ -96,8 +98,11 @@ class TestValidatorCatchesCorruption:
 
     def test_assert_valid_raises_with_details(self):
         db = generate(TpchConfig(scale_factor=0.001, seed=17, build_indexes=False))
-        db.table("orders").relation.rows.append(
-            db.table("orders").relation.rows[0]
+        db.mutate_table(
+            "orders",
+            mutator=lambda table: table.relation.rows.append(
+                table.relation.rows[0]
+            ),
         )
         with pytest.raises(AssertionError, match="duplicate keys"):
             assert_valid(db)
