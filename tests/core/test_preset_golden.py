@@ -1,11 +1,14 @@
-"""The row strategies are physically what they were: for each of the
-five row-side ``nested-relational-*`` presets and the five row
-baselines, on each of the six figure queries (SF 0.001) plus the
-paper's Query Q, the multiset of operator spans, every per-execution
+"""The strategies are physically what they were: for each of the five
+row-side ``nested-relational-*`` presets, ``nested-relational-vectorized``
+and the five row baselines, on each of the six figure queries (SF 0.001),
+the paper's Query Q and the query shapes over the paper's R, S, T (those
+of ``test_explain_presets_golden`` plus two that reach the uncorrelated
+link's σ* and mark), the multiset of operator and phase spans — each as
+its name, cardinality contract and attributes — every per-execution
 ``Metrics`` counter and the result rows (content *and* order) match
-``tests/golden/presets.json``.  ``nested-iteration`` is pinned on
-Query Q only: it takes seconds per figure query.  A query a strategy's
-guard refuses is pinned as ``"PlanError"``.
+``tests/golden/presets.json``.  ``nested-iteration`` is pinned on the
+paper-database queries only: it takes seconds per figure query.  A query
+a strategy's guard refuses is pinned as ``"PlanError"``.
 
 Regenerate after an intentional physical-plan change with::
 
@@ -25,8 +28,8 @@ from ..conftest import run_traced
 from repro.engine.metrics import collect
 from repro.errors import PlanError
 
-from .test_explain import QUERY_Q
 from .test_explain_golden import GOLDEN_DIR, PAPER_QUERIES
+from .test_explain_presets_golden import SHAPES
 
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "presets.json")
 
@@ -36,6 +39,7 @@ ROW_PRESETS = [
     "nested-relational-optimized",
     "nested-relational-bottomup",
     "nested-relational-positive-rewrite",
+    "nested-relational-vectorized",
 ]
 
 ROW_BASELINES = [
@@ -46,14 +50,32 @@ ROW_BASELINES = [
     "boolean-aggregate",
 ]
 
-QUERY_STEMS = [p.values[0] for p in PAPER_QUERIES] + ["query_q"]
+#: queries over the paper's R, S, T, keyed by golden stem
+PAPER_DB_SHAPES = {
+    **SHAPES,
+    # σ* of an uncorrelated link: the S block's ALL test pads under NOT IN
+    "uncorrelated_pseudo": """
+        select R.B, R.D from R
+        where R.B not in
+          (select S.E from S
+           where S.G = R.D
+             and S.H > all (select T.J from T where T.J > 1))
+    """,
+    # the mark of an uncorrelated link, combined by R's residual
+    "uncorrelated_mark": """
+        select R.B, R.D from R
+        where R.A = 1 or R.B in (select S.E from S where S.F = 5)
+    """,
+}
+
+QUERY_STEMS = [p.values[0] for p in PAPER_QUERIES] + list(PAPER_DB_SHAPES)
 
 #: (strategy, query stem) pairs the golden file pins
 CASES = [
     (strategy, stem)
     for strategy in ROW_PRESETS + ROW_BASELINES
     for stem in QUERY_STEMS
-] + [("nested-iteration", "query_q")]
+] + [("nested-iteration", stem) for stem in PAPER_DB_SHAPES]
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +84,7 @@ def databases(paper_db):
         repro.tpch.TpchConfig(scale_factor=0.001, seed=1234)
     )
     dbs = {p.values[0]: (p.values[1], tpch) for p in PAPER_QUERIES}
-    dbs["query_q"] = (QUERY_Q, paper_db)
+    dbs.update((stem, (sql, paper_db)) for stem, sql in PAPER_DB_SHAPES.items())
     return dbs
 
 
@@ -74,12 +96,15 @@ def observe(strategy: str, sql: str, db):
             result, trace = run_traced(query, db, strategy)
         except PlanError:
             return "PlanError"
+    spans = [
+        [span.name, span.contract, sorted(
+            [key, str(value)] for key, value in span.attrs.items()
+        )]
+        for span in trace.spans()
+        if span.kind in ("operator", "phase")
+    ]
     return {
-        "spans": sorted(
-            span.name
-            for span in trace.spans()
-            if span.kind in ("operator", "phase")
-        ),
+        "spans": sorted(spans, key=json.dumps),
         "counters": metrics.snapshot(),
         "rows": len(result),
         "rows_sha1": hashlib.sha1(
