@@ -63,12 +63,12 @@ from ..engine.types import (
     sql_compare,
     tri_all,
     tri_any,
+    tri_value,
 )
 from ..core.blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
 from ..core.linking import aggregate_value
 from ..core.optimizer import cost_system_a
 from ..core.reduce import ReducedBlock, reduce_all
-from ..core.selection import _tri_value
 
 #: plan actions for a child subquery
 SEMIJOIN = "semijoin"
@@ -320,7 +320,7 @@ class SystemAEmulationStrategy:
                 metrics.add("rows_scanned")
                 ctx = EvalContext.single(rel.schema, row)
                 mark_row = tuple(
-                    _tri_value(
+                    tri_value(
                         self._link_holds(by_name[name], ctx, query, db, reduced)
                     )
                     for name in names
@@ -527,7 +527,7 @@ class SystemAEmulationStrategy:
                 names = sorted(marks)
                 rctx = row_ctx.push(
                     Schema([Column(name) for name in names]),
-                    tuple(_tri_value(marks[name]) for name in names),
+                    tuple(tri_value(marks[name]) for name in names),
                 )
                 metrics.add("linking_evals")
                 if not truth(block.residual, rctx).is_true():

@@ -26,12 +26,11 @@ from ..engine.metrics import current_metrics
 from ..engine.relation import Relation, Row
 from ..engine.schema import Column, Schema
 from ..engine.trace import CONTRACT_FILTERING, op_span
-from ..engine.types import NULL, TriBool, is_null, sql_compare, tri_all, tri_any
+from ..engine.types import NULL, TriBool, is_null, sql_compare, tri_all, tri_any, tri_value
 from ..core.blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
 from ..core.linking import aggregate_value
 from ..core.optimizer import cost_nested_iteration
 from ..core.reduce import ReducedBlock, reduce_all
-from ..core.selection import _tri_value
 
 
 @register(
@@ -93,7 +92,7 @@ class NestedIterationStrategy:
             names = sorted(marks)
             rctx = ctx.push(
                 Schema([Column(name) for name in names]),
-                tuple(_tri_value(marks[name]) for name in names),
+                tuple(tri_value(marks[name]) for name in names),
             )
             if not truth(block.residual, rctx).is_true():
                 return False

@@ -50,6 +50,11 @@ intermediate has.  A backend supplies:
     project to the SELECT list (:class:`~repro.core.query_tree.Finalize`)
     and return a plain :class:`~repro.engine.relation.Relation`.
 
+``nest_link``, ``uncorrelated_link`` and ``apply_residual`` differ only
+in how they judge each row: all three end in the backend's one σ / σ* /
+mark tail, :func:`repro.core.selection.select` here and
+:func:`repro.engine.vector.nestlink.select` on the vector engine.
+
 The §4.2 rules of the driver each need one more physical operator; a
 backend that lacks the method cannot run the rule (the strategy
 constructor checks), and today only the row engine has them:
@@ -71,26 +76,26 @@ and cost.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..engine.catalog import Database
+from ..engine.expressions import bind_truth
 from ..engine.governor import checkpoint
-from ..engine.metrics import current_metrics
 from ..engine.operators import left_outer_hash_join, outer_cross_join, semi_join
-from ..engine.relation import Relation
-from ..engine.schema import Column, Schema
-from ..engine.trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
-from ..engine.types import NULL, TRUE
+from ..engine.relation import Relation, Row
+from ..engine.types import NULL, TriBool
 from .blocks import NestedQuery
 from .nest import nest, nest_sorted
 from .plancache import ReduceMemo
 from . import query_tree
 from .reduce import BlockJoinPlan, execute_join_plan, reduce_all
 from .selection import (
-    _tri_value,
+    _projector,
     fused_linking_selection,
-    linking_selection,
-    mark_selection,
-    pseudo_selection,
+    judge,
+    nested_selection,
     pushdown_linking_selection,
+    select,
 )
 
 
@@ -135,16 +140,10 @@ class RowBackend:
             rel, node.by, node.keep
         )
         link = node.link
-        operands = (node.predicate, link.outer_ref, link.inner_ref)
-        if node.selection == "mark":
-            return mark_selection(
-                nested, *operands, pk_ref=node.rid_ref, mark_ref=link.mark
-            )
-        if node.selection == "linking":
-            return linking_selection(nested, *operands, pk_ref=node.rid_ref)
-        return pseudo_selection(
-            nested, *operands, pk_ref=node.rid_ref,
-            pad_refs=list(node.pad_refs),
+        return nested_selection(
+            nested, node.predicate, link.outer_ref, link.inner_ref,
+            node.rid_ref, strict=node.strict, pad_refs=node.pad_refs,
+            mark_ref=link.mark,
         )
 
     def join_nest(
@@ -181,7 +180,7 @@ class RowBackend:
     def uncorrelated_link(
         self, rel: Relation, sub: Relation, node: query_tree.UncorrelatedLink
     ) -> Relation:
-        predicate, link, strict = node.predicate, node.link, node.strict
+        link = node.link
         rid_pos = sub.schema.index_of(node.rid_ref)
         if link.inner_ref is not None:
             val_pos = sub.schema.index_of(link.inner_ref)
@@ -193,96 +192,37 @@ class RowBackend:
             if link.outer_ref is not None
             else None
         )
-        pad_positions = [rel.schema.index_of(r) for r in node.pad_refs]
-        marked = link.mark is not None
-        out_schema = (
-            Schema(tuple(rel.schema.columns) + (Column(link.mark),))
-            if marked
-            else rel.schema
+        holds = node.predicate.bind()
+
+        def verdict(row: Row) -> Tuple[Row, TriBool]:
+            return row, holds(
+                row[lhs_pos] if lhs_pos is not None else NULL, members
+            )
+
+        return select(
+            "uncorrelated-link", rel.schema, judge(rel.rows, verdict),
+            len(rel.rows), node.strict, node.pad_refs, link.mark,
+            pred=node.predicate.describe(),
+            **({"mark": link.mark} if link.mark is not None else {}),
         )
-        attrs = {"mark": link.mark} if marked else {}
-        out_rows = []
-        evals = padded_rows = 0
-        with op_span(
-            "uncorrelated-link",
-            contract=(
-                CONTRACT_FILTERING
-                if strict and not marked
-                else CONTRACT_PRESERVING
-            ),
-            pred=predicate.describe(),
-            **attrs,
-        ) as span:
-            holds = predicate.bind()
-            try:
-                for row in rel.rows:
-                    evals += 1
-                    verdict = holds(
-                        row[lhs_pos] if lhs_pos is not None else NULL, members
-                    )
-                    if marked:
-                        out_rows.append(row + (_tri_value(verdict),))
-                    elif verdict is TRUE:
-                        out_rows.append(row)
-                    elif not strict:
-                        padded_rows += 1
-                        padded = list(row)
-                        for i in pad_positions:
-                            padded[i] = NULL
-                        out_rows.append(tuple(padded))
-            finally:
-                metrics = current_metrics()
-                if evals:
-                    metrics.add("linking_evals", evals)
-                if padded_rows:
-                    metrics.add("null_padded_rows", padded_rows)
-            if span is not None:
-                span.add("rows_in", len(rel.rows))
-                span.add("rows_out", len(out_rows))
-        return Relation(out_schema, out_rows)
 
     # -- disjunctive residual ------------------------------------------- #
 
     def apply_residual(self, rel: Relation, node: query_tree.Residual) -> Relation:
-        """Apply a block's disjunctive linking residual over its marks.
+        """A block's disjunctive linking residual over its marks: SQL
+        truth over mark columns and plain predicates, judged on each row
+        projected onto ``node.names`` (the consumed marks dropped)."""
+        holds = bind_truth(node.expr, rel.schema)
+        keep = _projector(rel.schema.indices_of(node.names))
 
-        Evaluates the residual per row (SQL truth over mark columns and
-        plain predicates), then either deletes failing rows (strict σ)
-        or NULL-pads ``pad_refs`` (pseudo σ*), and finally projects the
-        consumed mark columns away.
-        """
-        from ..engine.expressions import bind_truth
+        def verdict(row: Row) -> Tuple[Row, TriBool]:
+            return keep(row), holds(row)
 
-        residual, strict = node.expr, node.strict
-        keep_positions = rel.schema.indices_of(node.names)
-        out_schema = rel.schema.project(node.names)
-        pad_positions = set(out_schema.indices_of(node.pad_refs))
-        metrics = current_metrics()
-        holds = bind_truth(residual, rel.schema)
-        out_rows = []
-        with op_span(
-            "linking-residual",
-            contract=CONTRACT_FILTERING if strict else CONTRACT_PRESERVING,
-            pred=repr(residual),
-        ) as span:
-            for row in rel.rows:
-                metrics.add("linking_evals")
-                passed = holds(row).is_true()
-                flat = tuple(row[i] for i in keep_positions)
-                if passed:
-                    out_rows.append(flat)
-                elif not strict:
-                    metrics.add("null_padded_rows")
-                    out_rows.append(
-                        tuple(
-                            NULL if i in pad_positions else v
-                            for i, v in enumerate(flat)
-                        )
-                    )
-            if span is not None:
-                span.add("rows_in", len(rel.rows))
-                span.add("rows_out", len(out_rows))
-        return Relation(out_schema, out_rows)
+        return select(
+            "linking-residual", rel.schema.project(node.names),
+            judge(rel.rows, verdict), len(rel.rows), node.strict,
+            node.pad_refs, None, pred=repr(node.expr),
+        )
 
     # -- output --------------------------------------------------------- #
 

@@ -99,9 +99,14 @@ class _Selection(_Link):
     pad_refs: Names
 
     @property
+    def mark(self) -> Optional[str]:
+        """The mark column the verdict goes to, or None to filter / pad."""
+        return self.link.mark
+
+    @property
     def selection(self) -> str:
         """``"mark"``, ``"linking"`` (strict σ) or ``"pseudo"`` (σ*)."""
-        if self.link.mark is not None:
+        if self.mark is not None:
             return "mark"
         return "linking" if self.strict else "pseudo"
 
@@ -172,6 +177,7 @@ class Residual:
     consumed mark columns are projected away."""
 
     method: ClassVar[str] = "apply_residual"
+    mark: ClassVar[Optional[str]] = None
     expr: Expr
     strict: bool
     pad_refs: Names

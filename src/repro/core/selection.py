@@ -23,7 +23,11 @@ nested tuple:
 Both return a **flat** relation over the atomic attributes of the input
 (the set-valued attribute is consumed), matching the paper's figures
 where each linking selection is followed by a projection that drops the
-nested attribute.
+nested attribute.  Both are :func:`nested_selection`, whose third
+reading of the verdict is the *mark* a link under OR/NOT leaves for its
+block's residual.  :func:`select` is the row engine's one tail for σ, σ*
+and the mark; the nested selection, the uncorrelated link and the
+disjunctive residual (:mod:`repro.core.backend`) only feed it verdicts.
 
 Two §4.2 refinements fuse the nest *into* the selection and therefore
 take flat input:
@@ -45,7 +49,7 @@ take flat input:
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
 from ..engine.governor import checkpoint
@@ -63,6 +67,7 @@ from ..engine.types import (
     SqlValue,
     TriBool,
     bind_join_key,
+    tri_value,
 )
 from .linking import SetPredicate
 from .nest import nest
@@ -70,63 +75,17 @@ from .nested import NestedRelation, SubSchema
 from .query_tree import FusedLink, PushdownLink
 
 
-def _resolve(
-    nested: NestedRelation,
-    set_name: str,
-    linking_ref: Optional[str],
-    linked_ref: Optional[str],
-    pk_ref: str,
-) -> Tuple[int, Optional[int], Optional[int], int, Schema, List[int]]:
-    """Resolve all component positions used by a linking selection."""
-    set_pos = nested.schema.index_of(set_name)
-    sub = nested.schema.components[set_pos]
-    if not isinstance(sub, SubSchema):
-        raise SchemaError(f"{set_name!r} is not a set-valued attribute")
-    sub_flat = sub.schema.to_flat()
-    linked_pos = sub_flat.index_of(linked_ref) if linked_ref is not None else None
-    pk_pos = sub_flat.index_of(pk_ref)
-    atomic_positions = [
-        i for i, c in enumerate(nested.schema.components) if i != set_pos
-    ]
-    for i in atomic_positions:
-        if isinstance(nested.schema.components[i], SubSchema):
-            raise SchemaError(
-                "linking selection expects exactly one set-valued attribute "
-                "at the top level"
-            )
-    out_schema = Schema(
-        [nested.schema.components[i] for i in atomic_positions]  # type: ignore[misc]
-    )
-    linking_pos = (
-        out_schema.index_of(linking_ref) if linking_ref is not None else None
-    )
-    return set_pos, linking_pos, linked_pos, pk_pos, out_schema, atomic_positions
-
-
-def _verdicts(
-    nested: NestedRelation,
-    predicate: SetPredicate,
-    set_pos: int,
-    linking_pos: Optional[int],
-    linked_pos: Optional[int],
-    pk_pos: int,
-    atomic: Sequence[int],
+def judge(
+    rows: Iterable[Row], verdict: Callable[[Row], Tuple[Row, TriBool]]
 ) -> Iterator[Tuple[Row, TriBool]]:
-    """Each nested tuple's atomic part with its linking predicate's
-    verdict — the scan the three nested selections share.  The predicate
-    is bound once; ``linking_evals`` is charged once, for the tuples
-    reached (also when an incomparable pair ends the scan early)."""
-    holds = predicate.bind()
-    flatten = _projector(atomic)
+    """``verdict(row)`` — an output row and its linking verdict — for
+    each of *rows*, charging ``linking_evals`` once for the rows reached
+    (also when an incomparable pair ends the scan early)."""
     evals = 0
     try:
-        for row in nested.rows:
+        for row in rows:
             evals += 1
-            flat = flatten(row)
-            yield flat, holds(
-                flat[linking_pos] if linking_pos is not None else NULL,
-                _members(row[set_pos], linked_pos, pk_pos),
-            )
+            yield verdict(row)
     finally:
         if evals:
             current_metrics().add("linking_evals", evals)
@@ -142,6 +101,114 @@ def _projector(positions: Sequence[int]) -> Callable[[Row], Row]:
     return operator.itemgetter(*positions)
 
 
+def select(
+    name: str,
+    schema: Schema,
+    verdicts: Iterable[Tuple[Row, TriBool]],
+    n_in: int,
+    strict: bool,
+    pad_refs: Sequence[str],
+    mark_ref: Optional[str],
+    **attrs,
+) -> Relation:
+    """The row engine's one selection tail, over ``(row, verdict)``
+    pairs of *schema*: with *mark_ref* keep every row and append the
+    verdict as that column; else keep the TRUE rows and drop (*strict*,
+    σ) or NULL-pad *pad_refs* of (σ*) the others.  One span *name* with
+    *attrs*, filtering iff strict and unmarked; *n_in* is its rows_in."""
+    marked = mark_ref is not None
+    if marked:
+        schema = Schema(tuple(schema.columns) + (Column(mark_ref),))
+    padding = not (strict or marked)
+    pads = set(schema.indices_of(pad_refs)) if padding else ()
+    out_rows: List[Row] = []
+    padded = 0
+    with op_span(
+        name,
+        contract=CONTRACT_PRESERVING if padding or marked else CONTRACT_FILTERING,
+        **attrs,
+    ) as span:
+        try:
+            if marked:
+                out_rows = [row + (tri_value(v),) for row, v in verdicts]
+            elif strict:
+                out_rows = [row for row, v in verdicts if v is TRUE]
+            else:
+                for row, verdict in verdicts:
+                    if verdict is not TRUE:
+                        padded += 1
+                        row = tuple(
+                            NULL if i in pads else v for i, v in enumerate(row)
+                        )
+                    out_rows.append(row)
+        finally:
+            if padded:
+                current_metrics().add("null_padded_rows", padded)
+        if span is not None:
+            span.add("rows_in", n_in)
+            span.add("rows_out", len(out_rows))
+    return Relation(schema, out_rows)
+
+
+def nested_selection(
+    nested: NestedRelation,
+    predicate: SetPredicate,
+    linking_ref: Optional[str],
+    linked_ref: Optional[str],
+    pk_ref: str,
+    strict: bool = True,
+    pad_refs: Sequence[str] = (),
+    mark_ref: Optional[str] = None,
+    set_name: str = "_nested",
+) -> Relation:
+    """The linking predicate over every tuple of a nested relation, as σ
+    (*strict*), σ* (padding *pad_refs*) or the mark column *mark_ref*.
+
+    *linking_ref* is the linking attribute (an atomic attribute of the
+    nested relation; None for EXISTS/NOT EXISTS).  *linked_ref* is the
+    linked attribute inside the set; *pk_ref* the inner block's primary
+    key inside the set (NULL pk = empty marker).
+    """
+    components = nested.schema.components
+    set_pos = nested.schema.index_of(set_name)
+    if not isinstance(components[set_pos], SubSchema):
+        raise SchemaError(f"{set_name!r} is not a set-valued attribute")
+    sub_flat = components[set_pos].schema.to_flat()
+    linked_pos = sub_flat.index_of(linked_ref) if linked_ref is not None else None
+    pk_pos = sub_flat.index_of(pk_ref)
+    atomic = [i for i in range(len(components)) if i != set_pos]
+    if any(isinstance(components[i], SubSchema) for i in atomic):
+        raise SchemaError(
+            "linking selection expects exactly one set-valued attribute "
+            "at the top level"
+        )
+    out_schema = Schema([components[i] for i in atomic])  # type: ignore[misc]
+    linking_pos = (
+        out_schema.index_of(linking_ref) if linking_ref is not None else None
+    )
+    holds = predicate.bind()
+    flatten = _projector(atomic)
+
+    def verdict(row: Row) -> Tuple[Row, TriBool]:
+        flat = flatten(row)
+        return flat, holds(
+            flat[linking_pos] if linking_pos is not None else NULL,
+            _members(row[set_pos], linked_pos, pk_pos),
+        )
+
+    attrs = {"pred": predicate.describe()}
+    if mark_ref is not None:
+        name, attrs["mark"] = "mark-selection", mark_ref
+    elif strict:
+        name = "linking-selection"
+    else:
+        name, attrs["pads"] = "pseudo-selection", ",".join(pad_refs)
+    return select(
+        name, out_schema, judge(nested.rows, verdict), len(nested.rows),
+        strict, pad_refs, mark_ref, **attrs,
+    )
+
+
 def linking_selection(
     nested: NestedRelation,
     predicate: SetPredicate,
@@ -150,31 +217,10 @@ def linking_selection(
     pk_ref: str,
     set_name: str = "_nested",
 ) -> Relation:
-    """Strict σ_C: keep tuples whose linking predicate is TRUE.
-
-    *linking_ref* is the linking attribute (an atomic attribute of the
-    nested relation; None for EXISTS/NOT EXISTS).  *linked_ref* is the
-    linked attribute inside the set; *pk_ref* the inner block's primary
-    key inside the set (NULL pk = empty marker).
-    """
-    set_pos, linking_pos, linked_pos, pk_pos, out_schema, atomic = _resolve(
-        nested, set_name, linking_ref, linked_ref, pk_ref
+    """Strict σ_C: keep tuples whose linking predicate is TRUE."""
+    return nested_selection(
+        nested, predicate, linking_ref, linked_ref, pk_ref, set_name=set_name
     )
-    out_rows: List[Row] = []
-    with op_span(
-        "linking-selection",
-        contract=CONTRACT_FILTERING,
-        pred=predicate.describe(),
-    ) as span:
-        for flat, verdict in _verdicts(
-            nested, predicate, set_pos, linking_pos, linked_pos, pk_pos, atomic
-        ):
-            if verdict is TRUE:
-                out_rows.append(flat)
-        if span is not None:
-            span.add("rows_in", len(nested.rows))
-            span.add("rows_out", len(out_rows))
-    return Relation(out_schema, out_rows)
 
 
 def pseudo_selection(
@@ -193,77 +239,10 @@ def pseudo_selection(
     (negative) linking predicates; the padded primary key inside
     *pad_refs* marks this inner tuple as absent.
     """
-    set_pos, linking_pos, linked_pos, pk_pos, out_schema, atomic = _resolve(
-        nested, set_name, linking_ref, linked_ref, pk_ref
+    return nested_selection(
+        nested, predicate, linking_ref, linked_ref, pk_ref, strict=False,
+        pad_refs=pad_refs, set_name=set_name,
     )
-    pad_positions = set(out_schema.indices_of(pad_refs))
-    out_rows: List[Row] = []
-    padded = 0
-    with op_span(
-        "pseudo-selection",
-        contract=CONTRACT_PRESERVING,
-        pred=predicate.describe(),
-        pads=",".join(pad_refs),
-    ) as span:
-        try:
-            for flat, verdict in _verdicts(
-                nested, predicate, set_pos, linking_pos, linked_pos, pk_pos,
-                atomic,
-            ):
-                if verdict is TRUE:
-                    out_rows.append(flat)
-                else:
-                    padded += 1
-                    out_rows.append(
-                        tuple(
-                            NULL if i in pad_positions else v
-                            for i, v in enumerate(flat)
-                        )
-                    )
-        finally:
-            if padded:
-                current_metrics().add("null_padded_rows", padded)
-        if span is not None:
-            span.add("rows_in", len(nested.rows))
-            span.add("rows_out", len(out_rows))
-    return Relation(out_schema, out_rows)
-
-
-def mark_selection(
-    nested: NestedRelation,
-    predicate: SetPredicate,
-    linking_ref: Optional[str],
-    linked_ref: Optional[str],
-    pk_ref: str,
-    mark_ref: str,
-    set_name: str = "_nested",
-) -> Relation:
-    """Mark evaluation: keep every tuple, append the predicate verdict.
-
-    Used for linking predicates under OR/NOT: instead of filtering or
-    padding, the three-valued outcome is materialized as a column named
-    *mark_ref* (TRUE/FALSE/NULL) for the parent block's residual to
-    combine.
-    """
-    set_pos, linking_pos, linked_pos, pk_pos, out_schema, atomic = _resolve(
-        nested, set_name, linking_ref, linked_ref, pk_ref
-    )
-    out_schema = Schema(tuple(out_schema.columns) + (Column(mark_ref),))
-    out_rows: List[Row] = []
-    with op_span(
-        "mark-selection",
-        contract=CONTRACT_PRESERVING,
-        pred=predicate.describe(),
-        mark=mark_ref,
-    ) as span:
-        for flat, verdict in _verdicts(
-            nested, predicate, set_pos, linking_pos, linked_pos, pk_pos, atomic
-        ):
-            out_rows.append(flat + (_tri_value(verdict),))
-        if span is not None:
-            span.add("rows_in", len(nested.rows))
-            span.add("rows_out", len(out_rows))
-    return Relation(out_schema, out_rows)
 
 
 def fused_linking_selection(joined: Relation, node: FusedLink) -> Relation:
@@ -484,15 +463,6 @@ def _pushdown_probe(
             metrics.add("hash_probes", probed)
             metrics.add("linking_evals", probed)
     return out_rows
-
-
-def _tri_value(verdict) -> SqlValue:
-    """TriBool -> SQL value (TRUE/FALSE/NULL) for a mark column."""
-    if verdict.is_true():
-        return True
-    if (~verdict).is_true():
-        return False
-    return NULL
 
 
 def _members(

@@ -24,7 +24,7 @@ from ..metrics import current_metrics
 from ..relation import Relation, Row
 from ..trace import CONTRACT_FILTERING, op_span
 from ..schema import Column, Schema
-from ..types import FALSE, NULL, TRUE, UNKNOWN, SqlValue, TriBool, is_null, row_group_key
+from ..types import FALSE, NULL, TRUE, SqlValue, is_null, row_group_key, tri_value
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,6 @@ def _finish(func: str, values: List[SqlValue], count_rows: int):
     if func == "avg":
         return sum(values) / len(values)
     raise ExecutionError(f"unknown aggregate {func!r}")
-
-
-def _tri_to_value(t: TriBool) -> SqlValue:
-    if t is TRUE:
-        return True
-    if t is FALSE:
-        return False
-    return NULL
 
 
 class GroupAggregate:
@@ -139,7 +131,7 @@ class GroupAggregate:
                     for row in rows:
                         t = test(row)
                         outcome = (outcome & t) if spec.func == "bool_and" else (outcome | t)
-                    agg_values.append(_tri_to_value(outcome))
+                    agg_values.append(tri_value(outcome))
                 elif spec.func == "count_star":
                     agg_values.append(len(rows))
                 else:

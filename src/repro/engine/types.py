@@ -116,6 +116,16 @@ FALSE = TriBool.FALSE
 UNKNOWN = TriBool.UNKNOWN
 
 
+def tri_value(t: TriBool) -> SqlValue:
+    """A verdict as the SQL value a column holds: TRUE, FALSE or NULL
+    (a mark column, ``bool_and`` / ``bool_or``)."""
+    if t is TRUE:
+        return True
+    if t is FALSE:
+        return False
+    return NULL
+
+
 def tri_all(values: Iterable[TriBool]) -> TriBool:
     """3VL conjunction over an iterable; vacuously TRUE.
 

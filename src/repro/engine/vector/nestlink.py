@@ -29,11 +29,14 @@ comparison is simply FALSE (no UNKNOWN mask), and the direct formulation
 stays exact while De Morgan would not (``5 > ALL {2, NULL}`` must be
 FALSE, not TRUE).
 
-Strict selection keeps the passing groups (one output row per group,
-projected to the nesting attributes); pseudo selection keeps every group
-but NULLs out the current block's attributes of failing groups; mark
-evaluation keeps every group and appends the three-valued verdict as a
-boolean column for the parent block's disjunctive residual.
+Every linking operator of the vector engine — the nest link, the
+uncorrelated link and the backend's disjunctive residual — ends in the
+one tail :func:`select`, handed a mask pair and the source row of each
+output row: strict selection keeps the passing rows (for a nest, one row
+per group, projected to the nesting attributes); pseudo selection keeps
+every row but NULLs out the current block's attributes of failing ones;
+mark evaluation keeps every row and appends the three-valued verdict as
+a boolean column for the parent block's disjunctive residual.
 
 There is one nest body (``_nest_link``); it reads its input through a
 *member* batch — the columns it groups and judges on — and takes each
@@ -161,9 +164,7 @@ def _nest_link(
     key and the verdict's columns); output row ``i`` of a group is row
     ``at[i]`` of *n1* (``by`` projected), or row ``i`` when *at* is
     None."""
-    by, link, strict, nest_impl = (
-        node.by, node.link, node.strict, node.nest_impl
-    )
+    by, nest_impl = node.by, node.nest_impl
     metrics = current_metrics()
     with op_span(
         "vec-nest-link",
@@ -171,7 +172,7 @@ def _nest_link(
         impl=nest_impl,
         pred=node.predicate.describe(),
         by=",".join(by),
-        **({"mark": link.mark} if link.mark is not None else {}),
+        **({"mark": node.mark} if node.mark is not None else {}),
     ) as span:
         metrics.add("rows_nested", n)
         if nest_impl == "sorted":
@@ -186,22 +187,8 @@ def _nest_link(
         metrics.add("linking_evals", n_groups)
         vt, vf = _group_verdict(batch, ids, n_groups, rep, node)
         order = np.argsort(rep, kind="stable")  # groups in appearance order
-        rows = rep if at is None else at[rep]
-        if link.mark is not None:
-            out = n1.take(rows[order])
-            out = out.with_column(
-                Column(link.mark),
-                Vector(KIND_BOOL, vt[order], (vt | vf)[order]),
-            )
-        elif strict:
-            keep = order[vt[order]]
-            out = n1.take(rows[keep])
-        else:
-            out = n1.take(rows[order])
-            fail = ~vt[order]
-            if fail.any():
-                out = _pad_columns(out, node.pad_refs, fail)
-            metrics.add("null_padded_rows", int(fail.sum()))
+        rows = (rep if at is None else at[rep])[order]
+        out = select(n1, rows, vt[order], vf[order], node)
         if span is not None:
             span.add("rows_in", n)
             span.add("rows_out", len(out))
@@ -382,6 +369,28 @@ def _pad_columns(
     return Batch(batch.schema, cols, len(batch))
 
 
+def select(
+    source: Batch, idx: Optional[np.ndarray], vt: np.ndarray, vf: np.ndarray,
+    node,
+) -> Batch:
+    """The vector engine's one selection tail: output row ``i`` is row
+    ``idx[i]`` of *source* (row ``i``, with no gather, when *idx* is
+    None), judged by ``(vt[i], vf[i])``.  With ``node.mark`` keep every
+    row and append the verdict as a boolean column; else keep the TRUE
+    rows and drop (``node.strict``, σ) or NULL-pad ``node.pad_refs`` of
+    (σ*) the others."""
+    if node.strict and node.mark is None:
+        return source.take(np.flatnonzero(vt) if idx is None else idx[vt])
+    out = source if idx is None else source.take(idx)
+    if node.mark is not None:
+        return out.with_column(Column(node.mark), Vector(KIND_BOOL, vt, vt | vf))
+    fail = ~vt
+    if fail.any():
+        out = _pad_columns(out, node.pad_refs, fail)
+    current_metrics().add("null_padded_rows", int(fail.sum()))
+    return out
+
+
 # --------------------------------------------------------------------- #
 # Uncorrelated (virtual Cartesian product) link
 # --------------------------------------------------------------------- #
@@ -393,35 +402,22 @@ def uncorrelated_link(
     node: UncorrelatedLink,
 ) -> Batch:
     """Apply a shared-member-set linking predicate to every outer row."""
-    link, strict = node.link, node.strict
+    mark = node.mark
     metrics = current_metrics()
     n = len(batch)
     with op_span(
         "vec-uncorrelated-link",
         contract=(
             CONTRACT_FILTERING
-            if strict and link.mark is None
+            if node.strict and mark is None
             else CONTRACT_PRESERVING
         ),
         pred=node.predicate.describe(),
-        **({"mark": link.mark} if link.mark is not None else {}),
+        **({"mark": mark} if mark is not None else {}),
     ) as span:
         metrics.add("linking_evals", n)
         vt, vf = _uncorrelated_verdict(batch, sub, node)
-        if link.mark is not None:
-            out = batch.with_column(
-                Column(link.mark), Vector(KIND_BOOL, vt, vt | vf)
-            )
-        elif strict:
-            out = batch.take(np.flatnonzero(vt))
-        else:
-            fail = ~vt
-            out = (
-                _pad_columns(batch, node.pad_refs, fail)
-                if fail.any()
-                else batch
-            )
-            metrics.add("null_padded_rows", int(fail.sum()))
+        out = select(batch, None, vt, vf, node)
         if span is not None:
             span.add("rows_in", n)
             span.add("rows_out", len(out))
