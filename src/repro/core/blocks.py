@@ -376,14 +376,6 @@ class NestedQuery:
         """Some block combines subqueries under OR/NOT via mark columns."""
         return any(b.residual is not None for b in self.root.walk())
 
-    @property
-    def has_grouping(self) -> bool:
-        """Some block carries GROUP BY / aggregates / HAVING."""
-        return any(
-            b.group_by or b.aggregates or b.having is not None
-            for b in self.root.walk()
-        )
-
     def is_linearly_correlated(self) -> bool:
         """Each inner block only correlated to its *adjacent* outer block.
 

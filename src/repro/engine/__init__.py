@@ -42,7 +42,7 @@ from .expressions import (
     truth,
 )
 from .catalog import Database, Table
-from .index import HashIndex, SortedIndex
+from .index import HashIndex
 from .metrics import Metrics, collect, current_metrics, timed
 from .trace import (
     Span,
@@ -92,7 +92,6 @@ __all__ = [
     "Database",
     "Table",
     "HashIndex",
-    "SortedIndex",
     "Metrics",
     "collect",
     "current_metrics",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
-from .index import HashIndex, SortedIndex
+from .index import HashIndex
 from .relation import Relation, Row
 from .schema import Column, Schema
 
@@ -35,7 +35,6 @@ class Table:
     relation: Relation
     primary_key: Optional[str] = None
     hash_indexes: Dict[Tuple[str, ...], HashIndex] = field(default_factory=dict)
-    sorted_indexes: Dict[str, SortedIndex] = field(default_factory=dict)
     #: the columnar image the vector engine scans, built on first touch
     #: by :func:`~repro.engine.vector.batch.table_batch` and dropped by
     #: :meth:`Database.mutate_table`
@@ -191,9 +190,6 @@ class Database:
         table.hash_indexes = {
             key: HashIndex(table.relation, key) for key in table.hash_indexes
         }
-        table.sorted_indexes = {
-            ref: SortedIndex(table.relation, ref) for ref in table.sorted_indexes
-        }
         table.image = None
         self.version += 1
         return table
@@ -206,14 +202,6 @@ class Database:
             table.hash_indexes[key] = HashIndex(table.relation, refs)
             self.version += 1
         return table.hash_indexes[key]
-
-    def create_sorted_index(self, table_name: str, ref: str) -> SortedIndex:
-        """Build (or return an existing) range index on *ref*."""
-        table = self.table(table_name)
-        if ref not in table.sorted_indexes:
-            table.sorted_indexes[ref] = SortedIndex(table.relation, ref)
-            self.version += 1
-        return table.sorted_indexes[ref]
 
     def summary(self) -> str:
         """Human-readable inventory (used by examples)."""

@@ -116,9 +116,6 @@ class Expr:
     def and_(self, other: "Expr") -> "Expr":
         return And(self, other)
 
-    def or_(self, other: "Expr") -> "Expr":
-        return Or(self, other)
-
     def negate(self) -> "Expr":
         return Not(self)
 

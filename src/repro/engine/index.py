@@ -1,4 +1,4 @@
-"""Secondary indexes: hash (equality) and sorted (range).
+"""Secondary indexes: hash (equality).
 
 The paper's "System A" baseline leans on B+-tree indexes during nested
 iteration ("lineitem is accessed by index rowid, which is more efficient
@@ -8,18 +8,16 @@ metrics so that index-assisted plans are cheaper than scans by the same
 ratio the paper relies on.
 
 NULL keys are never indexed (as in real systems, a NULL never matches an
-equality or range probe).
+equality probe).
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..errors import CatalogError
 from .metrics import current_metrics
 from .relation import Relation, Row
-from .types import NULL, SqlValue, is_null, row_group_key, sort_key
+from .types import SqlValue, is_null, row_group_key
 
 
 class HashIndex:
@@ -55,45 +53,3 @@ class HashIndex:
         if any(is_null(v) for v in values):
             return []
         return self._buckets.get(row_group_key(tuple(values)), [])
-
-
-class SortedIndex:
-    """Range index on a single column, built by sorting (key, rid) pairs."""
-
-    def __init__(self, relation: Relation, ref: str, name: str = ""):
-        self.relation = relation
-        self.ref = ref
-        self.name = name or f"sorted({ref})"
-        pos = relation.schema.index_of(ref)
-        pairs = [
-            (sort_key(row[pos]), rid)
-            for rid, row in enumerate(relation.rows)
-            if not is_null(row[pos])
-        ]
-        pairs.sort()
-        self._keys = [p[0] for p in pairs]
-        self._rids = [p[1] for p in pairs]
-
-    def range(
-        self,
-        low: Optional[SqlValue] = None,
-        high: Optional[SqlValue] = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> List[Row]:
-        """Rows with key in the given (optionally open-ended) range."""
-        current_metrics().add("index_probes")
-        lo_i = 0
-        hi_i = len(self._keys)
-        if low is not None and not is_null(low):
-            k = sort_key(low)
-            lo_i = bisect.bisect_left(self._keys, k) if low_inclusive else bisect.bisect_right(self._keys, k)
-        if high is not None and not is_null(high):
-            k = sort_key(high)
-            hi_i = bisect.bisect_right(self._keys, k) if high_inclusive else bisect.bisect_left(self._keys, k)
-        rids = self._rids[lo_i:hi_i]
-        current_metrics().add("index_rows_fetched", len(rids))
-        return [self.relation.rows[rid] for rid in rids]
-
-    def __len__(self) -> int:
-        return len(self._keys)

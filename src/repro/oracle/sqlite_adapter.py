@@ -4,8 +4,8 @@ Tables are created with *no* declared column types so SQLite's column
 affinity never coerces a value: parameterized inserts store exactly the
 Python objects our engine holds (ints as INTEGER, floats as REAL,
 strings as TEXT, dates as ISO-8601 TEXT, NULL as NULL).  Catalog hash
-and sorted indexes are mirrored as SQLite indexes so ``EXPLAIN QUERY
-PLAN`` shows comparable access-path choices.
+indexes are mirrored as SQLite indexes so ``EXPLAIN QUERY PLAN`` shows
+comparable access-path choices.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class SqliteAdapter(EngineAdapter):
                 )
             for i, refs in enumerate(table.hash_indexes):
                 self._index(cur, name, i, [r.split(".")[-1] for r in refs])
-            for j, ref in enumerate(table.sorted_indexes):
-                self._index(
-                    cur, name, 1000 + j, [ref.split(".")[-1]]
-                )
         self.connection.commit()
 
     def _index(self, cur, table: str, n: int, columns: List[str]) -> None:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.catalog import Database
-from repro.engine.index import HashIndex, SortedIndex
+from repro.engine.index import HashIndex
 from repro.engine.metrics import Metrics, collect, current_metrics, timed
 from repro.engine.operators import filter_relation
 from repro.engine.expressions import cmp
@@ -38,22 +38,6 @@ class TestHashIndex:
         idx = HashIndex(rel(), ["t.k", "t.v"])
         assert len(idx.probe([1, "a"])) == 1
         assert idx.probe([1, "zzz"]) == []
-
-
-class TestSortedIndex:
-    def test_range(self):
-        idx = SortedIndex(rel(), "t.k")
-        assert len(idx.range(1, 2)) == 3
-        assert len(idx.range(low=2)) == 2
-        assert len(idx.range(high=1)) == 2
-
-    def test_exclusive_bounds(self):
-        idx = SortedIndex(rel(), "t.k")
-        assert len(idx.range(1, 2, low_inclusive=False)) == 1
-
-    def test_nulls_excluded(self):
-        idx = SortedIndex(rel(), "t.k")
-        assert len(idx) == 4
 
 
 class TestDatabase:
