@@ -28,6 +28,7 @@ from ..engine.trace import (
 )
 from .blocks import NestedQuery
 from .optimizer import PlannerDecision, resolve
+from .reduce import group_block
 
 
 def _emit_planner_span(tracer: Tracer, decision: PlannerDecision):
@@ -139,7 +140,9 @@ def _finalize(result: Relation, query: NestedQuery) -> Relation:
     """
     root = query.root
     if root.group_by or root.aggregates or root.having is not None:
-        result = _group_root_output(result, root)
+        # strategies return the SELECT list's bag, multiplicity kept, so
+        # aggregation composes here exactly as in SQL
+        result = group_block(root, result).project(root.output_refs)
     if root.order_by:
         from ..engine.types import row_sort_key
 
@@ -154,35 +157,3 @@ def _finalize(result: Relation, query: NestedQuery) -> Relation:
     if root.limit is not None:
         result = Relation(result.schema, result.rows[: root.limit])
     return result
-
-
-def _group_root_output(result: Relation, root) -> Relation:
-    """Root-level GROUP BY / aggregates / HAVING over the strategy's bag.
-
-    Strategies return the root block's ``select_refs`` with multiplicity
-    preserved, so aggregation composes here exactly as in SQL: group,
-    aggregate, filter by HAVING under 3VL truth, project the SELECT list.
-    A global aggregate over zero input rows still yields one row (COUNT
-    becomes 0, every other aggregate NULL).
-    """
-    from ..engine.expressions import bind_truth
-    from ..engine.operators.aggregate import AggSpec, GroupAggregate
-    from ..engine.types import NULL
-
-    aggs = [AggSpec(a.func, a.arg, name=a.name) for a in root.aggregates]
-    grouped = GroupAggregate(result, list(root.group_by), aggs).run()
-    if not root.group_by and not grouped.rows:
-        grouped = Relation(
-            grouped.schema,
-            [
-                tuple(
-                    0 if a.func in ("count", "count_star") else NULL
-                    for a in aggs
-                )
-            ],
-        )
-    if root.having is not None:
-        holds = bind_truth(root.having, grouped.schema)
-        kept = [row for row in grouped.rows if holds(row).is_true()]
-        grouped = Relation(grouped.schema, kept)
-    return grouped.project(root.output_refs)

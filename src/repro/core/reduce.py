@@ -35,6 +35,7 @@ from ..engine.operators import filter_relation, hash_join, nested_loop_join
 from ..engine.trace import op_span
 from ..engine.relation import Relation
 from ..engine.schema import Column, Schema
+from ..engine.types import NULL
 from .blocks import NestedQuery, QueryBlock
 
 
@@ -84,7 +85,9 @@ def reduce_block(
         checkpoint("reduce")
         joined = (join or execute_join_plan)(plan_block_join(block), db)
         if _is_grouped_subquery(block):
-            joined = grouped_subquery_relation(block, joined)
+            # the linked attribute is a GROUP BY column; the aggregates
+            # only feed HAVING
+            joined = group_block(block, joined).project(block.group_by)
         if span is not None:
             span.add("rows_out", len(joined.rows))
     rid = rid_name(block)
@@ -117,22 +120,35 @@ def _is_grouped_subquery(block: QueryBlock) -> bool:
     )
 
 
-def grouped_subquery_relation(block: QueryBlock, joined: Relation) -> Relation:
-    """Aggregate a grouped subquery block's joined relation.
+def group_block(block: QueryBlock, rel: Relation) -> Relation:
+    """*block*'s GROUP BY, aggregates and HAVING over *rel*: group,
+    aggregate, keep the groups whose HAVING is TRUE.  The caller
+    projects.
 
-    Applies GROUP BY + HAVING, then projects down to the group-by
-    columns (the linked attribute is required to be one of them; the
-    aggregate columns only feed HAVING).
+    A global aggregate over zero rows still yields one row (COUNT
+    becomes 0, every other aggregate NULL), as in SQL.  Only a root
+    block reaches that rule: the analyzer requires a grouped subquery's
+    linked attribute to be a GROUP BY column.
     """
     from ..engine.operators.aggregate import AggSpec, GroupAggregate
 
     aggs = [AggSpec(a.func, a.arg, name=a.name) for a in block.aggregates]
-    grouped = GroupAggregate(joined, list(block.group_by), aggs).run()
+    grouped = GroupAggregate(rel, list(block.group_by), aggs).run()
+    if not block.group_by and not grouped.rows:
+        grouped = Relation(
+            grouped.schema,
+            [
+                tuple(
+                    0 if a.func in ("count", "count_star") else NULL
+                    for a in aggs
+                )
+            ],
+        )
     if block.having is not None:
         holds = bind_truth(block.having, grouped.schema)
         rows = [row for row in grouped.rows if holds(row).is_true()]
         grouped = Relation(grouped.schema, rows)
-    return grouped.project(list(block.group_by))
+    return grouped
 
 
 @dataclass(frozen=True)
