@@ -17,7 +17,7 @@ The script
    pass per query to populate the shared plan cache),
 3. snapshots the server's ``/stats`` endpoint,
 4. starts a SECOND, deliberately slow server (``REPRO_FAULT=
-   slow_morsel``) with a one-query quota tenant to prove admission
+   slow_checkpoint``) with a one-query quota tenant to prove admission
    control: over-quota bursts are rejected with the typed 429 while the
    in-flight query completes,
 5. sends that server SIGTERM mid-query to prove graceful drain: the
@@ -332,7 +332,7 @@ def main() -> int:
     slow_proc, slow_port = start_server(
         ["--tpch", "0.001", "--seed", str(SEED), "--workers", "2",
          "--tenants", tenants_path],
-        env_extra={"REPRO_FAULT": "slow_morsel", "REPRO_FAULT_MS": "120"},
+        env_extra={"REPRO_FAULT": "slow_checkpoint", "REPRO_FAULT_MS": "120"},
     )
     try:
         slow_sql = ("select o_orderkey from orders "

@@ -35,7 +35,7 @@ Fault injection
 fuzzer and the CI fault-injection job use to exercise every governed
 failure path:
 
-* ``slow_morsel`` — every checkpoint sleeps ``REPRO_FAULT_MS``
+* ``slow_checkpoint`` — every checkpoint sleeps ``REPRO_FAULT_MS``
   milliseconds (default 20) before checking, making any plan
   deliberately slow so deadline tests are deterministic.
 * ``alloc_spike`` — every checkpoint under a memory-limited governor
@@ -76,7 +76,7 @@ from ..errors import (
 from .context import ExecutionContext, current, scope
 
 #: accepted values of the ``REPRO_FAULT`` environment variable
-FAULT_MODES = ("slow_morsel", "alloc_spike", "spill_io")
+FAULT_MODES = ("slow_checkpoint", "alloc_spike", "spill_io")
 
 #: rough per-value cost of a Python-object row cell, used by the row
 #: backend's accounting (the vector backend measures array bytes).
@@ -359,7 +359,7 @@ def active_fault() -> Optional[str]:
 
 
 def fault_sleep_seconds() -> float:
-    """The ``slow_morsel`` per-checkpoint sleep (``REPRO_FAULT_MS``)."""
+    """The ``slow_checkpoint`` per-checkpoint sleep (``REPRO_FAULT_MS``)."""
     env = os.environ.get("REPRO_FAULT_MS")
     if env:
         try:
@@ -393,7 +393,7 @@ def checkpoint(site: str = "operator") -> None:
     """
     fault = active_fault()
     governor = current_governor()
-    if fault == "slow_morsel":
+    if fault == "slow_checkpoint":
         time.sleep(fault_sleep_seconds())
     elif (
         fault == "alloc_spike"

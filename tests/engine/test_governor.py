@@ -339,7 +339,7 @@ class TestRowOperatorCheckpoints:
         assert "operator-rows" not in sites
 
     def test_timeout_fires_inside_the_join(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "slow_morsel")
+        monkeypatch.setenv("REPRO_FAULT", "slow_checkpoint")
         monkeypatch.setenv("REPRO_FAULT_MS", "10")
         small = _keyed("r", range(0, 100, 2))
         with collect() as metrics, tracing() as trace:
@@ -413,13 +413,15 @@ class TestGovernedExecution:
 
 class TestFaultMatrix:
     def test_fault_modes_are_covered(self):
-        assert set(FAULT_MODES) == {"slow_morsel", "alloc_spike", "spill_io"}
+        assert set(FAULT_MODES) == {
+            "slow_checkpoint", "alloc_spike", "spill_io",
+        }
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_slow_morsel_is_slow_but_correct(
+    def test_slow_checkpoint_is_slow_but_correct(
         self, tiny_tpch, oracle, monkeypatch, strategy
     ):
-        monkeypatch.setenv("REPRO_FAULT", "slow_morsel")
+        monkeypatch.setenv("REPRO_FAULT", "slow_checkpoint")
         monkeypatch.setenv("REPRO_FAULT_MS", "1")
         result = repro.connect(tiny_tpch).execute(
             SQL, strategy=strategy, timeout_ms=60_000
@@ -457,7 +459,7 @@ class TestFaultMatrix:
         # outside the timed window so the bound measures the
         # engine's checkpoint coverage
         session.execute(SQL, strategy=strategy, timeout_ms=60_000)
-        monkeypatch.setenv("REPRO_FAULT", "slow_morsel")
+        monkeypatch.setenv("REPRO_FAULT", "slow_checkpoint")
         monkeypatch.setenv("REPRO_FAULT_MS", "10")
         t0 = time.perf_counter()
         with pytest.raises(QueryTimeoutError) as err:
@@ -479,7 +481,7 @@ class TestPartialTraces:
     def test_timeout_mid_flight_leaves_valid_trace(
         self, tiny_tpch, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_FAULT", "slow_morsel")
+        monkeypatch.setenv("REPRO_FAULT", "slow_checkpoint")
         monkeypatch.setenv("REPRO_FAULT_MS", "10")
         query = repro.connect(tiny_tpch).prepare(SQL).query
         gov = ResourceGovernor(timeout_ms=50)
@@ -503,7 +505,7 @@ class TestCliGovernance:
     def test_timeout_flag_surfaces_typed_error(self, capsys, monkeypatch):
         from repro.cli import main
 
-        monkeypatch.setenv("REPRO_FAULT", "slow_morsel")
+        monkeypatch.setenv("REPRO_FAULT", "slow_checkpoint")
         monkeypatch.setenv("REPRO_FAULT_MS", "10")
         code = main(
             ["run", SQL, "--tpch", "0.002", "--timeout-ms", "50"]
