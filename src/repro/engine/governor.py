@@ -438,9 +438,18 @@ def batch_nbytes(batch) -> int:
     the OS pages them in and out against file storage, so counting them
     against the RAM budget would make every stored scan "exhaust" a cap
     smaller than the dataset — the exact situation the store exists for.
+
+    A deferred column (:func:`~...vector.column.take_columns`) is billed
+    the bytes its gather will allocate, without gathering it: a
+    gather's output is heap memory whatever its source, so the charge is
+    the one the materialized column draws.
     """
     total = 0
     for column in batch.columns:
+        pending = column.pending_nbytes()
+        if pending is not None:
+            total += pending
+            continue
         # A mapped data array marks the whole vector as stored; its
         # unpacked validity mask (1 byte/row) rides along for free.
         if _is_mapped(column.data):

@@ -8,6 +8,14 @@ live in column arrays instead of row tuples.  All batch kernels
 boundary back to rows is crossed exactly once, in
 ``VectorBackend.finalize``.
 
+A take moves no value: every column of its output is a *deferred*
+vector over the input column's source (:func:`~.column.take_columns`),
+gathered the first time something reads it — a filter over a wide
+table, a join or a selection tail pays only for the columns the rest of
+the query reads.  Structural ops (:meth:`Batch.project`,
+:meth:`Batch.concat_columns`, :meth:`Batch.with_column`) share the
+column objects, deferred or not.
+
 A base table's image is built on first touch and kept on the
 :class:`~repro.engine.catalog.Table` until
 :meth:`~repro.engine.catalog.Database.mutate_table` drops it, so
@@ -23,7 +31,7 @@ import numpy as np
 from ..catalog import Table
 from ..relation import Relation
 from ..schema import Schema
-from .column import Vector, pad_index
+from .column import Vector, pad_index, take_columns
 
 
 class Batch:
@@ -83,18 +91,18 @@ class Batch:
         )
 
     def take(self, idx: np.ndarray) -> "Batch":
-        return Batch(self.schema, [c.gather(idx) for c in self.columns], len(idx))
+        """The rows at *idx*, every column deferred (no gather yet)."""
+        return Batch(self.schema, take_columns(self.columns, idx), len(idx))
 
     def take_padded(self, idx: np.ndarray) -> "Batch":
-        """Gather rows; ``-1`` positions become all-NULL rows.  The pad
-        mask and the clipped index are computed once for all columns
-        (without pads this is :meth:`take`)."""
+        """The rows at *idx*, deferred; ``-1`` positions become all-NULL
+        rows.  The pad mask and the clipped index are computed once for
+        all columns (without pads this is :meth:`take`)."""
         if self.length == 0:
             # nothing to gather from: each column pads itself
             columns = [c.take_padded(idx) for c in self.columns]
         else:
-            clipped, present = pad_index(idx)
-            columns = [c.gather(clipped, present) for c in self.columns]
+            columns = take_columns(self.columns, *pad_index(idx))
         return Batch(self.schema, columns, len(idx))
 
     def with_column(self, column, vector: Vector) -> "Batch":

@@ -80,6 +80,7 @@ from .column import (
     KIND_INT,
     KIND_STR,
     Vector,
+    mask_columns,
 )
 from .exprs import _fast_comparable, compare_vectors
 from .kernels import first_occurrences, group_ids, left_outer_join_index
@@ -465,12 +466,13 @@ def _int_aggregate(
 def _pad_columns(
     batch: Batch, pad_refs: Sequence[str], fail: np.ndarray
 ) -> Batch:
-    """NULL out the *pad_refs* columns of rows where *fail* is set."""
-    positions = set(batch.schema.indices_of(pad_refs))
-    cols = [
-        Vector(c.kind, c.data, c.valid & ~fail) if i in positions else c
-        for i, c in enumerate(batch.columns)
-    ]
+    """NULL out the *pad_refs* columns of rows where *fail* is set —
+    folded into a deferred column's selection, so none is read here."""
+    cols = list(batch.columns)
+    positions = sorted(set(batch.schema.indices_of(pad_refs)))
+    masked = mask_columns([cols[i] for i in positions], ~fail)
+    for i, column in zip(positions, masked):
+        cols[i] = column
     return Batch(batch.schema, cols, len(batch))
 
 
