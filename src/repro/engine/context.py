@@ -25,9 +25,8 @@ engine module may depend on it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .governor import ResourceGovernor
@@ -63,14 +62,22 @@ _current: ContextVar[ExecutionContext] = ContextVar(
 current = _current.get
 
 
-@contextmanager
-def scope(**fields: Any) -> Iterator[ExecutionContext]:
+class scope:
     """Run a block under the current context with *fields* replaced,
     yielding the installed context; the previous context is restored on
-    exit."""
-    context = _current.get()._replace(**fields)
-    token = _current.set(context)
-    try:
-        yield context
-    finally:
-        _current.reset(token)
+    exit.  A plain context-manager class rather than a generator: every
+    execution enters two of these, and a generator's frame is what such
+    an entry mostly costs."""
+
+    __slots__ = ("_fields", "_token")
+
+    def __init__(self, **fields: Any):
+        self._fields = fields
+
+    def __enter__(self) -> ExecutionContext:
+        context = _current.get()._replace(**self._fields)
+        self._token = _current.set(context)
+        return context
+
+    def __exit__(self, *exc_info: Any) -> None:
+        _current.reset(self._token)

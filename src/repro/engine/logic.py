@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import ContextManager
 
+from ..errors import InvalidArgumentError
 from .context import ExecutionContext, current, scope
 
 #: The logic modes a session can select.
@@ -51,8 +52,8 @@ def two_valued() -> bool:
 
 def validate_logic(logic: str) -> str:
     """Return *logic* normalized, or raise on an unknown mode."""
-    from ..errors import InvalidArgumentError
-
+    if logic in LOGIC_MODES:  # every execution asks; most already are
+        return logic
     if not isinstance(logic, str) or logic.lower() not in LOGIC_MODES:
         raise InvalidArgumentError(
             f"unknown logic mode {logic!r}; expected one of {LOGIC_MODES}"
