@@ -42,8 +42,8 @@ def _load_db(args: argparse.Namespace) -> Database:
     if getattr(args, "store", None):
         from .engine.colstore import load_stored_database
 
-        # no paper indexes: building them would pull every stored row
-        # into Python heap, defeating the zero-copy mmap scan path
+        # no paper indexes: a probe of one pulls the probed table's
+        # rows into Python heap, defeating the zero-copy mmap scan path
         return load_stored_database(args.store)
     sf = getattr(args, "tpch", None)
     if sf is None:

@@ -7,8 +7,8 @@ those quantities come from here:
 * :func:`collect_stats` samples every table of a
   :class:`~repro.engine.catalog.Database` **once per catalog version**
   (row counts are exact; NDV / min / max / NULL fraction come from a
-  deterministic stride sample) and caches the resulting
-  :class:`DbStats` in a weak per-database map;
+  deterministic stride sample of the table's columns) and caches the
+  resulting :class:`DbStats` in a weak per-database map;
 * :func:`set_table_stats` registers persistent per-column overrides —
   the TPC-H generator seeds its *known* distributions (key NDVs, date
   ranges) this way, and tests use it to plant a deliberate mis-estimate
@@ -153,9 +153,8 @@ def _stored_table_stats(table: Table, stored: Dict[str, Any]) -> TableStats:
 
     Column stores (:mod:`repro.engine.colstore`) compute NDV / min / max
     / NULL fraction over the *whole* column at write time, so there is
-    nothing to sample — and sampling would be the one thing that forces
-    a memory-mapped column through Python rows.  Figures are marked
-    ``exact`` exactly like :func:`set_table_stats` seeds.
+    nothing to sample.  Figures are marked ``exact`` exactly like
+    :func:`set_table_stats` seeds.
     """
     stats = TableStats(name=table.name, row_count=len(table.relation))
     for col in table.schema.columns:
@@ -174,25 +173,23 @@ def _stored_table_stats(table: Table, stored: Dict[str, Any]) -> TableStats:
 
 
 def _collect_table(table: Table, cap: int = SAMPLE_CAP) -> TableStats:
-    stored = getattr(table.relation, "stored_stats", None)
-    if stored is not None:
-        return _stored_table_stats(table, stored)
-    rows = table.relation.rows
-    n = len(rows)
+    relation = table.relation
+    if relation.stored_stats is not None:
+        return _stored_table_stats(table, relation.stored_stats)
+    n = len(relation)
     stats = TableStats(name=table.name, row_count=n)
     if n == 0:
         for col in table.schema.columns:
             stats.columns[col.name] = ColumnStats(ndv=0.0)
         return stats
     stride = max(1, n // cap)
-    sample = rows[::stride]
-    m = len(sample)
-    for j, col in enumerate(table.schema.columns):
+    samples = relation.column_samples(stride)
+    for col, sample in zip(table.schema.columns, samples):
+        m = len(sample)
         nulls = 0
         distinct = set()
         lo = hi = None
-        for row in sample:
-            v = row[j]
+        for v in sample:
             if is_null(v):
                 nulls += 1
                 continue

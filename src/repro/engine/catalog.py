@@ -24,7 +24,7 @@ from .relation import Relation, Row
 from .schema import Column, Schema
 
 if TYPE_CHECKING:
-    from .vector.batch import Batch
+    from .colstore import StoredRelation
 
 
 @dataclass
@@ -32,13 +32,9 @@ class Table:
     """A named base relation plus its constraints and indexes."""
 
     name: str
-    relation: Relation
+    relation: "StoredRelation"
     primary_key: Optional[str] = None
     hash_indexes: Dict[Tuple[str, ...], HashIndex] = field(default_factory=dict)
-    #: the columnar image the vector engine scans, built on first touch
-    #: by :func:`~repro.engine.vector.batch.table_batch` and dropped by
-    #: :meth:`Database.mutate_table`
-    image: Optional["Batch"] = field(default=None, repr=False, compare=False)
 
     @property
     def schema(self) -> Schema:
@@ -72,12 +68,15 @@ class Table:
 class Database:
     """A collection of named tables.
 
-    Every catalog change (table creation/removal, index builds, row
-    writes) bumps :attr:`version`.  Anything derived from the base
-    tables — a table's columnar image, a session's compiled plans,
-    strategy routes and reduced builds — is valid for exactly one
-    ``(Database object, version)`` pair.  Base-table rows are held as a
-    tuple, so :meth:`mutate_table` is the only way they change.
+    Every base table is columns — a
+    :class:`~repro.engine.colstore.StoredRelation`, heap arrays encoded
+    once when the table is built or a store's mapped files — and its
+    rows a tuple built on first read, so :meth:`mutate_table` is the
+    only way they change.  Every catalog change (table creation/removal,
+    index builds, row writes) bumps :attr:`version`.  Anything derived
+    from the base tables — a session's compiled plans, strategy routes
+    and reduced builds — is valid for exactly one ``(Database object,
+    version)`` pair.
     """
 
     def __init__(self) -> None:
@@ -94,7 +93,9 @@ class Database:
         """Create and register a table.
 
         Columns are re-qualified under the table name so that joins over
-        multiple tables resolve references unambiguously.
+        multiple tables resolve references unambiguously.  The rows are
+        encoded into the table's columns once, and kept as its row
+        tuple.
         """
         if name in self.tables:
             raise CatalogError(f"table {name!r} already exists")
@@ -103,9 +104,7 @@ class Database:
         if primary_key is not None and not schema.has(primary_key):
             raise CatalogError(f"primary key {primary_key!r} not in schema")
         table = Table(
-            name=name,
-            relation=Relation(schema, rows).freeze(),
-            primary_key=primary_key,
+            name=name, relation=_encoded(schema, rows), primary_key=primary_key
         )
         self.tables[name] = table
         self.version += 1
@@ -114,16 +113,15 @@ class Database:
     def attach_table(
         self,
         name: str,
-        relation: Relation,
+        relation: "StoredRelation",
         primary_key: Optional[str] = None,
     ) -> Table:
-        """Register a pre-built relation (e.g. a stored columnar table).
+        """Register a table built as columns (a store's mapped table, a
+        generated one).
 
         Unlike :meth:`create_table` this takes the relation as-is: its
-        schema must already be qualified under *name*.  Stored tables use
-        this path so their memory-mapped columns are never copied through
-        the row constructor.  Like every base table, the relation's rows
-        are then held as a tuple.
+        schema must already be qualified under *name*, and no row
+        passes through the row constructor.
         """
         if name in self.tables:
             raise CatalogError(f"table {name!r} already exists")
@@ -135,9 +133,7 @@ class Database:
                 )
         if primary_key is not None and not relation.schema.has(primary_key):
             raise CatalogError(f"primary key {primary_key!r} not in schema")
-        table = Table(
-            name=name, relation=relation.freeze(), primary_key=primary_key
-        )
+        table = Table(name=name, relation=relation, primary_key=primary_key)
         self.tables[name] = table
         self.version += 1
         return table
@@ -172,11 +168,12 @@ class Database:
         that edits the :class:`Table` in place.  Either way the edit
         lands on a fresh in-RAM list: inside the mutator
         ``table.relation.rows`` is a list, everywhere else a tuple, so
-        an edit that bypasses this method raises.  A stored table is
-        materialized first; its store is write-once.  The catalog then
-        freezes the rows again, rebuilds the table's indexes, drops its
-        columnar image and bumps :attr:`version`, which flushes every
-        session memo built against the old contents.
+        an edit that bypasses this method raises.  A stored table's
+        store is write-once: its rows are copied out first.  The catalog
+        then re-encodes the edited rows into the table's columns (as
+        :meth:`create_table` does), rebuilds its indexes and bumps
+        :attr:`version`, which flushes every session memo built against
+        the old contents.
         """
         table = self.table(name)
         if rows is not None and mutator is not None:
@@ -186,11 +183,10 @@ class Database:
             mutator(table)
             rows = table.relation.rows
         if rows is not None:
-            table.relation = Relation(table.schema, rows).freeze()
+            table.relation = _encoded(table.schema, rows)
         table.hash_indexes = {
             key: HashIndex(table.relation, key) for key in table.hash_indexes
         }
-        table.image = None
         self.version += 1
         return table
 
@@ -213,3 +209,15 @@ class Database:
                 + (f" pk={table.primary_key}" if table.primary_key else "")
             )
         return "\n".join(lines)
+
+
+def _encoded(schema: Schema, rows: Iterable[Row]) -> "StoredRelation":
+    """A base table built from Python rows: the rows encoded into its
+    columns once, and kept as its row tuple."""
+    from .colstore import StoredRelation
+    from .vector.column import encode_rows
+
+    rows = tuple(Relation(schema, rows).rows)
+    return StoredRelation(
+        schema, encode_rows(rows, len(schema)), len(rows), rows=rows
+    )

@@ -11,12 +11,13 @@ write time — so :mod:`repro.core.stats` can skip sampling entirely.
 
 Reading side: :class:`StoredRelation` subclasses
 :class:`~repro.engine.relation.Relation` but keeps its data as
-memory-mapped :class:`~repro.engine.vector.column.Vector` columns.  The
-vectorized backend gets the mmap batch zero-copy via
-:meth:`StoredRelation.stored_batch`; row strategies and the oracle
-adapters keep working unchanged through the lazy ``rows`` property (the
-row-iterator shim), which materializes Python tuples only on first
-access.
+:class:`~repro.engine.vector.column.Vector` columns — memory-mapped
+for a store, heap arrays for every in-RAM base table (it is the one
+layout of every base table).  The vectorized backend gets the batch
+zero-copy via :meth:`StoredRelation.stored_batch`; row strategies and
+the oracle adapters keep working unchanged through the lazy ``rows``
+property (the row-iterator shim), which materializes Python tuples only
+on first access.
 
 The format is write-once: a store is produced in full by
 :class:`StoreWriter` (normally via ``repro gen`` /
@@ -303,14 +304,18 @@ class StoreWriter:
 
 
 class StoredRelation(Relation):
-    """A relation whose columns are memory-mapped store files.
+    """A base table: a relation whose columns are its data.
 
-    The columnar image (:meth:`stored_batch`) is the primary
-    representation — slicing it yields zero-copy views straight into
-    the mapped files.  The inherited row-level API
+    The columns (:meth:`stored_batch`) are the primary representation:
+    memory-mapped store files (:func:`stored_relation`) or heap arrays
+    encoded once when an in-RAM table is built
+    (:meth:`~repro.engine.catalog.Database.create_table`,
+    :func:`~repro.tpch.datagen.generate`).  The inherited row-level API
     keeps working through the lazy ``rows`` shim below, so row/baseline
     strategies and the external-oracle adapters need no changes; they
-    just pay a one-time materialization on first row access.
+    just pay a one-time materialization on first row access — unless
+    the table was built from Python rows, which it then keeps as its
+    row tuple (*rows*).
     """
 
     __slots__ = ("_vectors", "_row_count", "_rows_cache", "_batch_cache",
@@ -322,25 +327,28 @@ class StoredRelation(Relation):
         vectors: Sequence[Vector],
         row_count: int,
         stored_stats: Optional[Dict[str, Dict[str, Any]]] = None,
+        rows: Optional[Tuple[Row, ...]] = None,
     ):
         # deliberately NOT calling Relation.__init__: it would materialize
-        # a row list; the stored form keeps columns mapped instead.
+        # a row list; the columns are the table instead.
         self.schema = schema
         self._vectors = list(vectors)
         self._row_count = int(row_count)
-        self._rows_cache: Optional[Tuple[Row, ...]] = None
+        self._rows_cache = rows
         self._batch_cache = None
-        #: exact per-column statistics from the manifest (bare column
-        #: name -> {"ndv", "null_frac", "min", "max"}); read by
-        #: :mod:`repro.core.stats` to bypass sampling entirely.
-        self.stored_stats = stored_stats or {}
+        #: exact per-column statistics from a store's manifest (bare
+        #: column name -> {"ndv", "null_frac", "min", "max"}), read by
+        #: :mod:`repro.core.stats` to bypass sampling; None for an
+        #: in-RAM table, whose statistics are sampled.
+        self.stored_stats = stored_stats
 
     # -- the row-iterator shim ----------------------------------------- #
 
     @property
     def rows(self) -> Tuple[Row, ...]:  # type: ignore[override]
         """Python row tuples, materialized lazily on first access (as a
-        tuple, like every base table's rows)."""
+        tuple, so an in-place edit raises: see
+        :meth:`~repro.engine.catalog.Database.mutate_table`)."""
         if self._rows_cache is None:
             if not self._vectors:
                 self._rows_cache = ((),) * self._row_count
@@ -349,24 +357,29 @@ class StoredRelation(Relation):
                 self._rows_cache = tuple(zip(*cols))
         return self._rows_cache
 
-    def freeze(self) -> "StoredRelation":
-        return self  # the rows are born a tuple, and only on demand
-
     # -- O(1) overrides that must not touch rows ----------------------- #
 
     def __len__(self) -> int:
         return self._row_count
 
     def __repr__(self) -> str:
-        return f"StoredRelation({self.schema!r}, {self._row_count} rows, mmap)"
+        return f"StoredRelation({self.schema!r}, {self._row_count} rows)"
 
     def column_values(self, ref: str):
         return self._vectors[self.schema.index_of(ref)].tolist_sql()
 
+    def column_samples(self, stride: int) -> List[List[Any]]:
+        """Every *stride*-th value of each column, read off the columns."""
+        return [
+            Vector(v.kind, v.data[::stride], v.valid[::stride]).tolist_sql()
+            for v in self._vectors
+        ]
+
     # -- columnar access ------------------------------------------------ #
 
     def stored_batch(self):
-        """The zero-copy mmap :class:`~repro.engine.vector.batch.Batch`."""
+        """The columns as a :class:`~repro.engine.vector.batch.Batch`
+        (zero-copy: the vectors themselves, built once)."""
         if self._batch_cache is None:
             from .vector.batch import Batch
 
@@ -428,10 +441,12 @@ def stored_relation(
 def load_stored_database(root: str, build_indexes: bool = False) -> Database:
     """Attach every table of the store at *root* to a fresh Database.
 
-    Indexes are off by default: building a hash index walks the Python
-    rows, which would defeat the point of the mapped columns.  Pass
-    ``build_indexes=True`` to get the paper's index set anyway (row
-    strategies then probe them as usual).
+    Indexes are off by default.  Creating one costs nothing (its
+    buckets wait for the first probe), but a probe — a row baseline's
+    nested iteration — builds Python buckets from the key columns and
+    fetches the table's Python rows: the heap copy the mapped columns
+    exist to avoid.  Pass ``build_indexes=True`` to get the paper's
+    index set anyway (row strategies then probe them as usual).
     """
     manifest = open_store(root)
     db = Database()

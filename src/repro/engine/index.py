@@ -13,7 +13,7 @@ equality probe).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .metrics import current_metrics
 from .relation import Relation, Row
@@ -21,29 +21,43 @@ from .types import SqlValue, is_null, row_group_key
 
 
 class HashIndex:
-    """Equality index on one or more columns of a materialized relation."""
+    """Equality index on one or more columns of a materialized relation.
+
+    Creating one only records its key: the buckets are built from the
+    key columns on the first probe (or ``len``), so a table whose index
+    is never probed never pays for it.  Two threads probing first may
+    both build; they keep equal buckets.
+    """
 
     def __init__(self, relation: Relation, refs: Sequence[str], name: str = ""):
         self.relation = relation
         self.refs: Tuple[str, ...] = tuple(refs)
         self.name = name or f"hash({','.join(refs)})"
-        self._positions = relation.schema.indices_of(refs)
-        self._buckets: Dict[tuple, List[int]] = {}
-        for rid, row in enumerate(relation.rows):
-            key_values = tuple(row[i] for i in self._positions)
-            if any(is_null(v) for v in key_values):
-                continue
-            self._buckets.setdefault(row_group_key(key_values), []).append(rid)
+        relation.schema.indices_of(refs)  # an unknown ref fails here
+        #: key -> row ids, built on first use
+        self._buckets: Optional[Dict[tuple, List[int]]] = None
+
+    def _lookup(self) -> Dict[tuple, List[int]]:
+        buckets = self._buckets
+        if buckets is None:
+            buckets = {}
+            columns = [self.relation.column_values(ref) for ref in self.refs]
+            for rid, key_values in enumerate(zip(*columns)):
+                if any(is_null(v) for v in key_values):
+                    continue
+                buckets.setdefault(row_group_key(key_values), []).append(rid)
+            self._buckets = buckets
+        return buckets
 
     def __len__(self) -> int:
-        return len(self._buckets)
+        return len(self._lookup())
 
     def probe(self, values: Sequence[SqlValue]) -> List[Row]:
         """Rows whose key equals *values* (empty when any value is NULL)."""
         current_metrics().add("index_probes")
         if any(is_null(v) for v in values):
             return []
-        rids = self._buckets.get(row_group_key(tuple(values)), [])
+        rids = self._lookup().get(row_group_key(tuple(values)), [])
         current_metrics().add("index_rows_fetched", len(rids))
         return [self.relation.rows[rid] for rid in rids]
 
@@ -52,4 +66,4 @@ class HashIndex:
         current_metrics().add("index_probes")
         if any(is_null(v) for v in values):
             return []
-        return self._buckets.get(row_group_key(tuple(values)), [])
+        return self._lookup().get(row_group_key(tuple(values)), [])

@@ -6,7 +6,9 @@ list of row tuples.  Rows are plain Python tuples of SQL values (see
 from relations to a relation.
 
 Relations are *bags* (duplicates allowed), matching SQL semantics before an
-explicit DISTINCT.  A base table's rows are a tuple (:meth:`Relation.freeze`).
+explicit DISTINCT.  A base table is a
+:class:`~repro.engine.colstore.StoredRelation`: columns, with its rows a
+tuple built on first read.
 """
 
 from __future__ import annotations
@@ -101,12 +103,6 @@ class Relation:
         """All values of one column, in row order."""
         i = self.schema.index_of(ref)
         return [r[i] for r in self.rows]
-
-    def freeze(self) -> "Relation":
-        """Hold the rows as a tuple, so an in-place edit raises (what a
-        base table does: see :class:`~repro.engine.catalog.Database`)."""
-        self.rows = tuple(self.rows)
-        return self
 
     def distinct(self) -> "Relation":
         """Set-semantics copy: duplicates removed (NULLs group together)."""

@@ -16,22 +16,23 @@ the query reads.  Structural ops (:meth:`Batch.project`,
 :meth:`Batch.concat_columns`, :meth:`Batch.with_column`) share the
 column objects, deferred or not.
 
-A base table's image is built on first touch and kept on the
-:class:`~repro.engine.catalog.Table` until
-:meth:`~repro.engine.catalog.Database.mutate_table` drops it, so
-repeated queries over one database pay the row→column cost once.
+A base table's image is the table itself: every base table is columns
+(:class:`~repro.engine.colstore.StoredRelation`), encoded once when
+the table is built, so :func:`table_batch` converts and copies nothing.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from ..catalog import Table
 from ..relation import Relation
 from ..schema import Schema
-from .column import Vector, pad_index, take_columns
+from .column import Vector, encode_rows, pad_index, take_columns
+
+if TYPE_CHECKING:
+    from ..catalog import Table
 
 
 class Batch:
@@ -56,12 +57,8 @@ class Batch:
 
     @staticmethod
     def from_relation(rel: Relation) -> "Batch":
-        cols = list(zip(*rel.rows)) if rel.rows else [()] * len(rel.schema)
-        return Batch(
-            rel.schema,
-            [Vector.from_values(list(c)) for c in cols],
-            len(rel.rows),
-        )
+        rows = rel.rows
+        return Batch(rel.schema, encode_rows(rows, len(rel.schema)), len(rows))
 
     def to_relation(self) -> Relation:
         if not self.columns:
@@ -157,14 +154,7 @@ class Batch:
         return Batch(first.schema, columns, sum(len(b) for b in parts))
 
 
-def table_batch(table: Table) -> Batch:
-    """The columnar image of a base table: for a stored table its
-    memory-mapped batch (no conversion, no copy), otherwise the rows
-    encoded once and kept as :attr:`Table.image`."""
-    if table.image is None:
-        stored = getattr(table.relation, "stored_batch", None)
-        table.image = (
-            stored() if stored is not None
-            else Batch.from_relation(table.relation)
-        )
-    return table.image
+def table_batch(table: "Table") -> Batch:
+    """The columnar image of a base table: its columns themselves, on
+    the heap or memory-mapped (no conversion, no copy)."""
+    return table.relation.stored_batch()

@@ -514,6 +514,13 @@ class Vector:
         return out
 
 
+def encode_rows(rows: Sequence[Sequence[Any]], width: int) -> List[Vector]:
+    """The columns of *rows* (each of *width* values), one
+    :meth:`Vector.from_values` per column."""
+    columns = list(zip(*rows)) if rows else [()] * width
+    return [Vector.from_values(list(c)) for c in columns]
+
+
 def _choose_kind(kinds: set) -> str:
     if not kinds:
         return KIND_INT

@@ -205,7 +205,7 @@ class QueryServer:
         #: live workers with no request in flight, taken from the end:
         #: most recently idle first.  A lightly loaded server keeps
         #: hitting one worker, so the others' copy-on-write pages stay
-        #: shared and only one pays the first-touch costs: one
+        #: shared and only one warms its caches: one
         #: connection sending the six figure texts held 216 MB across
         #: the tree against 294 MB alternating between two workers, and
         #: a sequential warm-up cost 2.3-2.75 s against 2.6-2.9 s; the

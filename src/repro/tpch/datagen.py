@@ -17,11 +17,14 @@ correctness test-suite uses actually-NULL data to catch unsound rewrites.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..engine.catalog import Database
+from ..engine.relation import Row
+from ..engine.schema import Column, Schema
 from ..engine.types import NULL
 from .schema import PRIMARY_KEYS, columns_for
 
@@ -79,10 +82,11 @@ def rows_at(sf: float, table: str) -> int:
 # shared row generators
 #
 # Both the in-memory builder (:func:`generate`) and the streaming
-# column-store writer (:func:`generate_stored`) draw from these, in the
-# same table order, off ONE seeded rng — so a given (sf, seed) pair
-# yields bit-identical rows regardless of the destination.  Any change
-# to the rng call sequence here is a format break for stored datasets.
+# column-store writer (:func:`generate_stored`) run one walk over these
+# (:func:`_walk`), in one table order, off ONE seeded rng — so a given
+# (sf, seed) pair yields bit-identical rows regardless of the
+# destination.  Any change to the rng call sequence here is a format
+# break for stored datasets.
 # --------------------------------------------------------------------- #
 
 
@@ -232,104 +236,108 @@ def _order_lineitem_rows(
         )
 
 
-def generate(config: Optional[TpchConfig] = None, **kwargs) -> Database:
-    """Build a TPC-H database per *config* (kwargs override fields)."""
+def _configured(config: Optional[TpchConfig], kwargs) -> TpchConfig:
+    """*config* (default :class:`TpchConfig`) with *kwargs* set on it."""
     if config is None:
         config = TpchConfig()
     for key, value in kwargs.items():
         if not hasattr(config, key):
             raise TypeError(f"unknown TpchConfig field {key!r}")
         setattr(config, key, value)
+    return config
 
+
+def _walk(config: TpchConfig, open_table) -> None:
+    """The seeded table walk of :func:`generate` and
+    :func:`generate_stored`.
+
+    Every table's rows, in one table order, off one rng: each table's
+    are appended to the writer ``open_table(name, columns,
+    primary_key)`` returns, which is then finished.
+    """
     rng = random.Random(config.seed)
-    db = Database()
     sf = config.scale_factor
-
     n_region = rows_at(sf, "region")
     n_nation = rows_at(sf, "nation")
     n_supplier = rows_at(sf, "supplier")
     n_customer = rows_at(sf, "customer")
     n_part = rows_at(sf, "part")
     n_orders = rows_at(sf, "orders")
-
-    # ---------------------------------------------------------------- #
     maybe_null = _make_maybe_null(rng, config.inject_null_fraction)
-    db.create_table(
-        "region",
-        columns_for("region"),
-        list(_region_rows(n_region)),
-        primary_key="r_regionkey",
-    )
-    db.create_table(
-        "nation",
-        columns_for("nation"),
-        list(_nation_rows(n_nation, n_region)),
-        primary_key="n_nationkey",
-    )
-    db.create_table(
-        "supplier",
-        columns_for("supplier"),
-        list(_supplier_rows(rng, n_supplier, n_nation)),
-        primary_key="s_suppkey",
-    )
-    db.create_table(
-        "customer",
-        columns_for("customer"),
-        list(_customer_rows(rng, n_customer, n_nation)),
-        primary_key="c_custkey",
-    )
-    db.create_table(
-        "part",
-        columns_for("part", config.price_not_null),
-        list(_part_rows(rng, n_part)),
-        primary_key="p_partkey",
-    )
-    db.create_table(
-        "partsupp",
-        columns_for("partsupp", config.price_not_null),
-        list(_partsupp_rows(rng, n_part, n_supplier, maybe_null)),
-        primary_key="ps_key",
-    )
-    order_rows = []
-    lineitem_rows = []
-    for table, row in _order_lineitem_rows(
+
+    def table(name):
+        return open_table(
+            name, columns_for(name, config.price_not_null), PRIMARY_KEYS[name]
+        )
+
+    def write(name, rows):
+        writer = table(name)
+        for row in rows:
+            writer.append(row)
+        writer.finish()
+
+    write("region", _region_rows(n_region))
+    write("nation", _nation_rows(n_nation, n_region))
+    write("supplier", _supplier_rows(rng, n_supplier, n_nation))
+    write("customer", _customer_rows(rng, n_customer, n_nation))
+    write("part", _part_rows(rng, n_part))
+    write("partsupp", _partsupp_rows(rng, n_part, n_supplier, maybe_null))
+    # orders and lineitem interleave on the shared rng: keep both
+    # writers open and route each yielded row to its table.
+    orders, lineitem = table("orders"), table("lineitem")
+    for name, row in _order_lineitem_rows(
         rng, n_orders, n_part, n_customer, n_supplier, maybe_null
     ):
-        (order_rows if table == "orders" else lineitem_rows).append(row)
-    db.create_table(
-        "orders",
-        columns_for("orders"),
-        order_rows,
-        primary_key="o_orderkey",
-    )
-    db.create_table(
-        "lineitem",
-        columns_for("lineitem", config.price_not_null),
-        lineitem_rows,
-        primary_key="l_key",
-    )
+        (orders if name == "orders" else lineitem).append(row)
+    orders.finish()
+    lineitem.finish()
 
+
+class _TableInRam:
+    """A writer of the walk that builds one table in RAM: its rows are
+    collected, encoded into the table's columns once, and dropped."""
+
+    def __init__(
+        self, db: Database, name: str, columns: List[Column], primary_key: str
+    ):
+        self.db, self.name, self.primary_key = db, name, primary_key
+        self.schema = Schema([c.renamed_table(name) for c in columns])
+        self.rows: List[Row] = []
+
+    def append(self, row: Row) -> None:
+        self.rows.append(row)
+
+    def finish(self) -> None:
+        from ..engine.colstore import StoredRelation
+        from ..engine.vector.column import encode_rows
+
+        n = len(self.rows)
+        columns = encode_rows(self.rows, len(self.schema))
+        self.rows = []
+        self.db.attach_table(
+            self.name,
+            StoredRelation(self.schema, columns, n),
+            primary_key=self.primary_key,
+        )
+
+
+def generate(config: Optional[TpchConfig] = None, **kwargs) -> Database:
+    """Build a TPC-H database per *config* (kwargs override fields).
+
+    The same walk :func:`generate_stored` writes to a store, built in
+    RAM: every table is its columns, and builds its Python rows only
+    when something reads them.
+    """
+    config = _configured(config, kwargs)
+    db = Database()
+    _walk(config, functools.partial(_TableInRam, db))
     if config.build_indexes:
         build_paper_indexes(db)
-    _seed_known_stats(
-        db,
-        n_customer=n_customer,
-        n_part=n_part,
-        n_supplier=n_supplier,
-        n_orders=n_orders,
-        null_fraction=config.inject_null_fraction,
-    )
+    _seed_known_stats(db, config)
     return db
 
 
-def _seed_known_stats(
-    db: Database,
-    n_customer: int,
-    n_part: int,
-    n_supplier: int,
-    n_orders: int,
-    null_fraction: float,
-) -> None:
+def _seed_known_stats(db: Database, config: TpchConfig) -> None:
     """Seed the generator's *known* distributions as exact statistics.
 
     The cost-based planner samples tables for NDV/min/max estimates
@@ -342,6 +350,11 @@ def _seed_known_stats(
     """
     from ..core.stats import ColumnStats, set_table_stats
 
+    sf, null_fraction = config.scale_factor, config.inject_null_fraction
+    n_customer = rows_at(sf, "customer")
+    n_part = rows_at(sf, "part")
+    n_supplier = rows_at(sf, "supplier")
+    n_orders = rows_at(sf, "orders")
     date_lo, date_hi = _date(0), _date(_DATE_SPAN)
     uniform_50 = ColumnStats(ndv=50.0, min_value=1, max_value=50)
     set_table_stats(
@@ -379,7 +392,7 @@ def _seed_known_stats(
             ),
         },
     )
-    n_lineitem = len(db.tables["lineitem"].relation.rows)
+    n_lineitem = len(db.tables["lineitem"].relation)
     set_table_stats(
         db,
         "lineitem",
@@ -436,8 +449,8 @@ def generate_stored(
 ) -> str:
     """Stream a TPC-H dataset straight into an on-disk column store.
 
-    Writes the same rows :func:`generate` would build — one seeded rng,
-    same call order — but in ``chunk_rows`` batches through
+    Writes the same rows :func:`generate` builds — the one walk, one
+    seeded rng, same call order — but in ``chunk_rows`` batches through
     :class:`repro.engine.colstore.StoreWriter`, so peak memory stays at
     one chunk per open table instead of the whole database.  The
     resulting directory loads with
@@ -449,65 +462,13 @@ def generate_stored(
     """
     from ..engine.colstore import StoreWriter
 
-    if config is None:
-        config = TpchConfig()
-    for key, value in kwargs.items():
-        if not hasattr(config, key):
-            raise TypeError(f"unknown TpchConfig field {key!r}")
-        setattr(config, key, value)
-
-    rng = random.Random(config.seed)
-    sf = config.scale_factor
-
-    n_region = rows_at(sf, "region")
-    n_nation = rows_at(sf, "nation")
-    n_supplier = rows_at(sf, "supplier")
-    n_customer = rows_at(sf, "customer")
-    n_part = rows_at(sf, "part")
-    n_orders = rows_at(sf, "orders")
-
-    maybe_null = _make_maybe_null(rng, config.inject_null_fraction)
+    config = _configured(config, kwargs)
     store = StoreWriter(
-        out_dir, scale_factor=sf, seed=config.seed, chunk_rows=chunk_rows
+        out_dir,
+        scale_factor=config.scale_factor,
+        seed=config.seed,
+        chunk_rows=chunk_rows,
     )
-
-    def write(name, rows, price_not_null=False):
-        writer = store.table(
-            name,
-            columns_for(name, price_not_null)
-            if name in ("part", "partsupp", "lineitem")
-            else columns_for(name),
-            primary_key=PRIMARY_KEYS[name],
-        )
-        for row in rows:
-            writer.append(row)
-        writer.finish()
-
-    write("region", _region_rows(n_region))
-    write("nation", _nation_rows(n_nation, n_region))
-    write("supplier", _supplier_rows(rng, n_supplier, n_nation))
-    write("customer", _customer_rows(rng, n_customer, n_nation))
-    write("part", _part_rows(rng, n_part), config.price_not_null)
-    write(
-        "partsupp",
-        _partsupp_rows(rng, n_part, n_supplier, maybe_null),
-        config.price_not_null,
-    )
-    # orders and lineitem interleave on the shared rng: keep both
-    # writers open and route each yielded row to its table.
-    orders_writer = store.table(
-        "orders", columns_for("orders"), primary_key=PRIMARY_KEYS["orders"]
-    )
-    lineitem_writer = store.table(
-        "lineitem",
-        columns_for("lineitem", config.price_not_null),
-        primary_key=PRIMARY_KEYS["lineitem"],
-    )
-    for table, row in _order_lineitem_rows(
-        rng, n_orders, n_part, n_customer, n_supplier, maybe_null
-    ):
-        (orders_writer if table == "orders" else lineitem_writer).append(row)
-    orders_writer.finish()
-    lineitem_writer.finish()
+    _walk(config, store.table)
     store.finalize()
     return out_dir

@@ -24,7 +24,7 @@ from repro.core.linking import SetPredicate
 from repro.core.query_tree import NestLink, UncorrelatedLink
 from repro.engine.expressions import Col, Comparison, Literal
 from repro.engine.governor import batch_nbytes
-from repro.engine.vector import kernels, nestlink
+from repro.engine.vector import kernels, nestlink, table_batch
 from repro.errors import CatalogError
 from repro.core.stats import collect_stats
 from repro.tpch import TpchConfig, generate, generate_stored
@@ -158,7 +158,7 @@ def test_a_vector_query_never_builds_the_row_shim(store_dir):
     )
     assert len(got) > 0
     assert db.relation("part")._rows_cache is None
-    assert db.table("part").image is db.relation("part").stored_batch()
+    assert table_batch(db.table("part")) is db.relation("part").stored_batch()
 
 
 def test_a_mutator_edit_of_a_stored_table_reaches_both_backends(store_dir):
@@ -180,7 +180,11 @@ def test_a_mutator_edit_of_a_stored_table_reaches_both_backends(store_dir):
             table.relation.rows[0]
         ),
     )
-    assert not isinstance(db.relation("region"), StoredRelation)
+    # the edited rows are re-encoded into heap columns, sampled for stats
+    edited = db.relation("region")
+    assert isinstance(edited, StoredRelation) and edited.stored_stats is None
+    assert not isinstance(table_batch(db.table("region")).columns[0].data,
+                          np.memmap)
     for backend in ("row", "vector"):
         got = prepared.execute(strategy="nested-relational", backend=backend)
         assert len(got) == 6

@@ -363,7 +363,10 @@ class TestRowOperatorCheckpoints:
 
 class TestGovernedExecution:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_generous_limits_change_nothing(self, tiny_tpch, oracle, strategy):
+    def test_generous_limits_change_nothing(
+        self, tiny_tpch, oracle, monkeypatch, strategy
+    ):
+        monkeypatch.delenv("REPRO_FAULT", raising=False)
         session = repro.connect(tiny_tpch)
         result = session.execute(
             SQL, strategy=strategy, timeout_ms=60_000, memory_limit_mb=2048
@@ -387,7 +390,10 @@ class TestGovernedExecution:
         with pytest.raises(QueryCancelledError), governed(gov):
             planner.run(query, tiny_tpch, VEC)
 
-    def test_governed_trace_carries_governor_span(self, tiny_tpch, oracle):
+    def test_governed_trace_carries_governor_span(
+        self, tiny_tpch, oracle, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_FAULT", raising=False)
         result, trace = repro.connect(tiny_tpch).prepare(SQL).trace(
             strategy=VEC, timeout_ms=60_000, memory_limit_mb=2048
         )
@@ -398,7 +404,10 @@ class TestGovernedExecution:
         assert trace_invariant_violations(trace) == []
         assert validate_trace_dict(trace.to_dict()) == []
 
-    def test_session_wide_defaults_flow_into_execute(self, tiny_tpch):
+    def test_session_wide_defaults_flow_into_execute(
+        self, tiny_tpch, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_FAULT", raising=False)
         session = repro.connect(tiny_tpch, memory_limit_mb=0.05)
         with pytest.raises(ResourceExhaustedError):
             session.execute(SQL, strategy=VEC)
@@ -513,8 +522,10 @@ class TestCliGovernance:
         assert code != 0
         assert "timeout_ms=50" in capsys.readouterr().err
 
-    def test_generous_flags_run_clean(self, capsys):
+    def test_generous_flags_run_clean(self, capsys, monkeypatch):
         from repro.cli import main
+
+        monkeypatch.delenv("REPRO_FAULT", raising=False)
 
         code = main(
             ["run", "select n_name from nation where n_nationkey < 3",
