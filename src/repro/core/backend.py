@@ -82,7 +82,7 @@ from ..engine.catalog import Database
 from ..engine.expressions import bind_truth
 from ..engine.governor import checkpoint
 from ..engine.operators import left_outer_hash_join, outer_cross_join, semi_join
-from ..engine.relation import Relation, Row
+from ..engine.relation import Relation, Row, projector
 from ..engine.types import NULL, TriBool
 from .blocks import NestedQuery
 from .nest import nest, nest_sorted
@@ -90,7 +90,6 @@ from .plancache import ReduceMemo
 from . import query_tree
 from .reduce import BlockJoinPlan, execute_join_plan, reduce_all
 from .selection import (
-    _projector,
     fused_linking_selection,
     judge,
     nested_selection,
@@ -213,7 +212,7 @@ class RowBackend:
         truth over mark columns and plain predicates, judged on each row
         projected onto ``node.names`` (the consumed marks dropped)."""
         holds = bind_truth(node.expr, rel.schema)
-        keep = _projector(rel.schema.indices_of(node.names))
+        keep = projector(rel.schema.indices_of(node.names))
 
         def verdict(row: Row) -> Tuple[Row, TriBool]:
             return keep(row), holds(row)

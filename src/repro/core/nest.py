@@ -126,7 +126,7 @@ def _nest_hash(
         rep = reps[key]
         prefix = tuple(rep[i] for i in by_idx)
         rows.append(prefix + (tuple(groups[key]),))
-    return NestedRelation(out_schema, rows)
+    return NestedRelation.adopt(out_schema, rows)
 
 
 def nest_sorted(
@@ -189,7 +189,7 @@ def _nest_sorted(
             members.append(member)
     if current_key is not None:
         out.append(prefix + (tuple(members),))
-    return NestedRelation(out_schema, out)
+    return NestedRelation.adopt(out_schema, out)
 
 
 def unnest(nested: NestedRelation, set_name: str = DEFAULT_SET_NAME) -> Relation:
@@ -228,4 +228,4 @@ def unnest(nested: NestedRelation, set_name: str = DEFAULT_SET_NAME) -> Relation
         if span is not None:
             span.add("rows_in", len(nested.rows))
             span.add("rows_out", len(rows))
-    return Relation(out_schema, rows)
+    return Relation.adopt(out_schema, rows)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SchemaError
+from ..engine.relation import Bag
 from ..engine.schema import Column, Schema
 from ..engine.types import SqlValue, is_null
 
@@ -130,10 +131,10 @@ class NestedSchema:
         return Schema(self.atomic_columns)
 
 
-class NestedRelation:
+class NestedRelation(Bag):
     """A finite set of nested tuples over a :class:`NestedSchema`."""
 
-    __slots__ = ("schema", "rows")
+    __slots__ = ()
 
     def __init__(self, schema: NestedSchema, rows: Iterable[NestedRow] = ()):
         self.schema = schema

@@ -93,7 +93,7 @@ def reduce_block(
     rid = rid_name(block)
     schema = Schema(tuple(joined.schema.columns) + (Column(rid, not_null=True),))
     rows = [row + (i,) for i, row in enumerate(joined.rows)]
-    relation = Relation(schema, rows)
+    relation = Relation.adopt(schema, rows)
     return ReducedBlock(
         block=block,
         relation=relation,
@@ -135,7 +135,7 @@ def group_block(block: QueryBlock, rel: Relation) -> Relation:
     aggs = [AggSpec(a.func, a.arg, name=a.name) for a in block.aggregates]
     grouped = GroupAggregate(rel, list(block.group_by), aggs).run()
     if not block.group_by and not grouped.rows:
-        grouped = Relation(
+        grouped = Relation.adopt(
             grouped.schema,
             [
                 tuple(
@@ -147,7 +147,7 @@ def group_block(block: QueryBlock, rel: Relation) -> Relation:
     if block.having is not None:
         holds = bind_truth(block.having, grouped.schema)
         rows = [row for row in grouped.rows if holds(row).is_true()]
-        grouped = Relation(grouped.schema, rows)
+        grouped = Relation.adopt(grouped.schema, rows)
     return grouped
 
 

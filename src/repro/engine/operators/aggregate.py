@@ -140,7 +140,7 @@ class GroupAggregate:
                     ]
                     agg_values.append(_finish(spec.func, values, len(rows)))
             out_rows.append(prefix + tuple(agg_values))
-        return Relation(Schema(out_columns), out_rows)
+        return Relation.adopt(Schema(out_columns), out_rows)
 
 
 def scalar_aggregate(source: Relation, spec: AggSpec) -> SqlValue:

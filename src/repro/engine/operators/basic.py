@@ -77,4 +77,4 @@ def filter_relation(source: Relation, predicate: Expr) -> Relation:
             if seen:
                 current_metrics().add("predicate_evals", seen)
             charge_out(span, len(out))
-    return Relation(source.schema, out)
+    return Relation.adopt(source.schema, out)

@@ -9,11 +9,17 @@ Relations are *bags* (duplicates allowed), matching SQL semantics before an
 explicit DISTINCT.  A base table is a
 :class:`~repro.engine.colstore.StoredRelation`: columns, with its rows a
 tuple built on first read.
+
+``Relation(schema, rows)`` copies and checks its rows; an operator hands
+over the list it has just built with :meth:`Bag.adopt` instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+import operator
+from typing import (
+    Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import SchemaError
 from .schema import Column, Schema
@@ -22,10 +28,43 @@ from .types import NULL, SqlValue, is_null, row_group_key, row_sort_key
 Row = Tuple[SqlValue, ...]
 
 
-class Relation:
-    """A schema plus a materialized bag of rows."""
+class Bag:
+    """A schema and a list of row tuples: what a flat
+    :class:`Relation` and a nested relation share."""
 
     __slots__ = ("schema", "rows")
+
+    @classmethod
+    def adopt(cls, schema, rows: List[tuple]):
+        """The trusted constructor: a relation that takes *rows* over,
+        neither copied nor checked.
+
+        Only the code that has just built *rows* — a fresh list of
+        tuples of the schema's width that nothing else holds — may hand
+        it over.  A list another relation holds (a base table's rows, a
+        cached reduce image) must never be adopted: build with
+        ``Relation(schema, rows)``, which copies (DESIGN §10).
+        """
+        out = cls.__new__(cls)
+        out.schema = schema
+        out.rows = rows
+        return out
+
+
+def projector(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[i] for i in positions)``, resolved once."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
+class Relation(Bag):
+    """A schema plus a materialized bag of rows."""
+
+    __slots__ = ()
 
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
@@ -113,17 +152,17 @@ class Relation:
             if k not in seen:
                 seen.add(k)
                 out.append(r)
-        return Relation(self.schema, out)
+        return Relation.adopt(self.schema, out)
 
     def sorted(self) -> "Relation":
         """A copy with rows in the canonical total order (for display/tests)."""
-        return Relation(self.schema, sorted(self.rows, key=row_sort_key))
+        return Relation.adopt(self.schema, sorted(self.rows, key=row_sort_key))
 
     def project(self, refs: Sequence[str]) -> "Relation":
         """Projection (without duplicate elimination, as in the paper)."""
-        idx = self.schema.indices_of(refs)
-        return Relation(
-            self.schema.project(refs), [tuple(r[i] for i in idx) for r in self.rows]
+        keep = projector(self.schema.indices_of(refs))
+        return Relation.adopt(
+            self.schema.project(refs), list(map(keep, self.rows))
         )
 
     def rename_table(self, table: str) -> "Relation":
