@@ -19,9 +19,11 @@ operator, decided statically, plus the column names of its output; a
 backend never decides anything and is never asked what columns an
 intermediate has.  A backend supplies:
 
-``reduce_all(query, db)``
-    step one of Algorithm 1 — each block reduced to T_i (with its
-    synthetic rid column) in the backend's native representation.
+``reduce_all(steps, db)``
+    step one of Algorithm 1 — each block's
+    :class:`~repro.core.reduce.ReduceStep` reduced to T_i (with its
+    synthetic rid column) in the backend's native representation,
+    keyed by block index.
 ``left_outer_join(rel, child, node)``
     the way-down join (:class:`~repro.core.query_tree.OuterJoin`): ⟕ on
     the child's correlated predicates, the outer × when there are none.
@@ -76,7 +78,7 @@ and cost.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..engine.catalog import Database
 from ..engine.expressions import bind_truth
@@ -84,11 +86,15 @@ from ..engine.governor import checkpoint
 from ..engine.operators import left_outer_hash_join, outer_cross_join, semi_join
 from ..engine.relation import Relation, Row, projector
 from ..engine.types import NULL, TriBool
-from .blocks import NestedQuery
 from .nest import nest, nest_sorted
 from .plancache import ReduceMemo
 from . import query_tree
-from .reduce import BlockJoinPlan, execute_join_plan, reduce_all
+from .reduce import (
+    BlockJoinPlan,
+    ReduceStep,
+    execute_join_plan,
+    reduce_relation,
+)
 from .selection import (
     fused_linking_selection,
     judge,
@@ -105,8 +111,15 @@ class RowBackend:
 
     # -- step one ------------------------------------------------------- #
 
-    def reduce_all(self, query: NestedQuery, db: Database):
-        return reduce_all(query, db, join=self._join_through_memo)
+    def reduce_all(
+        self, steps: Sequence[ReduceStep], db: Database
+    ) -> Dict[int, Relation]:
+        return {
+            step.block.index: reduce_relation(
+                step, db, self._join_through_memo
+            )
+            for step in steps
+        }
 
     def _join_through_memo(self, plan: BlockJoinPlan, db: Database) -> Relation:
         """σ_Δi(R_i ⋈ …) from the session's reduce memo, built on a miss."""
@@ -226,7 +239,7 @@ class RowBackend:
     # -- output --------------------------------------------------------- #
 
     def finalize(self, rel: Relation, node: query_tree.Finalize) -> Relation:
-        out = rel.project(list(node.select_refs))
+        out = rel.project(node.select_refs, node.schema)
         if node.distinct:
             out = out.distinct()
         return out

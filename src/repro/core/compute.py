@@ -61,11 +61,13 @@ selections.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import PlanError
 from ..strategies import register
 from ..engine.catalog import Database
+from ..engine.context import current
 from ..engine.expressions import Col, Comparison, conjoin
 from ..engine.governor import checkpoint
 from ..engine.relation import Relation
@@ -95,7 +97,7 @@ from .query_tree import (
     TreeNode,
     UncorrelatedLink,
 )
-from .reduce import ReducedBlock, rid_name
+from .reduce import ReduceStep, reduce_step, rid_name
 
 VIRTUAL_CARTESIAN = "virtual-cartesian"
 STRICT_WHEN_POSITIVE = "strict-when-positive"
@@ -150,6 +152,17 @@ def set_predicate_for(link: LinkSpec) -> SetPredicate:
             const=link.outer_const,
         )
     return SetPredicate(link.quantifier, link.effective_theta)
+
+
+@dataclass(frozen=True)
+class Planned:
+    """Steps one and two of one query, as a
+    :class:`~repro.core.plancache.PlanMemo` keeps
+    them: each block's :class:`~repro.core.reduce.ReduceStep` (DFS
+    order) and the annotated tree.  Executions only read it."""
+
+    steps: Tuple[ReduceStep, ...]
+    tree: TreeExpression
 
 
 class NestedRelationalStrategy:
@@ -242,20 +255,32 @@ class NestedRelationalStrategy:
         return self.rules
 
     def execute(self, query: NestedQuery, db: Database) -> Relation:
-        """Evaluate *query* against *db*, returning the result relation."""
-        rules = self._rules_for(query)
+        """Evaluate *query* against *db*, returning the result relation.
+
+        Steps one and two are decided once per strategy decision: the
+        first execution plans each block's reduction, reduces, and plans
+        the tree from the T_i names; later ones find both in the
+        decision's :class:`~repro.core.plancache.PlanMemo` and only
+        reduce (from the reduce memo, when it holds the images) and
+        compute."""
+        memo = current().plan_memo
+        planned = memo.get(self, query) if memo is not None else None
+        if planned is None:
+            rules = self._rules_for(query)
+            steps = tuple(reduce_step(b) for b in query.root.walk())
+        else:
+            steps = planned.steps
         backend = self.backend
         checkpoint("reduce")
-        reduced = backend.reduce_all(query, db)
-        tree = self.plan(
-            query,
-            {
-                i: Reduce(i, rb.rid_ref, tuple(rb.attr_refs))
-                for i, rb in reduced.items()
-            },
-            rules,
-        )
-        rel = self._run(tree.root, reduced[tree.root.index].relation, reduced)
+        reduced = backend.reduce_all(steps, db)
+        if planned is None:
+            planned = Planned(
+                steps, self._plan_reduced(query, steps, reduced, rules)
+            )
+            if memo is not None:
+                memo.put(self, query, planned)
+        tree = planned.tree
+        rel = self._run(tree.root, reduced[tree.root.index], reduced)
         checkpoint("finalize")
         return backend.finalize(rel, tree.finalize)
 
@@ -305,6 +330,26 @@ class NestedRelationalStrategy:
         self._plan_node(root, root.reduce.names, [root], owner, rules)
         tree.finalize = Finalize(
             tuple(root.block.select_refs), root.block.distinct
+        )
+        return tree
+
+    def _plan_reduced(self, query, steps, reduced, rules) -> TreeExpression:
+        """The plan over the T_i just reduced: their names are the
+        leaves, and the root's schema gives the output's."""
+        tree = self.plan(
+            query,
+            {
+                s.block.index: Reduce(
+                    s.block.index, s.rid, reduced[s.block.index].schema.names
+                )
+                for s in steps
+            },
+            rules,
+        )
+        select_refs = tree.finalize.select_refs
+        tree.finalize = replace(
+            tree.finalize,
+            schema=reduced[tree.root.index].schema.project(select_refs),
         )
         return tree
 
@@ -471,7 +516,7 @@ class NestedRelationalStrategy:
 
     # -- step 3: compute -------------------------------------------------- #
 
-    def _run(self, node: TreeNode, rel, reduced: Dict[int, ReducedBlock]):
+    def _run(self, node: TreeNode, rel, reduced: Dict[int, object]):
         """Fold the plan below *node* over *rel*, the relation accumulated
         so far: whatever the backend's native intermediate is (a
         :class:`Relation` for rows, a Batch for the vector engine) — the
@@ -481,7 +526,7 @@ class NestedRelationalStrategy:
         for edge in node.children:
             checkpoint("operator")
             child = edge.child
-            sub = reduced[child.index].relation
+            sub = reduced[child.index]
             if _joins_a_leaf(edge):
                 # ⟕ straight into υ: one call, so the backend may nest
                 # the join without building it

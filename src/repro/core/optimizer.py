@@ -44,6 +44,7 @@ from ..engine.catalog import Database
 from ..strategies import ROW_BACKEND, VECTOR_BACKEND
 from .blocks import NestedQuery
 from .feedback import FeedbackStore
+from .plancache import PlanMemo
 from .stats import DbStats, PlanStats, collect_stats
 
 # --------------------------------------------------------------------- #
@@ -233,6 +234,12 @@ class PlannerDecision:
     fingerprint: Optional[str] = None
     feedback_epoch: Optional[int] = None
     est_rows: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # not a field: what ``impl`` planned for the query, kept exactly
+        # as long as the decision is (Algorithm 1 reads it through the
+        # execution context)
+        object.__setattr__(self, "plan_memo", PlanMemo())
 
     @property
     def est_cost(self) -> float:

@@ -1,7 +1,7 @@
 """Cross-query caching for sessions.
 
 A :class:`~repro.session.Session` answers many queries against one
-database, and three pieces of work repeat across them:
+database, and four pieces of work repeat across them:
 
 * **parse → analyze** — :func:`repro.sql.compile_sql` of the identical
   SQL text yields the identical :class:`~repro.core.blocks.NestedQuery`
@@ -9,6 +9,10 @@ database, and three pieces of work repeat across them:
 * **strategy resolution** — mapping a ``(strategy, backend)``
   request onto an executable instance inspects the query shape (the
   ``auto`` policy) but is otherwise pure;
+* **Algorithm 1's plan** — each block's join plan and rid
+  (:class:`~repro.core.reduce.ReduceStep`) and the annotated tree
+  expression depend only on the query, the rules and the T_i column
+  names, so a prepared query's warm execution need not redo them;
 * **block reduction builds** — the reduced relations
   ``T_i = σ_Δi(R_i ⋈ …)`` of Algorithm 1's step one depend only on the
   block's syntactic :class:`~repro.core.reduce.BlockJoinPlan`, the base
@@ -16,17 +20,30 @@ database, and three pieces of work repeat across them:
   sharing a block shape (the common case for dashboards re-issuing
   parameter-free subqueries) can share the build.
 
-:class:`SessionCache` memoizes all three.  The compile memo is **always
+:class:`SessionCache` memoizes all four.  The compile memo is **always
 on** — re-preparing identical SQL never re-runs the analyzer, even with
-``connect(db, plan_cache=False)`` — while strategy and reduce caching
-follow the ``plan_cache`` flag.
+``connect(db, plan_cache=False)`` — while strategy, plan and reduce
+caching follow the ``plan_cache`` flag.
+
+**The plan memo rides on the strategy memo.**  Every
+:class:`~repro.core.optimizer.PlannerDecision` carries a
+:class:`PlanMemo`, which the session installs as the execution
+context's ``plan_memo``; Algorithm 1 stores what it planned there on
+the first execution and reads it on every later one.  Its key is
+therefore the strategy memo's, ``(sql, strategy, backend, session
+logic[, feedback epoch, memory budget])``, and it is memoized exactly
+when the decision is: a strategy instance or ``plan_cache=False``
+resolves a fresh decision per call, and so plans per call.  Its
+staleness rule is the one below — the flush that drops the decision
+drops its plan.  Within the slot, an entry answers only the strategy
+instance and the analyzed query it was planned for.
 
 **One staleness rule.**  Every entry is valid for exactly one
 ``(Database object, Database.version)`` pair, the one the last
 :meth:`SessionCache.validate` named.  Validating against another
 database object, or the same one at another version (CREATE/DROP TABLE,
 index creation, :meth:`~repro.engine.catalog.Database.mutate_table`),
-flushes all three memos.  Base-table rows change only through
+flushes every memo.  Base-table rows change only through
 ``mutate_table``, so nothing else can make an entry stale.  The cache
 holds the database by weakref, so a collected database's successor at
 the same address is still another database.
@@ -36,22 +53,25 @@ the same address is still another database.
 :class:`~repro.engine.context.ExecutionContext`, installed by the
 session around each execution, and both Algorithm 1 backends consult it
 through the one :class:`ReduceMemo` below: the key is ``(repr(plan),
-backend kind, logic mode)``, so a row image
+backend kind, logic mode, rid)``, so a row image
 (:class:`~repro.engine.relation.Relation`) and a vector image (a batch)
 of the same plan never collide, and a 2VL build never answers a 3VL
 execution.  Whoever installs the cache validates it against the
 database the execution reads first.
 
 *Inside* a cached image: the block's scans, local filters and joins —
-the plain relation ``σ_Δi(R_i ⋈ …)``.  *Outside* it, redone per
-execution: the synthetic ``_rid`` column, and the GROUP BY / HAVING
-aggregation of a grouped subquery block, so the image stays shareable
-with an ungrouped block over the same join plan.  The row backend does
-not memoize a block that is one unfiltered table — that "build" is the
-base relation under an alias.  An image outlives the execution that
-built it and is handed to every later one (and, under ``repro serve``,
-to every tenant): operators treat their inputs as read-only, and a hit
-is not charged to the executing tenant's memory budget.
+the plain relation ``σ_Δi(R_i ⋈ …)`` — and, for the vector backend, the
+synthetic ``_rid`` column: a vector hit is T_i, ready to use, and the
+rid in its key keeps two blocks over one join plan apart.  *Outside*
+it, redone per execution: the row backend's ``_rid`` column, and the
+GROUP BY / HAVING aggregation (and then the rid) of a grouped subquery
+block, whose image is the plain join (key rid ``None``).  The row
+backend does not memoize a block that is one unfiltered table — that
+"build" is the base relation under an alias.  An image outlives the
+execution that built it and is handed to every later one (and, under
+``repro serve``, to every tenant): operators treat their inputs as
+read-only, and a hit is not charged to the executing tenant's memory
+budget.
 
 Only the nested relational backends read the memo.
 :func:`repro.core.reduce.reduce_all` itself is cache-oblivious, so
@@ -264,27 +284,54 @@ class SessionCache:
             self._reduced_cells += cells
 
 
+class PlanMemo:
+    """What Algorithm 1 planned for one strategy decision: the slot a
+    :class:`~repro.core.optimizer.PlannerDecision` carries, so it is
+    memoized exactly when the decision is (see the module docstring).
+
+    It holds one entry, for the strategy instance and the analyzed query
+    it was planned for; a lookup for any other pair misses.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self) -> None:
+        self._entry: Optional[Tuple[Any, Any, Any]] = None
+
+    def get(self, strategy: Any, query: Any) -> Optional[Any]:
+        entry = self._entry
+        if entry is not None and entry[0] is strategy and entry[1] is query:
+            return entry[2]
+        return None
+
+    def put(self, strategy: Any, query: Any, planned: Any) -> None:
+        # one tuple swap: a racing execution reads the old entry or this
+        self._entry = (strategy, query, planned)
+
+
 class ReduceMemo:
     """One block's slot in the ambient reduce memo.
 
-    Looks *plan* up on construction (counting the hit or miss);
+    Looks *plan*'s image up on construction (counting the hit or miss);
     :attr:`state` is ``"hit"``, ``"miss"``, or ``"off"`` when the
     execution carries no reduce cache.  :meth:`image` then returns the
     cached image or builds and stores it.  The logic mode participates
     in the key: a NOT over a NULL comparison filters differently under
-    2VL.  The database does not: the cache holds one database's state.
+    2VL.  So does *rid*, the rid column an image carries (None for a
+    plain join image): two blocks over one join plan never share a T_i.
+    The database does not: the cache holds one database's state.
     """
 
     __slots__ = ("_cache", "_key", "_cached", "state")
 
-    def __init__(self, plan: Any, kind: str):
+    def __init__(self, plan: Any, kind: str, rid: Optional[str] = None):
         context = current_context()
         self._cache = context.reduce_cache
         self._key = self._cached = None
         if self._cache is None:
             self.state = "off"
             return
-        self._key = (repr(plan), kind, context.logic)
+        self._key = (plan.key, kind, context.logic, rid)
         self._cached = self._cache.reduced(self._key)
         self.state = "miss" if self._cached is None else "hit"
 

@@ -27,6 +27,7 @@ from ..engine.trace import (
     current_tracer,
 )
 from .blocks import NestedQuery
+from .feedback import ROOT_SPAN
 from .optimizer import PlannerDecision, resolve
 from .reduce import group_block
 
@@ -63,6 +64,12 @@ def _emit_planner_span(tracer: Tracer, decision: PlannerDecision):
     return span
 
 
+def open_root(tracer: Tracer):
+    """Open a traced execution's root ``execute`` span; :func:`run`
+    names the strategy on it once the decision is known."""
+    return tracer.span(ROOT_SPAN, {}, kind="root")
+
+
 def run(
     query: NestedQuery,
     db: Database,
@@ -80,7 +87,11 @@ def run(
     The decision's instance runs under the root trace span when tracing
     is active (a cost-based decision recorded as a ``kind='planner'``
     span); root-level ORDER BY/LIMIT apply last and ``rows_produced`` is
-    charged.  The governor is the ambient context's: the Session API
+    charged.  A root span open on the tracer already is this
+    execution's: a traced session execution opens it first
+    (:func:`open_root`), so that it also brackets the option layering,
+    the resolution and the feedback harvest.  The governor is the
+    ambient context's: the Session API
     installs it with the logic mode and the reduce cache, any other
     caller wraps the call in :func:`~repro.engine.governor.governed`.
     """
@@ -102,33 +113,39 @@ def run(
             result = _finalize(impl.execute(query, db), query)
             current_metrics().add("rows_produced", len(result))
             return result
-        with tracer.span(
-            "execute", {"strategy": decision.chosen}, kind="root"
-        ) as span:
-            planner_span = (
-                _emit_planner_span(tracer, decision)
-                if decision.candidates
-                else None
-            )
-            if governor is not None:
-                with tracer.span(
-                    "governor", governor.describe_attrs(), kind=KIND_GOVERNOR
-                ):
-                    result = impl.execute(query, db)
-            else:
-                result = impl.execute(query, db)
-            result = _finalize(result, query)
-            current_metrics().add("rows_produced", len(result))
-            span.add("rows_out", len(result))
-            if planner_span is not None:
-                planner_span.set("actual_rows", len(result))
-        return result
+        root = tracer.innermost()
+        if root is not None and root.kind == "root":
+            return _run_traced(tracer, root, query, db, decision, governor)
+        with open_root(tracer) as root:
+            return _run_traced(tracer, root, query, db, decision, governor)
     finally:
         # sweep this execution's private spill workspace (if any pass
         # created one) so a shared spill_dir ends every execution —
         # including aborted ones — as empty as it started
         if governor is not None:
             governor.cleanup_spill_workspace()
+
+
+def _run_traced(tracer, root, query, db, decision, governor) -> Relation:
+    """:func:`run`'s execution under the open *root* span."""
+    root.attrs["strategy"] = decision.chosen
+    impl = decision.impl
+    planner_span = (
+        _emit_planner_span(tracer, decision) if decision.candidates else None
+    )
+    if governor is not None:
+        with tracer.span(
+            "governor", governor.describe_attrs(), kind=KIND_GOVERNOR
+        ):
+            result = impl.execute(query, db)
+    else:
+        result = impl.execute(query, db)
+    result = _finalize(result, query)
+    current_metrics().add("rows_produced", len(result))
+    root.add("rows_out", len(result))
+    if planner_span is not None:
+        planner_span.set("actual_rows", len(result))
+    return result
 
 
 def _finalize(result: Relation, query: NestedQuery) -> Relation:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Tuple, Union
 
 from ..engine.expressions import Expr
+from ..engine.schema import Schema
 from .blocks import Correlation, LinkSpec, NestedQuery, QueryBlock
 from .linking import SetPredicate
 
@@ -186,11 +187,14 @@ class Residual:
 
 @dataclass(frozen=True)
 class Finalize:
-    """π onto the SELECT list (DISTINCT when asked)."""
+    """π onto the SELECT list (DISTINCT when asked).  *schema* is the
+    output's, taken from the root's T_i when the plan is made over
+    reduced relations (None in EXPLAIN's symbolic plan)."""
 
     method: ClassVar[str] = "finalize"
     select_refs: Names
     distinct: bool
+    schema: Optional[Schema] = field(default=None, compare=False, repr=False)
 
     @property
     def names(self) -> Names:

@@ -17,7 +17,8 @@ as the emptiness marker after outer joins and the grouping anchor for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PlanError
@@ -47,8 +48,6 @@ class ReducedBlock:
     relation: Relation
     #: synthetic unique non-null key of T_i (qualified name)
     rid_ref: str
-    #: qualified names of every column of T_i (including the rid)
-    attr_refs: Tuple[str, ...]
 
     @property
     def index(self) -> int:
@@ -68,7 +67,42 @@ def reduce_block(
     uncorrelated and childless, see block validation) is aggregated here
     as well: T_i becomes one row per qualifying group over the group-by
     columns, so every downstream strategy sees the grouped relation
-    uniformly.
+    uniformly.  *join* is as in :func:`reduce_relation`.
+    """
+    step = reduce_step(block)
+    return ReducedBlock(block, reduce_relation(step, db, join), step.rid)
+
+
+def reduce_all(
+    query: NestedQuery, db: Database, join=None
+) -> Dict[int, ReducedBlock]:
+    """Reduce every block of the query, keyed by block index."""
+    return {b.index: reduce_block(b, db, join) for b in query.root.walk()}
+
+
+@dataclass(frozen=True)
+class ReduceStep:
+    """Step one for one block, decided from the query alone: the block's
+    join plan and its rid.  Algorithm 1 builds these once per plan and
+    memoizes them with the tree."""
+
+    block: QueryBlock
+    join: BlockJoinPlan
+    #: the synthetic rid column of T_i (``_rid<i>``)
+    rid: str
+    #: a GROUP BY / HAVING subquery block, aggregated after the join
+    grouped: bool
+
+
+def reduce_step(block: QueryBlock) -> ReduceStep:
+    return ReduceStep(
+        block, plan_block_join(block), rid_name(block),
+        _is_grouped_subquery(block),
+    )
+
+
+def reduce_relation(step: ReduceStep, db: Database, join=None) -> Relation:
+    """*step*'s T_i on the row engine, under its ``reduce[T_i]`` span.
 
     *join* runs the block's :class:`BlockJoinPlan`; the default is
     :func:`execute_join_plan`, from the base tables, every time.  The
@@ -77,36 +111,23 @@ def reduce_block(
     baselines that call it stay cache-oblivious.  The result of *join*
     is only read: the rid column and the aggregation make new rows.
     """
+    block = step.block
     with op_span(
         f"reduce[T{block.index}]",
         kind="phase",
         tables=",".join(block.alias_list),
     ) as span:
         checkpoint("reduce")
-        joined = (join or execute_join_plan)(plan_block_join(block), db)
-        if _is_grouped_subquery(block):
+        joined = (join or execute_join_plan)(step.join, db)
+        if step.grouped:
             # the linked attribute is a GROUP BY column; the aggregates
             # only feed HAVING
             joined = group_block(block, joined).project(block.group_by)
         if span is not None:
             span.add("rows_out", len(joined.rows))
-    rid = rid_name(block)
-    schema = Schema(tuple(joined.schema.columns) + (Column(rid, not_null=True),))
+    schema = Schema(joined.schema.columns + (Column(step.rid, not_null=True),))
     rows = [row + (i,) for i, row in enumerate(joined.rows)]
-    relation = Relation.adopt(schema, rows)
-    return ReducedBlock(
-        block=block,
-        relation=relation,
-        rid_ref=rid,
-        attr_refs=schema.names,
-    )
-
-
-def reduce_all(
-    query: NestedQuery, db: Database, join=None
-) -> Dict[int, ReducedBlock]:
-    """Reduce every block of the query, keyed by block index."""
-    return {b.index: reduce_block(b, db, join) for b in query.root.walk()}
+    return Relation.adopt(schema, rows)
 
 
 def _is_grouped_subquery(block: QueryBlock) -> bool:
@@ -189,6 +210,12 @@ class BlockJoinPlan:
 
     def scan_filter(self, alias: str) -> Optional[Expr]:
         return dict(self.scan_filters)[alias]
+
+    @cached_property
+    def key(self) -> str:
+        """``repr(self)``, computed once: the plan's part of its
+        image's key in the reduce memo."""
+        return repr(self)
 
     @property
     def is_bare_scan(self) -> bool:

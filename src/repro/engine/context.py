@@ -2,7 +2,7 @@
 
 An execution is sound only if *every* operator of it evaluates under
 the same logic mode, charges the same governor and reports into the
-right metrics scope and tracer.  All of that state is the six fields
+right metrics scope and tracer.  All of that state is the seven fields
 of one immutable :class:`ExecutionContext` held in one
 :class:`~contextvars.ContextVar`; nothing else in the package is ambient
 (``tests/engine/test_context.py`` fails when a second slot appears).
@@ -48,6 +48,9 @@ class ExecutionContext(NamedTuple):
     logic: str = "3vl"
     #: the session cache reduced-relation builds are memoized in, or None
     reduce_cache: Optional[Any] = None
+    #: the plan slot of the decision being executed
+    #: (:class:`~repro.core.plancache.PlanMemo`), or None: plan per call
+    plan_memo: Optional[Any] = None
     #: nesting level of the enclosing Grace spill passes
     spill_depth: int = 0
 

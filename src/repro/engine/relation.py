@@ -158,11 +158,15 @@ class Relation(Bag):
         """A copy with rows in the canonical total order (for display/tests)."""
         return Relation.adopt(self.schema, sorted(self.rows, key=row_sort_key))
 
-    def project(self, refs: Sequence[str]) -> "Relation":
-        """Projection (without duplicate elimination, as in the paper)."""
+    def project(
+        self, refs: Sequence[str], schema: Optional[Schema] = None
+    ) -> "Relation":
+        """Projection (without duplicate elimination, as in the paper);
+        *schema*, when given, is the projection's, already derived."""
         keep = projector(self.schema.indices_of(refs))
         return Relation.adopt(
-            self.schema.project(refs), list(map(keep, self.rows))
+            schema if schema is not None else self.schema.project(refs),
+            list(map(keep, self.rows)),
         )
 
     def rename_table(self, table: str) -> "Relation":

@@ -27,11 +27,16 @@ class Column:
     name: str
     table: Optional[str] = None
     not_null: bool = False
+    #: fully qualified name, e.g. ``"orders.o_orderkey"`` (derived once,
+    #: outside equality, hashing and ``repr``)
+    qualified: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def qualified(self) -> str:
-        """Fully qualified name, e.g. ``"orders.o_orderkey"``."""
-        return f"{self.table}.{self.name}" if self.table else self.name
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "qualified",
+            f"{self.table}.{self.name}" if self.table else self.name,
+        )
 
     def renamed_table(self, table: Optional[str]) -> "Column":
         """A copy of this column under a different table qualifier."""
@@ -56,17 +61,22 @@ class Schema:
     :meth:`project` return new schemas.
     """
 
-    __slots__ = ("columns", "_by_qualified", "_by_name")
+    __slots__ = ("columns", "names", "_by_qualified", "_by_name")
 
     def __init__(self, columns: Iterable[Column]):
         self.columns: Tuple[Column, ...] = tuple(columns)
-        self._by_qualified: Dict[str, int] = {}
-        self._by_name: Dict[str, List[int]] = {}
+        by_qualified: Dict[str, int] = {}
+        by_name: Dict[str, List[int]] = {}
         for i, col in enumerate(self.columns):
-            if col.qualified in self._by_qualified:
-                raise SchemaError(f"duplicate column {col.qualified!r} in schema")
-            self._by_qualified[col.qualified] = i
-            self._by_name.setdefault(col.name, []).append(i)
+            qualified = col.qualified
+            if qualified in by_qualified:
+                raise SchemaError(f"duplicate column {qualified!r} in schema")
+            by_qualified[qualified] = i
+            by_name.setdefault(col.name, []).append(i)
+        self._by_qualified = by_qualified
+        self._by_name = by_name
+        #: qualified names of all columns, in order
+        self.names: Tuple[str, ...] = tuple(by_qualified)
 
     @staticmethod
     def of(*names: str, table: Optional[str] = None) -> "Schema":
@@ -87,11 +97,6 @@ class Schema:
 
     def __repr__(self) -> str:
         return f"Schema({', '.join(c.qualified for c in self.columns)})"
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        """Qualified names of all columns, in order."""
-        return tuple(c.qualified for c in self.columns)
 
     def index_of(self, ref: str) -> int:
         """Resolve *ref* (qualified or bare) to a column position.

@@ -251,6 +251,10 @@ class Tracer:
         self._stack.append(span)
         return span
 
+    def innermost(self) -> Optional[Span]:
+        """The most recently opened span still open, or None."""
+        return self._stack[-1] if self._stack else None
+
     def close(self, span: Span) -> None:
         """Close *span*, closing any deeper spans still open.
 

@@ -10,20 +10,13 @@ backends cannot diverge semantically; only the physical kernels differ.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ...core import query_tree
-from ...core.blocks import NestedQuery, QueryBlock
 from ...core.plancache import ReduceMemo
-from ...core.reduce import (
-    ReducedBlock,
-    _is_grouped_subquery,
-    group_block,
-    plan_block_join,
-    rid_name,
-)
+from ...core.reduce import ReduceStep, group_block
 from ..catalog import Database
 from ..governor import charge_batch, checkpoint
 from ..metrics import current_metrics
@@ -43,49 +36,38 @@ class VectorBackend:
     # -- step one ------------------------------------------------------- #
 
     def reduce_all(
-        self, query: NestedQuery, db: Database
-    ) -> Dict[int, ReducedBlock]:
-        return {
-            b.index: self._reduce_block(b, db) for b in query.root.walk()
-        }
+        self, steps: Sequence[ReduceStep], db: Database
+    ) -> Dict[int, Batch]:
+        return {s.block.index: self._reduce_block(s, db) for s in steps}
 
-    def _reduce_block(self, block: QueryBlock, db: Database) -> ReducedBlock:
+    def _reduce_block(self, step: ReduceStep, db: Database) -> Batch:
         checkpoint("reduce-block")
-        plan = plan_block_join(block)
-        # the build depends only on the syntactic join plan, the base
-        # tables and the logic mode, never on the block index (the _rid
-        # column is attached below, outside the cached image)
-        memo = ReduceMemo(plan, self.kind)
+        block = step.block
+        # the image depends only on the join plan, the base tables and
+        # the logic mode, and it carries its rid: a hit is T_i, ready
+        # to use.  A grouped block's image is the plain join (rid
+        # None), aggregated and numbered here, per execution.
+        rid = None if step.grouped else step.rid
+        memo = ReduceMemo(step.join, self.kind, rid)
         with op_span(
             f"reduce[T{block.index}]",
             kind="phase",
             tables=",".join(block.alias_list),
             cache=memo.state,
         ) as span:
-            current = memo.image(lambda: self._execute_join_plan(plan, db))
-            if _is_grouped_subquery(block):
-                # GROUP BY / HAVING subquery blocks reuse the row-side
-                # aggregation (outside the cached image, which stays the
-                # plain join result shared with ungrouped lookups)
-                current = Batch.from_relation(
-                    group_block(block, current.to_relation()).project(
-                        block.group_by
-                    )
+            build = lambda: self._execute_join_plan(step.join, db)
+            if step.grouped:
+                # the row-side aggregation, outside the cached image
+                grouped = group_block(block, memo.image(build).to_relation())
+                current = _with_rid(
+                    Batch.from_relation(grouped.project(block.group_by)),
+                    step.rid,
                 )
+            else:
+                current = memo.image(lambda: _with_rid(build(), rid))
             if span is not None:
                 span.add("rows_out", len(current))
-        rid = rid_name(block)
-        n = len(current)
-        current = current.with_column(
-            Column(rid, not_null=True),
-            Vector(KIND_INT, np.arange(n, dtype=np.int64), np.ones(n, bool)),
-        )
-        return ReducedBlock(
-            block=block,
-            relation=current,
-            rid_ref=rid,
-            attr_refs=current.schema.names,
-        )
+        return current
 
     def _execute_join_plan(self, plan, db: Database) -> Batch:
         """Run one block's scan/filter/join pipeline (cache-oblivious)."""
@@ -185,7 +167,16 @@ class VectorBackend:
     # -- output --------------------------------------------------------- #
 
     def finalize(self, rel: Batch, node: query_tree.Finalize):
-        out = rel.project(list(node.select_refs)).to_relation()
+        out = rel.project(node.select_refs, node.schema).to_relation()
         if node.distinct:
             out = out.distinct()
         return out
+
+
+def _with_rid(batch: Batch, rid: str) -> Batch:
+    """*batch* with the rid column ``0, 1, …`` on the right."""
+    n = len(batch)
+    return batch.with_column(
+        Column(rid, not_null=True),
+        Vector(KIND_INT, np.arange(n, dtype=np.int64), np.ones(n, bool)),
+    )

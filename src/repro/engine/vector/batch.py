@@ -23,7 +23,7 @@ the table is built, so :func:`table_batch` converts and copies nothing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -81,11 +81,18 @@ class Batch:
     def rename_table(self, table: str) -> "Batch":
         return Batch(self.schema.rename_table(table), self.columns, self.length)
 
-    def project(self, refs: Sequence[str]) -> "Batch":
+    def project(
+        self, refs: Sequence[str], schema: Optional[Schema] = None
+    ) -> "Batch":
+        """The columns *refs*, in that order.  The schema is *schema*
+        when given (a plan's, already derived), else this batch's own
+        when *refs* are its names, else derived here."""
+        if schema is None:
+            schema = self.schema
+            if tuple(refs) != schema.names:
+                schema = schema.project(refs)
         idx = self.schema.indices_of(refs)
-        return Batch(
-            self.schema.project(refs), [self.columns[i] for i in idx], self.length
-        )
+        return Batch(schema, [self.columns[i] for i in idx], self.length)
 
     def take(self, idx: np.ndarray) -> "Batch":
         """The rows at *idx*, every column deferred (no gather yet)."""

@@ -139,8 +139,8 @@ class PreparedQuery:
 
         The one place the per-execution fields of the ambient
         :class:`~repro.engine.context.ExecutionContext` are installed:
-        governor, logic mode and reduce cache, in a single scope that
-        every operator of the execution sees.
+        governor, logic mode, reduce cache and the decision's plan memo,
+        in a single scope that every operator of the execution sees.
         """
         if governor is None:
             governor = self._session.governor(eff)
@@ -149,6 +149,7 @@ class PreparedQuery:
             governor=governor or current().governor,
             logic=validate_logic(eff.logic),
             reduce_cache=self._session.reduce_cache(),
+            plan_memo=decision.plan_memo,
         ):
             return planner.run(self.query, self._session.db, decision)
 
@@ -177,19 +178,28 @@ class PreparedQuery:
         ``"auto"`` executions of structurally equivalent queries re-cost
         with actuals instead of estimates.
         """
-        eff = self._options(
-            strategy=strategy, backend=backend, threads=threads,
-            timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
-            spill_dir=spill_dir, options=options,
-        )
-        return self._traced(eff, self._resolve(eff))
+        def request():
+            eff = self._options(
+                strategy=strategy, backend=backend, threads=threads,
+                timeout_ms=timeout_ms, memory_limit_mb=memory_limit_mb,
+                spill_dir=spill_dir, options=options,
+            )
+            return eff, self._resolve(eff)
 
-    def _traced(self, eff: ExecutionOptions, decision: PlannerDecision):
-        """:meth:`_run` under a tracing scope, feeding the feedback
-        store; returns ``(result, trace)``."""
-        with tracing() as trace:
+        return self._traced(request)
+
+    def _traced(self, request):
+        """:meth:`_run` of the ``(eff, decision)`` pair *request()*
+        returns, under a tracing scope, feeding the feedback store;
+        returns ``(result, trace)``.
+
+        The root ``execute`` span opens first and closes last: layering
+        the options, resolving them, building the governor and the
+        feedback harvest are engine work of this execution too."""
+        with tracing() as trace, planner.open_root(current().tracer):
+            eff, decision = request()
             result = self._run(eff, decision)
-        self._session.feedback.observe(self._fingerprint, trace)
+            self._session.feedback.observe(self._fingerprint, trace)
         return result, trace
 
     def _options(self, options=None, **kwargs) -> ExecutionOptions:
@@ -301,7 +311,7 @@ class PreparedQuery:
             # the execution it reports: this decision, same session,
             # same layered options
             with collect() as metrics:
-                result, trace = self._traced(eff, decision)
+                result, trace = self._traced(lambda: (eff, decision))
             plan = plan.analyzed(result, trace, metrics, timings)
         return plan
 

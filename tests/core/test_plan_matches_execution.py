@@ -72,10 +72,10 @@ def recording(base, spans):
             super().__init__()
             self.nodes = []
 
-        def reduce_all(self, query, db):
-            reduced = super().reduce_all(query, db)
-            for rb in reduced.values():
-                assert list(rb.relation.schema.names) == list(rb.attr_refs)
+        def reduce_all(self, steps, db):
+            reduced = super().reduce_all(steps, db)
+            for step in steps:
+                assert reduced[step.block.index].schema.names[-1] == step.rid
             return reduced
 
     def wrap(method):
