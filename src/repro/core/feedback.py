@@ -9,7 +9,7 @@ resolution of the same plan the optimizer replaces its estimated block
 cardinalities with the observed ones
 (:class:`~repro.core.stats.PlanStats` ``overrides``), so repeated
 Session traffic converges on costs grounded in reality rather than
-sampling heuristics.
+independence heuristics.
 
 ``epoch`` increments whenever an observation is added or changed; the
 session's plan cache keys its memoized

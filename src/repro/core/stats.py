@@ -4,15 +4,16 @@ The optimizer (:mod:`repro.core.optimizer`) prices each candidate
 strategy in abstract *row-ops* — rows scanned, joined and nested — and
 those quantities come from here:
 
-* :func:`collect_stats` samples every table of a
-  :class:`~repro.engine.catalog.Database` **once per catalog version**
-  (row counts are exact; NDV / min / max / NULL fraction come from a
-  deterministic stride sample of the table's columns) and caches the
-  resulting :class:`DbStats` in a weak per-database map;
-* :func:`set_table_stats` registers persistent per-column overrides —
-  the TPC-H generator seeds its *known* distributions (key NDVs, date
-  ranges) this way, and tests use it to plant a deliberate mis-estimate
-  for the feedback-convergence scenario;
+* :func:`collect_stats` gives every table of a
+  :class:`~repro.engine.catalog.Database` its exact row count and, per
+  column, its exact NDV / NULL fraction / min / max — one function over
+  the table's encoded columns
+  (:meth:`~repro.engine.colstore.StoredRelation.column_stats`), computed
+  when the planner first reads a column and kept on the table; a column
+  store's manifest carries them precomputed;
+* :func:`set_table_stats` registers persistent per-table overrides —
+  tests use it to plant a deliberate mis-estimate (a scale the data
+  does not have, the feedback-convergence scenario);
 * :func:`selectivity` walks a predicate expression tree and returns the
   estimated fraction of rows that satisfy it (equality ``1/NDV``,
   ranges by min/max interpolation, ``IS NULL`` by the NULL fraction,
@@ -37,9 +38,9 @@ from __future__ import annotations
 import datetime
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from ..engine.catalog import Database, Table
+from ..engine.catalog import Database
 from ..engine.expressions import (
     And,
     Between,
@@ -53,12 +54,10 @@ from ..engine.expressions import (
     Or,
 )
 from ..engine.schema import parse_ref
-from ..engine.types import is_null
 from .blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
 
-#: rows sampled per table for NDV/min/max/NULL-fraction estimation; the
-#: stride is derived from the table size, so sampling is deterministic
-SAMPLE_CAP = 2048
+if TYPE_CHECKING:
+    from ..engine.colstore import StoredRelation
 
 #: fallback selectivities when no statistics resolve for a column
 DEFAULT_EQ_SEL = 0.1
@@ -70,17 +69,15 @@ DEFAULT_NEQ_SEL = 0.9
 class ColumnStats:
     """Summary statistics of one column.
 
-    *ndv* is the estimated number of distinct non-NULL values,
-    *null_frac* the fraction of NULL entries, *min_value* / *max_value*
-    the observed extremes (None when the column is all-NULL or its
-    values do not order).  *exact* marks seeded (not sampled) figures.
+    *ndv* is the number of distinct non-NULL values, *null_frac* the
+    fraction of NULL entries, *min_value* / *max_value* the extremes
+    (None when the column is all-NULL or its values do not order).
     """
 
     ndv: float = 1.0
     null_frac: float = 0.0
     min_value: Optional[Any] = None
     max_value: Optional[Any] = None
-    exact: bool = False
 
     def merged(self, other: "ColumnStats") -> "ColumnStats":
         """This record updated with *other*'s non-default fields."""
@@ -100,22 +97,36 @@ class TableStats:
     """Row count plus per-column statistics of one base table.
 
     ``columns`` is keyed by the *bare* column name (``o_orderkey``, not
-    ``orders.o_orderkey``) — the qualifier is the table itself.
+    ``orders.o_orderkey``) — the qualifier is the table itself.  It
+    holds the overridden columns and those :meth:`column` has read off
+    *relation* so far.
     """
 
     name: str
     row_count: int
+    relation: Optional["StoredRelation"] = field(
+        default=None, repr=False, compare=False
+    )
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
 
     def column(self, name: str) -> Optional[ColumnStats]:
-        return self.columns.get(name)
+        cs = self.columns.get(name)
+        relation = self.relation
+        if cs is None and relation is not None and relation.schema.has(name):
+            figures = relation.column_stats(name)
+            cs = self.columns[name] = ColumnStats(
+                ndv=figures["ndv"],
+                null_frac=figures["null_frac"],
+                min_value=figures["min"],
+                max_value=figures["max"],
+            )
+        return cs
 
 
 @dataclass
 class DbStats:
-    """Statistics of a whole catalog, collected at one version."""
+    """Statistics of a whole catalog."""
 
-    version: int
     tables: Dict[str, TableStats] = field(default_factory=dict)
 
     def table(self, name: str) -> Optional[TableStats]:
@@ -130,116 +141,29 @@ class DbStats:
 # collection
 # --------------------------------------------------------------------- #
 
-#: db -> DbStats for db.version (re-collected when the version moves)
-_STATS_CACHE: "weakref.WeakKeyDictionary[Database, DbStats]" = (
-    weakref.WeakKeyDictionary()
-)
 #: db -> [(table, row_count_override, {col: ColumnStats})]; overrides
-#: are *persistent*: re-applied after every (re)collection, so an index
-#: build (which bumps the catalog version) does not lose seeded figures
+#: are *persistent*: applied by every :func:`collect_stats`, so an index
+#: build (which bumps the catalog version) does not lose planted figures
 _OVERRIDES: "weakref.WeakKeyDictionary[Database, List[Tuple]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _comparable(value: Any) -> bool:
-    return isinstance(value, (int, float, str, datetime.date)) and not isinstance(
-        value, bool
-    )
+def collect_stats(db: Database) -> DbStats:
+    """Statistics for *db* as it is now, registered
+    :func:`set_table_stats` overrides applied.
 
-
-def _stored_table_stats(table: Table, stored: Dict[str, Any]) -> TableStats:
-    """Exact statistics read off a stored table's manifest.
-
-    Column stores (:mod:`repro.engine.colstore`) compute NDV / min / max
-    / NULL fraction over the *whole* column at write time, so there is
-    nothing to sample.  Figures are marked ``exact`` exactly like
-    :func:`set_table_stats` seeds.
+    O(tables): a column's figures are read off its table when the
+    planner first asks for them, and the table keeps them, so an edited
+    table (a new relation) starts afresh.
     """
-    stats = TableStats(name=table.name, row_count=len(table.relation))
-    for col in table.schema.columns:
-        entry = stored.get(col.name)
-        if entry is None:
-            stats.columns[col.name] = ColumnStats()
-            continue
-        stats.columns[col.name] = ColumnStats(
-            ndv=float(entry.get("ndv", 1.0)),
-            null_frac=float(entry.get("null_frac", 0.0)),
-            min_value=entry.get("min"),
-            max_value=entry.get("max"),
-            exact=True,
-        )
-    return stats
-
-
-def _collect_table(table: Table, cap: int = SAMPLE_CAP) -> TableStats:
-    relation = table.relation
-    if relation.stored_stats is not None:
-        return _stored_table_stats(table, relation.stored_stats)
-    n = len(relation)
-    stats = TableStats(name=table.name, row_count=n)
-    if n == 0:
-        for col in table.schema.columns:
-            stats.columns[col.name] = ColumnStats(ndv=0.0)
-        return stats
-    stride = max(1, n // cap)
-    samples = relation.column_samples(stride)
-    for col, sample in zip(table.schema.columns, samples):
-        m = len(sample)
-        nulls = 0
-        distinct = set()
-        lo = hi = None
-        for v in sample:
-            if is_null(v):
-                nulls += 1
-                continue
-            try:
-                distinct.add(v)
-            except TypeError:  # pragma: no cover - unhashable value
-                pass
-            if _comparable(v):
-                if lo is None or v < lo:
-                    lo = v
-                if hi is None or v > hi:
-                    hi = v
-        seen = len(distinct)
-        non_null = m - nulls
-        if stride == 1 or non_null == 0:
-            ndv = float(seen)
-        elif seen >= non_null:
-            # every sampled value unique: assume a key-like column
-            ndv = float(n)
-        elif seen <= non_null / 2:
-            # a value set this small is almost certainly complete
-            ndv = float(seen)
-        else:
-            ndv = min(float(n), seen * (n / max(1, non_null)))
-        stats.columns[col.name] = ColumnStats(
-            ndv=ndv,
-            null_frac=nulls / m,
-            min_value=lo,
-            max_value=hi,
-        )
-    return stats
-
-
-def collect_stats(db: Database, refresh: bool = False) -> DbStats:
-    """Statistics for *db*, collected once per ``db.version``.
-
-    Results are cached weakly per database and invalidated when the
-    catalog version moves (CREATE/DROP/mutate/index build); registered
-    :func:`set_table_stats` overrides are re-applied after every
-    collection.
-    """
-    cached = _STATS_CACHE.get(db)
-    if cached is not None and cached.version == db.version and not refresh:
-        return cached
-    stats = DbStats(version=db.version)
+    stats = DbStats()
     for name, table in db.tables.items():
-        stats.tables[name] = _collect_table(table)
+        stats.tables[name] = TableStats(
+            name=name, row_count=len(table.relation), relation=table.relation
+        )
     for entry in _OVERRIDES.get(db, ()):
         _apply_override(stats, *entry)
-    _STATS_CACHE[db] = stats
     return stats
 
 
@@ -255,8 +179,8 @@ def _apply_override(
     if row_count is not None:
         ts.row_count = row_count
     for name, cs in columns.items():
-        base = ts.columns.get(name, ColumnStats())
-        ts.columns[name] = base.merged(replace(cs, exact=True))
+        base = ts.column(name) or ColumnStats()
+        ts.columns[name] = base.merged(cs)
 
 
 def set_table_stats(
@@ -267,23 +191,18 @@ def set_table_stats(
 ) -> DbStats:
     """Register persistent statistic overrides for one table.
 
-    The TPC-H generator seeds its known distributions this way (exact
-    key NDVs, date ranges), and tests plant deliberate mis-estimates for
-    the feedback loop.  Overrides survive catalog version bumps: they
-    are re-applied after every re-collection.  Returns the refreshed
-    :class:`DbStats`.
+    Tests plant deliberate mis-estimates this way (a larger scale, a
+    wrong NDV for the feedback loop).  Overrides survive catalog
+    version bumps: every :func:`collect_stats` applies them.  Returns
+    the statistics with the override in place.
     """
-    entry = (table, row_count, dict(columns or {}))
-    _OVERRIDES.setdefault(db, []).append(entry)
-    stats = collect_stats(db)
-    _apply_override(stats, *entry)
-    return stats
+    _OVERRIDES.setdefault(db, []).append((table, row_count, dict(columns or {})))
+    return collect_stats(db)
 
 
 def clear_stat_overrides(db: Database) -> None:
     """Drop every override registered for *db* (test hook)."""
     _OVERRIDES.pop(db, None)
-    _STATS_CACHE.pop(db, None)
 
 
 # --------------------------------------------------------------------- #

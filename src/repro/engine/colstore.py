@@ -7,7 +7,8 @@ column (``np.packbits`` of the boolean valid mask), and one
 ``manifest.json`` describing every table: row count, per-column kind
 (``i8``/``f8``/``bool``/fixed-width ``str``), NOT NULL flags, and exact
 per-column statistics (NDV, null fraction, min, max) computed once at
-write time — so :mod:`repro.core.stats` can skip sampling entirely.
+write time by the function every base table's statistics come from
+(:meth:`StoredRelation.column_stats`).
 
 Reading side: :class:`StoredRelation` subclasses
 :class:`~repro.engine.relation.Relation` but keeps its data as
@@ -27,6 +28,7 @@ are chunked so generation never holds a full table in memory.
 
 from __future__ import annotations
 
+import datetime
 import json
 import os
 import hashlib
@@ -38,6 +40,7 @@ from ..errors import CatalogError
 from .catalog import Database
 from .relation import Relation, Row
 from .schema import Column, Schema
+from .types import group_key
 from .vector.column import (
     KIND_BOOL,
     KIND_FLOAT,
@@ -229,19 +232,44 @@ class TableWriter:
 
 
 def _exact_stats(kind: str, data: np.ndarray, valid: np.ndarray) -> Dict[str, Any]:
-    """Exact NDV / null fraction / min / max of one finished column."""
+    """Exact NDV / null fraction / min / max of one column: the figures
+    of every base table's statistics, whether a store writes them to
+    its manifest or :meth:`StoredRelation.column_stats` computes them.
+
+    NDV counts the values distinct under SQL grouping
+    (:func:`~repro.engine.types.group_key`: ``2`` and ``2.0`` are one
+    value, ``True`` and ``1`` two).  On an ``obj`` column min / max range
+    over the values that order (numbers, strings, dates; not booleans),
+    and are None when those do not order with each other.
+    """
     n = len(data)
     n_valid = int(valid.sum())
     null_frac = 0.0 if n == 0 else 1.0 - n_valid / n
     if n_valid == 0:
         return {"ndv": 0.0, "null_frac": null_frac, "min": None, "max": None}
     live = np.asarray(data)[valid] if n_valid < n else np.asarray(data)
-    uniq = np.unique(live)
-    lo, hi = uniq[0].item(), uniq[-1].item()
-    if kind == KIND_FLOAT:
-        lo, hi = float(lo), float(hi)
+    if kind == KIND_OBJ:
+        values = live.tolist()
+        ndv = len({group_key(v) for v in values})
+        ordered = [
+            v for v in values
+            if isinstance(v, (int, float, str, datetime.date))
+            and not isinstance(v, bool)
+        ]
+        try:
+            lo, hi = min(ordered), max(ordered)
+        except (TypeError, ValueError):  # mixed domains, or none at all
+            lo = hi = None
+    else:
+        # a sort, not np.unique: that imports numpy.ma (≈ 1.5 MB of RSS)
+        # into a process that otherwise never needs it, and is slower
+        ordered = np.sort(live)
+        ndv = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        lo, hi = ordered[0].item(), ordered[-1].item()
+        if kind == KIND_FLOAT:
+            lo, hi = float(lo), float(hi)
     return {
-        "ndv": float(len(uniq)),
+        "ndv": float(ndv),
         "null_frac": null_frac,
         "min": lo,
         "max": hi,
@@ -315,18 +343,20 @@ class StoredRelation(Relation):
     strategies and the external-oracle adapters need no changes; they
     just pay a one-time materialization on first row access — unless
     the table was built from Python rows, which it then keeps as its
-    row tuple (*rows*).
+    row tuple (*rows*).  Each column's statistics
+    (:meth:`column_stats`) are computed from it on first read, or come
+    with a store's manifest (*stats*, one entry per column).
     """
 
     __slots__ = ("_vectors", "_row_count", "_rows_cache", "_batch_cache",
-                 "stored_stats")
+                 "_stats")
 
     def __init__(
         self,
         schema: Schema,
         vectors: Sequence[Vector],
         row_count: int,
-        stored_stats: Optional[Dict[str, Dict[str, Any]]] = None,
+        stats: Optional[Sequence[Dict[str, Any]]] = None,
         rows: Optional[Tuple[Row, ...]] = None,
     ):
         # deliberately NOT calling Relation.__init__: it would materialize
@@ -336,11 +366,11 @@ class StoredRelation(Relation):
         self._row_count = int(row_count)
         self._rows_cache = rows
         self._batch_cache = None
-        #: exact per-column statistics from a store's manifest (bare
-        #: column name -> {"ndv", "null_frac", "min", "max"}), read by
-        #: :mod:`repro.core.stats` to bypass sampling; None for an
-        #: in-RAM table, whose statistics are sampled.
-        self.stored_stats = stored_stats
+        #: per column, its :func:`_exact_stats` figures, or None until
+        #: :meth:`column_stats` first reads them
+        self._stats: List[Optional[Dict[str, Any]]] = (
+            list(stats) if stats is not None else [None] * len(self._vectors)
+        )
 
     # -- the row-iterator shim ----------------------------------------- #
 
@@ -368,12 +398,18 @@ class StoredRelation(Relation):
     def column_values(self, ref: str):
         return self._vectors[self.schema.index_of(ref)].tolist_sql()
 
-    def column_samples(self, stride: int) -> List[List[Any]]:
-        """Every *stride*-th value of each column, read off the columns."""
-        return [
-            Vector(v.kind, v.data[::stride], v.valid[::stride]).tolist_sql()
-            for v in self._vectors
-        ]
+    def column_stats(self, ref: str) -> Dict[str, Any]:
+        """Exact ``ndv`` / ``null_frac`` / ``min`` / ``max`` of column
+        *ref* (:func:`_exact_stats`).  Computed on first read and kept,
+        like :attr:`~repro.engine.vector.column.Vector.order_key`: two
+        threads that ask at once may both compute them, and keep equal
+        figures, so no lock is needed."""
+        i = self.schema.index_of(ref)
+        figures = self._stats[i]
+        if figures is None:
+            v = self._vectors[i]
+            figures = self._stats[i] = _exact_stats(v.kind, v.data, v.valid)
+        return figures
 
     # -- columnar access ------------------------------------------------ #
 
@@ -434,8 +470,8 @@ def stored_relation(
         for c in entry["columns"]
     ]
     vectors = [_load_vector(root, c, n) for c in entry["columns"]]
-    stats = {c["name"]: dict(c["stats"]) for c in entry["columns"]}
-    return StoredRelation(Schema(columns), vectors, n, stored_stats=stats)
+    stats = [c["stats"] for c in entry["columns"]]
+    return StoredRelation(Schema(columns), vectors, n, stats=stats)
 
 
 def load_stored_database(root: str, build_indexes: bool = False) -> Database:

@@ -319,7 +319,7 @@ def maybe_spill_nest_link(batch, node):
         return None  # one group: partitioning cannot shrink the pass
     k = _n_partitions(est, governor)
     with op_span(
-        "spill-nest", kind=KIND_SPILL, by=",".join(by), impl=node.nest_impl
+        "spill-nest", kind=KIND_SPILL, by=",".join(by), impl="sorted"
     ) as span:
         tmp = _make_tmp(governor)
         outputs: List = []

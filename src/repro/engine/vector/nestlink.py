@@ -83,7 +83,7 @@ from .column import (
     mask_columns,
 )
 from .exprs import _fast_comparable, compare_vectors
-from .kernels import first_occurrences, group_ids, left_outer_join_index
+from .kernels import dense_group_ids, first_occurrences, left_outer_join_index
 
 
 def nest_link(batch: Batch, node: NestLink) -> Batch:
@@ -268,25 +268,24 @@ def _nest_link(
     of *n1* (``by`` projected) each one supplies as its group's output
     row (None: the same row), and the input rows each stands for
     (None: one)."""
-    by, nest_impl = node.by, node.nest_impl
+    by = node.by
     metrics = current_metrics()
     with op_span(
         "vec-nest-link",
         contract=CONTRACT_FILTERING,
-        impl=nest_impl,
+        impl="sorted",
         pred=node.predicate.describe(),
         by=",".join(by),
         **({"mark": node.mark} if node.mark is not None else {}),
     ) as span:
         metrics.add("rows_nested", n)
-        if nest_impl == "sorted":
-            metrics.add("rows_sorted", n)
+        metrics.add("rows_sorted", n)
         if n and by:
             # the account models the logical operator: N1 wide, whatever
             # the key the groups are computed on (spill.est_nest_bytes)
             charge_rows(n, len(by), "nest grouping")
         batch, at, weights = members()
-        ids, n_groups = group_ids(batch, node.key, nest_impl)
+        ids, n_groups = dense_group_ids(batch, node.key)
         rep = first_occurrences(ids, n_groups)
         metrics.add("linking_evals", n_groups)
         vt, vf = _group_verdict(batch, ids, n_groups, rep, node)

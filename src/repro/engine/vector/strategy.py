@@ -6,9 +6,8 @@ is backend-agnostic; this module instantiates it over the columnar
 result under the ``vector`` backend tag, which is how
 ``execute(backend="vector")`` and the ``auto`` alias resolve to it.
 
-The default physical nest is the sort-based one (paper §5.1) because
-its factorization is fully vectorized; ``nest_impl="hash"`` selects the
-dict-based variant (same semantics, per-row key building).
+Its physical nest is the sort-based one (paper §5.1), because that
+factorization is fully vectorized.
 
 ``nested-relational-parallel`` is a registry preset of the same
 strategy, kept so that existing callers of the name keep working: it
@@ -36,12 +35,8 @@ class VectorizedNestedRelationalStrategy(NestedRelationalStrategy):
 
     name = "nested-relational-vectorized"
 
-    def __init__(
-        self,
-        rules: Iterable[str] = DEFAULT_RULES,
-        nest_impl: str = "sorted",
-    ):
-        super().__init__(rules, nest_impl, VectorBackend())
+    def __init__(self, rules: Iterable[str] = DEFAULT_RULES):
+        super().__init__(rules, "sorted", VectorBackend())
 
     def explain(self, query, db=None) -> str:
         return (

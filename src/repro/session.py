@@ -17,7 +17,7 @@ Every way of running SQL through this library goes through one surface::
 
 The *strategy* name selects a member of the :mod:`repro.strategies`
 registry, or ``"auto"`` for the cost-based planner: every applicable
-strategy is enumerated, priced against sampled table statistics (plus
+strategy is enumerated, priced against exact table statistics (plus
 this session's observed cardinalities from traced executions), and the
 cheapest runs — the decision is inspectable via ``query.explain()`` and
 recorded as a ``kind='planner'`` span in every trace.  The *backend*

@@ -326,99 +326,16 @@ def generate(config: Optional[TpchConfig] = None, **kwargs) -> Database:
 
     The same walk :func:`generate_stored` writes to a store, built in
     RAM: every table is its columns, and builds its Python rows only
-    when something reads them.
+    when something reads them.  The planner's statistics are the
+    columns' exact figures, as a store's manifest records them
+    (:meth:`~repro.engine.colstore.StoredRelation.column_stats`).
     """
     config = _configured(config, kwargs)
     db = Database()
     _walk(config, functools.partial(_TableInRam, db))
     if config.build_indexes:
         build_paper_indexes(db)
-    _seed_known_stats(db, config)
     return db
-
-
-def _seed_known_stats(db: Database, config: TpchConfig) -> None:
-    """Seed the generator's *known* distributions as exact statistics.
-
-    The cost-based planner samples tables for NDV/min/max estimates
-    (:mod:`repro.core.stats`); the generator knows the true figures —
-    ``p_size`` and ``l_quantity`` are uniform on 1..50, foreign keys are
-    uniform over their referenced key space, dates span the TPC-H
-    window — so it registers them as persistent overrides.  Overrides
-    survive catalog version bumps (index builds, NULL injection reruns),
-    keeping planner estimates honest at every scale factor.
-    """
-    from ..core.stats import ColumnStats, set_table_stats
-
-    sf, null_fraction = config.scale_factor, config.inject_null_fraction
-    n_customer = rows_at(sf, "customer")
-    n_part = rows_at(sf, "part")
-    n_supplier = rows_at(sf, "supplier")
-    n_orders = rows_at(sf, "orders")
-    date_lo, date_hi = _date(0), _date(_DATE_SPAN)
-    uniform_50 = ColumnStats(ndv=50.0, min_value=1, max_value=50)
-    set_table_stats(
-        db,
-        "part",
-        columns={
-            "p_partkey": ColumnStats(ndv=float(n_part), min_value=1, max_value=n_part),
-            "p_size": uniform_50,
-        },
-    )
-    set_table_stats(
-        db,
-        "partsupp",
-        columns={
-            "ps_partkey": ColumnStats(ndv=float(n_part), min_value=1, max_value=n_part),
-            "ps_supplycost": ColumnStats(
-                ndv=1000.0, null_frac=null_fraction, min_value=1.0, max_value=2000.0
-            ),
-        },
-    )
-    set_table_stats(
-        db,
-        "orders",
-        columns={
-            "o_orderkey": ColumnStats(
-                ndv=float(n_orders), min_value=1, max_value=n_orders
-            ),
-            "o_custkey": ColumnStats(
-                ndv=float(min(n_customer, n_orders)), min_value=1, max_value=n_customer
-            ),
-            "o_orderdate": ColumnStats(
-                ndv=float(min(n_orders, _DATE_SPAN - 151)),
-                min_value=date_lo,
-                max_value=date_hi,
-            ),
-        },
-    )
-    n_lineitem = len(db.tables["lineitem"].relation)
-    set_table_stats(
-        db,
-        "lineitem",
-        columns={
-            "l_orderkey": ColumnStats(
-                ndv=float(n_orders), min_value=1, max_value=n_orders
-            ),
-            "l_partkey": ColumnStats(
-                ndv=float(min(n_part, n_lineitem)), min_value=1, max_value=n_part
-            ),
-            "l_suppkey": ColumnStats(
-                ndv=float(min(n_supplier, n_lineitem)),
-                min_value=1,
-                max_value=n_supplier,
-            ),
-            "l_quantity": uniform_50,
-            "l_extendedprice": ColumnStats(
-                ndv=float(min(n_lineitem, 10000)), null_frac=null_fraction
-            ),
-            "l_shipdate": ColumnStats(
-                ndv=float(min(n_lineitem, _DATE_SPAN)),
-                min_value=date_lo,
-                max_value=date_hi,
-            ),
-        },
-    )
 
 
 def build_paper_indexes(db: Database) -> None:
@@ -455,8 +372,8 @@ def generate_stored(
     one chunk per open table instead of the whole database.  The
     resulting directory loads with
     :func:`repro.engine.colstore.load_stored_database`, whose manifest
-    carries exact per-column statistics (the stored analogue of the
-    in-memory generator's seeded stat overrides).
+    carries each column's exact statistics: the figures an in-RAM
+    table computes when the planner first reads them.
 
     Returns *out_dir*.  ``repro gen`` is the CLI face of this function.
     """

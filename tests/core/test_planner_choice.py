@@ -6,7 +6,7 @@ These pin the cost model's behavior at paper scale: the vectorized
 nested-relational strategy wins every figure query once the input
 amortizes the batch-build setup, and restricted to the row backend the
 single-pass optimized pipeline wins — with the runner-up orderings
-documented per query.  An intentional cost-model change should update
+documented per query, at SF 0.01 and at the row benchmark's SF 0.001.  An intentional cost-model change should update
 these expectations alongside ``benchmarks/BENCH_planner.json``.
 """
 
@@ -29,7 +29,8 @@ PAPER_QUERIES = {
     "fig9_q3c": query3("any", "exists", "c", 1, 30, 6000, 25),
 }
 
-#: expected (chosen, runner-up) restricted to the row backend at SF 0.01
+#: expected (chosen, runner-up) restricted to the row backend, at SF 0.01
+#: and at SF 0.001
 ROW_CHOICE = {
     "fig4_q1": ("nested-relational-optimized", "nested-relational"),
     "fig5_q2a": ("nested-relational-optimized", "classical-unnesting"),
@@ -58,6 +59,11 @@ def sf001():
 
 
 @pytest.fixture(scope="module")
+def sf0001():
+    return generate(TpchConfig(scale_factor=0.001, seed=42))
+
+
+@pytest.fixture(scope="module")
 def sf01_seeded():
     """A second SF 0.01 instance whose *statistics* claim SF 0.1."""
     db = generate(TpchConfig(scale_factor=0.01, seed=42))
@@ -78,9 +84,11 @@ class TestPaperQueryChoices:
         decision = choose(query, sf01_seeded)
         assert decision.chosen == "nested-relational-vectorized", stem
 
-    def test_row_backend_choice_and_runner_up(self, sf001, stem):
-        query = repro.compile_sql(PAPER_QUERIES[stem], sf001)
-        decision = choose(query, sf001, backend="row")
+    @pytest.mark.parametrize("scale", ["sf001", "sf0001"])
+    def test_row_backend_choice_and_runner_up(self, request, scale, stem):
+        db = request.getfixturevalue(scale)
+        query = repro.compile_sql(PAPER_QUERIES[stem], db)
+        decision = choose(query, db, backend="row")
         chosen, runner_up = ROW_CHOICE[stem]
         assert decision.chosen == chosen, stem
         assert decision.candidates[1].name == runner_up, stem

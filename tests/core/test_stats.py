@@ -1,12 +1,14 @@
 """Unit tests for the cardinality estimator (:mod:`repro.core.stats`).
 
-Covers statistics collection and caching, predicate selectivities, the
-per-linking-operator selectivity rules (including the 3VL effect of
-NULLs on ``NOT IN``), and :class:`PlanStats` propagation with feedback
-overrides.
+Covers statistics collection (exact figures kept per table, ``obj``
+columns), predicate selectivities, the per-linking-operator selectivity
+rules (including the 3VL effect of NULLs on ``NOT IN``), and
+:class:`PlanStats` propagation with feedback overrides.
 """
 
 from __future__ import annotations
+
+import datetime
 
 import pytest
 
@@ -66,7 +68,6 @@ class TestCollection:
         stats = collect_stats(db)
         t = stats.table("t")
         assert t.row_count == 20
-        # the table is below SAMPLE_CAP, so the sample is the table
         assert t.column("k").ndv == 20
         assert t.column("v").ndv == 10
 
@@ -77,13 +78,28 @@ class TestCollection:
         v = t.column("v")
         assert (v.min_value, v.max_value) == (1, 10)
 
-    def test_cached_per_version(self, db):
-        first = collect_stats(db)
-        assert collect_stats(db) is first
+    def test_figures_are_kept_on_the_table(self, db):
+        relation = db.relation("t")
+        assert relation._stats == [None, None, None]
+        first = collect_stats(db).column("t", "v")
+        assert relation._stats[1] is not None  # only the column read
+        assert relation._stats[0] is None and relation._stats[2] is None
+        figures = relation._stats[1]
+        assert collect_stats(db).column("t", "v") == first
+        assert relation._stats[1] is figures  # read once, kept
         db.create_table("u", [Column("x")], [(1,)])
-        second = collect_stats(db)
-        assert second is not first
-        assert second.table("u").row_count == 1
+        assert collect_stats(db).table("u").row_count == 1
+
+    def test_an_edited_table_gets_fresh_figures(self, db):
+        assert collect_stats(db).column("t", "v").max_value == 10
+        db.mutate_table("t", rows=[(1, 99, "x")])
+        v = collect_stats(db).column("t", "v")
+        assert (v.ndv, v.min_value, v.max_value) == (1.0, 99, 99)
+        assert collect_stats(db).table("t").row_count == 1
+
+    def test_unknown_column_has_no_figures(self, db):
+        assert collect_stats(db).column("t", "nope") is None
+        assert collect_stats(db).column("nope", "v") is None
 
     def test_override_wins_and_survives_version_bump(self, db):
         set_table_stats(
@@ -92,8 +108,7 @@ class TestCollection:
         stats = collect_stats(db)
         assert stats.table("t").row_count == 5000
         assert stats.column("t", "v").ndv == 500.0
-        assert stats.column("t", "v").exact
-        # min/max from the sampled base survive the merge
+        # min/max from the measured base survive the merge
         assert stats.column("t", "v").min_value == 1
         db.create_table("u", [Column("x")], [(1,)])  # bumps the version
         assert collect_stats(db).table("t").row_count == 5000
@@ -102,6 +117,47 @@ class TestCollection:
         set_table_stats(db, "t", row_count=5000)
         clear_stat_overrides(db)
         assert collect_stats(db).table("t").row_count == 20
+
+
+def obj_table(values):
+    """The figures of a one-column table holding *values*."""
+    d = Database()
+    d.create_table("o", [Column("x")], [(v,) for v in values])
+    assert d.relation("o").stored_batch().columns[0].kind == "obj"
+    return collect_stats(d).column("o", "x")
+
+
+class TestObjectColumns:
+    """``obj`` columns (mixed kinds, ints past int64) count distinct
+    values under SQL grouping and order only what orders."""
+
+    def test_grouping_equality(self):
+        # 1 and 1.0 are one value, True is another: {1, 2, True}
+        cs = obj_table([1, 1.0, 2, True, NULL])
+        assert cs.ndv == 3.0
+        assert cs.null_frac == pytest.approx(1 / 5)
+        assert (cs.min_value, cs.max_value) == (1, 2)  # booleans skipped
+
+    def test_ints_past_int64(self):
+        cs = obj_table([2**70, 2**70 + 1, 2**70, 5])
+        assert cs.ndv == 3.0
+        assert (cs.min_value, cs.max_value) == (5, 2**70 + 1)
+
+    def test_strings_mixed_with_ints_do_not_order(self):
+        cs = obj_table(["a", 1, "b", 1])
+        assert cs.ndv == 3.0
+        assert (cs.min_value, cs.max_value) == (None, None)
+        # unordered extremes fall back to the default range selectivity
+        sel = selectivity(
+            Comparison("<", Col("o.x"), Literal(2)), lambda ref: cs
+        )
+        assert sel == pytest.approx(DEFAULT_RANGE_SEL)
+
+    def test_dates_order(self):
+        late, early = datetime.date(2000, 1, 2), datetime.date(1999, 5, 5)
+        cs = obj_table([late, NULL, early, late])
+        assert cs.ndv == 2.0
+        assert (cs.min_value, cs.max_value) == (early, late)
 
 
 class TestPredicateSelectivity:

@@ -67,6 +67,16 @@ def test_generating_builds_no_row_and_no_bucket(db):
     assert built_buckets(db) == set()
 
 
+def test_every_column_statistic_builds_no_row_and_no_bucket(db):
+    stats = collect_stats(db)
+    for name, table in db.tables.items():
+        for col in table.schema.columns:
+            assert stats.column(name, col.name) is not None, (name, col.name)
+        assert None not in table.relation._stats  # all computed, and kept
+    assert built_rows(db) == set()
+    assert built_buckets(db) == set()
+
+
 def test_a_vector_query_builds_no_row(db):
     figure_answers(db)
     assert built_rows(db) == set()

@@ -180,9 +180,11 @@ def test_a_mutator_edit_of_a_stored_table_reaches_both_backends(store_dir):
             table.relation.rows[0]
         ),
     )
-    # the edited rows are re-encoded into heap columns, sampled for stats
+    # the edited rows are re-encoded into heap columns, whose figures
+    # are computed afresh from them (not carried over from the manifest)
     edited = db.relation("region")
-    assert isinstance(edited, StoredRelation) and edited.stored_stats is None
+    assert isinstance(edited, StoredRelation)
+    assert edited._stats == [None] * len(edited.schema)
     assert not isinstance(table_batch(db.table("region")).columns[0].data,
                           np.memmap)
     for backend in ("row", "vector"):
@@ -191,7 +193,11 @@ def test_a_mutator_edit_of_a_stored_table_reaches_both_backends(store_dir):
         got = session.execute("select r_name from region", backend=backend)
         assert len(got) == 6
     assert len(db.relation("region")) == 6
-    assert collect_stats(db).table("region").row_count == 6
+    stats = collect_stats(db)
+    assert stats.table("region").row_count == 6
+    # exact over the edited rows: the copied row adds no distinct key
+    key = stats.column("region", "r_regionkey")
+    assert (key.ndv, key.min_value, key.max_value) == (5.0, 0, 4)
 
 
 def test_manifest_carries_exact_stats(store_dir, memory_db):
@@ -211,21 +217,39 @@ def test_manifest_carries_exact_stats(store_dir, memory_db):
     assert stats["null_frac"] > 0  # the injection actually fired
 
 
-def test_collect_stats_bypasses_sampler(stored_db, memory_db):
-    """Stored manifests feed the planner exact, unsampled statistics."""
-    stats = collect_stats(stored_db)
-    col = stats.tables["lineitem"].columns["l_extendedprice"]
-    assert col.exact
+def assert_one_statistics_source(memory_db, stored_db):
+    """The planner's statistics of an in-RAM database equal those of
+    its stored copy, for every table and column."""
+    memory, stored = collect_stats(memory_db), collect_stats(stored_db)
+    assert sorted(memory.tables) == sorted(stored.tables)
+    for name, table in memory_db.tables.items():
+        assert memory.table(name).row_count == stored.table(name).row_count
+        for col in table.schema.columns:
+            assert memory.column(name, col.name) == stored.column(
+                name, col.name
+            ), (name, col.name)
+
+
+def test_one_statistics_source(stored_db, memory_db):
+    """A store's manifest and an in-RAM table's columns give the planner
+    the same exact figures: one function computes both."""
+    assert all(
+        None not in stored_db.relation(name)._stats for name in stored_db.tables
+    )  # the manifest pre-fills them
+    assert_one_statistics_source(memory_db, stored_db)
+    col = collect_stats(memory_db).column("lineitem", "l_extendedprice")
     values = memory_db.relation("lineitem").column_values("l_extendedprice")
     live = [v for v in values if v is not NULL]
     assert col.ndv == float(len(set(live)))
-    # the stored figure beats the generator's seeded approximation
-    # (ndv=min(n, 10000)) because it was measured, not estimated
-    seeded = collect_stats(memory_db)
-    assert seeded.tables["lineitem"].columns["l_extendedprice"].ndv != col.ndv
-    # unseeded in-memory columns keep their sampled (non-exact) figures
-    assert not seeded.tables["lineitem"].columns["l_commitdate"].exact
-    assert stats.tables["lineitem"].columns["l_commitdate"].exact
+    assert (col.min_value, col.max_value) == (min(live), max(live))
+
+
+@pytest.mark.full_scale
+def test_one_statistics_source_at_sf_0_01(tmp_path):
+    config = TpchConfig(scale_factor=0.01, seed=1234, inject_null_fraction=0.08)
+    path = str(tmp_path / "tpch")
+    generate_stored(path, config, chunk_rows=500)
+    assert_one_statistics_source(generate(config), load_stored_database(path))
 
 
 @pytest.mark.parametrize("backend", ["row", "vector"])
