@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Strategy explorer: how query shape drives plan choice.
+"""Strategy explorer: how query shape drives which strategies apply.
 
 Feeds a spectrum of query shapes (flat, one-level, linear, linearly
-correlated, tree-shaped, positive-only, negative, mixed) through the
-automatic planner, printing for each: the shape classification, the
-strategy ``auto`` picks, the System A emulation's plan, and a cost
-comparison across all applicable strategies.
+correlated, tree-shaped, positive-only, negative, mixed) through every
+registered strategy, printing for each: the shape classification, the
+strategy ``auto`` picks on the row backend (its rule does not look at
+the shape), the System A emulation's plan, and a cost comparison across
+all applicable strategies.
 
 Run:  python examples/strategy_explorer.py
 """

@@ -1,22 +1,21 @@
 #!/usr/bin/env python
-"""Cost-based planner vs the fixed strategies on the six paper queries.
+"""``auto`` vs the fixed strategies on the six paper queries.
 
 For every figure query (Figures 4-9) this runs each fixed reference
-strategy and the ``strategy="auto"`` cost-based planner on the same
-database, captures the planner's decision (chosen strategy plus the
-full costed candidate table), writes a ``BENCH_planner.json`` artifact,
-and **fails** (exit 1) if ``auto`` is slower than ``1/--min-ratio``
-times the best fixed strategy on any query (default: auto must stay
-within 1.25x of the best, i.e. at least 0.8x its speed).
+strategy and ``strategy="auto"`` on the same database, records which
+strategy ``auto`` ran, writes a ``BENCH_planner.json`` artifact, and
+**fails** (exit 1) if ``auto`` is slower than ``1/--min-ratio`` times
+the best fixed strategy on any query (default: auto must stay within
+1.25x of the best, i.e. at least 0.8x its speed).
 
 Every strategy is measured through a prepared session query — the API
 users actually hit — so ``auto`` benefits from the session's memoized
 :class:`~repro.core.optimizer.PlannerDecision` exactly as production
-traffic does; the first (unmeasured) execution pays the planning cost.
+traffic does; the first (unmeasured) execution pays the resolution.
 
 Usage::
 
-    REPRO_BENCH_SF=0.01 python scripts/bench_planner.py [--out benchmarks]
+    REPRO_BENCH_SF=0.01 python scripts/bench_planner.py [--out traces]
 
 Environment:
     REPRO_BENCH_SF       TPC-H scale factor (default 0.01)
@@ -36,8 +35,6 @@ sys.path.insert(
 )
 
 import repro  # noqa: E402
-from repro.core.optimizer import choose  # noqa: E402
-from repro.core.stats import collect_stats  # noqa: E402
 from repro.tpch import query1, query2, query3  # noqa: E402
 
 #: the six figure queries, keyed by artifact stem
@@ -50,7 +47,7 @@ PAPER_QUERIES = {
     "fig9_q3c": query3("any", "exists", "c", 1, 30, 6000, 25),
 }
 
-#: fixed reference strategies the planner has to keep up with
+#: fixed reference strategies ``auto`` has to keep up with
 FIXED_STRATEGIES = (
     "nested-relational",
     "nested-relational-optimized",
@@ -71,7 +68,7 @@ def best_of(fn, repeats: int) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="benchmarks",
+    parser.add_argument("--out", default="traces",
                         help="directory for the BENCH_planner.json artifact")
     parser.add_argument("--min-ratio", type=float, default=0.8,
                         help="required best-fixed/auto wall-time ratio per "
@@ -84,7 +81,6 @@ def main(argv=None) -> int:
 
     print(f"generating TPC-H sf={args.sf} ...", flush=True)
     db = repro.tpch.generate(repro.tpch.TpchConfig(scale_factor=args.sf, seed=2005))
-    collect_stats(db)  # one-off warm-up, shared by every auto run below
 
     queries = {}
     worst_ratio = None
@@ -92,7 +88,7 @@ def main(argv=None) -> int:
     session = repro.connect(db)
     for stem, sql in PAPER_QUERIES.items():
         prepared = session.prepare(sql)
-        decision = choose(prepared.query, db)
+        chosen = prepared.explain().chosen
         fixed = {}
         for name in FIXED_STRATEGIES:
             prepared.execute(strategy=name)  # warm the plan cache
@@ -107,25 +103,14 @@ def main(argv=None) -> int:
             worst_ratio, worst_stem = ratio, stem
         queries[stem] = {
             "sql": sql.strip(),
-            "chosen": decision.chosen,
-            "est_rows": round(decision.est_rows, 1),
-            "candidates": [
-                {
-                    "name": c.name,
-                    "backend": c.backend,
-                    "est_cost": round(c.est_cost, 1),
-                    "costed": c.costed,
-                    "chosen": c.chosen,
-                }
-                for c in decision.candidates
-            ],
+            "chosen": chosen,
             "fixed_seconds": {k: round(v, 6) for k, v in fixed.items()},
             "auto_seconds": round(auto_seconds, 6),
             "best_fixed": best_name,
             "ratio_best_over_auto": round(ratio, 3),
         }
         print(
-            f"  {stem}: auto={decision.chosen} {auto_seconds:.4f}s, "
+            f"  {stem}: auto={chosen} {auto_seconds:.4f}s, "
             f"best fixed={best_name} {fixed[best_name]:.4f}s "
             f"(ratio {ratio:.2f})"
         )
@@ -151,7 +136,7 @@ def main(argv=None) -> int:
 
     if worst_ratio < args.min_ratio:
         print(
-            f"FAIL: on {worst_stem} the auto planner reaches only "
+            f"FAIL: on {worst_stem} auto reaches only "
             f"{worst_ratio:.2f}x the best fixed strategy "
             f"(required {args.min_ratio:.2f}x)",
             file=sys.stderr,

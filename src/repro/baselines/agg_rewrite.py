@@ -40,7 +40,6 @@ from ..engine.trace import CONTRACT_FILTERING, current_tracer
 from ..engine.relation import Relation, Row
 from ..engine.types import NULL, is_null, row_group_key, sql_compare
 from ..core.blocks import LinkSpec, NestedQuery, QueryBlock
-from ..core.optimizer import cost_agg_rewrite
 from ..core.reduce import reduce_all
 
 #: theta, quantifier -> which aggregate decides the comparison
@@ -59,7 +58,6 @@ _AGG_FOR = {
 @register(
     "aggregate-rewrite",
     description="aggregate-based (min/max/count) rewrite baseline",
-    cost=cost_agg_rewrite,
 )
 class AggregateRewriteStrategy:
     """Kim's MAX/MIN rewrite, with NULL-soundness guards."""

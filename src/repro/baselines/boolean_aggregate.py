@@ -45,14 +45,12 @@ from ..engine.operators import (
 )
 from ..engine.relation import Relation
 from ..core.blocks import NestedQuery, QueryBlock
-from ..core.optimizer import cost_boolean_aggregate
 from ..core.reduce import reduce_all
 
 
 @register(
     "boolean-aggregate",
     description="boolean-aggregate (mark join) rewrite baseline",
-    cost=cost_boolean_aggregate,
 )
 class BooleanAggregateStrategy:
     """Linking predicates as Boolean aggregates over marked tuples."""

@@ -39,14 +39,12 @@ from ..engine.operators import left_outer_hash_join, outer_cross_join
 from ..engine.relation import Relation, Row
 from ..engine.types import NULL, TriBool, is_null, sql_compare
 from ..core.blocks import LinkSpec, NestedQuery, QueryBlock
-from ..core.optimizer import cost_count_rewrite
 from ..core.reduce import ReducedBlock, reduce_all
 
 
 @register(
     "count-rewrite",
     description="Kim-style COUNT-bug-aware rewrite baseline",
-    cost=cost_count_rewrite,
 )
 class CountRewriteStrategy:
     """NULL-correct count-based unnesting for linear queries."""

@@ -67,7 +67,6 @@ from ..engine.types import (
 )
 from ..core.blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
 from ..core.linking import aggregate_value
-from ..core.optimizer import cost_system_a
 from ..core.reduce import ReducedBlock, reduce_all
 
 #: plan actions for a child subquery
@@ -91,7 +90,6 @@ class ChildPlan:
 @register(
     "system-a-native",
     description="System A emulation: per-tuple index probes (paper §5)",
-    cost=cost_system_a,
 )
 class SystemAEmulationStrategy:
     """Plan chooser + executor mimicking the paper's System A."""

@@ -29,14 +29,12 @@ from ..engine.trace import CONTRACT_FILTERING, op_span
 from ..engine.types import NULL, TriBool, is_null, sql_compare, tri_all, tri_any, tri_value
 from ..core.blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
 from ..core.linking import aggregate_value
-from ..core.optimizer import cost_nested_iteration
 from ..core.reduce import ReducedBlock, reduce_all
 
 
 @register(
     "nested-iteration",
     description="tuple-at-a-time nested iteration (the differential oracle)",
-    cost=cost_nested_iteration,
 )
 class NestedIterationStrategy:
     """Direct tuple-iteration evaluation of a nested query."""

@@ -36,14 +36,12 @@ from ..engine.operators import anti_join, semi_join
 from ..engine.relation import Relation
 from ..engine.types import negate_op
 from ..core.blocks import LinkSpec, NestedQuery, QueryBlock
-from ..core.optimizer import cost_unnesting
 from ..core.reduce import ReducedBlock, reduce_all
 
 
 @register(
     "classical-unnesting",
     description="classical semi/antijoin unnesting (unsound cases rejected)",
-    cost=cost_unnesting,
 )
 class ClassicalUnnestingStrategy:
     """Semijoin/antijoin unnesting with soundness guards."""

@@ -232,7 +232,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         strategies = tuple(
             name.strip() for name in args.strategies.split(",") if name.strip()
         )
-        # "auto" is a planner policy, not an executable strategy: fuzzing
+        # "auto" is the planner's rule, not an executable strategy: fuzzing
         # it would just re-test whichever strategy it delegates to.
         known = set(repro.strategies.names())
         unknown = [name for name in strategies if name not in known]
@@ -496,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("text", "json"),
                            default="text",
                            help="plan rendering: human-readable text or the "
-                                "machine-readable JSON document (candidates "
-                                "with estimated costs, spans when --analyze)")
+                                "machine-readable JSON document (estimated "
+                                "rows under auto, spans when --analyze)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("bench", help="regenerate a paper figure")

@@ -18,7 +18,7 @@ from .query_tree import TreeExpression
 from .reduce import ReducedBlock, reduce_all, reduce_block
 from .compute import NestedRelationalStrategy, set_predicate_for
 from .feedback import FeedbackStore
-from .optimizer import CandidatePlan, PlannerDecision, choose, plan_fingerprint
+from .optimizer import PlannerDecision, choose, plan_fingerprint
 from .plan import Plan
 from .stats import (
     ColumnStats,
@@ -54,7 +54,6 @@ __all__ = [
     "NestedRelationalStrategy",
     "set_predicate_for",
     "FeedbackStore",
-    "CandidatePlan",
     "PlannerDecision",
     "choose",
     "plan_fingerprint",

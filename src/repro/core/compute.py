@@ -72,13 +72,6 @@ from ..engine.expressions import Col, Comparison, conjoin
 from ..engine.governor import checkpoint
 from ..engine.relation import Relation
 from .backend import RowBackend
-from .optimizer import (
-    cost_bottomup,
-    cost_nested_relational,
-    cost_nested_relational_sorted,
-    cost_optimized,
-    cost_positive_rewrite,
-)
 from .blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
 from .explain import render_plan
 from .linking import SetPredicate
@@ -641,7 +634,7 @@ def _attr_owner_map(leaves: Iterable[Reduce]) -> Dict[str, int]:
 # --------------------------------------------------------------------- #
 
 
-def _register_preset(name, description, cost, refinements=(), nest_impl="hash"):
+def _register_preset(name, description, refinements=(), nest_impl="hash"):
     def make() -> NestedRelationalStrategy:
         impl = NestedRelationalStrategy(
             DEFAULT_RULES | set(refinements), nest_impl
@@ -649,24 +642,21 @@ def _register_preset(name, description, cost, refinements=(), nest_impl="hash"):
         impl.name = name
         return impl
 
-    register(name, description=description, cost=cost)(make)
+    register(name, description=description)(make)
 
 
 _register_preset(
     "nested-relational",
     "Algorithm 1: reduce, outer-join down, nest + link up (§4.1)",
-    cost_nested_relational,
 )
 _register_preset(
     "nested-relational-sorted",
     "Algorithm 1 with the sort-based physical nest (§5.1)",
-    cost_nested_relational_sorted,
     nest_impl="sorted",
 )
 _register_preset(
     "nested-relational-optimized",
     "single-pass pipelined nest + linking selections (§4.2.1-2)",
-    cost_optimized,
     (FUSE_LINKS,),
     # the nest a tree or disjunctive query falls through to
     nest_impl="sorted",
@@ -674,12 +664,10 @@ _register_preset(
 _register_preset(
     "nested-relational-bottomup",
     "bottom-up evaluation with nest push-down (§4.2.3-4)",
-    cost_bottomup,
     (BOTTOM_UP, NEST_PUSHDOWN),
 )
 _register_preset(
     "nested-relational-positive-rewrite",
     "all-positive queries collapsed into semijoin chains (§4.2.5)",
-    cost_positive_rewrite,
     (BOTTOM_UP, SEMIJOIN_POSITIVE),
 )

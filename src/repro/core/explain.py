@@ -197,11 +197,5 @@ def plan_text(decision: PlannerDecision, query: NestedQuery, db: Database) -> st
 def explain(query: NestedQuery, db: Database, strategy: str) -> str:
     """Plan text for a by-name request under default options: what
     :func:`~repro.core.optimizer.resolve` makes of *strategy*, drawn by
-    :func:`plan_text` — prefixed, for ``"auto"``, with the full
-    candidate table (every applicable strategy, cheapest first, with
-    estimated costs and cardinalities)."""
-    decision = resolve(query, db, strategy)
-    text = plan_text(decision, query, db)
-    if decision.candidates:
-        return decision.describe() + "\n" + text
-    return text
+    :func:`plan_text`."""
+    return plan_text(resolve(query, db, strategy), query, db)

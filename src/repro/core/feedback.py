@@ -1,20 +1,17 @@
-"""The planner's feedback loop: observed cardinalities per plan.
+"""EXPLAIN's feedback loop: observed cardinalities per plan.
 
 Every traced execution produces a span tree whose ``reduce[T{i}]``
 phase spans carry the *actual* reduced-block cardinalities and whose
 root ``execute`` span carries the actual result size.  A per-session
 :class:`FeedbackStore` records those observations keyed by
-``(plan fingerprint, span name)``; on the next ``strategy="auto"``
-resolution of the same plan the optimizer replaces its estimated block
-cardinalities with the observed ones
-(:class:`~repro.core.stats.PlanStats` ``overrides``), so repeated
-Session traffic converges on costs grounded in reality rather than
-independence heuristics.
+``(plan fingerprint, span name)``; the next ``"auto"`` EXPLAIN of the
+same plan replaces its estimated block cardinalities with the observed
+ones (:class:`~repro.core.stats.PlanStats` ``overrides``), so its
+``est_rows`` is grounded in what ran rather than in independence
+heuristics.  Which strategy runs never depends on it.
 
-``epoch`` increments whenever an observation is added or changed; the
-session's plan cache keys its memoized
-:class:`~repro.core.optimizer.PlannerDecision` on the epoch, so a new
-observation transparently invalidates stale choices.
+``epoch`` increments whenever an observation is added or changed; a
+:class:`~repro.core.plan.Plan` records the epoch its estimate used.
 """
 
 from __future__ import annotations
@@ -38,15 +35,14 @@ class FeedbackStore:
     of every tenant that worker serves (``/stats`` sums the workers'
     stores; none crosses a process).  Observation is additive and
     idempotent: re-observing identical cardinalities leaves the
-    :attr:`epoch` unchanged, so cached planner decisions stay valid
-    until the workload actually teaches the store something new.
+    :attr:`epoch` unchanged.
 
     Thread-safe, for an embedder's own thread pool over one session
     (the store is harvested after the execution): the check-then-set in
     :meth:`record` (and the epoch bump it guards) runs under a lock, so
     concurrent traced runs never lose observations or epoch increments;
-    lookups copy under the same lock so the optimizer prices against a
-    consistent snapshot.
+    lookups copy under the same lock so an estimate reads a consistent
+    snapshot.
     """
 
     def __init__(self) -> None:

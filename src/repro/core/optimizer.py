@@ -1,36 +1,23 @@
-"""Request resolution, and the cost-based planner behind ``"auto"``.
+"""Request resolution, and the rule behind ``"auto"``.
 
-:func:`resolve` is the one place an execution request — strategy,
-backend, feedback, memory budget — becomes the instance that
-runs: ``execute``, ``trace`` and EXPLAIN all read the
-:class:`PlannerDecision` it returns.  A named strategy or an instance
-resolves without pricing; ``"auto"`` goes to :func:`choose`.
+:func:`resolve` is the one place an execution request — strategy and
+backend — becomes the instance that runs: ``execute``, ``trace`` and
+EXPLAIN all read the :class:`PlannerDecision` it returns.  A named
+strategy or an instance is taken as asked; ``"auto"`` goes to
+:func:`choose`.
 
-The paper's central experimental claim (Section 5, Figures 4–9) is that
-no single subquery strategy wins everywhere — nested iteration, the
-rewrite baselines and the nested relational algorithms cross over with
-cardinality and selectivity.  This module turns that observation into
-the routing policy: :func:`choose` enumerates **every applicable
-registered strategy**, prices each with the per-strategy cost hooks
-over one :class:`~repro.core.stats.PlanStats`, and picks the cheapest.
+``auto`` is a rule, not a price list: Algorithm 1 on the columnar
+engine, or — when the request pins ``backend="row"`` — the paper's
+single-pass optimized pipeline (§4.2.1-2) on the row engine.  Neither
+has an applicability guard, so the rule never falls back.  Every other
+registered strategy (the §4.2 presets, the rewrite baselines, System A
+and nested iteration) stays reachable by name for the figures, the
+ablations and the fuzzer.  DESIGN.md §14 records the measurements that
+replaced the per-strategy cost model with this rule.
 
-Costs are abstract *row-ops* scaled by per-backend constants calibrated
-from the committed BENCH baselines (``benchmarks/baselines/``): the
-columnar engine runs the same row-op roughly 40× faster than the tuple
-iterator (:data:`VECTOR_FACTOR`) but pays a per-query batch-build setup
-(:data:`VECTOR_SETUP`), so tiny inputs favor the row strategies and
-paper-scale inputs the vector ones — reproducing the crossovers of
-Figure 4.
-
-Strategies without a registered ``cost`` hook still participate: they
-are priced at the generic pipeline work times
-:data:`DEFAULT_COST_FACTOR` — deliberately pessimistic, so an uncosted
-third-party strategy is only chosen when every built-in is worse.
-
-The :class:`PlannerDecision` is a durable artifact: the session
-memoizes it (a cost-based one keyed by the feedback epoch),
-:func:`repro.core.planner.run` executes it and records a cost-based one
-as a ``kind='planner'`` trace span, and ``repro explain`` renders it.
+The session memoizes a :class:`PlannerDecision` per (SQL, strategy,
+backend, logic); :func:`repro.core.planner.run` executes it and names
+the chosen strategy on the root trace span.
 """
 
 from __future__ import annotations
@@ -43,113 +30,14 @@ from ..errors import PlanError
 from ..engine.catalog import Database
 from ..strategies import ROW_BACKEND, VECTOR_BACKEND
 from .blocks import NestedQuery
-from .feedback import FeedbackStore
 from .plancache import PlanMemo
-from .stats import DbStats, PlanStats, collect_stats
 
-# --------------------------------------------------------------------- #
-# calibrated cost constants (see benchmarks/baselines/BENCH_*.json)
-# --------------------------------------------------------------------- #
-
-#: vector row-op cost relative to a row-engine row-op: the committed
-#: BENCH_vector baseline shows the columnar kernels ~40× faster on the
-#: paper queries at SF 0.01
-VECTOR_FACTOR = 0.025
-#: per-query cost of building/loading the columnar batches, in row-ops;
-#: below ~10k row-ops of work the row engine wins
-VECTOR_SETUP = 512.0
-#: index-probe cost relative to a scanned row (System A emulation)
-PROBE_FACTOR = 4.0
-#: pessimistic multiplier for strategies without a ``cost`` hook
-DEFAULT_COST_FACTOR = 1.5
-#: cost of one spilled row-op relative to an in-memory vector row-op:
-#: a Grace spill pass writes every partitioned row to disk and reads it
-#: back, so spilling plans are priced above any plan that fits in the
-#: budget (sequential temp-file I/O, not a catastrophe — the row engine
-#: can still lose to a spilling vector plan on big inputs)
-SPILL_IO_FACTOR = 2.5
-
-
-# --------------------------------------------------------------------- #
-# built-in cost hooks (registered by the strategy modules)
-# --------------------------------------------------------------------- #
-
-
-def cost_nested_relational(ps: PlanStats) -> float:
-    """Algorithm 1: reduce, outer-join down, hash-nest + link up."""
-    return ps.pipeline_work
-
-
-def cost_nested_relational_sorted(ps: PlanStats) -> float:
-    """Algorithm 1 with the sort-based nest: same joins, dearer nests."""
-    return ps.scan_work + ps.join_work + 1.3 * ps.nest_work
-
-
-def cost_optimized(ps: PlanStats) -> float:
-    """Single-pass pipeline: one fused sort replaces per-level nests."""
-    return ps.scan_work + 0.75 * (ps.join_work + ps.nest_work)
-
-
-def cost_bottomup(ps: PlanStats) -> float:
-    """Bottom-up with nest push-down: intermediates stay reduced-size."""
-    return ps.scan_work + ps.bottomup_work
-
-
-def cost_positive_rewrite(ps: PlanStats) -> float:
-    """Semijoin chain: no padding, no nesting — cheapest row plan."""
-    return ps.scan_work + ps.semijoin_work
-
-
-def cost_nested_iteration(ps: PlanStats) -> float:
-    """Per-outer-tuple re-evaluation of every subquery (the oracle)."""
-    return ps.scan_work + ps.iteration_work
-
-
-def cost_system_a(ps: PlanStats) -> float:
-    """Per-tuple index probes: linear in outer rows, not in inner size."""
-    return ps.scan_work + PROBE_FACTOR * ps.probe_work
-
-
-def cost_unnesting(ps: PlanStats) -> float:
-    """Classical semi/antijoin unnesting: join work without the nests."""
-    return ps.scan_work + ps.join_work + 0.25 * ps.nest_work
-
-
-def cost_agg_rewrite(ps: PlanStats) -> float:
-    """Magic-style aggregate rewrite: joins plus a grouping pass."""
-    return ps.scan_work + ps.join_work + 0.9 * ps.nest_work
-
-
-def cost_count_rewrite(ps: PlanStats) -> float:
-    """Kim-style COUNT rewrite: an extra outer-join leg for the counts."""
-    return ps.scan_work + 1.2 * ps.join_work + 0.9 * ps.nest_work
-
-
-def cost_boolean_aggregate(ps: PlanStats) -> float:
-    """Mark-join rewrite: joins plus boolean-aggregation per outer row."""
-    return ps.scan_work + 1.1 * ps.join_work + 0.8 * ps.nest_work
-
-
-def cost_vectorized(ps: PlanStats) -> float:
-    """Algorithm 1 on the columnar engine: cheap row-ops, fixed setup.
-
-    Under a memory budget the hash builds may not fit; the estimated
-    spill passes are charged at :data:`SPILL_IO_FACTOR`, so the planner
-    prefers a non-spilling plan whenever one exists.
-    """
-    return VECTOR_SETUP + VECTOR_FACTOR * (
-        ps.pipeline_work + SPILL_IO_FACTOR * ps.spill_io_work()
-    )
-
-
-def default_cost(ps: PlanStats) -> float:
-    """Fallback for strategies registered without a ``cost`` hook."""
-    return DEFAULT_COST_FACTOR * ps.pipeline_work
-
-
-# --------------------------------------------------------------------- #
-# applicability and fingerprints
-# --------------------------------------------------------------------- #
+#: what ``auto`` runs per requested backend (``None``: no backend asked)
+AUTO_RULE: Dict[Optional[str], str] = {
+    None: "nested-relational-vectorized",
+    VECTOR_BACKEND: "nested-relational-vectorized",
+    ROW_BACKEND: "nested-relational-optimized",
+}
 
 
 def strategy_applicable(impl: object, query: NestedQuery, db: Database) -> bool:
@@ -197,43 +85,19 @@ def plan_fingerprint(query: NestedQuery) -> str:
 
 
 @dataclass(frozen=True)
-class CandidatePlan:
-    """One enumerated strategy with its estimated price."""
-
-    name: str
-    backend: str
-    est_cost: float
-    est_rows: float
-    costed: bool
-    chosen: bool
-
-    def describe(self) -> str:
-        marker = "*" if self.chosen else " "
-        pricing = "" if self.costed else "  (default cost)"
-        return (
-            f"{marker} {self.name}  [{self.backend}]  "
-            f"cost={self.est_cost:.1f}  rows~{self.est_rows:.0f}{pricing}"
-        )
-
-
-@dataclass(frozen=True)
 class PlannerDecision:
     """What one execution request resolved to (:func:`resolve`).
 
-    ``impl`` is the instance that runs and ``chosen``
-    the name its root span carries.  A cost-based ``auto`` resolution
-    also records ``candidates`` — every enumerated candidate, cheapest
-    first — with the plan ``fingerprint``, the ``feedback_epoch`` it
-    was priced at and ``est_rows``; a request that named its strategy
-    was never priced and leaves them empty.
+    ``impl`` is the instance that runs and ``chosen`` the name its root
+    span carries.
     """
 
     chosen: str
     impl: object
-    candidates: Tuple[CandidatePlan, ...] = ()
-    fingerprint: Optional[str] = None
-    feedback_epoch: Optional[int] = None
-    est_rows: Optional[float] = None
+    # ROADMAP 1a removes ``candidates`` and choose()'s *memory_limit_mb*
+    # with the benchmark code that still reads them: an ``auto`` decision
+    # lists its one choice here, a named request none
+    candidates: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         # not a field: what ``impl`` planned for the query, kept exactly
@@ -241,93 +105,26 @@ class PlannerDecision:
         # execution context)
         object.__setattr__(self, "plan_memo", PlanMemo())
 
-    @property
-    def est_cost(self) -> float:
-        for cand in self.candidates:
-            if cand.chosen:
-                return cand.est_cost
-        return float("nan")
-
-    def describe(self) -> str:
-        lines = [f"auto -> {self.chosen}  (cost-based)"]
-        for cand in self.candidates:
-            lines.append("  " + cand.describe())
-        return "\n".join(lines)
-
 
 def choose(
     query: NestedQuery,
     db: Database,
     backend: Optional[str] = None,
-    feedback: Optional[FeedbackStore] = None,
-    stats: Optional[DbStats] = None,
     memory_limit_mb: Optional[float] = None,
 ) -> PlannerDecision:
-    """Enumerate, cost and rank every applicable strategy.
+    """The ``auto`` rule: :data:`AUTO_RULE`'s strategy for *backend*.
 
-    *backend* filters candidates to one substrate (``None`` considers
-    both); aliases are presets of an enumerated strategy, not
-    candidates.  *feedback* supplies
-    observed cardinalities that override the estimates (and its epoch
-    stamps the decision, so memoized decisions age out when new
-    observations land).  *memory_limit_mb* is the execution memory
-    budget: builds estimated not to fit are charged their extra spill
-    I/O passes (:data:`SPILL_IO_FACTOR`).
+    Nothing is enumerated or priced, so the decision depends on
+    *backend* alone — not on *query*, *db* or *memory_limit_mb*.
     """
     from .. import strategies as registry
 
-    registry.ensure_loaded()
-    if stats is None:
-        stats = collect_stats(db)
-    fingerprint = plan_fingerprint(query)
-    overrides: Dict[int, int] = {}
-    epoch = 0
-    if feedback is not None:
-        overrides = feedback.block_overrides(fingerprint)
-        epoch = feedback.epoch
-    ps = PlanStats(
-        query, stats, overrides=overrides, memory_limit_mb=memory_limit_mb
-    )
-
-    scored: List[Tuple[float, str, object, str, bool]] = []
-    for entry in registry.entries():
-        if backend is not None and entry.backend != backend:
-            continue
-        if entry.alias_of is not None:
-            continue
-        impl = entry.make()
-        if not strategy_applicable(impl, query, db):
-            continue
-        costed = entry.cost is not None
-        cost = entry.cost(ps) if costed else default_cost(ps)
-        scored.append((cost, entry.name, impl, entry.backend, costed))
-    if not scored:
+    if backend not in AUTO_RULE:
         raise PlanError(
-            f"no applicable strategy for backend={backend!r}; "
-            f"registered: {registry.names()}"
+            f"unknown backend {backend!r}; expected one of {registry.BACKENDS}"
         )
-    scored.sort(key=lambda item: (item[0], item[1]))
-
-    chosen_cost, chosen_name, impl, _b, _c = scored[0]
-    candidates = tuple(
-        CandidatePlan(
-            name=name,
-            backend=cand_backend,
-            est_cost=cost,
-            est_rows=ps.out_rows,
-            costed=costed,
-            chosen=name == chosen_name,
-        )
-        for cost, name, _impl, cand_backend, costed in scored
-    )
-    return PlannerDecision(
-        chosen=chosen_name,
-        impl=impl,
-        candidates=candidates,
-        fingerprint=fingerprint,
-        feedback_epoch=epoch,
-        est_rows=ps.out_rows,
-    )
+    name = AUTO_RULE[backend]
+    return PlannerDecision(name, registry.info(name).make(), (name,))
 
 
 #: a backend-generic request maps onto its counterpart on the requested
@@ -344,14 +141,11 @@ def resolve(
     db: Database,
     strategy: Union[str, object] = "auto",
     backend: Optional[str] = None,
-    feedback: Optional[FeedbackStore] = None,
-    memory_limit_mb: Optional[float] = None,
 ) -> PlannerDecision:
     """Turn one execution request into the instance that runs it.
 
-    * ``"auto"`` is priced by :func:`choose` under *backend*,
-      *feedback* and *memory_limit_mb*;
-    * a registry name resolves, unpriced, to its entry on the requested
+    * ``"auto"`` is :func:`choose`'s rule for *backend*;
+    * a registry name resolves to its entry on the requested
       *backend* (``None`` follows the registration; Algorithm 1's row
       and vectorized entries stand in for each other, any other name
       must be registered on the backend asked for);
@@ -368,10 +162,7 @@ def resolve(
             )
         impl = strategy
     elif strategy == registry.AUTO:
-        return choose(
-            query, db, backend=backend, feedback=feedback,
-            memory_limit_mb=memory_limit_mb,
-        )
+        return choose(query, db, backend=backend)
     else:
         if backend is not None and backend not in registry.BACKENDS:
             raise PlanError(

@@ -2,24 +2,26 @@
 
 :meth:`repro.session.PreparedQuery.explain` returns a :class:`Plan`
 instead of bare text: the requested strategy, the strategy that would
-actually run, the cost-based planner's full candidate table (when the
-request was ``"auto"``), the operator-tree text, and — with
-``analyze=True`` — the annotated span tree of a real execution.
+actually run, the estimated result cardinality (when the request was
+``"auto"``), the operator-tree text, and — with ``analyze=True`` — the
+annotated span tree of a real execution.
 
 ``str(plan)`` and ``plan.render()`` give the human-readable text the
 CLI and the golden files use; ``plan.render(format="json")`` gives a
-stable machine-readable document (candidates with estimated costs and
-cardinalities, plus the serialized trace when analyzed).
+stable machine-readable document (the estimate, plus the serialized
+trace when analyzed).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..errors import InvalidArgumentError
-from .optimizer import CandidatePlan, PlannerDecision
+from .feedback import FeedbackStore
+from .optimizer import PlannerDecision, plan_fingerprint
+from .stats import PlanStats, collect_stats
 
 #: formats accepted by :meth:`Plan.render`
 PLAN_FORMATS = ("text", "json")
@@ -32,11 +34,11 @@ class Plan:
     ``strategy`` is what the caller asked for (``"auto"`` or a fixed
     name); ``chosen`` is the name the execution's root span carries —
     both come from the one :class:`~repro.core.optimizer.PlannerDecision`
-    an execution under the same options runs.  For an
-    ``"auto"`` request ``candidates`` holds every enumerated
-    :class:`~repro.core.optimizer.CandidatePlan` cheapest-first and
-    ``fingerprint`` / ``feedback_epoch`` / ``est_rows`` echo the
-    planner's decision; for a fixed strategy they are empty/``None``.
+    an execution under the same options runs.  For an ``"auto"``
+    request ``est_rows`` is the estimated result cardinality
+    (:class:`~repro.core.stats.PlanStats`), with the plan
+    ``fingerprint`` and the ``feedback_epoch`` whose observations it
+    used; for a fixed strategy they are ``None``.
     ``analysis`` is the EXPLAIN ANALYZE text and ``spans`` the
     serialized trace document, both present only under
     ``analyze=True``.
@@ -46,31 +48,11 @@ class Plan:
     strategy: str
     chosen: str
     operators: str
-    candidates: Tuple[CandidatePlan, ...] = ()
     fingerprint: Optional[str] = None
     feedback_epoch: Optional[int] = None
     est_rows: Optional[float] = None
     analysis: Optional[str] = None
     spans: Optional[Dict[str, Any]] = None
-
-    @property
-    def cost_based(self) -> bool:
-        """Whether this plan records a cost-based ``auto`` decision."""
-        return bool(self.candidates)
-
-    def candidate(self, name: str) -> Optional[CandidatePlan]:
-        """The enumerated candidate registered under *name*, if any."""
-        for cand in self.candidates:
-            if cand.name == name:
-                return cand
-        return None
-
-    @property
-    def est_cost(self) -> Optional[float]:
-        """The chosen candidate's estimated cost (``None`` for a fixed
-        strategy, which the planner never priced)."""
-        chosen = self.candidate(self.chosen)
-        return chosen.est_cost if chosen is not None else None
 
     def render(self, format: str = "text") -> str:
         """The plan as ``"text"`` (human-readable, golden-file stable
@@ -84,13 +66,9 @@ class Plan:
         )
 
     def _render_text(self) -> str:
-        sections = []
-        if self.cost_based:
-            lines = [f"auto -> {self.chosen}  (cost-based)"]
-            for cand in self.candidates:
-                lines.append("  " + cand.describe())
-            sections.append("\n".join(lines))
-        sections.append(self.operators)
+        sections = [self.operators]
+        if self.strategy == "auto":
+            sections.insert(0, f"auto -> {self.chosen}")
         if self.analysis is not None:
             sections.append(self.analysis)
         return "\n\n".join(sections)
@@ -102,17 +80,6 @@ class Plan:
             "strategy": self.strategy,
             "chosen": self.chosen,
             "operators": self.operators.splitlines(),
-            "candidates": [
-                {
-                    "name": cand.name,
-                    "backend": cand.backend,
-                    "est_cost": round(cand.est_cost, 1),
-                    "est_rows": round(cand.est_rows, 1),
-                    "costed": cand.costed,
-                    "chosen": cand.chosen,
-                }
-                for cand in self.candidates
-            ],
         }
         if self.fingerprint is not None:
             doc["fingerprint"] = self.fingerprint
@@ -126,20 +93,38 @@ class Plan:
         return doc
 
     @classmethod
-    def of(cls, sql: str, requested, decision: PlannerDecision, query, db) -> "Plan":
+    def of(
+        cls,
+        sql: str,
+        requested,
+        decision: PlannerDecision,
+        query,
+        db,
+        feedback: FeedbackStore,
+    ) -> "Plan":
         """The plan of *decision*, what the session resolved *requested*
-        to: the operator text is drawn by the instance that runs."""
+        to: the operator text is drawn by the instance that runs.  An
+        ``"auto"`` request also gets the estimated result cardinality,
+        with *feedback*'s observed block cardinalities in place of the
+        estimates it has them for."""
         from .explain import plan_text
 
+        fingerprint = epoch = est_rows = None
+        if requested == "auto":
+            fingerprint = plan_fingerprint(query)
+            epoch = feedback.epoch
+            est_rows = PlanStats(
+                query, collect_stats(db),
+                overrides=feedback.block_overrides(fingerprint),
+            ).out_rows
         return cls(
             sql=sql,
             strategy=requested if isinstance(requested, str) else decision.chosen,
             chosen=decision.chosen,
             operators=plan_text(decision, query, db),
-            candidates=decision.candidates,
-            fingerprint=decision.fingerprint,
-            feedback_epoch=decision.feedback_epoch,
-            est_rows=decision.est_rows,
+            fingerprint=fingerprint,
+            feedback_epoch=epoch,
+            est_rows=est_rows,
         )
 
     def analyzed(self, result, trace, metrics, timings: bool = True) -> "Plan":

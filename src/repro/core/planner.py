@@ -5,10 +5,9 @@ GROUP BY.
 — what :func:`repro.core.optimizer.resolve` made of an execution
 request — under whatever the ambient
 :class:`~repro.engine.context.ExecutionContext` holds: the governor is
-started and its spill workspace swept, a cost-based decision is recorded
-as a ``kind="planner"`` span under the root ``execute`` span whenever
-tracing is active, and the root block's presentation clauses are
-applied last.  Nothing here decides *what*
+started and its spill workspace swept, the root ``execute`` span names
+the strategy that runs whenever tracing is active, and the root block's
+presentation clauses are applied last.  Nothing here decides *what*
 runs.
 """
 
@@ -20,48 +19,11 @@ from ..engine.catalog import Database
 from ..engine.governor import checkpoint, current_governor
 from ..engine.metrics import current_metrics
 from ..engine.relation import Relation
-from ..engine.trace import (
-    KIND_GOVERNOR,
-    KIND_PLANNER,
-    Tracer,
-    current_tracer,
-)
+from ..engine.trace import KIND_GOVERNOR, Tracer, current_tracer
 from .blocks import NestedQuery
 from .feedback import ROOT_SPAN
 from .optimizer import PlannerDecision, resolve
 from .reduce import group_block
-
-
-def _emit_planner_span(tracer: Tracer, decision: PlannerDecision):
-    """Record a :class:`~repro.core.optimizer.PlannerDecision` as a
-    ``kind='planner'`` span with one ``candidate[...]`` child per
-    enumerated strategy.  Returns the parent span so the caller can set
-    ``actual_rows`` once the result cardinality is known (counters are
-    read at serialization time, so setting one after the span closed is
-    well-defined)."""
-    with tracer.span(
-        "planner",
-        {
-            "chosen": decision.chosen,
-            "fingerprint": decision.fingerprint,
-            "feedback_epoch": decision.feedback_epoch,
-        },
-        kind=KIND_PLANNER,
-    ) as span:
-        span.set("est_rows", int(decision.est_rows))
-        for cand in decision.candidates:
-            with tracer.span(
-                f"candidate[{cand.name}]",
-                {
-                    "backend": cand.backend,
-                    "est_cost": f"{cand.est_cost:.1f}",
-                    "costed": cand.costed,
-                    "chosen": cand.chosen,
-                },
-                kind=KIND_PLANNER,
-            ) as cand_span:
-                cand_span.set("est_rows", int(cand.est_rows))
-    return span
 
 
 def open_root(tracer: Tracer):
@@ -81,28 +43,23 @@ def run(
     :class:`~repro.core.optimizer.PlannerDecision` it resolved (and
     memoized) from the layered options; anything else — ``"auto"``, a
     registry name, a strategy instance — is resolved here with
-    :func:`~repro.core.optimizer.resolve`'s defaults, ``"auto"`` priced
-    under the ambient governor's memory budget.
+    :func:`~repro.core.optimizer.resolve`'s defaults.
 
     The decision's instance runs under the root trace span when tracing
-    is active (a cost-based decision recorded as a ``kind='planner'``
-    span); root-level ORDER BY/LIMIT apply last and ``rows_produced`` is
-    charged.  A root span open on the tracer already is this
-    execution's: a traced session execution opens it first
-    (:func:`open_root`), so that it also brackets the option layering,
-    the resolution and the feedback harvest.  The governor is the
-    ambient context's: the Session API
-    installs it with the logic mode and the reduce cache, any other
-    caller wraps the call in :func:`~repro.engine.governor.governed`.
+    is active; root-level ORDER BY/LIMIT apply last and
+    ``rows_produced`` is charged.  A root span open on the tracer
+    already is this execution's: a traced session execution opens it
+    first (:func:`open_root`), so that it also brackets the option
+    layering, the resolution and the feedback harvest.  The governor is
+    the ambient context's: the Session API installs it with the logic
+    mode and the reduce cache, any other caller wraps the call in
+    :func:`~repro.engine.governor.governed`.
     """
     governor = current_governor()
     if isinstance(strategy, PlannerDecision):
         decision = strategy
     else:
-        limit_mb = None
-        if governor is not None and governor.memory_limit_bytes is not None:
-            limit_mb = governor.memory_limit_bytes / (1024 * 1024)
-        decision = resolve(query, db, strategy, memory_limit_mb=limit_mb)
+        decision = resolve(query, db, strategy)
     impl = decision.impl
     try:
         if governor is not None:
@@ -130,9 +87,6 @@ def _run_traced(tracer, root, query, db, decision, governor) -> Relation:
     """:func:`run`'s execution under the open *root* span."""
     root.attrs["strategy"] = decision.chosen
     impl = decision.impl
-    planner_span = (
-        _emit_planner_span(tracer, decision) if decision.candidates else None
-    )
     if governor is not None:
         with tracer.span(
             "governor", governor.describe_attrs(), kind=KIND_GOVERNOR
@@ -143,8 +97,6 @@ def _run_traced(tracer, root, query, db, decision, governor) -> Relation:
     result = _finalize(result, query)
     current_metrics().add("rows_produced", len(result))
     root.add("rows_out", len(result))
-    if planner_span is not None:
-        planner_span.set("actual_rows", len(result))
     return result
 
 

@@ -1,16 +1,16 @@
-"""Table statistics and cardinality estimation for the cost-based planner.
+"""Table statistics and cardinality estimation for EXPLAIN.
 
-The optimizer (:mod:`repro.core.optimizer`) prices each candidate
-strategy in abstract *row-ops* — rows scanned, joined and nested — and
-those quantities come from here:
+``repro explain`` under ``auto`` reports the estimated result
+cardinality (``est_rows``) next to the plan, and EXPLAIN ANALYZE sets
+the actual one beside it; the figures come from here:
 
 * :func:`collect_stats` gives every table of a
   :class:`~repro.engine.catalog.Database` its exact row count and, per
   column, its exact NDV / NULL fraction / min / max — one function over
   the table's encoded columns
   (:meth:`~repro.engine.colstore.StoredRelation.column_stats`), computed
-  when the planner first reads a column and kept on the table; a column
-  store's manifest carries them precomputed;
+  when the estimator first reads a column and kept on the table; a
+  column store's manifest carries them precomputed;
 * :func:`set_table_stats` registers persistent per-table overrides —
   tests use it to plant a deliberate mis-estimate (a scale the data
   does not have, the feedback-convergence scenario);
@@ -23,14 +23,13 @@ those quantities come from here:
   aggregate links), including the 3VL effect of NULLs on ``NOT IN``;
 * :class:`PlanStats` propagates all of the above through one
   :class:`~repro.core.blocks.NestedQuery` — reduced block sizes, per
-  level outer-join cardinalities, nest and semijoin work — and is the
-  single argument of every strategy's ``cost`` hook.
+  level outer-join cardinalities, link selectivities, result size.
 
-Estimates are heuristics, not guarantees: the planner only needs the
-*ordering* of candidate costs to be right often enough, and the
-per-session :class:`~repro.core.feedback.FeedbackStore` replaces the
-estimated block cardinalities with observed ones after each traced
-execution.
+Estimates are heuristics, not guarantees; the per-session
+:class:`~repro.core.feedback.FeedbackStore` replaces the estimated
+block cardinalities with observed ones after each traced execution.
+Nothing on the execution path reads any of this: ``auto`` is a rule
+(:func:`repro.core.optimizer.choose`), not a price.
 """
 
 from __future__ import annotations
@@ -154,7 +153,7 @@ def collect_stats(db: Database) -> DbStats:
     :func:`set_table_stats` overrides applied.
 
     O(tables): a column's figures are read off its table when the
-    planner first asks for them, and the table keeps them, so an edited
+    estimator first asks for them, and the table keeps them, so an edited
     table (a new relation) starts afresh.
     """
     stats = DbStats()
@@ -447,10 +446,8 @@ def link_selectivity(
 class PlanStats:
     """Cardinality estimates propagated through one nested query.
 
-    All figures are abstract *row-ops* and row counts; they are what a
-    strategy's ``cost(plan_stats)`` hook consumes.  ``overrides`` maps a
-    block index to an observed reduced-block cardinality (the feedback
-    loop) and wins over the estimate.
+    ``overrides`` maps a block index to an observed reduced-block
+    cardinality (the feedback loop) and wins over the estimate.
 
     Attributes
     ----------
@@ -460,13 +457,6 @@ class PlanStats:
                        under its ancestor path (the paper's way down)
     link_sel : dict    block index -> linking-operator selectivity
     out_rows : float   estimated root result cardinality
-    scan_work : float  rows scanned to reduce every block
-    join_work : float  rows materialized by the way-down outer joins
-    nest_work : float  rows regrouped by the way-up nests
-    semijoin_work : float  work of the positive-rewrite semijoin chain
-    bottomup_work : float  work of the bottom-up nest push-down plan
-    iteration_work : float per-tuple re-evaluation work (nested iteration)
-    probe_work : float     index-probe work (System A emulation)
     """
 
     def __init__(
@@ -474,16 +464,7 @@ class PlanStats:
         query: NestedQuery,
         stats: DbStats,
         overrides: Optional[Dict[int, int]] = None,
-        memory_limit_mb: Optional[float] = None,
     ):
-        self.query = query
-        self.stats = stats
-        #: execution memory budget in bytes, None = unbounded; the
-        #: vector cost hooks charge extra I/O passes for builds that
-        #: will not fit (Grace spill partitioning writes + re-reads)
-        self.memory_limit_bytes: Optional[float] = (
-            None if memory_limit_mb is None else memory_limit_mb * 1024 * 1024
-        )
         overrides = overrides or {}
 
         self.base_rows: Dict[int, float] = {}
@@ -515,32 +496,7 @@ class PlanStats:
                 out *= self.link_sel.get(block.index, 1.0)
         self.out_rows = out
 
-        self.scan_work = sum(self.base_rows.values())
-        non_root = [b for b in query.root.walk() if b.link is not None]
-        self.join_work = sum(
-            self.level_rows[b.index] + self.block_rows[b.index] for b in non_root
-        )
-        self.nest_work = sum(self.level_rows[b.index] for b in non_root)
-        self.semijoin_work = sum(
-            self.block_rows[self._parent_index(b)] + self.block_rows[b.index]
-            for b in non_root
-        )
-        self.bottomup_work = sum(
-            2.0 * self.block_rows[b.index]
-            + self.block_rows[self._parent_index(b)]
-            for b in non_root
-        )
-        inner_total = sum(self.block_rows[b.index] for b in non_root)
-        self.iteration_work = self.block_rows[root.index] * (1.0 + inner_total)
-        self.probe_work = self.block_rows[root.index] * (
-            1.0 + 4.0 * len(non_root)
-        )
-
     # ------------------------------------------------------------------ #
-
-    def _parent_index(self, block: QueryBlock) -> int:
-        parent = self.query.parent_of(block)
-        return parent.index if parent is not None else self.query.root.index
 
     def _corr_selectivity(self, block: QueryBlock) -> float:
         sel = 1.0
@@ -592,31 +548,6 @@ class PlanStats:
                     link, per_outer, outer=outer, inner=inner
                 )
             self._walk_down(child)
-
-    @property
-    def pipeline_work(self) -> float:
-        """The nested-relational pipeline's total row-ops."""
-        return self.scan_work + self.join_work + self.nest_work
-
-    def spill_io_work(self) -> float:
-        """Extra row-ops for predicted spill passes under the budget.
-
-        When the estimated build footprint of the join/nest pipeline
-        exceeds the memory budget, the spillable kernels partition the
-        inputs to disk and re-read them — roughly one extra write+read
-        pass over the partitioned rows per factor by which the build
-        overshoots the budget (recursive partitioning caps the depth, so
-        the estimate saturates).  Returns 0 when unbudgeted or fitting.
-        """
-        if self.memory_limit_bytes is None or self.memory_limit_bytes <= 0:
-            return 0.0
-        from ..engine.governor import EST_BYTES_PER_VALUE
-
-        est_bytes = (self.join_work + self.nest_work) * EST_BYTES_PER_VALUE
-        if est_bytes <= self.memory_limit_bytes:
-            return 0.0
-        extra_passes = min(4.0, est_bytes / self.memory_limit_bytes - 1.0)
-        return extra_passes * (self.join_work + self.nest_work)
 
     def describe(self) -> str:  # pragma: no cover - debugging aid
         lines = [f"out_rows~{self.out_rows:.1f}"]

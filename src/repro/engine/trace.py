@@ -52,8 +52,8 @@ from .context import current, scope
 from .metrics import current_metrics
 
 #: the one trace document format: operator / phase / root spans plus the
-#: ``governor``, ``planner`` and ``spill`` bookkeeping kinds and the
-#: ``aborted`` span attribute
+#: ``governor`` and ``spill`` bookkeeping kinds and the ``aborted`` span
+#: attribute
 TRACE_FORMAT_VERSION = 4
 SUPPORTED_TRACE_VERSIONS = (TRACE_FORMAT_VERSION,)
 
@@ -69,14 +69,6 @@ _CONTRACTS = (CONTRACT_FILTERING, CONTRACT_PRESERVING, CONTRACT_EXPANDING)
 #: row-accounting and contract checks skip them, but their children (the
 #: governed operator tree) are checked as usual.
 KIND_GOVERNOR = "governor"
-
-#: span kind of the cost-based planner's decision record: one
-#: ``planner`` span under the root ``execute`` span, with one
-#: ``candidate[...]`` child per enumerated strategy.  Planner spans are
-#: bookkeeping, not operators — the row-accounting and contract checks
-#: skip them — but they make every ``auto`` choice a durable, renderable
-#: artifact of the trace.
-KIND_PLANNER = "planner"
 
 #: span kind of one out-of-core pass: a spilling hash-join build or nest
 #: grouping run that diverted to disk partitions

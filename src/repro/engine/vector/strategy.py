@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from ...core.compute import DEFAULT_RULES, NestedRelationalStrategy
-from ...core.optimizer import cost_vectorized
 from ...strategies import register
 from .backend import VectorBackend
 
@@ -28,7 +27,6 @@ from .backend import VectorBackend
     "nested-relational-vectorized",
     backend="vector",
     description="Algorithm 1 on the columnar batch engine (vectorized kernels)",
-    cost=cost_vectorized,
 )
 class VectorizedNestedRelationalStrategy(NestedRelationalStrategy):
     """Algorithm 1 executed on fixed-layout column batches."""

@@ -6,7 +6,7 @@ against the ``nested-iteration`` oracle, which implements SQL semantics
 by direct per-tuple evaluation.  Strategies with applicability guards
 (bottom-up linear evaluation, the positive rewrite, the classical
 unnesting and aggregate-rewrite baselines) are checked only on the
-queries they accept, mirroring how the auto planner would route them.
+queries they accept.
 
 Each execution also runs under a fresh metrics scope and is checked
 against the engine's counter invariants (non-negative counters,
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.blocks import NestedQuery
-from ..core.optimizer import strategy_applicable
+from ..core.optimizer import AUTO_RULE, strategy_applicable
 from ..core.plancache import SessionCache
 from ..core.planner import run
 from ..engine.catalog import Database
@@ -184,69 +184,17 @@ def sorted_rows(relation: Relation) -> List[tuple]:
 
 
 def _planner_violations(trace: Trace) -> List[str]:
-    """Check the planner-choice invariants on an ``"auto"`` execution.
-
-    Every traced ``auto`` run must carry exactly one ``kind='planner'``
-    span under the root, enumerating at least two costed candidates
-    (the registry always has multiple universally applicable
-    strategies), with exactly one candidate marked chosen, that
-    candidate priced no higher than any other, and the root span
-    executing the very strategy the planner chose.
-    """
-    out: List[str] = []
-    roots = [r for r in trace.roots if r.kind == "root"]
-    planner_spans = [
-        span for root in roots for span in root.children
-        if span.kind == "planner"
+    """An ``"auto"`` execution runs the rule's strategy: its traced root
+    span names what :data:`~repro.core.optimizer.AUTO_RULE` answers for
+    the default backend (the runner never pins one)."""
+    expected = AUTO_RULE[None]
+    executed = [
+        root.attrs.get("strategy") for root in trace.roots
+        if root.kind == "root"
     ]
-    if len(planner_spans) != 1:
-        return [
-            f"expected exactly one planner span under the root, "
-            f"found {len(planner_spans)}"
-        ]
-    span = planner_spans[0]
-    chosen = span.attrs.get("chosen")
-    if not chosen:
-        out.append("planner span has no 'chosen' attribute")
-    candidates = [
-        c for c in span.children if c.name.startswith("candidate[")
-    ]
-    if len(candidates) < 2:
-        out.append(
-            f"planner enumerated {len(candidates)} candidate(s); expected >= 2"
-        )
-    flagged = [
-        c for c in candidates if c.attrs.get("chosen") in (True, "True")
-    ]
-    if len(flagged) != 1:
-        out.append(
-            f"{len(flagged)} candidate(s) marked chosen; expected exactly 1"
-        )
-    elif candidates:
-        winner = flagged[0]
-        if chosen and winner.name != f"candidate[{chosen}]":
-            out.append(
-                f"planner chose {chosen!r} but {winner.name} is flagged"
-            )
-        try:
-            costs = [float(c.attrs["est_cost"]) for c in candidates]
-            winner_cost = float(winner.attrs["est_cost"])
-        except (KeyError, ValueError):
-            out.append("candidate spans are missing parseable est_cost attrs")
-        else:
-            if winner_cost > min(costs) + 1e-9:
-                out.append(
-                    f"chosen candidate costs {winner_cost} but the cheapest "
-                    f"enumerated candidate costs {min(costs)}"
-                )
-    for root in roots:
-        executed = root.attrs.get("strategy")
-        if chosen and executed is not None and executed != chosen:
-            out.append(
-                f"root span executed {executed!r} but the planner "
-                f"chose {chosen!r}"
-            )
-    return out
+    if executed != [expected]:
+        return [f"auto executed {executed} but the rule names {expected!r}"]
+    return []
 
 
 class DifferentialRunner:

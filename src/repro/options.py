@@ -49,7 +49,7 @@ OPTION_FIELDS = (
 class ExecutionOptions:
     """An immutable bundle of execution settings; ``None`` = inherit.
 
-    * ``strategy`` — registry name, ``"auto"`` (cost-based planner) or a
+    * ``strategy`` — registry name, ``"auto"`` (the planner's rule) or a
       strategy instance;
     * ``backend`` — ``"row"`` / ``"vector"`` execution substrate;
     * ``threads`` — an integer >= 1, validated and otherwise unread:

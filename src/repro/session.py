@@ -16,11 +16,10 @@ Every way of running SQL through this library goes through one surface::
     result, trace = query.trace()
 
 The *strategy* name selects a member of the :mod:`repro.strategies`
-registry, or ``"auto"`` for the cost-based planner: every applicable
-strategy is enumerated, priced against exact table statistics (plus
-this session's observed cardinalities from traced executions), and the
-cheapest runs — the decision is inspectable via ``query.explain()`` and
-recorded as a ``kind='planner'`` span in every trace.  The *backend*
+registry, or ``"auto"``: Algorithm 1 on the columnar engine, or the
+single-pass optimized preset when the request pins ``backend="row"``
+(:func:`repro.core.optimizer.choose`) — ``query.explain()`` shows it,
+and every trace's root span names it.  The *backend*
 selects the execution substrate — ``"row"`` for the tuple-at-a-time
 row engine, ``"vector"`` for the columnar batch engine — and
 defaults to whatever the strategy was registered on.  Semantics never
@@ -98,8 +97,9 @@ class PreparedQuery:
         """Run the query and return the result :class:`Relation`.
 
         *strategy* is a registry name (see
-        :func:`repro.strategies.names`), ``"auto"`` (the default: the
-        cost-based planner picks the cheapest applicable strategy), or a
+        :func:`repro.strategies.names`), ``"auto"`` (the default:
+        ``nested-relational-vectorized``, or
+        ``nested-relational-optimized`` under ``backend="row"``), or a
         strategy instance; *backend* is ``"row"``, ``"vector"`` or
         ``None`` (follow the strategy's registration).  *threads* must
         be an integer >= 1 and changes nothing: execution is
@@ -167,16 +167,14 @@ class PreparedQuery:
 
         Returns ``(result, trace)`` where *trace* is the
         :class:`~repro.engine.trace.Trace` span tree of the execution.
-        Options layer exactly as in :meth:`execute`; a governed
-        execution's trace carries a ``kind="governor"`` span recording
-        the limits, and an ``"auto"`` execution a ``kind="planner"`` span
-        recording the cost-based decision.
+        Options layer exactly as in :meth:`execute`; the root span names
+        the strategy that ran, and a governed execution's trace carries
+        a ``kind="governor"`` span recording the limits.
 
-        Tracing also **closes the planner's feedback loop**: observed
-        per-block cardinalities from the span tree are recorded in the
-        session's :class:`~repro.core.feedback.FeedbackStore`, so later
-        ``"auto"`` executions of structurally equivalent queries re-cost
-        with actuals instead of estimates.
+        Tracing also feeds the session's
+        :class:`~repro.core.feedback.FeedbackStore`: observed per-block
+        cardinalities from the span tree replace the estimates in later
+        ``"auto"`` EXPLAINs of structurally equivalent queries.
         """
         def request():
             eff = self._options(
@@ -211,10 +209,9 @@ class PreparedQuery:
         session's memo around :func:`repro.core.optimizer.resolve`,
         asked by ``execute``, ``trace`` and ``explain`` alike.
 
-        A cost-based decision is memoized keyed by the feedback epoch,
-        so new observations — and only new observations — force a
-        re-cost; a fixed registry name memoizes its resolved instance.
-        A strategy instance, or a session with ``plan_cache=False``,
+        A decision depends on the strategy and backend asked for alone,
+        so a registry name or ``"auto"`` memoizes its resolved instance;
+        a strategy instance, or a session with ``plan_cache=False``,
         resolves per call.
         """
         session, strategy = self._session, eff.strategy
@@ -223,16 +220,10 @@ class PreparedQuery:
         key = None
         if isinstance(strategy, str) and cache.enabled:
             key = (self.sql, strategy, eff.backend, session.logic)
-            if strategy == "auto":
-                key += (session.feedback.epoch, eff.memory_limit_mb)
             decision = cache.strategy(key)
             if decision is not None:
                 return decision
-        decision = resolve(
-            self.query, session.db, strategy,
-            backend=eff.backend, feedback=session.feedback,
-            memory_limit_mb=eff.memory_limit_mb,
-        )
+        decision = resolve(self.query, session.db, strategy, eff.backend)
         if key is not None:
             cache.store_strategy(key, decision)
         return decision
@@ -289,12 +280,12 @@ class PreparedQuery:
         EXPLAIN under options *o* describes exactly what ``execute``
         under *o* runs: both read the decision :meth:`_resolve` makes of
         the layered options.  For an ``"auto"`` request (the default)
-        the plan carries the cost-based planner's full candidate table —
-        every applicable strategy with estimated cost and cardinality,
-        cheapest first.  With ``analyze=True`` that decision is then
-        executed as :meth:`trace` would (logic, limits, this session's
-        caches and feedback) and the annotated span tree is attached
-        (wall times included unless ``timings=False``).
+        the plan also carries the estimated result cardinality, with
+        this session's observed block cardinalities in place of the
+        estimates it has them for.  With ``analyze=True`` that decision
+        is then executed as :meth:`trace` would (logic, limits, this
+        session's caches and feedback) and the annotated span tree is
+        attached (wall times included unless ``timings=False``).
 
         Render with ``str(plan)`` / ``plan.render()`` (human-readable)
         or ``plan.render(format="json")`` (machine-readable).
@@ -305,7 +296,8 @@ class PreparedQuery:
         eff = self._options(strategy=strategy, options=options)
         decision = self._resolve(eff)
         plan = Plan.of(
-            self.sql, eff.strategy, decision, self.query, self._session.db
+            self.sql, eff.strategy, decision, self.query, self._session.db,
+            self._session.feedback,
         )
         if analyze:
             # the execution it reports: this decision, same session,
@@ -335,11 +327,10 @@ class PreparedQuery:
 class Session:
     """A connection-like handle binding queries to one database.
 
-    *plan_cache* (default on) enables cross-query reuse: planner
-    decisions, strategy resolutions and both backends' reduced-relation
-    builds (``T_i = σ_Δi(R_i)``) are memoized across queries and
-    invalidated when the catalog mutates (planner decisions
-    additionally age out when new feedback observations land).
+    *plan_cache* (default on) enables cross-query reuse: strategy
+    resolutions and both backends' reduced-relation builds
+    (``T_i = σ_Δi(R_i)``) are memoized across queries and invalidated
+    when the catalog mutates.
     Re-preparing identical SQL skips the parser and analyzer regardless
     of the flag.  Defaults for every execution knob can be given either
     as individual keyword arguments or as one
@@ -350,7 +341,7 @@ class Session:
 
     Each session owns a :class:`~repro.core.feedback.FeedbackStore`:
     traced executions record observed per-block cardinalities, and
-    subsequent ``"auto"`` executions re-cost with those actuals.
+    subsequent ``"auto"`` EXPLAINs estimate with those actuals.
     """
 
     def __init__(
@@ -390,7 +381,7 @@ class Session:
         self._cache = (
             cache if cache is not None else SessionCache(enabled=plan_cache)
         )
-        #: observed cardinalities feeding the cost-based planner
+        #: observed cardinalities feeding EXPLAIN's estimate
         self.feedback = feedback if feedback is not None else FeedbackStore()
 
     def governor(

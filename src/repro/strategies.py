@@ -23,14 +23,14 @@ or, for parameterized variants::
         lambda: MyStrategy(nest_impl="sorted")
     )
 
-``"auto"`` is *not* an entry: it is the planner's routing policy
-(:func:`repro.core.optimizer.choose`), accepted wherever a strategy
-name is but never instantiated from the registry.
+``"auto"`` is *not* an entry: it is the rule
+:func:`repro.core.optimizer.choose` applies, accepted wherever a
+strategy name is but never instantiated from the registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from .errors import PlanError
@@ -40,41 +40,27 @@ ROW_BACKEND = "row"
 VECTOR_BACKEND = "vector"
 BACKENDS = (ROW_BACKEND, VECTOR_BACKEND)
 
-#: name of the planner's routing policy (not a registry entry)
+#: name of the ``auto`` rule (not a registry entry)
 AUTO = "auto"
 
 
 @dataclass(frozen=True)
 class StrategyInfo:
-    """One registered strategy: name, factory, backend tag, cost hook.
-
-    ``cost`` is the optional pricing hook consumed by the cost-based
-    planner: a callable taking a :class:`~repro.core.stats.PlanStats`
-    and returning the strategy's estimated cost in row-ops.  Strategies
-    registered without one still participate in ``auto`` — they are
-    priced at :func:`repro.core.optimizer.default_cost`, a deliberately
-    pessimistic generic estimate.
+    """One registered strategy: name, factory, backend tag.
 
     ``alias_of`` names the strategy an entry is a *preset* of: the same
     implementation under different constructor defaults.  An alias
-    resolves by name everywhere a strategy does, but is not a planner
-    candidate of its own — the strategy it names is the one priced.
+    resolves by name everywhere a strategy does.
     """
 
     name: str
     factory: Callable[[], object]
     backend: str = ROW_BACKEND
     description: str = ""
-    cost: Optional[Callable[[object], float]] = None
     alias_of: Optional[str] = None
 
     def make(self) -> object:
         return self.factory()
-
-    @property
-    def costed(self) -> bool:
-        """Whether this strategy registered its own ``cost`` hook."""
-        return self.cost is not None
 
 
 _REGISTRY: Dict[str, StrategyInfo] = {}
@@ -86,7 +72,6 @@ def register(
     *,
     backend: str = ROW_BACKEND,
     description: str = "",
-    cost: Optional[Callable[[object], float]] = None,
     alias_of: Optional[str] = None,
     replace: bool = False,
 ) -> Callable[[Callable[[], object]], Callable[[], object]]:
@@ -94,21 +79,14 @@ def register(
 
     The factory is any zero-argument callable returning an object with
     an ``execute(query, db)`` method (a class with a no-arg constructor
-    qualifies).  *cost* optionally prices the strategy for the
-    cost-based planner: ``cost(plan_stats) -> float`` over a
-    :class:`~repro.core.stats.PlanStats`; without one the planner falls
-    back to a documented pessimistic default
-    (:func:`repro.core.optimizer.default_cost`) and ``--list-strategies``
-    marks the entry accordingly.  *alias_of* registers a preset of an
-    existing strategy (see :class:`StrategyInfo`).  Re-registering an
-    existing name
-    raises unless ``replace=True`` (tests use replacement to stub
-    strategies).
+    qualifies).  *alias_of* registers a preset of an existing strategy
+    (see :class:`StrategyInfo`).  Re-registering an existing name raises
+    unless ``replace=True`` (tests use replacement to stub strategies).
     """
     if backend not in BACKENDS:
         raise PlanError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if name == AUTO:
-        raise PlanError("'auto' is the planner policy and cannot be registered")
+        raise PlanError("'auto' is the planner rule and cannot be registered")
 
     def _register(factory: Callable[[], object]) -> Callable[[], object]:
         if name in _REGISTRY and not replace:
@@ -118,7 +96,6 @@ def register(
             factory=factory,
             backend=backend,
             description=description,
-            cost=cost,
             alias_of=alias_of,
         )
         return factory
@@ -192,26 +169,18 @@ def make(name: str) -> object:
 
 
 def describe() -> str:
-    """One line per strategy: name, backend, cost participation and
-    description (CLI listing).  ``costed`` entries registered their own
-    ``cost`` hook; ``default`` entries are priced pessimistically by
-    the planner's fallback; ``alias`` entries are presets of the
-    strategy they name and are never priced themselves."""
+    """One line per strategy: name, backend and description (CLI
+    listing); an alias's description names the strategy it presets."""
     ensure_loaded()
     width = max(len(n) for n in names()) if _REGISTRY else 0
     lines = []
     for entry in entries():
-        pricing = "costed " if entry.costed else "default"
         text = entry.description
         if entry.alias_of is not None:
-            pricing = "alias  "
             text = f"{entry.alias_of}: {text}"
-        lines.append(
-            f"{entry.name.ljust(width)}  [{entry.backend}]  "
-            f"[{pricing}]  {text}"
-        )
+        lines.append(f"{entry.name.ljust(width)}  [{entry.backend}]  {text}")
     lines.append(
-        f"{AUTO.ljust(width)}  [row]  [policy ]  "
-        "cost-based choice over every applicable strategy"
+        f"{AUTO.ljust(width)}  [rule]  nested-relational-vectorized, or "
+        "nested-relational-optimized under backend=row"
     )
     return "\n".join(lines)

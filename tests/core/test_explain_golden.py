@@ -3,17 +3,16 @@ queries (Figures 4-9), rendered through the typed
 :class:`~repro.core.plan.Plan` API.
 
 The expected texts live under ``tests/golden/``; regenerate them after
-an intentional plan-, cost-model- or trace-format change with::
+an intentional plan- or trace-format change with::
 
     PYTHONPATH=src python -m pytest tests/core/test_explain_golden.py --update-golden
 
-The ``explain_*.txt`` files carry the cost-based planner's candidate
-table (cheapest first, winner starred) followed by the operator tree;
-``explain_fig4_q1.json`` pins the machine-readable render.  EXPLAIN
-ANALYZE goldens are rendered with ``timings=False``, so the files are
-fully deterministic: the tiny TPC-H instance is seeded, the planner and
-its statistics sampling are deterministic, and every counter in the
-trace is a function of the data alone.
+The ``explain_*.txt`` files carry the operator tree of what ``auto``
+runs; ``explain_fig4_q1.json`` pins the machine-readable render, with
+its estimated result cardinality.  EXPLAIN ANALYZE goldens are rendered
+with ``timings=False``, so the files are fully deterministic: the tiny
+TPC-H instance is seeded, the estimator's statistics are exact, and
+every counter in the trace is a function of the data alone.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class TestExplainGolden:
     @pytest.mark.parametrize("stem,sql", PAPER_QUERIES)
     def test_plan_text(self, tiny_tpch, update_golden, stem, sql):
         plan = repro.connect(tiny_tpch).prepare(sql).explain()
-        assert plan.cost_based
+        assert plan.chosen == "nested-relational-vectorized"
         check_golden(f"explain_{stem}.txt", plan.render("text"), update_golden)
 
     @pytest.mark.parametrize("stem,sql", PAPER_QUERIES[:1])

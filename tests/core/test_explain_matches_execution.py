@@ -109,18 +109,16 @@ def stored_db(tmp_path_factory):
 
 
 def test_budgeted_choice_is_the_executed_one(stored_db, tmp_path):
-    """A memory budget small enough that ``choose`` prices spill passes
-    (``spill_dir`` set, so the run completes): ``chosen`` is still the
-    root span's strategy, on EXPLAIN and EXPLAIN ANALYZE alike."""
+    """A memory budget small enough that the run spills (``spill_dir``
+    set, so it completes): ``chosen`` is still the root span's strategy,
+    on EXPLAIN and EXPLAIN ANALYZE alike."""
     prepared = repro.connect(stored_db).prepare(
         query1(*pick_date_window(stored_db, 40))
     )
     options = ExecutionOptions(
         backend="vector", memory_limit_mb=0.05, spill_dir=str(tmp_path)
     )
-    unbudgeted = prepared.explain(options=ExecutionOptions(backend="vector"))
     plan = prepared.explain(options=options)
-    assert plan.est_cost > unbudgeted.est_cost  # spill passes were priced
     _result, trace = prepared.trace(options=options)
     assert plan.chosen == trace.roots[0].attrs["strategy"]
     assert any(span.kind == "spill" for span in trace.spans())

@@ -1,8 +1,7 @@
-"""The planner's feedback loop: unit tests for :class:`FeedbackStore`
-and the end-to-end convergence scenario — a seeded mis-estimate makes
-``auto`` pick a row strategy, one traced execution teaches the session
-the real cardinalities, and the next resolution switches to the vector
-engine.
+"""EXPLAIN's feedback loop: unit tests for :class:`FeedbackStore` and
+the end-to-end convergence scenario — a seeded mis-estimate makes
+EXPLAIN's ``est_rows`` tiny, one traced execution teaches the session
+the real cardinalities, and the next EXPLAIN estimates from them.
 """
 
 from __future__ import annotations
@@ -16,21 +15,6 @@ from repro.core.stats import set_table_stats
 from repro.engine import Column, Database
 
 SQL = "select r.k from r where exists (select * from s where s.rk = r.k)"
-
-ROW_STRATEGIES = {
-    "nested-relational",
-    "nested-relational-sorted",
-    "nested-relational-optimized",
-    "nested-relational-bottomup",
-    "nested-relational-positive-rewrite",
-    "classical-unnesting",
-    "aggregate-rewrite",
-    "count-rewrite",
-    "boolean-aggregate",
-    "nested-iteration",
-    "system-a-native",
-}
-
 
 def build_db(outer_rows: int = 800, inner_rows: int = 3000) -> Database:
     db = Database()
@@ -111,38 +95,20 @@ class TestConvergence:
         set_table_stats(db, "s", row_count=4)
         return db
 
-    def test_second_execution_switches_strategy(self, misestimated):
+    def test_observations_replace_the_estimate(self, misestimated):
         session = repro.connect(misestimated)
         query = session.prepare(SQL)
 
         first = query.explain()
-        assert first.chosen in ROW_STRATEGIES  # fooled by the seed
         assert first.feedback_epoch == 0
+        assert first.est_rows <= 2  # fooled by the seed
 
-        result, trace = query.trace()
-        assert trace.roots[0].attrs["strategy"] == first.chosen
-
+        query.trace()
         second = query.explain()
         assert second.feedback_epoch > 0
-        assert second.chosen == "nested-relational-vectorized"
-
-        # the re-costed decision actually executes
-        result2, trace2 = query.trace()
-        assert trace2.roots[0].attrs["strategy"] == second.chosen
-        assert result2.sorted() == result.sorted()
-
-    def test_planner_span_records_the_switch(self, misestimated):
-        session = repro.connect(misestimated)
-        query = session.prepare(SQL)
-        _, before = query.trace()
-        _, after = query.trace()
-        (span_before,) = before.find("planner")
-        (span_after,) = after.find("planner")
-        assert span_before.attrs["chosen"] in ROW_STRATEGIES
-        assert span_after.attrs["chosen"] == "nested-relational-vectorized"
-        assert int(span_after.attrs["feedback_epoch"]) > int(
-            span_before.attrs["feedback_epoch"]
-        )
+        # the observed 800-row outer block replaces the seeded 2
+        assert second.est_rows > 100 * first.est_rows
+        assert second.chosen == first.chosen  # the estimate never picks
 
     def test_converges_after_one_observation(self, misestimated):
         session = repro.connect(misestimated)
@@ -161,7 +127,7 @@ class TestConvergence:
         assert taught.feedback.epoch > 0
         fresh = repro.connect(misestimated)
         assert fresh.feedback.epoch == 0
-        assert fresh.prepare(SQL).explain().chosen in ROW_STRATEGIES
+        assert fresh.prepare(SQL).explain().feedback_epoch == 0
 
     def test_untraced_execution_does_not_observe(self, misestimated):
         session = repro.connect(misestimated)
@@ -171,9 +137,10 @@ class TestConvergence:
 
     def test_fixed_strategy_traces_also_teach(self, misestimated):
         """The fingerprint is strategy-independent, so a traced run
-        under a *fixed* strategy still feeds the auto planner."""
+        under a *fixed* strategy still feeds the ``auto`` EXPLAIN."""
         session = repro.connect(misestimated)
         query = session.prepare(SQL)
+        before = query.explain().est_rows
         query.trace(strategy="nested-relational")
         assert session.feedback.epoch > 0
-        assert query.explain().chosen == "nested-relational-vectorized"
+        assert query.explain().est_rows > 100 * before

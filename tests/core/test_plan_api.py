@@ -1,6 +1,6 @@
 """Tests for the typed EXPLAIN result (:class:`repro.core.plan.Plan`):
-render formats, candidate access, the analyze attachment, and backward
-compatibility with string-style substring checks.
+render formats, the ``auto`` estimate, the analyze attachment, and
+backward compatibility with string-style substring checks.
 """
 
 from __future__ import annotations
@@ -47,32 +47,21 @@ class TestAutoPlan:
         assert isinstance(auto_plan, Plan)
         assert auto_plan.sql == SQL
         assert auto_plan.strategy == "auto"
-        assert auto_plan.cost_based
-        assert len(auto_plan.candidates) >= 2
+        assert auto_plan.chosen == "nested-relational-vectorized"
         assert auto_plan.fingerprint is not None
         assert auto_plan.feedback_epoch == 0
         assert auto_plan.est_rows is not None
 
-    def test_candidate_lookup(self, auto_plan):
-        cand = auto_plan.candidate(auto_plan.chosen)
-        assert cand is not None and cand.chosen
-        assert auto_plan.est_cost == cand.est_cost
-        assert auto_plan.candidate("no-such-strategy") is None
-
     def test_text_render(self, auto_plan):
         text = auto_plan.render("text")
-        assert text.startswith(f"auto -> {auto_plan.chosen}  (cost-based)")
-        for cand in auto_plan.candidates:
-            assert cand.name in text
+        assert text == f"auto -> {auto_plan.chosen}\n\n{auto_plan.operators}"
         assert str(auto_plan) == text
 
     def test_json_render_round_trips(self, auto_plan):
         doc = json.loads(auto_plan.render("json"))
         assert doc["strategy"] == "auto"
         assert doc["chosen"] == auto_plan.chosen
-        chosen = [c for c in doc["candidates"] if c["chosen"]]
-        assert len(chosen) == 1
-        assert chosen[0]["name"] == auto_plan.chosen
+        assert doc["est_rows"] == round(auto_plan.est_rows, 1)
         assert doc["fingerprint"] == auto_plan.fingerprint
         assert isinstance(doc["operators"], list)
 
@@ -94,13 +83,11 @@ class TestFixedPlan:
             strategy="nested-relational"
         )
         assert plan.chosen == "nested-relational"
-        assert not plan.cost_based
-        assert plan.candidates == ()
-        assert plan.est_cost is None
+        assert plan.est_rows is None
         assert plan.fingerprint is None
         assert "auto ->" not in plan.render("text")
         doc = json.loads(plan.render("json"))
-        assert doc["candidates"] == []
+        assert "est_rows" not in doc
         assert "fingerprint" not in doc
 
 
@@ -121,31 +108,15 @@ class TestAnalyze:
         validate_trace_dict(plan.spans)
         assert plan.spans["version"] == 4
 
-    def test_planner_span_in_analysis(self, db):
-        plan = repro.connect(db).prepare(SQL).explain(
-            analyze=True, timings=False
-        )
-        kinds = set()
-
-        def walk(node):
-            kinds.add(node.get("kind"))
-            for child in node.get("children", ()):
-                walk(child)
-
-        for root in plan.spans["spans"]:
-            walk(root)
-        assert "planner" in kinds
-
 
 class TestBuildPlan:
-    def test_default_request_is_cost_based(self, db):
+    def test_default_request_is_auto(self, db):
         plan = repro.connect(db).prepare(SQL).explain()
         assert plan.strategy == "auto"
-        assert plan.cost_based
+        assert plan.est_rows is not None
 
-    def test_threads_leave_the_candidates_unpriced_by_them(self, db):
+    def test_threads_leave_the_choice_alone(self, db):
         prepared = repro.connect(db).prepare(SQL)
         plan = prepared.explain(options=ExecutionOptions(threads=4))
         single = prepared.explain()
-        assert plan.candidate("nested-relational-parallel") is None
-        assert plan.candidates == single.candidates
+        assert plan.chosen == single.chosen == "nested-relational-vectorized"

@@ -1,10 +1,11 @@
-"""Unit tests for strategy registry and auto selection."""
+"""Unit tests for the strategy registry and the presets' guards."""
 
 import pytest
 
 import repro
 from repro.core.compute import NestedRelationalStrategy
-from repro.core.optimizer import choose
+from repro import strategies as registry
+from repro.core.optimizer import strategy_applicable
 from repro.strategies import available_strategies, make as make_strategy
 from repro.engine import Column, Database
 from repro.errors import PlanError
@@ -59,12 +60,15 @@ POSITIVE_REWRITE = "nested-relational-positive-rewrite"
 
 def row_candidates(query, db):
     """The row-side strategies whose guards accept *query*."""
-    decision = choose(query, db, backend="row")
-    return {candidate.name for candidate in decision.candidates}
+    return {
+        entry.name for entry in registry.entries()
+        if entry.backend == "row"
+        and strategy_applicable(entry.make(), query, db)
+    }
 
 
 class TestAutoChoice:
-    """Which §4.2 presets the planner may pick, per query shape."""
+    """Which §4.2 presets accept which query shape."""
 
     def test_flat_query(self, db):
         q = repro.compile_sql("select r.k from r where r.a > 3", db)

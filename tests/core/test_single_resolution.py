@@ -1,7 +1,7 @@
 """An execution request becomes an instance in exactly one place.
 
 :func:`repro.core.optimizer.resolve` is the only function that turns
-``(strategy, backend, feedback, memory budget)`` into a
+``(strategy, backend)`` into a
 strategy instance; ``execute``, ``trace`` and EXPLAIN read the decision
 it returns.  This guard walks the AST of ``src/repro`` and fails as soon
 as a second resolution site appears — a second ``choose`` call, a
@@ -33,9 +33,20 @@ INSTANTIATION_EXEMPTIONS = {
         "same guard probe, when freezing a failure into the corpus",
 }
 
-#: entry points this refactor deleted; they must not grow back
+#: entry points this refactor deleted, and the per-strategy cost model
+#: ``auto``'s rule replaced; they must not grow back
 DELETED_NAMES = {
     "resolve_strategy", "run_traced", "build_plan", "_BACKEND_ALIASES",
+    "CandidatePlan", "default_cost", "est_cost", "costed",
+    "VECTOR_FACTOR", "VECTOR_SETUP", "PROBE_FACTOR", "DEFAULT_COST_FACTOR",
+    "SPILL_IO_FACTOR", "KIND_PLANNER", "_emit_planner_span",
+    "cost_nested_relational", "cost_nested_relational_sorted",
+    "cost_optimized", "cost_bottomup", "cost_positive_rewrite",
+    "cost_nested_iteration", "cost_system_a", "cost_unnesting",
+    "cost_agg_rewrite", "cost_count_rewrite", "cost_boolean_aggregate",
+    "cost_vectorized", "scan_work", "join_work", "nest_work",
+    "semijoin_work", "bottomup_work", "iteration_work", "probe_work",
+    "pipeline_work", "spill_io_work",
 }
 
 

@@ -340,14 +340,6 @@ class TestPlanStats:
         assert 0.0 < ps.link_sel[child.index] <= 1.0
         assert ps.out_rows <= ps.block_rows[root.index]
 
-    def test_pipeline_work_decomposes(self, linked):
-        db, query = linked
-        ps = PlanStats(query, collect_stats(db))
-        assert ps.pipeline_work == pytest.approx(
-            ps.scan_work + ps.join_work + ps.nest_work
-        )
-        assert ps.scan_work == pytest.approx(160.0)
-
     def test_overrides_replace_block_estimates(self, linked):
         db, query = linked
         (child,) = query.root.children

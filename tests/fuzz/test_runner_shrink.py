@@ -163,6 +163,32 @@ class TestTraceBugInjection:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+class TestAutoRuleInvariant:
+    """A traced ``auto`` execution must run what the rule names; one that
+    runs something else is reported even when its rows are right."""
+
+    def test_a_wrong_auto_choice_is_reported(self, monkeypatch):
+        from repro.core import optimizer
+        from repro.strategies import make
+
+        def wrong(query, db, backend=None, memory_limit_mb=None):
+            name = "nested-relational"
+            return optimizer.PlannerDecision(name, make(name), (name,))
+
+        monkeypatch.setattr(optimizer, "choose", wrong)
+        runner = DifferentialRunner(strategies=("auto",))
+        report = runner.run(FuzzConfig(iterations=3, seed=7))
+        assert not report.ok
+        failure = report.failures[0]
+        assert (failure.strategy, failure.kind) == ("auto", "planner")
+        assert "'nested-relational'" in failure.detail
+        assert "nested-relational-vectorized" in failure.detail
+
+    def test_the_rule_passes(self):
+        runner = DifferentialRunner(strategies=("auto",))
+        assert runner.run(FuzzConfig(iterations=3, seed=7)).ok
+
+
 class TestAttachTraceText:
     def test_disagreement_gets_both_traces(self):
         runner, report = _first_injected_failure()

@@ -1,5 +1,5 @@
 """No code path of the package raises a DeprecationWarning: session
-execution, the cost-based planner, tracing, explain, verify, the CLI and
+execution, the ``auto`` rule, tracing, explain, verify, the CLI and
 the fuzzer all run clean, the 1.0 entry points (``repro.run_sql``,
 ``repro.core.planner.execute`` / ``execute_traced``) are gone, and
 ``pyproject.toml`` turns any future ``DeprecationWarning`` raised from
@@ -36,12 +36,12 @@ class TestInternalPathsAreClean:
         assert query.execute(options=ExecutionOptions(threads=2)) == result
         traced, trace = query.trace()
         assert traced == result
-        assert trace.find("planner")
+        assert trace.root.attrs["strategy"] == "nested-relational-vectorized"
 
     def test_explain_and_describe(self, tiny_tpch, strict):
         query = repro.connect(tiny_tpch).prepare(SQL)
         plan = query.explain()
-        assert plan.cost_based
+        assert plan.est_rows is not None
         plan.render("json")
         query.describe()
 

@@ -10,7 +10,7 @@ class TestQuickstartSnippet:
         session = repro.connect(db)
 
         query = session.prepare(repro.tpch.query1("1993-01-01", "1994-01-01"))
-        result = query.execute()                             # cost-based auto
+        result = query.execute()                             # auto: vectorized
         fast = query.execute(backend="vector")               # columnar batches
         oracle = query.execute(strategy="nested-iteration")  # tuple oracle
         assert result == oracle == fast
@@ -47,10 +47,10 @@ class TestQuickstartSnippet:
         sql = repro.tpch.query1("1993-01-01", "1994-01-01")
 
         plan = session.prepare(sql).explain()     # typed repro.Plan
-        assert plan.cost_based
         assert plan.render("text").startswith(f"auto -> {plan.chosen}")
         assert plan.render("json")
-        assert isinstance(plan.est_cost, float)
+        assert plan.chosen == "nested-relational-vectorized"
+        assert isinstance(plan.est_rows, float)
 
     def test_verbatim_options_snippet(self):
         db = repro.tpch.generate(repro.tpch.TpchConfig(scale_factor=0.001))

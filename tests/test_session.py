@@ -147,9 +147,9 @@ class TestCliErrorMapping:
         assert "warp-drive" in captured.err
 
     def test_list_strategies_flag(self, capsys):
-        """The registry listing — name, backend, costed/default/alias —
-        is pinned: the planner's candidate set is exactly these entries,
-        so a refactor cannot silently drop or rename one."""
+        """The registry listing — name, backend, description, and the
+        ``auto`` rule — is pinned, so a refactor cannot silently drop or
+        rename an entry."""
         import os
 
         assert main(["run", "--list-strategies"]) == 0
