@@ -17,8 +17,7 @@ from .selection import linking_selection, pseudo_selection
 from .query_tree import TreeExpression
 from .reduce import ReducedBlock, reduce_all, reduce_block
 from .compute import NestedRelationalStrategy, set_predicate_for
-from .feedback import FeedbackStore
-from .optimizer import PlannerDecision, choose, plan_fingerprint
+from .optimizer import PlannerDecision, choose
 from .plan import Plan
 from .stats import (
     ColumnStats,
@@ -26,7 +25,6 @@ from .stats import (
     PlanStats,
     TableStats,
     collect_stats,
-    set_table_stats,
 )
 
 __all__ = [
@@ -53,15 +51,12 @@ __all__ = [
     "reduce_block",
     "NestedRelationalStrategy",
     "set_predicate_for",
-    "FeedbackStore",
     "PlannerDecision",
     "choose",
-    "plan_fingerprint",
     "Plan",
     "ColumnStats",
     "TableStats",
     "DbStats",
     "PlanStats",
     "collect_stats",
-    "set_table_stats",
 ]

@@ -22,9 +22,8 @@ the chosen strategy on the root trace span.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..errors import PlanError
 from ..engine.catalog import Database
@@ -47,36 +46,6 @@ def strategy_applicable(impl: object, query: NestedQuery, db: Database) -> bool:
     accepts everything."""
     guard = getattr(impl, "applicable", None)
     return guard is None or guard(query, db) is None
-
-
-def plan_fingerprint(query: NestedQuery) -> str:
-    """A stable digest of the plan's logical shape.
-
-    Keys the :class:`~repro.core.feedback.FeedbackStore`: two prepared
-    queries with the same block structure *and* the same predicates
-    share observations.  ``QueryBlock.describe()`` omits local
-    predicates, so they are folded in explicitly — a changed constant
-    changes the fingerprint (its cardinalities are different facts).
-    """
-    parts: List[str] = []
-    for block in query.root.walk():
-        parts.append(
-            "|".join(
-                (
-                    str(block.index),
-                    ";".join(f"{a}={t}" for a, t in sorted(block.tables.items())),
-                    block.link.describe() if block.link is not None else "",
-                    ";".join(c.describe() for c in block.correlations),
-                    repr(block.local_predicate),
-                    ";".join(block.group_by),
-                    ";".join(a.describe() for a in block.aggregates),
-                    repr(block.having),
-                    repr(block.residual),
-                )
-            )
-        )
-    digest = hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
-    return digest[:16]
 
 
 # --------------------------------------------------------------------- #

@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
 from ..errors import InvalidArgumentError
-from .feedback import FeedbackStore
-from .optimizer import PlannerDecision, plan_fingerprint
+from .optimizer import PlannerDecision
 from .stats import PlanStats, collect_stats
 
 #: formats accepted by :meth:`Plan.render`
@@ -36,9 +35,9 @@ class Plan:
     both come from the one :class:`~repro.core.optimizer.PlannerDecision`
     an execution under the same options runs.  For an ``"auto"``
     request ``est_rows`` is the estimated result cardinality
-    (:class:`~repro.core.stats.PlanStats`), with the plan
-    ``fingerprint`` and the ``feedback_epoch`` whose observations it
-    used; for a fixed strategy they are ``None``.
+    (:class:`~repro.core.stats.PlanStats` over
+    :func:`~repro.core.stats.collect_stats`); for a fixed strategy it
+    is ``None``.
     ``analysis`` is the EXPLAIN ANALYZE text and ``spans`` the
     serialized trace document, both present only under
     ``analyze=True``.
@@ -48,8 +47,6 @@ class Plan:
     strategy: str
     chosen: str
     operators: str
-    fingerprint: Optional[str] = None
-    feedback_epoch: Optional[int] = None
     est_rows: Optional[float] = None
     analysis: Optional[str] = None
     spans: Optional[Dict[str, Any]] = None
@@ -81,9 +78,6 @@ class Plan:
             "chosen": self.chosen,
             "operators": self.operators.splitlines(),
         }
-        if self.fingerprint is not None:
-            doc["fingerprint"] = self.fingerprint
-            doc["feedback_epoch"] = self.feedback_epoch
         if self.est_rows is not None:
             doc["est_rows"] = round(self.est_rows, 1)
         if self.analysis is not None:
@@ -94,36 +88,22 @@ class Plan:
 
     @classmethod
     def of(
-        cls,
-        sql: str,
-        requested,
-        decision: PlannerDecision,
-        query,
-        db,
-        feedback: FeedbackStore,
+        cls, sql: str, requested, decision: PlannerDecision, query, db
     ) -> "Plan":
         """The plan of *decision*, what the session resolved *requested*
         to: the operator text is drawn by the instance that runs.  An
-        ``"auto"`` request also gets the estimated result cardinality,
-        with *feedback*'s observed block cardinalities in place of the
-        estimates it has them for."""
+        ``"auto"`` request also gets the estimated result
+        cardinality."""
         from .explain import plan_text
 
-        fingerprint = epoch = est_rows = None
+        est_rows = None
         if requested == "auto":
-            fingerprint = plan_fingerprint(query)
-            epoch = feedback.epoch
-            est_rows = PlanStats(
-                query, collect_stats(db),
-                overrides=feedback.block_overrides(fingerprint),
-            ).out_rows
+            est_rows = PlanStats(query, collect_stats(db)).out_rows
         return cls(
             sql=sql,
             strategy=requested if isinstance(requested, str) else decision.chosen,
             chosen=decision.chosen,
             operators=plan_text(decision, query, db),
-            fingerprint=fingerprint,
-            feedback_epoch=epoch,
             est_rows=est_rows,
         )
 

@@ -31,11 +31,10 @@ caching follow the ``plan_cache`` flag.
 context's ``plan_memo``; Algorithm 1 stores what it planned there on
 the first execution and reads it on every later one.  Its key is
 therefore the strategy memo's, ``(sql, strategy, backend, session
-logic[, feedback epoch, memory budget])``, and it is memoized exactly
-when the decision is: a strategy instance or ``plan_cache=False``
-resolves a fresh decision per call, and so plans per call.  Its
-staleness rule is the one below — the flush that drops the decision
-drops its plan.  Within the slot, an entry answers only the strategy
+logic)``, and it is memoized exactly when the decision is: a strategy
+instance or ``plan_cache=False`` resolves a fresh decision per call,
+and so plans per call.  Its staleness rule is the one below — the flush
+that drops the decision drops its plan.  Within the slot, an entry answers only the strategy
 instance and the analyzed query it was planned for.
 
 **One staleness rule.**  Every entry is valid for exactly one

@@ -21,9 +21,11 @@ from ..engine.metrics import current_metrics
 from ..engine.relation import Relation
 from ..engine.trace import KIND_GOVERNOR, Tracer, current_tracer
 from .blocks import NestedQuery
-from .feedback import ROOT_SPAN
 from .optimizer import PlannerDecision, resolve
 from .reduce import group_block
+
+#: span name of the root execution span (carries the result cardinality)
+ROOT_SPAN = "execute"
 
 
 def open_root(tracer: Tracer):
@@ -50,9 +52,9 @@ def run(
     ``rows_produced`` is charged.  A root span open on the tracer
     already is this execution's: a traced session execution opens it
     first (:func:`open_root`), so that it also brackets the option
-    layering, the resolution and the feedback harvest.  The governor is
-    the ambient context's: the Session API installs it with the logic
-    mode and the reduce cache, any other caller wraps the call in
+    layering and the resolution.  The governor is the ambient context's:
+    the Session API installs it with the logic mode and the reduce
+    cache, any other caller wraps the call in
     :func:`~repro.engine.governor.governed`.
     """
     governor = current_governor()

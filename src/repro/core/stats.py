@@ -11,9 +11,6 @@ the actual one beside it; the figures come from here:
   (:meth:`~repro.engine.colstore.StoredRelation.column_stats`), computed
   when the estimator first reads a column and kept on the table; a
   column store's manifest carries them precomputed;
-* :func:`set_table_stats` registers persistent per-table overrides —
-  tests use it to plant a deliberate mis-estimate (a scale the data
-  does not have, the feedback-convergence scenario);
 * :func:`selectivity` walks a predicate expression tree and returns the
   estimated fraction of rows that satisfy it (equality ``1/NDV``,
   ranges by min/max interpolation, ``IS NULL`` by the NULL fraction,
@@ -25,9 +22,8 @@ the actual one beside it; the figures come from here:
   :class:`~repro.core.blocks.NestedQuery` — reduced block sizes, per
   level outer-join cardinalities, link selectivities, result size.
 
-Estimates are heuristics, not guarantees; the per-session
-:class:`~repro.core.feedback.FeedbackStore` replaces the estimated
-block cardinalities with observed ones after each traced execution.
+Estimates are heuristics, not guarantees, and nothing corrects them:
+an estimate is a pure function of the query and the database as it is.
 Nothing on the execution path reads any of this: ``auto`` is a rule
 (:func:`repro.core.optimizer.choose`), not a price.
 """
@@ -35,9 +31,8 @@ Nothing on the execution path reads any of this: ``auto`` is a rule
 from __future__ import annotations
 
 import datetime
-import weakref
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..engine.catalog import Database
 from ..engine.expressions import (
@@ -78,48 +73,30 @@ class ColumnStats:
     min_value: Optional[Any] = None
     max_value: Optional[Any] = None
 
-    def merged(self, other: "ColumnStats") -> "ColumnStats":
-        """This record updated with *other*'s non-default fields."""
-        return replace(
-            other,
-            min_value=(
-                other.min_value if other.min_value is not None else self.min_value
-            ),
-            max_value=(
-                other.max_value if other.max_value is not None else self.max_value
-            ),
-        )
-
 
 @dataclass
 class TableStats:
     """Row count plus per-column statistics of one base table.
 
-    ``columns`` is keyed by the *bare* column name (``o_orderkey``, not
-    ``orders.o_orderkey``) — the qualifier is the table itself.  It
-    holds the overridden columns and those :meth:`column` has read off
-    *relation* so far.
+    :meth:`column` takes the *bare* column name (``o_orderkey``, not
+    ``orders.o_orderkey``) — the qualifier is the table itself — and
+    reads its figures off *relation*, which keeps them.
     """
 
     name: str
     row_count: int
-    relation: Optional["StoredRelation"] = field(
-        default=None, repr=False, compare=False
-    )
-    columns: Dict[str, ColumnStats] = field(default_factory=dict)
+    relation: "StoredRelation" = field(repr=False, compare=False)
 
     def column(self, name: str) -> Optional[ColumnStats]:
-        cs = self.columns.get(name)
-        relation = self.relation
-        if cs is None and relation is not None and relation.schema.has(name):
-            figures = relation.column_stats(name)
-            cs = self.columns[name] = ColumnStats(
-                ndv=figures["ndv"],
-                null_frac=figures["null_frac"],
-                min_value=figures["min"],
-                max_value=figures["max"],
-            )
-        return cs
+        if not self.relation.schema.has(name):
+            return None
+        figures = self.relation.column_stats(name)
+        return ColumnStats(
+            ndv=figures["ndv"],
+            null_frac=figures["null_frac"],
+            min_value=figures["min"],
+            max_value=figures["max"],
+        )
 
 
 @dataclass
@@ -140,17 +117,9 @@ class DbStats:
 # collection
 # --------------------------------------------------------------------- #
 
-#: db -> [(table, row_count_override, {col: ColumnStats})]; overrides
-#: are *persistent*: applied by every :func:`collect_stats`, so an index
-#: build (which bumps the catalog version) does not lose planted figures
-_OVERRIDES: "weakref.WeakKeyDictionary[Database, List[Tuple]]" = (
-    weakref.WeakKeyDictionary()
-)
-
 
 def collect_stats(db: Database) -> DbStats:
-    """Statistics for *db* as it is now, registered
-    :func:`set_table_stats` overrides applied.
+    """Statistics for *db* as it is now.
 
     O(tables): a column's figures are read off its table when the
     estimator first asks for them, and the table keeps them, so an edited
@@ -161,47 +130,7 @@ def collect_stats(db: Database) -> DbStats:
         stats.tables[name] = TableStats(
             name=name, row_count=len(table.relation), relation=table.relation
         )
-    for entry in _OVERRIDES.get(db, ()):
-        _apply_override(stats, *entry)
     return stats
-
-
-def _apply_override(
-    stats: DbStats,
-    table: str,
-    row_count: Optional[int],
-    columns: Dict[str, ColumnStats],
-) -> None:
-    ts = stats.tables.get(table)
-    if ts is None:
-        return
-    if row_count is not None:
-        ts.row_count = row_count
-    for name, cs in columns.items():
-        base = ts.column(name) or ColumnStats()
-        ts.columns[name] = base.merged(cs)
-
-
-def set_table_stats(
-    db: Database,
-    table: str,
-    row_count: Optional[int] = None,
-    columns: Optional[Dict[str, ColumnStats]] = None,
-) -> DbStats:
-    """Register persistent statistic overrides for one table.
-
-    Tests plant deliberate mis-estimates this way (a larger scale, a
-    wrong NDV for the feedback loop).  Overrides survive catalog
-    version bumps: every :func:`collect_stats` applies them.  Returns
-    the statistics with the override in place.
-    """
-    _OVERRIDES.setdefault(db, []).append((table, row_count, dict(columns or {})))
-    return collect_stats(db)
-
-
-def clear_stat_overrides(db: Database) -> None:
-    """Drop every override registered for *db* (test hook)."""
-    _OVERRIDES.pop(db, None)
 
 
 # --------------------------------------------------------------------- #
@@ -446,9 +375,6 @@ def link_selectivity(
 class PlanStats:
     """Cardinality estimates propagated through one nested query.
 
-    ``overrides`` maps a block index to an observed reduced-block
-    cardinality (the feedback loop) and wins over the estimate.
-
     Attributes
     ----------
     base_rows : dict   block index -> product of base-table row counts
@@ -459,14 +385,7 @@ class PlanStats:
     out_rows : float   estimated root result cardinality
     """
 
-    def __init__(
-        self,
-        query: NestedQuery,
-        stats: DbStats,
-        overrides: Optional[Dict[int, int]] = None,
-    ):
-        overrides = overrides or {}
-
+    def __init__(self, query: NestedQuery, stats: DbStats):
         self.base_rows: Dict[int, float] = {}
         self.block_rows: Dict[int, float] = {}
         self.level_rows: Dict[int, float] = {}
@@ -481,10 +400,9 @@ class PlanStats:
                 ts = stats.table(table)
                 base *= float(ts.row_count) if ts is not None else 100.0
             self.base_rows[block.index] = base
-            est = base * selectivity(block.local_predicate, resolve)
-            if block.index in overrides:
-                est = float(overrides[block.index])
-            self.block_rows[block.index] = max(0.0, est)
+            self.block_rows[block.index] = max(
+                0.0, base * selectivity(block.local_predicate, resolve)
+            )
 
         root = query.root
         self.level_rows[root.index] = self.block_rows[root.index]
@@ -548,14 +466,3 @@ class PlanStats:
                     link, per_outer, outer=outer, inner=inner
                 )
             self._walk_down(child)
-
-    def describe(self) -> str:  # pragma: no cover - debugging aid
-        lines = [f"out_rows~{self.out_rows:.1f}"]
-        for i in sorted(self.block_rows):
-            lines.append(
-                f"T{i}: base={self.base_rows[i]:.0f} "
-                f"reduced~{self.block_rows[i]:.1f} "
-                f"level~{self.level_rows.get(i, 0.0):.1f} "
-                f"link_sel~{self.link_sel.get(i, 1.0):.3f}"
-            )
-        return "\n".join(lines)

@@ -27,7 +27,7 @@ worker processes behind it, zero shared-state locks in the scheduler:
   in-process speed.  A worker inherits the :class:`~repro.engine.catalog.Database` from the
   fork (an in-RAM database by copy-on-write, a column store by its
   mmap pages) and owns everything else an execution touches: sessions,
-  plan cache, feedback store, and a fresh
+  plan cache and a fresh
   :class:`~repro.engine.governor.ResourceGovernor` per request built
   from the tenant's :class:`~repro.options.ExecutionOptions` layered
   with the request overrides.  The front writes a request frame to an
@@ -511,18 +511,14 @@ class QueryServer:
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload (event loop: consistent).
 
-        ``cache`` and ``feedback`` total what each worker's latest
-        reply reported, key by key (``epoch`` is the highest);
-        ``workers`` lists the processes, CPU and peak RSS as of that
-        same reply.
+        ``cache`` totals what each worker's latest reply reported, key
+        by key; ``workers`` lists the processes, CPU and peak RSS as of
+        that same reply.
         """
         cache = CacheStats().snapshot()
-        observations = epoch = 0
         for slot in self._slots:
             for key, count in slot.report.get("cache", {}).items():
                 cache[key] += count
-            observations += slot.report.get("observations", 0)
-            epoch = max(epoch, slot.report.get("epoch", 0))
         return {
             "server": {
                 "draining": self._draining,
@@ -538,7 +534,6 @@ class QueryServer:
                 ),
             },
             "cache": cache,
-            "feedback": {"observations": observations, "epoch": epoch},
             "workers": [slot.snapshot() for slot in self._slots],
             "tenants": {
                 name: self._tenants[name].snapshot() for name in self._ring

@@ -3,9 +3,8 @@
 :class:`~repro.serve.server.QueryServer` forks ``workers`` children,
 each holding one end of a ``socket.socketpair()``; the child calls
 :func:`run_forked` and never returns.  A worker owns everything an
-execution touches — its own :class:`~repro.core.plancache.SessionCache`
-and :class:`~repro.core.feedback.FeedbackStore`, one
-:class:`~repro.session.Session` per tenant — over the
+execution touches — its own :class:`~repro.core.plancache.SessionCache`,
+one :class:`~repro.session.Session` per tenant — over the
 :class:`~repro.engine.catalog.Database` it inherited from the fork, and
 loops *read a request frame, execute, write a reply frame* until the
 front closes the socket.
@@ -19,7 +18,7 @@ wrote):
 * reply — two 4-byte lengths, then a pickled header (the result's
   ``columns`` / ``row_count`` / ``elapsed_ms`` / ``encode_ms`` or the
   raised exception, the governor's counters, and this worker's cache,
-  feedback, CPU and memory totals), then the response body **as the
+  CPU and memory totals), then the response body **as the
   bytes the HTTP route answers with** — rows are encoded here and are
   never pickled.
 """
@@ -39,7 +38,6 @@ import time
 import traceback
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.feedback import FeedbackStore
 from ..core.plancache import SessionCache
 from ..engine.catalog import Database
 from ..engine.types import is_null
@@ -100,11 +98,10 @@ class Worker:
         self.db = db
         self._configs = configs
         self._default_config = default_config
-        # one cache + one feedback store under every session of this
-        # worker: tenants share compiled plans, reduced builds and
-        # observed cardinalities with whoever else this worker serves
+        # one cache under every session of this worker: tenants share
+        # compiled plans and reduced builds with whoever else this
+        # worker serves
         self._cache = SessionCache(enabled=True)
-        self._feedback = FeedbackStore()
         self._sessions: Dict[str, Tuple[TenantConfig, Session]] = {}
 
     def _session(self, tenant: str) -> Tuple[TenantConfig, Session]:
@@ -117,7 +114,6 @@ class Worker:
                 self.db,
                 options=config.options,
                 cache=self._cache,
-                feedback=self._feedback,
             )
             entry = self._sessions[tenant] = (config, session)
         return entry
@@ -165,8 +161,6 @@ class Worker:
         usage = resource.getrusage(resource.RUSAGE_SELF)
         header["worker"] = {
             "cache": self._cache.stats_snapshot(),
-            "observations": len(self._feedback),
-            "epoch": self._feedback.epoch,
             "cpu_ms": (usage.ru_utime + usage.ru_stime) * 1000.0,
             "peak_rss_mb": usage.ru_maxrss / 1024.0,
         }

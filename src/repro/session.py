@@ -39,11 +39,9 @@ module.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional, Union
 
 from .core import planner
-from .core.feedback import FeedbackStore
 from .core.optimizer import PlannerDecision, resolve
 from .core.plancache import SessionCache
 from .engine.catalog import Database
@@ -74,14 +72,6 @@ class PreparedQuery:
     @property
     def session(self) -> "Session":
         return self._session
-
-    @cached_property
-    def _fingerprint(self) -> str:
-        """The feedback store's key for this plan (computed once: the
-        analyzed query never changes, and every ``trace()`` needs it)."""
-        from .core.optimizer import plan_fingerprint
-
-        return plan_fingerprint(self.query)
 
     def execute(
         self,
@@ -170,11 +160,6 @@ class PreparedQuery:
         Options layer exactly as in :meth:`execute`; the root span names
         the strategy that ran, and a governed execution's trace carries
         a ``kind="governor"`` span recording the limits.
-
-        Tracing also feeds the session's
-        :class:`~repro.core.feedback.FeedbackStore`: observed per-block
-        cardinalities from the span tree replace the estimates in later
-        ``"auto"`` EXPLAINs of structurally equivalent queries.
         """
         def request():
             eff = self._options(
@@ -188,16 +173,14 @@ class PreparedQuery:
 
     def _traced(self, request):
         """:meth:`_run` of the ``(eff, decision)`` pair *request()*
-        returns, under a tracing scope, feeding the feedback store;
-        returns ``(result, trace)``.
+        returns, under a tracing scope; returns ``(result, trace)``.
 
         The root ``execute`` span opens first and closes last: layering
-        the options, resolving them, building the governor and the
-        feedback harvest are engine work of this execution too."""
+        the options, resolving them and building the governor are
+        engine work of this execution too."""
         with tracing() as trace, planner.open_root(current().tracer):
             eff, decision = request()
             result = self._run(eff, decision)
-            self._session.feedback.observe(self._fingerprint, trace)
         return result, trace
 
     def _options(self, options=None, **kwargs) -> ExecutionOptions:
@@ -280,11 +263,10 @@ class PreparedQuery:
         EXPLAIN under options *o* describes exactly what ``execute``
         under *o* runs: both read the decision :meth:`_resolve` makes of
         the layered options.  For an ``"auto"`` request (the default)
-        the plan also carries the estimated result cardinality, with
-        this session's observed block cardinalities in place of the
-        estimates it has them for.  With ``analyze=True`` that decision
-        is then executed as :meth:`trace` would (logic, limits, this
-        session's caches and feedback) and the annotated span tree is
+        the plan also carries the estimated result cardinality, computed
+        from the database's statistics alone.  With ``analyze=True``
+        that decision is then executed as :meth:`trace` would (logic,
+        limits, this session's caches) and the annotated span tree is
         attached (wall times included unless ``timings=False``).
 
         Render with ``str(plan)`` / ``plan.render()`` (human-readable)
@@ -296,8 +278,7 @@ class PreparedQuery:
         eff = self._options(strategy=strategy, options=options)
         decision = self._resolve(eff)
         plan = Plan.of(
-            self.sql, eff.strategy, decision, self.query, self._session.db,
-            self._session.feedback,
+            self.sql, eff.strategy, decision, self.query, self._session.db
         )
         if analyze:
             # the execution it reports: this decision, same session,
@@ -338,10 +319,6 @@ class Session:
     (explicit keyword arguments win field-by-field); *logic* selects
     3VL (default) or Libkin 2VL predicate semantics for every execution
     in the session.
-
-    Each session owns a :class:`~repro.core.feedback.FeedbackStore`:
-    traced executions record observed per-block cardinalities, and
-    subsequent ``"auto"`` EXPLAINs estimate with those actuals.
     """
 
     def __init__(
@@ -355,7 +332,6 @@ class Session:
         logic: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
         cache: Optional[SessionCache] = None,
-        feedback: Optional[FeedbackStore] = None,
     ):
         if not isinstance(db, Database):
             raise InvalidArgumentError(
@@ -374,15 +350,12 @@ class Session:
         # fail at connect() time, not first execute: bad session-wide
         # limits are rejected by the governor they would build
         self.governor()
-        # *cache*/*feedback* let a server pool many sessions over ONE
-        # SessionCache and FeedbackStore (both thread-safe), so tenants
-        # share compiled plans, reduced builds and observed
-        # cardinalities; a plain connect() keeps them private
+        # *cache* lets a server pool many sessions over ONE (thread-safe)
+        # SessionCache, so tenants share compiled plans and reduced
+        # builds; a plain connect() keeps it private
         self._cache = (
             cache if cache is not None else SessionCache(enabled=plan_cache)
         )
-        #: observed cardinalities feeding EXPLAIN's estimate
-        self.feedback = feedback if feedback is not None else FeedbackStore()
 
     def governor(
         self, eff: Optional[ExecutionOptions] = None

@@ -134,9 +134,7 @@ class TestNoStatisticsOnTheExecutionPath:
             traced, trace = prepared.trace(backend=backend)
             assert traced == result
             assert trace.root.attrs["strategy"] == RULE[backend]
-        assert session.feedback.epoch > 0  # the traces were harvested
-        # one resolution: the traced runs, and the observations they
-        # recorded, leave the memoized decision alone
+        # one resolution: the traced runs leave the memoized decision alone
         assert len(calls) == 1
         assert session.cache_stats.strategy_hits == 2
         # EXPLAIN is the one reader of statistics

@@ -1,6 +1,5 @@
-"""Unit tests for :mod:`repro.core.optimizer`: the applicability
-protocol, plan fingerprints, and the feedback overrides EXPLAIN's
-estimate reads.  What ``auto`` runs is pinned by
+"""Unit tests for :mod:`repro.core.optimizer`: the decision's shape
+and the applicability protocol.  What ``auto`` runs is pinned by
 ``tests/core/test_auto_rule.py``.
 """
 
@@ -11,14 +10,11 @@ import pytest
 import repro
 from repro import strategies as registry
 from repro.core.compute import NestedRelationalStrategy
-from repro.core.feedback import FeedbackStore
 from repro.core.optimizer import (
     PlannerDecision,
     choose,
-    plan_fingerprint,
     strategy_applicable,
 )
-from repro.core.stats import PlanStats, collect_stats
 from repro.engine import Column, Database
 from repro.errors import PlanError
 
@@ -92,42 +88,6 @@ class TestChoose:
     def test_unsatisfiable_backend_raises(self, db, query):
         with pytest.raises(PlanError, match="unknown backend"):
             choose(query, db, backend="quantum")
-
-
-class TestFeedbackIntegration:
-    def test_observed_rows_override_estimates(self, db, query):
-        feedback = FeedbackStore()
-        fp = plan_fingerprint(query)
-        (child,) = query.root.children
-        feedback.record(fp, f"reduce[T{child.index}]", 7)
-        stats = collect_stats(db)
-        ps = PlanStats(
-            query, stats, overrides=feedback.block_overrides(fp)
-        )
-        assert ps.block_rows[child.index] == 7.0
-        baseline = PlanStats(query, stats)
-        assert baseline.block_rows[child.index] == 90.0
-
-
-class TestFingerprint:
-    def test_stable_across_recompiles(self, db):
-        a = plan_fingerprint(repro.compile_sql(SQL, db))
-        b = plan_fingerprint(repro.compile_sql(SQL, db))
-        assert a == b
-
-    def test_changed_constant_changes_fingerprint(self, db):
-        a = plan_fingerprint(
-            repro.compile_sql("select r.k from r where r.a > 1", db)
-        )
-        b = plan_fingerprint(
-            repro.compile_sql("select r.k from r where r.a > 2", db)
-        )
-        assert a != b
-
-    def test_different_shape_differs(self, db):
-        flat = plan_fingerprint(repro.compile_sql("select r.k from r", db))
-        nested = plan_fingerprint(repro.compile_sql(SQL, db))
-        assert flat != nested
 
 
 class TestApplicability:

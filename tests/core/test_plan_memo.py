@@ -27,7 +27,6 @@ import pytest
 import repro
 from repro import session as session_module
 from repro import strategies
-from repro.core import feedback as feedback_module
 from repro.core import planner
 from repro.core.compute import NestedRelationalStrategy
 from repro.core.reduce import reduce_step
@@ -339,8 +338,8 @@ def test_every_step_of_a_traced_execution_runs_inside_the_root(
     monkeypatch, paper_db
 ):
     """Option layering, resolution, the governor's construction, the
-    execution scope, ``planner.run`` and the feedback harvest all run
-    while the root ``execute`` span is open; the tree keeps its shape."""
+    execution scope and ``planner.run`` all run while the root
+    ``execute`` span is open; the tree keeps its shape."""
     seen = {}
 
     def root_open():
@@ -363,7 +362,6 @@ def test_every_step_of_a_traced_execution_runs_inside_the_root(
     spy(PreparedQuery, "_resolve")
     spy(Session, "governor")
     spy(planner, "run")
-    spy(feedback_module.FeedbackStore, "observe")
     spy(session_module, "scope")
 
     prepared = repro.connect(paper_db).prepare(QUERY_Q)
@@ -375,7 +373,7 @@ def test_every_step_of_a_traced_execution_runs_inside_the_root(
         seen.clear()
         result, trace = prepared.trace(**run)
         assert set(seen) == {
-            "_options", "_resolve", "governor", "run", "observe", "scope",
+            "_options", "_resolve", "governor", "run", "scope",
         }, run
         assert all(all(flags) for flags in seen.values()), (run, seen)
         # the shape planner.run gives a trace of its own: one root,

@@ -47,6 +47,8 @@ DELETED_NAMES = {
     "cost_vectorized", "scan_work", "join_work", "nest_work",
     "semijoin_work", "bottomup_work", "iteration_work", "probe_work",
     "pipeline_work", "spill_io_work",
+    "FeedbackStore", "plan_fingerprint", "block_overrides", "feedback_epoch",
+    "set_table_stats", "clear_stat_overrides", "_OVERRIDES", "_apply_override",
 }
 
 

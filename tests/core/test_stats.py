@@ -3,7 +3,7 @@
 Covers statistics collection (exact figures kept per table, ``obj``
 columns), predicate selectivities, the per-linking-operator selectivity
 rules (including the 3VL effect of NULLs on ``NOT IN``), and
-:class:`PlanStats` propagation with feedback overrides.
+:class:`PlanStats` propagation.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from repro.core.stats import (
     ColumnStats,
     PlanStats,
     block_resolver,
-    clear_stat_overrides,
     collect_stats,
     link_selectivity,
     selectivity,
-    set_table_stats,
 )
 from repro.engine import NULL, Column, Database
 from repro.engine.expressions import (
@@ -101,22 +99,17 @@ class TestCollection:
         assert collect_stats(db).column("t", "nope") is None
         assert collect_stats(db).column("nope", "v") is None
 
-    def test_override_wins_and_survives_version_bump(self, db):
-        set_table_stats(
-            db, "t", row_count=5000, columns={"v": ColumnStats(ndv=500.0)}
-        )
-        stats = collect_stats(db)
-        assert stats.table("t").row_count == 5000
-        assert stats.column("t", "v").ndv == 500.0
-        # min/max from the measured base survive the merge
-        assert stats.column("t", "v").min_value == 1
-        db.create_table("u", [Column("x")], [(1,)])  # bumps the version
-        assert collect_stats(db).table("t").row_count == 5000
+    def test_figures_depend_on_the_database_alone(self, db):
+        def figures():
+            stats = collect_stats(db)
+            return stats, [stats.column("t", c) for c in ("k", "v", "tag")]
 
-    def test_clear_overrides(self, db):
-        set_table_stats(db, "t", row_count=5000)
-        clear_stat_overrides(db)
-        assert collect_stats(db).table("t").row_count == 20
+        before = figures()
+        session = repro.connect(db)
+        sql = "select k from t where v > 3 and tag is not null"
+        session.execute(sql)
+        session.prepare(sql).trace()
+        assert figures() == before
 
 
 def obj_table(values):
@@ -306,6 +299,11 @@ class TestLinkSelectivity:
         assert link_selectivity(rng, 3.0) == DEFAULT_RANGE_SEL
 
 
+LINKED_SQL = (
+    "select r.k from r where exists (select * from s where s.rk = r.k)"
+)
+
+
 class TestPlanStats:
     @pytest.fixture()
     def linked(self):
@@ -322,11 +320,7 @@ class TestPlanStats:
             [(i, i % 40, i % 7) for i in range(120)],
             primary_key="k",
         )
-        sql = (
-            "select r.k from r where exists "
-            "(select * from s where s.rk = r.k)"
-        )
-        return d, repro.compile_sql(sql, d)
+        return d, repro.compile_sql(LINKED_SQL, d)
 
     def test_block_rows_follow_base_and_predicates(self, linked):
         db, query = linked
@@ -340,11 +334,15 @@ class TestPlanStats:
         assert 0.0 < ps.link_sel[child.index] <= 1.0
         assert ps.out_rows <= ps.block_rows[root.index]
 
-    def test_overrides_replace_block_estimates(self, linked):
+    def test_block_estimates_ignore_traced_runs(self, linked):
         db, query = linked
-        (child,) = query.root.children
-        ps = PlanStats(
-            query, collect_stats(db), overrides={child.index: 7}
-        )
-        assert ps.block_rows[child.index] == 7.0
 
+        def estimates():
+            ps = PlanStats(query, collect_stats(db))
+            return ps.block_rows, ps.level_rows, ps.link_sel, ps.out_rows
+
+        before = estimates()
+        prepared = repro.connect(db).prepare(LINKED_SQL)
+        for _ in range(3):
+            prepared.trace()
+        assert estimates() == before

@@ -117,6 +117,16 @@ def test_stats_cache_is_the_sum_over_workers(db):
     asyncio.run(main())
 
 
+def test_worker_header_reports_cache_cpu_and_memory_only(db):
+    """A worker's reply header carries its cache counters, CPU and peak
+    RSS, and nothing else: no observed-cardinality count, no epoch."""
+    from repro.serve.worker import Worker
+
+    header, body = Worker(db, {}, None).execute("bi", SQL, {})
+    assert "error" not in header and body
+    assert set(header["worker"]) == {"cache", "cpu_ms", "peak_rss_mb"}
+
+
 def test_tenant_quota_rejection_while_inflight_complete(db, sleepy):
     async def main():
         server = await _started(
@@ -274,7 +284,8 @@ def test_http_surface_end_to_end(db):
 
             status, body = await loop.run_in_executor(None, get, "/stats")
             assert status == 200
-            assert {"server", "cache", "feedback", "tenants"} <= set(body)
+            assert {"server", "cache", "tenants"} <= set(body)
+            assert "feedback" not in body
             assert body["tenants"]["curl"]["completed"] == 1
 
             status, body = await loop.run_in_executor(None, get, "/health")

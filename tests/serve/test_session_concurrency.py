@@ -1,13 +1,12 @@
 """Concurrency hammer: one Session shared by many threads.
 
-The serving layer pools sessions over one plan cache and one feedback
-store, so ``prepare()``/``execute()`` must be safe — and *exact* —
-under concurrent callers.  These tests pin the thread-safety fixes to
+The serving layer pools sessions over one plan cache, so
+``prepare()``/``execute()`` must be safe — and *exact* — under
+concurrent callers.  These tests pin the thread-safety fixes to
 :class:`~repro.core.plancache.SessionCache` (locked counters + FIFO
-eviction) and :class:`~repro.core.feedback.FeedbackStore` (locked
-check-then-set): on the pre-fix code the counter-conservation and
-eviction assertions fail intermittently (lost ``+=`` updates,
-double-evict ``KeyError``).
+eviction): on the pre-fix code the counter-conservation and eviction
+assertions fail intermittently (lost ``+=`` updates, double-evict
+``KeyError``).
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro
-from repro.core.feedback import FeedbackStore
 from repro.core.plancache import _MAX_ENTRIES, SessionCache
+from repro.core.stats import collect_stats
 from repro.engine import Database
 
 N_THREADS = 8
@@ -113,44 +112,56 @@ def test_fifo_eviction_safe_and_conserved_under_concurrent_stores():
     assert cache.stats.evictions == inserted - retained
 
 
-def test_feedback_store_concurrent_harvest_is_exact():
-    """Concurrent record(): no lost observations or epoch increments."""
-    store = FeedbackStore()
-    keys = [(f"fp{i}", f"reduce[T{i % 4}]") for i in range(40)]
+def test_concurrent_traces_keep_results_and_estimate_exact(db, workload):
+    """Threads tracing and explaining through ONE session: every trace
+    returns the sequential answer, and every EXPLAIN the estimate the
+    statistics gave before any run (tracing feeds nothing back)."""
+    session = repro.connect(db)
+    prepared = [session.prepare(sql) for sql in workload]
+    baseline = [_bag(p.execute()) for p in prepared]
+    plans = [p.explain().render("json") for p in prepared]
+    errors = []
+
+    def hammer(seed: int):
+        try:
+            for i in range(ROUNDS):
+                k = (seed + i) % len(workload)
+                result, _trace = prepared[k].trace()
+                assert _bag(result) == baseline[k], workload[k]
+                assert prepared[k].explain().render("json") == plans[k]
+        except Exception as exc:  # surfaced below with context
+            errors.append(exc)
+
+    with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+        list(pool.map(hammer, range(N_THREADS)))
+    assert errors == []
+
+
+def test_concurrent_first_reads_of_column_figures_agree():
+    """A table keeps each column's figures without a lock: threads that
+    race to compute them first all read the serial figures."""
+    config = repro.tpch.TpchConfig(scale_factor=0.001)
+    serial_db = repro.tpch.generate(config)
+    raced_db = repro.tpch.generate(config)
+    columns = [
+        (name, column.name)
+        for name, table in serial_db.tables.items()
+        for column in table.relation.schema.columns
+    ]
+    expected = [collect_stats(serial_db).column(*ref) for ref in columns]
+    assert None not in expected
     barrier = threading.Barrier(N_THREADS)
 
     def hammer(seed: int):
         barrier.wait()
-        for fp, span in keys:
-            store.record(fp, span, 7)  # same value from every thread
+        stats = collect_stats(raced_db)
+        order = columns[seed:] + columns[:seed]
+        got = {ref: stats.column(*ref) for ref in order}
+        return [got[ref] for ref in columns]
 
     with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-        list(pool.map(hammer, range(N_THREADS)))
-    # every key recorded exactly once: re-observing an identical value
-    # must not bump the epoch, and no observation may be lost
-    assert len(store) == len(keys)
-    assert store.epoch == len(keys)
-    for fp, span in keys:
-        assert store.observations(fp)[span] == 7
-
-
-def test_feedback_epoch_tracks_changes_under_concurrency():
-    """Changing values concurrently: epoch lands between the number of
-    distinct keys and the number of actual transitions (never lost)."""
-    store = FeedbackStore()
-
-    def hammer(value: int):
-        for i in range(20):
-            store.record("fp", f"reduce[T{i}]", value)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        list(pool.map(hammer, [1, 2, 3, 4]))
-    assert len(store) == 20
-    # each key's final value is one of the writers' values, and the
-    # epoch counted at least one set per key
-    assert store.epoch >= 20
-    for i, rows in store.block_overrides("fp").items():
-        assert rows in (1, 2, 3, 4)
+        results = list(pool.map(hammer, range(N_THREADS)))
+    assert all(figures == expected for figures in results)
 
 
 def test_row_sessions_share_reduce_images_but_not_options_or_logic(db):
@@ -188,9 +199,9 @@ def test_row_sessions_share_reduce_images_but_not_options_or_logic(db):
         "(select l_extendedprice from lineitem "
         "where l_orderkey = o_orderkey and l_quantity > 10)"
     )
-    cache, feedback = SessionCache(), FeedbackStore()
+    cache = SessionCache()
     tenants = [
-        repro.Session(nullable, cache=cache, feedback=feedback, **settings)
+        repro.Session(nullable, cache=cache, **settings)
         for settings in (
             {"logic": "3vl"},
             {"logic": "2vl", "timeout_ms": 60_000},
@@ -241,6 +252,6 @@ def test_row_sessions_share_reduce_images_but_not_options_or_logic(db):
         cells for _image, cells in cache._reduced.values()
     )
     # a tenant arriving later is served entirely by the others' builds
-    late = repro.Session(nullable, cache=cache, feedback=feedback, logic="2vl")
+    late = repro.Session(nullable, cache=cache, logic="2vl")
     assert _bag(late.execute(sql, backend="row")) == expected["2vl"]
     assert cache.stats_snapshot()["reduce_misses"] == stats["reduce_misses"]
