@@ -496,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("text", "json"),
                            default="text",
                            help="plan rendering: human-readable text or the "
-                                "machine-readable JSON document (estimated "
-                                "rows under auto, spans when --analyze)")
+                                "machine-readable JSON document (spans "
+                                "when --analyze)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("bench", help="regenerate a paper figure")

@@ -19,13 +19,6 @@ from .reduce import ReducedBlock, reduce_all, reduce_block
 from .compute import NestedRelationalStrategy, set_predicate_for
 from .optimizer import PlannerDecision, choose
 from .plan import Plan
-from .stats import (
-    ColumnStats,
-    DbStats,
-    PlanStats,
-    TableStats,
-    collect_stats,
-)
 
 __all__ = [
     "Correlation",
@@ -54,9 +47,4 @@ __all__ = [
     "PlannerDecision",
     "choose",
     "Plan",
-    "ColumnStats",
-    "TableStats",
-    "DbStats",
-    "PlanStats",
-    "collect_stats",
 ]

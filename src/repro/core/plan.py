@@ -2,14 +2,13 @@
 
 :meth:`repro.session.PreparedQuery.explain` returns a :class:`Plan`
 instead of bare text: the requested strategy, the strategy that would
-actually run, the estimated result cardinality (when the request was
-``"auto"``), the operator-tree text, and — with ``analyze=True`` — the
-annotated span tree of a real execution.
+actually run, the operator-tree text, and — with ``analyze=True`` —
+the annotated span tree of a real execution.
 
 ``str(plan)`` and ``plan.render()`` give the human-readable text the
 CLI and the golden files use; ``plan.render(format="json")`` gives a
-stable machine-readable document (the estimate, plus the serialized
-trace when analyzed).
+stable machine-readable document (plus the serialized trace when
+analyzed).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Any, Dict, Optional
 
 from ..errors import InvalidArgumentError
 from .optimizer import PlannerDecision
-from .stats import PlanStats, collect_stats
 
 #: formats accepted by :meth:`Plan.render`
 PLAN_FORMATS = ("text", "json")
@@ -33,11 +31,7 @@ class Plan:
     ``strategy`` is what the caller asked for (``"auto"`` or a fixed
     name); ``chosen`` is the name the execution's root span carries —
     both come from the one :class:`~repro.core.optimizer.PlannerDecision`
-    an execution under the same options runs.  For an ``"auto"``
-    request ``est_rows`` is the estimated result cardinality
-    (:class:`~repro.core.stats.PlanStats` over
-    :func:`~repro.core.stats.collect_stats`); for a fixed strategy it
-    is ``None``.
+    an execution under the same options runs.
     ``analysis`` is the EXPLAIN ANALYZE text and ``spans`` the
     serialized trace document, both present only under
     ``analyze=True``.
@@ -47,7 +41,6 @@ class Plan:
     strategy: str
     chosen: str
     operators: str
-    est_rows: Optional[float] = None
     analysis: Optional[str] = None
     spans: Optional[Dict[str, Any]] = None
 
@@ -78,8 +71,6 @@ class Plan:
             "chosen": self.chosen,
             "operators": self.operators.splitlines(),
         }
-        if self.est_rows is not None:
-            doc["est_rows"] = round(self.est_rows, 1)
         if self.analysis is not None:
             doc["analysis"] = self.analysis.splitlines()
         if self.spans is not None:
@@ -91,20 +82,14 @@ class Plan:
         cls, sql: str, requested, decision: PlannerDecision, query, db
     ) -> "Plan":
         """The plan of *decision*, what the session resolved *requested*
-        to: the operator text is drawn by the instance that runs.  An
-        ``"auto"`` request also gets the estimated result
-        cardinality."""
+        to: the operator text is drawn by the instance that runs."""
         from .explain import plan_text
 
-        est_rows = None
-        if requested == "auto":
-            est_rows = PlanStats(query, collect_stats(db)).out_rows
         return cls(
             sql=sql,
             strategy=requested if isinstance(requested, str) else decision.chosen,
             chosen=decision.chosen,
             operators=plan_text(decision, query, db),
-            est_rows=est_rows,
         )
 
     def analyzed(self, result, trace, metrics, timings: bool = True) -> "Plan":

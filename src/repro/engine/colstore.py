@@ -5,10 +5,8 @@ with :func:`numpy.lib.format.open_memmap`, so it can be memory-mapped
 back without copying), an optional packed validity bitmap per nullable
 column (``np.packbits`` of the boolean valid mask), and one
 ``manifest.json`` describing every table: row count, per-column kind
-(``i8``/``f8``/``bool``/fixed-width ``str``), NOT NULL flags, and exact
-per-column statistics (NDV, null fraction, min, max) computed once at
-write time by the function every base table's statistics come from
-(:meth:`StoredRelation.column_stats`).
+(``i8``/``f8``/``bool``/fixed-width ``str``), NOT NULL flags and file
+names.
 
 Reading side: :class:`StoredRelation` subclasses
 :class:`~repro.engine.relation.Relation` but keeps its data as
@@ -28,7 +26,6 @@ are chunked so generation never holds a full table in memory.
 
 from __future__ import annotations
 
-import datetime
 import json
 import os
 import hashlib
@@ -40,7 +37,6 @@ from ..errors import CatalogError
 from .catalog import Database
 from .relation import Relation, Row
 from .schema import Column, Schema
-from .types import group_key
 from .vector.column import (
     KIND_BOOL,
     KIND_FLOAT,
@@ -82,8 +78,7 @@ class TableWriter:
 
     Rows are buffered up to *chunk_rows*, encoded column-wise into
     temporary per-chunk ``.npy`` files, and stitched into the final
-    memory-mapped column files by :meth:`finish` — which also computes
-    the exact column statistics recorded in the manifest.
+    memory-mapped column files by :meth:`finish`.
     """
 
     def __init__(
@@ -211,7 +206,6 @@ class TableWriter:
             if valid_path is not None:
                 os.remove(valid_path)
         mm.flush()
-        stats = _exact_stats(kind, mm, valid)
         del mm
         rel_valid = None
         if not valid.all():
@@ -227,53 +221,7 @@ class TableWriter:
             "not_null": bool(col.not_null),
             "file": rel_file,
             "valid_file": rel_valid,
-            "stats": stats,
         }
-
-
-def _exact_stats(kind: str, data: np.ndarray, valid: np.ndarray) -> Dict[str, Any]:
-    """Exact NDV / null fraction / min / max of one column: the figures
-    of every base table's statistics, whether a store writes them to
-    its manifest or :meth:`StoredRelation.column_stats` computes them.
-
-    NDV counts the values distinct under SQL grouping
-    (:func:`~repro.engine.types.group_key`: ``2`` and ``2.0`` are one
-    value, ``True`` and ``1`` two).  On an ``obj`` column min / max range
-    over the values that order (numbers, strings, dates; not booleans),
-    and are None when those do not order with each other.
-    """
-    n = len(data)
-    n_valid = int(valid.sum())
-    null_frac = 0.0 if n == 0 else 1.0 - n_valid / n
-    if n_valid == 0:
-        return {"ndv": 0.0, "null_frac": null_frac, "min": None, "max": None}
-    live = np.asarray(data)[valid] if n_valid < n else np.asarray(data)
-    if kind == KIND_OBJ:
-        values = live.tolist()
-        ndv = len({group_key(v) for v in values})
-        ordered = [
-            v for v in values
-            if isinstance(v, (int, float, str, datetime.date))
-            and not isinstance(v, bool)
-        ]
-        try:
-            lo, hi = min(ordered), max(ordered)
-        except (TypeError, ValueError):  # mixed domains, or none at all
-            lo = hi = None
-    else:
-        # a sort, not np.unique: that imports numpy.ma (≈ 1.5 MB of RSS)
-        # into a process that otherwise never needs it, and is slower
-        ordered = np.sort(live)
-        ndv = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
-        lo, hi = ordered[0].item(), ordered[-1].item()
-        if kind == KIND_FLOAT:
-            lo, hi = float(lo), float(hi)
-    return {
-        "ndv": float(ndv),
-        "null_frac": null_frac,
-        "min": lo,
-        "max": hi,
-    }
 
 
 class StoreWriter:
@@ -343,20 +291,16 @@ class StoredRelation(Relation):
     strategies and the external-oracle adapters need no changes; they
     just pay a one-time materialization on first row access — unless
     the table was built from Python rows, which it then keeps as its
-    row tuple (*rows*).  Each column's statistics
-    (:meth:`column_stats`) are computed from it on first read, or come
-    with a store's manifest (*stats*, one entry per column).
+    row tuple (*rows*).
     """
 
-    __slots__ = ("_vectors", "_row_count", "_rows_cache", "_batch_cache",
-                 "_stats")
+    __slots__ = ("_vectors", "_row_count", "_rows_cache", "_batch_cache")
 
     def __init__(
         self,
         schema: Schema,
         vectors: Sequence[Vector],
         row_count: int,
-        stats: Optional[Sequence[Dict[str, Any]]] = None,
         rows: Optional[Tuple[Row, ...]] = None,
     ):
         # deliberately NOT calling Relation.__init__: it would materialize
@@ -366,11 +310,6 @@ class StoredRelation(Relation):
         self._row_count = int(row_count)
         self._rows_cache = rows
         self._batch_cache = None
-        #: per column, its :func:`_exact_stats` figures, or None until
-        #: :meth:`column_stats` first reads them
-        self._stats: List[Optional[Dict[str, Any]]] = (
-            list(stats) if stats is not None else [None] * len(self._vectors)
-        )
 
     # -- the row-iterator shim ----------------------------------------- #
 
@@ -397,19 +336,6 @@ class StoredRelation(Relation):
 
     def column_values(self, ref: str):
         return self._vectors[self.schema.index_of(ref)].tolist_sql()
-
-    def column_stats(self, ref: str) -> Dict[str, Any]:
-        """Exact ``ndv`` / ``null_frac`` / ``min`` / ``max`` of column
-        *ref* (:func:`_exact_stats`).  Computed on first read and kept,
-        like :attr:`~repro.engine.vector.column.Vector.order_key`: two
-        threads that ask at once may both compute them, and keep equal
-        figures, so no lock is needed."""
-        i = self.schema.index_of(ref)
-        figures = self._stats[i]
-        if figures is None:
-            v = self._vectors[i]
-            figures = self._stats[i] = _exact_stats(v.kind, v.data, v.valid)
-        return figures
 
     # -- columnar access ------------------------------------------------ #
 
@@ -470,8 +396,7 @@ def stored_relation(
         for c in entry["columns"]
     ]
     vectors = [_load_vector(root, c, n) for c in entry["columns"]]
-    stats = [c["stats"] for c in entry["columns"]]
-    return StoredRelation(Schema(columns), vectors, n, stats=stats)
+    return StoredRelation(Schema(columns), vectors, n)
 
 
 def load_stored_database(root: str, build_indexes: bool = False) -> Database:

@@ -262,10 +262,7 @@ class PreparedQuery:
 
         EXPLAIN under options *o* describes exactly what ``execute``
         under *o* runs: both read the decision :meth:`_resolve` makes of
-        the layered options.  For an ``"auto"`` request (the default)
-        the plan also carries the estimated result cardinality, computed
-        from the database's statistics alone.  With ``analyze=True``
-        that decision is then executed as :meth:`trace` would (logic,
+        the layered options.  With ``analyze=True`` that decision is then executed as :meth:`trace` would (logic,
         limits, this session's caches) and the annotated span tree is
         attached (wall times included unless ``timings=False``).
 

@@ -326,9 +326,7 @@ def generate(config: Optional[TpchConfig] = None, **kwargs) -> Database:
 
     The same walk :func:`generate_stored` writes to a store, built in
     RAM: every table is its columns, and builds its Python rows only
-    when something reads them.  The planner's statistics are the
-    columns' exact figures, as a store's manifest records them
-    (:meth:`~repro.engine.colstore.StoredRelation.column_stats`).
+    when something reads them.
     """
     config = _configured(config, kwargs)
     db = Database()
@@ -371,9 +369,7 @@ def generate_stored(
     :class:`repro.engine.colstore.StoreWriter`, so peak memory stays at
     one chunk per open table instead of the whole database.  The
     resulting directory loads with
-    :func:`repro.engine.colstore.load_stored_database`, whose manifest
-    carries each column's exact statistics: the figures an in-RAM
-    table computes when the planner first reads them.
+    :func:`repro.engine.colstore.load_stored_database`.
 
     Returns *out_dir*.  ``repro gen`` is the CLI face of this function.
     """

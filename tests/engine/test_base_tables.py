@@ -2,8 +2,8 @@
 
 ``generate`` encodes every table once into its columns and keeps no
 row tuple; a table builds its rows on the first row-level read, and an
-index its buckets on the first probe.  So statistics and the vector
-engine never build a row, the row engine builds exactly the tables it
+index its buckets on the first probe.  So the vector engine never
+builds a row, the row engine builds exactly the tables it
 scans, and a process forked after generation (as ``repro serve`` forks
 its workers) answers from the columns it inherited, encoding nothing.
 """
@@ -17,7 +17,6 @@ import traceback
 import pytest
 
 import repro
-from repro.core.stats import collect_stats
 from repro.engine.vector import Batch
 from repro.tpch import generate, query1
 
@@ -56,9 +55,7 @@ def figure_answers(db):
 
 @pytest.fixture
 def db():
-    db = generate(CONFIG)
-    collect_stats(db)
-    return db
+    return generate(CONFIG)
 
 
 def test_generating_builds_no_row_and_no_bucket(db):
@@ -67,12 +64,16 @@ def test_generating_builds_no_row_and_no_bucket(db):
     assert built_buckets(db) == set()
 
 
-def test_every_column_statistic_builds_no_row_and_no_bucket(db):
-    stats = collect_stats(db)
-    for name, table in db.tables.items():
-        for col in table.schema.columns:
-            assert stats.column(name, col.name) is not None, (name, col.name)
-        assert None not in table.relation._stats  # all computed, and kept
+@pytest.mark.parametrize(
+    "strategy,backend",
+    [("auto", None), ("auto", "row"), ("system-a-native", None)],
+)
+@pytest.mark.parametrize("stem,sql", PAPER_QUERIES)
+def test_explain_builds_no_row_and_no_bucket(db, stem, sql, strategy, backend):
+    """EXPLAIN draws the plan from the query alone: it reads no table."""
+    options = repro.ExecutionOptions(strategy=strategy, backend=backend)
+    plan = repro.connect(db).prepare(sql).explain(options=options)
+    assert plan.operators, stem
     assert built_rows(db) == set()
     assert built_buckets(db) == set()
 

@@ -1,15 +1,16 @@
-"""Out-of-core column store: roundtrip, zero-copy, exact stats, shims."""
+"""Out-of-core column store: roundtrip, zero-copy, old manifests, shims."""
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 import repro
-from repro.engine import NULL, Column, Database
+from repro.engine import Column, Database
 from repro.engine.colstore import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -26,8 +27,9 @@ from repro.engine.expressions import Col, Comparison, Literal
 from repro.engine.governor import batch_nbytes
 from repro.engine.vector import kernels, nestlink, table_batch
 from repro.errors import CatalogError
-from repro.core.stats import collect_stats
 from repro.tpch import TpchConfig, generate, generate_stored
+
+from ..core.test_explain_golden import PAPER_QUERIES
 
 
 CONFIG = TpchConfig(scale_factor=0.002, seed=1234, inject_null_fraction=0.08)
@@ -163,8 +165,8 @@ def test_a_vector_query_never_builds_the_row_shim(store_dir):
 
 def test_a_mutator_edit_of_a_stored_table_reaches_both_backends(store_dir):
     """The edit works on a fresh in-RAM copy (the store is write-once);
-    both backends, ``len`` and the statistics then see the new rows,
-    also through a prepared query whose reduce memo was warm."""
+    both backends and ``len`` then see the new rows, also through a
+    prepared query whose reduce memo was warm."""
     db = load_stored_database(store_dir)
     session = repro.connect(db)
     prepared = session.prepare(
@@ -180,11 +182,8 @@ def test_a_mutator_edit_of_a_stored_table_reaches_both_backends(store_dir):
             table.relation.rows[0]
         ),
     )
-    # the edited rows are re-encoded into heap columns, whose figures
-    # are computed afresh from them (not carried over from the manifest)
-    edited = db.relation("region")
-    assert isinstance(edited, StoredRelation)
-    assert edited._stats == [None] * len(edited.schema)
+    # the edited rows are re-encoded into heap columns
+    assert isinstance(db.relation("region"), StoredRelation)
     assert not isinstance(table_batch(db.table("region")).columns[0].data,
                           np.memmap)
     for backend in ("row", "vector"):
@@ -193,63 +192,43 @@ def test_a_mutator_edit_of_a_stored_table_reaches_both_backends(store_dir):
         got = session.execute("select r_name from region", backend=backend)
         assert len(got) == 6
     assert len(db.relation("region")) == 6
-    stats = collect_stats(db)
-    assert stats.table("region").row_count == 6
-    # exact over the edited rows: the copied row adds no distinct key
-    key = stats.column("region", "r_regionkey")
-    assert (key.ndv, key.min_value, key.max_value) == (5.0, 0, 4)
 
 
-def test_manifest_carries_exact_stats(store_dir, memory_db):
-    manifest = open_store(store_dir)
-    entry = {
-        c["name"]: c for c in manifest["tables"]["lineitem"]["columns"]
-    }
-    values = memory_db.relation("lineitem").column_values("l_extendedprice")
-    live = [v for v in values if v is not NULL]
-    stats = entry["l_extendedprice"]["stats"]
-    assert stats["ndv"] == float(len(set(live)))
-    assert stats["min"] == min(live)
-    assert stats["max"] == max(live)
-    assert stats["null_frac"] == pytest.approx(
-        1.0 - len(live) / len(values)
+@pytest.fixture(scope="module")
+def stats_store_dir(store_dir, tmp_path_factory):
+    """A copy of *store_dir* whose manifest gives every column a
+    ``"stats"`` entry, as stores of format 1 once recorded."""
+    path = str(tmp_path_factory.mktemp("colstore_stats") / "tpch")
+    shutil.copytree(store_dir, path)
+    manifest = open_store(path)
+    for entry in manifest["tables"].values():
+        for c in entry["columns"]:
+            c["stats"] = {"ndv": 1.0, "null_frac": 0.0, "min": 0, "max": 0}
+    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
+        json.dump(manifest, fh)
+    return path
+
+
+@pytest.mark.parametrize("backend", ["row", "vector"])
+@pytest.mark.parametrize("stem,sql", PAPER_QUERIES)
+def test_a_manifest_still_carrying_stats_opens(
+    store_dir, stored_db, stats_store_dir, stem, sql, backend
+):
+    """A fresh manifest records no per-column ``"stats"``; a store whose
+    manifest still carries them opens and answers exactly as the fresh
+    one does."""
+    assert not any(
+        "stats" in c
+        for entry in open_store(store_dir)["tables"].values()
+        for c in entry["columns"]
     )
-    assert stats["null_frac"] > 0  # the injection actually fired
-
-
-def assert_one_statistics_source(memory_db, stored_db):
-    """The planner's statistics of an in-RAM database equal those of
-    its stored copy, for every table and column."""
-    memory, stored = collect_stats(memory_db), collect_stats(stored_db)
-    assert sorted(memory.tables) == sorted(stored.tables)
-    for name, table in memory_db.tables.items():
-        assert memory.table(name).row_count == stored.table(name).row_count
-        for col in table.schema.columns:
-            assert memory.column(name, col.name) == stored.column(
-                name, col.name
-            ), (name, col.name)
-
-
-def test_one_statistics_source(stored_db, memory_db):
-    """A store's manifest and an in-RAM table's columns give the planner
-    the same exact figures: one function computes both."""
-    assert all(
-        None not in stored_db.relation(name)._stats for name in stored_db.tables
-    )  # the manifest pre-fills them
-    assert_one_statistics_source(memory_db, stored_db)
-    col = collect_stats(memory_db).column("lineitem", "l_extendedprice")
-    values = memory_db.relation("lineitem").column_values("l_extendedprice")
-    live = [v for v in values if v is not NULL]
-    assert col.ndv == float(len(set(live)))
-    assert (col.min_value, col.max_value) == (min(live), max(live))
-
-
-@pytest.mark.full_scale
-def test_one_statistics_source_at_sf_0_01(tmp_path):
-    config = TpchConfig(scale_factor=0.01, seed=1234, inject_null_fraction=0.08)
-    path = str(tmp_path / "tpch")
-    generate_stored(path, config, chunk_rows=500)
-    assert_one_statistics_source(generate(config), load_stored_database(path))
+    expected = repro.connect(stored_db).execute(
+        sql, strategy="nested-relational", backend=backend
+    )
+    got = repro.connect(load_stored_database(stats_store_dir)).execute(
+        sql, strategy="nested-relational", backend=backend
+    )
+    assert got == expected, stem
 
 
 @pytest.mark.parametrize("backend", ["row", "vector"])

@@ -41,7 +41,6 @@ class TestInternalPathsAreClean:
     def test_explain_and_describe(self, tiny_tpch, strict):
         query = repro.connect(tiny_tpch).prepare(SQL)
         plan = query.explain()
-        assert plan.est_rows is not None
         plan.render("json")
         query.describe()
 

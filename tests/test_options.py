@@ -154,7 +154,7 @@ class TestSessionIntegration:
             options=ExecutionOptions(strategy="nested-relational")
         )
         assert plan.chosen == "nested-relational"
-        assert plan.est_rows is None  # not an auto request
+        assert "auto ->" not in plan.render("text")  # not an auto request
 
     def test_verify_accepts_options(self, db):
         report = repro.connect(db).prepare(self.SQL).verify(
