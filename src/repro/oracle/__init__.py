@@ -33,15 +33,8 @@ from .adapter import (
     make_adapter,
 )
 from .bench import external_baseline, paper_query_suite, write_oracle_artifact
-from .dialect import (
-    DUCKDB,
-    SQLITE,
-    Dialect,
-    comparable,
-    dialect_for,
-    render_float,
-    render_for,
-)
+from ..sql.unparse import Dialect, render_for
+from .dialect import DUCKDB, SQLITE, comparable, dialect_for
 from .diff import (
     OracleComparison,
     RowDiff,
@@ -88,7 +81,6 @@ __all__ = [
     "paper_query_suite",
     "register_known_divergence",
     "registry_report",
-    "render_float",
     "render_for",
     "sql_digest",
     "verify_or_raise",

@@ -7,8 +7,9 @@ cheap to build and single-use-friendly — the fuzzer builds a fresh one
 per case; ``PreparedQuery.verify`` keeps one per call.
 
 Registering a new engine means subclassing :class:`EngineAdapter`,
-adding a :class:`~repro.oracle.dialect.Dialect` if the engine needs
-non-default rendering, and listing the constructor in
+giving it a :class:`~repro.sql.unparse.Dialect` (``SQLITE`` or
+``DUCKDB`` from :mod:`repro.oracle.dialect` unless the engine spells
+something differently), and listing the constructor in
 :data:`ADAPTER_FACTORIES` (see DESIGN.md §12 for the walkthrough).
 """
 
@@ -21,7 +22,7 @@ from ..engine.catalog import Database
 from ..errors import OracleError, OracleUnavailableError
 from ..sql import ast as A
 from ..sql.parser import parse
-from .dialect import Dialect, render_for
+from ..sql.unparse import REPRO, Dialect, render_for
 
 
 class EngineAdapter:
@@ -30,7 +31,7 @@ class EngineAdapter:
     #: registry name, e.g. ``"sqlite"``
     name: str = "?"
     #: the dialect the adapter renders SQL in
-    dialect: Optional[Dialect] = None
+    dialect: Dialect
 
     def load(self, db: Database) -> None:
         """(Re)create every table of *db* inside the engine."""
@@ -51,13 +52,9 @@ class EngineAdapter:
     # conveniences shared by every adapter
     # ------------------------------------------------------------------ #
 
-    def render(self, stmt: A.SelectStmt) -> str:
-        assert self.dialect is not None
-        return render_for(stmt, self.dialect)
-
     def execute(self, stmt: A.SelectStmt) -> Tuple[List[tuple], str, float]:
         """Render and run *stmt*; ``(rows, dialect_sql, seconds)``."""
-        sql = self.render(stmt)
+        sql = render_for(stmt, self.dialect)
         start = time.perf_counter()
         rows = self.execute_sql(sql)
         return rows, sql, time.perf_counter() - start
@@ -82,17 +79,13 @@ class InternalAdapter(EngineAdapter):
     """
 
     name = "internal"
+    dialect = REPRO
 
     def __init__(self) -> None:
         self._db: Optional[Database] = None
 
     def load(self, db: Database) -> None:
         self._db = db
-
-    def render(self, stmt: A.SelectStmt) -> str:
-        from ..sql.unparse import render_sql
-
-        return render_sql(stmt)
 
     def execute_sql(self, sql: str) -> List[tuple]:
         from ..core.planner import run

@@ -1,58 +1,36 @@
-"""AST -> external-engine SQL rendering.
+"""The engine dialects and the oracle's comparability check.
 
-The internal unparser (:mod:`repro.sql.unparse`) targets our own parser;
-this module targets *real* engines.  The differences that matter:
-
-* **identifier quoting** — every table/column identifier is emitted
-  inside double quotes (doubling embedded quotes), so names that collide
-  with the target engine's keyword set cannot change the parse;
-* **quantified predicates** — SQLite has no ``θ SOME/ANY/ALL`` and other
-  engines disagree on the corners, so both quantifiers are rewritten
-  into a three-valued ``CASE``-over-``EXISTS`` form that reproduces SQL
-  semantics exactly (TRUE / FALSE / UNKNOWN as ``1`` / ``0`` / ``NULL``,
-  which compose correctly under the engine's own Kleene AND/OR/NOT):
-
-  - ``x θ SOME (SELECT e FROM ... WHERE w)`` becomes TRUE when a
-    *w*-row with a TRUE comparison exists, else UNKNOWN when one with an
-    UNKNOWN comparison exists, else FALSE (vacuously FALSE on empty);
-  - ``x θ ALL`` symmetrically: FALSE dominates, then UNKNOWN, else TRUE
-    (vacuously TRUE on empty);
-
-* **division** — our engine (and DuckDB) use true division for ``/``;
-  SQLite truncates integer/integer, so the SQLite dialect multiplies the
-  left operand by ``1.0`` first.  Both agree that division by zero
-  yields NULL.
-
-``IN (subquery)``, ``NOT IN``, ``EXISTS``, ``BETWEEN``, ``IS NULL`` and
-the Kleene connectives follow the SQL standard in every engine we adapt,
-so they render natively.
+Rendering itself lives in :mod:`repro.sql.unparse`: one renderer, three
+dialects.  This module sets the two engine dialects' fields — quoted
+identifiers, ``1`` / ``0`` booleans, ISO date strings, the CASE/EXISTS
+rewrite of ``θ SOME|ALL`` and :class:`OracleUnsupportedError` — and
+differs between them only in SQLite's truncating integer division.
 """
 
 from __future__ import annotations
 
-import datetime
-from dataclasses import dataclass
-
-from ..engine.types import is_null
 from ..errors import OracleUnsupportedError
 from ..sql import ast as A
+from ..sql.unparse import Dialect
 
-
-@dataclass(frozen=True)
-class Dialect:
-    """Rendering knobs for one engine family."""
-
-    name: str
-    #: ``/`` truncates on integer operands (SQLite) and needs the
-    #: ``* 1.0`` promotion to match our true-division semantics.
-    integer_division: bool = False
-
-    def quote_ident(self, name: str) -> str:
-        return '"' + name.replace('"', '""') + '"'
-
-
-SQLITE = Dialect(name="sqlite", integer_division=True)
-DUCKDB = Dialect(name="duckdb", integer_division=False)
+SQLITE = Dialect(
+    name="sqlite",
+    quote_identifiers=True,
+    booleans=("1", "0"),
+    dates=True,
+    integer_division=True,
+    native_quantifiers=False,
+    error=OracleUnsupportedError,
+)
+DUCKDB = Dialect(
+    name="duckdb",
+    quote_identifiers=True,
+    booleans=("1", "0"),
+    dates=True,
+    integer_division=False,
+    native_quantifiers=False,
+    error=OracleUnsupportedError,
+)
 
 _DIALECTS = {"sqlite": SQLITE, "duckdb": DUCKDB}
 
@@ -64,11 +42,6 @@ def dialect_for(engine: str) -> Dialect:
         raise OracleUnsupportedError(
             f"no SQL dialect registered for engine {engine!r}"
         ) from None
-
-
-def render_for(stmt: A.SelectStmt, dialect: Dialect) -> str:
-    """Render *stmt* as SQL text for *dialect*'s engine."""
-    return _Renderer(dialect).select(stmt)
 
 
 def comparable(stmt: A.SelectStmt) -> None:
@@ -86,233 +59,3 @@ def comparable(stmt: A.SelectStmt) -> None:
             "rows unless ORDER BY totally orders the output; the oracle "
             "cannot diff them faithfully"
         )
-
-
-class _Renderer:
-    def __init__(self, dialect: Dialect):
-        self.d = dialect
-
-    # ------------------------------------------------------------------ #
-    # statements
-    # ------------------------------------------------------------------ #
-
-    def select(self, stmt: A.SelectStmt) -> str:
-        parts = ["select"]
-        if stmt.distinct:
-            parts.append("distinct")
-        parts.append(", ".join(self._item(item) for item in stmt.items))
-        parts.append("from")
-        parts.append(", ".join(self._table(t) for t in stmt.tables))
-        if stmt.where is not None:
-            parts.append("where")
-            parts.append(self.predicate(stmt.where))
-        if stmt.group_by:
-            parts.append("group by")
-            parts.append(", ".join(self._colref(r) for r in stmt.group_by))
-        if stmt.having is not None:
-            parts.append("having")
-            parts.append(self.predicate(stmt.having))
-        if stmt.order_by:
-            parts.append("order by")
-            parts.append(
-                ", ".join(
-                    self._colref(item.expr) + (" desc" if item.descending else "")
-                    for item in stmt.order_by
-                )
-            )
-        if stmt.limit is not None:
-            parts.append(f"limit {stmt.limit}")
-        return " ".join(parts)
-
-    def _item(self, item: A.SelectItem) -> str:
-        if item.star:
-            return "*"
-        assert item.expr is not None
-        if isinstance(item.expr, A.AggregateCall):
-            return self._agg_call(item.expr)
-        return self._colref(item.expr)
-
-    def _agg_call(self, call: A.AggregateCall) -> str:
-        if call.star:
-            return f"{call.func}(*)"
-        assert call.arg is not None
-        return f"{call.func}({self._colref(call.arg)})"
-
-    def _table(self, tref: A.TableRef) -> str:
-        name = self.d.quote_ident(tref.name)
-        if tref.alias:
-            return f"{name} {self.d.quote_ident(tref.alias)}"
-        return name
-
-    # ------------------------------------------------------------------ #
-    # value expressions
-    # ------------------------------------------------------------------ #
-
-    def _colref(self, ref: A.ColumnRef) -> str:
-        col = self.d.quote_ident(ref.column)
-        if ref.table:
-            return f"{self.d.quote_ident(ref.table)}.{col}"
-        return col
-
-    def value(self, expr: A.ValueExpr) -> str:
-        if isinstance(expr, A.ColumnRef):
-            return self._colref(expr)
-        if isinstance(expr, A.Constant):
-            return self.constant(expr.value)
-        if isinstance(expr, A.BinaryArith):
-            left = self.value(expr.left)
-            right = self.value(expr.right)
-            if expr.op == "/" and self.d.integer_division:
-                # promote to REAL so int/int matches our true division
-                return f"(({left}) * 1.0 / ({right}))"
-            return f"({left} {expr.op} {right})"
-        if isinstance(expr, A.AggregateCall):
-            return self._agg_call(expr)
-        if isinstance(expr, A.ScalarSubquery):
-            # real engines evaluate scalar subqueries natively (empty
-            # result -> NULL), matching our aggregate-link semantics
-            return f"({self.select(expr.subquery)})"
-        raise OracleUnsupportedError(
-            f"cannot render value expression {expr!r} for {self.d.name}"
-        )
-
-    def constant(self, value: object) -> str:
-        if is_null(value):
-            return "null"
-        if value is True:
-            return "1"
-        if value is False:
-            return "0"
-        if isinstance(value, float):
-            return render_float(value)
-        if isinstance(value, int):
-            return repr(value)
-        if isinstance(value, str):
-            return "'" + value.replace("'", "''") + "'"
-        if isinstance(value, datetime.date):
-            return f"'{value.isoformat()}'"
-        raise OracleUnsupportedError(
-            f"cannot render constant {value!r} for {self.d.name}"
-        )
-
-    # ------------------------------------------------------------------ #
-    # predicates
-    # ------------------------------------------------------------------ #
-
-    def predicate(self, pred: A.Predicate, parent: str = "or") -> str:
-        if isinstance(pred, A.OrPred):
-            text = (
-                f"{self.predicate(pred.left, 'or')} or "
-                f"{self.predicate(pred.right, 'or')}"
-            )
-            return f"({text})" if parent in ("and", "not") else text
-        if isinstance(pred, A.AndPred):
-            text = (
-                f"{self.predicate(pred.left, 'and')} and "
-                f"{self.predicate(pred.right, 'and')}"
-            )
-            return f"({text})" if parent == "not" else text
-        if isinstance(pred, A.NotPred):
-            return f"not {self.predicate(pred.operand, 'not')}"
-        if isinstance(pred, A.ComparisonPred):
-            return f"{self.value(pred.left)} {pred.op} {self.value(pred.right)}"
-        if isinstance(pred, A.BetweenPred):
-            return (
-                f"{self.value(pred.operand)} between "
-                f"{self.value(pred.low)} and {self.value(pred.high)}"
-            )
-        if isinstance(pred, A.IsNullPred):
-            negation = "is not null" if pred.negated else "is null"
-            return f"{self.value(pred.operand)} {negation}"
-        if isinstance(pred, A.InListPred):
-            items = ", ".join(self.value(v) for v in pred.items)
-            keyword = "not in" if pred.negated else "in"
-            return f"{self.value(pred.operand)} {keyword} ({items})"
-        if isinstance(pred, A.ExistsPred):
-            keyword = "not exists" if pred.negated else "exists"
-            return f"{keyword} ({self.select(pred.subquery)})"
-        if isinstance(pred, A.InSubqueryPred):
-            keyword = "not in" if pred.negated else "in"
-            return f"{self.value(pred.operand)} {keyword} ({self.select(pred.subquery)})"
-        if isinstance(pred, A.QuantifiedPred):
-            return self._quantified(pred)
-        raise OracleUnsupportedError(
-            f"cannot render predicate {pred!r} for {self.d.name}"
-        )
-
-    def _quantified(self, pred: A.QuantifiedPred) -> str:
-        """The 3VL-preserving CASE/EXISTS rewrite of ``x θ SOME|ALL``."""
-        sub = pred.subquery
-        if len(sub.items) != 1 or sub.items[0].star or sub.items[0].expr is None:
-            raise OracleUnsupportedError(
-                "quantified subquery must have exactly one select item"
-            )
-        if sub.order_by or sub.limit is not None:
-            raise OracleUnsupportedError(
-                "ORDER BY/LIMIT inside a quantified subquery cannot be "
-                "preserved through the EXISTS rewrite"
-            )
-        operand = self.value(pred.operand)
-        item = sub.items[0].expr
-        if sub.group_by or sub.having is not None:
-            # grouped subquery: probe the aggregated result as a derived
-            # table (inlining WHERE would bypass the HAVING filter)
-            if isinstance(item, A.AggregateCall):
-                raise OracleUnsupportedError(
-                    "quantified grouped subquery must select a group key"
-                )
-            inner = self.select(sub)
-            element = f'"_q".{self.d.quote_ident(item.column)}'
-            compare = f"({operand} {pred.op} {element})"
-
-            def probe(condition: str) -> str:
-                return f'exists (select 1 from ({inner}) "_q" where {condition})'
-
-        else:
-            element = self._colref(item)
-            tables = ", ".join(self._table(t) for t in sub.tables)
-            local = (
-                f"({self.predicate(sub.where, 'and')}) and "
-                if sub.where is not None
-                else ""
-            )
-            compare = f"({operand} {pred.op} {element})"
-
-            def probe(condition: str) -> str:
-                return (
-                    f"exists (select 1 from {tables} where {local}{condition})"
-                )
-
-        # TRUE/FALSE keywords keep the CASE boolean-typed for strict
-        # engines (DuckDB); SQLite reads them as 1/0.
-        if pred.quantifier == "some":
-            return (
-                f"(case when {probe(compare)} then true "
-                f"when {probe(compare + ' is null')} then null "
-                f"else false end)"
-            )
-        if pred.quantifier == "all":
-            return (
-                f"(case when {probe('not ' + compare)} then false "
-                f"when {probe(compare + ' is null')} then null "
-                f"else true end)"
-            )
-        raise OracleUnsupportedError(
-            f"unknown quantifier {pred.quantifier!r}"
-        )
-
-
-def render_float(value: float) -> str:
-    """A float literal every SQL parser (ours included) accepts.
-
-    Delegates to :func:`repro.sql.unparse.render_float_literal` — small
-    exponent forms expand into positional decimal; infinities and NaNs
-    are rejected — re-raised here as :class:`OracleUnsupportedError`.
-    """
-    from ..errors import ReproError
-    from ..sql.unparse import render_float_literal
-
-    try:
-        return render_float_literal(value)
-    except ReproError as exc:
-        raise OracleUnsupportedError(str(exc)) from None

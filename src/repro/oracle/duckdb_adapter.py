@@ -64,13 +64,13 @@ class DuckDbAdapter(EngineAdapter):
 
     def load(self, db: Database) -> None:
         for name, table in db.tables.items():
-            quoted = self.dialect.quote_ident(name)
+            quoted = self.dialect.ident(name)
             self.connection.execute(f"DROP TABLE IF EXISTS {quoted}")
             decls = []
             for i, column in enumerate(table.schema.columns):
                 values = [row[i] for row in table.relation.rows]
                 decls.append(
-                    f"{self.dialect.quote_ident(column.name)} "
+                    f"{self.dialect.ident(column.name)} "
                     f"{_column_type(values)}"
                 )
             self.connection.execute(

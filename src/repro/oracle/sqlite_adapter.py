@@ -43,10 +43,10 @@ class SqliteAdapter(EngineAdapter):
     def load(self, db: Database) -> None:
         cur = self.connection.cursor()
         for name, table in db.tables.items():
-            quoted = self.dialect.quote_ident(name)
+            quoted = self.dialect.ident(name)
             cur.execute(f"DROP TABLE IF EXISTS {quoted}")
             columns = ", ".join(
-                self.dialect.quote_ident(c.name) for c in table.schema.columns
+                self.dialect.ident(c.name) for c in table.schema.columns
             )
             cur.execute(f"CREATE TABLE {quoted} ({columns})")
             if table.relation.rows:
@@ -63,9 +63,9 @@ class SqliteAdapter(EngineAdapter):
         self.connection.commit()
 
     def _index(self, cur, table: str, n: int, columns: List[str]) -> None:
-        index_name = self.dialect.quote_ident(f"idx_{table}_{n}")
-        cols = ", ".join(self.dialect.quote_ident(c) for c in columns)
-        quoted = self.dialect.quote_ident(table)
+        index_name = self.dialect.ident(f"idx_{table}_{n}")
+        cols = ", ".join(self.dialect.ident(c) for c in columns)
+        quoted = self.dialect.ident(table)
         cur.execute(
             f"CREATE INDEX IF NOT EXISTS {index_name} ON {quoted} ({cols})"
         )
