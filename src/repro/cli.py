@@ -94,7 +94,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     session = repro.connect(
         _load_db(args),
-        plan_cache=not args.no_plan_cache,
         timeout_ms=args.timeout_ms,
         memory_limit_mb=args.memory_limit_mb,
         spill_dir=args.spill_dir,
@@ -465,10 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="spill hash-join builds and grouping runs "
                                 "to temp files under this directory instead "
                                 "of failing on a memory-budget breach")
-            p.add_argument("--no-plan-cache", action="store_true",
-                           dest="no_plan_cache",
-                           help="disable the session's cross-query "
-                                "plan/build cache")
             p.add_argument("--logic", default="3vl",
                            choices=("3vl", "2vl"),
                            help="predicate semantics: SQL-standard "

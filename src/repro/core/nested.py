@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SchemaError
-from ..engine.relation import Bag
+from ..engine.relation import Bag, aligned_table, format_value
 from ..engine.schema import Column, Schema
-from ..engine.types import SqlValue, is_null
+from ..engine.types import SqlValue
 
 #: A nested tuple: atomic values and/or tuples-of-nested-tuples.
 NestedRow = Tuple[object, ...]
@@ -176,7 +176,6 @@ class NestedRelation(Bag):
 
     def to_table(self, max_rows: Optional[int] = None) -> str:
         """Aligned text rendering; set attributes display as {…}."""
-        headers = [NestedSchema._name(c) for c in self.schema.components]
         shown = self.rows if max_rows is None else self.rows[:max_rows]
         cells = []
         for row in shown:
@@ -184,26 +183,15 @@ class NestedRelation(Bag):
             for value, comp in zip(row, self.schema.components):
                 if isinstance(comp, SubSchema):
                     inner = ", ".join(
-                        "(" + ", ".join(_fmt(v) for v in sub) + ")" for sub in value
+                        "(" + ", ".join(format_value(v) for v in sub) + ")"
+                        for sub in value
                     )
                     rendered.append("{" + inner + "}")
                 else:
-                    rendered.append(_fmt(value))
+                    rendered.append(format_value(value))
             cells.append(rendered)
-        widths = [len(h) for h in headers]
-        for row in cells:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = [
-            " | ".join(h.ljust(w) for h, w in zip(headers, widths)),
-            "-+-".join("-" * w for w in widths),
-        ]
-        for row in cells:
-            lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
-
-
-def _fmt(value: object) -> str:
-    if is_null(value):
-        return "null"
-    return str(value)
+        return aligned_table(
+            [NestedSchema._name(c) for c in self.schema.components],
+            cells,
+            hidden=len(self.rows) - len(shown),
+        )

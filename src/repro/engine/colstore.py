@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import os
-import hashlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +43,7 @@ from .vector.column import (
     KIND_OBJ,
     KIND_STR,
     Vector,
+    _choose_kind,
 )
 
 FORMAT_VERSION = 1
@@ -55,17 +55,6 @@ STORABLE_KINDS = (KIND_INT, KIND_FLOAT, KIND_BOOL, KIND_STR)
 
 _DTYPES = {KIND_INT: np.dtype(np.int64), KIND_FLOAT: np.dtype(np.float64),
            KIND_BOOL: np.dtype(bool)}
-
-
-def _resolve_kind(kinds: set) -> str:
-    """Final column kind from the set of (non-all-NULL) chunk kinds."""
-    if not kinds:
-        return KIND_INT  # an all-NULL column: carried on the int layout
-    if len(kinds) == 1:
-        return next(iter(kinds))
-    if kinds <= {KIND_INT, KIND_FLOAT}:
-        return KIND_FLOAT
-    raise CatalogError(f"column mixes unstorable kinds {sorted(kinds)!r}")
 
 
 # --------------------------------------------------------------------- #
@@ -177,7 +166,12 @@ class TableWriter:
         chunks: List[Tuple[Optional[str], int, str, Optional[str]]],
         n: int,
     ) -> Dict[str, Any]:
-        kind = _resolve_kind({k for k, _n, _d, _v in chunks if k is not None})
+        # the kind of the (non-all-NULL) chunks together; an all-NULL
+        # column is carried on the int layout
+        kinds = {k for k, _n, _d, _v in chunks if k is not None}
+        kind = _choose_kind(kinds)
+        if kind == KIND_OBJ:
+            raise CatalogError(f"column mixes unstorable kinds {sorted(kinds)!r}")
         if kind == KIND_STR:
             width = 1
             for _k, _n2, data_path, _v in chunks:
@@ -258,16 +252,11 @@ class StoreWriter:
 
     def finalize(self) -> Dict[str, Any]:
         """Finish every table and write ``manifest.json``."""
-        tables = {name: w.finish() for name, w in self._tables.items()}
-        digest = hashlib.sha1(
-            json.dumps(tables, sort_keys=True).encode()
-        ).hexdigest()[:16]
         manifest = {
             "format_version": FORMAT_VERSION,
             "scale_factor": self.scale_factor,
             "seed": self.seed,
-            "digest": digest,
-            "tables": tables,
+            "tables": {name: w.finish() for name, w in self._tables.items()},
         }
         with open(os.path.join(self.root, MANIFEST_NAME), "w") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)

@@ -179,25 +179,36 @@ class Relation(Bag):
 
     def to_table(self, max_rows: Optional[int] = None) -> str:
         """Render as an aligned text table (used by examples and docs)."""
-        headers = [c.qualified for c in self.schema.columns]
         shown = self.rows if max_rows is None else self.rows[:max_rows]
-        cells = [[_fmt(v) for v in row] for row in shown]
-        widths = [len(h) for h in headers]
-        for row in cells:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = [
-            " | ".join(h.ljust(w) for h, w in zip(headers, widths)),
-            "-+-".join("-" * w for w in widths),
-        ]
-        for row in cells:
-            lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-        if max_rows is not None and len(self.rows) > max_rows:
-            lines.append(f"... ({len(self.rows) - max_rows} more rows)")
-        return "\n".join(lines)
+        return aligned_table(
+            [c.qualified for c in self.schema.columns],
+            [[format_value(v) for v in row] for row in shown],
+            hidden=len(self.rows) - len(shown),
+        )
 
 
-def _fmt(value: Any) -> str:
+def aligned_table(
+    headers: Sequence[str], cells: Sequence[Sequence[str]], hidden: int = 0
+) -> str:
+    """*cells* under *headers*, each column padded to its widest entry;
+    *hidden* rows not shown are counted on a last line."""
+    widths = [len(h) for h in headers]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [
+        " | ".join(h.ljust(w) for h, w in zip(headers, widths)),
+        "-+-".join("-" * w for w in widths),
+    ]
+    for row in cells:
+        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+    if hidden > 0:
+        lines.append(f"... ({hidden} more rows)")
+    return "\n".join(lines)
+
+
+def format_value(value: Any) -> str:
+    """A value as a table cell: NULL shows as ``null``."""
     if is_null(value):
         return "null"
     return str(value)

@@ -720,8 +720,8 @@ def _column_group_codes(col: Vector) -> Tuple[np.ndarray, int]:
     An ``i8`` column — every rid, the driver's whole nest key — is coded
     by offset from its minimum, with no sort.  The :meth:`Vector.codes`
     branch (other kinds, or an int range too wide to offset) is never
-    reached by a rid key: it keeps :func:`group_ids` correct over any
-    columns, which is how the tests build their all-of-N1 reference.
+    reached by a rid key: it keeps :func:`dense_group_ids` correct over
+    any columns, which is how the tests group on all of N1.
     """
     if col.kind == KIND_INT:
         info = np.iinfo(np.int64)
@@ -769,41 +769,6 @@ def dense_group_ids(
         ids = ids * w + codes
         width *= w
     return _densify(ids, width)
-
-
-def group_ids(
-    batch: Batch, key: Sequence[str], method: str
-) -> Tuple[np.ndarray, int]:
-    """Dense group ids over the *key* columns; returns ``(ids, n_groups)``.
-
-    Algorithm 1 passes the rids of the path blocks — the nest **key**,
-    which decides the same groups as the full nesting attribute list N1
-    (DESIGN §9, "Nest by key") — but any columns group correctly.
-    ``method="sorted"`` — the name of the paper's §5.1 physical nest,
-    groups numbered in key order — is :func:`dense_group_ids` (fully
-    vectorized; on a rid key it renumbers through a presence table
-    rather than sorting); ``method="hash"`` builds one Python dict over
-    composite group keys (per-row, first-seen order).  Both agree on
-    SQL grouping semantics: NULLs group together, ``2`` and ``2.0`` share
-    a group, booleans do not collide with ints.
-    """
-    n = len(batch)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), 0
-    if not key:
-        return np.zeros(n, dtype=np.int64), 1
-    if method == "hash":
-        key_cols = [batch.column(r).join_keys() for r in key]
-        mapping: dict = {}
-        ids = np.empty(n, dtype=np.int64)
-        for i, parts in enumerate(zip(*key_cols)):
-            gid = mapping.get(parts)
-            if gid is None:
-                gid = len(mapping)
-                mapping[parts] = gid
-            ids[i] = gid
-        return ids, len(mapping)
-    return dense_group_ids(batch, key)
 
 
 def first_occurrences(ids: np.ndarray, n_groups: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engine import Column, Database
+from repro.engine import NULL, Column, Database
 from repro.engine.colstore import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -197,10 +197,12 @@ def test_a_mutator_edit_of_a_stored_table_reaches_both_backends(store_dir):
 @pytest.fixture(scope="module")
 def stats_store_dir(store_dir, tmp_path_factory):
     """A copy of *store_dir* whose manifest gives every column a
-    ``"stats"`` entry, as stores of format 1 once recorded."""
+    ``"stats"`` entry and the store a ``"digest"``, as stores of format 1
+    once recorded."""
     path = str(tmp_path_factory.mktemp("colstore_stats") / "tpch")
     shutil.copytree(store_dir, path)
     manifest = open_store(path)
+    manifest["digest"] = "0123456789abcdef"
     for entry in manifest["tables"].values():
         for c in entry["columns"]:
             c["stats"] = {"ndv": 1.0, "null_frac": 0.0, "min": 0, "max": 0}
@@ -214,14 +216,17 @@ def stats_store_dir(store_dir, tmp_path_factory):
 def test_a_manifest_still_carrying_stats_opens(
     store_dir, stored_db, stats_store_dir, stem, sql, backend
 ):
-    """A fresh manifest records no per-column ``"stats"``; a store whose
-    manifest still carries them opens and answers exactly as the fresh
-    one does."""
+    """A fresh manifest records no per-column ``"stats"`` and no
+    ``"digest"``; a store whose manifest still carries them opens and
+    answers exactly as the fresh one does."""
+    manifest = open_store(store_dir)
+    assert "digest" not in manifest
     assert not any(
         "stats" in c
-        for entry in open_store(store_dir)["tables"].values()
+        for entry in manifest["tables"].values()
         for c in entry["columns"]
     )
+    assert "digest" in open_store(stats_store_dir)
     expected = repro.connect(stored_db).execute(
         sql, strategy="nested-relational", backend=backend
     )
@@ -249,6 +254,22 @@ def test_store_rejects_obj_columns(tmp_path):
     table = writer.table("t", [Column("a")])
     table.append(((1, 2),))  # tuple value -> 'obj' vector kind
     with pytest.raises(CatalogError, match="obj"):
+        table.finish()
+
+
+def test_store_column_kind_spans_chunks(tmp_path):
+    """Chunks of int and float widen to float; int and str chunks have
+    no common storable kind."""
+    writer = StoreWriter(str(tmp_path / "mixed"), chunk_rows=1)
+    writer.table("t", [Column("a")]).extend([(1,), (2.5,), (NULL,)])
+    writer.finalize()
+    rel = load_stored_database(str(tmp_path / "mixed")).relation("t")
+    assert rel.column_values("a")[:2] == [1.0, 2.5]
+    table = StoreWriter(str(tmp_path / "bad"), chunk_rows=1).table(
+        "t", [Column("a")]
+    )
+    table.extend([(1,), ("x",)])
+    with pytest.raises(CatalogError, match="mixes unstorable kinds"):
         table.finish()
 
 

@@ -26,6 +26,8 @@ from repro.fuzz import FuzzConfig, generate_case
 from repro.sql.analyzer import compile_sql
 from repro.tpch import TpchConfig, generate, query3
 
+from .test_vector import hash_group_ids
+
 
 def batch_of(**cols) -> Batch:
     names = list(cols)
@@ -110,10 +112,12 @@ class CheckingVectorBackend(VectorBackend):
     def check(self, rel, node):
         by, key = node.by, node.key
         assert key and set(key) <= set(by)
-        for method in ("sorted", "hash"):
-            ids_k, n_k = kernels.group_ids(rel, key, method)
-            ids_b, n_b = kernels.group_ids(rel, by, method)
-            assert same_partition(ids_k, n_k, ids_b, n_b), (method, by, key)
+        ids_b, n_b = hash_group_ids(rel, by)
+        assert same_partition(*hash_group_ids(rel, key), ids_b, n_b), (by, key)
+        if len(rel):
+            for cols in (key, by):
+                ids, n = kernels.dense_group_ids(rel, cols)
+                assert same_partition(ids, n, ids_b, n_b), (cols, by, key)
         self.seen.note(node, len(rel), n_b)
 
     def nest_link(self, rel, node):
@@ -203,7 +207,7 @@ def test_duplicate_valued_outer_rows_stay_distinct_groups():
     assert nest(rel, by, keep).rows == expected
     assert nest_rows_on_key(rel, by, keep, ["_rid0"]) == expected
     batch = batch_of(a=[7, 7, 7], _rid0=[0, 1, 1])
-    ids, n_groups = kernels.group_ids(batch, ["_rid0"], "sorted")
+    ids, n_groups = kernels.dense_group_ids(batch, ["_rid0"])
     assert ids.tolist() == [0, 1, 1] and n_groups == 2
 
 
@@ -269,15 +273,15 @@ class TestGroupCodes:
         }
         cols["r2"][::7] = [repro.engine.NULL] * len(cols["r2"][::7])
         batch = batch_of(**cols)
-        ids, n_groups = kernels.group_ids(batch, list(cols), "sorted")
-        ref, n_ref = kernels.group_ids(batch, list(cols), "hash")
+        ids, n_groups = kernels.dense_group_ids(batch, list(cols))
+        ref, n_ref = hash_group_ids(batch, list(cols))
         assert ids.min() == 0 and ids.max() == n_groups - 1
         assert len(np.unique(ids)) == n_groups
         assert same_partition(ids, n_groups, ref, n_ref)
 
     def test_negative_and_null_ints_are_offset_coded(self):
         batch = batch_of(a=[-5, repro.engine.NULL, 3, -5, repro.engine.NULL])
-        ids, n_groups = kernels.group_ids(batch, ["a"], "sorted")
+        ids, n_groups = kernels.dense_group_ids(batch, ["a"])
         assert n_groups == 3
         assert ids[0] == ids[3] and ids[1] == ids[4]
         assert len({ids[0], ids[1], ids[2]}) == 3
@@ -285,12 +289,12 @@ class TestGroupCodes:
     def test_int_range_too_wide_to_offset_still_groups(self):
         lo, hi = -(2 ** 62), 2 ** 62
         batch = batch_of(a=[lo, hi, lo, 0])
-        ids, n_groups = kernels.group_ids(batch, ["a"], "sorted")
+        ids, n_groups = kernels.dense_group_ids(batch, ["a"])
         assert n_groups == 3 and ids[0] == ids[2]
 
     def test_sparse_domain_takes_the_sort_path(self):
         batch = batch_of(a=[10 ** 9, 5, 10 ** 9, 7])
-        ids, n_groups = kernels.group_ids(batch, ["a"], "sorted")
+        ids, n_groups = kernels.dense_group_ids(batch, ["a"])
         assert ids.tolist() == [2, 0, 2, 1] and n_groups == 3
 
     def test_first_occurrences_is_the_minimum_row_per_group(self):

