@@ -158,10 +158,15 @@ def corpus_module_source(
             for row in table.rows
         )
         rows_block = f"[\n{rows},\n        ]" if table.rows else "[]"
+        columns = ", ".join(
+            f'Column("{c.name}", not_null=True)' if c.not_null
+            else f'Column("{c.name}")'
+            for c in table.columns()
+        )
         table_lines.append(
             f'    db.create_table(\n'
             f'        "{table.name}",\n'
-            f'        [Column("k", not_null=True), Column("a"), Column("b")],\n'
+            f"        [{columns}],\n"
             f"        {rows_block},\n"
             f'        primary_key="k",\n'
             f"    )"

@@ -13,7 +13,10 @@ from repro.fuzz.datagen import (
     PK_COLUMN,
     random_database_spec,
 )
+from repro.core.optimizer import strategy_applicable
 from repro.fuzz.runner import _count_operators
+from repro.sql.analyzer import compile_sql
+from repro.strategies import make as make_strategy
 from repro.engine.types import is_null
 from repro.sql import parse, render_sql
 
@@ -147,6 +150,41 @@ class TestDatagen:
             schema = db.table(table.name).schema
             assert tuple(c.name for c in schema.columns) == ALL_COLUMNS
             assert db.table(table.name).primary_key == PK_COLUMN
+
+
+    def test_value_columns_are_not_null_exactly_when_the_data_is(self):
+        rng = random.Random(6)
+        seen = set()
+        for _ in range(20):
+            spec = random_database_spec(rng)
+            db = spec.build()
+            for table in spec.tables:
+                for i, column in enumerate(db.table(table.name).schema.columns):
+                    holds_null = any(is_null(row[i]) for row in table.rows)
+                    assert column.not_null == (not holds_null), (table, column)
+                    seen.add((i, holds_null))
+        assert seen >= {(1, True), (1, False), (2, True), (2, False)}
+
+
+class TestNotNullRewritesAreReached:
+    def test_aggregate_rewrite_accepts_and_agrees(self):
+        """``aggregate-rewrite`` needs NOT NULL columns; seed 1's first
+        300 cases must give it some, and it must match the oracle on
+        every case it accepts."""
+        config = FuzzConfig(iterations=300, seed=1)
+        strategy = make_strategy("aggregate-rewrite")
+        accepted = 0
+        for i in range(300):
+            case = generate_case(config, i)
+            db = case.db_spec.build()
+            if not strategy_applicable(strategy, compile_sql(case.sql, db), db):
+                continue
+            accepted += 1
+            query = repro.connect(db).prepare(case.sql)
+            oracle = query.execute(strategy="nested-iteration").sorted()
+            got = query.execute(strategy="aggregate-rewrite").sorted()
+            assert got == oracle, case.sql
+        assert accepted >= 1
 
 
 class TestRenderedSqlRoundTrip:

@@ -1,14 +1,22 @@
 """README.md and DESIGN.md cite the code by name; every citation must
 still name something.
 
-Two kinds of backticked reference are checked:
+Four kinds of backticked reference are checked:
 
 * a dotted ``repro.…`` name resolves: its longest importable prefix is
   imported and the rest is read off it with ``getattr``;
 * a ``*.py`` path, optionally with a ``:N`` line number, names a file
   relative to the repo root, ``src/repro`` or ``tests`` (a bare file
   name: a file of that name anywhere under ``src/repro`` or
-  ``tests``) that has at least N lines.
+  ``tests``) that has at least N lines;
+* a strategy name is registered: a span that is a hyphenated name of a
+  strategy family (``nested-…``, ``system-…``, ``count-…``, …, an
+  argument list and a trailing ``*`` glob allowed), and every name
+  after ``--strategy`` / ``--strategies`` or in ``strategy="…"``;
+* a command-line flag exists: every ``--flag`` in a ``repro <cmd> …``
+  or ``python -m repro <cmd> …`` span is an option of that
+  subcommand's parser, and a span that starts with a bare ``--flag`` is
+  an option of some subcommand or of a ``scripts/*.py`` parser.
 
 ``benchmarks/layers/README.md`` is out of scope: it is the benchmark's
 own document and changes only with the benchmark.  It still cites the
@@ -17,6 +25,7 @@ deleted ``scripts/bench_planner.py`` (ROADMAP item 1a).
 
 from __future__ import annotations
 
+import fnmatch
 import importlib
 import re
 from pathlib import Path
@@ -30,6 +39,12 @@ BASES = (ROOT, ROOT / "src" / "repro", ROOT / "tests")
 SPAN = re.compile(r"`([^`\n]+)`")
 DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 PY_PATH = re.compile(r"[\w./-]*\w\.py(?::(\d+))?\b")
+BARE_NAME = re.compile(r"([a-z][a-z0-9]*(?:-[a-z0-9]+)+\*?)(?:\(.*\))?")
+STRATEGY_ARG = re.compile(
+    r"--strateg(?:y|ies)[ =]([\w,-]+)|strategy=[\"']([\w-]+)[\"']"
+)
+COMMAND = re.compile(r"(?:^|\s)repro ([a-z]\w*)(.*)")
+FLAG = re.compile(r"--[a-z][\w-]*")
 
 
 def spans(doc):
@@ -88,4 +103,72 @@ def test_every_python_path_exists(doc):
             match.group(1)
         ):
             broken.append(f"{match.group(0)}: the file is shorter")
+    assert broken == [], f"{doc}: " + "; ".join(broken)
+
+
+def strategy_references(doc, families):
+    """Every strategy name *doc* cites, globs included."""
+    for span in spans(doc):
+        bare = BARE_NAME.fullmatch(span)
+        if bare and bare.group(1).split("-")[0] in families:
+            yield bare.group(1)
+        for match in STRATEGY_ARG.finditer(span):
+            yield from (match.group(1) or match.group(2)).split(",")
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_strategy_name_is_registered(doc):
+    from repro.strategies import available_strategies
+
+    registered = available_strategies()
+    families = {name.split("-")[0] for name in registered if "-" in name}
+    names = list(strategy_references(doc, families))
+    assert names, f"{doc} cites no strategy: is the pattern stale?"
+    broken = sorted(
+        {n for n in names if not fnmatch.filter(registered, n)}
+    )
+    assert broken == [], f"{doc}: unregistered strategies {broken}"
+
+
+def subcommand_options():
+    """Subcommand name -> the option strings its parser accepts."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    (sub,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: set(parser._option_string_actions)
+        for name, parser in sub.choices.items()
+    }
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_command_line_flag_exists(doc):
+    options = subcommand_options()
+    any_command = set().union(*options.values())
+    scripts = "".join(
+        p.read_text() for p in sorted((ROOT / "scripts").glob("*.py"))
+    )
+    checked, broken = 0, []
+    for span in spans(doc):
+        command = COMMAND.search(span)
+        if command:
+            name, rest = command.groups()
+            if name not in options:
+                broken.append(f"{span}: no subcommand {name!r}")
+                continue
+            for flag in FLAG.findall(rest):
+                checked += 1
+                if flag not in options[name]:
+                    broken.append(f"{span}: repro {name} has no {flag}")
+        elif span.startswith("--"):
+            flag = FLAG.match(span).group(0)
+            checked += 1
+            if flag not in any_command and f'"{flag}"' not in scripts:
+                broken.append(f"{span}: no subcommand or script has {flag}")
+    assert checked, f"{doc} cites no command-line flag: is the pattern stale?"
     assert broken == [], f"{doc}: " + "; ".join(broken)
