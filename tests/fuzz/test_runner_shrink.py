@@ -253,6 +253,17 @@ class TestCorpus:
         compile(source, "<corpus>", "exec")
         assert "def test_all_strategies_agree_with_oracle" in source
 
+    def test_module_rebuilds_the_case_schema(self):
+        """The corpus file declares the NOT NULL columns the case's own
+        database does."""
+        for iteration in range(6):
+            case = generate_case(FuzzConfig(iterations=1, seed=8), iteration)
+            namespace: dict = {}
+            exec(corpus_module_source(case), namespace)
+            rebuilt, db = namespace["build_db"](), case.db_spec.build()
+            for table in case.db_spec.tables:
+                assert rebuilt.table(table.name).schema == db.table(table.name).schema
+
     def test_written_file_passes_pytest(self, tmp_path):
         path = write_corpus_file(self._case(), str(tmp_path))
         assert path.endswith(".py")
