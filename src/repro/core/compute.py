@@ -354,6 +354,7 @@ class NestedRelationalStrategy:
         owner: Dict[str, int],
         rules: frozenset,
         run: Optional[List[TreeNode]] = None,
+        keyed: bool = True,
     ) -> Names:
         """The recursive body of Algorithm 1 (compute(node, rel)), deciding
         instead of executing: *names* are the columns of the relation
@@ -361,7 +362,15 @@ class NestedRelationalStrategy:
         returned.  *path* starts at the root of the evaluation the
         relation belongs to — the query's root, or the block a
         sub-evaluation started from.  *run* is the joined run a
-        ``fuse-links`` scan above will evaluate.
+        ``fuse-links`` scan above will evaluate.  *keyed*: no two rows of
+        the relation agree on the path blocks' rids.
+
+        Keyed holds at the root of every evaluation (T_i is unique on its
+        rid), and a ⟕ with a child's T_i keeps it, on the path extended
+        by the child's rid.  A σ* that pads breaks it: two tuples that
+        differ only in *node*'s rid both fail, and both become one outer
+        tuple with *node*'s share NULL.  A nest back up makes one tuple
+        per key, so it restores keyed unless it pads itself.
         """
         strict = _use_strict(path, rules)
 
@@ -392,6 +401,7 @@ class NestedRelationalStrategy:
                     names=names + marks, **selection,
                 )
                 names = edge.connect.names
+                keyed = keyed and not _pads(edge.connect)
                 if marks:
                     owner[link.mark] = node.index
                 continue
@@ -448,7 +458,8 @@ class NestedRelationalStrategy:
                 chain = [node] if run is None else run
                 chain.append(child)
                 names = self._plan_node(
-                    child, names, path + [child], owner, rules, chain
+                    child, names, path + [child], owner, rules, chain,
+                    keyed=keyed,
                 )
                 if run is None:
                     edge.up = FusedLink(
@@ -462,7 +473,7 @@ class NestedRelationalStrategy:
                 continue
             if BOTTOM_UP not in rules:
                 names = self._plan_node(
-                    child, names, path + [child], owner, rules
+                    child, names, path + [child], owner, rules, keyed=keyed
                 )
 
             # -- way up: nest and apply the linking selection ------------ #
@@ -491,9 +502,11 @@ class NestedRelationalStrategy:
                 pad_refs=padded(by),
                 nest_impl=self.nest_impl,
                 names=by + marks,
+                keyed=keyed,
                 **selection,
             )
             names = edge.up.names
+            keyed = not _pads(edge.up)
             if marks:
                 # the mark column now rides with the current node's
                 # attributes: siblings must group by it and the node's
@@ -551,6 +564,11 @@ def _joins_a_leaf(edge: TreeEdge) -> bool:
         and isinstance(edge.connect, OuterJoin)
         and isinstance(edge.up, NestLink)
     )
+
+
+def _pads(selection) -> bool:
+    """Whether the σ / σ* / mark *selection* NULL-pads failing tuples."""
+    return selection.selection == "pseudo" and bool(selection.pad_refs)
 
 
 def _use_strict(path: List[TreeNode], rules: frozenset) -> bool:

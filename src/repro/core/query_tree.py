@@ -115,7 +115,10 @@ class _Selection(_Link):
 @dataclass(frozen=True)
 class NestLink(_Selection):
     """Way up: υ_{by,keep} then the linking selection.  *by* is N1, *key*
-    the path blocks' rids, which decide the same groups."""
+    the path blocks' rids, which decide the same groups.  *keyed*: no two
+    rows of the relation the edge starts from agree on *key*, so at a
+    leaf edge each of its rows is one group (derived by the planner;
+    False claims nothing)."""
 
     method: ClassVar[str] = "nest_link"
     by: Names
@@ -123,6 +126,7 @@ class NestLink(_Selection):
     keep: Names
     nest_impl: str
     names: Names
+    keyed: bool = False
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,9 @@ columns) and N1 is the accumulated relation's, read at one row per
 group — the groupjoin of Moerkotte & Neumann restricted to that edge.
 An ``EXISTS`` / ``NOT EXISTS`` edge forms no pairs at all: the join
 counts each left row's members (:func:`~.kernels.match_counts`), the
-groupjoin with ``COUNT``.
+groupjoin with ``COUNT``.  When the planner has proved the edge
+*keyed* — no two left rows agree on the key, so each is one group —
+the groups are read off the pair index and nothing is grouped.
 
 The uncorrelated link shares the member set across all outer rows, so
 ``θ SOME`` collapses to a single existence test against the member
@@ -85,6 +87,10 @@ from .column import (
 from .exprs import _fast_comparable, compare_vectors
 from .kernels import dense_group_ids, first_occurrences, left_outer_join_index
 
+#: a nest's groups handed over ready: each member's group id, numbered in
+#: appearance order, and each group's first member
+Groups = Tuple[np.ndarray, np.ndarray]
+
 
 def nest_link(batch: Batch, node: NestLink) -> Batch:
     """Nest *batch* by ``node.by`` and apply the linking predicate in one
@@ -109,7 +115,8 @@ def nest_link(batch: Batch, node: NestLink) -> Batch:
     if spilled is not None:
         return spilled
     return _nest_link(
-        node, len(batch), lambda: (batch, None, None), batch.project(node.by)
+        node, len(batch), lambda: (batch, None, None, None),
+        batch.project(node.by),
     )
 
 
@@ -135,6 +142,11 @@ def join_nest(
     stands for all of them — one member, live iff some pair's member
     rid is — in the order of its first pair (:func:`_counted_nest`).
 
+    On a *keyed* edge (``node.keyed``: no two left rows agree on the
+    key; DESIGN §9, "Keyed leaf edges") each left row is one group, so
+    the groups are read off the pair index (:func:`_runs`) or the
+    counted rows, and the key is neither gathered nor grouped on.
+
     A join that spilled, or a nest that would, takes the ordinary pair
     on the built batch, so every spill decision stays what it was.
     """
@@ -153,10 +165,11 @@ def join_nest(
         return _counted_nest(left, right, node, *joined)
     all_li, all_ri = joined
     link = node.link
+    key = () if node.keyed else node.key
     refs = [
         r
         for r in dict.fromkeys(
-            (*node.key, node.rid_ref, link.inner_ref, link.outer_ref)
+            (*key, node.rid_ref, link.inner_ref, link.outer_ref)
         )
         if r is not None
     ]
@@ -168,9 +181,19 @@ def join_nest(
                 [r for r in refs if right.schema.has(r)]
             ).take_padded(all_ri),
         )
-        return batch, all_li, None
+        return batch, all_li, None, _runs(all_li) if node.keyed else None
 
     return _nest_link(node, len(all_li), members, left.project(node.by))
+
+
+def _runs(all_li: np.ndarray) -> Groups:
+    """A keyed leaf edge's groups, numbered in appearance order: each
+    left row is one group, and its pairs are one run of *all_li* (the
+    matched pairs in ascending left order, then each unmatched row
+    once).  Returns the group ids and each group's first pair."""
+    head = np.ones(len(all_li), dtype=bool)
+    head[1:] = all_li[1:] != all_li[:-1]
+    return np.cumsum(head, dtype=np.int64) - 1, np.flatnonzero(head)
 
 
 #: operand kinds whose join codes are value equality, the equality
@@ -235,20 +258,26 @@ def _counted_nest(
     then each unmatched left row once: ordering the left rows the same
     way gives every group the same first row and the same appearance
     order.  Each left row is one member whose rid is valid iff it has
-    a live pair, and weighs ``max(pairs, 1)`` rows of the pair."""
+    a live pair, and weighs ``max(pairs, 1)`` rows of the pair.  On a
+    keyed edge each member is its own group."""
 
     def members():
         matched = pairs > 0
         at = np.concatenate(
             [np.flatnonzero(matched), np.flatnonzero(~matched)]
         )
-        batch = left.project(node.key).take(at).with_column(
+        key = () if node.keyed else node.key
+        batch = left.project(key).take(at).with_column(
             right.schema.column(node.rid_ref),
             Vector(
                 KIND_INT, np.zeros(len(at), dtype=np.int64), live_pairs[at] > 0
             ),
         )
-        return batch, at, np.maximum(pairs, 1)[at]
+        groups = None
+        if node.keyed:
+            each = np.arange(len(at), dtype=np.int64)
+            groups = each, each
+        return batch, at, np.maximum(pairs, 1)[at], groups
 
     n = int(np.maximum(pairs, 1).sum())
     return _nest_link(node, n, members, left.project(node.by))
@@ -258,16 +287,21 @@ def _nest_link(
     node: NestLink,
     n: int,
     members: Callable[
-        [], Tuple[Batch, Optional[np.ndarray], Optional[np.ndarray]]
+        [],
+        Tuple[
+            Batch, Optional[np.ndarray], Optional[np.ndarray], Optional[Groups]
+        ],
     ],
     n1: Batch,
 ) -> Batch:
     """The one nest + link body over *n* input rows.  ``members()``
-    yields ``(batch, at, weights)``: the rows the groups are computed
-    and judged on (at least the key and the verdict's columns), the row
-    of *n1* (``by`` projected) each one supplies as its group's output
-    row (None: the same row), and the input rows each stands for
-    (None: one)."""
+    yields ``(batch, at, weights, groups)``: the rows the groups are
+    judged on (the verdict's columns, and the key unless *groups* is
+    given), the row of *n1* (``by`` projected) each one supplies as its
+    group's output row (None: the same row), the input rows each stands
+    for (None: one), and ``(ids, first)`` — the groups numbered in
+    appearance order and each one's first row — or None to group the
+    batch on the key."""
     by = node.by
     metrics = current_metrics()
     with op_span(
@@ -284,14 +318,19 @@ def _nest_link(
             # the account models the logical operator: N1 wide, whatever
             # the key the groups are computed on (spill.est_nest_bytes)
             charge_rows(n, len(by), "nest grouping")
-        batch, at, weights = members()
-        ids, n_groups = dense_group_ids(batch, node.key)
-        rep = first_occurrences(ids, n_groups)
+        batch, at, weights, groups = members()
+        if groups is None:
+            ids, n_groups = dense_group_ids(batch, node.key)
+            rep = first_occurrences(ids, n_groups)
+            order = np.argsort(rep, kind="stable")  # appearance order
+        else:
+            ids, rep = groups
+            n_groups, order = len(rep), None
         metrics.add("linking_evals", n_groups)
         vt, vf = _group_verdict(batch, ids, n_groups, rep, node)
-        order = np.argsort(rep, kind="stable")  # groups in appearance order
-        rows = (rep if at is None else at[rep])[order]
-        out = select(n1, rows, vt[order], vf[order], node)
+        if order is not None:
+            rep, vt, vf = rep[order], vt[order], vf[order]
+        out = select(n1, rep if at is None else at[rep], vt, vf, node)
         if span is not None:
             span.add("rows_in", n)
             span.add("rows_out", len(out))

@@ -3,12 +3,16 @@
 The plan's ``NestLink`` node carries the nesting attribute list N1
 (``by``) *and* the rid key that decides the groups.  These tests pin the claim
 the change rests on — equality on the key is equality on all of ``by``
-— on both backends, and the kernel properties that make it cheap: no
-value column is factorized inside a nest, at most one sort per nest,
-and the mixed-radix combination cannot overflow.
+— on both backends, the planner's ``keyed`` fact — a leaf edge it marks
+keyed starts from a relation that never repeats the key — and the
+kernel properties that make it cheap: no value column is factorized
+inside a nest, at most one sort per nest, and the mixed-radix
+combination cannot overflow.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -26,6 +30,7 @@ from repro.fuzz import FuzzConfig, generate_case
 from repro.sql.analyzer import compile_sql
 from repro.tpch import TpchConfig, generate, query3
 
+from ..core.test_explain_golden import PAPER_QUERIES
 from .test_vector import hash_group_ids
 
 
@@ -51,6 +56,7 @@ class Seen:
 
     def __init__(self):
         self.nests = self.marks = self.pads = self.deep = self.shared = 0
+        self.keyed = self.unkeyed = self.repeated = 0
 
     def note(self, node, n_rows, n_groups):
         self.nests += 1
@@ -58,6 +64,17 @@ class Seen:
         self.pads += node.selection == "pseudo"
         self.deep += len(node.key) >= 3
         self.shared += n_groups < n_rows
+
+    def note_leaf(self, rel, node):
+        """A leaf edge: a keyed one's left relation never repeats its
+        key, so each left row is one group."""
+        n_groups = kernels.dense_group_ids(rel, node.key)[1] if len(rel) else 0
+        if node.keyed:
+            self.keyed += 1
+            assert n_groups == len(rel), (node.key, n_groups, len(rel))
+        else:
+            self.unkeyed += 1
+            self.repeated += n_groups < len(rel)
 
 
 def nest_rows_on_key(rel, by, keep, key):
@@ -125,6 +142,7 @@ class CheckingVectorBackend(VectorBackend):
         return super().nest_link(rel, node)
 
     def join_nest(self, rel, child, join, nest):
+        self.seen.note_leaf(rel, nest)
         # a leaf edge's join is never built: check the nest on a built one
         self.check(super().left_outer_join(rel, child, join), nest)
         return super().join_nest(rel, child, join, nest)
@@ -194,6 +212,10 @@ def test_the_generators_reach_marks_pads_depth_and_duplicates():
         run_checked(CheckingVectorBackend(seen), query, db)
     assert seen.nests > 400
     assert min(seen.marks, seen.pads, seen.deep, seen.shared) >= 10, vars(seen)
+    # leaf edges of both kinds, and unkeyed ones whose left relation
+    # really repeats its key: a σ* padded an earlier sibling
+    assert min(seen.keyed, seen.unkeyed) >= 10, vars(seen)
+    assert seen.repeated >= 1, vars(seen)
 
 
 def test_duplicate_valued_outer_rows_stay_distinct_groups():
@@ -252,6 +274,44 @@ def test_no_value_column_is_factorized_inside_a_nest(monkeypatch):
     assert count["nests"] >= 2
     assert count["codes"] == 0
     assert count["sorts"] <= count["nests"]
+
+
+def test_a_warm_figure_round_groups_no_leaf_edge(monkeypatch):
+    """Every leaf edge of the six figure queries is keyed, so a warm
+    round runs ``dense_group_ids`` once per non-leaf nest (the second
+    level of Figures 5-9) and never under ``join_nest``."""
+    db = generate(TpchConfig(scale_factor=0.001, seed=2005))
+    session = repro.connect(db)
+    prepared = {
+        p.values[0]: session.prepare(p.values[1]) for p in PAPER_QUERIES
+    }
+    for query in prepared.values():
+        query.execute()
+    where = [None]
+    groupings, leaf_edges = Counter(), Counter()
+
+    def grouping(*args, **kwargs):
+        groupings[where[0]] += 1
+        return real_grouping(*args, **kwargs)
+
+    def join_nest(*args, **kwargs):
+        leaf_edges[where[0]] += 1
+        stem, where[0] = where[0], "join_nest"
+        try:
+            return real_join_nest(*args, **kwargs)
+        finally:
+            where[0] = stem
+
+    real_grouping = nestlink.dense_group_ids
+    real_join_nest = nestlink.join_nest
+    monkeypatch.setattr(nestlink, "dense_group_ids", grouping)
+    monkeypatch.setattr(nestlink, "join_nest", join_nest)
+    for stem, query in prepared.items():
+        where[0] = stem
+        query.execute()
+    # Figure 4 is one level deep: its one nest is its leaf edge
+    assert leaf_edges == dict.fromkeys(prepared, 1)
+    assert groupings == {stem: 1 for stem in prepared if stem != "fig4_q1"}
 
 
 # --------------------------------------------------------------------- #

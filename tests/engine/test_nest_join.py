@@ -23,7 +23,8 @@ orientation, a conjunction, a right-only filter), under 3VL and 2VL;
 under a spilling budget, both the join-spills and the
 only-the-nest-would case take the ordinary pair.  An existential edge
 counts its members and never forms a pair; every other edge still
-does.
+does.  A *keyed* edge — left rids unique, and the plan says so —
+groups nothing, and all of the above holds for it too.
 """
 
 from __future__ import annotations
@@ -96,14 +97,16 @@ def make_batch(table, cols):
 
 
 @st.composite
-def edge_inputs(draw):
-    """``(left, right)``: the accumulated relation and a leaf's T_i."""
+def edge_inputs(draw, left_keys=("pk", "pk-less", "duplicate")):
+    """``(left, right)``: the accumulated relation and a leaf's T_i.
+    *left_keys* are the ways the left rids may be drawn: unique
+    (``"pk"``), repeating and NULL, or whole rows repeated."""
     shape = draw(
         st.sampled_from(
             ["plain", "empty-left", "empty-right", "all-null-keys"]
         )
     )
-    keyed = draw(st.sampled_from(["pk", "pk-less", "duplicate"]))
+    keyed = draw(st.sampled_from(left_keys))
     nulls = draw(st.booleans())
     wide = draw(st.booleans())
     nl = draw(st.integers(1, 9))
@@ -206,8 +209,11 @@ KEYS = {
 }
 
 
-def plan_nodes(left, link, selection, keys, residual, key, nest_impl):
-    """The :class:`OuterJoin` and :class:`NestLink` a leaf edge gets."""
+def plan_nodes(
+    left, link, selection, keys, residual, key, nest_impl, keyed=False
+):
+    """The :class:`OuterJoin` and :class:`NestLink` a leaf edge gets;
+    *keyed* claims that no two left rows agree on *key*."""
     by = left.schema.names
     if selection == "mark":
         link = LinkSpec(**{**link.__dict__, "mark": MARK})
@@ -229,6 +235,7 @@ def plan_nodes(left, link, selection, keys, residual, key, nest_impl):
         keep=("r.b", "r._rid1"),
         nest_impl=nest_impl,
         names=by + ((MARK,) if selection == "mark" else ()),
+        keyed=keyed,
     )
     return join, nest
 
@@ -332,6 +339,44 @@ def test_join_nest_equals_nest_link_of_the_built_join(
         left, right, join, nest, logic,
         lambda: RecordingGovernor(memory_limit_mb=NON_BINDING_MB),
     )
+
+
+def refuse_grouping(*args):
+    raise AssertionError("a keyed leaf edge grouped its members")
+
+
+@PROPERTY
+@given(
+    edge_inputs(left_keys=("pk",)),
+    st.sampled_from(sorted(LINKS)),
+    st.sampled_from(["strict", "pseudo", "mark"]),
+    st.sampled_from(sorted(RESIDUALS)),
+    st.sampled_from(sorted(KEYS)),
+    st.sampled_from([("l._rid0",), ("l._rid0", "l.k")]),
+    st.sampled_from(["hash", "sorted"]),
+    st.sampled_from(["3vl", "2vl"]),
+)
+def test_a_keyed_join_nest_equals_nest_link_of_the_built_join(
+    inputs, link, selection, residual, keys, key, nest_impl, logic
+):
+    """The property over left relations unique on the key, with the
+    plan's ``keyed`` set: each left row is one group, read off the pair
+    index or the counts, and nothing is grouped on the key."""
+    left, right = inputs
+    residual = RESIDUALS[residual]
+    if keys == "none" and residual is None:
+        keys = "one"
+    join, nest = plan_nodes(
+        left, LINKS[link], selection, keys, residual, key, nest_impl,
+        keyed=True,
+    )
+    governor = lambda: RecordingGovernor(memory_limit_mb=NON_BINDING_MB)
+    want = observe(pair(left, right, join, nest), logic, governor())
+    with mock.patch.object(
+        nestlink, "dense_group_ids", refuse_grouping
+    ), mock.patch.object(nestlink, "first_occurrences", refuse_grouping):
+        got = observe(fused(left, right, join, nest), logic, governor())
+    assert got == want
 
 
 # --------------------------------------------------------------------- #
@@ -542,10 +587,22 @@ def budget_mb(n_bytes: int) -> float:
 @pytest.mark.parametrize("link", ["all>=", "not_exists"])
 @pytest.mark.parametrize("spills", ["join", "nest-only"])
 def test_a_spilling_budget_takes_the_ordinary_pair(spills, link):
+    check_the_spilling_budget(spills, link, keyed=False)
+
+
+@pytest.mark.parametrize("link", ["all>=", "not_exists"])
+@pytest.mark.parametrize("spills", ["join", "nest-only"])
+def test_a_keyed_edge_under_a_spilling_budget_takes_the_ordinary_pair(
+    spills, link
+):
+    check_the_spilling_budget(spills, link, keyed=True)
+
+
+def check_the_spilling_budget(spills, link, keyed):
     left, right = spill_inputs()
     join, nest = plan_nodes(
         left, LINKS[link], "pseudo", "one", RESIDUALS["both-sides"],
-        ("l._rid0",), "sorted",
+        ("l._rid0",), "sorted", keyed,
     )
     # what the in-memory join reserves, under a non-binding budget
     probe = observe(

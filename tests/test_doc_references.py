@@ -1,7 +1,7 @@
 """README.md and DESIGN.md cite the code by name; every citation must
 still name something.
 
-Four kinds of backticked reference are checked:
+Five kinds of backticked reference are checked:
 
 * a dotted ``repro.…`` name resolves: its longest importable prefix is
   imported and the rest is read off it with ``getattr``;
@@ -16,7 +16,13 @@ Four kinds of backticked reference are checked:
 * a command-line flag exists: every ``--flag`` in a ``repro <cmd> …``
   or ``python -m repro <cmd> …`` span is an option of that
   subcommand's parser, and a span that starts with a bare ``--flag`` is
-  an option of some subcommand or of a ``scripts/*.py`` parser.
+  an option of some subcommand or of a ``scripts/*.py`` parser;
+* a benchmark metric name is declared: a span shaped like one is an
+  ``end_to_end`` or ``per_layer`` name in ``BENCHMARK.json``.  Shaped
+  like one means a dotted name under one of the file's layer prefixes
+  whose last part ends in a unit (``engine.vector.join_ms``) or is the
+  last part of a declared name (``engine.vector.rows_in``), or a name
+  of the end-to-end kind (``latency_ms_p50``, ``cpu_ms_per_op``).
 
 ``benchmarks/layers/README.md`` is out of scope: it is the benchmark's
 own document and changes only with the benchmark.  It still cites the
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import fnmatch
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -45,6 +52,10 @@ STRATEGY_ARG = re.compile(
 )
 COMMAND = re.compile(r"(?:^|\s)repro ([a-z]\w*)(.*)")
 FLAG = re.compile(r"--[a-z][\w-]*")
+END_TO_END_SHAPE = re.compile(
+    r"(?:latency_ms|throughput|setup|peak_rss)_\w+|\w+_per_op"
+)
+UNIT_SUFFIX = re.compile(r".*_(?:ms|s|mb|kb|ratio|qps)(?:_\w+)?")
 
 
 def spans(doc):
@@ -172,3 +183,45 @@ def test_every_command_line_flag_exists(doc):
                 broken.append(f"{span}: no subcommand or script has {flag}")
     assert checked, f"{doc} cites no command-line flag: is the pattern stale?"
     assert broken == [], f"{doc}: " + "; ".join(broken)
+
+
+def declared_metrics():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [
+        metric["name"]
+        for group in ("end_to_end", "per_layer")
+        for metric in spec[group]
+    ]
+
+
+def shaped_like_a_metric(declared):
+    """Whether a span is shaped like a metric name (module docstring)."""
+    layers, lasts = set(), set()
+    for name in declared:
+        layer, _, last = name.rpartition(".")
+        if layer:
+            layers.add(layer)
+            lasts.add(last)
+
+    def shaped(span):
+        layer, _, last = span.rpartition(".")
+        if layer in layers and re.fullmatch(r"[a-z]\w*", last):
+            return last in lasts or bool(UNIT_SUFFIX.fullmatch(last))
+        return bool(END_TO_END_SHAPE.fullmatch(span))
+
+    return shaped
+
+
+def test_every_declared_metric_is_shaped_like_one():
+    declared = declared_metrics()
+    assert all(map(shaped_like_a_metric(declared), declared))
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_metric_name_is_a_benchmark_metric(doc):
+    declared = declared_metrics()
+    shaped = shaped_like_a_metric(declared)
+    names = [span for span in spans(doc) if shaped(span)]
+    assert names, f"{doc} cites no metric name: is the pattern stale?"
+    broken = sorted(set(names) - set(declared))
+    assert broken == [], f"{doc}: undeclared metric names {broken}"
