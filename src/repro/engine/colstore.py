@@ -330,12 +330,15 @@ class StoredRelation(Relation):
 
     def stored_batch(self):
         """The columns as a :class:`~repro.engine.vector.batch.Batch`
-        (zero-copy: the vectors themselves, built once)."""
+        (zero-copy: the vectors themselves, built once).  Every execution
+        shares it, so it keeps no join build index: a join that builds
+        on it builds per execution."""
         if self._batch_cache is None:
             from .vector.batch import Batch
 
             self._batch_cache = Batch(
-                self.schema, self._vectors, self._row_count
+                self.schema, self._vectors, self._row_count,
+                keeps_indexes=False,
             )
         return self._batch_cache
 

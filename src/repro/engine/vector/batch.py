@@ -23,7 +23,7 @@ the table is built, so :func:`table_batch` converts and copies nothing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,14 +36,30 @@ if TYPE_CHECKING:
 
 
 class Batch:
-    """A schema plus parallel column vectors of equal length."""
+    """A schema plus parallel column vectors of equal length.
 
-    __slots__ = ("schema", "columns", "length")
+    A batch may keep the build indexes of the equi-joins that build on
+    it (:func:`~.kernels.build_index`), so they live exactly as long as
+    the batch: a reduce-memo image's for as long as the memo keeps the
+    image, a transient batch's for its execution.  A base table's
+    stored batch, shared by every execution, keeps none
+    (*keeps_indexes* False).
+    """
 
-    def __init__(self, schema: Schema, columns: Sequence[Vector], length: int):
+    __slots__ = ("schema", "columns", "length", "_indexes")
+
+    def __init__(
+        self,
+        schema: Schema,
+        columns: Sequence[Vector],
+        length: int,
+        keeps_indexes: bool = True,
+    ):
         self.schema = schema
         self.columns: List[Vector] = list(columns)
         self.length = length
+        #: None until an index is kept; False for "keeps none"
+        self._indexes: Any = None if keeps_indexes else False
 
     def __len__(self) -> int:
         return self.length
@@ -73,6 +89,16 @@ class Batch:
 
     def column(self, ref: str) -> Vector:
         return self.columns[self.schema.index_of(ref)]
+
+    def kept_indexes(self) -> Optional[dict]:
+        """The build indexes kept on this batch, by key (made on first
+        use; two threads that ask at once may each make one and an
+        index kept in the other is built again), or None when the batch
+        keeps none."""
+        kept = self._indexes
+        if kept is None:
+            kept = self._indexes = {}
+        return kept if kept is not False else None
 
     # ------------------------------------------------------------------ #
     # Structural ops (all zero-copy on the vectors where possible)

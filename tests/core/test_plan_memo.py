@@ -20,6 +20,7 @@ and only reduces (from the reduce memo) and computes.  This pins:
 from __future__ import annotations
 
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -311,22 +312,44 @@ def test_shared_plans_and_images_behave_as_a_fresh_session(
         assert _traced(served, run) == warm, stem
 
 
+def _race(prepared, run):
+    """24 executions of *prepared* on 8 threads, the first 8 released
+    together, so they race on whatever the memo does not hold yet."""
+    start = threading.Barrier(8)
+
+    def execute(i):
+        if i < 8:
+            start.wait(timeout=60)
+        return prepared.execute(**run).rows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            return list(pool.map(execute, range(24)))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_concurrent_executions_of_one_prepared_query(tpch, backend):
+    """Eight threads start together on a cold reduce memo and race on
+    its first builds; on the vector backend eight more then race on the
+    first join build indexes of images the memo already holds."""
     run = {"strategy": "nested-relational", "backend": backend}
     for sql in FIGURE_SQL.values():
         expected = repro.connect(tpch).execute(sql, **run).rows
         prepared = repro.connect(tpch).prepare(sql)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(
-                    pool.map(lambda _: prepared.execute(**run).rows, range(24))
-                )
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(rows == expected for rows in results)
+        cache = prepared._session._cache
+        assert not cache._reduced
+        assert all(rows == expected for rows in _race(prepared, run))
+        if backend == "vector":
+            images = [image for image, _cells in cache._reduced.values()]
+            assert images
+            for image in images:
+                image._indexes = None  # kept indexes forgotten, images kept
+            assert all(rows == expected for rows in _race(prepared, run))
+            assert any(image.kept_indexes() for image in images)
 
 
 # --------------------------------------------------------------------- #

@@ -525,7 +525,8 @@ def test_match_counts_counts_the_pairs(kind, n):
     ]
     left, right = make_batch("l", sides[0]), make_batch("r", sides[1])
     live = rng.random(n) < 0.8
-    codes = kernels.joint_codes(left, right, ["l.k"], ["r.k"])
+    index = kernels.build_index(right, ["r.k"])
+    probe = index.probe(left, ["l.k"]), index
     for operands in ((), ("l.x", "r.x")):
         want = [
             sum(
@@ -541,7 +542,9 @@ def test_match_counts_counts_the_pairs(kind, n):
             )
             for k, x in zip(sides[0]["k"], sides[0]["x"])
         ]
-        got = kernels.match_counts(left, right, codes, operands, live)
+        got = kernels.match_counts(
+            left, right, (["l.k"], ["r.k"]), probe, operands, live
+        )
         assert got.tolist() == want
 
 
