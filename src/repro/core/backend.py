@@ -84,16 +84,18 @@ from ..engine.catalog import Database
 from ..engine.expressions import bind_truth
 from ..engine.governor import checkpoint
 from ..engine.operators import left_outer_hash_join, outer_cross_join, semi_join
-from ..engine.relation import Relation, Row, projector
+from ..engine.relation import BuildKeepingRelation, Relation, Row, projector
 from ..engine.types import NULL, TriBool
 from .nest import nest, nest_sorted
 from .plancache import ReduceMemo
 from . import query_tree
 from .reduce import (
-    BlockJoinPlan,
     ReduceStep,
     execute_join_plan,
+    group_rows,
+    reduce_phase,
     reduce_relation,
+    with_rid,
 )
 from .selection import (
     fused_linking_selection,
@@ -114,21 +116,33 @@ class RowBackend:
     def reduce_all(
         self, steps: Sequence[ReduceStep], db: Database
     ) -> Dict[int, Relation]:
-        return {
-            step.block.index: reduce_relation(
-                step, db, self._join_through_memo
-            )
-            for step in steps
-        }
+        return {step.block.index: self._reduce(step, db) for step in steps}
 
-    def _join_through_memo(self, plan: BlockJoinPlan, db: Database) -> Relation:
-        """σ_Δi(R_i ⋈ …) from the session's reduce memo, built on a miss."""
+    def _reduce(self, step: ReduceStep, db: Database) -> Relation:
+        """T_i from the session's reduce memo, built on a miss.
+
+        The image is T_i, ready to use: it carries its rid (and is keyed
+        with it) and keeps the hash builds made on it, so a hit builds
+        no row and its joins only probe.  A grouped block's image is the
+        plain join (key rid None), aggregated and numbered here, per
+        execution.  A bare scan is not memoized: nothing is built, and
+        an image would pin a second copy of the base table's rows."""
+        plan = step.join
         if plan.is_bare_scan:
-            # nothing is built: the rows are the base table's
-            return execute_join_plan(plan, db)
-        return ReduceMemo(plan, self.kind).image(
-            lambda: execute_join_plan(plan, db)
-        )
+            return reduce_relation(step, db)
+        block = step.block
+        build = lambda: execute_join_plan(plan, db)
+        with reduce_phase(block) as span:
+            if step.grouped:
+                joined = ReduceMemo(plan, self.kind).image(build)
+                reduced = with_rid(group_rows(block, joined), step.rid)
+            else:
+                reduced = ReduceMemo(plan, self.kind, step.rid).image(
+                    lambda: with_rid(build(), step.rid, BuildKeepingRelation)
+                )
+            if span is not None:
+                span.add("rows_out", len(reduced.rows))
+        return reduced
 
     # -- way down ------------------------------------------------------- #
 

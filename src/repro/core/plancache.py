@@ -59,21 +59,21 @@ execution.  Whoever installs the cache validates it against the
 database the execution reads first.
 
 *Inside* a cached image: the block's scans, local filters and joins —
-the plain relation ``σ_Δi(R_i ⋈ …)`` — and, for the vector backend, the
-synthetic ``_rid`` column: a vector hit is T_i, ready to use, and the
-rid in its key keeps two blocks over one join plan apart.  *Outside*
-it, redone per execution: the row backend's ``_rid`` column, and the
-GROUP BY / HAVING aggregation (and then the rid) of a grouped subquery
-block, whose image is the plain join (key rid ``None``).  The row
-backend does not memoize a block that is one unfiltered table — that
-"build" is the base relation under an alias.  An image outlives the
-execution that built it and is handed to every later one (and, under
-``repro serve``, to every tenant): operators treat their inputs as
-read-only, and a hit is not charged to the executing tenant's memory
-budget.
+the plain relation ``σ_Δi(R_i ⋈ …)`` — and the synthetic ``_rid``
+column: on both backends a hit is T_i, ready to use, and the rid in
+its key keeps two blocks over one join plan apart.  The equi-join
+builds made on an image are kept on it and evicted with it.  *Outside*
+it, redone per execution: the GROUP BY / HAVING aggregation (and then
+the rid) of a grouped subquery block, whose image is the plain join
+(key rid ``None``).  The row backend does not memoize a block that is
+one unfiltered table — that "build" is the base relation under an
+alias.  An image outlives the execution that built it and is handed to
+every later one (and, under ``repro serve``, to every tenant):
+operators treat their inputs as read-only, and a hit is not charged to
+the executing tenant's memory budget.
 
 Only the nested relational backends read the memo.
-:func:`repro.core.reduce.reduce_all` itself is cache-oblivious, so
+:func:`repro.core.reduce.reduce_all` takes no memo, so
 ``nested-iteration`` (the fuzzer's ground truth), ``native`` and the
 other baselines always reduce from the base tables — a wrong cached
 image cannot agree with the reference it is checked against.

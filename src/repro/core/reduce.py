@@ -17,9 +17,10 @@ as the emptiness marker after outer joins and the grouping anchor for
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PlanError
 from ..engine.catalog import Database
@@ -33,7 +34,7 @@ from ..engine.expressions import (
 )
 from ..engine.governor import checkpoint
 from ..engine.operators import filter_relation, hash_join, nested_loop_join
-from ..engine.trace import op_span
+from ..engine.trace import Span, op_span
 from ..engine.relation import Relation
 from ..engine.schema import Column, Schema
 from ..engine.types import NULL
@@ -58,26 +59,22 @@ def rid_name(block: QueryBlock) -> str:
     return f"_rid{block.index}"
 
 
-def reduce_block(
-    block: QueryBlock, db: Database, join=None
-) -> ReducedBlock:
+def reduce_block(block: QueryBlock, db: Database) -> ReducedBlock:
     """Compute T_i = σ_Δi(R_i) and attach the synthetic rid column.
 
     A grouped subquery block (``GROUP BY`` / ``HAVING``; necessarily
     uncorrelated and childless, see block validation) is aggregated here
     as well: T_i becomes one row per qualifying group over the group-by
     columns, so every downstream strategy sees the grouped relation
-    uniformly.  *join* is as in :func:`reduce_relation`.
+    uniformly.
     """
     step = reduce_step(block)
-    return ReducedBlock(block, reduce_relation(step, db, join), step.rid)
+    return ReducedBlock(block, reduce_relation(step, db), step.rid)
 
 
-def reduce_all(
-    query: NestedQuery, db: Database, join=None
-) -> Dict[int, ReducedBlock]:
+def reduce_all(query: NestedQuery, db: Database) -> Dict[int, ReducedBlock]:
     """Reduce every block of the query, keyed by block index."""
-    return {b.index: reduce_block(b, db, join) for b in query.root.walk()}
+    return {b.index: reduce_block(b, db) for b in query.root.walk()}
 
 
 @dataclass(frozen=True)
@@ -101,33 +98,49 @@ def reduce_step(block: QueryBlock) -> ReduceStep:
     )
 
 
-def reduce_relation(step: ReduceStep, db: Database, join=None) -> Relation:
-    """*step*'s T_i on the row engine, under its ``reduce[T_i]`` span.
+def reduce_relation(step: ReduceStep, db: Database) -> Relation:
+    """*step*'s T_i on the row engine, from the base tables, under its
+    ``reduce[T_i]`` span.
 
-    *join* runs the block's :class:`BlockJoinPlan`; the default is
-    :func:`execute_join_plan`, from the base tables, every time.  The
-    row backend passes one that answers from the session's reduce memo
-    (:class:`~repro.core.plancache.ReduceMemo`) — this function and the
-    baselines that call it stay cache-oblivious.  The result of *join*
-    is only read: the rid column and the aggregation make new rows.
+    This reads no memo: the baselines that call it are cache-oblivious
+    by construction.  The row backend reads T_i from the session's
+    reduce memo instead (:meth:`repro.core.backend.RowBackend.reduce_all`).
     """
-    block = step.block
+    with reduce_phase(step.block) as span:
+        joined = execute_join_plan(step.join, db)
+        if step.grouped:
+            joined = group_rows(step.block, joined)
+        reduced = with_rid(joined, step.rid)
+        if span is not None:
+            span.add("rows_out", len(reduced.rows))
+    return reduced
+
+
+@contextmanager
+def reduce_phase(block: QueryBlock) -> Iterator[Optional[Span]]:
+    """*block*'s ``reduce[T_i]`` phase span, entered past the ``reduce``
+    checkpoint."""
     with op_span(
         f"reduce[T{block.index}]",
         kind="phase",
         tables=",".join(block.alias_list),
     ) as span:
         checkpoint("reduce")
-        joined = (join or execute_join_plan)(step.join, db)
-        if step.grouped:
-            # the linked attribute is a GROUP BY column; the aggregates
-            # only feed HAVING
-            joined = group_block(block, joined).project(block.group_by)
-        if span is not None:
-            span.add("rows_out", len(joined.rows))
-    schema = Schema(joined.schema.columns + (Column(step.rid, not_null=True),))
-    rows = [row + (i,) for i, row in enumerate(joined.rows)]
-    return Relation.adopt(schema, rows)
+        yield span
+
+
+def group_rows(block: QueryBlock, joined: Relation) -> Relation:
+    """A grouped subquery block's T_i before its rid: *joined*
+    aggregated, one row per qualifying group over the group-by columns
+    (the linked attribute is one; the aggregates only feed HAVING)."""
+    return group_block(block, joined).project(block.group_by)
+
+
+def with_rid(joined: Relation, rid: str, cls=Relation) -> Relation:
+    """*joined* with the rid column *rid* numbering its rows, as a new
+    *cls* (:class:`Relation` or one that keeps its builds)."""
+    schema = Schema(joined.schema.columns + (Column(rid, not_null=True),))
+    return cls.adopt(schema, [row + (i,) for i, row in enumerate(joined.rows)])
 
 
 def _is_grouped_subquery(block: QueryBlock) -> bool:

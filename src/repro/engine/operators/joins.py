@@ -40,13 +40,26 @@ BUILD_CHECKPOINT_EVERY = 2048
 
 def _build(right: Relation, right_idx: Sequence[int]) -> Dict[Any, List[Row]]:
     """Hash *right* on its key columns (NULL keys skipped), with a
-    checkpoint on entry and before its 2048th, 4096th, ... row."""
+    checkpoint on entry and before its 2048th, 4096th, ... row.
+
+    A relation that keeps builds (:meth:`Relation.kept_builds`) keeps
+    the finished table, so a later build on it with the same keys only
+    passes the entry checkpoint and charges what the build did; a
+    build a checkpoint stops is never kept.  Two threads that build at
+    once keep equal tables, so no lock is needed."""
     checkpoint("hash-build")
-    charge_rows(len(right.rows), len(right.schema), "hash-join build")
-    key_of = bind_join_key(right_idx)
-    table: Dict[Any, List[Row]] = {}
-    get = table.get
     n = len(right.rows)
+    charge_rows(n, len(right.schema), "hash-join build")
+    kept = right.kept_builds()
+    positions = tuple(right_idx)
+    table = None if kept is None else kept.get(positions)
+    if table is not None:
+        if n:
+            current_metrics().add("hash_build_rows", n)
+        return table
+    key_of = bind_join_key(right_idx)
+    table = {}
+    get = table.get
     rows = iter(right.rows)
     built = 0
     try:
@@ -68,6 +81,8 @@ def _build(right: Relation, right_idx: Sequence[int]) -> Dict[Any, List[Row]]:
         # a cancelled build still charges its rows
         if built:
             current_metrics().add("hash_build_rows", built)
+    if kept is not None:
+        kept[positions] = table
     return table
 
 

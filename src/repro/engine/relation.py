@@ -8,7 +8,8 @@ from relations to a relation.
 Relations are *bags* (duplicates allowed), matching SQL semantics before an
 explicit DISTINCT.  A base table is a
 :class:`~repro.engine.colstore.StoredRelation`: columns, with its rows a
-tuple built on first read.
+tuple built on first read.  A :class:`BuildKeepingRelation` — a reduced
+block ``T_i`` on the row engine — also keeps the hash builds made on it.
 
 ``Relation(schema, rows)`` copies and checks its rows; an operator hands
 over the list it has just built with :meth:`Bag.adopt` instead.
@@ -138,6 +139,12 @@ class Relation(Bag):
             other.rows, key=row_sort_key
         )
 
+    def kept_builds(self) -> Optional[dict]:
+        """The hash builds kept on this relation, by key positions, or
+        None: a relation keeps none unless it is a
+        :class:`BuildKeepingRelation`."""
+        return None
+
     def column_values(self, ref: str) -> List[SqlValue]:
         """All values of one column, in row order."""
         i = self.schema.index_of(ref)
@@ -185,6 +192,34 @@ class Relation(Bag):
             [[format_value(v) for v in row] for row in shown],
             hidden=len(self.rows) - len(shown),
         )
+
+
+class BuildKeepingRelation(Relation):
+    """A relation that keeps the hash builds of the equi-joins that
+    build on it, so they live exactly as long as it does.
+
+    The row backend hands Algorithm 1 its reduced blocks ``T_i`` as
+    these: a reduce-memo image keeps its builds for as long as the memo
+    keeps the image, and every later execution only probes.  Build one
+    with :meth:`adopt`.
+    """
+
+    __slots__ = ("_builds", "__weakref__")
+
+    @classmethod
+    def adopt(cls, schema, rows: List[tuple]):
+        out = super().adopt(schema, rows)
+        out._builds = None
+        return out
+
+    def kept_builds(self) -> dict:
+        """The builds kept so far, made on first use.  Two threads that
+        ask at once may each make one, and a build kept in the other is
+        built again."""
+        kept = self._builds
+        if kept is None:
+            kept = self._builds = {}
+        return kept
 
 
 def aligned_table(

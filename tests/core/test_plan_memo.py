@@ -34,7 +34,9 @@ from repro.core.reduce import reduce_step
 from repro.engine import NULL, Column, Database
 from repro.engine.context import current
 from repro.engine.metrics import collect
+from repro.engine.relation import BuildKeepingRelation
 from repro.engine.trace import tracing
+from repro.engine.vector.batch import Batch
 from repro.options import ExecutionOptions
 from repro.session import PreparedQuery, Session
 
@@ -334,22 +336,26 @@ def _race(prepared, run):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_concurrent_executions_of_one_prepared_query(tpch, backend):
     """Eight threads start together on a cold reduce memo and race on
-    its first builds; on the vector backend eight more then race on the
-    first join build indexes of images the memo already holds."""
+    its first builds; eight more then race on the first join builds of
+    images the memo already holds (a vector image's build indexes, a
+    row image's hash tables)."""
     run = {"strategy": "nested-relational", "backend": backend}
+    forget, kept = {
+        "row": ("_builds", BuildKeepingRelation.kept_builds),
+        "vector": ("_indexes", Batch.kept_indexes),
+    }[backend]
     for sql in FIGURE_SQL.values():
         expected = repro.connect(tpch).execute(sql, **run).rows
         prepared = repro.connect(tpch).prepare(sql)
         cache = prepared._session._cache
         assert not cache._reduced
         assert all(rows == expected for rows in _race(prepared, run))
-        if backend == "vector":
-            images = [image for image, _cells in cache._reduced.values()]
-            assert images
-            for image in images:
-                image._indexes = None  # kept indexes forgotten, images kept
-            assert all(rows == expected for rows in _race(prepared, run))
-            assert any(image.kept_indexes() for image in images)
+        images = [image for image, _cells in cache._reduced.values()]
+        assert images
+        for image in images:
+            setattr(image, forget, None)  # kept builds forgotten, images kept
+        assert all(rows == expected for rows in _race(prepared, run))
+        assert any(kept(image) for image in images)
 
 
 # --------------------------------------------------------------------- #

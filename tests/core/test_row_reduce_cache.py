@@ -7,7 +7,8 @@ and which never do; what is part of the key (logic mode, backend kind)
 and what flushes it (the catalog version); what is inside and outside a
 cached image; that the memo is bounded by retained cells; and that
 nothing an execution does — any preset, either logic mode, a timeout
-half-way — mutates an image other executions will be handed.
+half-way — mutates an image, or a build kept on it, that other
+executions will be handed.
 """
 
 from __future__ import annotations
@@ -18,10 +19,16 @@ import repro
 from repro import strategies
 from repro.core import plancache
 from repro.core.plancache import ReduceMemo
-from repro.core.reduce import execute_join_plan, plan_block_join
+from repro.core.reduce import (
+    execute_join_plan,
+    plan_block_join,
+    reduce_relation,
+    reduce_step,
+)
 from repro.engine import NULL, Column, Database
 from repro.engine.context import scope
 from repro.engine.governor import ResourceGovernor
+from repro.engine.operators.joins import _build
 from repro.engine.relation import Relation
 from repro.errors import QueryTimeoutError, ReproError
 from repro.options import ExecutionOptions
@@ -340,7 +347,8 @@ def test_an_image_larger_than_the_bound_is_not_stored(tpch, monkeypatch):
 def test_no_execution_mutates_a_cached_image(all_queries):
     """All five row presets, both logic modes and executions a timeout
     stops half-way, over one warm session per database: afterwards every
-    cached image is row for row what a fresh, uncached build produces."""
+    cached image is row for row the fresh, uncached T_i, rid included,
+    and every build kept on it is a fresh build of its rows."""
     two_valued = ExecutionOptions(logic="2vl")
     sessions = {}
     for sql, db in all_queries.values():
@@ -364,18 +372,79 @@ def test_no_execution_mutates_a_cached_image(all_queries):
                     timed_out += 1
         assert timed_out, "no execution was stopped mid-way"
 
+    checked_builds = 0
     for sql, db in all_queries.values():
         session = sessions[id(db)]
         for block in session.prepare(sql).query.root.walk():
-            plan = plan_block_join(block)
+            step = reduce_step(block)
+            rid = None if step.grouped else step.rid
             for logic in ("3vl", "2vl"):
                 with scope(reduce_cache=session._cache, logic=logic):
-                    memo = ReduceMemo(plan, "row")
-                    fresh = execute_join_plan(plan, db)
-                if plan.is_bare_scan:
+                    memo = ReduceMemo(step.join, "row", rid)
+                    fresh = (
+                        execute_join_plan(step.join, db)
+                        if step.grouped
+                        else reduce_relation(step, db)
+                    )
+                if step.join.is_bare_scan:
                     assert memo.state == "miss"
                     continue
                 assert memo.state == "hit", (block.index, logic)
                 image = memo.image(lambda: pytest.fail("hit"))
                 assert image.schema.names == fresh.schema.names
                 assert image.rows == fresh.rows
+                checked_builds += _assert_builds_are_fresh(image)
+    assert checked_builds, "no execution kept a build"
+
+
+def _assert_builds_are_fresh(image) -> int:
+    """Each build kept on *image* equals a fresh build of its rows on
+    the same key positions; returns how many it keeps."""
+    kept = image.kept_builds() or {}
+    for positions, table in kept.items():
+        rebuilt = _build(Relation(image.schema, image.rows), positions)
+        assert table == rebuilt, positions
+    return len(kept)
+
+
+#: a NOT EXISTS whose T_i, σ_{quantity > 25}(lineitem), is 2 949 rows at
+#: SF 0.001: more than one build-loop checkpoint apart
+LARGE_BUILD = (
+    "select o_orderkey from orders where o_orderkey < 400 and not exists "
+    "(select l_orderkey from lineitem "
+    "where l_quantity > 25 and l_orderkey = o_orderkey)"
+)
+
+
+class SiteLog(ResourceGovernor):
+    """A governor without limits that lists the sites it checks."""
+
+    def __init__(self):
+        super().__init__(timeout_ms=600_000)
+        self.sites = []
+
+    def check(self, site: str = "operator") -> None:
+        self.sites.append(site)
+        super().check(site)
+
+
+def test_a_build_a_timeout_stops_is_never_kept(tpch):
+    log = SiteLog()
+    repro.connect(tpch).prepare(LARGE_BUILD).execute(**ROW, governor=log)
+    builds = [i for i, site in enumerate(log.sites) if site == "hash-build"]
+    assert len(builds) >= 2, "the build loop passed no checkpoint"
+    session = repro.connect(tpch)
+    prepared = session.prepare(LARGE_BUILD)
+    # the build's entry checkpoint passes, the next one stops it
+    with pytest.raises(QueryTimeoutError, match="hash-build"):
+        prepared.execute(**ROW, governor=TimesOutAfter(builds[1]))
+    images = [image for image, _cells in session._cache._reduced.values()]
+    large = [image for image in images if len(image) > 2048]
+    assert len(large) == 1
+    assert not large[0].kept_builds()
+    want = repro.connect(tpch, plan_cache=False).execute(
+        LARGE_BUILD, strategy="nested-iteration"
+    )
+    got = prepared.execute(**ROW)
+    assert sorted(got.rows) == sorted(want.rows)
+    assert _assert_builds_are_fresh(large[0]) == 1

@@ -10,7 +10,11 @@ site installed, each case below records its counts:
 * a governed left outer hash join, with and without a residual;
 * the fused single-pass scan over 1 500 rows, two and three levels;
 * one cold execution of every row preset over the six figure queries
-  (SF 0.001) and the paper's Query Q.
+  (SF 0.001) and the paper's Query Q;
+* the second execution of every row preset over the six figure queries,
+  which reads each T_i from the reduce memo and each hash build kept on
+  it: a kept build passes its entry ``hash-build`` checkpoint only, as
+  it does no per-row work.
 
 The counts must equal ``tests/golden/checkpoint_cadence.json``.  The
 fused scans also pin a digest of their output rows.  Regenerate after
@@ -169,6 +173,23 @@ def _preset_cases(tpch, paper_db) -> dict:
     return cases
 
 
+def _warm_preset_cases(tpch) -> dict:
+    cases = {}
+    for preset in ROW_PRESETS:
+        for p in PAPER_QUERIES:
+            stem, sql = p.values
+            prepared = repro.connect(tpch).prepare(sql)
+            try:
+                prepared.execute(strategy=preset)
+            except PlanError:
+                cases[f"warm/{preset}/{stem}"] = "PlanError"
+                continue
+            cases[f"warm/{preset}/{stem}"] = _counted(
+                lambda: prepared.execute(strategy=preset)
+            )
+    return cases
+
+
 @pytest.fixture(scope="module")
 def tpch():
     return repro.tpch.generate(
@@ -185,6 +206,7 @@ def test_checkpoint_cadence_matches_golden(tpch, paper_db, update_golden):
         **_join_cases(),
         **_fused_cases(),
         **_preset_cases(tpch, paper_db),
+        **_warm_preset_cases(tpch),
     }
     if update_golden:
         with open(GOLDEN_PATH, "w") as f:
