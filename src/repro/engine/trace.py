@@ -31,11 +31,8 @@ Invariants (checked by :func:`trace_invariant_violations` and the
   engine's row-preserving kernels) emit exactly as many rows as they
   consume, *filtering*
   operators at most as many, *expanding* operators (outer joins) at
-  least as many;
-* an operator's ``rows_in`` equals the summed ``rows_out`` of the child
-  operator spans that feed it, when it has any (the row-accounting check
-  that catches a mis-counting operator even when row *values* are
-  right);
+  least as many — the check that catches a mis-counting operator even
+  when its row *values* are right;
 * the root span's ``rows_out`` equals the result cardinality;
 * summed per-span metric deltas reconcile with the ambient ``Metrics``
   totals of the execution (:func:`reconcile_with_metrics`).
@@ -65,17 +62,17 @@ CONTRACT_EXPANDING = "expanding"  # rows_out >= rows_in
 _CONTRACTS = (CONTRACT_FILTERING, CONTRACT_PRESERVING, CONTRACT_EXPANDING)
 
 #: span kind of the wrapper span tagging a governed execution with its
-#: limits.  Governor spans are bookkeeping, not operators: the
-#: row-accounting and contract checks skip them, but their children (the
-#: governed operator tree) are checked as usual.
+#: limits.  Governor spans are bookkeeping, not operators: they carry
+#: no contract, but their children (the governed operator tree) are
+#: checked as usual.
 KIND_GOVERNOR = "governor"
 
 #: span kind of one out-of-core pass: a spilling hash-join build or nest
 #: grouping run that diverted to disk partitions
 #: (:mod:`repro.engine.spill`).  Spill spans are bookkeeping, not
-#: operators — the row-accounting and contract checks skip them (their
-#: per-partition children collectively re-describe the wrapped
-#: operator's own input) — and they carry the
+#: operators — they carry no contract (their per-partition children
+#: collectively re-describe the wrapped operator's own input) — and
+#: they carry the
 #: ``bytes_spilled`` / ``partitions`` / ``depth`` counters the bench
 #: artifacts and the governor's spill accounting are validated against.
 KIND_SPILL = "spill"
@@ -141,7 +138,7 @@ class Span:
 
         An aborted span's counters describe *partial* work (an operator
         may have recorded ``rows_in`` but died before ``rows_out``), so
-        the cardinality-contract and row-accounting invariants skip it —
+        the cardinality-contract invariants skip it —
         that is what keeps partial span trees from failed executions
         valid.
         """
@@ -435,7 +432,7 @@ def _span_violations(span: Span) -> List[str]:
         if value < 0:
             out.append(f"{where} counter {name!r} is negative ({value})")
     if span.aborted:
-        # partial work: the structural checks below assume the operator
+        # partial work: the contract checks below assume the operator
         # ran to completion, which an aborted span by definition did not
         return out
     rows_in = span.counters.get("rows_in")
@@ -458,17 +455,6 @@ def _span_violations(span: Span) -> List[str]:
                 f"{where} is expanding but emitted {rows_out} row(s) "
                 f"from {rows_in}"
             )
-    # row accounting: the rows an operator consumed must match
-    # the rows its input operator spans report having produced.
-    if span.kind == "operator" and rows_in is not None:
-        inputs = [c for c in span.children if c.kind == "operator"]
-        if inputs:
-            fed = sum(c.counters.get("rows_out", 0) for c in inputs)
-            if fed != rows_in:
-                out.append(
-                    f"{where} consumed rows_in={rows_in} but its input "
-                    f"span(s) produced {fed}"
-                )
     return out
 
 

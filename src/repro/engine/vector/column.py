@@ -482,37 +482,6 @@ class Vector:
             group_key(v) if valid[i] else None for i, v in enumerate(vals)
         ]
 
-    def codes(self) -> np.ndarray:
-        """Dense int64 grouping codes; every NULL shares code 0.
-
-        Values that are equal under SQL grouping share a code.  For the
-        numeric / string / bool kinds this is fully vectorized via
-        ``np.unique``; the ``obj`` kind falls back to a Python dict over
-        :func:`~repro.engine.types.group_key`.
-        """
-        n = len(self.data)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        if self.kind == KIND_OBJ:
-            mapping: dict = {}
-            out = np.empty(n, dtype=np.int64)
-            valid = self.valid
-            for i, v in enumerate(self.data.tolist()):
-                if not valid[i]:
-                    out[i] = 0
-                    continue
-                k = group_key(v)
-                code = mapping.get(k)
-                if code is None:
-                    code = len(mapping) + 1
-                    mapping[k] = code
-                out[i] = code
-            return out
-        _, inv = np.unique(self.data, return_inverse=True)
-        out = inv.astype(np.int64) + 1
-        out[~self.valid] = 0
-        return out
-
 
 def encode_rows(rows: Sequence[Sequence[Any]], width: int) -> List[Vector]:
     """The columns of *rows* (each of *width* values), one

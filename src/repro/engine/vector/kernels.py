@@ -11,9 +11,9 @@ costs stay comparable across backends and
 There is **one equi-join matcher**, and its build belongs to the build
 batch.  :func:`build_index` builds the right side's :class:`BuildIndex`
 on its key columns once — each column's dictionary of sorted distinct
-values (a dense ``i8`` domain found with no sort, through the presence
-table nest ids use, and kept as an offset lookup table), each row's
-code, a dictionary per composite fold, and the build rows ordered by
+values (a dense ``i8`` domain found with no sort, through a presence
+table kept as an offset lookup table), each row's code, a dictionary
+per composite fold, and the build rows ordered by
 code with a per-code ``starts`` offset table beside them
 (:func:`build_starts`, :func:`build_rows`) — and keeps it on the batch
 (:meth:`Batch.kept_indexes`).  A reduce-memo image ``T_i`` is
@@ -30,6 +30,12 @@ NULL component never matches, ``2`` and ``2.0`` collide, booleans do
 not collide with ints, ints next to floats compare as float64 unless
 one is past its precision, and that case and ``obj`` columns go per
 row through ``group_key``.
+
+The same build coder numbers a nest's groups (:func:`dense_group_ids`).
+Grouping differs from a join in one rule — the NULLs of a column form
+one group, where a join never matches a NULL — so a column with a NULL
+slot gets one more code, below every value, and the columns fold as a
+build's key does.
 
 There is also **one residual evaluation site**, :func:`_match_pairs`,
 which every join of the family (and every spill partition re-entering
@@ -236,28 +242,6 @@ class KeyDictionary:
         )
 
 
-def _fits_table(n: int, width: int) -> bool:
-    """Whether *n* values spread over a domain *width* wide are numbered
-    through a presence table (O(n + width), no sort) rather than
-    ``np.unique`` — as a join key's, a rid's or a composite fold's
-    domain, about the size of its input, usually is."""
-    return width <= 4 * n + 1024
-
-
-def _presence_table(
-    offsets: np.ndarray, width: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct *offsets* (each in ``[0, width)``) in ascending
-    order, and a table of ``width + 1`` slots holding each one's rank,
-    ``-1`` elsewhere and in the closing slot."""
-    present = np.zeros(width, dtype=bool)
-    present[offsets] = True
-    slots = np.flatnonzero(present)
-    table = np.full(width + 1, -1, dtype=np.int64)
-    table[slots] = np.arange(len(slots), dtype=np.int64)
-    return slots, table
-
-
 def _unique_inverse(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``np.unique``'s distinct values and inverse, as flat int64."""
     uniq, inv = np.unique(values, return_inverse=True)
@@ -267,17 +251,25 @@ def _unique_inverse(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _int_dictionary(
     values: np.ndarray, kind: str = KIND_INT
 ) -> Tuple[KeyDictionary, np.ndarray]:
-    """The dictionary of the ``int64`` *values* and each value's code:
-    the presence table of the offsets from the minimum, kept as the
-    ``lut``, when :func:`_fits_table`, else ``np.unique``."""
+    """The dictionary of the ``int64`` *values* and each value's code
+    (its rank among the distinct values).  A domain about the size of
+    its input — a join key's, a rid's or a fold's usually is — is
+    ranked with no sort, through a presence table of the offsets from
+    the minimum, kept as the ``lut``; a wider one by ``np.unique``."""
     if len(values) == 0:
         return KeyDictionary(kind, np.empty(0, dtype=np.int64)), values
     lo, hi = int(values.min()), int(values.max())
-    if not _fits_table(len(values), hi - lo + 1):
+    width = hi - lo + 1
+    if width > 4 * len(values) + 1024:
         uniq, inv = _unique_inverse(values)
         return KeyDictionary(kind, uniq), inv
     offset = values - np.int64(lo)
-    slots, lut = _presence_table(offset, hi - lo + 1)
+    present = np.zeros(width, dtype=bool)
+    present[offset] = True
+    slots = np.flatnonzero(present)
+    # each offset's rank, -1 elsewhere and in the closing slot
+    lut = np.full(width + 1, -1, dtype=np.int64)
+    lut[slots] = np.arange(len(slots), dtype=np.int64)
     return KeyDictionary(kind, slots + np.int64(lo), lo, lut), lut[offset]
 
 
@@ -285,13 +277,18 @@ def _column_dictionary(col: Vector) -> Tuple[KeyDictionary, np.ndarray]:
     """The dictionary of a build key column's values and each row's
     code.  A NULL slot's fill is coded like a value — its row's code is
     masked later, and a probe that finds the fill's code finds no row
-    behind it — so no column is compacted first."""
+    behind it — so no column is compacted first.  An ``obj`` column's
+    NULL slots are read as ``None``, not as their fill (a padded gather
+    copies a live value there), so its values keep their order of
+    first appearance among the live rows."""
     data = col.data
     if col.kind == KIND_INT:
         return _int_dictionary(data)
     if col.kind == KIND_BOOL:
         return _int_dictionary(data.astype(np.int64), KIND_BOOL)
     if col.kind == KIND_OBJ:
+        if not col.dense:
+            data = np.where(col.valid, data, None)
         keys: dict = {}
         codes = np.fromiter(
             (keys.setdefault(group_key(v), len(keys)) for v in data.tolist()),
@@ -429,9 +426,10 @@ def _fold(
     codes: np.ndarray, radix: int, column_codes: np.ndarray
 ) -> np.ndarray:
     """``(codes + 1) * (radix + 1) + column_codes + 1``: a composite code
-    and the next column's code (``< radix``) as one integer.  A build
-    row's components are never ``-1``, so a probe row with a ``-1``
-    component folds to a value no build row has."""
+    and the next column's code (``< radix``) as one integer, in the
+    pairs' lexicographic order.  A build row's components are never
+    ``-1``, so a probe row with a ``-1`` component folds to a value no
+    build row has."""
     return codes * (radix + 1) + column_codes + (radix + 2)
 
 
@@ -938,67 +936,44 @@ def outer_cross_join(left: Batch, right: Batch) -> Batch:
 
 
 # --------------------------------------------------------------------- #
-# Grouping (the factorization both nest variants share)
+# Grouping: the build coder, with NULL as a code of its own
 # --------------------------------------------------------------------- #
 
-#: ceiling on a mixed-radix product of column domains: past it the
-#: running ids are re-densified (to at most ``n`` values) before the
-#: next column is folded in, so ``ids * width + codes`` never wraps int64
-_RADIX_LIMIT = 2 ** 62
 
-
-def _column_group_codes(col: Vector) -> Tuple[np.ndarray, int]:
-    """One grouping column as ``(codes, width)``: equal codes iff equal
-    under SQL grouping, NULL is code 0, every code is below *width*.
-
-    An ``i8`` column — every rid, the driver's whole nest key — is coded
-    by offset from its minimum, with no sort.  The :meth:`Vector.codes`
-    branch (other kinds, or an int range too wide to offset) is never
-    reached by a rid key: it keeps :func:`dense_group_ids` correct over
-    any columns, which is how the tests group on all of N1.
-    """
-    if col.kind == KIND_INT:
-        info = np.iinfo(np.int64)
-        lo = int(col.data.min(where=col.valid, initial=info.max))
-        hi = int(col.data.max(where=col.valid, initial=info.min))
-        if lo > hi:  # no live value: one all-NULL group
-            return np.zeros(len(col), dtype=np.int64), 1
-        if hi - lo + 2 < _RADIX_LIMIT:
-            return np.where(col.valid, col.data - lo + 1, 0), hi - lo + 2
-    codes = col.codes()
-    return codes, int(codes.max()) + 1
-
-
-def _densify(codes: np.ndarray, width: int) -> Tuple[np.ndarray, int]:
-    """Codes in ``[0, width)`` renumbered ``0..n_groups-1`` (ascending,
-    exactly ``np.unique``'s inverse); returns ``(ids, n_groups)``:
-    through a presence table when :func:`_fits_table`, else the one
-    ``np.unique`` sort."""
-    if _fits_table(len(codes), width):
-        slots, table = _presence_table(codes, width)
-        return table[codes], len(slots)
-    uniq, inv = _unique_inverse(codes)
-    return inv, len(uniq)
+def _group_codes(col: Vector) -> Tuple[np.ndarray, int]:
+    """One grouping column's codes and their radix: its build codes
+    (:func:`_column_dictionary`, exactly as a join build codes it), and
+    in a column with a NULL slot each code plus one, NULL ``0`` — one
+    code of its own below every value, since grouping, unlike a join,
+    puts the NULLs together."""
+    dictionary, codes = _column_dictionary(col)
+    if col.dense:
+        return codes, len(dictionary)
+    return np.where(col.valid, codes + 1, np.int64(0)), len(dictionary) + 1
 
 
 def dense_group_ids(
     batch: Batch, key: Sequence[str]
 ) -> Tuple[np.ndarray, int]:
     """Dense group ids of a non-empty *batch* over a non-empty *key*, as
-    ``(ids, n_groups)``, numbered in ascending key order: the columns'
-    codes combined mixed-radix into one int64 array that is densified
-    once (a presence table for a rid key; no sort).  Charges nothing — the callers
-    account the nest grouping and the spill partitioning scratch."""
-    ids, width = _column_group_codes(batch.column(key[0]))
+    ``(ids, n_groups)``: each row's key tuple ranked densely in
+    lexicographic order — NULL first, values ascending, ``obj`` values
+    by first appearance.  The columns' :func:`_group_codes` are folded
+    as a join build folds its key (:func:`_fold`) and renumbered by
+    :func:`_int_dictionary` after each fold, so the ids stay below the
+    row count and no fold wraps int64; a dense column's codes are dense
+    already.  Charges nothing — the callers account the nest grouping
+    and the spill partitioning scratch."""
+    col = batch.column(key[0])
+    ids, n_groups = _group_codes(col)
+    if len(key) == 1 and not col.dense:  # a fill's code may be a gap
+        dictionary, ids = _int_dictionary(ids)
+        n_groups = len(dictionary)
     for ref in key[1:]:
-        codes, w = _column_group_codes(batch.column(ref))
-        if width * w > _RADIX_LIMIT:
-            ids, width = _densify(ids, width)
-            if width * w > _RADIX_LIMIT:
-                codes, w = _densify(codes, w)
-        ids = ids * w + codes
-        width *= w
-    return _densify(ids, width)
+        codes, radix = _group_codes(batch.column(ref))
+        dictionary, ids = _int_dictionary(_fold(ids, radix, codes))
+        n_groups = len(dictionary)
+    return ids, n_groups
 
 
 def first_occurrences(ids: np.ndarray, n_groups: int) -> np.ndarray:

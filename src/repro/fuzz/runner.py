@@ -222,7 +222,7 @@ class DifferentialRunner:
         self.extra_strategies = tuple(extra_strategies)
         self.check_metrics = check_metrics
         #: run every execution under a tracing scope and enforce the
-        #: span-tree invariants (contracts, row accounting, Metrics
+        #: span-tree invariants (contracts, root cardinality, Metrics
         #: reconciliation) on top of the differential check.
         self.check_traces = check_traces
         #: external engine to cross-check the internal oracle against
@@ -684,10 +684,9 @@ class MiscountingSpanStrategy:
     """A strategy with correct *results* but broken trace accounting: it
     drops the first ``rows_out`` increment of every span, so the rows it
     returns still match the oracle while the span tree's cardinality
-    contracts and pull-model row accounting are wrong.  Used by ``repro
-    fuzz --inject-trace-bug`` and the test suite to prove that
-    trace-invariant checking catches operator miscounts the differential
-    value comparison cannot see."""
+    contracts are broken.  Used by ``repro fuzz --inject-trace-bug`` and
+    the test suite to prove that trace-invariant checking catches
+    operator miscounts the differential value comparison cannot see."""
 
     name = "nested-relational[miscounting-span]"
 

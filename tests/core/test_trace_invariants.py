@@ -7,8 +7,6 @@ empty-vs-{NULL} distinction) and on the paper's TPC-H queries:
 
 * every span closed, counters non-negative;
 * cardinality contracts (filtering / preserving / expanding) hold;
-* pull-model row accounting: an operator's ``rows_in`` equals the summed
-  ``rows_out`` of the operator spans feeding it;
 * the root span's ``rows_out`` equals the result cardinality;
 * summed per-span metric deltas reconcile exactly with the ambient
   ``Metrics`` totals of the execution.

@@ -7,8 +7,8 @@ execution, so its index is too.  This pins where an index lives and
 dies, and that sharing it changes no answer:
 
 * a warm round of the six figure queries builds nothing on the join
-  path — no key dictionary, no build side, no ``np.unique`` —
-  where every equi-join used to re-factorize both sides;
+  path — no build index, no build side — and calls no ``np.unique``
+  at all, where every equi-join used to re-factorize both sides;
 * a base table's stored batch, shared by every execution on a RAM
   database and on a memory-mapped store, never holds one;
 * an image the reduce memo evicts takes its index with it;
@@ -52,15 +52,15 @@ def stored(tmp_path_factory):
 
 
 class JoinPathCounts:
-    """Counts what a join builds: key dictionaries, composite folds,
-    the build side's offset table and row order, ``np.unique`` called
-    from the kernels, and the probes that show a join ran at all."""
+    """Counts what a join builds: build indexes (the key coder a nest's
+    grouping also runs is not counted apart), the build side's offset
+    table and row order, ``np.unique`` called from the kernels, and the
+    probes that show a join ran at all."""
 
     def __init__(self, monkeypatch):
-        self.calls = {"dictionary": 0, "fold": 0, "build_side": 0,
-                      "np.unique": 0, "probe": 0}
-        self._wrap(monkeypatch, kernels, "_column_dictionary", "dictionary")
-        self._wrap(monkeypatch, kernels, "_int_dictionary", "fold")
+        self.calls = {"build": 0, "build_side": 0, "np.unique": 0,
+                      "probe": 0}
+        self._wrap(monkeypatch, kernels.BuildIndex, "__init__", "build")
         self._wrap(monkeypatch, kernels, "build_starts", "build_side")
         self._wrap(monkeypatch, kernels, "build_rows", "build_side")
         self._wrap(monkeypatch, kernels.BuildIndex, "probe", "probe")
@@ -100,12 +100,12 @@ def test_a_warm_figure_round_builds_nothing(tpch, monkeypatch):
     session = repro.connect(tpch)
     counts = JoinPathCounts(monkeypatch)
     cold = figure_round(session)
-    assert counts.calls["dictionary"] > 0 and counts.calls["build_side"] > 0
+    assert counts.calls["build"] > 0 and counts.calls["build_side"] > 0
     counts.reset()
     warm = figure_round(session)
     assert warm == cold
     assert counts.calls["probe"] >= 11  # the figures' equi-joins ran
-    built = ("dictionary", "fold", "build_side", "np.unique")
+    built = ("build", "build_side", "np.unique")
     assert {name: counts.calls[name] for name in built} == dict.fromkeys(
         built, 0
     )

@@ -10,6 +10,8 @@ substrates (row, vectorized) and asserts the governed contract: either a
 from __future__ import annotations
 
 import time
+from functools import partial
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ import pytest
 import repro
 from repro.core import planner
 from repro.engine import Column, Schema
-from repro.engine.expressions import Col, Comparison
+from repro.engine import governor as governor_module
+from repro.engine.expressions import Col, Comparison, Literal
 from repro.engine.governor import (
     FAULT_MODES,
     ResourceGovernor,
@@ -40,6 +43,7 @@ from repro.engine.operators import (
     outer_cross_join,
     semi_join,
 )
+from repro.engine.operators.joins import BUILD_CHECKPOINT_EVERY as BUILD_EVERY
 from repro.engine.relation import Relation
 from repro.engine.trace import (
     KIND_GOVERNOR,
@@ -243,7 +247,6 @@ class TestCrossJoinResidualCheckpoint:
     def test_trips_before_the_residual_is_evaluated(
         self, monkeypatch, trip, error
     ):
-        from repro.engine import governor as governor_module
         from repro.engine.vector import kernels
 
         clock = [1000.0]
@@ -462,23 +465,113 @@ class TestFaultMatrix:
         self, tiny_tpch, monkeypatch, strategy
     ):
         # the acceptance bar: timeout_ms=50 against a deliberately slow
-        # plan raises within 2x the deadline on every substrate
+        # plan raises within 2x the deadline on every substrate, on the
+        # engine's own clock — its thread's CPU time plus the injected
+        # checkpoint sleeps — so another process's load cannot stretch
+        # it; and the first checkpoint past the deadline is the one
+        # that raises
         session = repro.connect(tiny_tpch)
         # fault-free warm-up: pay one-time costs (batch conversion)
         # outside the timed window so the bound measures the
         # engine's checkpoint coverage
         session.execute(SQL, strategy=strategy, timeout_ms=60_000)
+        clock = EngineClock()
+        monkeypatch.setattr(governor_module, "time", clock)
+        late = []  # the checks made past the deadline
+        real_check = ResourceGovernor.check
+
+        def check(gov, site="operator"):
+            if clock.monotonic() > gov._deadline:
+                late.append(site)
+            real_check(gov, site)
+
+        monkeypatch.setattr(ResourceGovernor, "check", check)
         monkeypatch.setenv("REPRO_FAULT", "slow_checkpoint")
         monkeypatch.setenv("REPRO_FAULT_MS", "10")
-        t0 = time.perf_counter()
+        t0 = clock.monotonic()
         with pytest.raises(QueryTimeoutError) as err:
             session.execute(SQL, strategy=strategy, timeout_ms=50)
-        elapsed_ms = (time.perf_counter() - t0) * 1000
+        elapsed_ms = (clock.monotonic() - t0) * 1000
         assert "timeout_ms=50" in str(err.value)
+        assert len(late) == 1, late
         assert elapsed_ms <= 100, (
-            f"QueryTimeoutError took {elapsed_ms:.1f}ms, over 2x the "
-            f"50ms deadline"
+            f"QueryTimeoutError came {elapsed_ms:.1f}ms of CPU and "
+            f"checkpoint sleeps after the start, over 2x the 50ms deadline"
         )
+
+    @pytest.mark.parametrize("loop", ["build", "probe", "filter"])
+    def test_a_deadline_inside_a_row_loop_stops_it_within_one_interval(
+        self, loop
+    ):
+        """A deadline that passes right after a row operator's first
+        checkpoint stops its hot loop at the loop's next one: the rows
+        read past the deadline are counted, not timed."""
+        big = CountingRows((i % 97, i) for i in range(5 * BUILD_EVERY))
+        t = Relation.adopt(Schema([Column("k", "t"), Column("v", "t")]), big)
+        u = Relation(
+            Schema([Column("k", "u"), Column("w", "u")]),
+            [(k, -k) for k in range(97)],
+        )
+        run, interval = {
+            "build": (partial(hash_join, u, t, ["u.k"], ["t.k"]), BUILD_EVERY),
+            "probe": (
+                partial(hash_join, t, u, ["t.k"], ["u.k"]),
+                basic.CHECKPOINT_EVERY,
+            ),
+            "filter": (
+                partial(
+                    filter_relation, t, Comparison(">=", Col("t.v"), Literal(0))
+                ),
+                basic.CHECKPOINT_EVERY,
+            ),
+        }[loop]
+        gov = PassesOnce(big)
+        with collect(), governed(gov):
+            with pytest.raises(QueryTimeoutError):
+                run()
+        assert 0 < big.read - gov.read_at_deadline <= interval
+
+
+class EngineClock:
+    """The governor's clock, read off what the engine controls: this
+    thread's CPU time plus the seconds its checkpoints were asked to
+    sleep, which advance the clock and sleep for none."""
+
+    def __init__(self):
+        self.slept = 0.0
+
+    def monotonic(self) -> float:
+        return time.thread_time() + self.slept
+
+    def sleep(self, seconds: float) -> None:
+        self.slept += seconds
+
+
+class CountingRows(list):
+    """A relation's rows that count how many a loop has read."""
+
+    read = 0
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.read += 1
+            yield row
+
+
+class PassesOnce(ResourceGovernor):
+    """A governor whose deadline passes right after its first check,
+    noting how many of *rows* had been read by then."""
+
+    def __init__(self, rows: CountingRows):
+        super().__init__(timeout_ms=600_000)
+        self.rows = rows
+        self.read_at_deadline: Optional[int] = None
+
+    def check(self, site: str = "operator") -> None:
+        super().check(site)
+        if self.read_at_deadline is None:
+            self.read_at_deadline = self.rows.read
+            self._deadline = 0.0
 
 
 # --------------------------------------------------------------------- #

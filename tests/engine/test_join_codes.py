@@ -151,7 +151,7 @@ def ref_probe_match(sorted_codes, build_rows, probe_codes):
     return li, ri
 
 
-def ref_densify(codes, width):
+def ref_renumbering(codes, width):
     if width <= 4 * len(codes) + 1024:
         present = np.zeros(width, dtype=bool)
         present[codes] = True
@@ -439,18 +439,26 @@ class TestCodes:
         ),
         st.data(),
     )
-    def test_densify_equals_cumsum_renumbering(self, n_width, data):
+    def test_int_dictionary_equals_cumsum_renumbering(self, n_width, data):
+        """The renumbering a fold and a grouping column go through: each
+        value's rank among the distinct values, through the presence
+        table or ``np.unique`` by the domain's width."""
         n, width = n_width
-        codes = np.array(
+        base = data.draw(st.sampled_from([0, -7, 2 ** 40]))
+        offsets = np.array(
             data.draw(
                 st.lists(st.integers(0, width - 1), min_size=n, max_size=n)
             ),
             dtype=np.int64,
         )
-        ids, n_groups = kernels._densify(codes, width)
-        want_ids, want_n = ref_densify(codes, width)
-        assert_same_array(ids, want_ids)
-        assert n_groups == want_n
+        dictionary, codes = kernels._int_dictionary(offsets + base)
+        want_codes, want_n = ref_renumbering(offsets, width)
+        assert_same_array(codes, want_codes)
+        assert len(dictionary) == (want_n if n else 0)
+        if n:
+            span = int(offsets.max() - offsets.min()) + 1
+            assert (dictionary.lut is not None) == (span <= 4 * n + 1024)
+            assert_same_array(dictionary.lookup(offsets + base), codes)
 
     @pytest.mark.parametrize("base", [I64_MIN, -5, I64_MAX - 5000])
     @pytest.mark.parametrize("extra", [-1, 0, 1])

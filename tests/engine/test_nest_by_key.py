@@ -6,8 +6,8 @@ the change rests on — equality on the key is equality on all of ``by``
 — on both backends, the planner's ``keyed`` fact — a leaf edge it marks
 keyed starts from a relation that never repeats the key — and the
 kernel properties that make it cheap: no value column is factorized
-inside a nest, at most one sort per nest, and the mixed-radix
-combination cannot overflow.
+inside a nest, at most one sort per nest, and a composite key's fold
+cannot overflow.
 """
 
 from __future__ import annotations
@@ -246,7 +246,8 @@ def test_no_value_column_is_factorized_inside_a_nest(monkeypatch):
         query3("all", "not exists", "b", 1, 30, 6000, 25)
     )
     depth = [0]
-    count = {"nests": 0, "codes": 0, "sorts": 0}
+    rids: set = set()  # the key columns of the nests' member batches
+    count = {"nests": 0, "rids": 0, "values": 0, "sorts": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -254,25 +255,39 @@ def test_no_value_column_is_factorized_inside_a_nest(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def coding(col):
+        if depth[0] > 0:
+            count["rids" if id(col) in rids else "values"] += 1
+        return real_dictionary(col)
+
     # the one nest body, which a leaf edge's fused join_nest and every
     # other nest_link run once per nest
     real_nest_link = nestlink._nest_link
+    real_dictionary = kernels._column_dictionary
 
-    def nest_link(*args, **kwargs):
+    def nest_link(node, n, members, n1):
+        def keyed_members():
+            out = members()
+            if out[3] is None:  # the batch holds the key to group on
+                assert all(ref.startswith("_rid") for ref in node.key)
+                rids.update(id(out[0].column(ref)) for ref in node.key)
+            return out
+
         count["nests"] += 1
         depth[0] += 1
         try:
-            return real_nest_link(*args, **kwargs)
+            return real_nest_link(node, n, keyed_members, n1)
         finally:
             depth[0] -= 1
 
     monkeypatch.setattr(nestlink, "_nest_link", nest_link)
-    monkeypatch.setattr(Vector, "codes", counting("codes", Vector.codes))
+    monkeypatch.setattr(kernels, "_column_dictionary", coding)
     monkeypatch.setattr(np, "unique", counting("sorts", np.unique))
     result = prepared.execute(strategy="nested-relational-vectorized")
     assert len(result.rows) > 0
     assert count["nests"] >= 2
-    assert count["codes"] == 0
+    assert count["rids"] > 0
+    assert count["values"] == 0
     assert count["sorts"] <= count["nests"]
 
 
@@ -315,14 +330,14 @@ def test_a_warm_figure_round_groups_no_leaf_edge(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# (c) the mixed-radix combination
+# (c) the composite fold
 # --------------------------------------------------------------------- #
 
 
 class TestGroupCodes:
     def test_three_wide_domains_do_not_overflow(self):
-        """Three rid columns with domains ≥ 2**21 each: the plain radix
-        product passes 2**63, so ids are re-densified on the way."""
+        """Three rid columns with domains ≥ 2**21 each: their plain
+        product passes 2**63, so ids are renumbered after each fold."""
         rng = np.random.default_rng(14)
         n = 4000
         cols = {

@@ -2,8 +2,7 @@
 
 Covers the :class:`Vector`/:class:`Batch` data layout (NULL bitmaps,
 kind inference, padding gathers), the three-valued expression kernels,
-the join kernels' NULL-key semantics, the two group-factorization
-methods, and — end to end — the full linking-operator matrix evaluated
+the join kernels' NULL-key semantics, the grouping kernel's ids, and — end to end — the full linking-operator matrix evaluated
 under the vector backend against the tuple-iteration oracle on the
 paper's R/S/T data.
 """
@@ -22,6 +21,7 @@ import repro
 from repro.engine import NULL, Column, Schema
 from repro.engine.expressions import And, Col, Comparison, Literal, Not, Or
 from repro.engine.metrics import collect
+from repro.engine.types import group_key
 from repro.engine.trace import (
     reconcile_with_metrics,
     trace_invariant_violations,
@@ -102,12 +102,6 @@ class TestVector:
         assert ints[0] == floats[0]
         assert ints[2] is None
         assert bools[0] != ints[1]
-
-    def test_codes_group_nulls_together(self):
-        codes = Vector.from_values([5, NULL, 5, NULL, 7]).codes()
-        assert codes[0] == codes[2]
-        assert codes[1] == codes[3] == 0
-        assert codes[4] not in (codes[0], 0)
 
 
 # --------------------------------------------------------------------- #
@@ -598,15 +592,72 @@ def hash_group_ids(batch: Batch, key) -> tuple:
     return ids, len(mapping)
 
 
+def ranked_group_ids(batch: Batch, key) -> tuple:
+    """The ids grouping must give, label for label, as ``(ids,
+    n_groups)``: each row's key tuple ranked densely in lexicographic
+    order, a column's NULL below its values, values ascending (NaN
+    last, ``-0.0`` equal to ``0.0``) and ``obj`` values by their first
+    appearance among the live rows."""
+    nan = ("nan",)  # every NaN one key
+    ranks = []
+    for ref in key:
+        col = batch.column(ref)
+        obj = col.kind == KIND_OBJ
+        keys = [
+            group_key(v) if obj else nan if v != v else v
+            for v in col.data.tolist()
+        ]
+        live = col.valid.tolist()
+        present = [k for k, ok in zip(keys, live) if ok]
+        if obj:
+            distinct = list(dict.fromkeys(present))
+        else:
+            distinct = sorted(
+                set(present), key=lambda k: (k == nan, 0 if k == nan else k)
+            )
+        rank = {k: r for r, k in enumerate(distinct)}
+        ranks.append([rank[k] if ok else -1 for k, ok in zip(keys, live)])
+    tuples = list(zip(*ranks))
+    dense = {t: i for i, t in enumerate(sorted(set(tuples)))}
+    return np.array([dense[t] for t in tuples], dtype=np.int64), len(dense)
+
+
+I64_MIN, I64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
+#: key columns for the grouping kernel: NULL components, every kind,
+#: int64 extremes and a domain wider than the presence table
+GROUPING_INPUTS = [
+    {"a": [1, 2, 1, NULL, NULL, 2]},
+    {"a": [5, NULL, 5, NULL, 7]},
+    {"a": [1, 1.0, 2, True], "b": ["x", "x", "y", "x"]},
+    {"a": [NULL] * 4, "b": [1, NULL, 1, NULL]},
+    {"a": ["b", "a", NULL, "", "b", "ab", "a"]},
+    {"a": [I64_MAX, 5, NULL, I64_MIN, 0, I64_MAX, -(10 ** 12)]},
+    {"a": [True, False, NULL, True, False], "b": [1, 0, 1, NULL, 0]},
+    {"a": [True, 1, 1.0, False, 0, NULL, 2, True]},
+    {
+        "a": [
+            datetime.date(2020, 5, 1), 2 ** 70, NULL,
+            datetime.date(1999, 1, 1), 2 ** 70,
+            datetime.date(2020, 5, 1),
+        ]
+    },
+    {"a": [NULL] * 3},
+    {
+        "a": [1, NULL, 1, 2, NULL, 1, 1, NULL],
+        "b": ["x", "x", NULL, "y", NULL, "x", NULL, NULL],
+        "c": [NULL, 2.5, 2.5, NULL, NULL, NULL, NULL, 0.5],
+    },
+]
+
+#: NaN and -0.0: the row engine's group_key keeps two NaN objects
+#: apart, so only the ranked reference judges this input
+FLOAT_EDGES = {"a": [0.0, -0.0, float("nan"), NULL, 1.5, float("nan"), -2.0]}
+
+
 class TestGrouping:
-    @pytest.mark.parametrize(
-        "cols",
-        [
-            {"a": [1, 2, 1, NULL, NULL, 2]},
-            {"a": [1, 1.0, 2, True], "b": ["x", "x", "y", "x"]},
-            {"a": [NULL] * 4, "b": [1, NULL, 1, NULL]},
-        ],
-    )
+    @pytest.mark.parametrize("cols", GROUPING_INPUTS)
     def test_dense_ids_agree_with_the_hash_reference(self, cols):
         """SQL grouping: NULLs group together, ``2`` and ``2.0`` share a
         group, booleans do not collide with ints."""
@@ -619,6 +670,31 @@ class TestGrouping:
         relabel = {}
         for s, h in zip(ids_s.tolist(), ids_h.tolist()):
             assert relabel.setdefault(s, h) == h
+
+    @pytest.mark.parametrize("cols", GROUPING_INPUTS + [FLOAT_EDGES])
+    def test_dense_ids_are_the_lexicographic_ranks(self, cols):
+        """Identical ids, not only the same partition: spill partitions
+        and a nest's output order are read off them."""
+        batch = batch_of(**cols)
+        ids, n_groups = kernels.dense_group_ids(batch, list(cols))
+        want, n_want = ranked_group_ids(batch, list(cols))
+        assert ids.tolist() == want.tolist() and n_groups == n_want
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_a_padded_obj_column_ranks_by_live_appearance(self, wide):
+        """A padded gather copies row 0's value into each NULL slot; an
+        ``obj`` value a NULL slot copies, seen there first, still ranks
+        where it first appears live."""
+        src = batch_of(
+            a=[datetime.date(2020, 1, 2), datetime.date(2019, 1, 1)],
+            b=[2 ** 70, 7],
+        )
+        batch = src.take_padded(np.array([-1, 1, 0, -1, 1, 0]))
+        by = ["a", "b"] if wide else ["a"]
+        ids, n_groups = kernels.dense_group_ids(batch, by)
+        want, n_want = ranked_group_ids(batch, by)
+        assert ids.tolist() == want.tolist() == [0, 1, 2, 0, 1, 2]
+        assert n_groups == n_want == 3
 
     def test_numeric_equivalence_groups_int_with_float(self):
         ids, n = kernels.dense_group_ids(batch_of(a=[2, 2.0, 3]), ["a"])
