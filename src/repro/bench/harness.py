@@ -54,11 +54,6 @@ class StrategyMeasurement:
             for name, value in self.metrics.items()
         )
 
-    @property
-    def raw_cost(self) -> int:
-        """Unweighted counter sum (pure operation count)."""
-        return sum(self.metrics.values())
-
 
 @dataclass
 class SeriesPoint:
@@ -148,18 +143,6 @@ class Experiment:
                 for point in self.points
             ],
         }
-
-    def speedup(self, baseline: str, contender: str) -> List[float]:
-        """Per-point wall-time ratio baseline/contender (>1 = contender wins)."""
-        out = []
-        for point in self.points:
-            b = point.measurements.get(baseline)
-            c = point.measurements.get(contender)
-            if b is None or c is None or c.seconds == 0:
-                out.append(float("nan"))
-            else:
-                out.append(b.seconds / c.seconds)
-        return out
 
 
 # When true, measure_strategy attaches a serialized execution trace to

@@ -323,10 +323,6 @@ class NestedQuery:
         return list(self.root.walk())
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
     def nesting_depth(self) -> int:
         """0 for a flat query, 1 for one-level nesting, and so on."""
 
@@ -400,19 +396,6 @@ class NestedQuery:
             if block in b.children:
                 return b
         return None
-
-    def ancestors_of(self, block: QueryBlock) -> List[QueryBlock]:
-        """Path from the root down to (excluding) *block*."""
-        path: List[QueryBlock] = []
-
-        def visit(b: QueryBlock, acc: List[QueryBlock]) -> bool:
-            if b is block:
-                path.extend(acc)
-                return True
-            return any(visit(c, acc + [b]) for c in b.children)
-
-        visit(self.root, [])
-        return path
 
     def describe(self) -> str:
         flags = []

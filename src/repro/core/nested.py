@@ -163,17 +163,6 @@ class NestedRelation(Bag):
         """The set of sub-tuples stored in *row* under subschema *sub_name*."""
         return row[self.schema.index_of(sub_name)]
 
-    def project_atomic(self) -> "NestedRelation":
-        """Drop all subschema components (the implicit projection after a
-        linking selection consumes its set attribute)."""
-        keep = [
-            i
-            for i, c in enumerate(self.schema.components)
-            if isinstance(c, Column)
-        ]
-        schema = NestedSchema([self.schema.components[i] for i in keep])
-        return NestedRelation(schema, (tuple(r[i] for i in keep) for r in self.rows))
-
     def to_table(self, max_rows: Optional[int] = None) -> str:
         """Aligned text rendering; set attributes display as {…}."""
         shown = self.rows if max_rows is None else self.rows[:max_rows]

@@ -236,11 +236,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def is_subroot(self) -> bool:
-        """A node with more than one child (paper terminology)."""
-        return len(self.children) > 1
-
     def walk(self):
         """This node and every node below it, depth first."""
         yield self
@@ -306,10 +301,6 @@ class TreeExpression:
 
         visit(self.root, 0)
         return "\n".join(lines)
-
-    def subroots(self) -> List[TreeNode]:
-        """All nodes with more than one child."""
-        return [node for node in self.root.walk() if node.is_subroot]
 
     def leaves(self) -> List[TreeNode]:
         return [node for node in self.root.walk() if node.is_leaf]

@@ -60,10 +60,3 @@ class HashIndex:
         rids = self._lookup().get(row_group_key(tuple(values)), [])
         current_metrics().add("index_rows_fetched", len(rids))
         return [self.relation.rows[rid] for rid in rids]
-
-    def probe_ids(self, values: Sequence[SqlValue]) -> List[int]:
-        """Row ids (positions) for a key, without fetching."""
-        current_metrics().add("index_probes")
-        if any(is_null(v) for v in values):
-            return []
-        return self._lookup().get(row_group_key(tuple(values)), [])

@@ -105,17 +105,6 @@ class Relation(Bag):
         out.rows = list(zip(*columns))
         return out
 
-    @staticmethod
-    def from_dicts(schema: Schema, dicts: Iterable[dict]) -> "Relation":
-        """Build a relation from dictionaries keyed by (bare) column name.
-
-        Missing keys become NULL, which keeps test fixtures terse.
-        """
-        rows = []
-        for d in dicts:
-            rows.append(tuple(d.get(c.name, NULL) for c in schema.columns))
-        return Relation(schema, rows)
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #

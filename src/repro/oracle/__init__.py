@@ -16,8 +16,8 @@ Entry points:
 * ``repro diff`` — one-off cross-checks from the CLI;
 * ``repro fuzz --oracle=sqlite|duckdb|internal`` — the fuzz runner's
   external mode (divergences ddmin-shrink into the corpus);
-* :func:`external_baseline` — plan-shape/wall-time capture as a BENCH
-  artifact (``scripts/bench_oracle.py``);
+* ``tests/oracle/test_paper_queries.py`` — the six paper queries
+  (:func:`repro.tpch.paper_query_suite`) against every installed engine;
 * the known-divergence registry (:mod:`repro.oracle.known`) — expected
   engine disagreements, documented and asserted-as-expected.
 """
@@ -32,7 +32,6 @@ from .adapter import (
     engine_available,
     make_adapter,
 )
-from .bench import external_baseline, paper_query_suite, write_oracle_artifact
 from ..sql.unparse import Dialect, render_for
 from .dialect import DUCKDB, SQLITE, comparable, dialect_for
 from .diff import (
@@ -74,15 +73,12 @@ __all__ = [
     "dialect_for",
     "diff_bags",
     "engine_available",
-    "external_baseline",
     "find_known",
     "known_divergences",
     "make_adapter",
-    "paper_query_suite",
     "register_known_divergence",
     "registry_report",
     "render_for",
     "sql_digest",
     "verify_or_raise",
-    "write_oracle_artifact",
 ]

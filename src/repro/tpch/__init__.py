@@ -14,6 +14,7 @@ from .queries import (
     PAPER_QUERIES,
     QUERY3_VARIANTS,
     count_quantity_block,
+    paper_query_suite,
     pick_availqty,
     pick_date_window,
     pick_size_window,
@@ -41,6 +42,7 @@ __all__ = [
     "pick_size_window",
     "pick_availqty",
     "count_quantity_block",
+    "paper_query_suite",
     "validate",
     "assert_valid",
 ]

@@ -179,3 +179,30 @@ def count_quantity_block(db: Database, quantity_eq: int) -> int:
     return sum(
         1 for v in db.relation("lineitem").column_values("l_quantity") if v == quantity_eq
     )
+
+
+def paper_query_suite(db: Database, target_rows: int = 32) -> List[Tuple[str, str]]:
+    """The six paper queries (Figures 4-9) with selection constants
+    derived from *db* so every block is non-trivially sized."""
+    lo, hi = pick_date_window(db, target_rows)
+    size_lo, size_hi = pick_size_window(db, target_rows)
+    availqty = pick_availqty(db, target_rows * 2)
+    quantities = db.relation("lineitem").column_values("l_quantity")
+    quantity = quantities[0] if quantities else 1
+    return [
+        ("fig4_q1", query1(lo, hi)),
+        ("fig5_q2a", query2("any", size_lo, size_hi, availqty, quantity)),
+        ("fig6_q2b", query2("all", size_lo, size_hi, availqty, quantity)),
+        (
+            "fig7_q3a",
+            query3("all", "exists", "a", size_lo, size_hi, availqty, quantity),
+        ),
+        (
+            "fig8_q3b",
+            query3("all", "not exists", "b", size_lo, size_hi, availqty, quantity),
+        ),
+        (
+            "fig9_q3c",
+            query3("any", "exists", "c", size_lo, size_hi, availqty, quantity),
+        ),
+    ]

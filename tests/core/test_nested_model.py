@@ -90,12 +90,6 @@ class TestNestedRelation:
         r = NestedRelation(one_level(), [(1, ((10, 20), (30, 40)))])
         assert r.group(r.rows[0], "grp") == ((10, 20), (30, 40))
 
-    def test_project_atomic_drops_sets(self):
-        r = NestedRelation(one_level(), [(1, ((10, 20),))])
-        flat = r.project_atomic()
-        assert flat.schema.depth == 0
-        assert flat.rows == [(1,)]
-
     def test_to_table_renders_sets(self):
         r = NestedRelation(one_level(), [(1, ((10, NULL),))])
         text = r.to_table()

@@ -191,7 +191,7 @@ class TestQueryQ:
 
     def test_query_shape_classification(self, paper_db):
         q = repro.compile_sql(QUERY_Q, paper_db)
-        assert q.n_blocks == 3
+        assert len(q.blocks) == 3
         assert q.nesting_depth == 2
         assert q.is_linear            # chain R -> S -> T
         assert not q.is_linearly_correlated()  # T correlates with R too
@@ -206,7 +206,6 @@ class TestQueryQ:
         assert "T3: T" in rendered
         assert "ALL" in rendered
         assert "R.D = S.G" in rendered
-        assert tree.subroots() == []
         assert len(tree.leaves()) == 1
 
     def test_pure_algorithm_without_virtual_cartesian(self, paper_db):

@@ -30,10 +30,6 @@ class TestHashIndex:
         idx = HashIndex(rel(), ["t.k"])
         assert idx.probe([NULL]) == []
 
-    def test_probe_ids(self):
-        idx = HashIndex(rel(), ["t.k"])
-        assert idx.probe_ids([2]) == [2]
-
     def test_composite_key(self):
         idx = HashIndex(rel(), ["t.k", "t.v"])
         assert len(idx.probe([1, "a"])) == 1

@@ -21,11 +21,6 @@ class TestConstruction:
         with pytest.raises(SchemaError, match="arity"):
             rel([(1, 2, 3)])
 
-    def test_from_dicts_fills_null(self):
-        schema = Schema.of("a", "b", table="t")
-        r = Relation.from_dicts(schema, [{"a": 1}, {"b": 2}])
-        assert r.rows == [(1, NULL), (NULL, 2)]
-
     def test_from_columns_is_the_zip(self):
         schema = Schema.of("a", "b", table="t")
         cols = [[3, NULL, 1, 3], ["x", "y", NULL, "x"]]

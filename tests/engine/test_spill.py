@@ -3,7 +3,8 @@
 The six paper queries must return identical results whether the
 governor's budget forces Grace-style spilling or the whole plan runs in
 memory — and every ``kind='spill'`` span must satisfy the v4 trace
-schema and the trace invariants.
+schema and the trace invariants.  The parity test's ``full_scale`` case
+does so at SF 0.1, on a store far larger than its cap.
 """
 
 from __future__ import annotations
@@ -13,6 +14,12 @@ import os
 import pytest
 
 import repro
+from repro.bench.figures import (
+    Q1_OUTER_FRACTIONS,
+    Q23_OUTER_FRACTIONS,
+    Q23_PARTSUPP_FRACTION,
+    QUANTITY_EQ,
+)
 from repro.engine.colstore import load_stored_database
 from repro.engine.governor import ResourceGovernor, governed
 from repro.engine.spill import maybe_spill_hash_join
@@ -24,6 +31,7 @@ from repro.engine.trace import (
 from repro.errors import SpillError
 from repro.tpch import (
     TpchConfig,
+    generate,
     generate_stored,
     pick_availqty,
     pick_date_window,
@@ -37,6 +45,11 @@ from repro.tpch import (
 #: sf 0.002, large enough that scan outputs still fit
 CAP_MB = 0.2
 
+#: the full-scale parity case: a ≈ 240 MB store under an 8 MB cap,
+#: where query1's join spills
+SF01 = TpchConfig(scale_factor=0.1, seed=2005)
+SF01_CAP_MB = 8.0
+
 
 @pytest.fixture(scope="module")
 def stored_db(tmp_path_factory):
@@ -47,35 +60,77 @@ def stored_db(tmp_path_factory):
     return load_stored_database(path)
 
 
-@pytest.fixture(scope="module")
-def six_queries(stored_db):
-    lo_d, hi_d = pick_date_window(stored_db, 40)
-    lo_s, hi_s = pick_size_window(stored_db, 30)
-    availqty = pick_availqty(stored_db, 60)
+@pytest.fixture(scope="session")
+def sf01_stored_db(tmp_path_factory):
+    """The SF 0.1 column store, written once per session."""
+    path = str(tmp_path_factory.mktemp("sf01-store") / "tpch")
+    generate_stored(path, SF01)
+    return load_stored_database(path)
+
+
+def _paper_queries(db, orders, parts, partsupps, quantity):
+    """The six figure queries, their blocks sized by target row counts."""
+    lo_d, hi_d = pick_date_window(db, orders)
+    lo_s, hi_s = pick_size_window(db, parts)
+    availqty = pick_availqty(db, partsupps)
     return [
         ("query1", query1(lo_d, hi_d)),
-        ("query2a", query2("any", lo_s, hi_s, availqty, 25)),
-        ("query2b", query2("all", lo_s, hi_s, availqty, 25)),
-        ("query3a", query3("all", "exists", "a", lo_s, hi_s, availqty, 25)),
-        ("query3b", query3("all", "not exists", "b", lo_s, hi_s, availqty, 25)),
-        ("query3c", query3("any", "exists", "c", lo_s, hi_s, availqty, 25)),
+        ("query2a", query2("any", lo_s, hi_s, availqty, quantity)),
+        ("query2b", query2("all", lo_s, hi_s, availqty, quantity)),
+        ("query3a", query3("all", "exists", "a", lo_s, hi_s, availqty, quantity)),
+        ("query3b", query3("all", "not exists", "b", lo_s, hi_s, availqty, quantity)),
+        ("query3c", query3("any", "exists", "c", lo_s, hi_s, availqty, quantity)),
     ]
+
+
+@pytest.fixture(scope="module")
+def six_queries(stored_db):
+    return _paper_queries(stored_db, 40, 30, 60, 25)
+
+
+def _smallest_paper_point(db):
+    """The six queries at the first point of each paper series, with
+    Section 5's block sizes taken as fractions of *db*'s tables."""
+    rows = {t: len(db.relation(t)) for t in ("orders", "part", "partsupp")}
+    return _paper_queries(
+        db,
+        int(Q1_OUTER_FRACTIONS[0] * rows["orders"]),
+        int(Q23_OUTER_FRACTIONS[0] * rows["part"]),
+        int(Q23_PARTSUPP_FRACTION * rows["partsupp"]),
+        QUANTITY_EQ,
+    )
 
 
 def _spill_spans(trace):
     return [s for s in trace.spans() if s.kind == KIND_SPILL]
 
 
-def test_six_query_parity_spilling_vs_not(stored_db, six_queries, tmp_path):
-    """Identical results with and without the budget, ≥1 query spills."""
-    plain = repro.connect(stored_db)
+@pytest.mark.parametrize("scale", [
+    "sf0.002",
+    pytest.param("sf0.1", marks=pytest.mark.full_scale),
+])
+def test_six_query_parity_spilling_vs_not(scale, request, tmp_path):
+    """The stored, capped, spilling vector engine returns what the
+    in-memory row engine returns at the same scale, ≥1 query spills, and
+    every trace is valid."""
+    if scale == "sf0.002":
+        stored = request.getfixturevalue("stored_db")
+        in_memory = request.getfixturevalue("tiny_tpch")
+        queries = request.getfixturevalue("six_queries")
+        cap_mb = CAP_MB
+    else:
+        stored = request.getfixturevalue("sf01_stored_db")
+        in_memory = generate(SF01)
+        queries = _smallest_paper_point(stored)
+        cap_mb = SF01_CAP_MB
+    plain = repro.connect(in_memory)
     governed_session = repro.connect(
-        stored_db, memory_limit_mb=CAP_MB, spill_dir=str(tmp_path)
+        stored, memory_limit_mb=cap_mb, spill_dir=str(tmp_path)
     )
     total_spans = 0
-    for name, sql in six_queries:
+    for name, sql in queries:
         expected = plain.execute(
-            sql, strategy="nested-relational", backend="vector"
+            sql, strategy="nested-relational", backend="row"
         )
         got, trace = governed_session.prepare(sql).trace(
             strategy="nested-relational", backend="vector"

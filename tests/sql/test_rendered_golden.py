@@ -25,9 +25,10 @@ import os
 
 from repro.errors import ReproError
 from repro.fuzz import FuzzConfig, generate_case
-from repro.oracle import DUCKDB, SQLITE, paper_query_suite, render_for
+from repro.oracle import DUCKDB, SQLITE, render_for
 from repro.sql import ast as A, parse
 from repro.sql.unparse import render_sql
+from repro.tpch import paper_query_suite
 
 from ..core.test_explain_golden import GOLDEN_DIR
 

@@ -98,7 +98,7 @@ class TestThreeLevels:
             db,
         )
         assert q.nesting_depth == 3
-        assert q.n_blocks == 4
+        assert len(q.blocks) == 4
 
 
 class TestTreeQueries:
@@ -138,7 +138,7 @@ class TestTreeQueries:
             db,
         )
         tree = repro.TreeExpression(q)
-        assert len(tree.subroots()) == 1
+        assert len(tree.root.children) == 2
         assert len(tree.leaves()) == 2
 
     def test_tree_with_deep_branches(self, db):
