@@ -107,7 +107,8 @@ def run_query_q(db: Database) -> None:
     print("=" * 72)
     print("Query Q (Section 2) through every applicable strategy")
     print("=" * 72)
-    query = repro.compile_sql(QUERY_Q, db)
+    prepared = repro.connect(db).prepare(QUERY_Q)
+    query = prepared.query
     print("\nQuery structure:")
     print(query.describe())
     print("\nTree expression (Figure 3a):")
@@ -122,7 +123,7 @@ def run_query_q(db: Database) -> None:
         "system-a-native",
         "auto",
     ):
-        result = repro.core.planner.run(query, db, strategy=strategy).sorted()
+        result = prepared.execute(strategy=strategy).sorted()
         marker = ""
         if reference is None:
             reference = result

@@ -21,7 +21,6 @@ from repro.baselines import (
 )
 from repro.baselines.native import SystemAEmulationStrategy
 from repro.core.optimizer import choose
-from repro.strategies import make as make_strategy
 from repro.engine import Column, Database, NULL
 from repro.engine.metrics import collect
 from repro.errors import PlanError, UnsoundRewriteError
@@ -98,7 +97,8 @@ ALL_STRATEGIES = [
 def main() -> None:
     db = build_db()
     for label, sql in SHAPES:
-        query = repro.compile_sql(sql, db)
+        prepared = repro.connect(db).prepare(sql)
+        query = prepared.query
         print("=" * 72)
         print(f"{label}")
         print("=" * 72)
@@ -112,13 +112,12 @@ def main() -> None:
                 .explain(query, db)
                 .replace("\n", "\n  ")
             )
-        oracle = repro.core.planner.run(query, db, strategy="nested-iteration").sorted()
+        oracle = prepared.execute(strategy="nested-iteration").sorted()
         print(f"{'strategy':40s} {'rows':>5s} {'weighted cost':>14s}")
         for name in ALL_STRATEGIES:
-            strategy = make_strategy(name)
             try:
                 with collect() as metrics:
-                    result = strategy.execute(query, db).sorted()
+                    result = prepared.execute(strategy=name).sorted()
             except (PlanError, UnsoundRewriteError) as error:
                 reason = str(error).split(";")[0]
                 print(f"{name:40s}   n/a  ({reason[:60]})")

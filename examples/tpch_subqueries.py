@@ -29,15 +29,16 @@ from repro.tpch import (
 
 
 def run(sql: str, db, label: str) -> None:
-    query = repro.compile_sql(sql, db)
+    prepared = repro.connect(db).prepare(sql)
+    query = prepared.query
     print(f"\n--- {label} ---")
     print(query.describe())
     print("System A emulation plan:")
     print("  " + SystemAEmulationStrategy().explain(query, db).replace("\n", "\n  "))
-    oracle = repro.core.planner.run(query, db, strategy="nested-iteration").sorted()
+    oracle = prepared.execute(strategy="nested-iteration").sorted()
     for strategy in ("nested-relational-optimized", "system-a-native", "auto"):
         with collect() as metrics:
-            result = repro.core.planner.run(query, db, strategy=strategy).sorted()
+            result = prepared.execute(strategy=strategy).sorted()
         status = "ok" if result == oracle else "*** WRONG ***"
         print(
             f"  {strategy:32s} rows={len(result):4d} {status}  "

@@ -8,6 +8,14 @@ all three: each :class:`SeriesPoint` records per-strategy wall time,
 deterministic cost counters, result cardinality, and the intermediate
 result size.
 
+Every measurement runs the way a user's query does: the SQL is prepared
+once on a ``repro.connect(db, plan_cache=False)`` session and each
+strategy goes through :meth:`~repro.session.PreparedQuery.execute`
+(traces through :meth:`~repro.session.PreparedQuery.trace`).  With the
+plan cache off, every repeat reduces from the base tables and resolves
+its strategy afresh; a timing covers that resolution and the root
+ORDER BY / GROUP BY step too.
+
 Wall times on a pure-Python engine do not match a 2005 C++ DBMS; the
 *relations between* the series (who wins, by what factor, how slopes
 scale with block size) are the reproduction target.  EXPERIMENTS.md
@@ -23,13 +31,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from ..engine.catalog import Database
-from ..engine.metrics import Metrics, collect
-from ..engine.trace import tracing
+from ..engine.metrics import collect
 from ..core.blocks import NestedQuery
-from ..core.planner import run
 from ..core.reduce import reduce_all
 from ..errors import InvalidArgumentError
-from ..strategies import make as make_strategy
+from ..session import PreparedQuery
 
 
 @dataclass
@@ -194,17 +200,16 @@ def write_bench_artifact(
 
 
 def measure_strategy(
-    query: NestedQuery, db: Database, strategy_name: str, repeats: int = 1
+    prepared: PreparedQuery, strategy_name: str, repeats: int = 1
 ) -> StrategyMeasurement:
     """Run one strategy, returning the best-of-*repeats* wall time."""
-    strategy = make_strategy(strategy_name)
     best: Optional[float] = None
     metrics_snapshot: Dict[str, int] = {}
     result_rows = 0
     for _ in range(max(1, repeats)):
         with collect() as m:
             start = time.perf_counter()
-            result = strategy.execute(query, db)
+            result = prepared.execute(strategy=strategy_name)
             elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -213,8 +218,7 @@ def measure_strategy(
     assert best is not None
     trace_dict: Optional[Dict] = None
     if _capture_traces:
-        with tracing() as trace:
-            run(query, db, strategy_name)
+        _result, trace = prepared.trace(strategy=strategy_name)
         trace_dict = trace.to_dict()
     return StrategyMeasurement(
         strategy=strategy_name,
@@ -225,7 +229,7 @@ def measure_strategy(
     )
 
 
-def intermediate_result_size(query: NestedQuery, db: Database) -> int:
+def intermediate_result_size(prepared: PreparedQuery) -> int:
     """Rows in the widest relation Algorithm 1 nests: for a linear query
     the fully outer-joined intermediate relation.
 
@@ -236,12 +240,11 @@ def intermediate_result_size(query: NestedQuery, db: Database) -> int:
     non-correlated subqueries, which are executed once and never joined)
     has just its reduced outer block.
     """
-    with tracing() as trace:
-        run(query, db, "nested-relational")
+    _result, trace = prepared.trace(strategy="nested-relational")
     nested = [span.counters["rows_in"] for span in trace.find("nest")]
     if nested:
         return max(nested)
-    root = trace.find(f"reduce[T{query.root.index}]")[0]
+    root = trace.find(f"reduce[T{prepared.query.root.index}]")[0]
     return root.counters["rows_out"]
 
 
@@ -285,7 +288,8 @@ def processing_profile(
     selection per level (two passes per level); optimized = the fused
     single-pass pipeline, whose input is the intermediate result.
     """
-    query = repro.compile_sql(sql, db)
+    prepared = repro.connect(db, plan_cache=False).prepare(sql)
+    query = prepared.query
     if not query.is_linear:
         raise InvalidArgumentError("processing_profile requires a linear query")
 
@@ -295,8 +299,7 @@ def processing_profile(
         best: Optional[float] = None
         rows_in = 0
         for _ in range(max(1, repeats)):
-            with tracing() as trace:
-                run(query, db, strategy)
+            _result, trace = prepared.trace(strategy=strategy)
             spans = [s for s in trace.spans() if s.name in span_names]
             seconds = sum(s.wall_seconds for s in spans)
             if best is None or seconds < best:
@@ -330,13 +333,13 @@ def run_point(
     repeats: int = 1,
 ) -> SeriesPoint:
     """Measure every strategy on one query instance."""
-    query = repro.compile_sql(sql, db)
-    sizes = block_sizes(query, db)
+    prepared = repro.connect(db, plan_cache=False).prepare(sql)
+    sizes = block_sizes(prepared.query, db)
     point = SeriesPoint(
         label=label or "/".join(str(s) for s in sizes),
         block_sizes=sizes,
-        intermediate_rows=intermediate_result_size(query, db),
+        intermediate_rows=intermediate_result_size(prepared),
     )
     for name in strategies:
-        point.measurements[name] = measure_strategy(query, db, name, repeats)
+        point.measurements[name] = measure_strategy(prepared, name, repeats)
     return point

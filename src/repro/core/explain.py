@@ -27,7 +27,7 @@ from ..engine.catalog import Database
 from ..engine.expressions import Col, Comparison, split_conjuncts
 from .blocks import LinkSpec, NestedQuery
 from .linking import SetPredicate
-from .optimizer import PlannerDecision, resolve
+from .optimizer import PlannerDecision
 from .query_tree import (
     FusedLink,
     NestLink,
@@ -193,9 +193,3 @@ def plan_text(decision: PlannerDecision, query: NestedQuery, db: Database) -> st
         return f"{name}: no plan text"
     return f"{name}: {registry.info(name).description}"
 
-
-def explain(query: NestedQuery, db: Database, strategy: str) -> str:
-    """Plan text for a by-name request under default options: what
-    :func:`~repro.core.optimizer.resolve` makes of *strategy*, drawn by
-    :func:`plan_text`."""
-    return plan_text(resolve(query, db, strategy), query, db)

@@ -34,6 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..errors import SchemaError
 from ..engine.governor import charge_rows, checkpoint
 from ..engine.metrics import current_metrics
+from ..engine.operators.basic import checkpointed
 from ..engine.trace import CONTRACT_FILTERING, op_span
 from ..engine.relation import Relation, Row
 from ..engine.schema import Column, Schema
@@ -101,15 +102,11 @@ def _nest_hash(
     set_name: str,
 ) -> NestedRelation:
     by_idx, keep_idx, out_schema, _sub = _plan(relation, by, keep, set_name)
-    metrics = current_metrics()
     groups: Dict[tuple, List[Row]] = {}
     member_seen: Dict[tuple, set] = {}
     reps: Dict[tuple, Row] = {}
     order: List[tuple] = []
-    for n, row in enumerate(relation.rows, 1):
-        if not n % 2048:
-            checkpoint("nest")
-        metrics.add("rows_nested")
+    for row in checkpointed(relation.rows):
         key = row_group_key(tuple(row[i] for i in by_idx))
         member = tuple(row[i] for i in keep_idx)
         if key not in groups:
@@ -121,6 +118,8 @@ def _nest_hash(
         if mkey not in member_seen[key]:
             member_seen[key].add(mkey)
             groups[key].append(member)
+    if relation.rows:
+        current_metrics().add("rows_nested", len(relation.rows))
     rows = []
     for key in order:
         rep = reps[key]
@@ -170,10 +169,7 @@ def _nest_sorted(
     members: List[Row] = []
     seen: set = set()
     prefix: Row = ()
-    for n, row in enumerate(rows, 1):
-        if not n % 2048:
-            checkpoint("nest")
-        metrics.add("rows_nested")
+    for row in checkpointed(rows):
         key = row_group_key(tuple(row[i] for i in by_idx))
         if key != current_key:
             if current_key is not None:
@@ -187,6 +183,8 @@ def _nest_sorted(
         if mkey not in seen:
             seen.add(mkey)
             members.append(member)
+    if rows:
+        metrics.add("rows_nested", len(rows))
     if current_key is not None:
         out.append(prefix + (tuple(members),))
     return NestedRelation.adopt(out_schema, out)

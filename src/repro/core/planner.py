@@ -13,15 +13,13 @@ runs.
 
 from __future__ import annotations
 
-from typing import Union
-
 from ..engine.catalog import Database
 from ..engine.governor import checkpoint, current_governor
 from ..engine.metrics import current_metrics
 from ..engine.relation import Relation
 from ..engine.trace import KIND_GOVERNOR, Tracer, current_tracer
 from .blocks import NestedQuery
-from .optimizer import PlannerDecision, resolve
+from .optimizer import PlannerDecision
 from .reduce import group_block
 
 #: span name of the root execution span (carries the result cardinality)
@@ -35,33 +33,24 @@ def open_root(tracer: Tracer):
 
 
 def run(
-    query: NestedQuery,
-    db: Database,
-    strategy: Union[str, object, PlannerDecision] = "auto",
+    query: NestedQuery, db: Database, decision: PlannerDecision
 ) -> Relation:
-    """Evaluate *query* against *db* (the internal execution entry).
+    """Evaluate *query* against *db* as *decision* says (the internal
+    execution entry).
 
-    :meth:`repro.session.PreparedQuery.execute` passes the
-    :class:`~repro.core.optimizer.PlannerDecision` it resolved (and
-    memoized) from the layered options; anything else — ``"auto"``, a
-    registry name, a strategy instance — is resolved here with
-    :func:`~repro.core.optimizer.resolve`'s defaults.
+    *decision* is what :func:`~repro.core.optimizer.resolve` made of an
+    execution request; :meth:`repro.session.PreparedQuery.execute`
+    passes the one it resolved (and memoized) from the layered options.
 
     The decision's instance runs under the root trace span when tracing
     is active; root-level ORDER BY/LIMIT apply last and
     ``rows_produced`` is charged.  A root span open on the tracer
     already is this execution's: a traced session execution opens it
     first (:func:`open_root`), so that it also brackets the option
-    layering and the resolution.  The governor is the ambient context's:
-    the Session API installs it with the logic mode and the reduce
-    cache, any other caller wraps the call in
-    :func:`~repro.engine.governor.governed`.
+    layering and the resolution.  The governor is the ambient context's,
+    installed by the session with the logic mode and the reduce cache.
     """
     governor = current_governor()
-    if isinstance(strategy, PlannerDecision):
-        decision = strategy
-    else:
-        decision = resolve(query, db, strategy)
     impl = decision.impl
     try:
         if governor is not None:

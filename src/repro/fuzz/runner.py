@@ -8,8 +8,11 @@ by direct per-tuple evaluation.  Strategies with applicability guards
 unnesting and aggregate-rewrite baselines) are checked only on the
 queries they accept.
 
-Each execution also runs under a fresh metrics scope and is checked
-against the engine's counter invariants (non-negative counters,
+Every execution goes through a :class:`~repro.session.Session`'s
+:class:`~repro.session.PreparedQuery`, the path a user's query takes:
+one session per case, over the case's database and the runner's logic
+mode.  Each execution also runs under a fresh metrics scope and is
+checked against the engine's counter invariants (non-negative counters,
 ``rows_produced`` = result cardinality) so a strategy that silently
 miscounts work is flagged even when its rows are right.  Executions
 additionally run under a tracing scope (``check_traces``): the span
@@ -30,17 +33,16 @@ from __future__ import annotations
 import copy
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.blocks import NestedQuery
-from ..core.optimizer import AUTO_RULE, strategy_applicable
+from ..core.optimizer import AUTO_RULE, resolve, strategy_applicable
 from ..core.plancache import SessionCache
-from ..core.planner import run
 from ..engine.catalog import Database
-from ..engine.context import scope
-from ..engine.governor import ResourceGovernor, active_fault, governed
-from ..engine.logic import logic_mode, validate_logic
+from ..engine.governor import active_fault
+from ..engine.logic import validate_logic
 from ..engine.metrics import collect
 from ..engine.trace import (
     Trace,
@@ -52,8 +54,8 @@ from ..engine.trace import (
 from ..engine.relation import Relation
 from ..engine.types import negate_op
 from ..errors import ReproError, ResourceExhaustedError, SpillError
+from ..session import PreparedQuery, Session
 from ..sql import ast as A
-from ..sql.analyzer import compile_sql
 from ..sql.unparse import render_sql
 from ..strategies import make as make_strategy
 from .datagen import DatabaseSpec, random_database_spec
@@ -183,6 +185,11 @@ def sorted_rows(relation: Relation) -> List[tuple]:
     return relation.sorted().rows
 
 
+def _name(strategy: object) -> str:
+    """A registry name, or an injected instance's ``name``."""
+    return strategy if isinstance(strategy, str) else strategy.name
+
+
 def _planner_violations(trace: Trace) -> List[str]:
     """An ``"auto"`` execution runs the rule's strategy: its traced root
     span names what :data:`~repro.core.optimizer.AUTO_RULE` answers for
@@ -217,8 +224,9 @@ class DifferentialRunner:
         #: ``logic="2vl"`` the external cross-check grounds a separately
         #: computed 3VL oracle result instead of the 2VL one.
         self.logic = validate_logic(logic)
-        #: objects with ``name`` and ``execute(query, db)`` — used to
-        #: inject deliberately broken strategies for self-tests.
+        #: objects with ``name`` and ``execute(query, db)``, run as
+        #: strategy instances — used to inject deliberately broken
+        #: strategies for self-tests.
         self.extra_strategies = tuple(extra_strategies)
         self.check_metrics = check_metrics
         #: run every execution under a tracing scope and enforce the
@@ -236,11 +244,13 @@ class DifferentialRunner:
         #: sites legitimately exhaust the budget is skipped, not failed.
         self.memory_limit_mb = memory_limit_mb
         self.spill_dir = spill_dir
-        #: the reduce memo every checked strategy of an unbudgeted run
-        #: reads, validated against each case's database: the second
-        #: and later nested relational executions of a case are handed
-        #: the T_i an earlier one built, and the oracle judges them
-        self.reduce_cache = SessionCache()
+        #: the cache every case's sessions share, validated against each
+        #: case's database: the second and later nested relational
+        #: executions of a case are handed the T_i an earlier one built,
+        #: and the oracle (which reduces from the base tables) judges
+        #: them.  Off under a budget: a memo hit would skip the table
+        #: materialization charge and move which ops spill.
+        self.reduce_cache = SessionCache(enabled=memory_limit_mb is None)
         self.last_report: Optional[FuzzReport] = None
 
     def _ensure_spill_dir(self) -> str:
@@ -252,32 +262,31 @@ class DifferentialRunner:
     # one case
     # ------------------------------------------------------------------ #
 
+    def _session(self, db: Database, logic: Optional[str] = None) -> Session:
+        """A session over *db* under *logic* (default: the runner's),
+        sharing the runner's cache."""
+        return Session(db, logic=logic or self.logic, cache=self.reduce_cache)
+
     def check_case(
         self, case: FuzzCase, report: Optional[FuzzReport] = None
     ) -> Optional[Failure]:
         """Run every strategy on *case*; the first failure, or None.
 
-        The query is compiled from its rendered SQL text — the exact
+        The query is prepared from its rendered SQL text — the exact
         artifact a corpus file replays — so unparser or parser drift
         surfaces here rather than in a checked-in regression.  The whole
-        case runs under the runner's logic mode.
+        case runs in one session under the runner's logic mode.
         """
-        with logic_mode(self.logic):
-            return self._check_case(case, report)
-
-    def _check_case(
-        self, case: FuzzCase, report: Optional[FuzzReport]
-    ) -> Optional[Failure]:
         db = case.db_spec.build()
         try:
-            query = compile_sql(case.sql, db)
+            prepared = self._session(db).prepare(case.sql)
         except ReproError as exc:
             return Failure(
                 case, "<compile>", "compile-error",
                 f"generated SQL failed to compile: {exc}",
             )
 
-        oracle_failure, expected = self._run_one(case, query, db, ORACLE)
+        oracle_failure, expected = self._run_one(case, prepared, ORACLE)
         if oracle_failure is not None:
             return oracle_failure
         assert expected is not None
@@ -287,8 +296,9 @@ class DifferentialRunner:
             if self.logic != "3vl":
                 # external engines are 3VL: ground their comparison in a
                 # 3VL oracle run, keeping the 2VL differential leg intact
-                with logic_mode("3vl"):
-                    failure, grounded = self._run_one(case, query, db, ORACLE)
+                failure, grounded = self._run_one(
+                    case, self._session(db, "3vl").prepare(case.sql), ORACLE
+                )
                 if failure is not None:
                     return failure
                 assert grounded is not None
@@ -298,20 +308,17 @@ class DifferentialRunner:
 
         for name in self.strategies:
             if name in GUARDED_STRATEGIES and not strategy_applicable(
-                make_strategy(name), query, db
+                make_strategy(name), prepared.query, db
             ):
                 if report is not None:
                     report.skipped_inapplicable += 1
                 continue
-            failure = self._check_one(case, query, db, name, expected, report)
+            failure = self._check_one(case, prepared, name, expected, report)
             if failure is not None:
                 return failure
 
         for impl in self.extra_strategies:
-            name = getattr(impl, "name", type(impl).__name__)
-            failure = self._check_one(
-                case, query, db, name, expected, report, impl=impl
-            )
+            failure = self._check_one(case, prepared, impl, expected, report)
             if failure is not None:
                 return failure
         return None
@@ -319,16 +326,12 @@ class DifferentialRunner:
     def _check_one(
         self,
         case: FuzzCase,
-        query: NestedQuery,
-        db: Database,
-        name: str,
+        prepared: PreparedQuery,
+        strategy: object,
         expected: Relation,
         report: Optional[FuzzReport],
-        impl: Optional[object] = None,
     ) -> Optional[Failure]:
-        failure, result = self._run_one(
-            case, query, db, name, impl=impl, check_produced=impl is None
-        )
+        failure, result = self._run_one(case, prepared, strategy)
         if failure is not None:
             return failure
         if result is None:  # accepted budget outcome: nothing to compare
@@ -339,7 +342,7 @@ class DifferentialRunner:
             report.strategy_checks += 1
         if result != expected:
             return Failure(
-                case, name, "disagreement",
+                case, _name(strategy), "disagreement",
                 f"{len(result)} row(s) vs oracle's {len(expected)}",
                 expected=expected, actual=result,
             )
@@ -399,23 +402,17 @@ class DifferentialRunner:
         )
 
     def _run_one(
-        self,
-        case: FuzzCase,
-        query: NestedQuery,
-        db: Database,
-        name: str,
-        impl: Optional[object] = None,
-        check_produced: bool = True,
+        self, case: FuzzCase, prepared: PreparedQuery, strategy: object
     ) -> Tuple[Optional[Failure], Optional[Relation]]:
-        """Execute one strategy under fresh metrics and tracing scopes."""
-        trace: Optional[Trace] = None
+        """Execute one strategy — a registry name or an injected
+        instance — under fresh metrics and tracing scopes."""
+        name = _name(strategy)
+        traced = tracing() if self.check_traces else nullcontext()
         try:
-            with collect() as metrics:
-                if not self.check_traces:
-                    result = self._execute(query, db, name, impl)
-                else:
-                    with tracing() as trace:
-                        result = self._execute(query, db, name, impl)
+            with collect() as metrics, traced as trace:
+                result = prepared.execute(
+                    strategy=strategy, **self._limits(name)
+                )
         except ReproError as exc:
             if self._budget_skip(exc, name):
                 return None, None
@@ -425,7 +422,7 @@ class DifferentialRunner:
             )
         if self.check_metrics:
             violations = metrics.invariant_violations(
-                result_cardinality=len(result) if check_produced else None
+                result_cardinality=len(result)
             )
             if violations:
                 return (
@@ -434,22 +431,17 @@ class DifferentialRunner:
                 )
         if trace is not None:
             violations = trace_invariant_violations(
-                trace,
-                result_cardinality=len(result) if check_produced else None,
+                trace, result_cardinality=len(result)
             )
-            if impl is None:
-                # extra strategies may do work outside the planner's root
-                # span, so exact Metrics reconciliation only holds for
-                # direct planner runs.
-                violations.extend(
-                    reconcile_with_metrics(trace, metrics.snapshot())
-                )
+            violations.extend(
+                reconcile_with_metrics(trace, metrics.snapshot())
+            )
             if violations:
                 return (
                     Failure(case, name, "trace", "; ".join(violations[:8])),
                     None,
                 )
-            if impl is None and name == "auto":
+            if name == "auto":
                 violations = _planner_violations(trace)
                 if violations:
                     return (
@@ -458,27 +450,15 @@ class DifferentialRunner:
                     )
         return None, result
 
-    def _execute(
-        self, query: NestedQuery, db: Database, name: str, impl: Optional[object]
-    ) -> Relation:
-        if impl is not None:
-            return impl.execute(query, db)
-        if name == ORACLE:
-            # the oracle stays ungoverned and memo-free: ground truth
-            # must always complete, from the base tables
-            return run(query, db, name)
-        if self.memory_limit_mb is None:
-            self.reduce_cache.validate(db)
-            with scope(reduce_cache=self.reduce_cache):
-                return run(query, db, name)
-        # no memo under a budget: a hit would skip the table
-        # materialization charge and move which ops spill
-        governor = ResourceGovernor(
-            memory_limit_mb=self.memory_limit_mb,
-            spill_dir=self._ensure_spill_dir(),
-        )
-        with governed(governor):
-            return run(query, db, name)
+    def _limits(self, name: str) -> Dict[str, object]:
+        """The budget *name* runs under: none for the oracle, whose
+        ground truth must always complete."""
+        if self.memory_limit_mb is None or name == ORACLE:
+            return {}
+        return {
+            "memory_limit_mb": self.memory_limit_mb,
+            "spill_dir": self._ensure_spill_dir(),
+        }
 
     def _budget_skip(self, exc: ReproError, name: str) -> bool:
         """Whether *exc* is an accepted outcome of budget-mode governance.
@@ -508,15 +488,11 @@ class DifferentialRunner:
         if failure.kind == "compile-error":
             return failure
         case = failure.case
-        db = case.db_spec.build()
         try:
-            query = compile_sql(case.sql, db)
+            prepared = self._session(case.db_spec.build()).prepare(case.sql)
         except ReproError:
             return failure
-        impls = {
-            getattr(i, "name", type(i).__name__): i
-            for i in self.extra_strategies
-        }
+        impls = {impl.name: impl for impl in self.extra_strategies}
         sections: List[str] = []
         for label, name in (("oracle", ORACLE), ("strategy", failure.strategy)):
             if label == "strategy" and name == ORACLE:
@@ -526,8 +502,9 @@ class DifferentialRunner:
                 # real engine — nothing of ours to trace on that side.
                 continue
             try:
-                with logic_mode(self.logic), tracing() as trace:
-                    self._execute(query, db, name, impls.get(name))
+                _result, trace = prepared.trace(
+                    strategy=impls.get(name, name), **self._limits(name)
+                )
             except ReproError as exc:
                 sections.append(
                     f"{label} {name!r} trace: raised "
@@ -677,7 +654,8 @@ class MutatedLinkStrategy:
         self.base = base
 
     def execute(self, query: NestedQuery, db: Database) -> Relation:
-        return run(mutate_first_link(query), db, self.base)
+        mutated = mutate_first_link(query)
+        return resolve(mutated, db, self.base).impl.execute(mutated, db)
 
 
 class MiscountingSpanStrategy:
@@ -707,6 +685,6 @@ class MiscountingSpanStrategy:
 
         trace_module.Span.add = lossy_add  # type: ignore[method-assign]
         try:
-            return run(query, db, self.base)
+            return resolve(query, db, self.base).impl.execute(query, db)
         finally:
             trace_module.Span.add = original_add  # type: ignore[method-assign]

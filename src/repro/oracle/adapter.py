@@ -73,38 +73,37 @@ class EngineAdapter:
 class InternalAdapter(EngineAdapter):
     """The tuple-iteration evaluator behind the adapter protocol.
 
-    ``repro diff --engine internal`` and ``repro fuzz --oracle=internal``
-    go through this, so the external and internal oracles share one code
-    path (and one report format).
+    ``repro diff --engine internal`` and ``PreparedQuery.verify(engine=
+    "internal")`` go through this, so the external and internal oracles
+    share one code path (and one report format).  The fuzzer never
+    builds it: ``repro fuzz --oracle=internal`` is the runner's own
+    strategies-vs-``nested-iteration`` check.  Queries run as a user's
+    do, through ``repro.connect(db).prepare(sql)``.
     """
 
     name = "internal"
     dialect = REPRO
 
     def __init__(self) -> None:
-        self._db: Optional[Database] = None
+        self._session = None
 
     def load(self, db: Database) -> None:
-        self._db = db
+        from ..session import connect
+
+        self._session = connect(db)
+
+    def _prepare(self, sql: str):
+        if self._session is None:
+            raise OracleError("internal adapter: load() a database first")
+        return self._session.prepare(sql)
 
     def execute_sql(self, sql: str) -> List[tuple]:
-        from ..core.planner import run
-        from ..sql.analyzer import compile_sql
-
-        if self._db is None:
-            raise OracleError("internal adapter: load() a database first")
-        query = compile_sql(sql, self._db)
-        return list(run(query, self._db, "nested-iteration").rows)
+        result = self._prepare(sql).execute(strategy="nested-iteration")
+        return list(result.rows)
 
     def explain(self, sql: str) -> str:
-        from ..sql.analyzer import compile_sql
-        from ..core.explain import explain as explain_plan
-
-        if self._db is None:
-            raise OracleError("internal adapter: load() a database first")
-        return explain_plan(
-            compile_sql(sql, self._db), self._db, strategy="nested-iteration"
-        )
+        plan = self._prepare(sql).explain(strategy="nested-iteration")
+        return plan.operators
 
 
 def _make_sqlite() -> EngineAdapter:

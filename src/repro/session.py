@@ -33,8 +33,11 @@ win at each step).  The layered bundle is resolved once, by
 decision that ``execute``, ``trace`` and ``explain`` all read: EXPLAIN
 under options ``o`` describes exactly what ``execute`` under ``o`` runs.
 
-The CLI, the benchmark harness and the fuzzer all execute through this
-module.
+The CLI, the server, the benchmark harness, the differential fuzzer and
+the oracle's cross-checks all execute through this module:
+:meth:`PreparedQuery._run` is the one caller of
+:func:`repro.core.planner.run` and the one place outside the engine
+that installs the execution context (governor, logic mode, caches).
 """
 
 from __future__ import annotations

@@ -161,10 +161,12 @@ def micro_tpch_not_null() -> Database:
 
 
 def run_traced(query, db, strategy="auto"):
-    """``planner.run`` under a fresh tracing scope: ``(result, trace)``."""
+    """``planner.run`` of what *strategy* resolves to, under a fresh
+    tracing scope: ``(result, trace)``."""
+    from repro.core.optimizer import resolve
     from repro.core.planner import run
     from repro.engine.trace import tracing
 
     with tracing() as trace:
-        result = run(query, db, strategy)
+        result = run(query, db, resolve(query, db, strategy))
     return result, trace

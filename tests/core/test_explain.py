@@ -4,10 +4,14 @@ import pytest
 
 import repro
 from repro.core.compute import NestedRelationalStrategy
-from repro.core.explain import explain
 from repro.errors import PlanError
 
 explain_nested_relational = NestedRelationalStrategy().explain
+
+
+def explain(sql, db, strategy):
+    """The plan text ``PreparedQuery.explain`` draws for *strategy*."""
+    return repro.connect(db).prepare(sql).explain(strategy=strategy).operators
 
 
 @pytest.fixture()
@@ -72,8 +76,7 @@ class TestDispatch:
         ],
     )
     def test_explains_every_strategy(self, db, strategy):
-        q = repro.compile_sql(QUERY_Q, db)
-        text = explain(q, db, strategy=strategy)
+        text = explain(QUERY_Q, db, strategy=strategy)
         assert text  # non-empty plan text
 
     def test_bottom_up_explainer(self, db):
@@ -81,24 +84,20 @@ class TestDispatch:
         select R.B, R.C, R.D from R
         where R.B not in (select S.E from S where R.D = S.G)
         """
-        q = repro.compile_sql(sql, db)
-        text = explain(q, db, strategy="nested-relational-bottomup")
+        text = explain(sql, db, strategy="nested-relational-bottomup")
         assert "bottom-up" in text
         assert "pushdown" in text
 
     def test_positive_rewrite_explainer(self, db):
         sql = "select R.B, R.C, R.D from R where R.B in (select S.E from S where R.D = S.G)"
-        q = repro.compile_sql(sql, db)
-        text = explain(q, db, strategy="nested-relational-positive-rewrite")
+        text = explain(sql, db, strategy="nested-relational-positive-rewrite")
         assert "semijoin" in text
         assert "⋉" in text
 
     def test_unknown_strategy(self, db):
-        q = repro.compile_sql(QUERY_Q, db)
         with pytest.raises(PlanError):
-            explain(q, db, strategy="quantum")
+            explain(QUERY_Q, db, strategy="quantum")
 
     def test_optimized_mentions_single_pass(self, db):
-        q = repro.compile_sql(QUERY_Q, db)
-        text = explain(q, db, strategy="nested-relational-optimized")
+        text = explain(QUERY_Q, db, strategy="nested-relational-optimized")
         assert "single-pass" in text

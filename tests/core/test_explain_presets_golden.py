@@ -23,7 +23,6 @@ import pytest
 
 import repro
 from repro import strategies
-from repro.core.explain import explain
 from repro.errors import PlanError
 
 from .test_explain import QUERY_Q
@@ -96,9 +95,9 @@ def cases(paper_db, tiny_tpch):
 
 
 def plan_text(preset: str, sql: str, db):
-    query = repro.compile_sql(sql, db)
+    prepared = repro.connect(db).prepare(sql)
     try:
-        return explain(query, db, strategy=preset).splitlines()
+        return prepared.explain(strategy=preset).operators.splitlines()
     except PlanError:
         return "PlanError"
 

@@ -5,8 +5,10 @@
 strategy instance; ``execute``, ``trace`` and EXPLAIN read the decision
 it returns.  This guard walks the AST of ``src/repro`` and fails as soon
 as a second resolution site appears — a second ``choose`` call, a
-registry instantiation on the execution path, a wider ``planner.run`` —
-the way ``tests/engine/test_context.py`` fails on a second ambient slot.
+registry instantiation on the execution path, a wider ``planner.run``
+or a second caller of it, a second place that installs the execution
+context — the way ``tests/engine/test_context.py`` fails on a second
+ambient slot.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ PACKAGE = pathlib.Path(repro.__file__).parent
 #: registry instantiations outside ``core/optimizer.py``, each with the
 #: reason it is not a second resolution site
 INSTANTIATION_EXEMPTIONS = {
-    ("bench/harness.py", "measure_strategy"):
-        "by-name measurement loop: times the bare instance's execute(), "
-        "outside planner.run's root span and ORDER BY step, as the "
-        "paper's figures do",
-    ("fuzz/runner.py", "_check_case"):
+    ("fuzz/runner.py", "check_case"):
         "asks the instance's applicable() guard to skip a refused "
-        "(case, strategy) pair; the execution itself goes through "
-        "planner.run by name",
+        "(case, strategy) pair; the execution itself goes through the "
+        "case's PreparedQuery by name",
     ("fuzz/corpus.py", "applicable_strategies"):
         "same guard probe, when freezing a failure into the corpus",
 }
@@ -155,7 +153,52 @@ def _parameters(func: ast.FunctionDef) -> list:
 
 def test_planner_run_takes_query_db_and_a_decision():
     run = _function("core/planner.py", "run")
-    assert _parameters(run) == ["query", "db", "strategy"]
+    assert _parameters(run) == ["query", "db", "decision"]
+
+
+def _planner_run_aliases(tree: ast.AST) -> set:
+    """Bare names bound to ``repro.core.planner.run`` in this module."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[-1] == "planner"
+        for alias in node.names
+        if alias.name == "run"
+    }
+
+
+def test_planner_run_is_called_from_the_session_only():
+    sites = []
+    for module, tree in _modules():
+        aliases = _planner_run_aliases(tree)
+        for owner, call in _calls_by_function(tree):
+            func = call.func
+            if (
+                isinstance(func, ast.Attribute) and func.attr == "run"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "planner"
+            ) or (isinstance(func, ast.Name) and func.id in aliases):
+                sites.append((module, owner))
+    assert sites == [("session.py", "_run")], (
+        "planner.run has a caller besides PreparedQuery._run — execute "
+        f"through a session's PreparedQuery instead: {sites}"
+    )
+
+
+def test_only_the_session_installs_the_execution_context_outside_the_engine():
+    sites = {
+        (module, owner)
+        for module, tree in _modules()
+        if not module.startswith("engine/")
+        for owner, call in _calls_by_function(tree)
+        if _called_name(call) in ("scope", "governed", "logic_mode")
+    }
+    assert sites == {("session.py", "_run")}, (
+        "the execution context (governor, logic mode, caches) is "
+        "installed outside PreparedQuery._run — execute through a "
+        f"session instead: {sorted(sites)}"
+    )
 
 
 def test_session_governor_takes_the_layered_options():

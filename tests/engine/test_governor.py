@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro.core import planner
+from repro.core.optimizer import resolve
 from repro.engine import Column, Schema
 from repro.engine import governor as governor_module
 from repro.engine.expressions import Col, Comparison, Literal
@@ -391,7 +392,7 @@ class TestGovernedExecution:
         gov = ResourceGovernor()
         gov.cancel()
         with pytest.raises(QueryCancelledError), governed(gov):
-            planner.run(query, tiny_tpch, VEC)
+            planner.run(query, tiny_tpch, resolve(query, tiny_tpch, VEC))
 
     def test_governed_trace_carries_governor_span(
         self, tiny_tpch, oracle, monkeypatch
@@ -589,7 +590,7 @@ class TestPartialTraces:
         gov = ResourceGovernor(timeout_ms=50)
         with collect() as m, tracing() as trace:
             with pytest.raises(QueryTimeoutError), governed(gov):
-                planner.run(query, tiny_tpch, VEC)
+                planner.run(query, tiny_tpch, resolve(query, tiny_tpch, VEC))
         assert [s for s in trace.spans() if s.aborted], (
             "the failing spans must be marked aborted"
         )

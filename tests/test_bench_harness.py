@@ -20,11 +20,15 @@ def db():
     return default_db(sf=0.001, seed=11)
 
 
+def prepare(sql, db):
+    """*sql* prepared the way :func:`run_point` prepares it."""
+    return repro.connect(db, plan_cache=False).prepare(sql)
+
+
 class TestMeasurement:
     def test_measure_strategy(self, db):
         sql = query1("1992-01-01", "1995-01-01")
-        query = repro.compile_sql(sql, db)
-        m = measure_strategy(query, db, "nested-relational")
+        m = measure_strategy(prepare(sql, db), "nested-relational")
         assert m.seconds > 0
         assert m.result_rows >= 0
         assert m.metrics.get("rows_scanned", 0) > 0
@@ -54,14 +58,14 @@ class TestMeasurement:
 class TestIntermediateResult:
     def test_ir_at_least_outer_block(self, db):
         sql = query1("1992-01-01", "1995-01-01")
-        query = repro.compile_sql(sql, db)
-        ir = intermediate_result_size(query, db)
-        outer = block_sizes(query, db)[0]
+        prepared = prepare(sql, db)
+        ir = intermediate_result_size(prepared)
+        outer = block_sizes(prepared.query, db)[0]
         assert ir >= outer  # left outer join keeps every outer tuple
 
     def test_ir_for_flat_query(self, db):
-        query = repro.compile_sql("select o_orderkey from orders", db)
-        assert intermediate_result_size(query, db) == len(db.relation("orders"))
+        prepared = prepare("select o_orderkey from orders", db)
+        assert intermediate_result_size(prepared) == len(db.relation("orders"))
 
     def test_ir_for_tree_query(self, db):
         sql = """
@@ -70,9 +74,9 @@ class TestIntermediateResult:
           and p_retailprice > all (select ps_supplycost from partsupp ps2
                                    where ps2.ps_partkey = p_partkey)
         """
-        query = repro.compile_sql(sql, db)
-        assert not query.is_linear
-        assert intermediate_result_size(query, db) > 0
+        prepared = prepare(sql, db)
+        assert not prepared.query.is_linear
+        assert intermediate_result_size(prepared) > 0
 
 
 class TestExperimentFormatting:
