@@ -5,9 +5,11 @@ Usage::
 
     python scripts/validate_trace.py trace.json [more.json ...]
 
-Accepts either bare trace documents (``Trace.to_dict()`` output, as
-written by ``repro run --trace=json --trace-out``) or ``BENCH_*.json``
-benchmark artifacts, whose measurements embed one trace per strategy.
+Accepts bare trace documents (``Trace.to_dict()`` output, as written
+by ``repro run --trace=json --trace-out``), EXPLAIN ANALYZE JSON
+documents (``repro explain --analyze --format json``, whose ``spans``
+key holds the trace document), or ``BENCH_*.json`` benchmark
+artifacts, whose measurements embed one trace per strategy.
 
 Validation runs twice when possible: the hand-rolled structural check in
 :func:`repro.engine.trace.validate_trace_dict` (no dependencies), plus
@@ -38,7 +40,11 @@ SCHEMA_PATH = os.path.join(
 
 
 def _extract_traces(document):
-    """Yield (label, trace_dict) pairs from a trace or bench artifact."""
+    """Yield (label, trace_dict) pairs from a trace, an EXPLAIN ANALYZE
+    document or a bench artifact."""
+    if isinstance(document.get("spans"), dict):
+        yield "explain", document["spans"]
+        return
     if "spans" in document:
         yield "trace", document
         return

@@ -36,7 +36,7 @@ from ..strategies import register
 from ..errors import PlanError, UnsoundRewriteError
 from ..engine.catalog import Database
 from ..engine.metrics import current_metrics
-from ..engine.trace import CONTRACT_FILTERING, current_tracer
+from ..engine.trace import CONTRACT_FILTERING, note_rows, op_span
 from ..engine.relation import Relation, Row
 from ..engine.types import NULL, is_null, row_group_key, sql_compare
 from ..core.blocks import LinkSpec, NestedQuery, QueryBlock
@@ -146,53 +146,47 @@ class AggregateRewriteStrategy:
         metrics = current_metrics()
 
         # group the child: correlation key -> (count, max, min) over non-NULLs
-        tracer = current_tracer()
-        span = (
-            tracer.open("agg-filter", kind="phase", contract=CONTRACT_FILTERING)
-            if tracer is not None
-            else None
-        )
-        groups: Dict[tuple, List] = {}
-        for row in child_rel.rows:
-            metrics.add("rows_scanned")
-            key = row_group_key(tuple(row[i] for i in corr_inner))
-            state = groups.setdefault(key, [0, None, None])
-            state[0] += 1
-            value = row[inner_pos]
-            if is_null(value):
-                continue  # MAX/MIN ignore NULLs — the unsoundness source
-            if state[1] is None or value > state[1]:
-                state[1] = value
-            if state[2] is None or value < state[2]:
-                state[2] = value
+        with op_span(
+            "agg-filter", kind="phase", contract=CONTRACT_FILTERING
+        ) as span:
+            groups: Dict[tuple, List] = {}
+            for row in child_rel.rows:
+                metrics.add("rows_scanned")
+                key = row_group_key(tuple(row[i] for i in corr_inner))
+                state = groups.setdefault(key, [0, None, None])
+                state[0] += 1
+                value = row[inner_pos]
+                if is_null(value):
+                    continue  # MAX/MIN ignore NULLs — the unsoundness source
+                if state[1] is None or value > state[1]:
+                    state[1] = value
+                if state[2] is None or value < state[2]:
+                    state[2] = value
 
-        corr_outer = rel.schema.indices_of(
-            [c.outer_ref for c in child.correlations]
-        )
-        lhs_pos = rel.schema.index_of(link.outer_ref)
-        out_rows: List[Row] = []
-        for row in rel.rows:
-            metrics.add("linking_evals")
-            key_vals = tuple(row[i] for i in corr_outer)
-            state = (
-                groups.get(row_group_key(key_vals))
-                if not any(is_null(v) for v in key_vals)
-                else None
+            corr_outer = rel.schema.indices_of(
+                [c.outer_ref for c in child.correlations]
             )
-            if state is None or state[0] == 0:
-                # empty subquery result: ALL passes, SOME fails
-                if link.quantifier == "all":
+            lhs_pos = rel.schema.index_of(link.outer_ref)
+            out_rows: List[Row] = []
+            for row in rel.rows:
+                metrics.add("linking_evals")
+                key_vals = tuple(row[i] for i in corr_outer)
+                state = (
+                    groups.get(row_group_key(key_vals))
+                    if not any(is_null(v) for v in key_vals)
+                    else None
+                )
+                if state is None or state[0] == 0:
+                    # empty subquery result: ALL passes, SOME fails
+                    if link.quantifier == "all":
+                        out_rows.append(row)
+                    continue
+                bound = state[1] if agg == "max" else state[2]
+                if bound is None:
+                    # all members NULL: MAX/MIN are NULL -> comparison UNKNOWN.
+                    # (Even Kim's rewrite agrees with SQL here: row excluded.)
+                    continue
+                if sql_compare(theta, row[lhs_pos], bound).is_true():
                     out_rows.append(row)
-                continue
-            bound = state[1] if agg == "max" else state[2]
-            if bound is None:
-                # all members NULL: MAX/MIN are NULL -> comparison UNKNOWN.
-                # (Even Kim's rewrite agrees with SQL here: row excluded.)
-                continue
-            if sql_compare(theta, row[lhs_pos], bound).is_true():
-                out_rows.append(row)
-        if span is not None:
-            span.add("rows_in", len(rel.rows))
-            span.add("rows_out", len(out_rows))
-            tracer.close(span)
+            note_rows(span, len(out_rows), len(rel.rows))
         return Relation(rel.schema, out_rows)

@@ -34,7 +34,7 @@ from ..errors import PlanError
 from ..engine.catalog import Database
 from ..engine.expressions import EvalContext, conjoin
 from ..engine.metrics import current_metrics
-from ..engine.trace import CONTRACT_FILTERING, current_tracer
+from ..engine.trace import CONTRACT_FILTERING, note_rows, op_span
 from ..engine.operators import left_outer_hash_join, outer_cross_join
 from ..engine.relation import Relation, Row
 from ..engine.types import NULL, TriBool, is_null, sql_compare
@@ -132,44 +132,38 @@ class CountRewriteStrategy:
         reps: Dict[tuple, Row] = {}
         order: List[tuple] = []
         theta = link.effective_theta
-        tracer = current_tracer()
-        span = (
-            tracer.open("count-filter", kind="phase", contract=CONTRACT_FILTERING)
-            if tracer is not None
-            else None
-        )
-        for row in joined.rows:
-            metrics.add("rows_scanned")
-            key = row_group_key(row[:parent_width])
-            if key not in counts:
-                counts[key] = [0, 0, 0, 0]  # true, false, unknown, present
-                reps[key] = row[:parent_width]
-                order.append(key)
-            bucket = counts[key]
-            if is_null(row[rid_pos]):
-                continue  # padded: no inner tuple
-            bucket[3] += 1
-            if theta is None:
-                continue  # EXISTS/NOT EXISTS need only presence counts
-            lhs = row[lhs_pos] if lhs_pos is not None else NULL
-            outcome = sql_compare(theta, lhs, row[val_pos])
-            if outcome is TriBool.TRUE:
-                bucket[0] += 1
-            elif outcome is TriBool.FALSE:
-                bucket[1] += 1
-            else:
-                bucket[2] += 1
+        with op_span(
+            "count-filter", kind="phase", contract=CONTRACT_FILTERING
+        ) as span:
+            for row in joined.rows:
+                metrics.add("rows_scanned")
+                key = row_group_key(row[:parent_width])
+                if key not in counts:
+                    counts[key] = [0, 0, 0, 0]  # true, false, unknown, present
+                    reps[key] = row[:parent_width]
+                    order.append(key)
+                bucket = counts[key]
+                if is_null(row[rid_pos]):
+                    continue  # padded: no inner tuple
+                bucket[3] += 1
+                if theta is None:
+                    continue  # EXISTS/NOT EXISTS need only presence counts
+                lhs = row[lhs_pos] if lhs_pos is not None else NULL
+                outcome = sql_compare(theta, lhs, row[val_pos])
+                if outcome is TriBool.TRUE:
+                    bucket[0] += 1
+                elif outcome is TriBool.FALSE:
+                    bucket[1] += 1
+                else:
+                    bucket[2] += 1
 
-        out_rows: List[Row] = []
-        for key in order:
-            cnt_true, cnt_false, cnt_unknown, present = counts[key]
-            metrics.add("linking_evals")
-            if _passes(link, cnt_true, cnt_false, cnt_unknown, present):
-                out_rows.append(reps[key])
-        if span is not None:
-            span.add("rows_in", len(joined.rows))
-            span.add("rows_out", len(out_rows))
-            tracer.close(span)
+            out_rows: List[Row] = []
+            for key in order:
+                cnt_true, cnt_false, cnt_unknown, present = counts[key]
+                metrics.add("linking_evals")
+                if _passes(link, cnt_true, cnt_false, cnt_unknown, present):
+                    out_rows.append(reps[key])
+            note_rows(span, len(out_rows), len(joined.rows))
         return Relation(parent_rel.schema, out_rows)
 
 

@@ -53,7 +53,7 @@ from ..engine.index import HashIndex
 from ..engine.metrics import current_metrics
 from ..engine.operators import anti_join, semi_join
 from ..engine.relation import Relation, Row
-from ..engine.trace import CONTRACT_FILTERING, op_span
+from ..engine.trace import CONTRACT_FILTERING, note_rows, op_span
 from ..engine.schema import Column, Schema
 from ..engine.types import (
     NULL,
@@ -327,9 +327,7 @@ class SystemAEmulationStrategy:
                 metrics.add("linking_evals")
                 if truth(block.residual, rctx).is_true():
                     out_rows.append(row)
-            if span is not None:
-                span.add("rows_in", len(rel.rows))
-                span.add("rows_out", len(out_rows))
+            note_rows(span, len(out_rows), len(rel.rows))
         return Relation(rel.schema, out_rows)
 
     @staticmethod
@@ -397,9 +395,7 @@ class SystemAEmulationStrategy:
                 ctx = EvalContext.single(rel.schema, row)
                 if self._link_holds(child, ctx, query, db, reduced).is_true():
                     out_rows.append(row)
-            if span is not None:
-                span.add("rows_in", len(rel.rows))
-                span.add("rows_out", len(out_rows))
+            note_rows(span, len(out_rows), len(rel.rows))
         return Relation(rel.schema, out_rows)
 
     def _link_holds(

@@ -25,7 +25,7 @@ from ..engine.expressions import EvalContext, truth
 from ..engine.metrics import current_metrics
 from ..engine.relation import Relation, Row
 from ..engine.schema import Column, Schema
-from ..engine.trace import CONTRACT_FILTERING, op_span
+from ..engine.trace import CONTRACT_FILTERING, note_rows, op_span
 from ..engine.types import NULL, TriBool, is_null, sql_compare, tri_all, tri_any, tri_value
 from ..core.blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
 from ..core.linking import aggregate_value
@@ -54,9 +54,7 @@ class NestedIterationStrategy:
                 row_ctx = ctx.push(root_rel.schema, row)
                 if self._passes_links(root, row_ctx, reduced):
                     out_rows.append(tuple(row[i] for i in select_idx))
-            if span is not None:
-                span.add("rows_in", len(root_rel.rows))
-                span.add("rows_out", len(out_rows))
+            note_rows(span, len(out_rows), len(root_rel.rows))
         out = Relation(root_rel.schema.project(root.select_refs), out_rows)
         if root.distinct:
             out = out.distinct()

@@ -12,7 +12,7 @@ from .blocks import (
 )
 from .nested import NestedRelation, NestedSchema, SubSchema
 from .nest import nest, nest_sorted, unnest
-from .linking import SetPredicate, evaluate_quantified
+from .linking import SetPredicate
 from .selection import linking_selection, pseudo_selection
 from .query_tree import TreeExpression
 from .reduce import ReducedBlock, reduce_all, reduce_block
@@ -35,7 +35,6 @@ __all__ = [
     "nest_sorted",
     "unnest",
     "SetPredicate",
-    "evaluate_quantified",
     "linking_selection",
     "pseudo_selection",
     "TreeExpression",

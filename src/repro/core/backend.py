@@ -85,6 +85,7 @@ from ..engine.expressions import bind_truth
 from ..engine.governor import checkpoint
 from ..engine.operators import left_outer_hash_join, outer_cross_join, semi_join
 from ..engine.relation import BuildKeepingRelation, Relation, Row, projector
+from ..engine.trace import note_rows
 from ..engine.types import NULL, TriBool
 from .nest import nest, nest_sorted
 from .plancache import ReduceMemo
@@ -140,8 +141,7 @@ class RowBackend:
                 reduced = ReduceMemo(plan, self.kind, step.rid).image(
                     lambda: with_rid(build(), step.rid, BuildKeepingRelation)
                 )
-            if span is not None:
-                span.add("rows_out", len(reduced.rows))
+            note_rows(span, len(reduced.rows))
         return reduced
 
     # -- way down ------------------------------------------------------- #

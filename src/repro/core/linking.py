@@ -207,22 +207,3 @@ class SetPredicate:
             lhs = repr(self.const[0]) if self.const is not None else "A"
             return f"{lhs} {self.theta} {self.agg_func}({{B}})"
         return f"A {self.theta} {self.quantifier.upper()} {{B}}"
-
-
-def evaluate_quantified(
-    theta: str,
-    quantifier: str,
-    linking_value: SqlValue,
-    values: Sequence[SqlValue],
-) -> TriBool:
-    """Direct quantified comparison against an explicit value set.
-
-    Convenience used by the tuple-iteration baseline, where the subquery
-    result set is computed directly (no pk markers needed).
-    """
-    comparisons = (sql_compare(theta, linking_value, v) for v in values)
-    if quantifier == "all":
-        return tri_all(comparisons)
-    if quantifier == "some":
-        return tri_any(comparisons)
-    raise ExpressionError(f"unknown quantifier {quantifier!r}")

@@ -35,7 +35,7 @@ from ..errors import SchemaError
 from ..engine.governor import charge_rows, checkpoint
 from ..engine.metrics import current_metrics
 from ..engine.operators.basic import checkpointed
-from ..engine.trace import CONTRACT_FILTERING, op_span
+from ..engine.trace import CONTRACT_FILTERING, note_rows, op_span
 from ..engine.relation import Relation, Row
 from ..engine.schema import Column, Schema
 from ..engine.types import row_group_key, row_sort_key
@@ -87,11 +87,8 @@ def nest(
 
 def _note_nest(span, relation: Relation, result: NestedRelation) -> None:
     """Record row counts and the peak group cardinality on a nest span."""
-    if span is None:
-        return
-    span.add("rows_in", len(relation.rows))
-    span.add("rows_out", len(result.rows))
-    if result.rows:
+    note_rows(span, len(result.rows), len(relation.rows))
+    if span is not None and result.rows:
         span.set_max("peak_group", max(len(r[-1]) for r in result.rows))
 
 
@@ -121,7 +118,7 @@ def _nest_hash(
     if relation.rows:
         current_metrics().add("rows_nested", len(relation.rows))
     rows = []
-    for key in order:
+    for key in checkpointed(order):
         rep = reps[key]
         prefix = tuple(rep[i] for i in by_idx)
         rows.append(prefix + (tuple(groups[key]),))
@@ -223,7 +220,5 @@ def unnest(nested: NestedRelation, set_name: str = DEFAULT_SET_NAME) -> Relation
             for member in row[sub_pos]:
                 metrics.add("rows_unnested")
                 rows.append(prefix + tuple(member))
-        if span is not None:
-            span.add("rows_in", len(nested.rows))
-            span.add("rows_out", len(rows))
+        note_rows(span, len(rows), len(nested.rows))
     return Relation.adopt(out_schema, rows)

@@ -13,23 +13,19 @@ runs.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from ..engine.catalog import Database
 from ..engine.governor import checkpoint, current_governor
 from ..engine.metrics import current_metrics
 from ..engine.relation import Relation
-from ..engine.trace import KIND_GOVERNOR, Tracer, current_tracer
+from ..engine.trace import KIND_GOVERNOR, current_tracer, note_rows, op_span
 from .blocks import NestedQuery
 from .optimizer import PlannerDecision
 from .reduce import group_block
 
 #: span name of the root execution span (carries the result cardinality)
 ROOT_SPAN = "execute"
-
-
-def open_root(tracer: Tracer):
-    """Open a traced execution's root ``execute`` span; :func:`run`
-    names the strategy on it once the decision is known."""
-    return tracer.span(ROOT_SPAN, {}, kind="root")
 
 
 def run(
@@ -42,30 +38,35 @@ def run(
     execution request; :meth:`repro.session.PreparedQuery.execute`
     passes the one it resolved (and memoized) from the layered options.
 
-    The decision's instance runs under the root trace span when tracing
-    is active; root-level ORDER BY/LIMIT apply last and
-    ``rows_produced`` is charged.  A root span open on the tracer
-    already is this execution's: a traced session execution opens it
-    first (:func:`open_root`), so that it also brackets the option
+    One path serves traced and untraced executions alike (the spans are
+    None with tracing off): the decision's instance runs under the root
+    ``execute`` span, and a governed one under a ``governor`` span with
+    the limits; root-level ORDER BY/LIMIT apply last, ``rows_produced``
+    is charged and the root's ``rows_out`` recorded.  A root span open
+    on the tracer already is this execution's: a traced session
+    execution opens it first, so that it also brackets the option
     layering and the resolution.  The governor is the ambient context's,
     installed by the session with the logic mode and the reduce cache.
     """
     governor = current_governor()
-    impl = decision.impl
     try:
         if governor is not None:
             governor.start()
         checkpoint("plan")
-        tracer = current_tracer()
-        if tracer is None:
-            result = _finalize(impl.execute(query, db), query)
+        with _root_span() as root:
+            if root is not None:
+                root.attrs["strategy"] = decision.chosen
+            if governor is None:
+                result = decision.impl.execute(query, db)
+            else:
+                with op_span(
+                    "governor", kind=KIND_GOVERNOR, **governor.describe_attrs()
+                ):
+                    result = decision.impl.execute(query, db)
+            result = _finalize(result, query)
             current_metrics().add("rows_produced", len(result))
-            return result
-        root = tracer.innermost()
-        if root is not None and root.kind == "root":
-            return _run_traced(tracer, root, query, db, decision, governor)
-        with open_root(tracer) as root:
-            return _run_traced(tracer, root, query, db, decision, governor)
+            note_rows(root, len(result))
+        return result
     finally:
         # sweep this execution's private spill workspace (if any pass
         # created one) so a shared spill_dir ends every execution —
@@ -74,21 +75,16 @@ def run(
             governor.cleanup_spill_workspace()
 
 
-def _run_traced(tracer, root, query, db, decision, governor) -> Relation:
-    """:func:`run`'s execution under the open *root* span."""
-    root.attrs["strategy"] = decision.chosen
-    impl = decision.impl
-    if governor is not None:
-        with tracer.span(
-            "governor", governor.describe_attrs(), kind=KIND_GOVERNOR
-        ):
-            result = impl.execute(query, db)
-    else:
-        result = impl.execute(query, db)
-    result = _finalize(result, query)
-    current_metrics().add("rows_produced", len(result))
-    root.add("rows_out", len(result))
-    return result
+def _root_span():
+    """A manager entering as this execution's root span: the one a
+    traced session execution opened already (left open), else a new
+    one (None with tracing off)."""
+    tracer = current_tracer()
+    if tracer is not None:
+        innermost = tracer.innermost()
+        if innermost is not None and innermost.kind == "root":
+            return nullcontext(innermost)
+    return op_span(ROOT_SPAN, kind="root")
 
 
 def _finalize(result: Relation, query: NestedQuery) -> Relation:

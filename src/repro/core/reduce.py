@@ -34,7 +34,7 @@ from ..engine.expressions import (
 )
 from ..engine.governor import checkpoint
 from ..engine.operators import filter_relation, hash_join, nested_loop_join
-from ..engine.trace import Span, op_span
+from ..engine.trace import Span, note_rows, op_span
 from ..engine.relation import Relation
 from ..engine.schema import Column, Schema
 from ..engine.types import NULL
@@ -111,8 +111,7 @@ def reduce_relation(step: ReduceStep, db: Database) -> Relation:
         if step.grouped:
             joined = group_rows(step.block, joined)
         reduced = with_rid(joined, step.rid)
-        if span is not None:
-            span.add("rows_out", len(reduced.rows))
+        note_rows(span, len(reduced.rows))
     return reduced
 
 

@@ -52,11 +52,12 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
-from ..engine.governor import checkpoint
+from ..engine.operators.basic import checkpointed
 from ..engine.metrics import current_metrics
 from ..engine.trace import (
     CONTRACT_FILTERING,
     CONTRACT_PRESERVING,
+    note_rows,
     op_span,
 )
 from ..engine.relation import Relation, Row, projector
@@ -83,7 +84,7 @@ def judge(
     (also when an incomparable pair ends the scan early)."""
     evals = 0
     try:
-        for row in rows:
+        for row in checkpointed(rows):
             evals += 1
             yield verdict(row)
     finally:
@@ -134,9 +135,7 @@ def select(
         finally:
             if padded:
                 current_metrics().add("null_padded_rows", padded)
-        if span is not None:
-            span.add("rows_in", n_in)
-            span.add("rows_out", len(out_rows))
+        note_rows(span, len(out_rows), n_in)
     return Relation.adopt(schema, out_rows)
 
 
@@ -252,9 +251,7 @@ def fused_linking_selection(joined: Relation, node: FusedLink) -> Relation:
         levels=len(node.links),
     ) as span:
         out = _single_pass_scan(joined, node)
-        if span is not None:
-            span.add("rows_in", len(joined.rows))
-            span.add("rows_out", len(out))
+        note_rows(span, len(out), len(joined.rows))
     return Relation.adopt(joined.schema, out)
 
 
@@ -315,9 +312,7 @@ def _single_pass_scan(joined: Relation, node: FusedLink) -> List[Row]:
     current: Optional[Row] = None  # previous row
     current_key: tuple = ()
     try:
-        for n, i in enumerate(order, 1):
-            if not n % 512:
-                checkpoint("single-pass")
+        for n, i in enumerate(checkpointed(order), 1):
             nested = n
             row, key = rows[i], keys[i]
             if key != current_key and current is not None:
@@ -365,9 +360,7 @@ def pushdown_linking_selection(
         pred=node.predicate.describe(),
     ) as span:
         out_rows = _pushdown_probe(parent_rel, child_rel, node)
-        if span is not None:
-            span.add("rows_in", len(parent_rel.rows))
-            span.add("rows_out", len(out_rows))
+        note_rows(span, len(out_rows), len(parent_rel.rows))
     return Relation.adopt(parent_rel.schema, out_rows)
 
 
@@ -434,9 +427,7 @@ def _pushdown_probe(
     out_rows = []
     probed = 0
     try:
-        for n, row in enumerate(parent_rel.rows, 1):
-            if not n % 512:
-                checkpoint("pushdown-probe")
+        for n, row in enumerate(checkpointed(parent_rel.rows), 1):
             probed = n
             key = probe_key_of(row)
             if key is not None and any(

@@ -43,7 +43,7 @@ from .expressions import (
 )
 from .catalog import Database, Table
 from .index import HashIndex
-from .metrics import Metrics, collect, current_metrics, timed
+from .metrics import Metrics, collect, current_metrics
 from .trace import (
     Span,
     Trace,
@@ -95,7 +95,6 @@ __all__ = [
     "Metrics",
     "collect",
     "current_metrics",
-    "timed",
     "Span",
     "Trace",
     "Tracer",

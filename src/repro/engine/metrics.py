@@ -11,7 +11,6 @@ crossover is) are machine-independent.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -41,10 +40,6 @@ class Metrics:
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    def total(self) -> int:
-        """Sum of all counters — a crude single-number cost."""
-        return sum(self.counters.values())
-
     def weighted_cost(self, weights: Optional[Dict[str, int]] = None) -> int:
         """Disk-era cost: counters weighted by their 2005-hardware price.
 
@@ -61,12 +56,6 @@ class Metrics:
         return sum(
             value * weights.get(name, 1) for name, value in self.counters.items()
         )
-
-    def merged(self, other: "Metrics") -> "Metrics":
-        out = Metrics(dict(self.counters))
-        for k, v in other.counters.items():
-            out.add(k, v)
-        return out
 
     def invariant_violations(
         self, result_cardinality: Optional[int] = None
@@ -128,21 +117,3 @@ def collect() -> Iterator[Metrics]:
     """
     with scope(metrics=Metrics()) as context:
         yield context.metrics
-
-
-@dataclass
-class TimedResult:
-    """A value paired with its wall-clock duration and metrics."""
-
-    value: object
-    seconds: float
-    metrics: Metrics
-
-
-def timed(fn, *args, **kwargs) -> TimedResult:
-    """Run *fn* under a fresh metrics scope, timing it."""
-    with collect() as m:
-        start = time.perf_counter()
-        value = fn(*args, **kwargs)
-        elapsed = time.perf_counter() - start
-    return TimedResult(value=value, seconds=elapsed, metrics=m)

@@ -22,7 +22,7 @@ from ...errors import ExecutionError
 from ..expressions import Expr, bind_truth
 from ..metrics import current_metrics
 from ..relation import Relation, Row
-from ..trace import CONTRACT_FILTERING, op_span
+from ..trace import CONTRACT_FILTERING, note_rows, op_span
 from ..schema import Column, Schema
 from ..types import FALSE, NULL, TRUE, SqlValue, is_null, row_group_key, tri_value
 
@@ -86,9 +86,7 @@ class GroupAggregate:
             aggs=",".join(a.func for a in self.aggs),
         ) as span:
             result = self._run()
-            if span is not None:
-                span.add("rows_in", len(self.source.rows))
-                span.add("rows_out", len(result.rows))
+            note_rows(span, len(result.rows), len(self.source.rows))
         return result
 
     def _run(self) -> Relation:

@@ -64,7 +64,7 @@ from .governor import (
     current_governor,
     maybe_spill_io_failure,
 )
-from .trace import KIND_SPILL, op_span
+from .trace import KIND_SPILL, note_rows, op_span
 from .vector import kernels, nestlink
 from .vector.batch import Batch
 from .vector.column import Vector
@@ -309,8 +309,7 @@ def maybe_spill_hash_join(
             span.add("bytes_spilled", spilled)
             span.set("partitions", k)
             span.set("depth", depth)
-            span.add("rows_in", len(left))
-            span.add("rows_out", len(result))
+            note_rows(span, len(result), len(left))
     return result
 
 
@@ -383,6 +382,5 @@ def maybe_spill_nest_link(batch, node):
             span.add("bytes_spilled", spilled)
             span.set("partitions", k)
             span.set("depth", depth)
-            span.add("rows_in", len(batch))
-            span.add("rows_out", len(result))
+            note_rows(span, len(result), len(batch))
     return result

@@ -19,8 +19,10 @@ Spans form a tree mirroring the dynamic operator nesting: a span's
 children are the operators that ran inside it (a row operator reads
 materialized relations, so its span has none).  The tracer is
 **observation only** — results and :class:`Metrics` counters are
-bit-identical with tracing on or off — and costs a single ``is None``
-check per operator call when disabled.
+bit-identical with tracing on or off.  Every span, the root's included,
+opens through :func:`op_span`, which hands back one shared no-op
+manager when tracing is off, and an operator records its row counts
+through :func:`note_rows`, which does nothing on a None span.
 
 Invariants (checked by :func:`trace_invariant_violations` and the
 ``tests/core/test_trace_invariants.py`` suite):
@@ -42,8 +44,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Dict, Iterator, List, Optional
 
 from .context import current, scope
 from .metrics import current_metrics
@@ -260,25 +261,15 @@ class Tracer:
                     return
         span._close()
 
-    def span(
-        self,
-        name: str,
-        attrs: Optional[Dict[str, Any]] = None,
-        kind: str = "operator",
-        contract: Optional[str] = None,
-    ) -> "_OpenSpan":
-        """Open a span for a ``with`` block, which closes it — marked
-        aborted when the block raises."""
-        return _OpenSpan(self, self.open(name, attrs, kind=kind, contract=contract))
-
     def finish(self) -> None:
         while self._stack:
             self._stack.pop()._close()
 
 
 class _OpenSpan:
-    """:meth:`Tracer.span`'s context manager: a class rather than a
-    generator, as it brackets the root span of every traced execution."""
+    """:func:`op_span`'s manager with tracing on: enters as the open
+    span and closes it through :meth:`Tracer.close` — marked aborted
+    when the block raises."""
 
     __slots__ = ("_tracer", "_span")
 
@@ -369,31 +360,51 @@ class tracing:
             self._tracer.finish()
 
 
-@contextmanager
+class _NoSpan:
+    """:func:`op_span`'s manager with tracing off: enters as None."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
+
+_NO_SPAN = _NoSpan()
+
+
 def op_span(
     name: str,
     kind: str = "operator",
     contract: Optional[str] = None,
     **attrs: Any,
-) -> Iterator[Optional[Span]]:
-    """Open a span if tracing is active; yields None otherwise.
+) -> ContextManager[Optional[Span]]:
+    """The one way to open a span: a manager for a ``with`` block.
 
-    Every traced call site opens its span through this wrapper (the row
-    operators, nest, linking selections, phase markers) and guards its
-    recording with ``if span is not None``.
+    With tracing on, the span opens now under the innermost open one
+    (or as a new root) and the ``with`` target is that :class:`Span`;
+    with tracing off it is the shared no-op manager and the target is
+    None.  Every traced call site — operators, phases, the root
+    ``execute`` and ``governor`` spans — opens its span here and records
+    its row counts through :func:`note_rows`.
     """
-    tracer = current_tracer()
+    tracer = current().tracer
     if tracer is None:
-        yield None
-        return
-    span = tracer.open(name, attrs, kind=kind, contract=contract)
-    try:
-        yield span
-    except BaseException as exc:
-        span.mark_aborted(type(exc).__name__)
-        raise
-    finally:
-        tracer.close(span)
+        return _NO_SPAN
+    return _OpenSpan(tracer, tracer.open(name, attrs, kind=kind, contract=contract))
+
+
+def note_rows(
+    span: Optional[Span], rows_out: int, rows_in: Optional[int] = None
+) -> None:
+    """Record an operator's ``rows_in`` (when given), then its
+    ``rows_out``, on *span*; nothing when tracing is off (*span* None)."""
+    if span is not None:
+        if rows_in is not None:
+            span.add("rows_in", rows_in)
+        span.add("rows_out", rows_out)
 
 
 # ---------------------------------------------------------------------- #

@@ -21,7 +21,7 @@ from ..catalog import Database
 from ..governor import charge_batch, checkpoint
 from ..metrics import current_metrics
 from ..schema import Column
-from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
+from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, note_rows, op_span
 from .batch import Batch, table_batch
 from .column import KIND_INT, Vector
 from . import kernels, nestlink
@@ -65,8 +65,7 @@ class VectorBackend:
                 )
             else:
                 current = memo.image(lambda: _with_rid(build(), rid))
-            if span is not None:
-                span.add("rows_out", len(current))
+            note_rows(span, len(current))
         return current
 
     def _execute_join_plan(self, plan, db: Database) -> Batch:
@@ -159,9 +158,7 @@ class VectorBackend:
             current_metrics().add("linking_evals", n)
             t, f = eval_truth(node.expr, rel)
             out = nestlink.select(rel.project(node.names), None, t, f, node)
-            if span is not None:
-                span.add("rows_in", n)
-                span.add("rows_out", len(out))
+            note_rows(span, len(out), n)
         return out
 
     # -- output --------------------------------------------------------- #

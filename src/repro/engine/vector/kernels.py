@@ -90,7 +90,7 @@ from ..trace import (
     CONTRACT_EXPANDING,
     CONTRACT_FILTERING,
     CONTRACT_PRESERVING,
-    Span,
+    note_rows,
     op_span,
 )
 from .batch import Batch
@@ -105,12 +105,6 @@ from .column import (
     take_columns,
 )
 from .exprs import eval_truth
-
-
-def _note(span: Optional[Span], rows_in: int, rows_out: int) -> None:
-    if span is not None:
-        span.add("rows_in", rows_in)
-        span.add("rows_out", rows_out)
 
 
 def _describe_keys(
@@ -131,7 +125,7 @@ def scan(batch: Batch, alias: str) -> Batch:
     with op_span("vec-scan", contract=CONTRACT_PRESERVING, table=alias) as span:
         current_metrics().add("rows_scanned", len(batch))
         current_metrics().add("rows_out", len(batch))
-        _note(span, len(batch), len(batch))
+        note_rows(span, len(batch), len(batch))
     return batch
 
 
@@ -145,7 +139,7 @@ def filter_batch(batch: Batch, predicate) -> Batch:
         t, _f = eval_truth(predicate, batch)
         out = batch.take(np.flatnonzero(t))
         metrics.add("rows_out", len(out))
-        _note(span, len(batch), len(out))
+        note_rows(span, len(out), len(batch))
     return out
 
 
@@ -659,7 +653,7 @@ def hash_join(
         out = Batch.concat_columns(left.take(li), right.take(ri))
         charge_batch(out, "hash-join output")
         current_metrics().add("rows_out", len(out))
-        _note(span, len(left), len(out))
+        note_rows(span, len(out), len(left))
     return out
 
 
@@ -768,7 +762,7 @@ def left_outer_join_index(
                 out = all_li, all_ri
         metrics.add("null_padded_rows", n_pad)
         metrics.add("rows_out", n_out)
-        _note(span, len(left), n_out)
+        note_rows(span, n_out, len(left))
     return out
 
 
@@ -872,7 +866,7 @@ def semi_join(
         li, _ri = _match_pairs(left, right, left_keys, right_keys, residual)
         out = left.take(np.flatnonzero(_mask_of(len(left), li)))
         current_metrics().add("rows_out", len(out))
-        _note(span, len(left), len(out))
+        note_rows(span, len(out), len(left))
     return out
 
 
@@ -892,7 +886,7 @@ def anti_join(
         li, _ri = _match_pairs(left, right, left_keys, right_keys, residual)
         out = left.take(np.flatnonzero(~_mask_of(len(left), li)))
         current_metrics().add("rows_out", len(out))
-        _note(span, len(left), len(out))
+        note_rows(span, len(out), len(left))
     return out
 
 
@@ -908,7 +902,7 @@ def cross_join(left: Batch, right: Batch, residual=None) -> Batch:
         out = Batch.concat_columns(left.take(li), right.take(ri))
         charge_batch(out, "cross-join output")
         current_metrics().add("rows_out", len(out))
-        _note(span, len(left), len(out))
+        note_rows(span, len(out), len(left))
     return out
 
 
@@ -931,7 +925,7 @@ def outer_cross_join(left: Batch, right: Batch) -> Batch:
             li, ri = _match_pairs(left, right, (), (), None)
             out = Batch.concat_columns(left.take(li), right.take(ri))
         metrics.add("rows_out", len(out))
-        _note(span, len(left), len(out))
+        note_rows(span, len(out), len(left))
     return out
 
 

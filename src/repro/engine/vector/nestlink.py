@@ -72,7 +72,7 @@ from ..logic import two_valued
 from ..metrics import current_metrics
 from ..operators.aggregate import _finish
 from ..schema import Column
-from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, op_span
+from ..trace import CONTRACT_FILTERING, CONTRACT_PRESERVING, note_rows, op_span
 from ..types import NULL, is_null, negate_op
 from .batch import Batch
 from .column import (
@@ -331,13 +331,9 @@ def _nest_link(
         if order is not None:
             rep, vt, vf = rep[order], vt[order], vf[order]
         out = select(n1, rep if at is None else at[rep], vt, vf, node)
-        if span is not None:
-            span.add("rows_in", n)
-            span.add("rows_out", len(out))
-            if n:
-                span.set_max(
-                    "peak_group", int(np.bincount(ids, weights).max())
-                )
+        note_rows(span, len(out), n)
+        if span is not None and n:
+            span.set_max("peak_group", int(np.bincount(ids, weights).max()))
         metrics.add("rows_out", len(out))
     return out
 
@@ -563,9 +559,7 @@ def uncorrelated_link(
         metrics.add("linking_evals", n)
         vt, vf = _uncorrelated_verdict(batch, sub, node)
         out = select(batch, None, vt, vf, node)
-        if span is not None:
-            span.add("rows_in", n)
-            span.add("rows_out", len(out))
+        note_rows(span, len(out), n)
         metrics.add("rows_out", len(out))
     return out
 

@@ -33,13 +33,12 @@ from .adapter import (
     make_adapter,
 )
 from ..sql.unparse import Dialect, render_for
-from .dialect import DUCKDB, SQLITE, comparable, dialect_for
+from .dialect import DUCKDB, SQLITE, comparable
 from .diff import (
     OracleComparison,
     RowDiff,
     canonical_row,
     canonical_value,
-    compare_relation,
     diff_bags,
 )
 from .known import (
@@ -68,9 +67,7 @@ __all__ = [
     "canonical_value",
     "clear_registered",
     "comparable",
-    "compare_relation",
     "cross_check",
-    "dialect_for",
     "diff_bags",
     "engine_available",
     "find_known",

@@ -32,18 +32,6 @@ DUCKDB = Dialect(
     error=OracleUnsupportedError,
 )
 
-_DIALECTS = {"sqlite": SQLITE, "duckdb": DUCKDB}
-
-
-def dialect_for(engine: str) -> Dialect:
-    try:
-        return _DIALECTS[engine]
-    except KeyError:
-        raise OracleUnsupportedError(
-            f"no SQL dialect registered for engine {engine!r}"
-        ) from None
-
-
 def comparable(stmt: A.SelectStmt) -> None:
     """Raise :class:`OracleUnsupportedError` if *stmt*'s results are not
     engine-independent.

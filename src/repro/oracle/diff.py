@@ -20,9 +20,8 @@ from __future__ import annotations
 import datetime
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from ..engine.relation import Relation
 from ..engine.types import is_null
 
 
@@ -166,10 +165,3 @@ class OracleComparison:
                 f"  known divergence {self.known.key!r}: {self.known.reason}"
             )
         return "\n".join(lines)
-
-
-def compare_relation(
-    relation: Relation, external_rows: List[tuple]
-) -> Optional[RowDiff]:
-    """Diff an engine :class:`Relation` against DB-API result rows."""
-    return diff_bags(relation.rows, external_rows)

@@ -52,7 +52,7 @@ from .engine.context import current, scope
 from .engine.governor import ResourceGovernor
 from .engine.logic import validate_logic
 from .engine.relation import Relation
-from .engine.trace import tracing
+from .engine.trace import op_span, tracing
 from .errors import InvalidArgumentError
 from .options import ExecutionOptions, layer_options
 
@@ -178,10 +178,13 @@ class PreparedQuery:
         """:meth:`_run` of the ``(eff, decision)`` pair *request()*
         returns, under a tracing scope; returns ``(result, trace)``.
 
-        The root ``execute`` span opens first and closes last: layering
-        the options, resolving them and building the governor are
-        engine work of this execution too."""
-        with tracing() as trace, planner.open_root(current().tracer):
+        The root ``execute`` span opens first, through
+        :func:`~repro.engine.trace.op_span` like every span, and closes
+        last: layering the options, resolving them and building the
+        governor are engine work of this execution too;
+        :func:`repro.core.planner.run` records the strategy and the
+        result cardinality on it."""
+        with tracing() as trace, op_span(planner.ROOT_SPAN, kind="root"):
             eff, decision = request()
             result = self._run(eff, decision)
         return result, trace

@@ -13,7 +13,6 @@ from .validation import assert_valid, validate
 from .queries import (
     PAPER_QUERIES,
     QUERY3_VARIANTS,
-    count_quantity_block,
     paper_query_suite,
     pick_availqty,
     pick_date_window,
@@ -41,7 +40,6 @@ __all__ = [
     "pick_date_window",
     "pick_size_window",
     "pick_availqty",
-    "count_quantity_block",
     "paper_query_suite",
     "validate",
     "assert_valid",

@@ -174,13 +174,6 @@ def pick_availqty(db: Database, target_rows: int) -> int:
     return values[target - 1] + 1
 
 
-def count_quantity_block(db: Database, quantity_eq: int) -> int:
-    """Size of the lineitem block for a given Z (l_quantity = Z)."""
-    return sum(
-        1 for v in db.relation("lineitem").column_values("l_quantity") if v == quantity_eq
-    )
-
-
 def paper_query_suite(db: Database, target_rows: int = 32) -> List[Tuple[str, str]]:
     """The six paper queries (Figures 4-9) with selection constants
     derived from *db* so every block is non-trivially sized."""

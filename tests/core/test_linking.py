@@ -3,7 +3,7 @@ semantics — including every NULL corner the paper builds its case on."""
 
 import pytest
 
-from repro.core.linking import SetPredicate, evaluate_quantified
+from repro.core.linking import SetPredicate
 from repro.engine.types import FALSE, NULL, TRUE, UNKNOWN
 from repro.errors import ExpressionError
 
@@ -178,22 +178,3 @@ class TestNegativity:
         assert SetPredicate("not_exists").is_negative
         assert not SetPredicate("some", "=").is_negative
         assert not SetPredicate("exists").is_negative
-
-
-class TestEvaluateQuantified:
-    def test_direct_all(self):
-        assert evaluate_quantified(">", "all", 5, [1, 2]) is TRUE
-
-    def test_direct_some(self):
-        assert evaluate_quantified("=", "some", 5, [1, 5]) is TRUE
-
-    def test_unknown_quantifier(self):
-        with pytest.raises(ExpressionError):
-            evaluate_quantified("=", "exactly-one", 5, [5])
-
-    def test_not_in_equals_neq_all(self):
-        """NOT IN normalizes to <> ALL: x NOT IN {set with NULL} is never
-        TRUE unless the set is empty."""
-        assert evaluate_quantified("<>", "all", 5, [1, NULL]) is UNKNOWN
-        assert evaluate_quantified("<>", "all", 1, [1, NULL]) is FALSE
-        assert evaluate_quantified("<>", "all", 5, []) is TRUE

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.catalog import Database
 from repro.engine.index import HashIndex
-from repro.engine.metrics import Metrics, collect, current_metrics, timed
+from repro.engine.metrics import Metrics, collect, current_metrics
 from repro.engine.operators import filter_relation
 from repro.engine.expressions import cmp
 from repro.engine.relation import Relation
@@ -122,19 +122,6 @@ class TestMetrics:
         assert m.get("rows_scanned") == 5
         assert m.get("rows_out") == 2
         assert m.get("predicate_evals") == 5
-
-    def test_merged_and_total(self):
-        a = Metrics({"x": 1})
-        b = Metrics({"x": 2, "y": 3})
-        merged = a.merged(b)
-        assert merged.get("x") == 3
-        assert merged.total() == 6
-
-    def test_timed(self):
-        result = timed(lambda: filter_relation(rel(), cmp("t.k", "=", 1)))
-        assert result.seconds >= 0
-        assert result.metrics.get("rows_scanned") == 5
-        assert len(result.value) == 2
 
     def test_index_probe_charged(self):
         idx = HashIndex(rel(), ["t.k"])

@@ -20,6 +20,7 @@ from repro.engine.trace import (
     Span,
     Tracer,
     current_tracer,
+    note_rows,
     op_span,
     reconcile_with_metrics,
     render_trace,
@@ -64,6 +65,8 @@ class TestAmbientTracer:
     def test_op_span_yields_none_when_disabled(self):
         with op_span("x") as span:
             assert span is None
+        # untraced, every call hands back the one shared no-op manager
+        assert op_span("x") is op_span("y", kind="phase", attr=1)
 
     def test_finish_closes_leaked_spans(self):
         with tracing() as trace:
@@ -74,22 +77,22 @@ class TestAmbientTracer:
 
 class TestSpanTree:
     def test_nesting_follows_open_order(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-            with tracer.span("c"):
-                pass
-        (root,) = tracer.roots
+        with tracing() as trace:
+            with op_span("a"):
+                with op_span("b"):
+                    pass
+                with op_span("c"):
+                    pass
+        (root,) = trace.roots
         assert [c.name for c in root.children] == ["b", "c"]
 
     def test_sibling_roots(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        with tracer.span("b"):
-            pass
-        assert [r.name for r in tracer.roots] == ["a", "b"]
+        with tracing() as trace:
+            with op_span("a"):
+                pass
+            with op_span("b"):
+                pass
+        assert [r.name for r in trace.roots] == ["a", "b"]
 
     def test_trace_root_property(self):
         with tracing() as trace:
@@ -122,6 +125,13 @@ class TestSpanTree:
         assert tracer._stack == [live]
         tracer.close(live)
         assert tracer._stack == []
+
+    def test_note_rows(self):
+        note_rows(None, 3, 4)  # tracing off: nothing to record
+        span = Span("x")
+        note_rows(span, 2, 5)
+        note_rows(span, 1)
+        assert list(span.counters.items()) == [("rows_in", 5), ("rows_out", 3)]
 
     def test_counters(self):
         span = Span("x")

@@ -7,7 +7,6 @@ from repro.engine.types import is_null
 from repro.tpch import (
     BASE_ROWS,
     TpchConfig,
-    count_quantity_block,
     generate,
     pick_availqty,
     pick_date_window,
@@ -139,13 +138,6 @@ class TestConstantPickers:
             if v < y
         )
         assert 250 <= n <= 350
-
-    def test_quantity_block_counter(self, db):
-        n = count_quantity_block(db, 25)
-        manual = sum(
-            1 for v in db.relation("lineitem").column_values("l_quantity") if v == 25
-        )
-        assert n == manual
 
 
 class TestConfig:
