@@ -30,7 +30,7 @@ and are rejected.)
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..strategies import register
 from ..errors import PlanError, UnsoundRewriteError
@@ -38,7 +38,7 @@ from ..engine.catalog import Database
 from ..engine.metrics import current_metrics
 from ..engine.trace import CONTRACT_FILTERING, note_rows, op_span
 from ..engine.relation import Relation, Row
-from ..engine.types import NULL, is_null, row_group_key, sql_compare
+from ..engine.types import is_null, row_group_key, sql_compare
 from ..core.blocks import LinkSpec, NestedQuery, QueryBlock
 from ..core.reduce import reduce_all
 

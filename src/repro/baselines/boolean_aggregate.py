@@ -23,7 +23,7 @@ baselines.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..strategies import register
 from ..errors import PlanError
@@ -44,7 +44,7 @@ from ..engine.operators import (
     outer_cross_join,
 )
 from ..engine.relation import Relation
-from ..core.blocks import NestedQuery, QueryBlock
+from ..core.blocks import NestedQuery
 from ..core.reduce import reduce_all
 
 

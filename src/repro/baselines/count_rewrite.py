@@ -32,14 +32,14 @@ from typing import Dict, List, Optional
 from ..strategies import register
 from ..errors import PlanError
 from ..engine.catalog import Database
-from ..engine.expressions import EvalContext, conjoin
+from ..engine.expressions import conjoin
 from ..engine.metrics import current_metrics
 from ..engine.trace import CONTRACT_FILTERING, note_rows, op_span
 from ..engine.operators import left_outer_hash_join, outer_cross_join
 from ..engine.relation import Relation, Row
 from ..engine.types import NULL, TriBool, is_null, sql_compare
 from ..core.blocks import LinkSpec, NestedQuery, QueryBlock
-from ..core.reduce import ReducedBlock, reduce_all
+from ..core.reduce import reduce_all
 
 
 @register(

@@ -37,7 +37,7 @@ the plan shapes the paper observed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..strategies import register
 from ..errors import PlanError
@@ -49,7 +49,6 @@ from ..engine.expressions import (
     conjoin,
     truth,
 )
-from ..engine.index import HashIndex
 from ..engine.metrics import current_metrics
 from ..engine.operators import anti_join, semi_join
 from ..engine.relation import Relation, Row
@@ -65,9 +64,9 @@ from ..engine.types import (
     tri_any,
     tri_value,
 )
-from ..core.blocks import AGG_OP, LinkSpec, NestedQuery, QueryBlock
+from ..core.blocks import AGG_OP, NestedQuery, QueryBlock
 from ..core.linking import aggregate_value
-from ..core.reduce import ReducedBlock, reduce_all
+from ..core.reduce import ReducedBlock
 
 #: plan actions for a child subquery
 SEMIJOIN = "semijoin"

@@ -17,7 +17,7 @@ changing any result).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List
 
 from ..strategies import register
 from ..engine.catalog import Database

@@ -26,7 +26,7 @@ only one side's attributes, losing the information deeper levels need
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..strategies import register
 from ..errors import PlanError, UnsoundRewriteError
@@ -35,7 +35,7 @@ from ..engine.expressions import Col, Comparison, conjoin
 from ..engine.operators import anti_join, semi_join
 from ..engine.relation import Relation
 from ..engine.types import negate_op
-from ..core.blocks import LinkSpec, NestedQuery, QueryBlock
+from ..core.blocks import NestedQuery, QueryBlock
 from ..core.reduce import ReducedBlock, reduce_all
 
 

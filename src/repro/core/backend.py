@@ -27,12 +27,15 @@ intermediate has.  A backend supplies:
 ``left_outer_join(rel, child, node)``
     the way-down join (:class:`~repro.core.query_tree.OuterJoin`): ⟕ on
     the child's correlated predicates, the outer × when there are none.
+    On a ``witness`` node each left row keeps one qualifying pair, or
+    its padding; only the row engine, which runs ``fuse-links``, has it.
 ``nest_link(rel, node)``
     the way-up pair (:class:`~repro.core.query_tree.NestLink`): ``nest``
     by the path attributes followed by a strict linking selection, a
     NULL-padding pseudo-selection or a mark.  The node holds both the
     nesting attributes ``by`` and the nest ``key`` (the path blocks'
-    rids, which decide the same groups); a backend may group on either.
+    rids, which decide the same groups); a backend may group on either
+    (the row engine's hash nest and the vector engine group on the key).
 ``join_nest(rel, child, join, nest)``
     a leaf block's way down and back up — the ``OuterJoin`` and the
     ``NestLink`` of an edge whose child has no children and runs in
@@ -83,18 +86,22 @@ from typing import Dict, Sequence, Tuple
 from ..engine.catalog import Database
 from ..engine.expressions import bind_truth
 from ..engine.governor import checkpoint
-from ..engine.operators import left_outer_hash_join, outer_cross_join, semi_join
+from ..engine.operators import (
+    left_outer_hash_join,
+    outer_cross_join,
+    semi_join,
+    witness_join,
+)
 from ..engine.relation import BuildKeepingRelation, Relation, Row, projector
-from ..engine.trace import note_rows
+from ..engine.trace import note_rows, op_span
 from ..engine.types import NULL, TriBool
-from .nest import nest, nest_sorted
+from .nest import nest_by_key, nest_sorted
 from .plancache import ReduceMemo
 from . import query_tree
 from .reduce import (
     ReduceStep,
     execute_join_plan,
     group_rows,
-    reduce_phase,
     reduce_relation,
     with_rid,
 )
@@ -133,7 +140,12 @@ class RowBackend:
             return reduce_relation(step, db)
         block = step.block
         build = lambda: execute_join_plan(plan, db)
-        with reduce_phase(block) as span:
+        with op_span(
+            f"reduce[T{block.index}]",
+            kind="phase",
+            tables=",".join(block.alias_list),
+        ) as span:
+            checkpoint("reduce")
             if step.grouped:
                 joined = ReduceMemo(plan, self.kind).image(build)
                 reduced = with_rid(group_rows(block, joined), step.rid)
@@ -150,8 +162,12 @@ class RowBackend:
         self, rel: Relation, child: Relation, node: query_tree.OuterJoin
     ) -> Relation:
         if node.cross:
+            if node.witness:
+                # any one row of the child witnesses a non-empty set
+                child = Relation.adopt(child.schema, child.rows[:1])
             return outer_cross_join(rel, child)
-        return left_outer_hash_join(
+        join = witness_join if node.witness else left_outer_hash_join
+        return join(
             rel, child, list(node.outer_keys), list(node.inner_keys),
             residual=node.residual,
         )
@@ -159,12 +175,10 @@ class RowBackend:
     # -- way up --------------------------------------------------------- #
 
     def nest_link(self, rel: Relation, node: query_tree.NestLink) -> Relation:
-        # the row nest hashes / sorts whole `by` tuples; grouping on
-        # `node.key` gives the same relation and is not where the row
-        # time goes
-        nested = (nest_sorted if node.nest_impl == "sorted" else nest)(
-            rel, node.by, node.keep
-        )
+        if node.nest_impl == "sorted":
+            nested = nest_sorted(rel, node.by, node.keep)
+        else:
+            nested = nest_by_key(rel, node.by, node.keep, node.key)
         link = node.link
         return nested_selection(
             nested, node.predicate, link.outer_ref, link.inner_ref,

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
-from ..engine.expressions import Comparison, Col, Expr, conjoin
-from ..engine.types import flip_op
+from ..engine.expressions import Comparison, Col, Expr
 
 #: Linking operators, paper terminology.  "Positive" operators pass when a
 #: matching inner tuple exists; "negative" ones pass on the empty set.

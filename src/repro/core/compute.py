@@ -449,6 +449,7 @@ class NestedRelationalStrategy:
             edge.connect = OuterJoin(
                 outer_keys, inner_keys,
                 conjoin(other) if other else None, names,
+                witness=FUSE_LINKS in rules and _witnessed(child, link),
             )
 
             # -- the child's own subqueries, in line --------------------- #
@@ -563,6 +564,21 @@ def _joins_a_leaf(edge: TreeEdge) -> bool:
         and edge.child.is_leaf
         and isinstance(edge.connect, OuterJoin)
         and isinstance(edge.up, NestLink)
+    )
+
+
+def _witnessed(child: TreeNode, link: LinkSpec) -> bool:
+    """Whether one qualifying pair per outer tuple decides the fused
+    run's verdicts at the edge into *child*: the edge is the run's
+    deepest (*child* is a leaf) and its unmarked link is EXISTS or NOT
+    EXISTS.  The scan's deepest level then reads only whether some
+    member's rid is non-NULL — a leaf's rid never is — and every level
+    above reads columns of the blocks above, equal across one outer
+    tuple's pairs."""
+    return (
+        child.is_leaf
+        and link.operator in ("exists", "not_exists")
+        and link.mark is None
     )
 
 

@@ -111,6 +111,8 @@ class _Printer:
                 f"keep[{', '.join(r for r in op.keep if r not in by)}]",
             ]
         join = "×" if op.cross else f"⟕ {self._conditions(op)}"
+        if op.witness:
+            join += "  (witness: first match per tuple)"
         if isinstance(up, NestLink):
             return [
                 self._selection(up),

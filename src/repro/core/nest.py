@@ -29,7 +29,8 @@ exactly this contract.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
 from ..engine.governor import charge_rows, checkpoint
@@ -37,7 +38,7 @@ from ..engine.metrics import current_metrics
 from ..engine.operators.basic import checkpointed
 from ..engine.trace import CONTRACT_FILTERING, note_rows, op_span
 from ..engine.relation import Relation, Row
-from ..engine.schema import Column, Schema
+from ..engine.schema import Schema
 from ..engine.types import row_group_key, row_sort_key
 from .nested import NestedRelation, NestedSchema, SubSchema
 
@@ -73,6 +74,35 @@ def nest(
     tuples, Definition 3); groups preserve first-seen order so results
     are deterministic.
     """
+    return _nest_hash(relation, by, keep, None, set_name)
+
+
+def nest_by_key(
+    relation: Relation,
+    by: Sequence[str],
+    keep: Sequence[str],
+    key: Sequence[str],
+    set_name: str = DEFAULT_SET_NAME,
+) -> NestedRelation:
+    """:func:`nest` whose groups the rid columns *key* decide, one
+    hash per row of plain ints or NULL instead of a grouping key per
+    value of *by*.
+
+    Algorithm 1's nest passes the rids of the path blocks, and equality
+    on them is equality on all of *by* (DESIGN §9 "Nest by key"): the
+    groups, their first-seen order, the nested relation, span and
+    metrics are those of ``nest(relation, by, keep)``.
+    """
+    return _nest_hash(relation, by, keep, key, set_name)
+
+
+def _nest_hash(
+    relation: Relation,
+    by: Sequence[str],
+    keep: Sequence[str],
+    key: Optional[Sequence[str]],
+    set_name: str,
+) -> NestedRelation:
     with op_span(
         "nest", contract=CONTRACT_FILTERING, impl="hash", by=",".join(by)
     ) as span:
@@ -80,7 +110,7 @@ def nest(
         charge_rows(
             len(relation.rows), len(by) + len(keep), "nest grouping"
         )
-        result = _nest_hash(relation, by, keep, set_name)
+        result = _group_hash(relation, by, keep, key, set_name)
         _note_nest(span, relation, result)
     return result
 
@@ -92,36 +122,43 @@ def _note_nest(span, relation: Relation, result: NestedRelation) -> None:
         span.set_max("peak_group", max(len(r[-1]) for r in result.rows))
 
 
-def _nest_hash(
+def _group_hash(
     relation: Relation,
     by: Sequence[str],
     keep: Sequence[str],
+    key: Optional[Sequence[str]],
     set_name: str,
 ) -> NestedRelation:
     by_idx, keep_idx, out_schema, _sub = _plan(relation, by, keep, set_name)
-    groups: Dict[tuple, List[Row]] = {}
-    member_seen: Dict[tuple, set] = {}
-    reps: Dict[tuple, Row] = {}
-    order: List[tuple] = []
+    if key is None:
+        group_of = lambda row: row_group_key(tuple(row[i] for i in by_idx))
+    else:
+        # rids are plain ints or the NULL singleton: hashable and equal
+        # as they are
+        group_of = itemgetter(*relation.schema.indices_of(key))
+    groups: Dict[Any, List[Row]] = {}
+    member_seen: Dict[Any, set] = {}
+    reps: Dict[Any, Row] = {}
+    order: List[Any] = []
     for row in checkpointed(relation.rows):
-        key = row_group_key(tuple(row[i] for i in by_idx))
+        group = group_of(row)
         member = tuple(row[i] for i in keep_idx)
-        if key not in groups:
-            groups[key] = []
-            member_seen[key] = set()
-            reps[key] = row
-            order.append(key)
+        if group not in groups:
+            groups[group] = []
+            member_seen[group] = set()
+            reps[group] = row
+            order.append(group)
         mkey = row_group_key(member)
-        if mkey not in member_seen[key]:
-            member_seen[key].add(mkey)
-            groups[key].append(member)
+        if mkey not in member_seen[group]:
+            member_seen[group].add(mkey)
+            groups[group].append(member)
     if relation.rows:
         current_metrics().add("rows_nested", len(relation.rows))
     rows = []
-    for key in checkpointed(order):
-        rep = reps[key]
+    for group in checkpointed(order):
+        rep = reps[group]
         prefix = tuple(rep[i] for i in by_idx)
-        rows.append(prefix + (tuple(groups[key]),))
+        rows.append(prefix + (tuple(groups[group]),))
     return NestedRelation.adopt(out_schema, rows)
 
 

@@ -16,12 +16,11 @@ the algebra can express the multi-level relations of Section 4.2.1
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..errors import SchemaError
 from ..engine.relation import Bag, aligned_table, format_value
 from ..engine.schema import Column, Schema
-from ..engine.types import SqlValue
 
 #: A nested tuple: atomic values and/or tuples-of-nested-tuples.
 NestedRow = Tuple[object, ...]

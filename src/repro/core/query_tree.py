@@ -69,13 +69,18 @@ class Reduce:
 class OuterJoin:
     """Way down: ⟕ on the child's correlated predicates.  Without any
     (a non-correlated child when ``virtual-cartesian`` is off) it is the
-    outer ×, a ⟕ on TRUE."""
+    outer ×, a ⟕ on TRUE.  *witness*: each left row keeps only its
+    first qualifying pair (or its padding) — the deepest edge of a
+    ``fuse-links`` run into a leaf under an unmarked EXISTS / NOT
+    EXISTS, whose link reads only whether some pair exists (derived by
+    the planner; False claims nothing)."""
 
     method: ClassVar[str] = "left_outer_join"
     outer_keys: Names
     inner_keys: Names
     residual: Optional[Expr]
     names: Names
+    witness: bool = False
 
     @property
     def cross(self) -> bool:

@@ -17,10 +17,9 @@ as the emptiness marker after outer joins and the grouping anchor for
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PlanError
 from ..engine.catalog import Database
@@ -34,7 +33,7 @@ from ..engine.expressions import (
 )
 from ..engine.governor import checkpoint
 from ..engine.operators import filter_relation, hash_join, nested_loop_join
-from ..engine.trace import Span, note_rows, op_span
+from ..engine.trace import note_rows, op_span
 from ..engine.relation import Relation
 from ..engine.schema import Column, Schema
 from ..engine.types import NULL
@@ -106,26 +105,19 @@ def reduce_relation(step: ReduceStep, db: Database) -> Relation:
     by construction.  The row backend reads T_i from the session's
     reduce memo instead (:meth:`repro.core.backend.RowBackend.reduce_all`).
     """
-    with reduce_phase(step.block) as span:
-        joined = execute_join_plan(step.join, db)
-        if step.grouped:
-            joined = group_rows(step.block, joined)
-        reduced = with_rid(joined, step.rid)
-        note_rows(span, len(reduced.rows))
-    return reduced
-
-
-@contextmanager
-def reduce_phase(block: QueryBlock) -> Iterator[Optional[Span]]:
-    """*block*'s ``reduce[T_i]`` phase span, entered past the ``reduce``
-    checkpoint."""
+    block = step.block
     with op_span(
         f"reduce[T{block.index}]",
         kind="phase",
         tables=",".join(block.alias_list),
     ) as span:
         checkpoint("reduce")
-        yield span
+        joined = execute_join_plan(step.join, db)
+        if step.grouped:
+            joined = group_rows(block, joined)
+        reduced = with_rid(joined, step.rid)
+        note_rows(span, len(reduced.rows))
+    return reduced
 
 
 def group_rows(block: QueryBlock, joined: Relation) -> Relation:

@@ -40,7 +40,6 @@ from .types import (
     is_null,
     negate_op,
     sql_compare,
-    tri_all,
     tri_any,
 )
 

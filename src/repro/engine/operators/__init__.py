@@ -9,6 +9,7 @@ from .joins import (
     nested_loop_join,
     outer_cross_join,
     semi_join,
+    witness_join,
 )
 from .aggregate import AggSpec, GroupAggregate, scalar_aggregate
 
@@ -16,6 +17,7 @@ __all__ = [
     "filter_relation",
     "hash_join",
     "left_outer_hash_join",
+    "witness_join",
     "semi_join",
     "anti_join",
     "outer_cross_join",

@@ -16,7 +16,7 @@ return NULL (except COUNT, which returns 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ...errors import ExecutionError
 from ..expressions import Expr, bind_truth

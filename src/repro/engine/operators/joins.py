@@ -1,9 +1,10 @@
 """Join family: hash joins, outer joins, semijoins, antijoins.
 
 The nested relational approach needs exactly one join flavour — the
-(left outer) hash join — for correlation handling; the baselines
-additionally use semijoin/antijoin (classical unnesting of positive /
-``NOT EXISTS`` linking operators).
+(left outer) hash join — for correlation handling, and its fused
+pipeline a variant of it that keeps one witness per left row; the
+baselines additionally use semijoin/antijoin (classical unnesting of
+positive / ``NOT EXISTS`` linking operators).
 
 Each join is a function from two :class:`Relation`\\ s to a
 :class:`Relation`: it opens one span named after the operator, runs to
@@ -29,7 +30,12 @@ from ..expressions import Expr, bind_truth
 from ..governor import charge_rows, checkpoint, current_governor
 from ..metrics import current_metrics
 from ..relation import Relation, Row
-from ..trace import CONTRACT_EXPANDING, CONTRACT_FILTERING, op_span
+from ..trace import (
+    CONTRACT_EXPANDING,
+    CONTRACT_FILTERING,
+    CONTRACT_PRESERVING,
+    op_span,
+)
 from ..types import NULL, TRUE, bind_join_key
 from .basic import CHECKPOINT_EVERY, charge_in, charge_out, checkpointed
 
@@ -100,19 +106,25 @@ def _equi_join(
     match each left row on the keys and the residual.
 
     *kind* says what a left row emits: its joined pairs (``inner``), its
-    pairs or itself padded with NULLs (``outer``), or itself when some
-    pair matched (``semi``) or none did (``anti``).  The residual judges
-    the concatenated pair, and that tuple is the one emitted.
+    pairs or itself padded with NULLs (``outer``), its first pair or
+    itself padded (``witness``: the scan of its candidates stops at the
+    first match), or itself when some pair matched (``semi``) or none
+    did (``anti``).  The residual judges the concatenated pair, and that
+    tuple is the one emitted.
 
     One span *name*; charges the left input's ``rows_scanned``, the
     probe counters and ``rows_out`` once, wherever a checkpoint stops
     it — under a governor, once per 512 rows probed or matched."""
+    first = kind == "witness"
     pairs = kind in ("inner", "outer")
     anti = kind == "anti"
-    pad = (NULL,) * len(right.schema) if kind == "outer" else None
+    pad = (NULL,) * len(right.schema) if kind in ("outer", "witness") else None
     out: List[Row] = []
     consumed = scanned = evals = padded = 0
-    with op_span(name, contract=contract, **_on(left_keys, right_keys)) as span:
+    attrs = _on(left_keys, right_keys)
+    if first:
+        attrs["join"] = "witness"
+    with op_span(name, contract=contract, **attrs) as span:
         if len(left_keys) != len(right_keys):
             raise ExecutionError("left/right key lists must have equal length")
         left_idx = left.schema.indices_of(left_keys)
@@ -138,12 +150,31 @@ def _equi_join(
                     candidates = get(key_of(left_row), ())
                 else:
                     candidates = right_rows
-                    scanned += len(candidates)
+                    if not first:
+                        scanned += len(candidates)
                 if governed:
                     budget -= 1 + len(candidates)
                     if budget <= 0:
                         checkpoint("operator-rows")
                         budget = CHECKPOINT_EVERY
+                if first:
+                    # the first pair the residual holds on, else the
+                    # padding: the scan of the candidates stops there
+                    n = 0
+                    for right_row in candidates:
+                        n += 1
+                        row = left_row + right_row
+                        if holds is None or holds(row) is TRUE:
+                            break
+                    else:
+                        padded += 1
+                        row = left_row + pad
+                    append(row)
+                    if holds is not None:
+                        evals += n
+                    if key_of is None:
+                        scanned += n
+                    continue
                 if holds is None:
                     matched = bool(candidates)
                     if pairs:
@@ -174,7 +205,9 @@ def _equi_join(
             if evals:
                 metrics.add("predicate_evals", evals)
             charge_out(span, len(out), padded)
-    schema = left.schema.concat(right.schema) if pairs else left.schema
+    schema = left.schema if kind in ("semi", "anti") else (
+        left.schema.concat(right.schema)
+    )
     return Relation.adopt(schema, out)
 
 
@@ -214,6 +247,27 @@ def left_outer_hash_join(
     """
     return _equi_join(
         "LeftOuterHashJoin", CONTRACT_EXPANDING, "outer",
+        left, right, left_keys, right_keys, residual,
+    )
+
+
+def witness_join(
+    left: Relation,
+    right: Relation,
+    left_keys: Sequence[str],
+    right_keys: Sequence[str],
+    residual: Optional[Expr] = None,
+) -> Relation:
+    """Left outer equi-join keeping one witness per left row: its first
+    qualifying pair, or the row padded with NULLs when none qualifies.
+
+    What a ⟕ feeds an EXISTS / NOT EXISTS test needs no more: the test
+    reads only whether the padded rid is NULL.  Its span is the outer
+    join's, ``LeftOuterHashJoin``, marked ``join=witness``; it emits
+    exactly one row per left row.
+    """
+    return _equi_join(
+        "LeftOuterHashJoin", CONTRACT_PRESERVING, "witness",
         left, right, left_keys, right_keys, residual,
     )
 

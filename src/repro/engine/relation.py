@@ -23,8 +23,8 @@ from typing import (
 )
 
 from ..errors import SchemaError
-from .schema import Column, Schema
-from .types import NULL, SqlValue, is_null, row_group_key, row_sort_key
+from .schema import Schema
+from .types import SqlValue, is_null, row_group_key, row_sort_key
 
 Row = Tuple[SqlValue, ...]
 

@@ -17,6 +17,7 @@ import numpy as np
 from ...core import query_tree
 from ...core.plancache import ReduceMemo
 from ...core.reduce import ReduceStep, group_block
+from ...errors import PlanError
 from ..catalog import Database
 from ..governor import charge_batch, checkpoint
 from ..metrics import current_metrics
@@ -106,6 +107,13 @@ class VectorBackend:
     def left_outer_join(
         self, rel: Batch, child: Batch, node: query_tree.OuterJoin
     ) -> Batch:
+        if node.witness:
+            # only a fused run's join keeps one pair per row, and this
+            # backend has no fused scan to read it
+            raise PlanError(
+                "the vector backend has no witness join "
+                "(a fuse-links plan's deepest EXISTS edge)"
+            )
         if node.cross:
             return kernels.outer_cross_join(rel, child)
         return kernels.left_outer_hash_join(

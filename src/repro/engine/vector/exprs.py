@@ -61,7 +61,6 @@ from .column import (
     KIND_BOOL,
     KIND_FLOAT,
     KIND_INT,
-    KIND_OBJ,
     KIND_STR,
     NUMERIC_KINDS,
     Vector,

@@ -25,7 +25,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..sql import ast as A
 from ..errors import InvalidArgumentError
-from .datagen import DatabaseSpec
 from .runner import Failure, FuzzCase
 
 #: Failure kinds worth preserving while shrinking.  A candidate that

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..engine.types import is_null

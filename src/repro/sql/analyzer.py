@@ -37,8 +37,8 @@ grouped scalar subqueries with multiple rows, ...) raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import AnalysisError
 from ..engine import expressions as ex

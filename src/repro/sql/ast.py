@@ -8,8 +8,8 @@ where possible; subquery-bearing predicates get dedicated node types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ numeric and string literals, and the NULL keyword.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from ..errors import ParseError
 

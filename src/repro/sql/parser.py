@@ -36,7 +36,7 @@ Errors carry the offending token's line/position.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional
 
 from ..errors import ParseError
 from .ast import (

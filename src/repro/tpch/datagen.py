@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..engine.catalog import Database
 from ..engine.relation import Row

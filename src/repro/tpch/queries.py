@@ -23,7 +23,7 @@ variants (a), (b), (c) of Section 5.2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..engine.catalog import Database
 from ..errors import InvalidArgumentError

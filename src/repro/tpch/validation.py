@@ -12,7 +12,7 @@ valid); :func:`assert_valid` raises on the first problem.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..engine.catalog import Database
 from ..engine.types import is_null

@@ -147,6 +147,7 @@ def decisions(nodes):
             getattr(n, "selection", None),
             getattr(n, "strict", None),
             getattr(n, "cross", None),
+            getattr(n, "witness", None),
             getattr(n, "nest_impl", None),
         )
         for n in nodes
@@ -242,6 +243,9 @@ def test_static_names_and_operators_match_the_execution():
                 for n in nodes
             )
             kinds.update("×" for n in nodes if getattr(n, "cross", False))
+            kinds.update(
+                "witness" for n in nodes if getattr(n, "witness", False)
+            )
             rows = result.sorted().rows
             if reference is None:
                 reference = rows
@@ -262,6 +266,7 @@ def test_static_names_and_operators_match_the_execution():
         ("SemiJoin", None),
         ("Residual", None),
         "×",
+        "witness",
     ):
         assert kinds[kind] >= 5, (kind, kinds)
 

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.core.backend import RowBackend
 from repro.core.compute import NestedRelationalStrategy
-from repro.core.nest import nest, nest_sorted
+from repro.core.nest import nest, nest_by_key, nest_sorted
 from repro.engine import Column, Schema
 from repro.engine.catalog import Database
 from repro.engine.types import row_group_key
@@ -99,8 +99,9 @@ def nest_rows_on_key(rel, by, keep, key):
 
 
 class CheckingRowBackend(RowBackend):
-    """The row backend groups on all of ``by``; every nest it runs must
-    equal the same nest grouped on the key alone."""
+    """The row backend's hash nest groups on the key; every nest it
+    runs must equal the same nest grouped on all of ``by`` and on the
+    key by a reference built here."""
 
     def __init__(self, seen: Seen):
         self.seen = seen
@@ -111,6 +112,7 @@ class CheckingRowBackend(RowBackend):
         keyed = nest_rows_on_key(rel, by, keep, key)
         full = nest(rel, by, keep)
         assert full.rows == keyed
+        assert nest_by_key(rel, by, keep, key).rows == keyed
         # the sorted nest emits the same groups in sort order
         assert sorted(nest_sorted(rel, by, keep).rows, key=repr) == sorted(
             keyed, key=repr

@@ -5,8 +5,9 @@ Operators, phases, the baselines' filter phases and the root
 marks a span aborted when its block raises and closes it through
 ``Tracer.close``.  This guard walks the AST of ``src/repro`` and fails
 as soon as a second way grows back — a hand-paired ``tracer.open`` /
-``tracer.close`` outside ``engine/trace.py``, a generator ``op_span``,
-a ``Tracer.span`` method, or the planner's second, traced-only path —
+``tracer.close`` outside ``engine/trace.py``, a generator ``op_span``
+or a ``@contextmanager`` in the core or the engines that wraps it, a
+``Tracer.span`` method, or the planner's second, traced-only path —
 the way ``tests/core/test_single_resolution.py`` fails on a second
 resolution site.
 """
@@ -70,6 +71,35 @@ def test_op_span_is_a_plain_function():
         isinstance(node, (ast.Yield, ast.YieldFrom))
         for node in ast.walk(op_span)
     )
+
+
+def _is_contextmanager(decorator) -> bool:
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else (
+        getattr(decorator, "id", None)
+    )
+    return name in ("contextmanager", "asynccontextmanager")
+
+
+def test_no_generator_manager_wraps_op_span():
+    """A ``@contextmanager`` around ``op_span`` costs a generator frame
+    per span even with tracing off; the core and the engines call
+    ``op_span`` themselves."""
+    sites = []
+    for package in ("core", "engine"):
+        for path in sorted((PACKAGE / package).rglob("*.py")):
+            module = path.relative_to(PACKAGE).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(), filename=module)):
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) or not any(map(_is_contextmanager, node.decorator_list)):
+                    continue
+                if any(
+                    isinstance(call, ast.Call)
+                    and ast.unparse(call.func).split(".")[-1] == "op_span"
+                    for call in ast.walk(node)
+                ):
+                    sites.append((module, node.name))
+    assert sites == [], f"generator managers opening a span: {sites}"
 
 
 def test_the_other_span_openers_stay_deleted():
