@@ -454,6 +454,9 @@ class NestedRelationalStrategy:
 
             # -- the child's own subqueries, in line --------------------- #
             if FUSE_LINKS in rules:
+                # only a disjunctive query marks a link, and _rules_for
+                # drops fuse-links there
+                assert link.mark is None, "a marked link in a fused run"
                 # no way up per level: the edge at the top of the run
                 # evaluates every link below it in one sort + scan
                 chain = [node] if run is None else run
@@ -570,16 +573,13 @@ def _joins_a_leaf(edge: TreeEdge) -> bool:
 def _witnessed(child: TreeNode, link: LinkSpec) -> bool:
     """Whether one qualifying pair per outer tuple decides the fused
     run's verdicts at the edge into *child*: the edge is the run's
-    deepest (*child* is a leaf) and its unmarked link is EXISTS or NOT
-    EXISTS.  The scan's deepest level then reads only whether some
-    member's rid is non-NULL — a leaf's rid never is — and every level
-    above reads columns of the blocks above, equal across one outer
-    tuple's pairs."""
-    return (
-        child.is_leaf
-        and link.operator in ("exists", "not_exists")
-        and link.mark is None
-    )
+    deepest (*child* is a leaf) and its link is EXISTS or NOT EXISTS.
+    The scan's deepest level then reads only whether some member's rid
+    is non-NULL — a leaf's rid never is — and every level above reads
+    columns of the blocks above, equal across one outer tuple's pairs.
+    A fused run's links carry no mark (:meth:`_plan_node` asserts it),
+    so no residual reads a verdict of this edge."""
+    return child.is_leaf and link.operator in ("exists", "not_exists")
 
 
 def _pads(selection) -> bool:

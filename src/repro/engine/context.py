@@ -2,7 +2,7 @@
 
 An execution is sound only if *every* operator of it evaluates under
 the same logic mode, charges the same governor and reports into the
-right metrics scope and tracer.  All of that state is the seven fields
+right metrics scope and tracer.  All of that state is the eight fields
 of one immutable :class:`ExecutionContext` held in one
 :class:`~contextvars.ContextVar`; nothing else in the package is ambient
 (``tests/engine/test_context.py`` fails when a second slot appears).
@@ -10,6 +10,11 @@ of one immutable :class:`ExecutionContext` held in one
 * :func:`current` reads the context — one ``ContextVar.get()``, no
   allocation, cheap enough for the per-comparison and per-operator
   readers (``two_valued()``, ``checkpoint()``).
+* ``fault`` is the ``REPRO_FAULT`` mode, read from the environment
+  once per execution (``PreparedQuery._run``), not at every checkpoint.
+  A context no execution installed holds :data:`UNRESOLVED_FAULT`, and
+  its readers (``checkpoint()``, ``maybe_spill_io_failure()``) read the
+  environment themselves.
 * :func:`scope` replaces fields for the duration of a block and
   restores the previous context on exit; the accessors in
   :mod:`.metrics`, :mod:`.trace`, :mod:`.governor` and :mod:`.logic`
@@ -34,6 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .trace import Tracer
 
 
+#: the ``fault`` of a context no execution installed: the fault mode is
+#: read from ``REPRO_FAULT`` where it is needed
+UNRESOLVED_FAULT = "unresolved"
+
+
 class ExecutionContext(NamedTuple):
     """The ambient state of one execution (immutable)."""
 
@@ -53,6 +63,9 @@ class ExecutionContext(NamedTuple):
     plan_memo: Optional[Any] = None
     #: nesting level of the enclosing Grace spill passes
     spill_depth: int = 0
+    #: the execution's ``REPRO_FAULT`` mode (None: fault-free), or
+    #: :data:`UNRESOLVED_FAULT` outside any execution
+    fault: Optional[str] = UNRESOLVED_FAULT
 
 
 _current: ContextVar[ExecutionContext] = ContextVar(

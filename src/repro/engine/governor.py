@@ -73,7 +73,7 @@ from ..errors import (
     ResourceExhaustedError,
     SpillError,
 )
-from .context import ExecutionContext, current, scope
+from .context import UNRESOLVED_FAULT, ExecutionContext, current, scope
 
 #: accepted values of the ``REPRO_FAULT`` environment variable
 FAULT_MODES = ("slow_checkpoint", "alloc_spike", "spill_io")
@@ -369,14 +369,22 @@ def fault_sleep_seconds() -> float:
     return 0.020
 
 
+def context_fault(context: ExecutionContext) -> Optional[str]:
+    """The fault mode of *context*: its execution's, resolved once when
+    the execution began, or :func:`active_fault` outside any."""
+    fault = context.fault
+    return active_fault() if fault is UNRESOLVED_FAULT else fault
+
+
 def maybe_spill_io_failure() -> None:
     """Raise the injected write failure when ``REPRO_FAULT=spill_io``.
 
     Called by the spill paths immediately before each partition write,
     so the failure lands mid-spill with temp files already on disk —
     exactly the state whose cleanup the injection is meant to prove.
+    The mode is the execution's (:func:`context_fault`).
     """
-    if active_fault() == "spill_io":
+    if context_fault(current()) == "spill_io":
         raise SpillError(
             "injected spill write failure (REPRO_FAULT=spill_io)"
         )
@@ -389,10 +397,12 @@ def checkpoint(site: str = "operator") -> None:
     checks the ambient governor — so an injected slowdown is observed by
     the very next deadline check, keeping timeout overshoot bounded by
     one checkpoint interval.  Ungoverned, fault-free executions pay one
-    ``os.environ`` lookup and one context read.
+    context read: the fault mode is the execution's
+    (:func:`context_fault`).
     """
-    fault = active_fault()
-    governor = current_governor()
+    context = current()
+    fault = context_fault(context)
+    governor = context.governor
     if fault == "slow_checkpoint":
         time.sleep(fault_sleep_seconds())
     elif (

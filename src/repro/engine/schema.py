@@ -117,12 +117,13 @@ class Schema:
         raise SchemaError(f"unknown column {ref!r} in {self!r}")
 
     def has(self, ref: str) -> bool:
-        """Whether *ref* resolves (unambiguously) in this schema."""
-        try:
-            self.index_of(ref)
+        """Whether *ref* resolves (unambiguously) in this schema:
+        :meth:`index_of`'s rules, answered without raising (a miss
+        builds no error message)."""
+        if ref in self._by_qualified:
             return True
-        except SchemaError:
-            return False
+        table, name = parse_ref(ref)
+        return table is None and len(self._by_name.get(name, ())) == 1
 
     def column(self, ref: str) -> Column:
         """Resolve *ref* to its :class:`Column`."""

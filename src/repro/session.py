@@ -49,7 +49,7 @@ from .core.optimizer import PlannerDecision, resolve
 from .core.plancache import SessionCache
 from .engine.catalog import Database
 from .engine.context import current, scope
-from .engine.governor import ResourceGovernor
+from .engine.governor import ResourceGovernor, active_fault
 from .engine.logic import validate_logic
 from .engine.relation import Relation
 from .engine.trace import op_span, tracing
@@ -132,8 +132,10 @@ class PreparedQuery:
 
         The one place the per-execution fields of the ambient
         :class:`~repro.engine.context.ExecutionContext` are installed:
-        governor, logic mode, reduce cache and the decision's plan memo,
-        in a single scope that every operator of the execution sees.
+        governor, logic mode, reduce cache, the decision's plan memo and
+        the ``REPRO_FAULT`` mode (read here once, so an unknown mode
+        raises before any operator runs), in a single scope that every
+        operator of the execution sees.
         """
         if governor is None:
             governor = self._session.governor(eff)
@@ -143,6 +145,7 @@ class PreparedQuery:
             logic=validate_logic(eff.logic),
             reduce_cache=self._session.reduce_cache(),
             plan_memo=decision.plan_memo,
+            fault=active_fault(),
         ):
             return planner.run(self.query, self._session.db, decision)
 

@@ -40,6 +40,7 @@ from repro.fuzz import FuzzConfig, generate_case
 from repro.oracle import cross_check
 
 from ..conftest import run_traced
+from ..fuzz_corpus import test_fuzz_8ff4d1a331 as fuzz_8ff4d1a331
 from .test_explain_golden import PAPER_QUERIES
 from .test_explain_presets_golden import SHAPES
 
@@ -107,6 +108,42 @@ def test_witness_marks_exactly_the_deepest_existential_leaf_edge(
                     seen["quantified"] += 1
     # every kind of edge the flag must stay off was planned
     assert all(count >= 3 for count in seen.values()), seen
+
+
+def _disjunctive_queries(paper_db):
+    yield from (
+        (sql, paper_db) for stem, sql in SHAPES.items() if "disjunction" in stem
+    )
+    yield fuzz_8ff4d1a331.SQL, fuzz_8ff4d1a331.build_db()
+    config = FuzzConfig(seed=51, max_depth=3, disjunction_probability=1.0)
+    for iteration in range(200):
+        case = generate_case(config, iteration)
+        yield case.sql, case.db_spec.build()
+
+
+def test_no_marked_link_reaches_a_fused_run(paper_db):
+    """``_witnessed`` reads no mark: a marked link — only a disjunctive
+    query has one — never sits on a fused run, because ``_rules_for``
+    drops ``fuse-links`` for such a query (and planning asserts it)."""
+    fusing = [
+        preset for preset in PRESETS
+        if FUSE_LINKS in strategies.make(preset).rules
+    ]
+    marked = 0
+    for sql, db in _disjunctive_queries(paper_db):
+        for preset in fusing:
+            tree = _plan(preset, sql, db)
+            if tree is None:
+                continue
+            for edge in _edges(tree.root):
+                if edge.link.mark is None:
+                    continue
+                marked += 1
+                fused = isinstance(edge.connect, OuterJoin) and not isinstance(
+                    edge.up, NestLink
+                )
+                assert not fused, (preset, sql, edge.link.describe())
+    assert fusing and marked >= 100, marked
 
 
 def _fig8():

@@ -24,6 +24,11 @@ The join family's key semantics are also pinned against the row
 engine's hash joins, on every key-kind combination, in memory and
 spilled to disk (``TestProbeCodes``, ``TestExactKindMatrix``).
 
+A build index ranks every ``i8`` column and composite fold whose domain
+is at most ``BUILD_LUT_WIDTH`` (or ``4n + 1024``) wide through a lookup
+table; ``TestBuildLut`` pins those lookups against the same reference,
+with NULL components on either side and fold domains at the bound.
+
 Inputs: ``i8`` keys with negative values and the int64 extremes, domains
 on both sides of the ``4n + 1024`` presence-table threshold, 1–3 column
 composite keys with ints next to floats (which take the float path, or
@@ -612,6 +617,219 @@ class TestKeptIndex:
             ["n2.n_nationkey"], ["nation.n_nationkey"],
         )
         assert list(transient.kept_indexes()) == [("nation.n_nationkey",)]
+
+
+# --------------------------------------------------------------------- #
+# The build lut: every i8 dictionary of a build index up to the bound
+# --------------------------------------------------------------------- #
+
+#: a sparse ``i8`` build column: 89 999 wide, far over ``4n + 1024`` for
+#: its rows and under ``BUILD_LUT_WIDTH``
+SPARSE = [100, 5_000, 42_000, 90_098]
+#: its probe values: below the domain, at each end, inside and absent,
+#: above it, and the int64 extremes
+SPARSE_PROBES = [99, 100, 2_500, 42_000, 90_098, 90_099, I64_MIN, I64_MAX]
+#: a composite key's second column, by kind: ``(build values, probe
+#: values)``, the probe's with values the build lacks
+SECOND = {
+    "i8": ([-4, 7, 11], [-4, 7, 11, 8, -5, 12]),
+    "str": (["x", "y", "zz"], ["x", "y", "zz", "w", ""]),
+    "bool": ([True, False], [True, False]),
+}
+
+
+def with_nulls(values, every):
+    """*values* with every *every*-th one NULL (none when *every* is 0)."""
+    if not every:
+        return list(values)
+    return [NULL if i % every == 0 else v for i, v in enumerate(values)]
+
+
+def assert_pairs_equal_reference(right, right_keys, left, left_keys):
+    """The pairs of *right*'s kept index probed by *left* are the sorting
+    matcher's, and so is every join of the family built on them."""
+    index = kernels.build_index(right, right_keys)
+    want = ref_pairs(left, right, left_keys, right_keys)
+    for got, w in zip(index_pairs(index, left, left_keys), want):
+        assert_same_array(got, w)
+    for join in JOINS:
+        got = getattr(kernels, join)(left, right, left_keys, right_keys, None)
+        assert_same_batch(
+            got, ref_join(join, left, right, left_keys, right_keys, None)
+        )
+    return index
+
+
+def fold_at_the_bound(extra: int):
+    """A two-column ``i8`` build whose fold domain is
+    ``BUILD_LUT_WIDTH + extra`` wide: 257 first-column values (ranks
+    0–256), 511 second-column values (radix 511, so a fold step of 512),
+    the fold's lowest row at ranks ``(0, 2)`` and its highest at
+    ``(256, 1 + extra)``; 513 rows, so ``4n + 1024`` is far under it."""
+    a = [1_000_000] + [256 + 1_000_000] + [
+        1_000_000 + 1 + j % 255 for j in range(511)
+    ]
+    b = [3 * 2 - 700, 3 * (1 + extra) - 700] + [3 * j - 700 for j in range(511)]
+    return a, b
+
+
+class TestBuildLut:
+    """A build index ranks every ``i8`` column and fold whose domain is
+    at most ``BUILD_LUT_WIDTH`` wide (or about its row count) through a
+    ``lut``.  Codes are ranks either way, so its pairs stay the sorting
+    matcher's byte for byte, a NULL component never matching."""
+
+    @pytest.mark.parametrize("second", sorted(SECOND))
+    @pytest.mark.parametrize("nulls", ["none", "build", "probe", "both"])
+    @pytest.mark.parametrize("order", ["i8-first", "i8-second"])
+    def test_composite_keys_equal_the_sorting_matcher(
+        self, second, nulls, order
+    ):
+        build_b, probe_b = SECOND[second]
+        build = [(a, b) for a in SPARSE for b in build_b][:-1]
+        probe = [(a, b) for a in SPARSE_PROBES for b in probe_b]
+        build_every = 5 if nulls in ("build", "both") else 0
+        probe_every = 4 if nulls in ("probe", "both") else 0
+        columns = {}
+        for side, rows, every in (
+            ("r", build, build_every), ("l", probe, probe_every),
+        ):
+            first = with_nulls([a for a, _ in rows], every)
+            # the other column's NULLs at other rows
+            other = with_nulls(
+                [b for _, b in rows][::-1], every + 1 if every else 0
+            )[::-1]
+            if order == "i8-second":
+                first, other = other, first
+            columns[side] = (first, other)
+        right = batch_of(
+            r0=columns["r"][0], r1=columns["r"][1], q=list(range(len(build)))
+        )
+        left = batch_of(
+            l0=columns["l"][0], l1=columns["l"][1], p=list(range(len(probe)))
+        )
+        index = assert_pairs_equal_reference(
+            right, ["r0", "r1"], left, ["l0", "l1"]
+        )
+        sparse = index.columns[0 if order == "i8-first" else 1]
+        assert sparse.lut is not None
+        assert len(sparse.lut) - 1 > 4 * len(right) + 1024
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_fold_domains_at_the_bound(self, extra):
+        a, b = fold_at_the_bound(extra)
+        right = batch_of(a=a, b=b, q=list(range(len(a))))
+        index = kernels.build_index(right, ["a", "b"])
+        _radix, fold = index.folds[0]
+        assert int(fold.values[-1] - fold.values[0]) + 1 == (
+            kernels.BUILD_LUT_WIDTH + extra
+        )
+        assert (fold.lut is not None) == (extra <= 0)
+        # every build key, pairs of build values the build lacks (below,
+        # inside and above the fold domain), values it lacks, and NULLs
+        probe_a = a + [1_000_000, 1_000_256, 1_000_128, 999_999, 1_000_257]
+        probe_b = b + [-700, 3 * 510 - 700, -699, -701, 3 * 511 - 700]
+        left = batch_of(
+            x=with_nulls(probe_a, 7),
+            y=with_nulls(probe_b[::-1], 11)[::-1],
+            p=list(range(len(probe_a))),
+        )
+        assert_pairs_equal_reference(right, ["a", "b"], left, ["x", "y"])
+
+    def test_an_in_bound_kept_fold_answers_through_its_lut(
+        self, monkeypatch
+    ):
+        """The paper's Query 2 / Query 3 shape: a ``partsupp``-like build
+        keyed on ``(partkey, suppkey)`` whose fold is far wider than
+        ``4n + 1024``, probed by ``lineitem``-like keys with no binary
+        search."""
+        rng = np.random.default_rng(44)
+        parts = np.repeat(np.arange(1, 601, dtype=np.int64), 4)
+        supps = (parts * 7 + np.tile(np.arange(4), 600) * 25) % 100 + 1
+        right = batch_of(
+            ps_partkey=parts.tolist(), ps_suppkey=supps.tolist(),
+            q=list(range(len(parts))),
+        )
+        rows = rng.integers(0, len(parts), size=900)
+        left = batch_of(
+            l_partkey=parts[rows].tolist(),
+            l_suppkey=np.where(
+                rng.random(900) < 0.3, rng.integers(1, 101, 900), supps[rows]
+            ).tolist(),
+            p=list(range(900)),
+        )
+        keys_r, keys_l = ["ps_partkey", "ps_suppkey"], ["l_partkey", "l_suppkey"]
+        index = kernels.build_index(right, keys_r)
+        assert kernels.build_index(right, keys_r) is index
+        _radix, fold = index.folds[0]
+        assert fold.lut is not None
+        assert len(fold.lut) - 1 > 4 * len(right) + 1024
+
+        def no_binary_search(*args, **kwargs):
+            raise AssertionError("a kept fold probed by binary search")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "searchsorted", no_binary_search)
+            codes = index.probe(left, keys_l)
+        got = kernels.probe_match(index.starts, index.rows, codes)
+        for g, w in zip(got, ref_pairs(left, right, keys_l, keys_r)):
+            assert_same_array(g, w)
+
+    @EXAMPLES
+    @given(st.data())
+    def test_random_composite_keys_equal_the_sorting_matcher(self, data):
+        """2–3 key columns of ``i8`` (dense, or spread over up to twice
+        the bound), ``str`` and ``bool``, up to 150 build rows, NULLs on
+        either side: the pairs are the sorting matcher's, and each ``i8``
+        dictionary and fold keeps a lut exactly when its domain fits."""
+        n_keys = data.draw(st.integers(2, 3))
+        kinds = data.draw(
+            st.lists(
+                st.sampled_from([KIND_INT, KIND_INT, KIND_STR, KIND_BOOL]),
+                min_size=n_keys, max_size=n_keys,
+            )
+        )
+        nr = data.draw(st.integers(0, 150))
+        nl = data.draw(st.integers(0, 60))
+        nulls = st.sampled_from(["none", "none", "some"])
+        right_cols, left_cols = [], []
+        for kind in kinds:
+            spread = data.draw(
+                st.sampled_from([40, 20_000, kernels.BUILD_LUT_WIDTH * 2])
+            )
+            base = data.draw(st.sampled_from([0, -(2 ** 40), I64_MAX - spread]))
+            ints = st.integers(base, base + spread)
+            right_cols.append(
+                vector(data.draw, kind, nr, values_of(kind, ints),
+                       data.draw(nulls))
+            )
+            # probes: the build's own values half of the time
+            own = right_cols[-1].data.tolist()
+            values = values_of(kind, ints)
+            if own:
+                values = st.one_of(values, st.sampled_from(own))
+            left_cols.append(
+                vector(data.draw, kind, nl, values, data.draw(nulls))
+            )
+        rk = [f"r{i}" for i in range(n_keys)]
+        lk = [f"l{i}" for i in range(n_keys)]
+        right = Batch(
+            Schema([Column(n) for n in rk + ["q"]]),
+            right_cols + [Vector.from_values(list(range(nr)))], nr,
+        )
+        left = Batch(
+            Schema([Column(n) for n in lk + ["p"]]),
+            left_cols + [Vector.from_values(list(range(nl)))], nl,
+        )
+        index = assert_pairs_equal_reference(right, rk, left, lk)
+        bound = max(kernels.BUILD_LUT_WIDTH, 4 * nr + 1024)
+        ints = [
+            d for d in index.columns + [f for _r, f in index.folds]
+            if d.kind in (KIND_INT, KIND_BOOL) and len(d)
+        ]
+        for dictionary in ints:
+            width = int(dictionary.values[-1]) - int(dictionary.values[0]) + 1
+            assert (dictionary.lut is not None) == (width <= bound)
 
 
 # --------------------------------------------------------------------- #

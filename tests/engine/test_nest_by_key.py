@@ -257,10 +257,10 @@ def test_no_value_column_is_factorized_inside_a_nest(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def coding(col):
+    def coding(col, *args):
         if depth[0] > 0:
             count["rids" if id(col) in rids else "values"] += 1
-        return real_dictionary(col)
+        return real_dictionary(col, *args)
 
     # the one nest body, which a leaf edge's fused join_nest and every
     # other nest_link run once per nest

@@ -57,6 +57,37 @@ class TestResolution:
         assert not s.has("a")  # ambiguous counts as not resolvable
         assert not s.has("zzz")
 
+    @pytest.mark.parametrize(
+        "schema, ref",
+        [
+            (make(), "r.a"),  # qualified
+            (make(), "b"),  # bare and unique
+            (make(), "a"),  # bare and ambiguous
+            (make(), "zzz"),  # unknown
+            (make(), "r.zzz"),  # unknown in a known table
+            (make(), "x.a"),  # qualified with an unknown table
+            # a bare column's own name beats the ambiguity of its name
+            (Schema([Column("a"), Column("a", table="r")]), "a"),
+            (Schema([Column("a"), Column("a", table="r")]), "r.a"),
+        ],
+    )
+    def test_has_agrees_with_index_of(self, schema, ref):
+        try:
+            schema.index_of(ref)
+            resolves = True
+        except SchemaError:
+            resolves = False
+        assert schema.has(ref) is resolves
+
+    def test_has_builds_no_error_message_on_a_miss(self, monkeypatch):
+        def no_repr(self):
+            raise AssertionError("a miss rendered the schema")
+
+        s = make()
+        monkeypatch.setattr(Schema, "__repr__", no_repr)
+        for ref in ("a", "zzz", "r.zzz", "x.a"):
+            assert not s.has(ref)
+
     def test_indices_of_preserves_order(self):
         s = make()
         assert s.indices_of(["s.c", "r.a"]) == (3, 0)
